@@ -1,5 +1,6 @@
 """Exact path counting: recurrence table against the backtracking oracle."""
 
+import hashlib
 import json
 import math
 
@@ -80,6 +81,19 @@ class TestRecurrenceTable:
         for n in range(21):
             want = full.row(n).coeffs[:7]
             assert tuple(capped.row(n).coeffs)[: len(want)] == want
+
+    @pytest.mark.parametrize(
+        "n_max, m_max, digest",
+        [
+            (60, None, "1a09db91df40ab8671f21394a8e9e86900d7db54f6250551a4712633b5e447c7"),
+            (170, 80, "d3294d081b4c86d363b407e6aae1c4a90b554e687fbd03aef7e39df555290863"),
+        ],
+    )
+    def test_golden_digest(self, n_max, m_max, digest):
+        # sha256 of the CSV export, pinned from the first-return convolution
+        # builder so that any change of builder keeps every count bit-identical
+        text = table_to_csv(build_area_polynomials(n_max, m_max=m_max))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_column_access(self):
         table = build_area_polynomials(9)
