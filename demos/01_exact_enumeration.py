@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Exact counting of lattice paths by length and area.
 
-Builds the coefficient table from the first-return recurrence, checks it
-against brute-force enumeration, and prints a few fixed-area series.
+Builds the coefficient table by a height pass over the steps of the walk,
+checks it against brute-force enumeration, and prints a few fixed-area
+series.
 """
 
 from dyckarea import (

@@ -67,7 +67,6 @@ __all__ = [
     "g_singular",
     "finite_size_phi",
     "q_m_asymptotic",
-    "calibrate_phi_sign",
     "PHI_AMPLITUDE",
 ]
 
@@ -324,22 +323,20 @@ def g_singular(t: float, q: float, method: Literal["exact", "asymptotic"] = "exa
 PHI_AMPLITUDE = 2.0
 
 
-def finite_size_phi(s: float, j_max: int = 24, sigma: int = -1,
+def finite_size_phi(s: float, j_max: int = 24,
                     constants: ScalingConstants | None = None,
                     tol: float = 1e-6, full_output: bool = False):
-    """Finite-size scaling function phi(s) = sigma * 2 * sum_j Z(j+1) s^j / Gamma(2j/3 - 1/3).
+    """Finite-size scaling function phi(s) = -2 * sum_j Z(j+1) s^j / Gamma(2j/3 - 1/3).
 
     The Gamma growth makes the series entire; truncation at j_max is
-    checked against the last term. ``sigma`` is the global sign; the
-    default -1 is fixed by calibration against positivity of the exact
-    fixed-area series at t = 1/4 (see ``calibrate_phi_sign``), and both
-    candidates remain selectable. The factor 2 is the tricritical
+    checked against the last term. The global sign is -1: the exact
+    fixed-area series Q_m(t) is a sum of positive terms, and the s = 0
+    term Z(1)/Gamma(-1/3) is negative (Z(1) > 0, Gamma(-1/3) < 0), so only
+    -1 makes phi positive there. The factor 2 is the tricritical
     amplitude 1/(2 t_c) of the singular part.
     """
     if j_max < 10:
         raise DomainError("j_max must be >= 10")
-    if sigma not in (-1, 1):
-        raise DomainError("sigma must be +1 or -1")
     zeta = constants.airy_zeta if constants is not None else None
     total = 0.0
     last = 0.0
@@ -347,7 +344,7 @@ def finite_size_phi(s: float, j_max: int = 24, sigma: int = -1,
         zj = zeta[j + 1] if zeta is not None else airy_zeta(j + 1)
         last = zj / math.gamma(2.0 * j / 3.0 - 1.0 / 3.0) * s**j
         total += last
-    value = sigma * PHI_AMPLITUDE * total
+    value = -PHI_AMPLITUDE * total
     if abs(last) > tol * max(abs(total), 1e-300):
         raise NonConvergenceError(
             f"finite-size series not converged at j_max = {j_max}",
@@ -366,14 +363,3 @@ def q_m_asymptotic(m: int, t: float, j_max: int = 24,
     s = (1.0 - 4.0 * t) * m ** (2.0 / 3.0)
     return m ** (-4.0 / 3.0) * finite_size_phi(s, j_max=j_max, constants=constants)
 
-
-def calibrate_phi_sign(exact_q_m_at_quarter: float) -> int:
-    """Global sign of phi from positivity of the exact series at t = 1/4.
-
-    Pass any exact Q_m(1/4) (a sum of positive terms); the sign making the
-    s = 0 value of phi positive is returned.
-    """
-    if exact_q_m_at_quarter <= 0.0:
-        raise DomainError("exact fixed-area series value must be positive")
-    base = airy_zeta(1) / math.gamma(-1.0 / 3.0)  # negative
-    return 1 if base > 0.0 else -1

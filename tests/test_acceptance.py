@@ -255,7 +255,7 @@ def test_criterion_10_finite_size_scaling():
     constants = make_scaling_constants(zero_count=2000, j_max=40)
     table = build_area_polynomials(170, m_max=80)
     exact_at_quarter = partition_series(table, 12, 0.25).value
-    assert exact_at_quarter > 0.0  # sigma calibration reference
+    assert exact_at_quarter > 0.0  # a sum of positive terms, as phi's sign assumes
     ratios = []
     for m in (20, 40, 80):
         t = (1.0 - m ** (-2.0 / 3.0)) / 4.0  # fixed s = 1

