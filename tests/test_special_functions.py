@@ -1,5 +1,6 @@
 """Airy pair, zeros, zeta sums, dilogarithm and the scaling function."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -28,6 +29,11 @@ S1 = -2.338107410459767
 S2 = -4.087949444130971
 # 3^(5/3) Gamma(2/3)^4 / (4 pi^2)
 Z2_CLOSED = 0.5314572319609995
+# sha256 of "x,ai,ai_prime,underflow" lines (repr of each float) over
+# AIRY_GOLDEN_GRID, pinned before the Maclaurin and asymptotic evaluators
+# were merged so that every tier stays bit-identical
+AIRY_GOLDEN_GRID = np.linspace(-12.0, 80.0, 4601).tolist() + [-7.8, -4.5, 3.5, 4.5, 7.8, 60.0, 9999.0]
+AIRY_GOLDEN_DIGEST = "3877a2b1bf9d281ea2b88d7b1b6619edda713660fed1d705f1e95dd7718e7acb"
 
 
 class TestAiry:
@@ -65,6 +71,13 @@ class TestAiry:
         values = [airy(x).ai for x in [1.0, 2.0, 4.0, 8.0, 16.0, 32.0]]
         assert all(v > 0.0 for v in values)
         assert all(b < a for a, b in zip(values, values[1:]))
+
+    def test_golden_digest(self):
+        lines = []
+        for x in AIRY_GOLDEN_GRID:
+            pair = airy(x)
+            lines.append(f"{x!r},{pair.ai!r},{pair.ai_prime!r},{pair.underflow}")
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == AIRY_GOLDEN_DIGEST
 
     def test_underflow_flag(self):
         pair = airy(9999.0)
