@@ -48,8 +48,7 @@ from .errors import (
 from .qseries import EvalSettings, g_cfrac, log_q_pochhammer_inf
 from .special_functions import (
     ScalingConstants,
-    airy,
-    airy_scaled_positive,
+    airy_scaled,
     airy_zeta,
     dilog,
     scaling_F,
@@ -217,13 +216,9 @@ def h_uniform(t: float, q: float, variant: Literal["H", "H_qt"] = "H") -> Scaled
     p0, q0 = (sd.p0_h, sd.q0_h) if variant == "H" else (sd.p0_hqt, sd.q0_hqt)
     x = sd.alpha * eps ** (-2.0 / 3.0)
     log_poch = log_q_pochhammer_inf(q, q).real
-    exponent = log_poch + sd.beta / eps
-    if x > 60.0:
-        # keep the Airy decay in the exponent so the bracket never underflows
-        pair = airy_scaled_positive(x)
-        exponent -= 2.0 * x**1.5 / 3.0
-    else:
-        pair = airy(x)
+    # the Airy decay goes into the exponent so the bracket never underflows
+    pair, log_factor = airy_scaled(x)
+    exponent = log_poch + sd.beta / eps + log_factor
     bracket = p0 * eps ** (1.0 / 3.0) * pair.ai - q0 * eps ** (2.0 / 3.0) * pair.ai_prime
     if bracket == 0.0:
         return ScaledValue(mantissa=0.0, exponent=exponent)
@@ -243,9 +238,8 @@ def g_uniform(t: float, q: float) -> float:
         raise DomainError("q must lie in (0, 1)")
     sd = saddle_data(t)
     x = sd.alpha * eps ** (-2.0 / 3.0)
-    # deep in the subcritical regime the bare Airy values underflow; the
-    # exp(zeta)-scaled pair leaves the ratio unchanged
-    pair = airy_scaled_positive(x) if x > 60.0 else airy(x)
+    # the exponential factor of the Airy pair cancels in the ratio
+    pair, _ = airy_scaled(x)
     e13 = eps ** (1.0 / 3.0)
     numer = sd.p0_hqt * pair.ai - sd.q0_hqt * e13 * pair.ai_prime
     denom = sd.p0_h * pair.ai - sd.q0_h * e13 * pair.ai_prime
@@ -306,7 +300,7 @@ def g_singular(t: float, q: float, method: Literal["exact", "asymptotic"] = "exa
         raise DomainError("t must be positive")
     if method == "exact":
         if settings is None:
-            settings = EvalSettings(q=q, t=t)
+            settings = EvalSettings(q=q)
         return g_cfrac(t, settings) - 1.0 / (2.0 * t)
     if method == "asymptotic":
         s = (1.0 - 4.0 * t) * (1.0 - q) ** (-2.0 / 3.0)

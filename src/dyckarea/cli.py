@@ -16,6 +16,7 @@ import numpy as np
 from . import __version__
 from .asymptotics import ScalingQuery, g_scaling, g_uniform, q_m_asymptotic
 from .datasets import (
+    _partition_n_max,
     scan_g_vs_t,
     scan_partition,
     scan_phase_boundary,
@@ -74,7 +75,6 @@ def _resolve_q(args) -> float:
 def _settings(args, q: float) -> EvalSettings:
     return EvalSettings(
         q=q,
-        t=getattr(args, "t", None),
         tol=getattr(args, "tol", None) or 1e-12,
         precision_bits=getattr(args, "precision_bits", None),
     )
@@ -181,8 +181,7 @@ def _cmd_scaling(args) -> int:
 
 
 def _cmd_partition(args) -> int:
-    peak = (2 * args.m - 1) / max(0.2, -math.log(max(args.t, 1e-6)))
-    n_max = args.n_max or int(peak + 5.0 * math.sqrt(max(peak, 4.0))) + 20
+    n_max = args.n_max or _partition_n_max(args.t, args.m)
     table = build_area_polynomials(n_max, m_max=args.m)
     res = partition_series(table, args.m, args.t)
     asym = q_m_asymptotic(args.m, args.t, j_max=args.j_max) if args.m >= 10 else None
@@ -193,13 +192,11 @@ def _cmd_partition(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    failures = 0
+    results = []
 
     def report(name: str, ok: bool, detail: str):
-        nonlocal failures
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
-        if not ok:
-            failures += 1
+        results.append(ok)
 
     # Euler-Maclaurin remainder bound on a complex grid
     worst = 0.0
@@ -238,8 +235,9 @@ def _cmd_validate(args) -> int:
         worst = max(worst, abs(scaling_F_series(float(s), 100) - scaling_F(float(s))))
     report("scaling_identity", worst < 1e-6, f"max |series - ratio| = {worst:.2e} (j_max=100)")
 
-    print(f"{'OK' if failures == 0 else 'FAILED'}: {5 - failures}/5 checks passed")
-    return EXIT_OK if failures == 0 else EXIT_MISMATCH
+    passed = sum(results)
+    print(f"{'OK' if all(results) else 'FAILED'}: {passed}/{len(results)} checks passed")
+    return EXIT_OK if all(results) else EXIT_MISMATCH
 
 
 def build_parser() -> _Parser:

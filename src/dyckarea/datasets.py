@@ -174,6 +174,13 @@ def scan_scaling_fn(eps_list: list[float], s_min: float, s_max: float, steps: in
     )
 
 
+def _partition_n_max(t: float, m: int) -> int:
+    """Table length that holds the fixed-area series Q_m(t) to its tail."""
+    # peak of c[m][n] t^n sits near (2m-1)/|ln t|; pad by five widths
+    peak = (2 * m - 1) / max(0.2, -math.log(max(t, 1e-6)))
+    return int(peak + 5.0 * math.sqrt(max(peak, 4.0))) + 20
+
+
 def scan_partition(t: float, m_values: list[int], n_max: int | None = None,
                    j_max: int = 24, stamp: bool = False) -> ScanDataset:
     """Exact fixed-area series against the finite-size asymptotic form."""
@@ -181,9 +188,7 @@ def scan_partition(t: float, m_values: list[int], n_max: int | None = None,
         raise DomainError("m_values must be nonempty")
     m_top = max(m_values)
     if n_max is None:
-        # peak of c[m][n] t^n sits near (2m-1)/|ln t|; pad by five widths
-        peak = (2 * m_top - 1) / max(0.2, -math.log(max(t, 1e-6)))
-        n_max = int(peak + 5.0 * math.sqrt(max(peak, 4.0))) + 20
+        n_max = _partition_n_max(t, m_top)
     table = build_area_polynomials(n_max, m_max=m_top)
     constants = make_scaling_constants(zero_count=2000, j_max=j_max + 2)
     exact, asym, svals, tails = [], [], [], []

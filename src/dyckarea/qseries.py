@@ -56,7 +56,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EvalSettings:
-    """Evaluation point and numerical policy shared by the q-series routines.
+    """The nome q and the numerical policy shared by the q-series routines.
 
     ``epsilon`` is always recomputed from q, never stored. When
     ``precision_bits`` is left unset, the alternating-series routines scale
@@ -65,7 +65,6 @@ class EvalSettings:
     """
 
     q: float
-    t: float | complex | None = None
     tol: float = 1e-12
     max_terms: int = 200_000
     precision_bits: int | None = None
@@ -93,6 +92,14 @@ class EvalSettings:
         return max(53, math.ceil(3.0 * envelope / (self.epsilon * math.log(2.0))))
 
 
+def _pochhammer_count(scale: float, q: float, tol: float) -> int:
+    """Factors of (z; q)_inf with |z| <= scale to keep for tolerance tol.
+
+    |log prod_{k>N}| <= |z| q^(N+1) / (1 - q) up to second order.
+    """
+    return max(8, math.ceil(math.log(max(scale, 1.0) / (tol * (1.0 - q))) / -math.log(q)) + 2)
+
+
 def q_pochhammer(z: complex, q: float, n: int | None = None,
                  settings: EvalSettings | None = None) -> complex | float:
     """q-Pochhammer symbol (z; q)_n = prod_{k<n} (1 - z q^k).
@@ -101,24 +108,15 @@ def q_pochhammer(z: complex, q: float, n: int | None = None,
     factors differ from 1 by less than the tolerance; that requires
     0 < q < 1. Real inputs give a float.
     """
-    tol = settings.tol if settings is not None else 1e-17
-    if n is not None:
-        if n < 0:
-            raise DomainError("q_pochhammer order must be >= 0 or None")
-        result = 1.0 + 0.0j if isinstance(z, complex) else 1.0
-        qk = 1.0
-        for _ in range(n):
-            result *= 1.0 - z * qk
-            qk *= q
-        return result
-    if not (0.0 < q < 1.0):
-        raise DomainError("infinite q-Pochhammer products need q in (0, 1)")
-    # |log prod_{k>N}| <= |z| q^(N+1) / (1 - q) up to second order.
-    scale = max(abs(z), 1.0)
-    count = max(8, math.ceil(math.log(scale / (tol * (1.0 - q))) / -math.log(q)) + 2)
+    if n is None:
+        if not (0.0 < q < 1.0):
+            raise DomainError("infinite q-Pochhammer products need q in (0, 1)")
+        n = _pochhammer_count(abs(z), q, settings.tol if settings is not None else 1e-17)
+    elif n < 0:
+        raise DomainError("q_pochhammer order must be >= 0 or None")
     result = 1.0 + 0.0j if isinstance(z, complex) else 1.0
     qk = 1.0
-    for _ in range(count):
+    for _ in range(n):
         result *= 1.0 - z * qk
         qk *= q
     return result
@@ -132,11 +130,9 @@ def log_q_pochhammer_inf(z: complex, q: float, tol: float = 1e-17) -> complex:
     """
     if not (0.0 < q < 1.0):
         raise DomainError("log_q_pochhammer_inf needs q in (0, 1)")
-    scale = max(abs(z), 1.0)
-    count = max(8, math.ceil(math.log(scale / (tol * (1.0 - q))) / -math.log(q)) + 2)
     total = 0.0 + 0.0j
     qk = 1.0
-    for _ in range(count):
+    for _ in range(_pochhammer_count(abs(z), q, tol)):
         total += cmath.log(1.0 - z * qk)
         qk *= q
     return total
@@ -463,11 +459,9 @@ def _contour_integrand(zs: np.ndarray, t: float, q: float, tol: float) -> np.nda
     lnz = np.log(zs)  # principal branch
     exponent = (0.5 * (1.0 + lnz / lnq) - math.log(t) / lnq) * lnz
     numer = np.exp(exponent)
-    scale = float(np.max(np.abs(zs)))
-    count = max(8, math.ceil(math.log(max(scale, 1.0) / (tol * (1.0 - q))) / -lnq) + 2)
     poch = np.ones_like(zs)
     qk = 1.0
-    for _ in range(count):
+    for _ in range(_pochhammer_count(float(np.max(np.abs(zs))), q, tol)):
         poch *= 1.0 - zs * qk
         qk *= q
     return numer / poch
@@ -503,7 +497,7 @@ def contour_h(t: float, q: float, contour: ContourSpec | None = None,
     and shares no code with the series evaluator.
     """
     if settings is None:
-        settings = EvalSettings(q=q, t=t)
+        settings = EvalSettings(q=q)
     if not (0.0 < q < 1.0):
         raise DomainError("contour_h needs q in (0, 1)")
     if not (0.0 < t < 1.0):

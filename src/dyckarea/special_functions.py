@@ -8,15 +8,20 @@ the oscillatory envelope on the negative Airy axis).
 
 Evaluation strategy for Ai/Ai':
 
-* ``|x| <= 4.5``   Maclaurin series in double precision (exactly summed
-  term lists; worst cancellation here costs ~3 digits).
-* ``4.5 < |x| <= 7.8``  the same Maclaurin series under mpmath with the
-  working precision raised by the cancellation depth exp(2|x|^{3/2}/3).
-  A plain asymptotic expansion switched on at 4.5 bottoms out near 3e-6
-  (optimal truncation error exp(-4|x|^{3/2}/3)), far short of 12 digits,
-  which is why this guarded middle tier exists.
+* ``-4.5 <= x <= 3.5``   Maclaurin series in double precision (exactly
+  summed term lists; worst cancellation here costs ~3 digits).
+* ``3.5 < x <= 7.8`` and ``-7.8 <= x < -4.5``   the same Maclaurin
+  recurrence (one ``_maclaurin_terms`` serves both tiers) run on mpmath
+  numbers, with the working precision raised by the cancellation depth
+  exp(2|x|^{3/2}/3). A plain asymptotic expansion switched on at 4.5
+  bottoms out near 3e-6 (optimal truncation error exp(-4|x|^{3/2}/3)), far
+  short of 12 digits, which is why this guarded middle tier exists.
 * ``|x| > 7.8``   Poincare asymptotic expansions, truncated at the smallest
   term; the error floor is below 3e-13 there.
+
+``airy_scaled`` owns the switch to the exp(zeta)-scaled pair for x > 60,
+where the bare values head for underflow; callers that need only ratios
+or logarithms of Airy combinations use it and never decide that themselves.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ __all__ = [
     "AiryPair",
     "ScalingConstants",
     "airy",
+    "airy_scaled",
     "airy_zeros",
     "airy_zeta",
     "dilog",
@@ -65,6 +71,8 @@ _SERIES_RADIUS = 4.5
 _SERIES_RADIUS_POS = 3.5
 _ASYMPTOTIC_RADIUS = 7.8
 _MAX_ARGUMENT = 1.0e4
+# Above this argument ``airy_scaled`` returns the exp(zeta)-scaled pair.
+_SCALED_FROM = 60.0
 
 
 @dataclass(frozen=True)
@@ -80,21 +88,24 @@ class AiryPair:
     underflow: bool = False
 
 
-def _maclaurin_terms(x: float):
+def _maclaurin_terms(x, tiny):
     """Term lists of the four Maclaurin series f, g, f', g' at x.
 
     Ai(x)  = Ai(0) f(x) + Ai'(0) g(x)
     Ai'(x) = Ai(0) f'(x) + Ai'(0) g'(x)
+
+    ``x`` is a float or an mpmath ``mpf``; the recurrence runs in its
+    arithmetic and stops once the terms of f, g and g' drop below ``tiny``.
     """
     x3 = x * x * x
-    f_terms = [1.0]
-    fp_terms = [0.0, x * x / 2.0]
-    g_terms = [x]
-    gp_terms = [1.0]
     a = 1.0
-    ap = x * x / 2.0
+    ap = x * x / 2
     b = x
     bp = 1.0
+    f_terms = [a]
+    fp_terms = [0.0, ap]
+    g_terms = [b]
+    gp_terms = [bp]
     k = 0
     while True:
         a *= x3 / ((3 * k + 2) * (3 * k + 3))
@@ -108,57 +119,31 @@ def _maclaurin_terms(x: float):
         if k >= 1:
             fp_terms.append(ap)
         k += 1
-        if k > 6 and abs(a) < 1e-22 and abs(b) < 1e-22 and abs(bp) < 1e-22:
+        if k > 6 and abs(a) < tiny and abs(b) < tiny and abs(bp) < tiny:
             break
         if k > 500:  # unreachable for |x| <= 7.8
             raise NonConvergenceError("Airy Maclaurin series failed to terminate")
     return f_terms, g_terms, fp_terms, gp_terms
 
 
-def _airy_maclaurin(x: float) -> AiryPair:
-    f_terms, g_terms, fp_terms, gp_terms = _maclaurin_terms(x)
-    f = math.fsum(f_terms)
-    g = math.fsum(g_terms)
-    fp = math.fsum(fp_terms)
-    gp = math.fsum(gp_terms)
-    return AiryPair(
-        ai=AIRY_AT_ZERO * f + AIRY_PRIME_AT_ZERO * g,
-        ai_prime=AIRY_AT_ZERO * fp + AIRY_PRIME_AT_ZERO * gp,
-    )
-
-
-def _airy_maclaurin_mp(x: float) -> AiryPair:
+def _airy_maclaurin(x: float, guarded: bool) -> AiryPair:
+    """Ai and Ai' from the Maclaurin sums: in doubles, or under mpmath with
+    the precision raised by the cancellation depth when ``guarded``."""
+    if not guarded:
+        f, g, fp, gp = map(math.fsum, _maclaurin_terms(x, 1e-22))
+        return AiryPair(
+            ai=AIRY_AT_ZERO * f + AIRY_PRIME_AT_ZERO * g,
+            ai_prime=AIRY_AT_ZERO * fp + AIRY_PRIME_AT_ZERO * gp,
+        )
     # Cancellation depth: exp(zeta) for x < 0, exp(2 zeta) for x > 0,
     # with zeta = 2|x|^{3/2}/3.
     zeta = 2.0 * abs(x) ** 1.5 / 3.0
     prec = 53 + int(2.0 * zeta / math.log(2.0)) + 24
     with mpmath.workprec(prec):
-        xm = mpmath.mpf(x)
-        x3 = xm**3
-        a = mpmath.mpf(1)
-        b = xm
-        ap = xm * xm / 2
-        bp = mpmath.mpf(1)
-        f, g, fp, gp = mpmath.mpf(1), xm, ap, mpmath.mpf(1)
-        k = 0
-        while True:
-            a *= x3 / ((3 * k + 2) * (3 * k + 3))
-            b *= x3 / ((3 * k + 3) * (3 * k + 4))
-            bp *= x3 / ((3 * k + 1) * (3 * k + 3))
-            if k >= 1:
-                ap *= x3 * (k + 1) / (k * (3 * k + 2) * (3 * k + 3))
-                fp += ap
-            f += a
-            g += b
-            gp += bp
-            k += 1
-            if k > 6 and max(abs(a), abs(b), abs(bp)) < mpmath.mpf(2) ** (-prec):
-                break
+        f, g, fp, gp = map(sum, _maclaurin_terms(mpmath.mpf(x), mpmath.mpf(2) ** (-prec)))
         c1 = mpmath.mpf(3) ** (mpmath.mpf(-2) / 3) / mpmath.gamma(mpmath.mpf(2) / 3)
         c2 = -(mpmath.mpf(3) ** (mpmath.mpf(-1) / 3)) / mpmath.gamma(mpmath.mpf(1) / 3)
-        ai = c1 * f + c2 * g
-        aip = c1 * fp + c2 * gp
-        return AiryPair(ai=float(ai), ai_prime=float(aip))
+        return AiryPair(ai=float(c1 * f + c2 * g), ai_prime=float(c1 * fp + c2 * gp))
 
 
 def _asymptotic_coefficients(n_max: int):
@@ -191,21 +176,17 @@ def _truncated_alternating(coefs, inv_zeta: float) -> float:
     return total
 
 
-def _airy_asymptotic_positive(x: float) -> AiryPair:
+def _airy_asymptotic_positive(x: float, scaled: bool) -> AiryPair:
+    """Poincare expansions of Ai and Ai' for x > 7.8; with ``scaled`` the
+    pair is multiplied by exp(zeta), zeta = 2 x^{3/2}/3, and stays O(1)."""
     zeta = 2.0 * x**1.5 / 3.0
     inv = 1.0 / zeta
     s_ai = _truncated_alternating(_U_COEF, inv)
     s_aip = _truncated_alternating(_V_COEF, inv)
     root4 = x**0.25
-    try:
-        damp = math.exp(-zeta)
-    except OverflowError:
-        damp = 0.0
-    pref = damp / (2.0 * math.sqrt(math.pi))
+    pref = (1.0 if scaled else math.exp(-zeta)) / (2.0 * math.sqrt(math.pi))
     ai = pref * s_ai / root4
-    aip = -pref * root4 * s_aip
-    underflow = damp == 0.0 or (ai == 0.0 and x > 1.0)
-    return AiryPair(ai=ai, ai_prime=aip, underflow=underflow)
+    return AiryPair(ai=ai, ai_prime=-pref * root4 * s_aip, underflow=ai == 0.0)
 
 
 def _even_odd_sums(coefs, inv_zeta: float):
@@ -244,25 +225,6 @@ def _airy_asymptotic_negative(x: float) -> AiryPair:
     return AiryPair(ai=ai, ai_prime=aip)
 
 
-def airy_scaled_positive(x: float) -> AiryPair:
-    """exp(zeta) Ai(x) and exp(zeta) Ai'(x) for x >= 8, zeta = 2 x^{3/2}/3.
-
-    The scaled pair stays O(1) however large x gets; callers that only need
-    ratios of Airy combinations use it to dodge underflow of the bare values.
-    """
-    if x < 8.0:
-        raise DomainError("scaled evaluation is for x >= 8")
-    zeta = 2.0 * x**1.5 / 3.0
-    inv = 1.0 / zeta
-    s_ai = _truncated_alternating(_U_COEF, inv)
-    s_aip = _truncated_alternating(_V_COEF, inv)
-    root4 = x**0.25
-    return AiryPair(
-        ai=s_ai / (2.0 * math.sqrt(math.pi) * root4),
-        ai_prime=-root4 * s_aip / (2.0 * math.sqrt(math.pi)),
-    )
-
-
 def airy(x: float) -> AiryPair:
     """Ai(x) and Ai'(x) for real x, |x| <= 1e4.
 
@@ -273,14 +235,26 @@ def airy(x: float) -> AiryPair:
     x = float(x)
     if math.isnan(x) or abs(x) > _MAX_ARGUMENT:
         raise DomainError(f"airy argument {x!r} outside |x| <= {_MAX_ARGUMENT:g}")
-    fast_radius = _SERIES_RADIUS_POS if x > 0 else _SERIES_RADIUS
-    if abs(x) <= fast_radius:
-        return _airy_maclaurin(x)
     if abs(x) <= _ASYMPTOTIC_RADIUS:
-        return _airy_maclaurin_mp(x)
+        fast_radius = _SERIES_RADIUS_POS if x > 0 else _SERIES_RADIUS
+        return _airy_maclaurin(x, guarded=abs(x) > fast_radius)
     if x > 0:
-        return _airy_asymptotic_positive(x)
+        return _airy_asymptotic_positive(x, scaled=False)
     return _airy_asymptotic_negative(x)
+
+
+def airy_scaled(x: float) -> tuple[AiryPair, float]:
+    """Ai and Ai' with an exponential factor split off: (pair, log_factor).
+
+    The true values are pair * exp(log_factor). Up to x = 60 this is
+    (airy(x), 0.0); above it the pair is exp(zeta) Ai, exp(zeta) Ai' and
+    log_factor = -zeta, zeta = 2 x^{3/2}/3, so the pair stays O(1) where
+    the bare values underflow. The domain is that of ``airy``.
+    """
+    x = float(x)
+    if _SCALED_FROM < x <= _MAX_ARGUMENT:
+        return _airy_asymptotic_positive(x, scaled=True), -2.0 * x**1.5 / 3.0
+    return airy(x), 0.0
 
 
 # --------------------------------------------------------------------------
@@ -433,9 +407,8 @@ def scaling_F(s: float) -> float:
             raise PoleProximityError(
                 f"scaling_F argument {s!r} within 1e-8 of Airy zero {nearest!r}", nearest=nearest
             )
-    # far up the positive axis the bare values underflow; the ratio of the
-    # exp(zeta)-scaled pair is identical
-    pair = airy_scaled_positive(s) if s > 60.0 else airy(s)
+    # the exponential factor cancels in the ratio
+    pair, _ = airy_scaled(s)
     return pair.ai_prime / pair.ai
 
 

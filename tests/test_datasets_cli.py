@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from dyckarea import cli
 from dyckarea.datasets import (
     ScanDataset,
     scan_g_vs_t,
@@ -181,3 +182,11 @@ class TestCli:
         assert res.returncode == 0
         assert res.stdout.count("PASS") == 5
         assert "FAIL" not in res.stdout
+
+    def test_validate_counts_failures(self, monkeypatch, capsys):
+        # a broken series fails the scaling identity, and the summary counts it
+        monkeypatch.setattr(cli, "scaling_F_series", lambda s, j_max=40: 0.0)
+        assert cli.main(["validate"]) == cli.EXIT_MISMATCH
+        out = capsys.readouterr().out
+        assert "FAIL scaling_identity" in out
+        assert out.rstrip().endswith("FAILED: 4/5 checks passed")

@@ -3,8 +3,11 @@
 import hashlib
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 from scipy import special as sp
 
@@ -14,7 +17,7 @@ from dyckarea.special_functions import (
     AIRY_AT_ZERO,
     AIRY_PRIME_AT_ZERO,
     airy,
-    airy_scaled_positive,
+    airy_scaled,
     airy_zeros,
     airy_zeta,
     dilog,
@@ -89,15 +92,55 @@ class TestAiry:
             airy(2e4)
 
     def test_scaled_positive(self):
-        for x in [9.0, 40.0, 300.0]:
-            scaled = airy_scaled_positive(x)
+        for x in [9.0, 40.0, 61.0, 300.0]:
+            pair, log_factor = airy_scaled(x)
             zeta = 2.0 * x**1.5 / 3.0
-            ai, aip, _, _ = sp.airy(x)
-            if math.exp(-zeta) > 0.0 and ai > 1e-250:
-                assert scaled.ai * math.exp(-zeta) == pytest.approx(ai, rel=1e-10)
-                assert scaled.ai_prime * math.exp(-zeta) == pytest.approx(aip, rel=1e-10)
+            assert log_factor == (-zeta if x > 60.0 else 0.0)
+            # scipy's airye is the pair times exp(zeta), so it stays in range
+            eai, eaip, _, _ = sp.airye(x)
+            scale = math.exp(log_factor + zeta)
+            assert pair.ai * scale == pytest.approx(eai, rel=1e-10)
+            assert pair.ai_prime * scale == pytest.approx(eaip, rel=1e-10)
+        assert airy_scaled(60.0) == (airy(60.0), 0.0)
+        assert airy_scaled(-3.0) == (airy(-3.0), 0.0)
         with pytest.raises(DomainError):
-            airy_scaled_positive(2.0)
+            airy_scaled(2e4)
+
+
+# the Maclaurin/mpmath/asymptotic switches of airy and the scaled switch of
+# airy_scaled, each probed within 1e-9 on both sides
+_TIER_SWITCHES = [-7.8, -4.5, -3.5, 3.5, 4.5, 7.8, 60.0]
+_NEAR = st.floats(min_value=-1e-9, max_value=1e-9)
+
+
+def _mp_airy(x: float) -> tuple[float, float]:
+    with mpmath.workdps(30):
+        return float(mpmath.airyai(x)), float(mpmath.airyai(x, derivative=1))
+
+
+class TestTierSwitches:
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(st.sampled_from(_TIER_SWITCHES), _NEAR)
+    def test_airy_against_mpmath(self, switch, offset):
+        x = switch + offset
+        pair = airy(x)
+        ai, aip = _mp_airy(x)
+        assert pair.ai == pytest.approx(ai, rel=1e-11, abs=1e-14)
+        assert pair.ai_prime == pytest.approx(aip, rel=1e-11, abs=1e-14)
+
+    @settings(derandomize=True, database=None, max_examples=30, deadline=None)
+    @given(_NEAR)
+    def test_scaled_continuous_at_60(self, offset):
+        below = 60.0 - abs(offset)
+        above = math.nextafter(60.0 + abs(offset), math.inf)
+        values = []
+        for x in (below, above):
+            pair, log_factor = airy_scaled(x)
+            value = pair.ai * math.exp(log_factor)
+            assert value == pytest.approx(_mp_airy(x)[0], rel=1e-11)
+            values.append(value)
+        # Ai'/Ai is -7.8 at x = 60, so the true jump is below 8 (above - below)
+        assert abs(values[1] / values[0] - 1.0) <= 8.0 * (above - below) + 1e-11
 
 
 class TestAiryZeros:
