@@ -8,11 +8,8 @@ correction), so the ratio drifts toward 1 rather than landing on it.
 
 from dyckarea import build_area_polynomials, partition_series, q_m_asymptotic
 from dyckarea.asymptotics import finite_size_phi
-from dyckarea.special_functions import make_scaling_constants
 
-constants = make_scaling_constants(zero_count=2000, j_max=32)
-
-print("phi at the origin:", f"{finite_size_phi(0.0, constants=constants):.8f}")
+print("phi at the origin:", f"{finite_size_phi(0.0):.8f}")
 print("(positive, as the exact series demands)\n")
 
 table = build_area_polynomials(170, m_max=80)
@@ -22,7 +19,7 @@ print(" m    t          exact Q_m      asymptotic     ratio")
 for m in (20, 40, 80):
     t = (1.0 - m ** (-2.0 / 3.0)) / 4.0
     exact = partition_series(table, m, t)
-    asym = q_m_asymptotic(m, t, j_max=24, constants=constants)
+    asym = q_m_asymptotic(m, t, j_max=24)
     print(f" {m:3d}  {t:.6f}  {exact.value:.6e}  {asym:.6e}  {exact.value/asym:.4f}")
 
 print("\nat the critical point t = 1/4 (s = 0):")
@@ -30,4 +27,4 @@ print(" m    m^(4/3) Q_m   -> phi(0)")
 for m in (20, 40, 80):
     exact = partition_series(table, m, 0.25)
     print(f" {m:3d}  {exact.value * m**(4.0/3.0):.6f}")
-print(f" inf  {finite_size_phi(0.0, constants=constants):.6f}  (limit)")
+print(f" inf  {finite_size_phi(0.0):.6f}  (limit)")

@@ -44,12 +44,10 @@ from .qseries import (  # noqa: E402
 from .special_functions import (  # noqa: E402
     A0,
     AiryPair,
-    ScalingConstants,
     airy,
     airy_zeros,
     airy_zeta,
     dilog,
-    make_scaling_constants,
     scaling_F,
     scaling_F_series,
 )
@@ -76,7 +74,6 @@ __all__ = [
     "EvalSettings",
     "RemainderCheck",
     "SaddleData",
-    "ScalingConstants",
     "ScalingQuery",
     "airy",
     "airy_zeros",
@@ -96,7 +93,6 @@ __all__ = [
     "g_uniform",
     "h_series",
     "h_uniform",
-    "make_scaling_constants",
     "partition_series",
     "phase_f",
     "q_m_asymptotic",

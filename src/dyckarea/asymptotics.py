@@ -45,9 +45,8 @@ from .errors import (
     NonConvergenceError,
     PoleProximityError,
 )
-from .qseries import EvalSettings, g_cfrac, log_q_pochhammer_inf
+from .qseries import EvalSettings, g_cfrac
 from .special_functions import (
-    ScalingConstants,
     airy_scaled,
     airy_zeta,
     dilog,
@@ -200,6 +199,15 @@ class ScaledValue(NamedTuple):
         return math.copysign(math.exp(total), self.mantissa)
 
 
+def _log_euler_function(eps: float) -> float:
+    """log (q; q)_inf at q = exp(-eps) by the Dedekind eta transformation
+    (DLMF 23.15): eps/24 - pi^2/(6 eps) + log(2 pi/eps)/2 + log (p; p)_inf
+    with p = exp(-4 pi^2/eps). The last term, about -p, is below 1e-85 for
+    eps <= 0.2 and is dropped.
+    """
+    return eps / 24.0 - math.pi**2 / (6.0 * eps) + 0.5 * math.log(2.0 * math.pi / eps)
+
+
 def h_uniform(t: float, q: float, variant: Literal["H", "H_qt"] = "H") -> ScaledValue:
     """Leading uniform Airy approximation of H(t) or H(qt).
 
@@ -215,7 +223,7 @@ def h_uniform(t: float, q: float, variant: Literal["H", "H_qt"] = "H") -> Scaled
         raise InconsistentBranchError("alpha*d must be positive for t < 1/4")
     p0, q0 = (sd.p0_h, sd.q0_h) if variant == "H" else (sd.p0_hqt, sd.q0_hqt)
     x = sd.alpha * eps ** (-2.0 / 3.0)
-    log_poch = log_q_pochhammer_inf(q, q).real
+    log_poch = _log_euler_function(eps)
     # the Airy decay goes into the exponent so the bracket never underflows
     pair, log_factor = airy_scaled(x)
     exponent = log_poch + sd.beta / eps + log_factor
@@ -317,9 +325,8 @@ def g_singular(t: float, q: float, method: Literal["exact", "asymptotic"] = "exa
 PHI_AMPLITUDE = 2.0
 
 
-def finite_size_phi(s: float, j_max: int = 24,
-                    constants: ScalingConstants | None = None,
-                    tol: float = 1e-6, full_output: bool = False):
+def finite_size_phi(s: float, j_max: int = 24, tol: float = 1e-6,
+                    full_output: bool = False):
     """Finite-size scaling function phi(s) = -2 * sum_j Z(j+1) s^j / Gamma(2j/3 - 1/3).
 
     The Gamma growth makes the series entire; truncation at j_max is
@@ -331,12 +338,10 @@ def finite_size_phi(s: float, j_max: int = 24,
     """
     if j_max < 10:
         raise DomainError("j_max must be >= 10")
-    zeta = constants.airy_zeta if constants is not None else None
     total = 0.0
     last = 0.0
     for j in range(j_max + 1):
-        zj = zeta[j + 1] if zeta is not None else airy_zeta(j + 1)
-        last = zj / math.gamma(2.0 * j / 3.0 - 1.0 / 3.0) * s**j
+        last = airy_zeta(j + 1) / math.gamma(2.0 * j / 3.0 - 1.0 / 3.0) * s**j
         total += last
     value = -PHI_AMPLITUDE * total
     if abs(last) > tol * max(abs(total), 1e-300):
@@ -349,11 +354,10 @@ def finite_size_phi(s: float, j_max: int = 24,
     return value
 
 
-def q_m_asymptotic(m: int, t: float, j_max: int = 24,
-                   constants: ScalingConstants | None = None) -> float:
+def q_m_asymptotic(m: int, t: float, j_max: int = 24) -> float:
     """Large-m form of the fixed-area series, m^(-4/3) phi((1-4t) m^(2/3))."""
     if m < 10:
         raise DomainError("the finite-size form needs m >= 10")
     s = (1.0 - 4.0 * t) * m ** (2.0 / 3.0)
-    return m ** (-4.0 / 3.0) * finite_size_phi(s, j_max=j_max, constants=constants)
+    return m ** (-4.0 / 3.0) * finite_size_phi(s, j_max=j_max)
 

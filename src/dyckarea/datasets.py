@@ -22,7 +22,7 @@ from .asymptotics import g_uniform, q_m_asymptotic
 from .enumeration import build_area_polynomials, partition_series
 from .errors import DomainError, DyckAreaError, PoleProximityError
 from .qseries import EvalSettings, g_cfrac, g_cfrac_grid, t_infinity
-from .special_functions import make_scaling_constants, scaling_F
+from .special_functions import scaling_F
 
 __all__ = [
     "ScanDataset",
@@ -190,14 +190,13 @@ def scan_partition(t: float, m_values: list[int], n_max: int | None = None,
     if n_max is None:
         n_max = _partition_n_max(t, m_top)
     table = build_area_polynomials(n_max, m_max=m_top)
-    constants = make_scaling_constants(zero_count=2000, j_max=j_max + 2)
     exact, asym, svals, tails = [], [], [], []
     for m in m_values:
         ps = partition_series(table, m, t)
         exact.append(ps.value)
         tails.append(ps.tail_estimate)
         svals.append((1.0 - 4.0 * t) * m ** (2.0 / 3.0))
-        asym.append(q_m_asymptotic(m, t, j_max=j_max, constants=constants))
+        asym.append(q_m_asymptotic(m, t, j_max=j_max))
     return ScanDataset(
         kind="partition",
         columns={"m": list(m_values), "s": svals, "Q_exact": exact,

@@ -311,14 +311,15 @@ def g_cfrac(t: float, settings: EvalSettings, full_output: bool = False):
     for _ in range(24):
         depth *= 2
         nxt = _cfrac_fixed_depth(t, q, depth)
-        if abs(nxt - value) <= settings.tol * max(1.0, abs(nxt)):
+        diff = abs(nxt - value)
+        if diff <= settings.tol * max(1.0, abs(nxt)):
             if full_output:
                 return nxt, depth
             return nxt
         value = nxt
     raise NonConvergenceError(
         f"continued fraction failed to stabilise by depth {depth}",
-        last_term=abs(nxt - value),
+        last_term=diff,
     )
 
 
@@ -347,8 +348,10 @@ def t_infinity(q: float, settings: EvalSettings | None = None) -> float:
     Scans outward from t = 1/4 for a sign change of H(t), then bisects.
     The boundary decreases from 1 (q -> 0) towards 1/4 (q -> 1).
     """
-    if settings is None or settings.q != q:
+    if settings is None:
         settings = EvalSettings(q=q)
+    elif settings.q != q:
+        raise DomainError(f"t_infinity got q = {q!r} but settings for q = {settings.q!r}")
     h = lambda t: h_series(t, settings)
     lo = 0.25
     f_lo = h(lo)
@@ -531,10 +534,11 @@ def contour_h(t: float, q: float, contour: ContourSpec | None = None,
     for _ in range(6):
         order *= 2
         nxt = evaluate(order, lam)
-        if abs(nxt - value) <= tol * max(1.0, abs(nxt)):
+        diff = abs(nxt - value)
+        if diff <= tol * max(1.0, abs(nxt)):
             return nxt
         value = nxt
     raise AccuracyError(
         f"contour quadrature did not stabilise at {order} nodes per panel",
-        last_term=abs(nxt - value),
+        last_term=diff,
     )

@@ -22,6 +22,10 @@ Evaluation strategy for Ai/Ai':
 ``airy_scaled`` owns the switch to the exp(zeta)-scaled pair for x > 60,
 where the bare values head for underflow; callers that need only ratios
 or logarithms of Airy combinations use it and never decide that themselves.
+
+Each zero of Ai is computed once and cached by its index, so
+``airy_zeros(k)`` is a prefix of any longer call; each ``airy_zeta(j)`` sum
+is cached too, and is the one source of Z(j) for every series here.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import mpmath
@@ -44,7 +47,6 @@ from .errors import (
 
 __all__ = [
     "AiryPair",
-    "ScalingConstants",
     "airy",
     "airy_scaled",
     "airy_zeros",
@@ -52,7 +54,6 @@ __all__ = [
     "dilog",
     "scaling_F",
     "scaling_F_series",
-    "make_scaling_constants",
     "AIRY_AT_ZERO",
     "AIRY_PRIME_AT_ZERO",
     "A0",
@@ -278,38 +279,35 @@ class RootPolishError(NonConvergenceError):
 
 
 @lru_cache(maxsize=None)
-def _airy_zeros_cached(count: int) -> tuple[float, ...]:
-    zeros = []
-    for k in range(1, count + 1):
-        s = _zero_seed(k)
-        converged = False
-        for _ in range(60):
-            pair = airy(s)
-            step = pair.ai / pair.ai_prime
-            s -= step
-            if abs(step) < 1e-14 * max(1.0, abs(s)):
-                converged = True
-                break
-        if not converged:
-            raise RootPolishError(k, f"Newton iteration for Airy zero {k} did not converge")
-        h = 1e-7
-        if airy(s - h).ai * airy(s + h).ai > 0.0:
-            raise RootPolishError(k, f"no sign change around candidate Airy zero {k} at {s!r}")
-        zeros.append(s)
-    return tuple(zeros)
+def _airy_zero(k: int) -> float:
+    s = _zero_seed(k)
+    for _ in range(60):
+        pair = airy(s)
+        step = pair.ai / pair.ai_prime
+        s -= step
+        if abs(step) < 1e-14 * max(1.0, abs(s)):
+            break
+    else:
+        raise RootPolishError(k, f"Newton iteration for Airy zero {k} did not converge")
+    h = 1e-7
+    if airy(s - h).ai * airy(s + h).ai > 0.0:
+        raise RootPolishError(k, f"no sign change around candidate Airy zero {k} at {s!r}")
+    return s
 
 
 def airy_zeros(count: int) -> tuple[float, ...]:
     """First ``count`` zeros of Ai on the negative axis, in decreasing order.
 
     Each zero is seeded from its asymptotic location, polished by Newton
-    iteration and verified by a sign change.
+    iteration and verified by a sign change. Zeros are cached one index at
+    a time, so ``airy_zeros(k)`` is always the first k of any longer call.
     """
     if count < 1:
         raise DomainError("count must be >= 1")
-    return _airy_zeros_cached(count)
+    return tuple(_airy_zero(k) for k in range(1, count + 1))
 
 
+@lru_cache(maxsize=None)
 def airy_zeta(j: int, count: int = 400) -> float:
     """Sums of reciprocal powers of the Airy zeros, Z(j) = sum_k s_k^{-j}.
 
@@ -412,9 +410,6 @@ def scaling_F(s: float) -> float:
     return pair.ai_prime / pair.ai
 
 
-_FIRST_ZERO = -2.338107410459767
-
-
 def scaling_F_series(s: float, j_max: int = 40, full_output: bool = False):
     """F(s) from its zeta-coefficient series -(1/s) sum_{j>=1} Z(j) s^j.
 
@@ -428,7 +423,7 @@ def scaling_F_series(s: float, j_max: int = 40, full_output: bool = False):
     absolute error on top of the tail (6.4e-9 |s|, from Z(2)).
     """
     s = float(s)
-    radius = abs(_FIRST_ZERO)
+    radius = abs(airy_zeros(1)[0])
     if abs(s) >= radius:
         raise DivergenceError(
             f"scaling_F_series diverges for |s| >= {radius:.4f} (got {s!r})"
@@ -441,31 +436,3 @@ def scaling_F_series(s: float, j_max: int = 40, full_output: bool = False):
     if full_output:
         return total, tail_bound
     return total
-
-
-@dataclass(frozen=True)
-class ScalingConstants:
-    """Constants of the tricritical scaling laws.
-
-    phi_exponent and gamma0 are the crossover exponents 2/3 and -1/3,
-    a0 the amplitude Ai'(0)/Ai(0), and the tables hold Airy zeros and
-    zeta values used by the finite-size series.
-    """
-
-    phi_exponent: Fraction
-    gamma0: Fraction
-    a0: float
-    airy_zeros: tuple[float, ...]
-    airy_zeta: dict[int, float]
-
-
-def make_scaling_constants(zero_count: int = 400, j_max: int = 64) -> ScalingConstants:
-    zeros = airy_zeros(zero_count)
-    zeta = {j: airy_zeta(j, count=zero_count) for j in range(1, j_max + 1)}
-    return ScalingConstants(
-        phi_exponent=Fraction(2, 3),
-        gamma0=Fraction(-1, 3),
-        a0=A0,
-        airy_zeros=zeros,
-        airy_zeta=zeta,
-    )

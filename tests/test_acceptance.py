@@ -37,7 +37,6 @@ from dyckarea.special_functions import (
     airy,
     airy_zeros,
     dilog,
-    make_scaling_constants,
     scaling_F,
     scaling_F_series,
 )
@@ -252,7 +251,6 @@ def test_scaling_identity_attainable():
 
 
 def test_criterion_10_finite_size_scaling():
-    constants = make_scaling_constants(zero_count=2000, j_max=40)
     table = build_area_polynomials(170, m_max=80)
     exact_at_quarter = partition_series(table, 12, 0.25).value
     assert exact_at_quarter > 0.0  # a sum of positive terms, as phi's sign assumes
@@ -261,7 +259,7 @@ def test_criterion_10_finite_size_scaling():
         t = (1.0 - m ** (-2.0 / 3.0)) / 4.0  # fixed s = 1
         exact = partition_series(table, m, t)
         assert exact.tail_ok
-        ratios.append(exact.value / q_m_asymptotic(m, t, j_max=24, constants=constants))
+        ratios.append(exact.value / q_m_asymptotic(m, t, j_max=24))
     positive = all(r > 0.0 for r in ratios)
     deviations = [abs(r - 1.0) for r in ratios]
     monotone = deviations[0] > deviations[1] > deviations[2]

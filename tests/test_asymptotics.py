@@ -8,6 +8,7 @@ import pytest
 from dyckarea.asymptotics import (
     PHI_AMPLITUDE,
     ScalingQuery,
+    _log_euler_function,
     finite_size_phi,
     g_scaling,
     g_singular,
@@ -24,8 +25,8 @@ from dyckarea.errors import (
     NonConvergenceError,
     PoleProximityError,
 )
-from dyckarea.qseries import EvalSettings, g_cfrac, g_ratio, h_series
-from dyckarea.special_functions import A0, airy, make_scaling_constants, scaling_F
+from dyckarea.qseries import EvalSettings, g_cfrac, g_ratio, h_series, log_q_pochhammer_inf
+from dyckarea.special_functions import A0, airy, airy_zeta, scaling_F
 
 BETA_QUARTER = 1.3029200473423146  # ln(1/4)^2/4 + pi^2/12
 
@@ -158,6 +159,11 @@ class TestHUniform:
     def test_epsilon_window(self):
         with pytest.raises(DomainError):
             h_uniform(0.2, 0.5, "H")  # eps = 0.69 too coarse
+
+    @pytest.mark.parametrize("eps", [0.199, 0.05, 0.01])
+    def test_eta_transformation_matches_product(self, eps):
+        q = math.exp(-eps)
+        assert abs(_log_euler_function(eps) - log_q_pochhammer_inf(q, q).real) < 1e-11
 
 
 class TestGUniform:
@@ -293,41 +299,36 @@ class TestSingularPart:
             g_singular(0.2, 0.9, "bogus")
 
 
-@pytest.fixture(scope="module")
-def constants():
-    return make_scaling_constants(zero_count=2000, j_max=40)
-
-
 class TestFiniteSize:
-    def test_sign_calibration(self, constants):
+    def test_sign_calibration(self):
         # the constant sign of phi agrees with the exact series (ratio 0.56)
         table = build_area_polynomials(60)
         exact = partition_series(table, 12, 0.25).value
-        asym = q_m_asymptotic(12, 0.25, constants=constants)
+        asym = q_m_asymptotic(12, 0.25)
         assert exact > 0.0
         assert asym > 0.0
 
-    def test_value_at_origin(self, constants):
+    def test_value_at_origin(self):
         # -amplitude * Z(1)/Gamma(-1/3)
-        base = constants.airy_zeta[1] / math.gamma(-1.0 / 3.0)
+        base = airy_zeta(1) / math.gamma(-1.0 / 3.0)
         expected = -PHI_AMPLITUDE * base
-        assert finite_size_phi(0.0, constants=constants) == pytest.approx(expected, rel=1e-12)
-        assert finite_size_phi(0.0, constants=constants) > 0.0
+        assert finite_size_phi(0.0) == pytest.approx(expected, rel=1e-12)
+        assert finite_size_phi(0.0) > 0.0
 
-    def test_series_stability(self, constants):
+    def test_series_stability(self):
         t = (1.0 - 40.0 ** (-2.0 / 3.0)) / 4.0
-        a = q_m_asymptotic(40, t, j_max=14, constants=constants)
-        b = q_m_asymptotic(40, t, j_max=28, constants=constants)
+        a = q_m_asymptotic(40, t, j_max=14)
+        b = q_m_asymptotic(40, t, j_max=28)
         assert abs(a - b) / abs(b) < 0.01
 
-    def test_large_s_form_identity(self, constants):
+    def test_large_s_form_identity(self):
         # m^{-4/3} phi((1-4t) m^{2/3}) is term-for-term the m-power series
         m, t, j_top = 40, 0.23, 3
         s = (1.0 - 4.0 * t) * m ** (2.0 / 3.0)
         direct = 0.0
         for j in range(j_top + 1):
             direct += (
-                constants.airy_zeta[j + 1]
+                airy_zeta(j + 1)
                 / math.gamma(2.0 * j / 3.0 - 1.0 / 3.0)
                 * m ** (2.0 * j / 3.0)
                 * (1.0 - 4.0 * t) ** j
@@ -336,29 +337,29 @@ class TestFiniteSize:
         truncated = 0.0
         for j in range(j_top + 1):
             truncated += (
-                constants.airy_zeta[j + 1]
+                airy_zeta(j + 1)
                 / math.gamma(2.0 * j / 3.0 - 1.0 / 3.0)
                 * s**j
             )
         truncated *= -PHI_AMPLITUDE * m ** (-4.0 / 3.0)
         assert direct == pytest.approx(truncated, rel=1e-13)
 
-    def test_ratio_trend_at_fixed_s(self, constants):
+    def test_ratio_trend_at_fixed_s(self):
         table = build_area_polynomials(170, m_max=80)
         deviations = []
         for m in (20, 40, 80):
             t = (1.0 - m ** (-2.0 / 3.0)) / 4.0
             exact = partition_series(table, m, t)
             assert exact.tail_ok
-            ratio = exact.value / q_m_asymptotic(m, t, j_max=24, constants=constants)
+            ratio = exact.value / q_m_asymptotic(m, t, j_max=24)
             assert ratio > 0.0
             deviations.append(abs(ratio - 1.0))
         assert deviations[0] > deviations[1] > deviations[2]
 
-    def test_validation(self, constants):
+    def test_validation(self):
         with pytest.raises(DomainError):
-            finite_size_phi(0.0, j_max=5, constants=constants)
+            finite_size_phi(0.0, j_max=5)
         with pytest.raises(DomainError):
-            q_m_asymptotic(5, 0.24, constants=constants)
+            q_m_asymptotic(5, 0.24)
         with pytest.raises(NonConvergenceError):
-            finite_size_phi(40.0, j_max=10, constants=constants)
+            finite_size_phi(40.0, j_max=10)

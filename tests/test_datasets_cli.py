@@ -172,6 +172,17 @@ class TestCli:
         assert res.returncode == 0
         assert "ratio" in res.stdout
 
+    def test_partition_and_scan_agree(self, tmp_path):
+        # both commands take the finite-size law from the same zeta sums
+        point = run_cli("partition", "--m", "40", "--t", "0.2286")
+        out = tmp_path / "scan.csv"
+        scan = run_cli("scan", "--kind", "partition", "--m-list", "40", "--t", "0.2286",
+                       "--out", str(out))
+        assert point.returncode == 0 and scan.returncode == 0
+        single = point.stdout.split("phi(s) = ")[1].split()[0]
+        header, row = out.read_text().splitlines()
+        assert row.split(",")[header.split(",").index("Q_asymptotic")] == single
+
     def test_scaling_command(self):
         res = run_cli("scaling", "--s", "0", "--eps", "1e-4")
         assert res.returncode == 0

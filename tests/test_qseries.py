@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from dyckarea import qseries
 from dyckarea.errors import (
     AccuracyError,
     DomainError,
@@ -179,6 +180,14 @@ class TestGCfrac:
         assert value == pytest.approx(closed, abs=1e-4)
         assert value < closed  # area weight q < 1 suppresses every term
 
+    def test_non_convergence_reports_last_difference(self, monkeypatch):
+        # a fixed-depth value that never settles: the error carries the
+        # last difference between successive depths, not zero
+        monkeypatch.setattr(qseries, "_cfrac_fixed_depth", lambda t, q, depth: float(depth))
+        with pytest.raises(NonConvergenceError) as err:
+            g_cfrac(0.2, EvalSettings(q=0.5))
+        assert err.value.last_term > 0.0
+
 
 class TestPoleBoundary:
     def test_bracket_value(self):
@@ -205,6 +214,10 @@ class TestPoleBoundary:
         settings = EvalSettings(q=q)
         assert h_series(root - 1e-6, settings) > 0.0
         assert h_series(root + 1e-6, settings) < 0.0
+
+    def test_mismatched_settings(self):
+        with pytest.raises(DomainError):
+            t_infinity(0.5, EvalSettings(q=0.6, tol=1e-8))
 
 
 class TestEulerMaclaurin:
@@ -265,6 +278,15 @@ class TestContour:
     def test_asymmetric_angles(self):
         value = contour_h(0.2, 0.5, ContourSpec(phi=math.pi / 3.0, psi=math.pi / 4.0))
         assert value.real == pytest.approx(H_02_05, rel=1e-8)
+
+    def test_accuracy_error_reports_last_difference(self, monkeypatch):
+        # the two rays differ by a term that grows with the node count, so
+        # the quadrature never settles and the error carries that change
+        monkeypatch.setattr(qseries, "_ray_quadrature",
+                            lambda t, q, rho, angle, lam_end, order, tol: complex(order) * angle)
+        with pytest.raises(AccuracyError) as err:
+            contour_h(0.2, 0.5)
+        assert err.value.last_term > 0.0
 
     def test_contour_validation(self):
         with pytest.raises(DomainError):

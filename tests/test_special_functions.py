@@ -21,7 +21,6 @@ from dyckarea.special_functions import (
     airy_zeros,
     airy_zeta,
     dilog,
-    make_scaling_constants,
     scaling_F,
     scaling_F_series,
 )
@@ -163,6 +162,16 @@ class TestAiryZeros:
         with pytest.raises(DomainError):
             airy_zeros(0)
 
+    @settings(derandomize=True, database=None, max_examples=25, deadline=None)
+    @given(st.integers(min_value=1, max_value=2000))
+    def test_against_mpmath_and_prefix(self, k):
+        # DLMF 9.9: the k-th zero to 30 digits; shorter calls are prefixes
+        zeros = airy_zeros(2000)
+        with mpmath.workdps(30):
+            ref = float(mpmath.airyaizero(k))
+        assert zeros[k - 1] == pytest.approx(ref, rel=1e-12)
+        assert airy_zeros(k) == zeros[:k]
+
 
 class TestAiryZeta:
     def test_regularised_first_value(self):
@@ -272,14 +281,3 @@ class TestScalingFunction:
             log_product = float(np.sum(np.log1p(-s / zeros) + s / zeros))
             model = AIRY_AT_ZERO * math.exp(A0 * s + log_product - 0.5 * s * s * tail2)
             assert model == pytest.approx(airy(s).ai, rel=1e-4)
-
-
-class TestScalingConstants:
-    def test_construction(self):
-        const = make_scaling_constants(zero_count=200, j_max=12)
-        assert const.a0 < 0.0
-        assert const.airy_zeta[1] == -const.a0
-        assert const.phi_exponent == pytest.approx(2.0 / 3.0)
-        assert const.gamma0 == pytest.approx(-1.0 / 3.0)
-        assert const.airy_zeros[0] == pytest.approx(S1, abs=1e-10)
-        assert len(const.airy_zeta) == 12
