@@ -18,7 +18,10 @@ The library exposes four layers:
 everything in a deterministic command-line tool.
 """
 
+import logging
+
 __version__ = "0.1.0"
+logging.getLogger(__name__).addHandler(logging.NullHandler())  # debug-level route decisions
 
 from .enumeration import (  # noqa: E402
     AreaPolynomial,

@@ -97,7 +97,7 @@ def _cmd_eval(args) -> int:
         value = res.value
         provenance = (
             f"method=ratio terms={res.terms_used} "
-            f"cancellation_bits={res.bits_lost:.1f} precision_bits={settings.bits_for(t)}"
+            f"cancellation_bits={res.bits_lost:.1f} precision_bits={res.precision_bits}"
         )
     elif method == "cfrac":
         value, depth = g_cfrac(t, settings, full_output=True)

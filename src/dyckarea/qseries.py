@@ -6,8 +6,9 @@ through three routes that must agree wherever they overlap:
 * ``h_series`` sums the alternating q-Airy-type series
   H(t) = sum_n q^(n^2-n) (-t)^n / (q; q)_n, and ``g_ratio`` forms
   G = H(qt)/H(t). The series cancels catastrophically as q -> 1, so it
-  runs under mpmath with the working precision scaled to the cancellation
-  envelope; it is the preferred route for eps = -ln q >= ~1e-3.
+  runs under mpmath at a precision scaled to the cancellation envelope
+  (``g_ratio``: to the saddle-point estimate of the cancellation, checked
+  after summing); it is the preferred route for eps = -ln q >= ~1e-3.
 * ``g_cfrac`` evaluates the classical continued fraction
   1/(1 - t/(1 - tq/(1 - tq^2/...))) bottom-up with tail value 1. All
   partial numerators are positive for real t, which makes this route
@@ -24,6 +25,7 @@ ln (z; q)_inf against a rigorous remainder bound.
 from __future__ import annotations
 
 import cmath
+import logging
 import math
 from dataclasses import dataclass
 
@@ -53,15 +55,19 @@ __all__ = [
     "contour_h",
 ]
 
+_log = logging.getLogger(__name__)
+_GUARD_BITS = 96  # bits g_ratio keeps beyond double precision after cancellation
+
 
 @dataclass(frozen=True)
 class EvalSettings:
     """The nome q and the numerical policy shared by the q-series routines.
 
     ``epsilon`` is always recomputed from q, never stored. When
-    ``precision_bits`` is left unset, the alternating-series routines scale
+    ``precision_bits`` is left unset, ``h_series`` and ``t_infinity`` scale
     their working precision with the cancellation envelope
-    exp((ln^2 t / 2 + pi^2/6) / eps).
+    exp((ln^2 t / 2 + pi^2/6) / eps); ``g_ratio`` sums at the saddle-point
+    estimate of the cancellation, checks it and falls back to the envelope.
     """
 
     q: float
@@ -140,12 +146,13 @@ def log_q_pochhammer_inf(z: complex, q: float, tol: float = 1e-17) -> complex:
 
 @dataclass(frozen=True)
 class HSeriesResult:
-    """Value of the alternating series plus its convergence diagnostics."""
+    """Value of the alternating series, its diagnostics and the precision used."""
 
     value: float | complex
     terms_used: int
     bits_lost: float
     last_term: float
+    precision_bits: int
 
 
 def _h_series_mp(t, q: float, tol: float, max_terms: int):
@@ -186,6 +193,32 @@ def _h_series_mp(t, q: float, tol: float, max_terms: int):
     )
 
 
+def _bits_lost(max_mag, total) -> float:
+    """log2(max term / |sum|), taken at 64 bits (a full-precision log costs seconds)."""
+    with mpmath.workprec(64):
+        ratio = max_mag / abs(total) if total else mpmath.inf
+        return float(mpmath.log(ratio, 2)) if max_mag > abs(total) else 0.0
+
+
+def _predicted_bits(t: float, q: float) -> int:
+    """Bits for H(t) and H(qt): log2(max term / |H|) + 8 slack + 53 + guard bits,
+    with |H(x)| ~ (q; q)_inf exp(Re f(z1, x)/eps) at the dominant saddle
+    z1 = (1 + sqrt(1 - 4x))/2 (real t in (0, 1/2), eps <= 0.2). ln|term_n|
+    is concave in n, so the max-term scan stops at its first decrease.
+    """
+    from .asymptotics import _log_euler_function, phase_f
+
+    eps, loss = -math.log(q), 0.0
+    for x in (t, q * t):
+        peak, n, qn = 0.0, 0, q
+        while (step := math.log(x) - 2.0 * n * eps - math.log1p(-qn)) > 0.0:
+            peak, n, qn = peak + step, n + 1, qn * q
+        z1 = 0.5 + 0.5 * cmath.sqrt(1.0 - 4.0 * x)
+        log_h = _log_euler_function(eps) + phase_f(z1, x).real / eps
+        loss = max(loss, (peak - log_h) / math.log(2.0))
+    return math.ceil(loss) + 8 + 53 + _GUARD_BITS
+
+
 def h_series(t: float | complex, settings: EvalSettings, full_output: bool = False):
     """The q-deformed Airy-type series H(t) under scaled working precision.
 
@@ -198,37 +231,46 @@ def h_series(t: float | complex, settings: EvalSettings, full_output: bool = Fal
         total, n, max_mag, last = _h_series_mp(t, settings.q, settings.tol, settings.max_terms)
         if abs(total) == 0:
             raise PoleProximityError("series sum vanished at working precision; t is at a zero")
-        bits_lost = float(mpmath.log(max_mag / abs(total), 2)) if max_mag > abs(total) else 0.0
+        bits_lost = _bits_lost(max_mag, total)
         value = complex(total) if isinstance(t, complex) else float(total)
     if full_output:
-        return HSeriesResult(value=value, terms_used=n, bits_lost=bits_lost, last_term=float(last))
+        return HSeriesResult(value, n, bits_lost, float(last), precision_bits=bits)
     return value
 
 
 def g_ratio(t: float | complex, settings: EvalSettings, full_output: bool = False):
     """G(t, q) as the ratio H(qt)/H(t) of two alternating series.
 
-    Both series are summed at the same elevated precision; if H(t) has lost
-    essentially all significant bits the point is next to a zero of H
-    (at or beyond the pole line) and a pole error is raised.
+    Both series are summed at the saddle-point prediction (real t in
+    (0, 1/2), eps <= 0.2, ``precision_bits`` unset) capped at the envelope,
+    and rerun once at the envelope if either kept fewer than 53 + 96 bits.
+    If H(t) has lost essentially all significant bits the point is next to
+    a zero of H (at or beyond the pole line) and a pole error is raised.
     """
-    bits = max(settings.bits_for(t), settings.bits_for(settings.q * t))
-    with mpmath.workprec(bits):
-        denom, n_d, max_d, _ = _h_series_mp(t, settings.q, settings.tol, settings.max_terms)
-        numer, n_n, _, _ = _h_series_mp(
-            settings.q * t, settings.q, settings.tol, settings.max_terms
+    q, tol, max_terms = settings.q, settings.tol, settings.max_terms
+    bits = envelope = max(settings.bits_for(t), settings.bits_for(q * t))
+    if (settings.precision_bits is None and envelope > 53 + _GUARD_BITS
+            and not isinstance(t, complex) and 0.0 < t < 0.5 and settings.epsilon <= 0.2):
+        bits = min(envelope, _predicted_bits(t, q))
+    while True:
+        with mpmath.workprec(bits):
+            denom, n_d, max_d, _ = _h_series_mp(t, q, tol, max_terms)
+            numer, n_n, max_n, _ = _h_series_mp(q * t, q, tol, max_terms)
+            ratio = numer / denom if denom else None
+        lost_d, lost_n = _bits_lost(max_d, denom), _bits_lost(max_n, numer)
+        _log.debug("g_ratio t=%r: %d of %d bits, lost %.1f/%.1f", t, bits, envelope, lost_d, lost_n)
+        if bits == envelope or bits - max(lost_d, lost_n) >= 53 + _GUARD_BITS:
+            break
+        _log.debug("g_ratio t=%r: rerun at the envelope", t)
+        bits = envelope
+    if abs(denom) <= max_d * mpmath.mpf(2) ** (-(bits - 16)):
+        raise PoleProximityError(
+            f"H(t) at t = {t!r} is below the cancellation floor; "
+            f"t lies at or beyond the pole boundary"
         )
-        floor = max_d * mpmath.mpf(2) ** (-(bits - 16))
-        if abs(denom) <= floor:
-            raise PoleProximityError(
-                f"H(t) at t = {t!r} is below the cancellation floor; "
-                f"t lies at or beyond the pole boundary"
-            )
-        ratio = numer / denom
-        bits_lost = float(mpmath.log(max_d / abs(denom), 2)) if max_d > abs(denom) else 0.0
-        value = complex(ratio) if isinstance(t, complex) else float(ratio)
+    value = complex(ratio) if isinstance(t, complex) else float(ratio)
     if full_output:
-        return HSeriesResult(value=value, terms_used=n_d + n_n, bits_lost=bits_lost, last_term=0.0)
+        return HSeriesResult(value, n_d + n_n, lost_d, 0.0, precision_bits=bits)
     return value
 
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -18,6 +19,7 @@ from dyckarea.datasets import (
     write_dataset,
 )
 from dyckarea.errors import DomainError
+from dyckarea.qseries import EvalSettings, g_ratio
 
 
 def run_cli(*args):
@@ -102,6 +104,14 @@ class TestCli:
         res = run_cli("eval", "--t", "0", "--q", "0.5", "--method", "ratio")
         assert res.returncode == 0
         assert float(res.stdout.splitlines()[0]) == pytest.approx(1.0, abs=1e-12)
+
+    def test_eval_ratio_reports_precision_used(self):
+        res = run_cli("eval", "--t", "0.25", "--eps", "1e-3", "--method", "ratio")
+        assert res.returncode == 0
+        printed = int(re.search(r"precision_bits=(\d+)", res.stdout).group(1))
+        expected = g_ratio(0.25, EvalSettings(q=math.exp(-1e-3)), full_output=True)
+        assert printed == expected.precision_bits
+        assert float(res.stdout.splitlines()[0]) == expected.value
 
     def test_eval_uniform_close_to_cfrac(self):
         near = run_cli("eval", "--t", "0.2", "--q", "0.99", "--method", "uniform")

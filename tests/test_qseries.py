@@ -2,10 +2,13 @@
 pole boundary, remainder certification and contour quadrature."""
 
 import cmath
+import logging
 import math
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from dyckarea import qseries
 from dyckarea.errors import (
@@ -96,6 +99,7 @@ class TestHSeries:
 
     def test_diagnostics(self):
         res = h_series(0.2, EvalSettings(q=0.5), full_output=True)
+        assert res.precision_bits == EvalSettings(q=0.5).bits_for(0.2)
         assert res.terms_used < 30
         assert res.bits_lost < 8.0
         assert res.last_term < 1e-10
@@ -131,6 +135,55 @@ class TestGRatio:
         root = t_infinity(q)
         with pytest.raises(PoleProximityError):
             g_ratio(root, EvalSettings(q=q))
+
+
+def _envelope_bits(t: float, settings: EvalSettings) -> int:
+    return max(settings.bits_for(t), settings.bits_for(settings.q * t))
+
+
+class TestRatioPrecision:
+    """g_ratio sums at the saddle-point prediction of the cancellation and
+    reruns at the envelope when fewer than 53 + 96 bits survive."""
+
+    @hypothesis.settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @hypothesis.given(
+        log_eps=st.floats(math.log(1e-3), math.log(0.2)),
+        t=st.floats(1e-6, 0.45),
+    )
+    def test_predicted_matches_envelope(self, log_eps, t):
+        q = math.exp(-math.exp(log_eps))
+        res = g_ratio(t, EvalSettings(q=q), full_output=True)
+        bits = _envelope_bits(t, EvalSettings(q=q))
+        reference = g_ratio(t, EvalSettings(q=q, precision_bits=bits), full_output=True)
+        assert reference.precision_bits == bits
+        assert res.precision_bits <= bits
+        assert abs(res.value - reference.value) <= 1e-14 * abs(reference.value)
+        if res.precision_bits < bits:  # the prediction, not the envelope, was used
+            assert res.precision_bits - res.bits_lost >= 149
+
+    @pytest.mark.parametrize("zero_of", ["H(t)", "H(qt)"])
+    def test_rerun_next_to_zero(self, caplog, zero_of):
+        q = math.exp(-0.01)
+        settings = EvalSettings(q=q)
+        t = t_infinity(q, settings) * (1.0 - 1e-7) / (q if zero_of == "H(qt)" else 1.0)
+        with caplog.at_level(logging.DEBUG, logger="dyckarea"):
+            res = g_ratio(t, settings, full_output=True)
+        assert any("rerun" in rec.getMessage() for rec in caplog.records)
+        assert res.precision_bits == _envelope_bits(t, settings)
+        assert res.precision_bits - res.bits_lost >= 149
+        reference = g_ratio(t, EvalSettings(q=q, precision_bits=res.precision_bits))
+        assert res.value == reference
+
+    def test_cost_guard(self):
+        # the envelope rule sums this point at 26 554 bits; it loses 141
+        res = g_ratio(0.05, EvalSettings(q=math.exp(-1e-3)), full_output=True)
+        assert res.precision_bits < 400
+        assert res.precision_bits - res.bits_lost >= 149
+
+    @pytest.mark.parametrize("t, q", [(0.2, 0.5), (0.05, math.exp(-1e-3)), (0.2 + 0.01j, 0.9)])
+    def test_precision_bits_honoured(self, t, q):
+        res = g_ratio(t, EvalSettings(q=q, precision_bits=300), full_output=True)
+        assert res.precision_bits == 300
 
 
 class TestGCfrac:
