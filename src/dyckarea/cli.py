@@ -16,7 +16,6 @@ import numpy as np
 from . import __version__
 from .asymptotics import ScalingQuery, g_scaling, g_uniform, q_m_asymptotic
 from .datasets import (
-    _partition_n_max,
     scan_g_vs_t,
     scan_partition,
     scan_phase_boundary,
@@ -181,13 +180,14 @@ def _cmd_scaling(args) -> int:
 
 
 def _cmd_partition(args) -> int:
-    n_max = args.n_max or _partition_n_max(args.t, args.m)
+    n_max = 2 * args.m if args.n_max is None else args.n_max
     table = build_area_polynomials(n_max, m_max=args.m)
-    res = partition_series(table, args.m, args.t)
+    value = partition_series(table, args.m, args.t)
     asym = q_m_asymptotic(args.m, args.t, j_max=args.j_max) if args.m >= 10 else None
-    print(f"Q_{args.m}({args.t:g}) = {res.value!r}  (n <= {n_max}, tail ~ {res.tail_estimate:.2e}, ok={res.tail_ok})")
+    # the value is exact; the zero tail and ok=True are kept for existing parsers
+    print(f"Q_{args.m}({args.t:g}) = {value!r}  (n <= {n_max}, tail ~ 0.00e+00, ok=True)")
     if asym is not None:
-        print(f"asymptotic m^(-4/3) phi(s) = {asym!r}  ratio = {res.value / asym:.4f}")
+        print(f"asymptotic m^(-4/3) phi(s) = {asym!r}  ratio = {value / asym:.4f}")
     return EXIT_OK
 
 
@@ -272,7 +272,9 @@ def build_parser() -> _Parser:
     p.add_argument("--steps", type=int, default=50)
     p.add_argument("--m-list", dest="m_list")
     p.add_argument("--m-max", dest="m_max", type=int)
-    p.add_argument("--n-max", dest="n_max", type=int)
+    p.add_argument("--n-max", dest="n_max", type=int,
+                   help="partition: length of the table the columns are read from; "
+                        ">= 2 max(m) (default 2 max(m))")
     p.add_argument("--j-max", dest="j_max", type=int, default=24)
     p.add_argument("--tol", type=float)
     p.add_argument("--out", required=True)
@@ -297,7 +299,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("partition", help="exact vs asymptotic fixed-area series")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--t", type=float, required=True)
-    p.add_argument("--n-max", dest="n_max", type=int)
+    p.add_argument("--n-max", dest="n_max", type=int,
+                   help="length of the table the column is read from; >= 2m (default 2m)")
     p.add_argument("--j-max", dest="j_max", type=int, default=24)
     p.set_defaults(func=_cmd_partition)
 

@@ -174,33 +174,29 @@ def scan_scaling_fn(eps_list: list[float], s_min: float, s_max: float, steps: in
     )
 
 
-def _partition_n_max(t: float, m: int) -> int:
-    """Table length that holds the fixed-area series Q_m(t) to its tail."""
-    # peak of c[m][n] t^n sits near (2m-1)/|ln t|; pad by five widths
-    peak = (2 * m - 1) / max(0.2, -math.log(max(t, 1e-6)))
-    return int(peak + 5.0 * math.sqrt(max(peak, 4.0))) + 20
-
-
 def scan_partition(t: float, m_values: list[int], n_max: int | None = None,
                    j_max: int = 24, stamp: bool = False) -> ScanDataset:
-    """Exact fixed-area series against the finite-size asymptotic form."""
+    """Exact fixed-area series against the finite-size asymptotic form.
+
+    The table runs to n_max (default 2 max(m), the least that fixes every
+    Q_m exactly; see ``partition_series``).
+    """
     if not m_values:
         raise DomainError("m_values must be nonempty")
     m_top = max(m_values)
     if n_max is None:
-        n_max = _partition_n_max(t, m_top)
+        n_max = 2 * m_top
     table = build_area_polynomials(n_max, m_max=m_top)
-    exact, asym, svals, tails = [], [], [], []
-    for m in m_values:
-        ps = partition_series(table, m, t)
-        exact.append(ps.value)
-        tails.append(ps.tail_estimate)
-        svals.append((1.0 - 4.0 * t) * m ** (2.0 / 3.0))
-        asym.append(q_m_asymptotic(m, t, j_max=j_max))
+    exact = [partition_series(table, m, t) for m in m_values]
     return ScanDataset(
         kind="partition",
-        columns={"m": list(m_values), "s": svals, "Q_exact": exact,
-                 "Q_asymptotic": asym, "tail_estimate": tails},
+        # Q_exact has no tail; the zero tail_estimate column is kept for
+        # existing parsers of the scan's CSV layout.
+        columns={"m": list(m_values),
+                 "s": [(1.0 - 4.0 * t) * m ** (2.0 / 3.0) for m in m_values],
+                 "Q_exact": exact,
+                 "Q_asymptotic": [q_m_asymptotic(m, t, j_max=j_max) for m in m_values],
+                 "tail_estimate": [0.0] * len(m_values)},
         metadata=_metadata("partition", stamp, t=t, n_max=n_max, j_max=j_max,
                            methods=["table_series", "finite_size_phi"]),
     )

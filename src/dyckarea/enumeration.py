@@ -20,6 +20,14 @@ first return to the diagonal gives the identity
 full square per unit of its length, hence the q^k elevation factor); the
 tests check the table against it. The independent backtracking enumerator
 below is the arbiter for the area convention.
+
+The same split bounds the fixed-area series Q_m(t) = sum_n c[m][n] t^n.
+A path is a sequence of arches; a UD arch has area 0, and an arch U P D
+with P of semilength k has area k + area(P) >= k. A path of area m thus
+has at most m arches of positive area, each of semilength at most m + 1,
+with runs of UD arches (each a factor 1/(1-t)) around them. Over a common
+denominator, Q_m(t) = N_m(t) / (1-t)^(m+1) with N_m an integer polynomial
+of degree at most 2m, fixed by c[m][0..2m].
 """
 
 from __future__ import annotations
@@ -34,7 +42,6 @@ from .errors import DivergenceError, DomainError, ResourceLimitError
 __all__ = [
     "AreaPolynomial",
     "CoefficientTable",
-    "PartitionSeriesResult",
     "build_area_polynomials",
     "brute_force_area_polynomial",
     "partition_series",
@@ -46,7 +53,7 @@ __all__ = [
 
 _BRUTE_FORCE_CAP = 14
 _TABLE_CAP_FULL = 200  # a full n = 200 build takes 12 s and 280 MB peak RSS (2 cores, Python 3.11)
-_TABLE_CAP_CAPPED = 2000
+_TABLE_CAP_CAPPED = 1280  # (1280, 640), the table Q_640 needs, takes 12 s and 144 MB peak RSS
 
 
 def catalan_number(n: int) -> int:
@@ -136,7 +143,8 @@ def build_area_polynomials(n_max: int, m_max: int | None = None) -> CoefficientT
         raise DomainError("n_max must be >= 0")
     if m_max is not None and m_max < 0:
         raise DomainError("m_max must be >= 0")
-    cap = _TABLE_CAP_FULL if m_max is None else _TABLE_CAP_CAPPED
+    full = m_max is None or m_max >= n_max * (n_max - 1) // 2
+    cap = _TABLE_CAP_FULL if full else _TABLE_CAP_CAPPED
     if n_max > cap:
         raise ResourceLimitError(
             f"table to n = {n_max} exceeds the memory budget (cap {cap}); "
@@ -207,46 +215,32 @@ def brute_force_area_polynomial(n: int) -> AreaPolynomial:
     return AreaPolynomial(n=n, coeffs=tuple(counts))
 
 
-@dataclass(frozen=True)
-class PartitionSeriesResult:
-    """Truncated fixed-area series sum_{n <= n_max} c[m][n] t^n."""
+def partition_series(table: CoefficientTable, m: int, t: float) -> float:
+    """Fixed-area series Q_m(t) = sum_n c[m][n] t^n, correctly rounded.
 
-    m: int
-    t: float
-    value: float
-    coefficients: tuple[int, ...]
-    tail_estimate: float
-    tail_ok: bool
-
-
-def partition_series(table: CoefficientTable, m: int, t: float, tol: float = 1e-9) -> PartitionSeriesResult:
-    """Fixed-area generating series from the exact table, truncated at n_max.
-
-    The tail estimate is geometric from the last observed term ratios; when
-    it exceeds ``tol`` relative to the partial sum the result is flagged
-    rather than silently truncated.
+    Q_m = N_m / (1-t)^(m+1) with deg N_m <= 2m (module docstring), so the
+    table's first 2m + 1 column entries fix it on all of 0 <= t < 1. N_m
+    comes from m + 1 backward differences of the column, and is evaluated
+    at t = a / 2^e in integers, so a single int true division rounds it.
     """
-    if m < 0 or m > table.n_max * (table.n_max - 1) // 2:
-        raise DomainError(f"area {m} outside the table range")
+    if m < 0:
+        raise DomainError(f"area {m} must be >= 0")
     if not (0.0 <= t < 1.0):
         raise DomainError("partition_series requires 0 <= t < 1")
-    column = table.column(m)
-    terms = [c * t**n for n, c in enumerate(column)]
-    value = float(sum(terms))
-    nonzero = [(n, abs(x)) for n, x in enumerate(terms) if x != 0.0]
-    tail = 0.0
-    ok = True
-    if t > 0.0 and len(nonzero) >= 3:
-        (n2, a2), (n1, a1) = nonzero[-2], nonzero[-1]
-        ratio = (a1 / a2) ** (1.0 / (n1 - n2))
-        if ratio < 1.0:
-            tail = a1 * ratio / (1.0 - ratio)
-        else:
-            tail = float("inf")
-        ok = tail <= tol * max(abs(value), 1e-300)
-    return PartitionSeriesResult(
-        m=m, t=t, value=value, coefficients=tuple(column), tail_estimate=tail, tail_ok=ok
-    )
+    if table.n_max < 2 * m:
+        raise DomainError(f"Q_{m} needs the table to n = {2 * m}, it stops at {table.n_max}")
+    coeffs = table.column(m)[:2 * m + 1]
+    for _ in range(m + 1):  # times (1 - t), truncated at degree 2m
+        coeffs = [c - p for c, p in zip(coeffs, [0] + coeffs)]
+    a, b = t.as_integer_ratio()
+    e = b.bit_length() - 1  # t = a / 2^e
+    num = 0  # 2^(2m e) N_m(t) = sum_k N_m[k] a^k 2^((2m-k) e)
+    for k, c in enumerate(reversed(coeffs)):
+        num = num * a + (c << e * k)
+    try:  # Q_m = num 2^((m+1) e) / (2^(2m e) (2^e - a)^(m+1))
+        return (num << e * (m + 1)) / ((b - a) ** (m + 1) << 2 * m * e)
+    except OverflowError:
+        raise DomainError(f"Q_{m}({t!r}) exceeds the double range") from None
 
 
 def eval_G_truncated(t: float, q: float, N: int, table: CoefficientTable | None = None) -> float:

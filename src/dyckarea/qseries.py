@@ -244,8 +244,10 @@ def g_ratio(t: float | complex, settings: EvalSettings, full_output: bool = Fals
     Both series are summed at the saddle-point prediction (real t in
     (0, 1/2), eps <= 0.2, ``precision_bits`` unset) capped at the envelope,
     and rerun once at the envelope if either kept fewer than 53 + 96 bits.
-    If H(t) has lost essentially all significant bits the point is next to
-    a zero of H (at or beyond the pole line) and a pole error is raised.
+    With ``full_output``, ``bits_lost`` is the larger loss of the two
+    series, the one that set the precision. If H(t) has lost essentially
+    all significant bits the point is next to a zero of H (at or beyond
+    the pole line) and a pole error is raised.
     """
     q, tol, max_terms = settings.q, settings.tol, settings.max_terms
     bits = envelope = max(settings.bits_for(t), settings.bits_for(q * t))
@@ -270,7 +272,7 @@ def g_ratio(t: float | complex, settings: EvalSettings, full_output: bool = Fals
         )
     value = complex(ratio) if isinstance(t, complex) else float(ratio)
     if full_output:
-        return HSeriesResult(value, n_d + n_n, lost_d, 0.0, precision_bits=bits)
+        return HSeriesResult(value, n_d + n_n, max(lost_d, lost_n), 0.0, precision_bits=bits)
     return value
 
 

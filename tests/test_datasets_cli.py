@@ -63,8 +63,10 @@ class TestScanDatasets:
     def test_partition_scan(self):
         ds = scan_partition(0.24, [10, 20])
         assert ds.columns["m"] == [10, 20]
+        assert ds.metadata["n_max"] == 40
         assert all(v > 0 for v in ds.columns["Q_exact"])
         assert all(v > 0 for v in ds.columns["Q_asymptotic"])
+        assert ds.columns["tail_estimate"] == [0.0, 0.0]
 
     def test_csv_deterministic(self):
         a = scan_g_vs_t(0.8, 0.05, 0.2, 5).to_csv()
@@ -181,6 +183,29 @@ class TestCli:
         res = run_cli("partition", "--m", "20", "--t", "0.216")
         assert res.returncode == 0
         assert "ratio" in res.stdout
+
+    def test_partition_line_parses(self):
+        # the README command; this line format is parsed by existing tools
+        res = run_cli("partition", "--m", "40", "--t", "0.2286")
+        assert res.returncode == 0
+        line = re.match(r"^Q_\d+\(.*?\) = (\S+)  \(n <= (\d+), tail ~ (\S+), ok=(\w+)\)$",
+                        res.stdout.splitlines()[0])
+        assert line is not None
+        assert int(line.group(2)) <= 80
+        assert float(line.group(3)) == 0.0
+        assert line.group(4) == "True"
+
+    def test_partition_exact_near_one(self):
+        res = run_cli("partition", "--m", "3", "--t", "0.9")
+        assert res.returncode == 0
+        assert res.stdout.startswith("Q_3(0.9) = 6633.900000000007  (n <= 6, ")
+        assert "ok=True" in res.stdout
+
+    def test_partition_table_too_short(self, tmp_path):
+        assert run_cli("partition", "--m", "40", "--t", "0.2", "--n-max", "79").returncode == 2
+        res = run_cli("scan", "--kind", "partition", "--m-list", "10,40", "--t", "0.2",
+                      "--n-max", "79", "--out", str(tmp_path / "x.csv"))
+        assert res.returncode == 2
 
     def test_partition_and_scan_agree(self, tmp_path):
         # both commands take the finite-size law from the same zeta sums

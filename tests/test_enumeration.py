@@ -1,11 +1,16 @@
 """Exact path counting: the height-pass table against the backtracking
 oracle and the first-return identity."""
 
+import functools
 import hashlib
 import json
 import math
+import time
+from fractions import Fraction
 
+import hypothesis
 import pytest
+from hypothesis import strategies as st
 
 from dyckarea.enumeration import (
     AreaPolynomial,
@@ -125,6 +130,17 @@ class TestRecurrenceTable:
         with pytest.raises(ResourceLimitError, match="201"):
             build_area_polynomials(201)
 
+    @pytest.mark.parametrize("n_max, m_max, cap", [
+        (250, 250 * 249 // 2, 200),  # an area cap past every row is a full table
+        (1281, 640, 1280),
+    ])
+    def test_resource_cap_before_build(self, n_max, m_max, cap):
+        # either build would run for tens of seconds; the cap fails first
+        start = time.process_time()
+        with pytest.raises(ResourceLimitError, match=f"cap {cap}"):
+            build_area_polynomials(n_max, m_max=m_max)
+        assert time.process_time() - start < 1.0
+
     def test_negative(self):
         with pytest.raises(DomainError):
             build_area_polynomials(-1)
@@ -141,35 +157,72 @@ def table():
     return build_area_polynomials(40)
 
 
+def _numerator(column, m):
+    """Coefficients of (1-t)^(m+1) times the column polynomial, by binomials."""
+    return [
+        sum((-1) ** j * math.comb(m + 1, j) * column[k - j] for j in range(min(k, m + 1) + 1))
+        for k in range(len(column))
+    ]
+
+
+_brute_row = functools.lru_cache(maxsize=None)(brute_force_area_polynomial)  # n = 14 takes 3 s
+
+
+def _exact_q(m, t):
+    """Q_m(t) = N_m(t)/(1-t)^(m+1) in Fraction arithmetic from brute-force rows."""
+    column = [_brute_row(n).coeffs[m] if m <= n * (n - 1) // 2 else 0 for n in range(2 * m + 1)]
+    x = Fraction(t)
+    value = sum(c * x**k for k, c in enumerate(_numerator(column, m))) / (1 - x) ** (m + 1)
+    return float(value)  # Fraction -> float rounds correctly
+
+
 class TestPartitionSeries:
     def test_zero_area_geometric(self, table):
-        res = partition_series(table, 0, 0.5)
-        partial = sum(0.5**n for n in range(41))
-        assert res.value == pytest.approx(partial, rel=1e-14)
-        assert res.coefficients == tuple([1] * 41)
+        assert partition_series(table, 0, 0.5) == 1.0 / (1.0 - 0.5)
+        assert partition_series(table, 0, 0.3) == float(1 / (1 - Fraction(0.3)))
+        assert table.column(0) == [1] * 41
 
     def test_area_one_at_origin(self, table):
-        assert partition_series(table, 1, 0.0).value == 0.0
+        assert partition_series(table, 1, 0.0) == 0.0
 
     def test_area_one_column(self, table):
-        res = partition_series(table, 1, 0.3)
-        assert res.coefficients[:6] == (0, 0, 1, 2, 3, 4)
-        # c[1][n] = n-1 sums to t^2/(1-t)^2
-        assert res.value == pytest.approx(0.09 / 0.49, rel=1e-10)
-        assert res.tail_ok
+        assert table.column(1)[:6] == [0, 0, 1, 2, 3, 4]
+        assert _numerator(table.column(1)[:3], 1) == [0, 0, 1]  # N_1 = t^2
+        x = Fraction(0.3)
+        assert partition_series(table, 1, 0.3) == float(x**2 / (1 - x) ** 2)
 
-    def test_tail_flag(self, table):
-        res = partition_series(table, 3, 0.9, tol=1e-12)
-        assert not res.tail_ok
-        assert res.tail_estimate > 0.0
+    def test_exact_near_one(self, table):
+        # sums truncated at n <= 40 and n <= 70 gave 3851.4 and 6166.1 here
+        assert partition_series(table, 3, 0.9) == 6633.900000000007 == _exact_q(3, 0.9)
+        assert partition_series(table, 7, 0.999) == _exact_q(7, 0.999)
+
+    @hypothesis.settings(derandomize=True, database=None, max_examples=30, deadline=None)
+    @hypothesis.given(m=st.integers(0, 7), t=st.floats(0.0, 0.9999))
+    def test_correctly_rounded(self, table, m, t):
+        assert partition_series(table, m, t) == _exact_q(m, t)
+
+    @hypothesis.settings(derandomize=True, database=None, max_examples=30, deadline=None)
+    @hypothesis.given(m=st.integers(0, 40), t=st.floats(0.0, 0.999))
+    def test_numerator_degree(self, m, t):
+        long = build_area_polynomials(2 * m + 30, m_max=m)
+        numerator = _numerator(long.column(m), m)
+        assert numerator[2 * m + 1:] == [0] * 30  # deg N_m <= 2m on the data
+        short = build_area_polynomials(2 * m, m_max=m)
+        assert partition_series(short, m, t) == partition_series(long, m, t)
 
     def test_domain(self, table):
         with pytest.raises(DomainError):
             partition_series(table, -1, 0.3)
         with pytest.raises(DomainError):
             partition_series(table, 10**6, 0.3)
+        with pytest.raises(DomainError, match="n = 42"):
+            partition_series(build_area_polynomials(41, m_max=21), 21, 0.3)  # 41 < 2m
         with pytest.raises(DomainError):
             partition_series(table, 2, 1.0)
+        with pytest.raises(DomainError, match="double range"):
+            partition_series(build_area_polynomials(120, m_max=60), 60, 0.9999999)
+        with pytest.raises(DomainError, match="area cap"):
+            partition_series(build_area_polynomials(40, m_max=10), 15, 0.3)
 
 
 class TestTruncatedG:

@@ -174,6 +174,13 @@ class TestRatioPrecision:
         reference = g_ratio(t, EvalSettings(q=q, precision_bits=res.precision_bits))
         assert res.value == reference
 
+    def test_reports_larger_loss(self):
+        # H(qt) sits next to its zero and loses 106.8 bits; H(t) loses 91.4
+        q = math.exp(-0.01)
+        settings = EvalSettings(q=q)
+        t = t_infinity(q, settings) * (1.0 - 1e-7) / q
+        assert g_ratio(t, settings, full_output=True).bits_lost > 100
+
     def test_cost_guard(self):
         # the envelope rule sums this point at 26 554 bits; it loses 141
         res = g_ratio(0.05, EvalSettings(q=math.exp(-1e-3)), full_output=True)
