@@ -2,6 +2,7 @@
 pole boundary, remainder certification and contour quadrature."""
 
 import cmath
+import hashlib
 import logging
 import math
 
@@ -37,6 +38,38 @@ H_02_05 = 0.6262869831031218
 H_01_05 = 0.8066191269521281
 G_02_05 = 1.2879385149528385
 QP_HALF = 0.2887880950866024
+
+# sha256 of the "q,t_inf" and "eps,t,h_series,g_ratio" lines (repr of each
+# value, or the name of the error raised) built by TestGoldenDigest, pinned
+# before h_series, g_ratio and t_infinity shared one precision rule so that
+# every value stays bit-identical
+SERIES_GOLDEN_DIGEST = "0fe0e71ee3d21427fd44fda945b95ebc29e6aa16c94b6276f5657a71b4f93949"
+
+
+class TestGoldenDigest:
+    EPS = (3e-3, 0.01, 0.03, 0.1, 0.2, 0.3, 0.7)
+    TS = (1e-13, 0.05, 0.15, 0.25, 0.26, 0.3, 0.45, 0.6, 0.2 + 0.01j, 0.1 - 0.05j)
+    QS = (0.3, 0.5, 0.7, 0.9, 0.95, 0.99)
+
+    @staticmethod
+    def _outcome(fn, *args):
+        try:
+            return repr(fn(*args))
+        except Exception as err:
+            return type(err).__name__
+
+    def test_golden_digest(self):
+        lines = []
+        grid = [(eps, t) for eps in self.EPS for t in self.TS]
+        for q in self.QS:
+            root = t_infinity(q)
+            lines.append(f"{q!r},{root!r}")
+            if q in (0.5, 0.99):  # at, beside and q-scaled next to the first zero of H
+                grid += [(-math.log(q), root * f) for f in (1.0, 1 - 1e-7, 1 + 1e-7, (1 - 1e-7) / q)]
+        for eps, t in grid:
+            s = EvalSettings(q=math.exp(-eps))
+            lines.append(f"{eps!r},{t!r},{self._outcome(h_series, t, s)},{self._outcome(g_ratio, t, s)}")
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == SERIES_GOLDEN_DIGEST
 
 
 class TestEvalSettings:
