@@ -5,10 +5,9 @@ through three routes that must agree wherever they overlap:
 
 * ``h_series`` sums the alternating q-Airy-type series
   H(t) = sum_n q^(n^2-n) (-t)^n / (q; q)_n, and ``g_ratio`` forms
-  G = H(qt)/H(t). The series cancels catastrophically as q -> 1, so it
-  runs under mpmath at a precision scaled to the cancellation envelope
-  (``g_ratio``: to the saddle-point estimate of the cancellation, checked
-  after summing); it is the preferred route for eps = -ln q >= ~1e-3.
+  G = H(qt)/H(t). The series cancels catastrophically as q -> 1, so every
+  sum of H (also in ``t_infinity``) runs under mpmath at one precision
+  rule, ``_sum_h``; it is the preferred route for eps = -ln q >= ~1e-3.
 * ``g_cfrac`` evaluates the classical continued fraction
   1/(1 - t/(1 - tq/(1 - tq^2/...))) bottom-up with tail value 1. All
   partial numerators are positive for real t, which makes this route
@@ -56,23 +55,22 @@ __all__ = [
 ]
 
 _log = logging.getLogger(__name__)
-_GUARD_BITS = 96  # bits g_ratio keeps beyond double precision after cancellation
+_GUARD_BITS = 96  # bits a value of H keeps beyond double precision after cancellation
+_MAX_TERMS = 200_000  # the alternating series gives up after this many terms
 
 
 @dataclass(frozen=True)
 class EvalSettings:
     """The nome q and the numerical policy shared by the q-series routines.
 
-    ``epsilon`` is always recomputed from q, never stored. When
-    ``precision_bits`` is left unset, ``h_series`` and ``t_infinity`` scale
-    their working precision with the cancellation envelope
-    exp((ln^2 t / 2 + pi^2/6) / eps); ``g_ratio`` sums at the saddle-point
-    estimate of the cancellation, checks it and falls back to the envelope.
+    ``epsilon`` is always recomputed from q, never stored. ``precision_bits``
+    fixes the precision of every sum of H; unset, ``_sum_h`` sizes it from
+    the saddle-point estimate of the cancellation and reruns at the measured
+    loss, capped by the envelope exp((ln^2 t / 2 + pi^2/6) / eps) of ``bits_for``.
     """
 
     q: float
     tol: float = 1e-12
-    max_terms: int = 200_000
     precision_bits: int | None = None
 
     def __post_init__(self):
@@ -155,27 +153,23 @@ class HSeriesResult:
     precision_bits: int
 
 
-def _h_series_mp(t, q: float, tol: float, max_terms: int):
+def _h_series_mp(t, q: float, tol: float):
     """Sum of q^(n^2-n) (-t)^n / (q;q)_n at the current mpmath precision.
 
     Returns (sum, terms_used, max_term_magnitude, last_term_magnitude).
     Stops after the term magnitude stays below tol * |partial sum| for
-    three consecutive terms.
+    three consecutive terms, and gives up after ``_MAX_TERMS`` terms.
     """
-    term = mpmath.mpf(1) if not isinstance(t, complex) else mpmath.mpc(1)
-    total = term
-    max_mag = mpmath.mpf(1)
+    term = total = max_mag = mpmath.mpf(1)
     q_mp = mpmath.mpf(q)
     q2 = q_mp * q_mp
     q_2n = mpmath.mpf(1)   # q^(2n)
     q_n1 = q_mp            # q^(n+1)
-    neg_t = -(mpmath.mpc(t) if isinstance(t, complex) else mpmath.mpf(t))
+    neg_t = -mpmath.mpmathify(t)
     small_streak = 0
-    n = 0
-    while n < max_terms:
+    for n in range(1, _MAX_TERMS + 1):
         term = term * neg_t * q_2n / (1 - q_n1)
         total += term
-        n += 1
         mag = abs(term)
         if mag > max_mag:
             max_mag = mag
@@ -188,7 +182,7 @@ def _h_series_mp(t, q: float, tol: float, max_terms: int):
         q_2n *= q2
         q_n1 *= q_mp
     raise NonConvergenceError(
-        f"alternating series did not stabilise within {max_terms} terms",
+        f"alternating series did not stabilise within {_MAX_TERMS} terms",
         last_term=float(mag),
     )
 
@@ -200,16 +194,16 @@ def _bits_lost(max_mag, total) -> float:
         return float(mpmath.log(ratio, 2)) if max_mag > abs(total) else 0.0
 
 
-def _predicted_bits(t: float, q: float) -> int:
-    """Bits for H(t) and H(qt): log2(max term / |H|) + 8 slack + 53 + guard bits,
+def _predicted_bits(xs, q: float) -> int:
+    """Bits for H at every x in xs: log2(max term / |H|) + 8 slack + 53 + guard bits,
     with |H(x)| ~ (q; q)_inf exp(Re f(z1, x)/eps) at the dominant saddle
-    z1 = (1 + sqrt(1 - 4x))/2 (real t in (0, 1/2), eps <= 0.2). ln|term_n|
+    z1 = (1 + sqrt(1 - 4x))/2 (real x in (0, 1/2), eps <= 0.2). ln|term_n|
     is concave in n, so the max-term scan stops at its first decrease.
     """
     from .asymptotics import _log_euler_function, phase_f
 
     eps, loss = -math.log(q), 0.0
-    for x in (t, q * t):
+    for x in xs:
         peak, n, qn = 0.0, 0, q
         while (step := math.log(x) - 2.0 * n * eps - math.log1p(-qn)) > 0.0:
             peak, n, qn = peak + step, n + 1, qn * q
@@ -219,60 +213,66 @@ def _predicted_bits(t: float, q: float) -> int:
     return math.ceil(loss) + 8 + 53 + _GUARD_BITS
 
 
+def _sum_h(xs, settings: EvalSettings, keep: int):
+    """H at every x in xs at one shared precision: predict, check, rerun.
+
+    Precision: ``precision_bits`` if set, else ``_predicted_bits`` capped at
+    the envelope max ``bits_for(x)`` where the saddle estimate holds (real x
+    in (0, 1/2), eps <= 0.2, envelope > 53 + 96), else the envelope. If a
+    series keeps fewer than ``keep`` bits, all rerun at the measured loss +
+    8 + keep bits (at most the envelope). Returns the ``_h_series_mp``
+    tuples, the final precision and the largest loss.
+    """
+    bits = envelope = max(settings.bits_for(x) for x in xs)
+    if (settings.precision_bits is None and envelope > 53 + _GUARD_BITS and settings.epsilon <= 0.2
+            and all(not isinstance(x, complex) and 0.0 < x < 0.5 for x in xs)):
+        bits = min(envelope, _predicted_bits(xs, settings.q))
+    while True:
+        with mpmath.workprec(bits):
+            sums = [_h_series_mp(x, settings.q, settings.tol) for x in xs]
+        lost = max(_bits_lost(peak, total) for total, _, peak, _ in sums)
+        _log.debug("H at %r: %d of %d bits, lost %.1f", xs, bits, envelope, lost)
+        if bits == envelope or bits - lost >= keep:
+            return sums, bits, lost
+        bits = min(envelope, math.ceil(min(lost, envelope)) + 8 + keep)
+        _log.debug("H at %r: rerun at %d bits", xs, bits)
+
+
 def h_series(t: float | complex, settings: EvalSettings, full_output: bool = False):
     """The q-deformed Airy-type series H(t) under scaled working precision.
 
-    The terms grow far beyond the sum before they decay, so the working
-    mantissa is widened by the cancellation envelope; the result and the
-    number of bits lost to cancellation are reported.
+    The terms grow far beyond the sum before they decay, so ``_sum_h`` keeps
+    53 + 96 bits after cancellation; the result and the bits lost are
+    reported. An exact zero at the working precision raises a pole error.
     """
-    bits = settings.bits_for(t)
-    with mpmath.workprec(bits):
-        total, n, max_mag, last = _h_series_mp(t, settings.q, settings.tol, settings.max_terms)
-        if abs(total) == 0:
-            raise PoleProximityError("series sum vanished at working precision; t is at a zero")
-        bits_lost = _bits_lost(max_mag, total)
-        value = complex(total) if isinstance(t, complex) else float(total)
+    [(total, n, _, last)], bits, lost = _sum_h((t,), settings, 53 + _GUARD_BITS)
+    if not total:
+        raise PoleProximityError("series sum vanished at working precision; t is at a zero")
+    value = complex(total) if isinstance(t, complex) else float(total)
     if full_output:
-        return HSeriesResult(value, n, bits_lost, float(last), precision_bits=bits)
+        return HSeriesResult(value, n, lost, float(last), precision_bits=bits)
     return value
 
 
 def g_ratio(t: float | complex, settings: EvalSettings, full_output: bool = False):
     """G(t, q) as the ratio H(qt)/H(t) of two alternating series.
 
-    Both series are summed at the saddle-point prediction (real t in
-    (0, 1/2), eps <= 0.2, ``precision_bits`` unset) capped at the envelope,
-    and rerun once at the envelope if either kept fewer than 53 + 96 bits.
-    With ``full_output``, ``bits_lost`` is the larger loss of the two
-    series, the one that set the precision. If H(t) has lost essentially
-    all significant bits the point is next to a zero of H (at or beyond
-    the pole line) and a pole error is raised.
+    ``_sum_h`` keeps 53 + 96 bits in both at one shared precision. With
+    ``full_output``, ``bits_lost`` and ``last_term`` are the larger of the
+    two series. If H(t) has lost essentially all significant bits the point
+    is next to a zero of H (at or beyond the pole line): a pole error.
     """
-    q, tol, max_terms = settings.q, settings.tol, settings.max_terms
-    bits = envelope = max(settings.bits_for(t), settings.bits_for(q * t))
-    if (settings.precision_bits is None and envelope > 53 + _GUARD_BITS
-            and not isinstance(t, complex) and 0.0 < t < 0.5 and settings.epsilon <= 0.2):
-        bits = min(envelope, _predicted_bits(t, q))
-    while True:
-        with mpmath.workprec(bits):
-            denom, n_d, max_d, _ = _h_series_mp(t, q, tol, max_terms)
-            numer, n_n, max_n, _ = _h_series_mp(q * t, q, tol, max_terms)
-            ratio = numer / denom if denom else None
-        lost_d, lost_n = _bits_lost(max_d, denom), _bits_lost(max_n, numer)
-        _log.debug("g_ratio t=%r: %d of %d bits, lost %.1f/%.1f", t, bits, envelope, lost_d, lost_n)
-        if bits == envelope or bits - max(lost_d, lost_n) >= 53 + _GUARD_BITS:
-            break
-        _log.debug("g_ratio t=%r: rerun at the envelope", t)
-        bits = envelope
+    sums, bits, lost = _sum_h((t, settings.q * t), settings, 53 + _GUARD_BITS)
+    (denom, n_d, max_d, last_d), (numer, n_n, _, last_n) = sums
     if abs(denom) <= max_d * mpmath.mpf(2) ** (-(bits - 16)):
         raise PoleProximityError(
             f"H(t) at t = {t!r} is below the cancellation floor; "
             f"t lies at or beyond the pole boundary"
         )
+    ratio = mpmath.fdiv(numer, denom, prec=bits)
     value = complex(ratio) if isinstance(t, complex) else float(ratio)
     if full_output:
-        return HSeriesResult(value, n_d + n_n, max(lost_d, lost_n), 0.0, precision_bits=bits)
+        return HSeriesResult(value, n_d + n_n, lost, float(max(last_d, last_n)), precision_bits=bits)
     return value
 
 
@@ -396,7 +396,7 @@ def t_infinity(q: float, settings: EvalSettings | None = None) -> float:
         settings = EvalSettings(q=q)
     elif settings.q != q:
         raise DomainError(f"t_infinity got q = {q!r} but settings for q = {settings.q!r}")
-    h = lambda t: h_series(t, settings)
+    h = lambda t: float(_sum_h((t,), settings, 24)[0][0][0])  # signs: ~2000 terms round by < 2^11 ulps
     lo = 0.25
     f_lo = h(lo)
     if f_lo <= 0.0:

@@ -196,12 +196,12 @@ class TestPartitionSeries:
         assert partition_series(table, 3, 0.9) == 6633.900000000007 == _exact_q(3, 0.9)
         assert partition_series(table, 7, 0.999) == _exact_q(7, 0.999)
 
-    @hypothesis.settings(derandomize=True, database=None, max_examples=30, deadline=None)
+    @hypothesis.settings(max_examples=30)
     @hypothesis.given(m=st.integers(0, 7), t=st.floats(0.0, 0.9999))
     def test_correctly_rounded(self, table, m, t):
         assert partition_series(table, m, t) == _exact_q(m, t)
 
-    @hypothesis.settings(derandomize=True, database=None, max_examples=30, deadline=None)
+    @hypothesis.settings(max_examples=30)
     @hypothesis.given(m=st.integers(0, 40), t=st.floats(0.0, 0.999))
     def test_numerator_degree(self, m, t):
         long = build_area_polynomials(2 * m + 30, m_max=m)

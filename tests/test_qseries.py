@@ -142,9 +142,10 @@ class TestHSeries:
         harsh = h_series(0.2, EvalSettings(q=math.exp(-0.02)), full_output=True)
         assert harsh.bits_lost > mild.bits_lost + 10
 
-    def test_non_convergence(self):
+    def test_non_convergence(self, monkeypatch):
+        monkeypatch.setattr(qseries, "_MAX_TERMS", 3)
         with pytest.raises(NonConvergenceError) as err:
-            h_series(0.2, EvalSettings(q=0.5, max_terms=3))
+            h_series(0.2, EvalSettings(q=0.5))
         assert err.value.last_term is not None
 
 
@@ -154,6 +155,10 @@ class TestGRatio:
 
     def test_frozen_value(self):
         assert g_ratio(0.2, EvalSettings(q=0.5)) == pytest.approx(G_02_05, abs=1e-13)
+
+    def test_diagnostics(self):
+        res = g_ratio(0.2, EvalSettings(q=0.5), full_output=True)
+        assert 0.0 < res.last_term < 1e-10
 
     def test_catalan_trend(self):
         # towards C(0.24) = 1.6168... as q -> 1
@@ -176,9 +181,9 @@ def _envelope_bits(t: float, settings: EvalSettings) -> int:
 
 class TestRatioPrecision:
     """g_ratio sums at the saddle-point prediction of the cancellation and
-    reruns at the envelope when fewer than 53 + 96 bits survive."""
+    reruns at the measured loss when fewer than 53 + 96 bits survive."""
 
-    @hypothesis.settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @hypothesis.settings(max_examples=40)
     @hypothesis.given(
         log_eps=st.floats(math.log(1e-3), math.log(0.2)),
         t=st.floats(1e-6, 0.45),
@@ -202,10 +207,10 @@ class TestRatioPrecision:
         with caplog.at_level(logging.DEBUG, logger="dyckarea"):
             res = g_ratio(t, settings, full_output=True)
         assert any("rerun" in rec.getMessage() for rec in caplog.records)
-        assert res.precision_bits == _envelope_bits(t, settings)
+        envelope = _envelope_bits(t, settings)
+        assert res.precision_bits < envelope  # the rerun went to the loss, not the envelope
         assert res.precision_bits - res.bits_lost >= 149
-        reference = g_ratio(t, EvalSettings(q=q, precision_bits=res.precision_bits))
-        assert res.value == reference
+        assert res.value == g_ratio(t, EvalSettings(q=q, precision_bits=envelope))
 
     def test_reports_larger_loss(self):
         # H(qt) sits next to its zero and loses 106.8 bits; H(t) loses 91.4
@@ -214,16 +219,42 @@ class TestRatioPrecision:
         t = t_infinity(q, settings) * (1.0 - 1e-7) / q
         assert g_ratio(t, settings, full_output=True).bits_lost > 100
 
-    def test_cost_guard(self):
-        # the envelope rule sums this point at 26 554 bits; it loses 141
-        res = g_ratio(0.05, EvalSettings(q=math.exp(-1e-3)), full_output=True)
+    def test_cost_guard(self, caplog):
+        # the envelope rule sums this point at 26 554 bits; it loses 141,
+        # and the prediction's guard bits cover that in one pass
+        with caplog.at_level(logging.DEBUG, logger="dyckarea"):
+            res = g_ratio(0.05, EvalSettings(q=math.exp(-1e-3)), full_output=True)
+        assert not any("rerun" in rec.getMessage() for rec in caplog.records)
         assert res.precision_bits < 400
         assert res.precision_bits - res.bits_lost >= 149
 
     @pytest.mark.parametrize("t, q", [(0.2, 0.5), (0.05, math.exp(-1e-3)), (0.2 + 0.01j, 0.9)])
     def test_precision_bits_honoured(self, t, q):
-        res = g_ratio(t, EvalSettings(q=q, precision_bits=300), full_output=True)
-        assert res.precision_bits == 300
+        for fn in (g_ratio, h_series):
+            assert fn(t, EvalSettings(q=q, precision_bits=300), full_output=True).precision_bits == 300
+
+
+class TestNextToZeros:
+    """Both series callers, right next to a zero of H(t) or of H(qt), agree
+    with the envelope precision and keep 53 + 96 bits after their reruns."""
+
+    @hypothesis.settings(max_examples=20)
+    @hypothesis.given(
+        log_eps=st.floats(math.log(3e-3), math.log(0.2)),
+        log_delta=st.floats(math.log(1e-9), math.log(1e-3)),
+        side=st.sampled_from([-1.0, 1.0]),
+        zero_of=st.sampled_from(["H(t)", "H(qt)"]),
+    )
+    def test_matches_envelope(self, log_eps, log_delta, side, zero_of):
+        q = math.exp(-math.exp(log_eps))
+        settings = EvalSettings(q=q)
+        t = t_infinity(q, settings) * (1.0 + side * math.exp(log_delta)) / (q if zero_of == "H(qt)" else 1.0)
+        for fn, envelope in ((h_series, settings.bits_for(t)), (g_ratio, _envelope_bits(t, settings))):
+            res = fn(t, settings, full_output=True)
+            assert res.value == fn(t, EvalSettings(q=q, precision_bits=envelope))
+            assert res.precision_bits <= envelope
+            if res.precision_bits < envelope:
+                assert res.precision_bits - res.bits_lost >= 149
 
 
 class TestGCfrac:

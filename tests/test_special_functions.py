@@ -118,7 +118,7 @@ def _mp_airy(x: float) -> tuple[float, float]:
 
 
 class TestTierSwitches:
-    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(st.sampled_from(_TIER_SWITCHES), _NEAR)
     def test_airy_against_mpmath(self, switch, offset):
         x = switch + offset
@@ -127,7 +127,7 @@ class TestTierSwitches:
         assert pair.ai == pytest.approx(ai, rel=1e-11, abs=1e-14)
         assert pair.ai_prime == pytest.approx(aip, rel=1e-11, abs=1e-14)
 
-    @settings(derandomize=True, database=None, max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(_NEAR)
     def test_scaled_continuous_at_60(self, offset):
         below = 60.0 - abs(offset)
@@ -162,7 +162,7 @@ class TestAiryZeros:
         with pytest.raises(DomainError):
             airy_zeros(0)
 
-    @settings(derandomize=True, database=None, max_examples=25, deadline=None)
+    @settings(max_examples=25)
     @given(st.integers(min_value=1, max_value=2000))
     def test_against_mpmath_and_prefix(self, k):
         # DLMF 9.9: the k-th zero to 30 digits; shorter calls are prefixes
