@@ -7,6 +7,7 @@ import logging
 import math
 
 import hypothesis
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -70,6 +71,53 @@ class TestGoldenDigest:
             s = EvalSettings(q=math.exp(-eps))
             lines.append(f"{eps!r},{t!r},{self._outcome(h_series, t, s)},{self._outcome(g_ratio, t, s)}")
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == SERIES_GOLDEN_DIGEST
+
+    def test_oracle_accuracy(self):
+        # every value on the golden grid is within the stop rule's truncation
+        # (tol per series) plus the rounding its reported surviving bits allow
+        grid = [(eps, t) for eps in self.EPS for t in self.TS]
+        for q in (0.5, 0.99):
+            root = t_infinity(q)
+            grid += [(-math.log(q), root * f) for f in (1.0, 1 - 1e-7, 1 + 1e-7, (1 - 1e-7) / q)]
+        for eps, t in grid:
+            q = math.exp(-eps)
+            s = EvalSettings(q=q)
+            h, hq = _oracle_h(t, q), _oracle_h(q * t, q)
+            for fn, reference, series in ((h_series, h, 1), (g_ratio, hq / h, 2)):
+                try:
+                    res = fn(t, s, full_output=True)
+                except PoleProximityError:
+                    continue
+                bound = series * s.tol + 2.0 ** (res.bits_lost - res.precision_bits + 4)
+                assert abs(res.value - reference) <= bound * abs(reference), (fn.__name__, eps, t)
+
+
+def _oracle_h(t, q, prec=2000):
+    """H(t) by direct summation in mpmath, independent of ``qseries``.
+
+    Numerator power, q^(n^2-n) and (q; q)_n are carried separately. Past
+    the index where |t| q^(2n) <= (1 - q^(n+1))/2 every term ratio is at most
+    1/2, so stopping there at a term below 2^-120 |sum| leaves a tail below
+    that. The precision doubles until 200 bits survive the cancellation.
+    """
+    while True:
+        with mpmath.workprec(prec):
+            q_mp, neg_t = mpmath.mpf(q), -mpmath.mpmathify(t)
+            total = peak = power = q_nn = poch = q_n = mpmath.mpf(1)
+            while True:
+                q_n *= q_mp
+                poch *= 1 - q_n
+                power *= neg_t
+                term = q_nn * power / poch
+                q_nn *= q_n * q_n
+                total += term
+                peak = max(peak, abs(term))
+                if (abs(t) * q_n * q_n <= (1 - q_n * q_mp) / 2
+                        and abs(term) <= abs(total) * mpmath.mpf(2) ** -120):
+                    break
+            if prec - mpmath.log(peak / abs(total), 2) >= 200:
+                return total
+        prec *= 2
 
 
 class TestEvalSettings:
