@@ -26,6 +26,7 @@ from __future__ import annotations
 import cmath
 import logging
 import math
+import sys
 from dataclasses import dataclass
 
 import mpmath
@@ -154,37 +155,83 @@ class HSeriesResult:
 
 
 def _h_series_mp(t, q: float, tol: float):
-    """Sum of q^(n^2-n) (-t)^n / (q;q)_n at the current mpmath precision.
+    """Sum of q^(n^2-n) (-t)^n / (q;q)_n in binary fixed point.
 
-    Returns (sum, terms_used, max_term_magnitude, last_term_magnitude).
-    Stops after the term magnitude stays below tol * |partial sum| for
-    three consecutive terms, and gives up after ``_MAX_TERMS`` terms.
+    Terms and sums are Python integers in units of 2^-F, F = the current
+    mpmath precision + 8; complex t carries (re, im) pairs. Term n is term
+    n-1 times -t q^(2n-2) / (1 - q^n) with one floor division. The doubles
+    t and q are exact ratios num / 2^k, and the powers q^n and q^(2n-2) are
+    exact integer mantissas over a power of two, cut to F bits once longer,
+    so the early terms cost linear time even when F is large. Stops after
+    the term magnitude stays below tol * max(|partial sum|, 2^-F) for three
+    consecutive terms (compared exactly, on squares for complex t), and
+    gives up after ``_MAX_TERMS`` terms. Returns (sum, terms_used,
+    max_term_magnitude, last_term_magnitude) as mpmath numbers; a last term
+    below the unit reports the unit.
     """
-    term = total = max_mag = mpmath.mpf(1)
-    q_mp = mpmath.mpf(q)
-    q2 = q_mp * q_mp
-    q_2n = mpmath.mpf(1)   # q^(2n)
-    q_n1 = q_mp            # q^(n+1)
-    neg_t = -mpmath.mpmathify(t)
+    frac = mpmath.mp.prec + 8
+
+    def unit(k: int):  # k 2^-F rounded to the working precision (trailing zeros cut here in linear time)
+        zeros = max((k & -k).bit_length() - 1, 0)
+        return mpmath.mpf((k >> zeros, zeros - frac))
+
+    def dyadic(x: float) -> tuple[int, int]:
+        num, den = float(x).as_integer_ratio()
+        return num, den.bit_length() - 1
+
+    cplx = isinstance(t, complex)
+    (a, a_shift), (b, b_shift) = dyadic(-t.real), dyadic(-t.imag)
+    t_shift = max(a_shift, b_shift)  # -t = (a + ib) / 2^t_shift
+    a, b = a << t_shift - a_shift, b << t_shift - b_shift
+    q_num, q_shift = dyadic(q)
+    q2_num = q_num * q_num
+    tol_num, tol_shift = dyadic(tol)
+    q_n, q_n_exp = 1, 0    # q^n = q_n / 2^q_n_exp, at most F bits
+    q_2n, q_2n_exp = 1, 0  # q^(2n-2), likewise
+    re, im = 1 << frac, 0  # the term
+    sum_re, sum_im = re, im
+    peak = re  # |term|, squared for complex t
     small_streak = 0
     for n in range(1, _MAX_TERMS + 1):
-        term = term * neg_t * q_2n / (1 - q_n1)
-        total += term
-        mag = abs(term)
-        if mag > max_mag:
-            max_mag = mag
-        if mag < tol * max(abs(total), mpmath.mpf(1e-300)):
+        q_n, q_n_exp = q_n * q_num, q_n_exp + q_shift
+        if (cut := q_n.bit_length() - frac) > 0:
+            q_n, q_n_exp = q_n >> cut, q_n_exp - cut
+        # x -> x q^(2n-2) / (2^t_shift (1 - q^n)), floored
+        shift = q_n_exp - t_shift - q_2n_exp
+        num_shift, den = max(shift, 0), ((1 << q_n_exp) - q_n) << max(-shift, 0)
+        if cplx:
+            re, im = re * a - im * b, re * b + im * a
+            re, im = (re * q_2n << num_shift) // den, (im * q_2n << num_shift) // den
+            sum_re += re
+            sum_im += im
+            mag = re * re + im * im
+            small = mag << 2 * tol_shift < tol_num * tol_num * max(sum_re * sum_re + sum_im * sum_im, 1)
+        else:
+            re = (re * a * q_2n << num_shift) // den
+            sum_re += re
+            mag = abs(re)
+            small = mag << tol_shift < tol_num * max(abs(sum_re), 1)
+        if mag > peak:
+            peak = mag
+        if small:
             small_streak += 1
             if small_streak >= 3:
-                return total, n, max_mag, mag
+                break
         else:
             small_streak = 0
-        q_2n *= q2
-        q_n1 *= q_mp
-    raise NonConvergenceError(
-        f"alternating series did not stabilise within {_MAX_TERMS} terms",
-        last_term=float(mag),
-    )
+        q_2n, q_2n_exp = q_2n * q2_num, q_2n_exp + 2 * q_shift
+        if (cut := q_2n.bit_length() - frac) > 0:
+            q_2n, q_2n_exp = q_2n >> cut, q_2n_exp - cut
+    else:
+        raise NonConvergenceError(
+            f"alternating series did not stabilise within {_MAX_TERMS} terms",
+            last_term=float(unit(max(math.isqrt(mag) if cplx else mag, 1))),
+        )
+    if cplx:
+        peak, mag = math.isqrt(peak), math.isqrt(mag)
+
+    total = mpmath.mpc(unit(sum_re), unit(sum_im)) if cplx else unit(sum_re)
+    return total, n, unit(peak), unit(max(mag, 1))
 
 
 def _bits_lost(max_mag, total) -> float:
@@ -248,6 +295,8 @@ def h_series(t: float | complex, settings: EvalSettings, full_output: bool = Fal
     [(total, n, _, last)], bits, lost = _sum_h((t,), settings, 53 + _GUARD_BITS)
     if not total:
         raise PoleProximityError("series sum vanished at working precision; t is at a zero")
+    if not sys.float_info.min <= abs(total) <= sys.float_info.max:
+        raise DomainError(f"H({t!r}) = {mpmath.nstr(total, 5)} lies outside the double range")
     value = complex(total) if isinstance(t, complex) else float(total)
     if full_output:
         return HSeriesResult(value, n, lost, float(last), precision_bits=bits)
@@ -396,7 +445,7 @@ def t_infinity(q: float, settings: EvalSettings | None = None) -> float:
         settings = EvalSettings(q=q)
     elif settings.q != q:
         raise DomainError(f"t_infinity got q = {q!r} but settings for q = {settings.q!r}")
-    h = lambda t: float(_sum_h((t,), settings, 24)[0][0][0])  # signs: ~2000 terms round by < 2^11 ulps
+    h = lambda t: _sum_h((t,), settings, 24)[0][0][0]  # the exact sign: ~2000 terms round by < 2^11 ulps
     lo = 0.25
     f_lo = h(lo)
     if f_lo <= 0.0:

@@ -5,6 +5,7 @@ import cmath
 import hashlib
 import logging
 import math
+import sys
 
 import hypothesis
 import mpmath
@@ -305,6 +306,36 @@ class TestNextToZeros:
                 assert res.precision_bits - res.bits_lost >= 149
 
 
+class TestAgainstOracle:
+    """h_series and g_ratio match a direct high-precision sum wherever
+    53 + 96 bits survive the cancellation. tol = 1e-15 keeps the stop rule's
+    truncation (up to tol/(1 - term ratio) relative, 2e-13 at t = -1/4 and
+    eps = 1.5e-3 with the default tol) out of the comparison."""
+
+    @hypothesis.settings(max_examples=30)
+    @hypothesis.given(
+        eps=st.floats(1e-3, 0.7),
+        t=st.one_of(
+            st.floats(0.0, 0.6, exclude_min=True),
+            st.complex_numbers(max_magnitude=0.3, allow_nan=False, allow_infinity=False),
+        ),
+    )
+    def test_matches_oracle(self, eps, t):
+        q = math.exp(-eps)
+        settings = EvalSettings(q=q, tol=1e-15)
+        h, hq = _oracle_h(t, q), _oracle_h(q * t, q)
+        try:
+            res = h_series(t, settings, full_output=True)
+        except DomainError:  # only past the double range
+            assert not sys.float_info.min <= abs(h) <= sys.float_info.max
+        else:
+            if res.precision_bits - res.bits_lost >= 149:
+                assert abs(res.value - h) <= 1e-13 * abs(h)
+        res = g_ratio(t, settings, full_output=True)
+        if res.precision_bits - res.bits_lost >= 149:
+            assert abs(res.value - hq / h) <= 1e-13 * abs(hq / h)
+
+
 class TestGCfrac:
     def test_at_origin(self):
         assert g_cfrac(0.0, EvalSettings(q=0.3)) == 1.0
@@ -390,6 +421,26 @@ class TestPoleBoundary:
     def test_mismatched_settings(self):
         with pytest.raises(DomainError):
             t_infinity(0.5, EvalSettings(q=0.6, tol=1e-8))
+
+
+class TestBelowDoubleRange:
+    """At q = exp(-4e-4) the sum H(1/4) = 8.2e-372 lies far below 1e-300; the
+    series still runs to its settled value and t_infinity reads exact signs."""
+
+    Q = math.exp(-4e-4)
+
+    def test_sum_matches_oracle(self):
+        [(total, *_)], _, _ = qseries._sum_h((0.25,), EvalSettings(q=self.Q), 53 + 96)
+        reference = _oracle_h(0.25, self.Q)
+        assert abs(total - reference) <= 1e-10 * abs(reference)
+
+    def test_h_series_out_of_range(self):
+        with pytest.raises(DomainError):
+            h_series(0.25, EvalSettings(q=self.Q))
+
+    def test_pole_line_is_a_sign_change(self):
+        root = t_infinity(self.Q, EvalSettings(q=self.Q, tol=1e-8))
+        assert _oracle_h(root * (1 - 1e-7), self.Q) > 0 > _oracle_h(root * (1 + 1e-7), self.Q)
 
 
 class TestEulerMaclaurin:
