@@ -42,10 +42,11 @@ G_02_05 = 1.2879385149528385
 QP_HALF = 0.2887880950866024
 
 # sha256 of the "q,t_inf" and "eps,t,h_series,g_ratio" lines (repr of each
-# value, or the name of the error raised) built by TestGoldenDigest, pinned
-# before h_series, g_ratio and t_infinity shared one precision rule so that
-# every value stays bit-identical
-SERIES_GOLDEN_DIGEST = "0fe0e71ee3d21427fd44fda945b95ebc29e6aa16c94b6276f5657a71b4f93949"
+# value, or the name of the error raised) built by TestGoldenDigest, re-pinned
+# after the sums of H moved to fixed-point integers; the values that moved
+# (only where the precision was capped at 53 bits) are each no farther from
+# the direct high-precision sum of test_oracle_accuracy than before, or by 1 ulp
+SERIES_GOLDEN_DIGEST = "3de74ac986e527a23c797b433fd609770e390b9c2c21e22d99eb376003de7495"
 
 
 class TestGoldenDigest:
