@@ -6,8 +6,9 @@ through three routes that must agree wherever they overlap:
 * ``h_series`` sums the alternating q-Airy-type series
   H(t) = sum_n q^(n^2-n) (-t)^n / (q; q)_n, and ``g_ratio`` forms
   G = H(qt)/H(t). The series cancels catastrophically as q -> 1, so every
-  sum of H (also in ``t_infinity``) runs under mpmath at one precision
-  rule, ``_sum_h``; it is the preferred route for eps = -ln q >= ~1e-3.
+  sum of H (also in ``t_infinity``) runs in binary fixed point on Python
+  integers, at the precision one rule, ``_sum_h``, picks; the sums come back
+  as mpmath numbers. It is the preferred route for eps = -ln q >= ~1e-3.
 * ``g_cfrac`` evaluates the classical continued fraction
   1/(1 - t/(1 - tq/(1 - tq^2/...))) bottom-up with tail value 1. All
   partial numerators are positive for real t, which makes this route
@@ -196,7 +197,7 @@ def _h_series_mp(t, q: float, tol: float):
         q_n, q_n_exp = q_n * q_num, q_n_exp + q_shift
         if (cut := q_n.bit_length() - frac) > 0:
             q_n, q_n_exp = q_n >> cut, q_n_exp - cut
-        # x -> x q^(2n-2) / (2^t_shift (1 - q^n)), floored
+        # term -> term (a + ib) q^(2n-2) / (2^t_shift (1 - q^n)), floored
         shift = q_n_exp - t_shift - q_2n_exp
         num_shift, den = max(shift, 0), ((1 << q_n_exp) - q_n) << max(-shift, 0)
         if cplx:
@@ -290,7 +291,9 @@ def h_series(t: float | complex, settings: EvalSettings, full_output: bool = Fal
 
     The terms grow far beyond the sum before they decay, so ``_sum_h`` keeps
     53 + 96 bits after cancellation; the result and the bits lost are
-    reported. An exact zero at the working precision raises a pole error.
+    reported. An exact zero at the working precision raises a pole error, and
+    a sum outside the normal double range (|H| < 2.2e-308 once eps falls
+    below about 5e-4 near t = 1/4) a domain error.
     """
     [(total, n, _, last)], bits, lost = _sum_h((t,), settings, 53 + _GUARD_BITS)
     if not total:
@@ -438,8 +441,9 @@ def g_cfrac_grid(ts: np.ndarray, settings: EvalSettings) -> np.ndarray:
 def t_infinity(q: float, settings: EvalSettings | None = None) -> float:
     """Radius of convergence of the length series: first positive zero of H.
 
-    Scans outward from t = 1/4 for a sign change of H(t), then bisects.
-    The boundary decreases from 1 (q -> 0) towards 1/4 (q -> 1).
+    Scans outward from t = 1/4 for a sign change of H(t), then bisects,
+    reading each sign from the sum itself, which may lie far below the
+    double range. The boundary decreases from 1 (q -> 0) towards 1/4 (q -> 1).
     """
     if settings is None:
         settings = EvalSettings(q=q)
