@@ -159,12 +159,11 @@ def _h_series_mp(t, q: float, tol: float):
     """Sum of q^(n^2-n) (-t)^n / (q;q)_n in binary fixed point.
 
     Terms and sums are Python integers in units of 2^-F, F = the current
-    mpmath precision + 8; complex t carries (re, im) pairs. Term n is term
-    n-1 times -t q^(2n-2) / (1 - q^n) with one floor division. The doubles
-    t and q are exact ratios num / 2^k, and the powers q^n and q^(2n-2) are
-    exact integer mantissas over a power of two, cut to F bits once longer,
-    so the early terms cost linear time even when F is large. Stops after
-    the term magnitude stays below tol * max(|partial sum|, 2^-F) for three
+    mpmath precision + 8, with (re, im) pairs for complex t. Term n is term
+    n-1 times -t q^(2n-2) / (1 - q^n), floored once. t and q enter exactly
+    as num / 2^k, and q^n, q^(2n-2) as mantissas over powers of two cut to F
+    bits, so short early terms cost linear time even at a large F. Stops
+    after |term| stays below tol * max(|partial sum|, 2^-F) for three
     consecutive terms (compared exactly, on squares for complex t), and
     gives up after ``_MAX_TERMS`` terms. Returns (sum, terms_used,
     max_term_magnitude, last_term_magnitude) as mpmath numbers; a last term
@@ -191,7 +190,7 @@ def _h_series_mp(t, q: float, tol: float):
     q_2n, q_2n_exp = 1, 0  # q^(2n-2), likewise
     re, im = 1 << frac, 0  # the term
     sum_re, sum_im = re, im
-    peak = re  # |term|, squared for complex t
+    peak = re * re if cplx else re  # |term|, squared for complex t
     small_streak = 0
     for n in range(1, _MAX_TERMS + 1):
         q_n, q_n_exp = q_n * q_num, q_n_exp + q_shift
@@ -230,7 +229,6 @@ def _h_series_mp(t, q: float, tol: float):
         )
     if cplx:
         peak, mag = math.isqrt(peak), math.isqrt(mag)
-
     total = mpmath.mpc(unit(sum_re), unit(sum_im)) if cplx else unit(sum_re)
     return total, n, unit(peak), unit(max(mag, 1))
 

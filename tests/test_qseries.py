@@ -192,6 +192,15 @@ class TestHSeries:
         harsh = h_series(0.2, EvalSettings(q=math.exp(-0.02)), full_output=True)
         assert harsh.bits_lost > mild.bits_lost + 10
 
+    @pytest.mark.parametrize("t, q", [(0.2, 0.5), (0.45, 0.99), (-0.3, 0.9)])
+    def test_complex_path_matches_real(self, t, q):
+        # the (re, im) pairs with im = 0 reproduce the real sum, its stop
+        # and its diagnostics exactly; term 0 = 1 is the peak at (0.2, 0.5)
+        real = h_series(t, EvalSettings(q=q), full_output=True)
+        cplx = h_series(complex(t, 0.0), EvalSettings(q=q), full_output=True)
+        assert (complex(real.value), real.terms_used, real.bits_lost, real.last_term) == (
+            cplx.value, cplx.terms_used, cplx.bits_lost, cplx.last_term)
+
     def test_non_convergence(self, monkeypatch):
         monkeypatch.setattr(qseries, "_MAX_TERMS", 3)
         with pytest.raises(NonConvergenceError) as err:
