@@ -61,14 +61,16 @@ class TestGoldenDigest:
         except Exception as err:
             return type(err).__name__
 
-    def test_golden_digest(self):
-        lines = []
+    def _roots_and_grid(self):
+        roots = {q: t_infinity(q) for q in self.QS}
         grid = [(eps, t) for eps in self.EPS for t in self.TS]
-        for q in self.QS:
-            root = t_infinity(q)
-            lines.append(f"{q!r},{root!r}")
-            if q in (0.5, 0.99):  # at, beside and q-scaled next to the first zero of H
-                grid += [(-math.log(q), root * f) for f in (1.0, 1 - 1e-7, 1 + 1e-7, (1 - 1e-7) / q)]
+        for q in (0.5, 0.99):  # at, beside and q-scaled next to the first zero of H
+            grid += [(-math.log(q), roots[q] * f) for f in (1.0, 1 - 1e-7, 1 + 1e-7, (1 - 1e-7) / q)]
+        return roots, grid
+
+    def test_golden_digest(self):
+        roots, grid = self._roots_and_grid()
+        lines = [f"{q!r},{root!r}" for q, root in roots.items()]
         for eps, t in grid:
             s = EvalSettings(q=math.exp(-eps))
             lines.append(f"{eps!r},{t!r},{self._outcome(h_series, t, s)},{self._outcome(g_ratio, t, s)}")
@@ -77,11 +79,7 @@ class TestGoldenDigest:
     def test_oracle_accuracy(self):
         # every value on the golden grid is within the stop rule's truncation
         # (tol per series) plus the rounding its reported surviving bits allow
-        grid = [(eps, t) for eps in self.EPS for t in self.TS]
-        for q in (0.5, 0.99):
-            root = t_infinity(q)
-            grid += [(-math.log(q), root * f) for f in (1.0, 1 - 1e-7, 1 + 1e-7, (1 - 1e-7) / q)]
-        for eps, t in grid:
+        for eps, t in self._roots_and_grid()[1]:
             q = math.exp(-eps)
             s = EvalSettings(q=q)
             h, hq = _oracle_h(t, q), _oracle_h(q * t, q)
