@@ -2,12 +2,14 @@
 
 Subcommands: eval, scan, enumerate, scaling, partition, validate.
 Exit codes: 0 success, 1 verification mismatch, 2 domain error,
-3 non-convergence, 64 usage error, 74 I/O error.
+3 non-convergence, 64 usage error, 74 I/O error. The parser is built once
+per process, and ``main()`` may be called repeatedly.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -71,12 +73,19 @@ def _resolve_q(args) -> float:
     raise _UsageError("one of --q or --eps is required")
 
 
+def _tol(args, default: float) -> float:
+    return default if args.tol is None else args.tol
+
+
+def _number_list(text: str, kind, flag: str) -> list:
+    try:
+        return [kind(x) for x in text.split(",")]
+    except ValueError:
+        raise _UsageError(f"{flag} must be a comma-separated list of numbers, got {text!r}") from None
+
+
 def _settings(args, q: float) -> EvalSettings:
-    return EvalSettings(
-        q=q,
-        tol=getattr(args, "tol", None) or 1e-12,
-        precision_bits=getattr(args, "precision_bits", None),
-    )
+    return EvalSettings(q=q, tol=_tol(args, 1e-12), precision_bits=args.precision_bits)
 
 
 def _cmd_eval(args) -> int:
@@ -120,19 +129,19 @@ def _cmd_scan(args) -> int:
     if kind == "g_vs_t":
         q = _resolve_q(args)
         ds = scan_g_vs_t(q, args.t_min, args.t_max, args.steps,
-                         tol=args.tol or 1e-12, stamp=args.stamp)
+                         tol=_tol(args, 1e-12), stamp=args.stamp)
     elif kind == "phase_boundary":
         ds = scan_phase_boundary(args.q_min, args.q_max, args.steps,
-                                 tol=args.tol or 1e-10, stamp=args.stamp)
+                                 tol=_tol(args, 1e-10), stamp=args.stamp)
     elif kind == "scaling_fn":
         if not args.eps_list:
             raise _UsageError("--eps-list is required for scaling_fn scans")
-        eps_list = [float(x) for x in args.eps_list.split(",")]
+        eps_list = _number_list(args.eps_list, float, "--eps-list")
         ds = scan_scaling_fn(eps_list, args.s_min, args.s_max, args.steps,
-                             tol=args.tol or 1e-12, stamp=args.stamp)
+                             tol=_tol(args, 1e-12), stamp=args.stamp)
     elif kind == "partition":
         if args.m_list:
-            m_values = [int(x) for x in args.m_list.split(",")]
+            m_values = _number_list(args.m_list, int, "--m-list")
         else:
             m_values = list(range(10, (args.m_max or 40) + 1, 10))
         ds = scan_partition(args.t, m_values, n_max=args.n_max,
@@ -240,7 +249,9 @@ def _cmd_validate(args) -> int:
     return EXIT_OK if all(results) else EXIT_MISMATCH
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command-line parser; built on the first call, then shared by every caller."""
     parser = _Parser(prog="dyckarea", description=__doc__)
     parser.add_argument("--version", action="version", version=f"dyckarea {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -78,8 +78,8 @@ class EvalSettings:
     def __post_init__(self):
         if not (0.0 < self.q < 1.0):
             raise DomainError(f"q must lie in (0, 1), got {self.q!r}")
-        if self.tol <= 0.0:
-            raise DomainError("tol must be positive")
+        if not (0.0 < self.tol < math.inf):
+            raise DomainError(f"tol must be finite and positive, got {self.tol!r}")
         if self.precision_bits is not None and self.precision_bits < 53:
             raise DomainError("precision_bits must be >= 53")
 
@@ -269,6 +269,8 @@ def _sum_h(xs, settings: EvalSettings, keep: int):
     8 + keep bits (at most the envelope). Returns the ``_h_series_mp``
     tuples, the final precision and the largest loss.
     """
+    if not all(cmath.isfinite(x) for x in xs):
+        raise DomainError(f"the series needs a finite t, got {xs[0]!r}")
     bits = envelope = max(settings.bits_for(x) for x in xs)
     if (settings.precision_bits is None and envelope > 53 + _GUARD_BITS and settings.epsilon <= 0.2
             and all(not isinstance(x, complex) and 0.0 < x < 0.5 for x in xs)):
@@ -397,6 +399,8 @@ def g_cfrac(t: float, settings: EvalSettings, full_output: bool = False):
     beyond the pole line, where the series representations fail.
     """
     t = float(t)
+    if not math.isfinite(t):
+        raise DomainError(f"the continued fraction needs a finite t, got {t!r}")
     q = settings.q
     if t == 0.0:
         return (1.0, 0) if full_output else 1.0

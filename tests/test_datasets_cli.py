@@ -22,12 +22,14 @@ from dyckarea.errors import DomainError
 from dyckarea.qseries import EvalSettings, g_ratio
 
 
-def run_cli(*args):
-    return subprocess.run(
-        [sys.executable, "-m", "dyckarea.cli", *args],
-        capture_output=True,
-        text=True,
-    )
+@pytest.fixture
+def run_cli(capsys):
+    """Run ``cli.main`` in this process; the result reads like a finished subprocess."""
+    def run(*args):
+        rc = cli.main(list(args))
+        out, err = capsys.readouterr()
+        return subprocess.CompletedProcess(args, rc, out, err)
+    return run
 
 
 class TestScanDatasets:
@@ -96,18 +98,18 @@ class TestScanDatasets:
 
 
 class TestCli:
-    def test_eval_cfrac(self):
+    def test_eval_cfrac(self, run_cli):
         res = run_cli("eval", "--t", "0.2", "--q", "0.5", "--method", "cfrac")
         assert res.returncode == 0
         assert float(res.stdout.splitlines()[0]) == pytest.approx(1.2879385149528385, abs=1e-10)
         assert "method=cfrac" in res.stdout
 
-    def test_eval_ratio_origin(self):
+    def test_eval_ratio_origin(self, run_cli):
         res = run_cli("eval", "--t", "0", "--q", "0.5", "--method", "ratio")
         assert res.returncode == 0
         assert float(res.stdout.splitlines()[0]) == pytest.approx(1.0, abs=1e-12)
 
-    def test_eval_ratio_reports_precision_used(self):
+    def test_eval_ratio_reports_precision_used(self, run_cli):
         res = run_cli("eval", "--t", "0.25", "--eps", "1e-3", "--method", "ratio")
         assert res.returncode == 0
         printed = int(re.search(r"precision_bits=(\d+)", res.stdout).group(1))
@@ -115,59 +117,59 @@ class TestCli:
         assert printed == expected.precision_bits
         assert float(res.stdout.splitlines()[0]) == expected.value
 
-    def test_eval_uniform_close_to_cfrac(self):
+    def test_eval_uniform_close_to_cfrac(self, run_cli):
         near = run_cli("eval", "--t", "0.2", "--q", "0.99", "--method", "uniform")
         exact = run_cli("eval", "--t", "0.2", "--q", "0.99", "--method", "cfrac")
         a = float(near.stdout.splitlines()[0])
         b = float(exact.stdout.splitlines()[0])
         assert abs(a - b) / b < 0.02
 
-    def test_eval_series_accepts_catalan_limit(self):
+    def test_eval_series_accepts_catalan_limit(self, run_cli):
         res = run_cli("eval", "--t", "0.2", "--q", "1.0", "--method", "series")
         assert res.returncode == 0
         assert float(res.stdout.splitlines()[0]) == pytest.approx(1.3819660112501051, abs=1e-6)
 
-    def test_eval_eps_flag(self):
+    def test_eval_eps_flag(self, run_cli):
         res = run_cli("eval", "--t", "0.2", "--eps", str(math.log(2.0)), "--method", "cfrac")
         assert float(res.stdout.splitlines()[0]) == pytest.approx(1.2879385149528385, abs=1e-9)
 
-    def test_usage_errors(self):
+    def test_usage_errors(self, run_cli):
         assert run_cli("eval", "--t", "0.2", "--method", "cfrac").returncode == 64
         assert run_cli("eval", "--t", "0.2", "--q", "0.5", "--eps", "0.1",
                        "--method", "cfrac").returncode == 64
         assert run_cli("nonsense").returncode == 64
 
-    def test_domain_error_exit(self):
+    def test_domain_error_exit(self, run_cli):
         assert run_cli("eval", "--t", "0.2", "--q", "1.5", "--method", "cfrac").returncode == 2
 
-    def test_non_convergence_exit(self):
+    def test_non_convergence_exit(self, run_cli):
         # the zeta-coefficient series diverges outside |s| < |s_1|
         assert run_cli("scaling", "--s", "2.4").returncode == 3
 
-    def test_io_error_exit(self):
+    def test_io_error_exit(self, run_cli):
         res = run_cli("scan", "--kind", "phase_boundary", "--q-min", "0.5", "--q-max", "0.6",
                       "--steps", "2", "--out", "/nonexistent-dir/out.csv")
         assert res.returncode == 74
 
-    def test_enumerate_row(self, tmp_path):
+    def test_enumerate_row(self, tmp_path, run_cli):
         out = tmp_path / "table.json"
         res = run_cli("enumerate", "--n-max", "4", "--format", "json", "--out", str(out))
         assert res.returncode == 0
         payload = json.loads(out.read_text())
         assert payload["rows"][4] == ["1", "3", "3", "3", "2", "1", "1"]
 
-    def test_enumerate_trivial(self):
+    def test_enumerate_trivial(self, run_cli):
         res = run_cli("enumerate", "--n-max", "0")
         assert res.returncode == 0
         assert res.stdout.splitlines()[1] == "0,0,1"
 
-    def test_enumerate_verified(self):
+    def test_enumerate_verified(self, run_cli):
         res = run_cli("enumerate", "--n-max", "8", "--format", "csv",
                       "--out", "/dev/null", "--verify-brute-force", "8")
         assert res.returncode == 0
         assert res.stdout.count("PASS") == 9
 
-    def test_scan_writes_deterministic_file(self, tmp_path):
+    def test_scan_writes_deterministic_file(self, tmp_path, run_cli):
         args = ("scan", "--kind", "g_vs_t", "--q", "0.9", "--t-min", "0.05",
                 "--t-max", "0.2", "--steps", "4", "--format", "csv")
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -175,16 +177,16 @@ class TestCli:
         assert run_cli(*args, "--out", str(p2)).returncode == 0
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_scan_scaling_requires_eps_list(self, tmp_path):
+    def test_scan_scaling_requires_eps_list(self, tmp_path, run_cli):
         res = run_cli("scan", "--kind", "scaling_fn", "--out", str(tmp_path / "x.csv"))
         assert res.returncode == 64
 
-    def test_partition_command(self):
+    def test_partition_command(self, run_cli):
         res = run_cli("partition", "--m", "20", "--t", "0.216")
         assert res.returncode == 0
         assert "ratio" in res.stdout
 
-    def test_partition_line_parses(self):
+    def test_partition_line_parses(self, run_cli):
         # the README command; this line format is parsed by existing tools
         res = run_cli("partition", "--m", "40", "--t", "0.2286")
         assert res.returncode == 0
@@ -195,19 +197,19 @@ class TestCli:
         assert float(line.group(3)) == 0.0
         assert line.group(4) == "True"
 
-    def test_partition_exact_near_one(self):
+    def test_partition_exact_near_one(self, run_cli):
         res = run_cli("partition", "--m", "3", "--t", "0.9")
         assert res.returncode == 0
         assert res.stdout.startswith("Q_3(0.9) = 6633.900000000007  (n <= 6, ")
         assert "ok=True" in res.stdout
 
-    def test_partition_table_too_short(self, tmp_path):
+    def test_partition_table_too_short(self, tmp_path, run_cli):
         assert run_cli("partition", "--m", "40", "--t", "0.2", "--n-max", "79").returncode == 2
         res = run_cli("scan", "--kind", "partition", "--m-list", "10,40", "--t", "0.2",
                       "--n-max", "79", "--out", str(tmp_path / "x.csv"))
         assert res.returncode == 2
 
-    def test_partition_and_scan_agree(self, tmp_path):
+    def test_partition_and_scan_agree(self, tmp_path, run_cli):
         # both commands take the finite-size law from the same zeta sums
         point = run_cli("partition", "--m", "40", "--t", "0.2286")
         out = tmp_path / "scan.csv"
@@ -218,12 +220,12 @@ class TestCli:
         header, row = out.read_text().splitlines()
         assert row.split(",")[header.split(",").index("Q_asymptotic")] == single
 
-    def test_scaling_command(self):
+    def test_scaling_command(self, run_cli):
         res = run_cli("scaling", "--s", "0", "--eps", "1e-4")
         assert res.returncode == 0
         assert "-0.729011" in res.stdout
 
-    def test_validate(self):
+    def test_validate(self, run_cli):
         res = run_cli("validate")
         assert res.returncode == 0
         assert res.stdout.count("PASS") == 5
@@ -236,3 +238,50 @@ class TestCli:
         out = capsys.readouterr().out
         assert "FAIL scaling_identity" in out
         assert out.rstrip().endswith("FAILED: 4/5 checks passed")
+
+    def test_module_entry_point(self):
+        # the one run through ``python -m``: its output and the exit codes of a
+        # parse error and of a domain error raised while running
+        def run(*args):
+            return subprocess.run([sys.executable, "-m", "dyckarea.cli", *args],
+                                  capture_output=True, text=True)
+
+        ok = run("eval", "--t", "0.2", "--q", "0.5", "--method", "cfrac")
+        assert ok.returncode == 0
+        assert float(ok.stdout.splitlines()[0]) == pytest.approx(1.2879385149528385, abs=1e-10)
+        assert run("nonsense").returncode == 64
+        bad = run("eval", "--t", "0.2", "--q", "0.5", "--method", "cfrac", "--tol", "nan")
+        assert bad.returncode == 2
+        assert "Traceback" not in bad.stderr
+
+    def test_repeated_calls_share_no_state(self, run_cli):
+        # one parser serves every call; nothing parsed in one call reaches the next
+        assert cli.build_parser() is cli.build_parser()
+        loose = run_cli("eval", "--t", "0.2", "--q", "0.5", "--method", "cfrac", "--tol", "1e-6")
+        assert "tol=1e-06" in loose.stdout
+        default = run_cli("eval", "--t", "0.2", "--q", "0.5", "--method", "cfrac")
+        assert "tol=1e-12" in default.stdout
+        assert run_cli("eval", "--t", "0.2", "--method", "cfrac").returncode == 64
+        assert run_cli("eval", "--t", "0.2", "--q", "0.5", "--method", "cfrac").returncode == 0
+        assert run_cli("nonsense").returncode == 64
+        assert run_cli("eval", "--t", "0.2", "--q", "0.5", "--method", "ratio").returncode == 0
+
+    @pytest.mark.parametrize("argv, code", [
+        ("eval --t 0.2 --q 0.5 --method ratio --tol 0", 2),
+        ("eval --t 0.2 --q 0.5 --method ratio --tol nan", 2),
+        ("eval --t 0.2 --q 0.5 --method cfrac --tol 0", 2),
+        ("eval --t 0.2 --q 0.5 --method cfrac --tol nan", 2),
+        ("scan --kind phase_boundary --q-min 0.5 --q-max 0.6 --steps 2 --tol 0 --out /dev/null", 2),
+        ("scan --kind phase_boundary --q-min 0.5 --q-max 0.6 --steps 2 --tol nan --out /dev/null", 2),
+        ("eval --t nan --q 0.5 --method ratio", 2),
+        ("eval --t inf --q 0.5 --method ratio", 2),
+        ("eval --t nan --q 0.5 --method cfrac", 2),
+        ("eval --t inf --q 0.5 --method cfrac", 2),
+        ("scan --kind partition --m-list 10,,20 --t 0.2 --out /dev/null", 64),
+        ("scan --kind scaling_fn --eps-list 1e-3,abc --out /dev/null", 64),
+    ])
+    def test_bad_input_exit_code(self, run_cli, argv, code):
+        # main returns the documented code and lets no exception escape
+        res = run_cli(*argv.split())
+        assert type(res.returncode) is int
+        assert res.returncode == code

@@ -128,8 +128,9 @@ class TestEvalSettings:
     def test_validation(self):
         with pytest.raises(DomainError):
             EvalSettings(q=1.0)
-        with pytest.raises(DomainError):
-            EvalSettings(q=0.5, tol=0.0)
+        for tol in (0.0, -1e-12, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                EvalSettings(q=0.5, tol=tol)
         with pytest.raises(DomainError):
             EvalSettings(q=0.5, precision_bits=32)
 
@@ -141,6 +142,16 @@ class TestEvalSettings:
         loose = EvalSettings(q=0.9).bits_for(0.2)
         tight = EvalSettings(q=math.exp(-0.01)).bits_for(0.2)
         assert tight > loose
+
+
+@pytest.mark.parametrize("route", [h_series, g_ratio, g_cfrac])
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_non_finite_t_is_a_domain_error(route, t):
+    with pytest.raises(DomainError):
+        route(t, EvalSettings(q=0.5))
+    if route is not g_cfrac:
+        with pytest.raises(DomainError):
+            route(complex(0.1, t), EvalSettings(q=0.5))
 
 
 class TestQPochhammer:
