@@ -411,6 +411,34 @@ class TestGCfrac:
         assert err.value.last_term > 0.0
 
 
+# sha256 of the lines built by TestCfracGoldenDigest (repr of every value and
+# depth, or the name of the error raised), pinned before the grid's first
+# pairwise level went to closed form and the scalar loop dropped its dead levels
+CFRAC_GOLDEN_DIGEST = "9adb5e82ae5a8082fc31dc3d8af5f368e9443f0cc0b963d53a18e663a9b83f2b"
+
+
+class TestCfracGoldenDigest:
+    TS = (-20.0, -0.3, 1e-3, 0.25, 0.263, 0.45, 20.0)
+    # chunk edges at 2^16 and the scalar depth limit 200 000
+    DEPTHS = (1, 2, 3, 64, 65, 65535, 65536, 65537, 131073, 200001)
+
+    def test_golden_digest(self):
+        outcome = TestGoldenDigest._outcome
+        lines = []
+        for q in (0.5, math.exp(-1e-4)):  # q^k underflows to 0 at q = 0.5
+            for depth in self.DEPTHS:
+                for ts in [(t,) for t in self.TS] + [self.TS[1:]]:
+                    values = qseries._cfrac_fixed_depth_grid(np.array(ts), q, depth)
+                    lines.append(f"grid,{q!r},{depth},{values.tolist()!r}")
+        for eps in (0.5, 1e-3, 2e-4):  # at 2e-4 the doubling goes from the scalar loop to the grid
+            s = EvalSettings(q=math.exp(-eps))
+            for ts in (self.TS[:6], self.TS[6:]):
+                lines.append(f"g_cfrac_grid,{eps!r},{outcome(lambda: g_cfrac_grid(np.array(ts), s).tolist())}")
+            for t in self.TS:
+                lines.append(f"g_cfrac,{eps!r},{t!r},{outcome(g_cfrac, t, s, True)}")
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == CFRAC_GOLDEN_DIGEST
+
+
 class TestPoleBoundary:
     def test_bracket_value(self):
         root = t_infinity(0.5)
