@@ -85,6 +85,12 @@ def _metadata(kind: str, stamp: bool, **settings) -> dict:
     return meta
 
 
+def _check_finite(**bounds: float) -> None:
+    for name, value in bounds.items():
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value!r}")
+
+
 def scan_g_vs_t(q: float, t_min: float, t_max: float, steps: int,
                 tol: float = 1e-12, stamp: bool = False) -> ScanDataset:
     """Exact continued-fraction values against the uniform Airy form.
@@ -94,6 +100,7 @@ def scan_g_vs_t(q: float, t_min: float, t_max: float, steps: int,
     """
     if steps < 2:
         raise DomainError("steps must be >= 2")
+    _check_finite(t_min=t_min, t_max=t_max)
     settings = EvalSettings(q=q, tol=tol)
     ts = np.linspace(t_min, t_max, steps)
     g_exact = []
@@ -145,6 +152,7 @@ def scan_scaling_fn(eps_list: list[float], s_min: float, s_max: float, steps: in
     """
     if steps < 2:
         raise DomainError("steps must be >= 2")
+    _check_finite(s_min=s_min, s_max=s_max)
     svals = np.linspace(s_min, s_max, steps)
     columns: dict[str, list] = {"s": svals.tolist()}
     columns["F_exact"] = [scaling_F(float(s)) for s in svals]

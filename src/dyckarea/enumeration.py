@@ -252,8 +252,8 @@ def eval_G_truncated(t: float, q: float, N: int, table: CoefficientTable | None 
     """
     if not (0.0 < q <= 1.0):
         raise DomainError("eval_G_truncated requires q in (0, 1]")
-    if t < 0.0:
-        raise DomainError("t must be >= 0")
+    if not (0.0 <= t < math.inf):
+        raise DomainError(f"t must be finite and >= 0, got {t!r}")
     if table is None or table.n_max < N:
         table = build_area_polynomials(N)
     terms = [table.row(n).evaluate(q) * t**n for n in range(N + 1)]

@@ -339,9 +339,12 @@ _CHUNK = 1 << 16
 def _cfrac_fixed_depth(t: float, q: float, depth: int) -> float:
     """Bottom-up evaluation at a fixed depth with tail value 1."""
     if depth <= _SCALAR_DEPTH_LIMIT:
-        weights = (t * np.power(q, np.arange(depth))).tolist()
+        weights = t * np.power(q, np.arange(depth))
+        # with g = 1.0 coming in, a level with |w| < 2^-54 gives 1/(1 - w) =
+        # 1.0 exactly, so the levels below the last live one are skipped
+        live = np.flatnonzero(np.abs(weights) >= 2.0 ** -54)
         g = 1.0
-        for w in reversed(weights):
+        for w in reversed(weights[: live[-1] + 1 if live.size else 0].tolist()):
             g = 1.0 / (1.0 - w * g)
         return float(g)
     return float(_cfrac_fixed_depth_grid(np.array([t]), q, depth)[0])
@@ -351,10 +354,19 @@ def _cfrac_fixed_depth_grid(ts: np.ndarray, q: float, depth: int) -> np.ndarray:
     """Vectorised fixed-depth evaluation for a grid of t values.
 
     The level maps w -> 1/(1 - t q^k w) are Moebius transforms; composing
-    them bottom-up is an ordered matrix product of [[0, 1], [-t q^k, 1]]
-    blocks. The product is reassociated pairwise (order preserved) so numpy
-    can batch the 2x2 multiplications, with per-matrix rescaling to keep
-    the entries in range. Matches the scalar loop to roundoff.
+    them bottom-up is an ordered matrix product of M(a) = [[0, 1], [-a, 1]]
+    blocks, a = t q^k. The product is reassociated pairwise (order
+    preserved) so numpy can batch the 2x2 multiplications, with each matrix
+    divided by its max |entry| to keep the entries in range. Matches the
+    scalar loop to roundoff.
+
+    The first pairwise level is written in closed form,
+    M(a) M(b) = [[-b, 1], [-b, 1 - a]], with max |entry| = max(|b|, 1, |1 - a|):
+    every product in it is by 0 or 1, so only 1 - a rounds, once, as it does
+    in the matrix product. Later levels take the max |entry| from elementwise
+    maxima of the four entries. max is exact, so the scales, every division
+    and the result are those of the plain pairwise product of the blocks (up
+    to the sign of an exact zero entry).
     """
     ts = np.asarray(ts, dtype=float)
     nt = ts.size
@@ -364,19 +376,26 @@ def _cfrac_fixed_depth_grid(ts: np.ndarray, q: float, depth: int) -> np.ndarray:
         count = min(_CHUNK, depth - start)
         ks = np.arange(start, start + count)
         w = np.exp(ks * logq)[None, :] * ts[:, None]  # (nt, count)
-        mats = np.zeros((nt, count, 2, 2))
-        mats[:, :, 0, 1] = 1.0
-        mats[:, :, 1, 0] = -w
-        mats[:, :, 1, 1] = 1.0
+        half = count // 2
+        b, one_minus_a = w[:, 1::2], 1.0 - w[:, 0 : 2 * half : 2]
+        scale = np.maximum(np.maximum(np.abs(b), 1.0), np.abs(one_minus_a))
+        mats = np.empty((nt, count - half, 2, 2))
+        mats[:, :half, 0, 0] = mats[:, :half, 1, 0] = -b / scale
+        mats[:, :half, 0, 1] = 1.0 / scale
+        mats[:, :half, 1, 1] = one_minus_a / scale
+        if count % 2:  # the last level, times the identity pad when count > 1
+            scale = np.maximum(np.abs(w[:, -1]), 1.0) if count > 1 else 1.0
+            mats[:, half, 0, 0] = 0.0
+            mats[:, half, 0, 1] = mats[:, half, 1, 1] = 1.0 / scale
+            mats[:, half, 1, 0] = -w[:, -1] / scale
         while mats.shape[1] > 1:
-            m = mats.shape[1]
-            if m % 2 == 1:
+            if mats.shape[1] % 2 == 1:
                 pad = np.broadcast_to(np.eye(2), (nt, 1, 2, 2))
                 mats = np.concatenate([mats, pad], axis=1)
-                m += 1
             mats = np.matmul(mats[:, 0::2], mats[:, 1::2])
-            scale = np.abs(mats).max(axis=(2, 3), keepdims=True)
-            mats /= scale
+            a = np.abs(mats)
+            mats /= np.maximum(np.maximum(a[..., 0, 0], a[..., 0, 1]),
+                               np.maximum(a[..., 1, 0], a[..., 1, 1]))[..., None, None]
         total = np.matmul(total, mats[:, 0])
         scale = np.abs(total).max(axis=(1, 2), keepdims=True)
         total /= scale

@@ -45,6 +45,18 @@ class TestScanDatasets:
         assert math.isnan(ds.columns["G_uniform"][0])  # outside (0, 1/2)
         assert ds.metadata["q"] == 0.9
 
+    @pytest.mark.parametrize("name", ["t_min", "t_max", "s_min", "s_max"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_range_rejected(self, name, value):
+        # checked before the grid is built; the error names the argument
+        if name.startswith("t"):
+            scan, kwargs = scan_g_vs_t, dict(q=0.9, t_min=0.1, t_max=0.2, steps=3)
+        else:
+            scan, kwargs = scan_scaling_fn, dict(eps_list=[1e-2], s_min=-1.0, s_max=1.0, steps=3)
+        kwargs[name] = value
+        with pytest.raises(DomainError, match=f"{name} must be finite"):
+            scan(**kwargs)
+
     def test_phase_boundary_monotone(self):
         ds = scan_phase_boundary(0.3, 0.99, 8)
         t_inf = ds.columns["t_infinity"]
@@ -265,6 +277,19 @@ class TestCli:
         assert run_cli("eval", "--t", "0.2", "--q", "0.5", "--method", "cfrac").returncode == 0
         assert run_cli("nonsense").returncode == 64
         assert run_cli("eval", "--t", "0.2", "--q", "0.5", "--method", "ratio").returncode == 0
+
+    @pytest.mark.parametrize("argv, name", [
+        ("eval --t nan --q 0.5 --method series", "t"),
+        ("eval --t inf --q 0.5 --method series", "t"),
+        ("scan --kind g_vs_t --q 0.9 --t-min nan --steps 3 --out /dev/null", "t_min"),
+        ("scan --kind g_vs_t --q 0.9 --t-max inf --steps 3 --out /dev/null", "t_max"),
+        ("scan --kind scaling_fn --eps-list 1e-2 --s-min nan --steps 3 --out /dev/null", "s_min"),
+        ("scan --kind scaling_fn --eps-list 1e-2 --s-max inf --steps 3 --out /dev/null", "s_max"),
+    ])
+    def test_non_finite_input_is_named(self, run_cli, argv, name):
+        res = run_cli(*argv.split())
+        assert res.returncode == 2
+        assert f"domain error: {name} must be finite" in res.stderr
 
     @pytest.mark.parametrize("argv, code", [
         ("eval --t 0.2 --q 0.5 --method ratio --tol 0", 2),

@@ -253,6 +253,11 @@ class TestTruncatedG:
         with pytest.raises(DomainError):
             eval_G_truncated(0.2, 1.5, 20)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_non_finite_t(self, t):
+        with pytest.raises(DomainError):
+            eval_G_truncated(t, 0.5, 20)
+
 
 class TestSerialization:
     def test_csv(self):

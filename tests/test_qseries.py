@@ -567,3 +567,79 @@ class TestContour:
             contour_h(0.2, 1.2)
         with pytest.raises(DomainError):
             contour_h(-0.1, 0.5)
+
+
+def _pairwise_grid_reference(ts, q, depth):
+    """The grid as first written: every level an explicit [[0, 1], [-w, 1]]
+    block, multiplied pairwise with np.matmul and scaled by its max |entry|."""
+    ts = np.asarray(ts, dtype=float)
+    nt = ts.size
+    total = np.broadcast_to(np.eye(2), (nt, 2, 2)).copy()
+    logq = math.log(q)
+    for start in range(0, depth, qseries._CHUNK):
+        count = min(qseries._CHUNK, depth - start)
+        ks = np.arange(start, start + count)
+        w = np.exp(ks * logq)[None, :] * ts[:, None]  # (nt, count)
+        mats = np.zeros((nt, count, 2, 2))
+        mats[:, :, 0, 1] = 1.0
+        mats[:, :, 1, 0] = -w
+        mats[:, :, 1, 1] = 1.0
+        while mats.shape[1] > 1:
+            m = mats.shape[1]
+            if m % 2 == 1:
+                pad = np.broadcast_to(np.eye(2), (nt, 1, 2, 2))
+                mats = np.concatenate([mats, pad], axis=1)
+                m += 1
+            mats = np.matmul(mats[:, 0::2], mats[:, 1::2])
+            scale = np.abs(mats).max(axis=(2, 3), keepdims=True)
+            mats /= scale
+        total = np.matmul(total, mats[:, 0])
+        scale = np.abs(total).max(axis=(1, 2), keepdims=True)
+        total /= scale
+    num = total[:, 0, 0] + total[:, 0, 1]
+    den = total[:, 1, 0] + total[:, 1, 1]
+    return num / den
+
+
+def _untrimmed_scalar_reference(t, q, depth):
+    weights = (t * np.power(q, np.arange(depth))).tolist()
+    g = 1.0
+    for w in reversed(weights):
+        g = 1.0 / (1.0 - w * g)
+    return float(g)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+class TestCfracBitwise:
+    """The closed-form first level, elementwise max-norms and skipped dead
+    levels change no bit of the fixed-depth values."""
+
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4, 5, 65, 65537, 65538, 131075])
+    @pytest.mark.parametrize("q", [0.5, math.exp(-1e-5)])  # weights underflow / stay above 1 past a chunk
+    def test_grid_matches_pairwise_matmul(self, depth, q):
+        rng = np.random.default_rng(depth)
+        tiny = np.concatenate([[0.0, 20.0, -20.0], rng.uniform(-1.0, 1.0, 3) * 1e-9])
+        for ts in (rng.uniform(-20.0, 20.0, 1), rng.uniform(-20.0, 20.0, 3), rng.uniform(-20.0, 20.0, 6), tiny):
+            expected = _pairwise_grid_reference(ts, q, depth)
+            assert _bits(qseries._cfrac_fixed_depth_grid(ts, q, depth)) == _bits(expected), ts
+
+    @pytest.mark.parametrize("t", [2.0 ** -54, 2.0 ** -54 * (1 - 2.0 ** -53), 2.0 ** -53, 1e-3, 0.263, 20.0])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_trimmed_loop_at_the_cut(self, t, sign):
+        for q, depth in ((0.5, 200), (0.9, 5000), (math.exp(-1e-3), 200_000)):
+            expected = _untrimmed_scalar_reference(sign * t, q, depth)
+            assert _bits(qseries._cfrac_fixed_depth(sign * t, q, depth)) == _bits(expected), (q, depth)
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(
+        t=st.floats(-20.0, 20.0),
+        log_eps=st.floats(math.log(1e-3), math.log(3.0)),
+        depth=st.integers(1, 4000),
+    )
+    def test_trimmed_loop_matches_untrimmed(self, t, log_eps, depth):
+        q = math.exp(-math.exp(log_eps))
+        expected = _untrimmed_scalar_reference(t, q, depth)
+        assert _bits(qseries._cfrac_fixed_depth(t, q, depth)) == _bits(expected)
