@@ -383,7 +383,7 @@ def _cfrac_fixed_depth_grid(ts: np.ndarray, q: float, depth: int) -> np.ndarray:
         mats[:, :half, 0, 0] = mats[:, :half, 1, 0] = -b / scale
         mats[:, :half, 0, 1] = 1.0 / scale
         mats[:, :half, 1, 1] = one_minus_a / scale
-        if count % 2:  # the last level, times the identity pad when count > 1
+        if count % 2:  # M(a) I = M(a) for the odd last level; a one-level chunk is not scaled
             scale = np.maximum(np.abs(w[:, -1]), 1.0) if count > 1 else 1.0
             mats[:, half, 0, 0] = 0.0
             mats[:, half, 0, 1] = mats[:, half, 1, 1] = 1.0 / scale

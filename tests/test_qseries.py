@@ -433,7 +433,8 @@ class TestCfracGoldenDigest:
         for eps in (0.5, 1e-3, 2e-4):  # at 2e-4 the doubling goes from the scalar loop to the grid
             s = EvalSettings(q=math.exp(-eps))
             for ts in (self.TS[:6], self.TS[6:]):
-                lines.append(f"g_cfrac_grid,{eps!r},{outcome(lambda: g_cfrac_grid(np.array(ts), s).tolist())}")
+                values = outcome(lambda: g_cfrac_grid(np.array(ts), s).tolist())
+                lines.append(f"g_cfrac_grid,{eps!r},{values}")
             for t in self.TS:
                 lines.append(f"g_cfrac,{eps!r},{t!r},{outcome(g_cfrac, t, s, True)}")
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == CFRAC_GOLDEN_DIGEST
@@ -622,7 +623,7 @@ class TestCfracBitwise:
     def test_grid_matches_pairwise_matmul(self, depth, q):
         rng = np.random.default_rng(depth)
         tiny = np.concatenate([[0.0, 20.0, -20.0], rng.uniform(-1.0, 1.0, 3) * 1e-9])
-        for ts in (rng.uniform(-20.0, 20.0, 1), rng.uniform(-20.0, 20.0, 3), rng.uniform(-20.0, 20.0, 6), tiny):
+        for ts in [rng.uniform(-20.0, 20.0, nt) for nt in (1, 3, 6)] + [tiny]:
             expected = _pairwise_grid_reference(ts, q, depth)
             assert _bits(qseries._cfrac_fixed_depth_grid(ts, q, depth)) == _bits(expected), ts
 
