@@ -259,9 +259,14 @@ def g_uniform(t: float, q: float) -> float:
     return numer / denom
 
 
+def _check_nome(q: float) -> None:
+    if not 0.0 < q < 1.0:
+        raise DomainError(f"q must lie in (0, 1), got {q!r}")
+
+
 @dataclass(frozen=True)
 class ScalingQuery:
-    """Consistent tricritical coordinates s = (1-4t)(1-q)^(-2/3)."""
+    """Consistent tricritical coordinates s = (1-4t)(1-q)^(-2/3), 0 < q < 1."""
 
     s: float
     epsilon: float
@@ -269,6 +274,7 @@ class ScalingQuery:
     q: float
 
     def __post_init__(self):
+        _check_nome(self.q)
         recon = (1.0 - 4.0 * self.t) * (1.0 - self.q) ** (-2.0 / 3.0)
         if abs(recon - self.s) > 1e-8 * max(1.0, abs(self.s)):
             raise DomainError(
@@ -279,22 +285,22 @@ class ScalingQuery:
 
     @classmethod
     def from_s_eps(cls, s: float, epsilon: float) -> "ScalingQuery":
+        if not epsilon > 0.0:
+            raise DomainError(f"epsilon must be positive, got {epsilon!r}")
         q = math.exp(-epsilon)
         t = 0.25 * (1.0 - s * (1.0 - q) ** (2.0 / 3.0))
         return cls(s=s, epsilon=epsilon, t=t, q=q)
 
     @classmethod
     def from_t_q(cls, t: float, q: float) -> "ScalingQuery":
+        _check_nome(q)
         s = (1.0 - 4.0 * t) * (1.0 - q) ** (-2.0 / 3.0)
         return cls(s=s, epsilon=-math.log(q), t=t, q=q)
 
 
 def g_scaling(query: ScalingQuery) -> float:
     """Tricritical scaling law G ~ 2 (1 + (1-q)^(1/3) F(s))."""
-    one_minus_q = 1.0 - query.q
-    if not (0.0 < one_minus_q < 1.0):
-        raise DomainError("q must lie in (0, 1)")
-    return 2.0 * (1.0 + one_minus_q ** (1.0 / 3.0) * scaling_F(query.s))
+    return 2.0 * (1.0 + (1.0 - query.q) ** (1.0 / 3.0) * scaling_F(query.s))
 
 
 def g_singular(t: float, q: float, method: Literal["exact", "asymptotic"] = "exact",

@@ -154,6 +154,8 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    if args.verify_brute_force is not None and args.verify_brute_force > args.n_max:
+        raise _UsageError(f"--verify-brute-force {args.verify_brute_force} exceeds --n-max {args.n_max}")
     table = build_area_polynomials(args.n_max)
     text = table_to_json(table) if args.format == "json" else table_to_csv(table)
     if args.out:

@@ -347,17 +347,18 @@ def _cfrac_fixed_depth(t: float, q: float, depth: int) -> float:
         for w in reversed(weights[: live[-1] + 1 if live.size else 0].tolist()):
             g = 1.0 / (1.0 - w * g)
         return float(g)
-    return float(_cfrac_fixed_depth_grid(np.array([t]), q, depth)[0])
+    return _cfrac_pairwise(t, q, depth)
 
 
-def _cfrac_fixed_depth_grid(ts: np.ndarray, q: float, depth: int) -> np.ndarray:
-    """Vectorised fixed-depth evaluation for a grid of t values.
+def _cfrac_pairwise(t: float, q: float, depth: int) -> float:
+    """Fixed-depth evaluation as a pairwise product of level matrices.
 
     The level maps w -> 1/(1 - t q^k w) are Moebius transforms; composing
     them bottom-up is an ordered matrix product of M(a) = [[0, 1], [-a, 1]]
-    blocks, a = t q^k. The product is reassociated pairwise (order
-    preserved) so numpy can batch the 2x2 multiplications, with each matrix
-    divided by its max |entry| to keep the entries in range. Matches the
+    blocks, a = t q^k. Per chunk of ``_CHUNK`` levels the product is
+    reassociated pairwise (order preserved) so numpy can batch the 2x2
+    multiplications, with each matrix divided by its max |entry| to keep the
+    entries in range; an odd count is padded with the identity. Matches the
     scalar loop to roundoff.
 
     The first pairwise level is written in closed form,
@@ -368,46 +369,60 @@ def _cfrac_fixed_depth_grid(ts: np.ndarray, q: float, depth: int) -> np.ndarray:
     and the result are those of the plain pairwise product of the blocks (up
     to the sign of an exact zero entry).
     """
-    ts = np.asarray(ts, dtype=float)
-    nt = ts.size
-    total = np.broadcast_to(np.eye(2), (nt, 2, 2)).copy()
+    total = np.eye(2)
     logq = math.log(q)
     for start in range(0, depth, _CHUNK):
         count = min(_CHUNK, depth - start)
-        ks = np.arange(start, start + count)
-        w = np.exp(ks * logq)[None, :] * ts[:, None]  # (nt, count)
+        w = np.exp(np.arange(start, start + count) * logq) * t
         half = count // 2
-        b, one_minus_a = w[:, 1::2], 1.0 - w[:, 0 : 2 * half : 2]
+        b, one_minus_a = w[1::2], 1.0 - w[0 : 2 * half : 2]
         scale = np.maximum(np.maximum(np.abs(b), 1.0), np.abs(one_minus_a))
-        mats = np.empty((nt, count - half, 2, 2))
-        mats[:, :half, 0, 0] = mats[:, :half, 1, 0] = -b / scale
-        mats[:, :half, 0, 1] = 1.0 / scale
-        mats[:, :half, 1, 1] = one_minus_a / scale
+        mats = np.empty((count - half, 2, 2))
+        mats[:half, 0, 0] = mats[:half, 1, 0] = -b / scale
+        mats[:half, 0, 1] = 1.0 / scale
+        mats[:half, 1, 1] = one_minus_a / scale
         if count % 2:  # M(a) I = M(a) for the odd last level; a one-level chunk is not scaled
-            scale = np.maximum(np.abs(w[:, -1]), 1.0) if count > 1 else 1.0
-            mats[:, half, 0, 0] = 0.0
-            mats[:, half, 0, 1] = mats[:, half, 1, 1] = 1.0 / scale
-            mats[:, half, 1, 0] = -w[:, -1] / scale
-        while mats.shape[1] > 1:
-            if mats.shape[1] % 2 == 1:
-                pad = np.broadcast_to(np.eye(2), (nt, 1, 2, 2))
-                mats = np.concatenate([mats, pad], axis=1)
-            mats = np.matmul(mats[:, 0::2], mats[:, 1::2])
+            scale = np.maximum(np.abs(w[-1]), 1.0) if count > 1 else 1.0
+            mats[half] = [[0.0, 1.0 / scale], [-w[-1] / scale, 1.0 / scale]]
+        while len(mats) > 1:
+            if len(mats) % 2:
+                mats = np.concatenate([mats, np.eye(2)[None]])
+            mats = np.matmul(mats[0::2], mats[1::2])
             a = np.abs(mats)
-            mats /= np.maximum(np.maximum(a[..., 0, 0], a[..., 0, 1]),
-                               np.maximum(a[..., 1, 0], a[..., 1, 1]))[..., None, None]
-        total = np.matmul(total, mats[:, 0])
-        scale = np.abs(total).max(axis=(1, 2), keepdims=True)
-        total /= scale
-    num = total[:, 0, 0] + total[:, 0, 1]
-    den = total[:, 1, 0] + total[:, 1, 1]
-    return num / den
+            mats /= np.maximum(np.maximum(a[:, 0, 0], a[:, 0, 1]),
+                               np.maximum(a[:, 1, 0], a[:, 1, 1]))[:, None, None]
+        total = np.matmul(total, mats[0])
+        total /= np.abs(total).max()
+    return float((total[0, 0] + total[0, 1]) / (total[1, 0] + total[1, 1]))
 
 
-def _cfrac_initial_depth(t: float, q: float, tol: float) -> int:
-    eps = -math.log(q)
-    target = max(abs(t), tol) / (tol * 1e-2)
-    return max(64, math.ceil(math.log(target) / eps) + 8)
+def _cfrac_doubling(ts: list[float], settings: EvalSettings, fixed_depth) -> tuple[list[float], int]:
+    """Values of every t in ts at one shared depth, and that depth.
+
+    The depth starts at ln(max(|t|, tol) / (tol / 100)) / eps + 8 levels (at
+    least 64) for the largest |t| and doubles until no value moves by more
+    than tol * max(1, |value|). ``fixed_depth(t, q, depth)`` evaluates one t.
+    """
+    for t in ts:
+        if not math.isfinite(t):
+            raise DomainError(f"the continued fraction needs a finite t, got {t!r}")
+    q, tol = settings.q, settings.tol
+    levels = math.log(max(max(abs(t) for t in ts), tol) / (tol * 1e-2)) / settings.epsilon
+    if not math.isfinite(levels):
+        raise DomainError(f"no finite continued-fraction depth for t up to {max(ts, key=abs)!r}")
+    depth = max(64, math.ceil(levels) + 8)
+    values = [fixed_depth(t, q, depth) for t in ts]
+    for _ in range(24):
+        depth *= 2
+        nxt = [fixed_depth(t, q, depth) for t in ts]
+        diffs = [abs(b - a) for a, b in zip(values, nxt)]
+        if all(d <= tol * max(1.0, abs(b)) for d, b in zip(diffs, nxt)):
+            return nxt, depth
+        values = nxt
+    raise NonConvergenceError(
+        f"continued fraction failed to stabilise by depth {depth}",
+        last_term=max(diffs),
+    )
 
 
 def g_cfrac(t: float, settings: EvalSettings, full_output: bool = False):
@@ -418,41 +433,20 @@ def g_cfrac(t: float, settings: EvalSettings, full_output: bool = False):
     beyond the pole line, where the series representations fail.
     """
     t = float(t)
-    if not math.isfinite(t):
-        raise DomainError(f"the continued fraction needs a finite t, got {t!r}")
-    q = settings.q
     if t == 0.0:
         return (1.0, 0) if full_output else 1.0
-    depth = _cfrac_initial_depth(t, q, settings.tol)
-    value = _cfrac_fixed_depth(t, q, depth)
-    for _ in range(24):
-        depth *= 2
-        nxt = _cfrac_fixed_depth(t, q, depth)
-        diff = abs(nxt - value)
-        if diff <= settings.tol * max(1.0, abs(nxt)):
-            if full_output:
-                return nxt, depth
-            return nxt
-        value = nxt
-    raise NonConvergenceError(
-        f"continued fraction failed to stabilise by depth {depth}",
-        last_term=diff,
-    )
+    [value], depth = _cfrac_doubling([t], settings, _cfrac_fixed_depth)
+    return (value, depth) if full_output else value
 
 
 def g_cfrac_grid(ts: np.ndarray, settings: EvalSettings) -> np.ndarray:
-    """Continued-fraction values on a grid of t, sharing the depth doubling."""
-    ts = np.asarray(ts, dtype=float)
-    q = settings.q
-    depth = max(_cfrac_initial_depth(float(np.max(np.abs(ts))), q, settings.tol), 64)
-    value = _cfrac_fixed_depth_grid(ts, q, depth)
-    for _ in range(24):
-        depth *= 2
-        nxt = _cfrac_fixed_depth_grid(ts, q, depth)
-        if np.all(np.abs(nxt - value) <= settings.tol * np.maximum(1.0, np.abs(nxt))):
-            return nxt
-        value = nxt
-    raise NonConvergenceError("continued fraction grid failed to stabilise")
+    """Continued-fraction values on a grid of t at one shared depth.
+
+    Every depth, shallow ones too, goes through the pairwise product, so the
+    values can differ from ``g_cfrac`` in the last bits.
+    """
+    values, _ = _cfrac_doubling(np.asarray(ts, dtype=float).tolist(), settings, _cfrac_pairwise)
+    return np.array(values)
 
 
 # --------------------------------------------------------------------------

@@ -394,13 +394,17 @@ def scaling_F(s: float) -> float:
     """Airy logarithmic derivative F(s) = Ai'(s)/Ai(s).
 
     Poles sit at the Airy zeros; evaluation within 1e-8 of one raises a
-    pole error carrying the offending zero.
+    pole error carrying the offending zero. The zero nearest s < 0 has index
+    k = round(2|s|^(3/2)/(3 pi) + 1/4), the inverse of the asymptotic
+    location -(3 pi (4k - 1)/8)^(2/3); only the zeros k - 1, k and k + 1 are
+    checked. The domain is that of ``airy``.
     """
     s = float(s)
+    if not abs(s) <= _MAX_ARGUMENT:
+        raise DomainError(f"scaling_F argument {s!r} outside |s| <= {_MAX_ARGUMENT:g}")
     if s < 0.0:
-        guess = max(1, int((abs(s) / (1.5 * math.pi)) ** 1.5) + 2)
-        zeros = airy_zeros(guess + 2)
-        nearest = min(zeros, key=lambda r: abs(r - s))
+        k = round(2.0 * abs(s) ** 1.5 / (3.0 * math.pi) + 0.25)
+        nearest = min((_airy_zero(j) for j in range(max(1, k - 1), k + 2)), key=lambda r: abs(r - s))
         if abs(nearest - s) < 1e-8:
             raise PoleProximityError(
                 f"scaling_F argument {s!r} within 1e-8 of Airy zero {nearest!r}", nearest=nearest
@@ -423,6 +427,8 @@ def scaling_F_series(s: float, j_max: int = 40, full_output: bool = False):
     absolute error on top of the tail (6.4e-9 |s|, from Z(2)).
     """
     s = float(s)
+    if j_max < 1:
+        raise DomainError(f"j_max must be >= 1, got {j_max!r}")
     radius = abs(airy_zeros(1)[0])
     if abs(s) >= radius:
         raise DivergenceError(

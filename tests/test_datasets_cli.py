@@ -304,6 +304,12 @@ class TestCli:
         ("eval --t inf --q 0.5 --method cfrac", 2),
         ("scan --kind partition --m-list 10,,20 --t 0.2 --out /dev/null", 64),
         ("scan --kind scaling_fn --eps-list 1e-3,abc --out /dev/null", 64),
+        ("scaling --s 0 --eps 0", 2),
+        ("scaling --s 0 --eps inf", 2),
+        ("scaling --s 0 --j-max -3", 2),
+        ("eval --t inf --q 0.5 --method scaling", 2),
+        ("eval --t 1e308 --q 0.5 --method cfrac", 2),
+        ("enumerate --n-max 3 --verify-brute-force 5", 64),
     ])
     def test_bad_input_exit_code(self, run_cli, argv, code):
         # main returns the documented code and lets no exception escape

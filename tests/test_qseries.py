@@ -6,6 +6,7 @@ import hashlib
 import logging
 import math
 import sys
+import tracemalloc
 
 import hypothesis
 import mpmath
@@ -394,6 +395,19 @@ class TestGCfrac:
         for t, v in zip(ts, grid):
             assert v == pytest.approx(g_cfrac(float(t), settings), rel=1e-12)
 
+    def test_grid_memory_independent_of_grid_size(self):
+        # each t is evaluated on its own, so 40 t peak no higher than 2 do
+        settings = EvalSettings(q=math.exp(-3e-4))
+        peaks = []
+        for nt in (2, 40):
+            tracemalloc.start()
+            try:
+                g_cfrac_grid(np.linspace(0.2, 0.26, nt), settings)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0], peaks
+
     def test_deep_evaluation_consistency(self):
         # the pairwise matrix path kicks in past the scalar depth limit
         settings = EvalSettings(q=math.exp(-2e-5), tol=1e-10)
@@ -428,9 +442,9 @@ class TestCfracGoldenDigest:
         for q in (0.5, math.exp(-1e-4)):  # q^k underflows to 0 at q = 0.5
             for depth in self.DEPTHS:
                 for ts in [(t,) for t in self.TS] + [self.TS[1:]]:
-                    values = qseries._cfrac_fixed_depth_grid(np.array(ts), q, depth)
-                    lines.append(f"grid,{q!r},{depth},{values.tolist()!r}")
-        for eps in (0.5, 1e-3, 2e-4):  # at 2e-4 the doubling goes from the scalar loop to the grid
+                    values = [qseries._cfrac_pairwise(t, q, depth) for t in ts]
+                    lines.append(f"grid,{q!r},{depth},{values!r}")
+        for eps in (0.5, 1e-3, 2e-4):  # at 2e-4 the doubling goes from the scalar loop to the pairwise kernel
             s = EvalSettings(q=math.exp(-eps))
             for ts in (self.TS[:6], self.TS[6:]):
                 values = outcome(lambda: g_cfrac_grid(np.array(ts), s).tolist())
@@ -615,8 +629,9 @@ def _bits(values):
 
 
 class TestCfracBitwise:
-    """The closed-form first level, elementwise max-norms and skipped dead
-    levels change no bit of the fixed-depth values."""
+    """The single-t pairwise kernel (closed-form first level, elementwise
+    max-norms) and the scalar loop's skipped dead levels change no bit of the
+    fixed-depth values: each t matches its row of the grid as first written."""
 
     @pytest.mark.parametrize("depth", [1, 2, 3, 4, 5, 65, 65537, 65538, 131075])
     @pytest.mark.parametrize("q", [0.5, math.exp(-1e-5)])  # weights underflow / stay above 1 past a chunk
@@ -625,7 +640,7 @@ class TestCfracBitwise:
         tiny = np.concatenate([[0.0, 20.0, -20.0], rng.uniform(-1.0, 1.0, 3) * 1e-9])
         for ts in [rng.uniform(-20.0, 20.0, nt) for nt in (1, 3, 6)] + [tiny]:
             expected = _pairwise_grid_reference(ts, q, depth)
-            assert _bits(qseries._cfrac_fixed_depth_grid(ts, q, depth)) == _bits(expected), ts
+            assert _bits([qseries._cfrac_pairwise(t, q, depth) for t in ts]) == _bits(expected), ts
 
     @pytest.mark.parametrize("t", [2.0 ** -54, 2.0 ** -54 * (1 - 2.0 ** -53), 2.0 ** -53, 1e-3, 0.263, 20.0])
     @pytest.mark.parametrize("sign", [1.0, -1.0])

@@ -246,10 +246,12 @@ class TestScalingFunction:
     def test_large_argument_square_root(self):
         assert 0.98 < scaling_F(25.0) / (-5.0) < 1.02
 
-    def test_pole_detection(self):
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_pole_detection(self, k):
+        zero = float(sp.ai_zeros(k)[0][-1])  # S1 at k = 1
         with pytest.raises(PoleProximityError) as err:
-            scaling_F(S1 + 1e-10)
-        assert err.value.nearest == pytest.approx(S1, abs=1e-8)
+            scaling_F(zero + 1e-10)
+        assert err.value.nearest == pytest.approx(zero, abs=1e-8)
 
     @pytest.mark.parametrize("s", [1.0, -1.0])
     def test_series_matches_ratio(self, s):
