@@ -67,6 +67,8 @@ def _resolve_q(args) -> float:
     if getattr(args, "q", None) is not None and getattr(args, "eps", None) is not None:
         raise _UsageError("--q and --eps are mutually exclusive")
     if getattr(args, "eps", None) is not None:
+        if not 0.0 < args.eps < math.inf:
+            raise DomainError(f"eps must be finite and positive, got {args.eps!r}")
         return math.exp(-args.eps)
     if getattr(args, "q", None) is not None:
         return args.q

@@ -153,6 +153,9 @@ def scan_scaling_fn(eps_list: list[float], s_min: float, s_max: float, steps: in
     if steps < 2:
         raise DomainError("steps must be >= 2")
     _check_finite(s_min=s_min, s_max=s_max)
+    for eps in eps_list:
+        if not 0.0 < eps < math.inf:
+            raise DomainError(f"eps must be finite and positive, got {eps!r}")
     svals = np.linspace(s_min, s_max, steps)
     columns: dict[str, list] = {"s": svals.tolist()}
     columns["F_exact"] = [scaling_F(float(s)) for s in svals]

@@ -57,6 +57,12 @@ class TestScanDatasets:
         with pytest.raises(DomainError, match=f"{name} must be finite"):
             scan(**kwargs)
 
+    @pytest.mark.parametrize("eps", [-1000.0, 0.0, math.nan, math.inf])
+    def test_scaling_fn_rejects_bad_eps(self, eps):
+        # exp(-eps) overflowed for eps = -1000 and gave q = 1 or 0 for the others
+        with pytest.raises(DomainError, match="eps must be finite and positive"):
+            scan_scaling_fn([1e-2, eps], -1.0, 1.0, 3)
+
     def test_phase_boundary_monotone(self):
         ds = scan_phase_boundary(0.3, 0.99, 8)
         t_inf = ds.columns["t_infinity"]
@@ -115,6 +121,7 @@ class TestCli:
         assert res.returncode == 0
         assert float(res.stdout.splitlines()[0]) == pytest.approx(1.2879385149528385, abs=1e-10)
         assert "method=cfrac" in res.stdout
+        assert res.stderr == ""  # the rung's debug log goes nowhere by default
 
     def test_eval_ratio_origin(self, run_cli):
         res = run_cli("eval", "--t", "0", "--q", "0.5", "--method", "ratio")
@@ -309,6 +316,12 @@ class TestCli:
         ("scaling --s 0 --j-max -3", 2),
         ("eval --t inf --q 0.5 --method scaling", 2),
         ("eval --t 1e308 --q 0.5 --method cfrac", 2),
+        ("eval --t 0.2 --eps -1000 --method cfrac", 2),
+        ("eval --t 0.2 --eps 0 --method series", 2),
+        ("eval --t 0.2 --eps nan --method ratio", 2),
+        ("scan --kind g_vs_t --eps -1000 --steps 3 --out /dev/null", 2),
+        ("scan --kind scaling_fn --eps-list -1000 --steps 3 --out /dev/null", 2),
+        ("scan --kind scaling_fn --eps-list 1e-2,inf --steps 3 --out /dev/null", 2),
         ("enumerate --n-max 3 --verify-brute-force 5", 64),
     ])
     def test_bad_input_exit_code(self, run_cli, argv, code):

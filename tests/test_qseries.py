@@ -5,6 +5,7 @@ import cmath
 import hashlib
 import logging
 import math
+import re
 import sys
 import tracemalloc
 
@@ -416,10 +417,24 @@ class TestGCfrac:
         assert value == pytest.approx(closed, abs=1e-4)
         assert value < closed  # area weight q < 1 suppresses every term
 
+    @pytest.mark.parametrize("eps, path", [(1e-3, "scalar"), (2e-4, "mixed"), (5e-5, "pairwise")])
+    def test_each_rung_logged(self, caplog, eps, path):
+        settings = EvalSettings(q=math.exp(-eps))
+        with caplog.at_level(logging.DEBUG, logger="dyckarea"):
+            _, depth = g_cfrac(0.25, settings, full_output=True)
+            g_cfrac_grid(np.array([0.1, 0.25]), settings)
+        rungs = [rec.getMessage() for rec in caplog.records if rec.getMessage().startswith("cfrac rung")]
+        assert len(rungs) == 2  # the first rung settles both
+        assert f"depth {depth}, path {path}," in rungs[0]
+        assert f"depth {depth}, path pairwise, 0 levels swept, 0 left to the loop" in rungs[1]
+        swept, looped = map(int, re.search(r"(\d+) levels swept, (\d+) left", rungs[0]).groups())
+        assert (swept > looped > 0) if path != "pairwise" else (swept == looped == 0)
+
     def test_non_convergence_reports_last_difference(self, monkeypatch):
         # a fixed-depth value that never settles: the error carries the
         # last difference between successive depths, not zero
-        monkeypatch.setattr(qseries, "_cfrac_fixed_depth", lambda t, q, depth: float(depth))
+        monkeypatch.setattr(qseries, "_cfrac_rung", lambda ts, q, depth, scalar_limit: (
+            [float(depth // 2)] * len(ts), [float(depth)] * len(ts)))
         with pytest.raises(NonConvergenceError) as err:
             g_cfrac(0.2, EvalSettings(q=0.5))
         assert err.value.last_term > 0.0
@@ -442,7 +457,7 @@ class TestCfracGoldenDigest:
         for q in (0.5, math.exp(-1e-4)):  # q^k underflows to 0 at q = 0.5
             for depth in self.DEPTHS:
                 for ts in [(t,) for t in self.TS] + [self.TS[1:]]:
-                    values = [qseries._cfrac_pairwise(t, q, depth) for t in ts]
+                    _, values = qseries._cfrac_pairwise(list(ts), q, depth)
                     lines.append(f"grid,{q!r},{depth},{values!r}")
         for eps in (0.5, 1e-3, 2e-4):  # at 2e-4 the doubling goes from the scalar loop to the pairwise kernel
             s = EvalSettings(q=math.exp(-eps))
@@ -629,33 +644,95 @@ def _bits(values):
 
 
 class TestCfracBitwise:
-    """The single-t pairwise kernel (closed-form first level, elementwise
-    max-norms) and the scalar loop's skipped dead levels change no bit of the
-    fixed-depth values: each t matches its row of the grid as first written."""
+    """The pairwise kernel (closed-form first level, elementwise max-norms,
+    the cut taken from the chunk's own tree) and the scalar loop (skipped dead
+    levels, numpy sweeps) change no bit of the fixed-depth values: each rung
+    matches the grid as first written and the untrimmed loop at both of its
+    depths."""
 
-    @pytest.mark.parametrize("depth", [1, 2, 3, 4, 5, 65, 65537, 65538, 131075])
+    # cuts at 0, 1, 2, odd cuts, _CHUNK - 1, _CHUNK, _CHUNK + 1, a cut in a
+    # whole chunk while the depth ends one level into the next, and even cuts
+    # whose tree has an odd number of whole nodes on some level (6: 3 pairs;
+    # 40 000: 625 nodes of 64 levels)
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4, 5, 12, 65, 131, 65537, 65538,
+                                       80000, 131070, 131072, 131074, 131075])
     @pytest.mark.parametrize("q", [0.5, math.exp(-1e-5)])  # weights underflow / stay above 1 past a chunk
     def test_grid_matches_pairwise_matmul(self, depth, q):
         rng = np.random.default_rng(depth)
         tiny = np.concatenate([[0.0, 20.0, -20.0], rng.uniform(-1.0, 1.0, 3) * 1e-9])
         for ts in [rng.uniform(-20.0, 20.0, nt) for nt in (1, 3, 6)] + [tiny]:
-            expected = _pairwise_grid_reference(ts, q, depth)
-            assert _bits([qseries._cfrac_pairwise(t, q, depth) for t in ts]) == _bits(expected), ts
+            halves, values = qseries._cfrac_pairwise(ts.tolist(), q, depth)
+            assert _bits(halves) == _bits(_pairwise_grid_reference(ts, q, depth // 2)), ts
+            assert _bits(values) == _bits(_pairwise_grid_reference(ts, q, depth)), ts
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(
+        ts=st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=3),
+        log_eps=st.floats(math.log(1e-5), math.log(3.0)),
+        depth=st.integers(1, 5000),
+    )
+    def test_any_cut_matches_pairwise_matmul(self, ts, log_eps, depth):
+        q = math.exp(-math.exp(log_eps))
+        halves, values = qseries._cfrac_pairwise(ts, q, depth)
+        assert _bits(halves) == _bits(_pairwise_grid_reference(ts, q, depth // 2))
+        assert _bits(values) == _bits(_pairwise_grid_reference(ts, q, depth))
+
+    # scalar at both depths, the mixed rung (scalar half, pairwise depth) and
+    # pairwise at both depths
+    @pytest.mark.parametrize("offset", [0, 1, qseries._SCALAR_DEPTH_LIMIT, qseries._SCALAR_DEPTH_LIMIT + 2])
+    def test_rung_across_scalar_limit(self, offset):
+        depth, q, ts = qseries._SCALAR_DEPTH_LIMIT + offset, math.exp(-1e-5), [0.263, -3.0]
+        halves, values = qseries._cfrac_rung(ts, q, depth, qseries._SCALAR_DEPTH_LIMIT)
+        for got, d in ((halves, depth // 2), (values, depth)):
+            if d <= qseries._SCALAR_DEPTH_LIMIT:
+                expected = [_untrimmed_scalar_reference(t, q, d) for t in ts]
+            else:
+                expected = _pairwise_grid_reference(ts, q, d)
+            assert _bits(got) == _bits(expected), d
+
+    @staticmethod
+    def _assert_scalar_rung(t, q, depth):
+        halves, values = qseries._cfrac_rung([t], q, depth, qseries._SCALAR_DEPTH_LIMIT)
+        assert _bits(halves) == _bits([_untrimmed_scalar_reference(t, q, depth // 2)]), (t, q, depth)
+        assert _bits(values) == _bits([_untrimmed_scalar_reference(t, q, depth)]), (t, q, depth)
 
     @pytest.mark.parametrize("t", [2.0 ** -54, 2.0 ** -54 * (1 - 2.0 ** -53), 2.0 ** -53, 1e-3, 0.263, 20.0])
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_trimmed_loop_at_the_cut(self, t, sign):
         for q, depth in ((0.5, 200), (0.9, 5000), (math.exp(-1e-3), 200_000)):
-            expected = _untrimmed_scalar_reference(sign * t, q, depth)
-            assert _bits(qseries._cfrac_fixed_depth(sign * t, q, depth)) == _bits(expected), (q, depth)
+            self._assert_scalar_rung(sign * t, q, depth)
 
-    @hypothesis.settings(max_examples=60, deadline=None)
+    # t past the pole line too; below eps ~ 0.03 a chain of a few thousand
+    # levels is live, so the sweeps run on both sides of their 1024-level stop
+    @hypothesis.settings(max_examples=120, deadline=None)
     @hypothesis.given(
         t=st.floats(-20.0, 20.0),
-        log_eps=st.floats(math.log(1e-3), math.log(3.0)),
-        depth=st.integers(1, 4000),
+        log_eps=st.floats(math.log(1e-5), math.log(3.0)),
+        depth=st.integers(1, 6000),
     )
     def test_trimmed_loop_matches_untrimmed(self, t, log_eps, depth):
-        q = math.exp(-math.exp(log_eps))
-        expected = _untrimmed_scalar_reference(t, q, depth)
-        assert _bits(qseries._cfrac_fixed_depth(t, q, depth)) == _bits(expected)
+        self._assert_scalar_rung(t, math.exp(-math.exp(log_eps)), depth)
+
+    def test_sweeps_settle_most_levels(self):
+        # the sweeps do the work at a typical scalar depth, with the loop's bits
+        q, depth = math.exp(-1e-3), 61_716
+        value, swept, looped = qseries._cfrac_scalar(0.25, q, depth)
+        assert swept > 4 * looped > 0
+        assert _bits(value) == _bits(_untrimmed_scalar_reference(0.25, q, depth))
+
+    def test_zero_denominator_under_the_sweeps(self):
+        # level 1500 has w * g = 1.0 * 1.0 exactly, with 3000 live levels below
+        # and 1500 above it: the sweeps leave it open and the loop raises there
+        weights = np.array([0.3] * 1500 + [1.0] + [2.0 ** -60] * 3000)
+        with pytest.raises(ZeroDivisionError) as expected:
+            _untrimmed_row_loop(weights)
+        with pytest.raises(ZeroDivisionError) as raised:
+            qseries._cfrac_settled(weights)
+        assert str(raised.value) == str(expected.value)
+
+
+def _untrimmed_row_loop(weights):
+    g = 1.0
+    for w in reversed(weights.tolist()):
+        g = 1.0 / (1.0 - w * g)
+    return g
