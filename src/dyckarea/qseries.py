@@ -24,6 +24,7 @@ ln (z; q)_inf against a rigorous remainder bound.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import logging
 import math
@@ -335,6 +336,7 @@ def g_ratio(t: float | complex, settings: EvalSettings, full_output: bool = Fals
 _SCALAR_DEPTH_LIMIT = 200_000
 _CHUNK = 1 << 16
 _SWEEP_MIN_OPEN = 1024  # fewer open levels than this go straight to the Python loop
+_DEAD = 2.0 ** -54  # a level with |w| below this is dead: 1 - w rounds to 1
 
 
 def _cfrac_settled(weights: np.ndarray) -> tuple[float, int]:
@@ -378,13 +380,34 @@ def _cfrac_settled(weights: np.ndarray) -> tuple[float, int]:
 def _cfrac_scalar(t: float, q: float, depth: int) -> tuple[float, int, int]:
     """Bottom-up value at a fixed depth with tail value 1, the levels the
     sweeps settled and the levels left to the Python loop."""
-    weights = t * np.power(q, np.arange(depth))
     # with g = 1.0 coming in, a level with |w| < 2^-54 gives 1/(1 - w) =
-    # 1.0 exactly, so the levels below the last live one are skipped
-    live = np.flatnonzero(np.abs(weights) >= 2.0 ** -54)
-    weights = weights[: live[-1] + 1 if live.size else 0]
+    # 1.0 exactly, so the levels from the first dead one on are skipped
+    # (|w_k| falls with k); the weights are built to just past the estimated
+    # first dead level, or to the full depth if that one is still live
+    reach = (math.log(abs(t)) + 54.0 * math.log(2.0)) / -math.log(q) if t else 0.0
+    built = min(depth, max(math.ceil(reach), 0) + 2)
+    weights = t * np.power(q, np.arange(built))
+    if built < depth and abs(weights[-1]) >= _DEAD:
+        weights = t * np.power(q, np.arange(depth))
+    weights = weights[: _live_levels(weights, 1.0)]
     value, swept = _cfrac_settled(weights)
     return value, swept, weights.size - swept
+
+
+def _live_levels(powers: np.ndarray, t: float) -> int:
+    """Levels before the first dead one, 0 < |t q^k| < 2^-54, in a run of
+    powers q^k; all of them if the last weight is 0, whose exact zero entries
+    the matmul may give either sign. It bisects on Python floats, 3-8 us a
+    call where numpy scalars took 12-24 us (2-core x86-64 VM)."""
+    if powers.size and powers[-1] * t == 0.0:
+        return powers.size
+    return bisect.bisect_left(range(len(powers)), True, key=lambda k: abs(powers.item(k) * t) < _DEAD)
+
+
+def _dead_node(w: float, lone: bool) -> list[list[float]]:
+    """The product of a run of dead levels that ends in weight w: D(w) =
+    [[-w, 1], [-w, 1]], or M(w) when the run is a chunk's odd last level."""
+    return _lone_level(w, False) if lone else [[-w, 1.0], [-w, 1.0]]
 
 
 def _lone_level(a: float, scaled: bool) -> list[list[float]]:
@@ -394,9 +417,9 @@ def _lone_level(a: float, scaled: bool) -> list[list[float]]:
     return [[0.0, 1.0 / scale], [-a / scale, 1.0 / scale]]
 
 
-def _cfrac_pairwise(ts: list[float], q: float, depth: int) -> tuple[list[float], list[float]]:
+def _cfrac_pairwise(ts: list[float], q: float, depth: int) -> tuple[list[float], list[float], int]:
     """Values of every t at ``depth // 2`` and at ``depth`` from one pairwise
-    product of level matrices.
+    product of level matrices, and the number of levels skipped as dead.
 
     The level maps w -> 1/(1 - t q^k w) are Moebius transforms; composing
     them bottom-up is an ordered matrix product of M(a) = [[0, 1], [-a, 1]]
@@ -434,53 +457,89 @@ def _cfrac_pairwise(ts: list[float], q: float, depth: int) -> tuple[list[float],
     16 000 of 16 000 entries of random products, the plain sum of products
     12 003. So these bits, and the tests' golden digest, depend on the BLAS
     kernel.
+
+    Dead levels are not multiplied. A level is dead if 0 < |w| < 2^-54, and
+    |w| = |t| q^k falls with k (consecutive powers differ by far more than
+    the error of ``np.exp``), so the dead levels of a chunk are a suffix. A
+    pair of dead levels is exactly D(b) = [[-b, 1], [-b, 1]] in the closed
+    form: 1 - a rounds to 1 and the scale is 1. Then, under any rounding
+    order, fma or not, D(b) D(d) = D(d), because |b d| < ulp(d) / 2, and
+    D(b) M(a) = D(a), because 1 - b rounds to 1; M I = M, and each max-norm
+    is 1. So on every tree level the dead nodes are a suffix, and a dead
+    node is D(w), with w the weight of its last level, or M(w) for a chunk's
+    odd last level alone. Each tree level is built from its live nodes and
+    its first dead one, the only dead node a live one meets. A chunk that
+    holds no cut and is dead from its first level is one product with its
+    root, D(w_last); where that holds for every t, only its two edge powers
+    are computed (``np.exp`` gives them the bits of the full array). A chunk
+    whose last weight is 0 is built whole, as products of zeros give exact
+    zeros of either sign.
     """
     cut = depth // 2
     totals = [np.eye(2) for _ in ts]
     at_cut = list(totals)
     logq = math.log(q)
+    skipped = 0
     for start in range(0, depth, _CHUNK):
         count = min(_CHUNK, depth - start)
         half, n = count // 2, cut - start  # the chunk's first n levels lie above the cut
-        powers = np.exp(np.arange(start, start + count) * logq)
+        holds_cut = 0 < n < count
+        edges = np.exp(np.array([start, start + count - 1]) * logq)
+        dead = [not holds_cut and _live_levels(edges, t) == 0 for t in ts]
+        powers = None if all(dead) else np.exp(np.arange(start, start + count) * logq)
         for i, t in enumerate(ts):
-            b, one_minus_a = powers[1::2] * t, 1.0 - powers[0 : 2 * half : 2] * t
-            scale = np.maximum(np.maximum(np.abs(b), 1.0), np.abs(one_minus_a))
-            mats = np.empty((count - half, 2, 2))
-            mats[:half, 0, 0] = mats[:half, 1, 0] = -b / scale
-            mats[:half, 0, 1] = 1.0 / scale
-            mats[:half, 1, 1] = one_minus_a / scale
-            if count % 2:
-                mats[half] = _lone_level(powers[-1] * t, count > 1)
-            # nodes of the tree of the first n levels at this level, and its
-            # last node while that is not one of the chunk tree's
-            nodes = (n + 1) // 2 if 0 < n < count else 0
-            spine = np.array([_lone_level(powers[n - 1] * t, n > 1)]) if nodes and n % 2 else None
-            while True:
-                if nodes == 1:
-                    at_cut[i] = np.matmul(totals[i], mats[0] if spine is None else spine[0])
-                    at_cut[i] /= np.abs(at_cut[i]).max()
-                elif nodes % 2:
-                    spine = np.matmul(mats[nodes - 1 : nodes] if spine is None else spine, np.eye(2)[None])
-                    spine /= np.abs(spine).max()
-                elif nodes and spine is not None:
-                    spine = np.matmul(mats[nodes - 2 : nodes - 1], spine)
-                    spine /= np.abs(spine).max()
-                nodes = (nodes + 1) // 2 if nodes > 1 else 0
-                if len(mats) == 1:
-                    break
-                if len(mats) % 2:
-                    mats = np.concatenate([mats, np.eye(2)[None]])
-                mats = np.matmul(mats[0::2], mats[1::2])
-                a = np.abs(mats)
-                mats /= np.maximum(np.maximum(a[:, 0, 0], a[:, 0, 1]),
-                                   np.maximum(a[:, 1, 0], a[:, 1, 1]))[:, None, None]
+            # the levels built: the live ones and those above the cut
+            live = 0 if dead[i] else max(_live_levels(powers, t), n if holds_cut else 0)
+            skipped += count - live
+            if live == 0:
+                root = _dead_node(edges[1] * t, count == 1)
+            else:
+                # every tree level holds its live nodes and its first dead one
+                width, built = count - half, (live + 1) // 2
+                pairs = min(built + 1, width, half)
+                b, one_minus_a = powers[1 : 2 * pairs : 2] * t, 1.0 - powers[0 : 2 * pairs : 2] * t
+                scale = np.maximum(np.maximum(np.abs(b), 1.0), np.abs(one_minus_a))
+                mats = np.empty((min(built + 1, width), 2, 2))
+                mats[:pairs, 0, 0] = mats[:pairs, 1, 0] = -b / scale
+                mats[:pairs, 0, 1] = 1.0 / scale
+                mats[:pairs, 1, 1] = one_minus_a / scale
+                if len(mats) > half:
+                    mats[half] = _lone_level(powers[-1] * t, count > 1)
+                # nodes of the tree of the first n levels at this level, and
+                # its last node while that is not one of the chunk tree's
+                nodes = (n + 1) // 2 if holds_cut else 0
+                spine = np.array([_lone_level(powers[n - 1] * t, n > 1)]) if nodes and n % 2 else None
+                span = 2  # levels per node
+                while True:
+                    if nodes == 1:
+                        at_cut[i] = np.matmul(totals[i], mats[0] if spine is None else spine[0])
+                        at_cut[i] /= np.abs(at_cut[i]).max()
+                    elif nodes % 2:
+                        spine = np.matmul(mats[nodes - 1 : nodes] if spine is None else spine, np.eye(2)[None])
+                        spine /= np.abs(spine).max()
+                    elif nodes and spine is not None:
+                        spine = np.matmul(mats[nodes - 2 : nodes - 1], spine)
+                        spine /= np.abs(spine).max()
+                    nodes = (nodes + 1) // 2 if nodes > 1 else 0
+                    if width == 1:
+                        break
+                    width, built, span = (width + 1) // 2, (built + 1) // 2, 2 * span
+                    if len(mats) < 2 * built:
+                        mats = np.concatenate([mats, np.eye(2)[None]])
+                    mats = np.matmul(mats[0 : 2 * built : 2], mats[1 : 2 * built : 2])
+                    if built < width:
+                        first, last = built * span, min(built * span + span, count) - 1
+                        mats = np.concatenate([mats, [_dead_node(powers[last] * t, first == last)]])
+                    a = np.abs(mats)
+                    mats /= np.maximum(np.maximum(a[:, 0, 0], a[:, 0, 1]),
+                                       np.maximum(a[:, 1, 0], a[:, 1, 1]))[:, None, None]
+                root = mats[0]
             if n == 0:
                 at_cut[i] = totals[i]
-            total = np.matmul(totals[i], mats[0])
+            total = np.matmul(totals[i], root)
             total /= np.abs(total).max()
             totals[i] = total
-    return [_at_tail_one(m) for m in at_cut], [_at_tail_one(m) for m in totals]
+    return [_at_tail_one(m) for m in at_cut], [_at_tail_one(m) for m in totals], skipped
 
 
 def _at_tail_one(m: np.ndarray) -> float:
@@ -488,16 +547,21 @@ def _at_tail_one(m: np.ndarray) -> float:
     return float((m[0, 0] + m[0, 1]) / (m[1, 0] + m[1, 1]))
 
 
-def _cfrac_rung(ts: list[float], q: float, depth: int, scalar_limit: int) -> tuple[list[float], list[float]]:
+def _cfrac_rung(ts: list[float], q: float, depth: int, scalar_limit: int,
+                halves: list[float] | None = None) -> tuple[list[float], list[float]]:
     """Values of every t at ``depth // 2`` and at ``depth``: a depth up to
     ``scalar_limit`` runs ``_cfrac_scalar``, a deeper one the pairwise
-    product, which yields both depths in one pass."""
+    product, which yields both depths in one pass. ``halves``, the values at
+    ``depth // 2`` when the caller already has them, are not evaluated again."""
     cut = depth // 2
     scalar_depths = [d for d in (cut, depth) if d <= scalar_limit]
+    known, skipped, swept, looped = halves is not None, 0, 0, 0
     if len(scalar_depths) < 2:
-        halves, values = _cfrac_pairwise(ts, q, depth)
-    swept = looped = 0
+        pairwise_halves, values, skipped = _cfrac_pairwise(ts, q, depth)
+        halves = halves if known else pairwise_halves
     for d in scalar_depths:
+        if d == cut and known:
+            continue
         runs = [_cfrac_scalar(t, q, d) for t in ts]
         swept += sum(r[1] for r in runs)
         looped += sum(r[2] for r in runs)
@@ -505,8 +569,9 @@ def _cfrac_rung(ts: list[float], q: float, depth: int, scalar_limit: int) -> tup
             halves = [r[0] for r in runs]
         else:
             values = [r[0] for r in runs]
-    _log.debug("cfrac rung: depth %d, path %s, %d levels swept, %d left to the loop",
-               depth, ("pairwise", "mixed", "scalar")[len(scalar_depths)], swept, looped)
+    _log.debug("cfrac rung: depth %d, path %s, %d levels swept, %d left to the loop, "
+               "%d pairwise levels skipped as dead",
+               depth, ("pairwise", "mixed", "scalar")[len(scalar_depths)], swept, looped, skipped)
     return halves, values
 
 
@@ -517,7 +582,9 @@ def _cfrac_doubling(ts: list[float], settings: EvalSettings, scalar_limit: int) 
     least 64) for the largest |t| and doubles until no value moves by more
     than tol * max(1, |value|). Each rung evaluates the depth and its half in
     one pass of ``_cfrac_rung``, scalar up to ``scalar_limit`` levels, and
-    logs its depth, path and sweep counts at debug level.
+    logs its depth, path, sweep counts and dead levels skipped at debug level.
+    A later rung takes its half from the rung before: depth D runs the same
+    path (scalar iff D <= ``scalar_limit``) as the half of 2D and as a depth.
     """
     for t in ts:
         if not math.isfinite(t):
@@ -526,10 +593,10 @@ def _cfrac_doubling(ts: list[float], settings: EvalSettings, scalar_limit: int) 
     levels = math.log(max(max(abs(t) for t in ts), tol) / (tol * 1e-2)) / settings.epsilon
     if not math.isfinite(levels):
         raise DomainError(f"no finite continued-fraction depth for t up to {max(ts, key=abs)!r}")
-    depth = max(64, math.ceil(levels) + 8)
+    depth, nxt = max(64, math.ceil(levels) + 8), None
     for _ in range(24):
         depth *= 2
-        values, nxt = _cfrac_rung(ts, q, depth, scalar_limit)
+        values, nxt = _cfrac_rung(ts, q, depth, scalar_limit, nxt)
         diffs = [abs(b - a) for a, b in zip(values, nxt)]
         if all(d <= tol * max(1.0, abs(b)) for d, b in zip(diffs, nxt)):
             return nxt, depth
@@ -563,7 +630,10 @@ def g_cfrac_grid(ts: np.ndarray, settings: EvalSettings) -> np.ndarray:
     pass over the chunks for all t that yields the values at K/2 and K,
     bit-identical to separate evaluations at the two depths.
     """
-    values, _ = _cfrac_doubling(np.asarray(ts, dtype=float).tolist(), settings, 0)
+    ts = np.asarray(ts, dtype=float).tolist()
+    if not ts:
+        return np.array([], dtype=float)
+    values, _ = _cfrac_doubling(ts, settings, 0)
     return np.array(values)
 
 

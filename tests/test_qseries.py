@@ -429,11 +429,38 @@ class TestGCfrac:
         assert f"depth {depth}, path pairwise, 0 levels swept, 0 left to the loop" in rungs[1]
         swept, looped = map(int, re.search(r"(\d+) levels swept, (\d+) left", rungs[0]).groups())
         assert (swept > looped > 0) if path != "pairwise" else (swept == looped == 0)
+        # the pairwise depth skips every level from the first with |t q^k| <
+        # 2^-54 on (the cut lies above it), the scalar rung none
+        skipped = [int(re.search(r"(\d+) pairwise levels skipped as dead", r).group(1)) for r in rungs]
+        powers = np.exp(np.arange(depth) * math.log(settings.q))
+        dead = {t: int(np.count_nonzero(np.abs(powers * t) < 2.0 ** -54)) for t in (0.1, 0.25)}
+        assert 0 < dead[0.25] < dead[0.1] < depth // 2
+        assert skipped == [0 if path == "scalar" else dead[0.25], dead[0.1] + dead[0.25]]
+
+    def test_second_rung_takes_its_half_from_the_first(self, monkeypatch):
+        # chains shallower than 4000 levels are off by 1e-6, so the first rung
+        # (depths 3093 and 6186) does not settle; the second evaluates only
+        # its depth and takes depth 6186 from the first
+        q, real, depths = math.exp(-1e-2), qseries._cfrac_scalar, []
+
+        def spy(t, q, depth):
+            depths.append(depth)
+            value, swept, looped = real(t, q, depth)
+            return value + (1e-6 if depth < 4000 else 0.0), swept, looped
+
+        monkeypatch.setattr(qseries, "_cfrac_scalar", spy)
+        value, depth = g_cfrac(0.25, EvalSettings(q=q), full_output=True)
+        assert depths == [3093, 6186, 12372] and depth == 12372
+        assert _bits(value) == _bits(_untrimmed_scalar_reference(0.25, q, depth))
+
+    def test_empty_grid(self):
+        values = g_cfrac_grid(np.array([]), EvalSettings(q=0.5))
+        assert values.dtype == np.float64 and values.shape == (0,)
 
     def test_non_convergence_reports_last_difference(self, monkeypatch):
         # a fixed-depth value that never settles: the error carries the
         # last difference between successive depths, not zero
-        monkeypatch.setattr(qseries, "_cfrac_rung", lambda ts, q, depth, scalar_limit: (
+        monkeypatch.setattr(qseries, "_cfrac_rung", lambda ts, q, depth, scalar_limit, halves: (
             [float(depth // 2)] * len(ts), [float(depth)] * len(ts)))
         with pytest.raises(NonConvergenceError) as err:
             g_cfrac(0.2, EvalSettings(q=0.5))
@@ -457,7 +484,7 @@ class TestCfracGoldenDigest:
         for q in (0.5, math.exp(-1e-4)):  # q^k underflows to 0 at q = 0.5
             for depth in self.DEPTHS:
                 for ts in [(t,) for t in self.TS] + [self.TS[1:]]:
-                    _, values = qseries._cfrac_pairwise(list(ts), q, depth)
+                    _, values, _ = qseries._cfrac_pairwise(list(ts), q, depth)
                     lines.append(f"grid,{q!r},{depth},{values!r}")
         for eps in (0.5, 1e-3, 2e-4):  # at 2e-4 the doubling goes from the scalar loop to the pairwise kernel
             s = EvalSettings(q=math.exp(-eps))
@@ -643,6 +670,38 @@ def _bits(values):
     return np.asarray(values, dtype=float).view(np.int64).tolist()
 
 
+def _level_product_reference(t, q, depth):
+    """The level product of ``_pairwise_grid_reference`` for one t, before the
+    tail value 1 is applied."""
+    total = np.eye(2)
+    for start in range(0, depth, qseries._CHUNK):
+        w = np.exp(np.arange(start, min(start + qseries._CHUNK, depth)) * math.log(q)) * t
+        mats = np.zeros((w.size, 2, 2))
+        mats[:, 0, 1] = mats[:, 1, 1] = 1.0
+        mats[:, 1, 0] = -w
+        while len(mats) > 1:
+            if len(mats) % 2:
+                mats = np.concatenate([mats, np.eye(2)[None]])
+            mats = np.matmul(mats[0::2], mats[1::2])
+            mats /= np.abs(mats).max(axis=(1, 2), keepdims=True)
+        total = np.matmul(total, mats[0])
+        total /= np.abs(total).max()
+    return total
+
+
+def _assert_level_products(ts, q, depth):
+    """The pairwise kernel's level products at the cut and at the depth equal
+    the reference's entry for entry (exact zeros of either sign): the dead
+    nodes' tiny entries, which the values round away, are checked here."""
+    seen = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qseries, "_at_tail_one", lambda m: seen.append(m) or 0.0)
+        qseries._cfrac_pairwise(ts, q, depth)
+    for got, d in ((seen[: len(ts)], depth // 2), (seen[len(ts) :], depth)):
+        for m, t in zip(got, ts):
+            assert np.array_equal(m, _level_product_reference(t, q, d)), (t, q, d)
+
+
 class TestCfracBitwise:
     """The pairwise kernel (closed-form first level, elementwise max-norms,
     the cut taken from the chunk's own tree) and the scalar loop (skipped dead
@@ -661,7 +720,7 @@ class TestCfracBitwise:
         rng = np.random.default_rng(depth)
         tiny = np.concatenate([[0.0, 20.0, -20.0], rng.uniform(-1.0, 1.0, 3) * 1e-9])
         for ts in [rng.uniform(-20.0, 20.0, nt) for nt in (1, 3, 6)] + [tiny]:
-            halves, values = qseries._cfrac_pairwise(ts.tolist(), q, depth)
+            halves, values, _ = qseries._cfrac_pairwise(ts.tolist(), q, depth)
             assert _bits(halves) == _bits(_pairwise_grid_reference(ts, q, depth // 2)), ts
             assert _bits(values) == _bits(_pairwise_grid_reference(ts, q, depth)), ts
 
@@ -673,7 +732,120 @@ class TestCfracBitwise:
     )
     def test_any_cut_matches_pairwise_matmul(self, ts, log_eps, depth):
         q = math.exp(-math.exp(log_eps))
-        halves, values = qseries._cfrac_pairwise(ts, q, depth)
+        halves, values, _ = qseries._cfrac_pairwise(ts, q, depth)
+        assert _bits(halves) == _bits(_pairwise_grid_reference(ts, q, depth // 2))
+        assert _bits(values) == _bits(_pairwise_grid_reference(ts, q, depth))
+
+    # the live/dead boundary mid-chunk (|t q^k| < 2^-54 from about level
+    # (ln|t| + 37.4) / eps on), depths of 2-4 chunks with the cut in the dead
+    # region, an odd last chunk whose single level is dead (2 * _CHUNK + 1),
+    # the cut and the boundary in one chunk (100 001 at eps = 1e-3), and the
+    # boundary in the second chunk (eps = 3e-4)
+    @pytest.mark.parametrize("eps, depth", [
+        (1e-3, 2 * qseries._CHUNK + 1), (1e-3, 100_001), (1e-3, 3 * qseries._CHUNK + 2),
+        (1e-2, 2 * qseries._CHUNK + 3), (1e-2, 4 * qseries._CHUNK - 1), (3e-4, 3 * qseries._CHUNK - 5)])
+    def test_dead_levels_across_chunks(self, eps, depth):
+        q = math.exp(-eps)
+        for ts in ([0.25], [-20.0, 0.263, 20.0], [1e-300, -3.0]):
+            halves, values, _ = qseries._cfrac_pairwise(ts, q, depth)
+            assert _bits(halves) == _bits(_pairwise_grid_reference(ts, q, depth // 2)), ts
+            assert _bits(values) == _bits(_pairwise_grid_reference(ts, q, depth)), ts
+            _assert_level_products(ts, q, depth)
+
+    # a chunk's odd last level is a dead node of its own on some tree level
+    # (depth 4097: level 12; 2049 and 4095 lower), and the boundary falls
+    # anywhere in or past a chunk of a few thousand levels
+    @hypothesis.settings(max_examples=150)
+    @hypothesis.given(
+        t=st.floats(-20.0, 20.0),
+        log_eps=st.floats(math.log(3e-3), math.log(1.0)),
+        depth=st.integers(1, 6000) | st.sampled_from([2049, 4095, 4097]),
+    )
+    def test_dead_nodes_in_the_level_product(self, t, log_eps, depth):
+        _assert_level_products([t], math.exp(-math.exp(log_eps)), depth)
+
+    @staticmethod
+    def _t_with_weight(power, w):
+        """A t > 0 with power * t == w in doubles, searched a few ulps about w / power."""
+        t = w / power
+        for _ in range(64):
+            if power * t == w:
+                return t
+            t = np.nextafter(t, math.inf if power * t < w else 0.0)
+        raise AssertionError(f"no t gives {w!r} from {power!r}")
+
+    # level k of the pairwise kernel (weights exp(k ln q) t) or the scalar
+    # loop (np.power(q, k) t) at 2^-54 exactly and one ulp either side;
+    # k = 1000 opens a pair of levels, k = 1001 closes one; at depth 70 001
+    # the cut lies past the boundary and chunk 1 is dead
+    @pytest.mark.parametrize("w", [np.nextafter(2.0 ** -54, 0.0), 2.0 ** -54, np.nextafter(2.0 ** -54, 1.0)])
+    @pytest.mark.parametrize("k", [1000, 1001])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_weight_at_the_dead_threshold(self, w, k, sign):
+        q = math.exp(-1e-2)
+        for depth in (k + 500, 70_001):
+            t = sign * self._t_with_weight(np.exp(np.arange(depth) * math.log(q))[k], w)
+            halves, values, skipped = qseries._cfrac_pairwise([t], q, depth)
+            assert _bits(halves) == _bits(_pairwise_grid_reference([t], q, depth // 2))
+            assert _bits(values) == _bits(_pairwise_grid_reference([t], q, depth))
+            if depth // 2 < k:  # level k is the first dead one or the last live one
+                assert skipped == depth - k - (w >= 2.0 ** -54)
+            t = sign * self._t_with_weight(np.power(q, np.arange(depth))[k], w)
+            self._assert_scalar_rung(t, q, depth)
+
+    # a t dead from level 0 next to a live one: a chunk's np.exp is skipped
+    # only where every t is dead (chunk 0 is live for 0.25, chunks 1 and the
+    # single-level chunk 2 are dead for both)
+    @pytest.mark.parametrize("ts, full_chunks", [([1e-20], 0), ([1e-20, 0.25], 1), ([0.25, -1e-20], 1)])
+    def test_chunk_powers_only_where_some_t_lives(self, monkeypatch, ts, full_chunks):
+        q, depth = math.exp(-1e-3), 2 * qseries._CHUNK + 1
+        expected = [_pairwise_grid_reference(ts, q, d) for d in (depth // 2, depth)]
+        real_exp, sizes = np.exp, []
+
+        def spy(x, *args, **kwargs):
+            sizes.append(np.size(x))
+            return real_exp(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "exp", spy)
+        halves, values, skipped = qseries._cfrac_pairwise(ts, q, depth)
+        monkeypatch.undo()
+        assert _bits(halves) == _bits(expected[0]) and _bits(values) == _bits(expected[1])
+        assert sorted(sizes) == [2] * 3 + [qseries._CHUNK] * full_chunks
+        assert skipped > len(ts) * (depth - qseries._CHUNK)
+
+    def test_chunk_edge_powers_match_the_chunk(self):
+        # the two edge powers of a dead chunk have the bits np.exp gives them in the whole chunk
+        rng = np.random.default_rng(7)
+        for _ in range(40):
+            logq = -math.exp(rng.uniform(math.log(1e-5), math.log(3.0)))
+            start, count = int(rng.integers(0, 64)) * qseries._CHUNK, int(rng.integers(1, qseries._CHUNK + 1))
+            chunk = np.exp(np.arange(start, start + count) * logq)
+            edges = np.exp(np.array([start, start + count - 1]) * logq)
+            assert _bits(edges) == _bits(chunk[[0, -1]])
+
+    @hypothesis.settings(max_examples=200)
+    @hypothesis.given(
+        b=st.floats(-(2.0 ** -54), 2.0 ** -54, exclude_min=True, exclude_max=True),
+        d=st.floats(-(2.0 ** -54), 2.0 ** -54, exclude_min=True, exclude_max=True),
+    )
+    def test_dead_products_are_exact(self, b, d):
+        # D(b) D(d) = D(d), D(b) M(d) = D(d), M(d) I = M(d): the lemma behind the skipped levels
+        hypothesis.assume(b != 0.0 and d != 0.0)
+        dead = lambda w: np.array([[-w, 1.0], [-w, 1.0]])
+        lone = np.array([[0.0, 1.0], [-d, 1.0]])
+        assert _bits(np.matmul(dead(b)[None], dead(d)[None])[0]) == _bits(dead(d))
+        assert _bits(np.matmul(dead(b)[None], lone[None])[0]) == _bits(dead(d))
+        assert _bits(np.matmul(lone[None], np.eye(2)[None])[0]) == _bits(lone)
+
+    @hypothesis.settings(max_examples=12)
+    @hypothesis.given(
+        ts=st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=3),
+        log_eps=st.floats(math.log(1e-3), math.log(3.0)),
+        depth=st.integers(1, 3 * qseries._CHUNK),
+    )
+    def test_deep_rung_matches_pairwise_matmul(self, ts, log_eps, depth):
+        q = math.exp(-math.exp(log_eps))
+        halves, values, _ = qseries._cfrac_pairwise(ts, q, depth)
         assert _bits(halves) == _bits(_pairwise_grid_reference(ts, q, depth // 2))
         assert _bits(values) == _bits(_pairwise_grid_reference(ts, q, depth))
 
