@@ -4,11 +4,12 @@ The bivariate generating function G(t, q) of area-weighted paths is handled
 through three routes that must agree wherever they overlap:
 
 * ``h_series`` sums the alternating q-Airy-type series
-  H(t) = sum_n q^(n^2-n) (-t)^n / (q; q)_n, and ``g_ratio`` forms
-  G = H(qt)/H(t). The series cancels catastrophically as q -> 1, so every
-  sum of H (also in ``t_infinity``) runs in binary fixed point on Python
-  integers, at the precision one rule, ``_sum_h``, picks; the sums come back
-  as mpmath numbers. It is the preferred route for eps = -ln q >= ~1e-3.
+  H(t) = sum_n T_n, T_n = q^(n^2-n) (-t)^n / (q; q)_n, and ``g_ratio`` forms
+  G = H(qt)/H(t), with H(qt) = sum_n T_n q^n summed in the same pass at the
+  exact qt. The series cancels catastrophically as q -> 1, so every sum of H
+  (also in ``t_infinity``) runs in binary fixed point on Python integers, at
+  the precision one rule, ``_sum_h``, picks; the sums come back as mpmath
+  numbers. It is the preferred route for eps = -ln q >= ~1e-3.
 * ``g_cfrac`` evaluates the classical continued fraction
   1/(1 - t/(1 - tq/(1 - tq^2/...))) bottom-up with tail value 1. All
   partial numerators are positive for real t, which makes this route
@@ -113,7 +114,7 @@ def q_pochhammer(z: complex, q: float, n: int | None = None,
 
     ``n = None`` means the infinite product, truncated once the remaining
     factors differ from 1 by less than the tolerance; that requires
-    0 < q < 1. Real inputs give a float.
+    0 < q < 1. Real inputs give a float; an array z with a given n, an array.
     """
     if n is None:
         if not (0.0 < q < 1.0):
@@ -156,19 +157,20 @@ class HSeriesResult:
     precision_bits: int
 
 
-def _h_series_mp(t, q: float, tol: float):
-    """Sum of q^(n^2-n) (-t)^n / (q;q)_n in binary fixed point.
+def _h_series_mp(t, q: float, tol: float, scaled: bool):
+    """H(t) = sum_n T_n, T_n = q^(n^2-n) (-t)^n / (q;q)_n, in binary fixed
+    point; with ``scaled`` also H(qt) = sum_n T_n q^n, in the same pass.
 
     Terms and sums are Python integers in units of 2^-F, F = the current
-    mpmath precision + 8, with (re, im) pairs for complex t. Term n is term
-    n-1 times -t q^(2n-2) / (1 - q^n), floored once. t and q enter exactly
-    as num / 2^k, and q^n, q^(2n-2) as mantissas over powers of two cut to F
-    bits, so short early terms cost linear time even at a large F. Stops
-    after |term| stays below tol * max(|partial sum|, 2^-F) for three
-    consecutive terms (compared exactly, on squares for complex t), and
-    gives up after ``_MAX_TERMS`` terms. Returns (sum, terms_used,
-    max_term_magnitude, last_term_magnitude) as mpmath numbers; a last term
-    below the unit reports the unit.
+    mpmath precision + 8, with (re, im) pairs for complex t. T_n is T_(n-1)
+    times -t q^(2n-2) / (1 - q^n), and T_n q^n is T_n times q^n, each floored
+    once. t and q enter exactly as num / 2^k, so qt is exact, and q^n,
+    q^(2n-2) as mantissas over powers of two cut to F bits, so short early
+    terms cost linear time even at a large F. Stops after every |term| stays
+    below tol * max(|its partial sum|, 2^-F) for three consecutive terms
+    (compared exactly, on squares for complex t), and gives up after
+    ``_MAX_TERMS`` terms. Per series, returns (sum, terms_used, max |term|,
+    last |term|, at least the unit) as mpmath numbers.
     """
     frac = mpmath.mp.prec + 8
 
@@ -187,31 +189,38 @@ def _h_series_mp(t, q: float, tol: float):
     q_num, q_shift = dyadic(q)
     q2_num = q_num * q_num
     tol_num, tol_shift = dyadic(tol)
+    if cplx:  # compare squares
+        tol_num, tol_shift = tol_num * tol_num, 2 * tol_shift
     q_n, q_n_exp = 1, 0    # q^n = q_n / 2^q_n_exp, at most F bits
     q_2n, q_2n_exp = 1, 0  # q^(2n-2), likewise
-    re, im = 1 << frac, 0  # the term
-    sum_re, sum_im = re, im
-    peak = re * re if cplx else re  # |term|, squared for complex t
+    re, im = 1 << frac, 0  # T_n
+    sum_re, sum_im = s_sum_re, s_sum_im = re, im  # sums of T_n and of T_n q^n
+    peak = s_peak = s_mag = re * re if cplx else re  # |term|, squared for complex t
     small_streak = 0
     for n in range(1, _MAX_TERMS + 1):
         q_n, q_n_exp = q_n * q_num, q_n_exp + q_shift
         if (cut := q_n.bit_length() - frac) > 0:
             q_n, q_n_exp = q_n >> cut, q_n_exp - cut
-        # term -> term (a + ib) q^(2n-2) / (2^t_shift (1 - q^n)), floored
-        shift = q_n_exp - t_shift - q_2n_exp
-        num_shift, den = max(shift, 0), ((1 << q_n_exp) - q_n) << max(-shift, 0)
+        # T_n = T_(n-1) (a + ib) q^(2n-2) / (2^t_shift (1 - q^n)), floored
+        num_shift, den = q_n_exp - t_shift - q_2n_exp, (1 << q_n_exp) - q_n
+        if num_shift < 0:
+            num_shift, den = 0, den << -num_shift
         if cplx:
             re, im = re * a - im * b, re * b + im * a
             re, im = (re * q_2n << num_shift) // den, (im * q_2n << num_shift) // den
-            sum_re += re
-            sum_im += im
-            mag = re * re + im * im
-            small = mag << 2 * tol_shift < tol_num * tol_num * max(sum_re * sum_re + sum_im * sum_im, 1)
         else:
             re = (re * a * q_2n << num_shift) // den
-            sum_re += re
-            mag = abs(re)
-            small = mag << tol_shift < tol_num * max(abs(sum_re), 1)
+        sum_re, sum_im = sum_re + re, sum_im + im
+        mag = re * re + im * im if cplx else abs(re)
+        small = mag << tol_shift < tol_num * ((sum_re * sum_re + sum_im * sum_im if cplx else abs(sum_re)) or 1)
+        if scaled:  # T_n q^n, floored
+            s_re, s_im = re * q_n >> q_n_exp, im * q_n >> q_n_exp
+            s_sum_re, s_sum_im = s_sum_re + s_re, s_sum_im + s_im
+            s_mag = s_re * s_re + s_im * s_im if cplx else abs(s_re)
+            small = small and s_mag << tol_shift < tol_num * (
+                (s_sum_re * s_sum_re + s_sum_im * s_sum_im if cplx else abs(s_sum_re)) or 1)
+            if s_mag > s_peak:
+                s_peak = s_mag
         if mag > peak:
             peak = mag
         if small:
@@ -226,12 +235,13 @@ def _h_series_mp(t, q: float, tol: float):
     else:
         raise NonConvergenceError(
             f"alternating series did not stabilise within {_MAX_TERMS} terms",
-            last_term=float(unit(max(math.isqrt(mag) if cplx else mag, 1))),
+            last_term=float(unit((math.isqrt(mag) if cplx else mag) or 1)),
         )
     if cplx:
-        peak, mag = math.isqrt(peak), math.isqrt(mag)
-    total = mpmath.mpc(unit(sum_re), unit(sum_im)) if cplx else unit(sum_re)
-    return total, n, unit(peak), unit(max(mag, 1))
+        peak, mag, s_peak, s_mag = map(math.isqrt, (peak, mag, s_peak, s_mag))
+    series = [(sum_re, sum_im, peak, mag), (s_sum_re, s_sum_im, s_peak, s_mag)][: 1 + scaled]
+    return [(mpmath.mpc(unit(x), unit(y)) if cplx else unit(x), n, unit(top), unit(last or 1))
+            for x, y, top, last in series]
 
 
 def _bits_lost(max_mag, total) -> float:
@@ -260,31 +270,32 @@ def _predicted_bits(xs, q: float) -> int:
     return math.ceil(loss) + 8 + 53 + _GUARD_BITS
 
 
-def _sum_h(xs, settings: EvalSettings, keep: int):
-    """H at every x in xs at one shared precision: predict, check, rerun.
+def _sum_h(t, settings: EvalSettings, keep: int, scaled: bool = False):
+    """H(t), and H(qt) from the same pass if ``scaled``: predict, check, rerun.
 
     Precision: ``precision_bits`` if set, else ``_predicted_bits`` capped at
-    the envelope max ``bits_for(x)`` where the saddle estimate holds (real x
-    in (0, 1/2), eps <= 0.2, envelope > 53 + 96), else the envelope. If a
-    series keeps fewer than ``keep`` bits, all rerun at the measured loss +
-    8 + keep bits (at most the envelope). Returns the ``_h_series_mp``
-    tuples, the final precision and the largest loss.
+    the envelope, the larger ``bits_for`` of t and qt, where the saddle
+    estimate holds (real t in (0, 1/2), eps <= 0.2, envelope > 53 + 96), else
+    the envelope. If a series keeps fewer than ``keep`` bits, the pass reruns
+    at the measured loss + 8 + keep bits (at most the envelope). Returns the
+    ``_h_series_mp`` tuples, the final precision and the largest loss.
     """
-    if not all(cmath.isfinite(x) for x in xs):
-        raise DomainError(f"the series needs a finite t, got {xs[0]!r}")
+    if not cmath.isfinite(t):
+        raise DomainError(f"the series needs a finite t, got {t!r}")
+    xs = (t, settings.q * t) if scaled else (t,)  # qt rounded to a double only sizes the precision
     bits = envelope = max(settings.bits_for(x) for x in xs)
     if (settings.precision_bits is None and envelope > 53 + _GUARD_BITS and settings.epsilon <= 0.2
-            and all(not isinstance(x, complex) and 0.0 < x < 0.5 for x in xs)):
+            and not isinstance(t, complex) and 0.0 < t < 0.5):
         bits = min(envelope, _predicted_bits(xs, settings.q))
     while True:
         with mpmath.workprec(bits):
-            sums = [_h_series_mp(x, settings.q, settings.tol) for x in xs]
+            sums = _h_series_mp(t, settings.q, settings.tol, scaled)
         lost = max(_bits_lost(peak, total) for total, _, peak, _ in sums)
-        _log.debug("H at %r: %d of %d bits, lost %.1f", xs, bits, envelope, lost)
+        _log.debug("H at %r: %d of %d bits, lost %.1f", t, bits, envelope, lost)
         if bits == envelope or bits - lost >= keep:
             return sums, bits, lost
         bits = min(envelope, math.ceil(min(lost, envelope)) + 8 + keep)
-        _log.debug("H at %r: rerun at %d bits", xs, bits)
+        _log.debug("H at %r: rerun at %d bits", t, bits)
 
 
 def h_series(t: float | complex, settings: EvalSettings, full_output: bool = False):
@@ -296,7 +307,7 @@ def h_series(t: float | complex, settings: EvalSettings, full_output: bool = Fal
     a sum outside the normal double range (|H| < 2.2e-308 once eps falls
     below about 5e-4 near t = 1/4) a domain error.
     """
-    [(total, n, _, last)], bits, lost = _sum_h((t,), settings, 53 + _GUARD_BITS)
+    [(total, n, _, last)], bits, lost = _sum_h(t, settings, 53 + _GUARD_BITS)
     if not total:
         raise PoleProximityError("series sum vanished at working precision; t is at a zero")
     if not sys.float_info.min <= abs(total) <= sys.float_info.max:
@@ -308,24 +319,23 @@ def h_series(t: float | complex, settings: EvalSettings, full_output: bool = Fal
 
 
 def g_ratio(t: float | complex, settings: EvalSettings, full_output: bool = False):
-    """G(t, q) as the ratio H(qt)/H(t) of two alternating series.
+    """G(t, q) as the ratio H(qt)/H(t), summed in one pass at the exact qt.
 
-    ``_sum_h`` keeps 53 + 96 bits in both at one shared precision. With
-    ``full_output``, ``bits_lost`` and ``last_term`` are the larger of the
-    two series. If H(t) has lost essentially all significant bits the point
-    is next to a zero of H (at or beyond the pole line): a pole error.
+    ``_sum_h`` keeps 53 + 96 bits in both series. With ``full_output``,
+    ``terms_used`` counts the terms of both, and ``bits_lost`` and
+    ``last_term`` are the larger of the two. If H(t) has lost essentially all
+    significant bits the point is next to a zero of H (at or beyond the pole
+    line): a pole error.
     """
-    sums, bits, lost = _sum_h((t, settings.q * t), settings, 53 + _GUARD_BITS)
-    (denom, n_d, max_d, last_d), (numer, n_n, _, last_n) = sums
+    [(denom, n, max_d, last_d), (numer, _, _, last_n)], bits, lost = _sum_h(
+        t, settings, 53 + _GUARD_BITS, scaled=True)
     if abs(denom) <= max_d * mpmath.mpf(2) ** (-(bits - 16)):
-        raise PoleProximityError(
-            f"H(t) at t = {t!r} is below the cancellation floor; "
-            f"t lies at or beyond the pole boundary"
-        )
+        raise PoleProximityError(f"H(t) at t = {t!r} is below the cancellation floor; "
+                                 "t lies at or beyond the pole boundary")
     ratio = mpmath.fdiv(numer, denom, prec=bits)
     value = complex(ratio) if isinstance(t, complex) else float(ratio)
     if full_output:
-        return HSeriesResult(value, n_d + n_n, lost, float(max(last_d, last_n)), precision_bits=bits)
+        return HSeriesResult(value, 2 * n, lost, float(max(last_d, last_n)), precision_bits=bits)
     return value
 
 
@@ -652,18 +662,14 @@ def t_infinity(q: float, settings: EvalSettings | None = None) -> float:
         settings = EvalSettings(q=q)
     elif settings.q != q:
         raise DomainError(f"t_infinity got q = {q!r} but settings for q = {settings.q!r}")
-    h = lambda t: _sum_h((t,), settings, 24)[0][0][0]  # the exact sign: ~2000 terms round by < 2^11 ulps
-    lo = 0.25
-    f_lo = h(lo)
-    if f_lo <= 0.0:
+    h = lambda t: _sum_h(t, settings, 24)[0][0][0]  # the exact sign: ~2000 terms round by < 2^11 ulps
+    hi = 0.25
+    if h(hi) <= 0.0:
         raise SearchFailureError("H(1/4) <= 0; no bracket below the boundary")
-    eps = settings.epsilon
     # step smaller as q -> 1 since the root approaches 1/4
-    step = min(0.02, max(1e-4, 0.05 * eps ** (2.0 / 3.0) * 2.4))
-    hi = lo
-    f_hi = f_lo
+    step = min(0.02, max(1e-4, 0.05 * settings.epsilon ** (2.0 / 3.0) * 2.4))
     while hi < 1.0:
-        lo, f_lo = hi, f_hi
+        lo = hi
         hi = min(1.0, hi + step)
         f_hi = h(hi)
         if f_hi < 0.0:
@@ -677,8 +683,7 @@ def t_infinity(q: float, settings: EvalSettings | None = None) -> float:
         mid = 0.5 * (lo + hi)
         if hi - lo <= settings.tol * mid:
             break
-        f_mid = h(mid)
-        if f_mid > 0.0:
+        if h(mid) > 0.0:
             lo = mid
         else:
             hi = mid
@@ -762,12 +767,7 @@ def _contour_integrand(zs: np.ndarray, t: float, q: float, tol: float) -> np.nda
     lnz = np.log(zs)  # principal branch
     exponent = (0.5 * (1.0 + lnz / lnq) - math.log(t) / lnq) * lnz
     numer = np.exp(exponent)
-    poch = np.ones_like(zs)
-    qk = 1.0
-    for _ in range(_pochhammer_count(float(np.max(np.abs(zs))), q, tol)):
-        poch *= 1.0 - zs * qk
-        qk *= q
-    return numer / poch
+    return numer / q_pochhammer(zs, q, _pochhammer_count(float(np.max(np.abs(zs))), q, tol))
 
 
 def _ray_quadrature(t: float, q: float, rho: float, angle: float, lam: float,

@@ -45,10 +45,10 @@ QP_HALF = 0.2887880950866024
 
 # sha256 of the "q,t_inf" and "eps,t,h_series,g_ratio" lines (repr of each
 # value, or the name of the error raised) built by TestGoldenDigest, re-pinned
-# after the sums of H moved to fixed-point integers; the values that moved
-# (only where the precision was capped at 53 bits) are each no farther from
-# the direct high-precision sum of test_oracle_accuracy than before, or by 1 ulp
-SERIES_GOLDEN_DIGEST = "3de74ac986e527a23c797b433fd609770e390b9c2c21e22d99eb376003de7495"
+# after H(qt) moved into the pass of H(t) at the exact product qt; only
+# g_ratio values moved, to within 1.5e-15 of the exact-qt sum of
+# test_oracle_accuracy (up to 2.9e-10 before, next to a zero of H(qt))
+SERIES_GOLDEN_DIGEST = "166922cc908e094f6286e3a63373abbc83249f8b3b6f5013153b781ce6035d80"
 
 
 class TestGoldenDigest:
@@ -84,7 +84,7 @@ class TestGoldenDigest:
         for eps, t in self._roots_and_grid()[1]:
             q = math.exp(-eps)
             s = EvalSettings(q=q)
-            h, hq = _oracle_h(t, q), _oracle_h(q * t, q)
+            h, hq = _oracle_h(t, q), _oracle_h(_exact_qt(q, t), q)
             for fn, reference, series in ((h_series, h, 1), (g_ratio, hq / h, 2)):
                 try:
                     res = fn(t, s, full_output=True)
@@ -92,6 +92,11 @@ class TestGoldenDigest:
                     continue
                 bound = series * s.tol + 2.0 ** (res.bits_lost - res.precision_bits + 4)
                 assert abs(res.value - reference) <= bound * abs(reference), (fn.__name__, eps, t)
+
+
+def _exact_qt(q, t):
+    """The product q t without rounding: two doubles multiply exactly in 106 bits."""
+    return mpmath.fmul(q, t, prec=2000)
 
 
 def _oracle_h(t, q, prec=2000):
@@ -205,12 +210,13 @@ class TestHSeries:
 
     @pytest.mark.parametrize("t, q", [(0.2, 0.5), (0.45, 0.99), (-0.3, 0.9)])
     def test_complex_path_matches_real(self, t, q):
-        # the (re, im) pairs with im = 0 reproduce the real sum, its stop
-        # and its diagnostics exactly; term 0 = 1 is the peak at (0.2, 0.5)
-        real = h_series(t, EvalSettings(q=q), full_output=True)
-        cplx = h_series(complex(t, 0.0), EvalSettings(q=q), full_output=True)
-        assert (complex(real.value), real.terms_used, real.bits_lost, real.last_term) == (
-            cplx.value, cplx.terms_used, cplx.bits_lost, cplx.last_term)
+        # the (re, im) pairs with im = 0 reproduce the real sums, their stop
+        # and their diagnostics exactly; term 0 = 1 is the peak at (0.2, 0.5)
+        for route in (h_series, g_ratio):
+            real = route(t, EvalSettings(q=q), full_output=True)
+            cplx = route(complex(t, 0.0), EvalSettings(q=q), full_output=True)
+            assert (complex(real.value), real.terms_used, real.bits_lost, real.last_term) == (
+                cplx.value, cplx.terms_used, cplx.bits_lost, cplx.last_term), route.__name__
 
     def test_non_convergence(self, monkeypatch):
         monkeypatch.setattr(qseries, "_MAX_TERMS", 3)
@@ -344,7 +350,7 @@ class TestAgainstOracle:
     def test_matches_oracle(self, eps, t):
         q = math.exp(-eps)
         settings = EvalSettings(q=q, tol=1e-15)
-        h, hq = _oracle_h(t, q), _oracle_h(q * t, q)
+        h, hq = _oracle_h(t, q), _oracle_h(_exact_qt(q, t), q)
         try:
             res = h_series(t, settings, full_output=True)
         except DomainError:  # only past the double range
@@ -355,6 +361,30 @@ class TestAgainstOracle:
         res = g_ratio(t, settings, full_output=True)
         if res.precision_bits - res.bits_lost >= 149:
             assert abs(res.value - hq / h) <= 1e-13 * abs(hq / h)
+
+    @staticmethod
+    def _ratio_within_bound(t, settings):
+        # the stop rule's truncation (tol per series) plus the rounding its
+        # reported surviving bits allow
+        q = settings.q
+        reference = _oracle_h(_exact_qt(q, t), q) / _oracle_h(t, q)
+        res = g_ratio(t, settings, full_output=True)
+        bound = 2 * settings.tol + 2.0 ** (res.bits_lost - res.precision_bits + 4)
+        assert abs(res.value - reference) <= bound * abs(reference)
+
+    @pytest.mark.parametrize("eps, t", [(1.038e-3, 0.148), (1e-3, 0.1), (3e-3, 0.26)])
+    def test_ratio_at_exact_qt(self, eps, t):
+        # H(qt) at the double nearest qt is off by qt H'(qt)/H(qt) 2^-53
+        # relative: 1.8e-14, 6.7e-15 and 1.1e-14 of G at these points
+        self._ratio_within_bound(t, EvalSettings(q=math.exp(-eps), tol=1e-16))
+
+    @hypothesis.settings(max_examples=12)
+    @hypothesis.given(
+        eps=st.floats(3e-3, 0.7),
+        t=st.complex_numbers(min_magnitude=0.02, max_magnitude=0.3, allow_nan=False, allow_infinity=False),
+    )
+    def test_complex_ratio_at_exact_qt(self, eps, t):
+        self._ratio_within_bound(t, EvalSettings(q=math.exp(-eps), tol=1e-16))
 
 
 class TestGCfrac:
@@ -534,7 +564,7 @@ class TestBelowDoubleRange:
     Q = math.exp(-4e-4)
 
     def test_sum_matches_oracle(self):
-        [(total, *_)], _, _ = qseries._sum_h((0.25,), EvalSettings(q=self.Q), 53 + 96)
+        [(total, *_)], _, _ = qseries._sum_h(0.25, EvalSettings(q=self.Q), 53 + 96)
         reference = _oracle_h(0.25, self.Q)
         assert abs(total - reference) <= 1e-10 * abs(reference)
 
