@@ -1,5 +1,6 @@
 """Scan datasets, serialization determinism, and the command-line surface."""
 
+import hashlib
 import json
 import math
 import re
@@ -195,6 +196,20 @@ class TestCli:
         assert run_cli(*args, "--out", str(p1)).returncode == 0
         assert run_cli(*args, "--out", str(p2)).returncode == 0
         assert p1.read_bytes() == p2.read_bytes()
+
+    # sha256 of the CSV each README scan writes, run as the README writes it
+    @pytest.mark.parametrize("argv, digest", [
+        ("scan --kind g_vs_t --q 0.990049834 --t-min 0 --t-max 0.45 --steps 90",
+         "d202bfa60df001e4e1907485edf551d17a3f4a448621b2257775789baa2390aa"),
+        ("scan --kind phase_boundary --q-min 0.3 --q-max 0.99 --steps 20",
+         "6d53737c9c2001ad479cc55ee767610f69042ae1672c2965922a2e1b480efd72"),
+        ("scan --kind partition --t 0.24 --m-list 20,40,80",
+         "0daadbc199efc8fc2d20ddaab3ffee0ad13d4c5d6374474ad8b00ca0d754084b"),
+    ], ids=["g_vs_t", "phase_boundary", "partition"])
+    def test_readme_scan_digest(self, tmp_path, run_cli, argv, digest):
+        out = tmp_path / "scan.csv"
+        assert run_cli(*argv.split(), "--out", str(out)).returncode == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_scan_scaling_requires_eps_list(self, tmp_path, run_cli):
         res = run_cli("scan", "--kind", "scaling_fn", "--out", str(tmp_path / "x.csv"))

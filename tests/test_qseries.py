@@ -497,10 +497,10 @@ class TestGCfrac:
         assert err.value.last_term > 0.0
 
 
-# sha256 of the lines built by TestCfracGoldenDigest (repr of every value and
-# depth, or the name of the error raised), pinned before the grid's first
-# pairwise level went to closed form and the scalar loop dropped its dead levels
-CFRAC_GOLDEN_DIGEST = "9adb5e82ae5a8082fc31dc3d8af5f368e9443f0cc0b963d53a18e663a9b83f2b"
+# sha256 of the lines built by TestCfracGoldenDigest (repr of every value, or
+# the name of the error raised; not the depth g_cfrac reports), pinned while
+# the continued fraction still doubled its depth until two values agreed
+CFRAC_VALUES_DIGEST = "600e6b80118e9bc5fc44c90710ddbbc241d49874706c211ae590a90da84225ba"
 
 
 class TestCfracGoldenDigest:
@@ -522,8 +522,8 @@ class TestCfracGoldenDigest:
                 values = outcome(lambda: g_cfrac_grid(np.array(ts), s).tolist())
                 lines.append(f"g_cfrac_grid,{eps!r},{values}")
             for t in self.TS:
-                lines.append(f"g_cfrac,{eps!r},{t!r},{outcome(g_cfrac, t, s, True)}")
-        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == CFRAC_GOLDEN_DIGEST
+                lines.append(f"g_cfrac,{eps!r},{t!r},{outcome(g_cfrac, t, s)}")
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == CFRAC_VALUES_DIGEST
 
 
 class TestPoleBoundary:
