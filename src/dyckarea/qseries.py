@@ -11,11 +11,12 @@ through three routes that must agree wherever they overlap:
   the precision one rule, ``_sum_h``, picks; the sums come back as mpmath
   numbers. It is the preferred route for eps = -ln q >= ~1e-3.
 * ``g_cfrac`` evaluates the classical continued fraction
-  1/(1 - t/(1 - tq/(1 - tq^2/...))) bottom-up with tail value 1. All
-  partial numerators are positive for real t, which makes this route
-  unconditionally stable in double precision; it is the reference
-  evaluator for small eps and continues G analytically beyond the pole
-  line t_inf(q).
+  1/(1 - t/(1 - tq/(1 - tq^2/...))) bottom-up with tail value 1, once,
+  through its first dead level: from the first |t q^k| < 2^-54 on no level
+  changes a bit, so the value is the whole chain's. All partial numerators
+  are positive for real t, which makes this route unconditionally stable in
+  double precision; it is the reference evaluator for small eps and
+  continues G analytically beyond the pole line t_inf(q).
 * ``contour_h`` validates the contour-integral representation of H by
   direct quadrature along two rays.
 
@@ -349,6 +350,22 @@ _SWEEP_MIN_OPEN = 1024  # fewer open levels than this go straight to the Python 
 _DEAD = 2.0 ** -54  # a level with |w| below this is dead: 1 - w rounds to 1
 
 
+def _cfrac_depth(ts: list[float], eps: float) -> int:
+    """Levels through the first dead one for every t in ts.
+
+    |t q^k| < 2^-54 once k > ln(|t| 2^54) / eps; three levels more cover the
+    rounding of both power rules, ``np.power`` and ``np.exp(k ln q)``.
+    """
+    for t in ts:
+        if not math.isfinite(t):
+            raise DomainError(f"the continued fraction needs a finite t, got {t!r}")
+    top = max(abs(t) for t in ts)
+    levels = math.log(top / _DEAD) / eps if top else 0.0
+    if not math.isfinite(levels):
+        raise DomainError(f"no finite continued-fraction depth for t up to {top!r}")
+    return max(1, math.ceil(levels) + 3)
+
+
 def _cfrac_settled(weights: np.ndarray) -> tuple[float, int]:
     """Bottom-up value of the levels ``weights`` with tail value 1, and the
     number of levels numpy sweeps settled before the Python loop ran.
@@ -392,13 +409,8 @@ def _cfrac_scalar(t: float, q: float, depth: int) -> tuple[float, int, int]:
     sweeps settled and the levels left to the Python loop."""
     # with g = 1.0 coming in, a level with |w| < 2^-54 gives 1/(1 - w) =
     # 1.0 exactly, so the levels from the first dead one on are skipped
-    # (|w_k| falls with k); the weights are built to just past the estimated
-    # first dead level, or to the full depth if that one is still live
-    reach = (math.log(abs(t)) + 54.0 * math.log(2.0)) / -math.log(q) if t else 0.0
-    built = min(depth, max(math.ceil(reach), 0) + 2)
-    weights = t * np.power(q, np.arange(built))
-    if built < depth and abs(weights[-1]) >= _DEAD:
-        weights = t * np.power(q, np.arange(depth))
+    # (|w_k| falls with k)
+    weights = t * np.power(q, np.arange(depth))
     weights = weights[: _live_levels(weights, 1.0)]
     value, swept = _cfrac_settled(weights)
     return value, swept, weights.size - swept
@@ -427,9 +439,9 @@ def _lone_level(a: float, scaled: bool) -> list[list[float]]:
     return [[0.0, 1.0 / scale], [-a / scale, 1.0 / scale]]
 
 
-def _cfrac_pairwise(ts: list[float], q: float, depth: int) -> tuple[list[float], list[float], int]:
-    """Values of every t at ``depth // 2`` and at ``depth`` from one pairwise
-    product of level matrices, and the number of levels skipped as dead.
+def _cfrac_pairwise(ts: list[float], q: float, depth: int) -> tuple[list[float], int]:
+    """Values of every t at ``depth`` from one pairwise product of level
+    matrices, and the number of levels skipped as dead.
 
     The level maps w -> 1/(1 - t q^k w) are Moebius transforms; composing
     them bottom-up is an ordered matrix product of M(a) = [[0, 1], [-a, 1]]
@@ -447,14 +459,6 @@ def _cfrac_pairwise(ts: list[float], q: float, depth: int) -> tuple[list[float],
     maxima of the four entries. max is exact, so the scales, every division
     and the result are those of the plain pairwise product of the blocks (up
     to the sign of an exact zero entry).
-
-    The running product is kept at the cut ``depth // 2`` too. The chunk
-    that holds the cut gets its part from the tree its first n levels alone
-    would build: that tree shares the complete aligned subtrees of the
-    chunk's own, and only its right spine, one node per level, is multiplied
-    anew with the same identity pad, ``np.matmul`` and max-norm steps. So
-    both values are those of separate evaluations at the two depths, bit for
-    bit.
 
     The tree is built inline, so its arrays stay bound until the next t or
     chunk replaces them. Freed at once, as on return from a helper, glibc's
@@ -479,27 +483,31 @@ def _cfrac_pairwise(ts: list[float], q: float, depth: int) -> tuple[list[float],
     node is D(w), with w the weight of its last level, or M(w) for a chunk's
     odd last level alone. Each tree level is built from its live nodes and
     its first dead one, the only dead node a live one meets. A chunk that
-    holds no cut and is dead from its first level is one product with its
-    root, D(w_last); where that holds for every t, only its two edge powers
-    are computed (``np.exp`` gives them the bits of the full array). A chunk
-    whose last weight is 0 is built whole, as products of zeros give exact
-    zeros of either sign.
+    is dead from its first level is one product with its root, D(w_last);
+    where that holds for every t, only its two edge powers are computed
+    (``np.exp`` gives them the bits of the full array). A chunk whose last
+    weight is 0 is built whole, as products of zeros give exact zeros of
+    either sign.
+
+    Nor do the dead levels move the value, so the chain is evaluated once,
+    through its first dead level. A product P D(w) holds P's row sums,
+    rounded once, in its second column whatever w is, and about w times
+    them in its first, below half an ulp of the second as |w| < 2^-54; so
+    the tail value 1, which adds the columns, rounds w away, and so do
+    later products with dead nodes. The tests check the value at the depth
+    ``_cfrac_depth`` gives against one level and one or two chunks more.
     """
-    cut = depth // 2
     totals = [np.eye(2) for _ in ts]
-    at_cut = list(totals)
     logq = math.log(q)
     skipped = 0
     for start in range(0, depth, _CHUNK):
         count = min(_CHUNK, depth - start)
-        half, n = count // 2, cut - start  # the chunk's first n levels lie above the cut
-        holds_cut = 0 < n < count
+        half = count // 2
         edges = np.exp(np.array([start, start + count - 1]) * logq)
-        dead = [not holds_cut and _live_levels(edges, t) == 0 for t in ts]
+        dead = [_live_levels(edges, t) == 0 for t in ts]
         powers = None if all(dead) else np.exp(np.arange(start, start + count) * logq)
         for i, t in enumerate(ts):
-            # the levels built: the live ones and those above the cut
-            live = 0 if dead[i] else max(_live_levels(powers, t), n if holds_cut else 0)
+            live = 0 if dead[i] else _live_levels(powers, t)
             skipped += count - live
             if live == 0:
                 root = _dead_node(edges[1] * t, count == 1)
@@ -515,24 +523,8 @@ def _cfrac_pairwise(ts: list[float], q: float, depth: int) -> tuple[list[float],
                 mats[:pairs, 1, 1] = one_minus_a / scale
                 if len(mats) > half:
                     mats[half] = _lone_level(powers[-1] * t, count > 1)
-                # nodes of the tree of the first n levels at this level, and
-                # its last node while that is not one of the chunk tree's
-                nodes = (n + 1) // 2 if holds_cut else 0
-                spine = np.array([_lone_level(powers[n - 1] * t, n > 1)]) if nodes and n % 2 else None
                 span = 2  # levels per node
-                while True:
-                    if nodes == 1:
-                        at_cut[i] = np.matmul(totals[i], mats[0] if spine is None else spine[0])
-                        at_cut[i] /= np.abs(at_cut[i]).max()
-                    elif nodes % 2:
-                        spine = np.matmul(mats[nodes - 1 : nodes] if spine is None else spine, np.eye(2)[None])
-                        spine /= np.abs(spine).max()
-                    elif nodes and spine is not None:
-                        spine = np.matmul(mats[nodes - 2 : nodes - 1], spine)
-                        spine /= np.abs(spine).max()
-                    nodes = (nodes + 1) // 2 if nodes > 1 else 0
-                    if width == 1:
-                        break
+                while width > 1:
                     width, built, span = (width + 1) // 2, (built + 1) // 2, 2 * span
                     if len(mats) < 2 * built:
                         mats = np.concatenate([mats, np.eye(2)[None]])
@@ -544,12 +536,10 @@ def _cfrac_pairwise(ts: list[float], q: float, depth: int) -> tuple[list[float],
                     mats /= np.maximum(np.maximum(a[:, 0, 0], a[:, 0, 1]),
                                        np.maximum(a[:, 1, 0], a[:, 1, 1]))[:, None, None]
                 root = mats[0]
-            if n == 0:
-                at_cut[i] = totals[i]
             total = np.matmul(totals[i], root)
             total /= np.abs(total).max()
             totals[i] = total
-    return [_at_tail_one(m) for m in at_cut], [_at_tail_one(m) for m in totals], skipped
+    return [_at_tail_one(m) for m in totals], skipped
 
 
 def _at_tail_one(m: np.ndarray) -> float:
@@ -557,93 +547,51 @@ def _at_tail_one(m: np.ndarray) -> float:
     return float((m[0, 0] + m[0, 1]) / (m[1, 0] + m[1, 1]))
 
 
-def _cfrac_rung(ts: list[float], q: float, depth: int, scalar_limit: int,
-                halves: list[float] | None = None) -> tuple[list[float], list[float]]:
-    """Values of every t at ``depth // 2`` and at ``depth``: a depth up to
-    ``scalar_limit`` runs ``_cfrac_scalar``, a deeper one the pairwise
-    product, which yields both depths in one pass. ``halves``, the values at
-    ``depth // 2`` when the caller already has them, are not evaluated again."""
-    cut = depth // 2
-    scalar_depths = [d for d in (cut, depth) if d <= scalar_limit]
-    known, skipped, swept, looped = halves is not None, 0, 0, 0
-    if len(scalar_depths) < 2:
-        pairwise_halves, values, skipped = _cfrac_pairwise(ts, q, depth)
-        halves = halves if known else pairwise_halves
-    for d in scalar_depths:
-        if d == cut and known:
-            continue
-        runs = [_cfrac_scalar(t, q, d) for t in ts]
-        swept += sum(r[1] for r in runs)
-        looped += sum(r[2] for r in runs)
-        if d == cut:
-            halves = [r[0] for r in runs]
-        else:
-            values = [r[0] for r in runs]
-    _log.debug("cfrac rung: depth %d, path %s, %d levels swept, %d left to the loop, "
-               "%d pairwise levels skipped as dead",
-               depth, ("pairwise", "mixed", "scalar")[len(scalar_depths)], swept, looped, skipped)
-    return halves, values
-
-
-def _cfrac_doubling(ts: list[float], settings: EvalSettings, scalar_limit: int) -> tuple[list[float], int]:
-    """Values of every t in ts at one shared depth, and that depth.
-
-    The depth starts at ln(max(|t|, tol) / (tol / 100)) / eps + 8 levels (at
-    least 64) for the largest |t| and doubles until no value moves by more
-    than tol * max(1, |value|). Each rung evaluates the depth and its half in
-    one pass of ``_cfrac_rung``, scalar up to ``scalar_limit`` levels, and
-    logs its depth, path, sweep counts and dead levels skipped at debug level.
-    A later rung takes its half from the rung before: depth D runs the same
-    path (scalar iff D <= ``scalar_limit``) as the half of 2D and as a depth.
-    """
-    for t in ts:
-        if not math.isfinite(t):
-            raise DomainError(f"the continued fraction needs a finite t, got {t!r}")
-    q, tol = settings.q, settings.tol
-    levels = math.log(max(max(abs(t) for t in ts), tol) / (tol * 1e-2)) / settings.epsilon
-    if not math.isfinite(levels):
-        raise DomainError(f"no finite continued-fraction depth for t up to {max(ts, key=abs)!r}")
-    depth, nxt = max(64, math.ceil(levels) + 8), None
-    for _ in range(24):
-        depth *= 2
-        values, nxt = _cfrac_rung(ts, q, depth, scalar_limit, nxt)
-        diffs = [abs(b - a) for a, b in zip(values, nxt)]
-        if all(d <= tol * max(1.0, abs(b)) for d, b in zip(diffs, nxt)):
-            return nxt, depth
-    raise NonConvergenceError(
-        f"continued fraction failed to stabilise by depth {depth}",
-        last_term=max(diffs),
-    )
-
-
 def g_cfrac(t: float, settings: EvalSettings, full_output: bool = False):
     """G(t, q) from the continued fraction, the small-eps reference route.
 
-    Evaluated bottom-up from depth K with tail value 1, doubling K until two
-    successive evaluations agree within the tolerance. Each rung is one pass
-    that yields the values at K/2 and K, bit-identical to separate
-    evaluations at the two depths. Valid (and stable) beyond the pole line,
-    where the series representations fail.
+    Evaluated once, bottom-up with tail value 1, through the first level with
+    |t q^k| < 2^-54; no deeper level changes a bit (``_cfrac_pairwise``), so
+    the value is the whole chain's, and ``full_output`` adds the number of
+    levels evaluated. The tolerance only picks the path, by the nominal
+    depth 2 max(64, ceil(ln(max(|t|, tol) / (tol / 100)) / eps) + 8): the
+    scalar loop up to ``_SCALAR_DEPTH_LIMIT``, the pairwise product past it,
+    the paths the pinned values were made on. Valid (and stable) beyond the
+    pole line, where the series representations fail; a vanishing
+    denominator or a value that is not finite is a pole error.
     """
     t = float(t)
     if t == 0.0:
         return (1.0, 0) if full_output else 1.0
-    [value], depth = _cfrac_doubling([t], settings, _SCALAR_DEPTH_LIMIT)
+    q, tol, eps = settings.q, settings.tol, settings.epsilon
+    depth = _cfrac_depth([t], eps)
+    levels = math.log(max(abs(t), tol) / (tol * 1e-2)) / eps
+    try:
+        if levels <= _SCALAR_DEPTH_LIMIT // 2 - 8:  # 2 max(64, ceil(levels) + 8) <= the limit
+            value, swept, looped = _cfrac_scalar(t, q, depth)
+            path = f"scalar, {swept} levels swept, {looped} left to the loop"
+        else:
+            [value], skipped = _cfrac_pairwise([t], q, depth)
+            path = f"pairwise, {skipped} levels skipped as dead"
+    except ZeroDivisionError:
+        raise PoleProximityError(f"a continued-fraction denominator vanishes at t = {t!r}") from None
+    _log.debug("cfrac: depth %d, path %s", depth, path)
+    if not math.isfinite(value):
+        raise PoleProximityError(f"the continued fraction at t = {t!r} is {value!r}")
     return (value, depth) if full_output else value
 
 
 def g_cfrac_grid(ts: np.ndarray, settings: EvalSettings) -> np.ndarray:
-    """Continued-fraction values on a grid of t at one shared depth.
-
-    Every depth, shallow ones too, goes through the pairwise product, so the
-    values can differ from ``g_cfrac`` in the last bits. Each rung is one
-    pass over the chunks for all t that yields the values at K/2 and K,
-    bit-identical to separate evaluations at the two depths.
-    """
+    """Continued-fraction values on a grid of t, evaluated once, through the
+    first dead level of the largest |t|, by the pairwise product at every
+    depth, so they can differ from ``g_cfrac`` in the last bits."""
     ts = np.asarray(ts, dtype=float).tolist()
     if not ts:
         return np.array([], dtype=float)
-    values, _ = _cfrac_doubling(ts, settings, 0)
+    depth = _cfrac_depth(ts, settings.epsilon)
+    values, skipped = _cfrac_pairwise(ts, settings.q, depth)
+    _log.debug("cfrac grid of %d t: depth %d, path pairwise, %d levels skipped as dead",
+               len(ts), depth, skipped)
     return np.array(values)
 
 

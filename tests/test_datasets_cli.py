@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from dyckarea import cli
+from dyckarea import cli, qseries
 from dyckarea.datasets import (
     ScanDataset,
     scan_g_vs_t,
@@ -19,7 +19,7 @@ from dyckarea.datasets import (
     scan_scaling_fn,
     write_dataset,
 )
-from dyckarea.errors import DomainError
+from dyckarea.errors import DomainError, PoleProximityError
 from dyckarea.qseries import EvalSettings, g_ratio
 
 
@@ -122,7 +122,7 @@ class TestCli:
         assert res.returncode == 0
         assert float(res.stdout.splitlines()[0]) == pytest.approx(1.2879385149528385, abs=1e-10)
         assert "method=cfrac" in res.stdout
-        assert res.stderr == ""  # the rung's debug log goes nowhere by default
+        assert res.stderr == ""  # the evaluation's debug log goes nowhere by default
 
     def test_eval_ratio_origin(self, run_cli):
         res = run_cli("eval", "--t", "0", "--q", "0.5", "--method", "ratio")
@@ -210,6 +210,32 @@ class TestCli:
         out = tmp_path / "scan.csv"
         assert run_cli(*argv.split(), "--out", str(out)).returncode == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("breakdown", ["zero_division", "inf"])
+    def test_cfrac_breakdown(self, monkeypatch, tmp_path, run_cli, breakdown):
+        # the scalar loop breaks down at t = 0.2 alone, by a vanishing
+        # denominator or an infinite value: g_cfrac raises a pole error, the
+        # scan writes NaN in that row and eval exits with the domain code
+        real = qseries._cfrac_scalar
+
+        def scalar(t, q, depth):
+            if abs(t - 0.2) > 1e-12:
+                return real(t, q, depth)
+            if breakdown == "zero_division":
+                raise ZeroDivisionError("float division by zero")
+            return math.inf, 0, 0
+
+        monkeypatch.setattr(qseries, "_cfrac_scalar", scalar)
+        with pytest.raises(PoleProximityError):
+            qseries.g_cfrac(0.2, EvalSettings(q=0.9))
+        out = tmp_path / "g.csv"
+        assert run_cli("scan", "--kind", "g_vs_t", "--q", "0.9", "--t-min", "0", "--t-max", "0.4",
+                       "--steps", "3", "--out", str(out)).returncode == 0
+        g_cfrac = [float(row.split(",")[1]) for row in out.read_text().splitlines()[1:]]
+        assert math.isfinite(g_cfrac[0]) and math.isnan(g_cfrac[1]) and math.isfinite(g_cfrac[2])
+        res = run_cli("eval", "--t", "0.2", "--q", "0.9", "--method", "cfrac")
+        assert res.returncode == 2
+        assert res.stderr.startswith("domain error:")
 
     def test_scan_scaling_requires_eps_list(self, tmp_path, run_cli):
         res = run_cli("scan", "--kind", "scaling_fn", "--out", str(tmp_path / "x.csv"))

@@ -394,7 +394,7 @@ class TestGCfrac:
     def test_frozen_value(self):
         value, depth = g_cfrac(0.2, EvalSettings(q=0.5), full_output=True)
         assert value == pytest.approx(G_02_05, abs=1e-12)
-        assert depth >= 64
+        assert abs(0.2 * 0.5 ** (depth - 1)) < 2.0 ** -54  # the last level evaluated is dead
 
     def test_beyond_pole_line(self):
         # converges past t_inf(0.5) = 0.624 where the series C route fails
@@ -447,54 +447,31 @@ class TestGCfrac:
         assert value == pytest.approx(closed, abs=1e-4)
         assert value < closed  # area weight q < 1 suppresses every term
 
-    @pytest.mark.parametrize("eps, path", [(1e-3, "scalar"), (2e-4, "mixed"), (5e-5, "pairwise")])
-    def test_each_rung_logged(self, caplog, eps, path):
+    # g_cfrac(0.25) takes the scalar loop at eps = 1e-3 and the pairwise
+    # product at the smaller eps; the grid takes the pairwise product
+    @pytest.mark.parametrize("eps, path", [(1e-3, "scalar"), (2e-4, "pairwise"), (5e-5, "pairwise")])
+    def test_each_evaluation_logged(self, caplog, eps, path):
         settings = EvalSettings(q=math.exp(-eps))
         with caplog.at_level(logging.DEBUG, logger="dyckarea"):
             _, depth = g_cfrac(0.25, settings, full_output=True)
             g_cfrac_grid(np.array([0.1, 0.25]), settings)
-        rungs = [rec.getMessage() for rec in caplog.records if rec.getMessage().startswith("cfrac rung")]
-        assert len(rungs) == 2  # the first rung settles both
-        assert f"depth {depth}, path {path}," in rungs[0]
-        assert f"depth {depth}, path pairwise, 0 levels swept, 0 left to the loop" in rungs[1]
-        swept, looped = map(int, re.search(r"(\d+) levels swept, (\d+) left", rungs[0]).groups())
-        assert (swept > looped > 0) if path != "pairwise" else (swept == looped == 0)
-        # the pairwise depth skips every level from the first with |t q^k| <
-        # 2^-54 on (the cut lies above it), the scalar rung none
-        skipped = [int(re.search(r"(\d+) pairwise levels skipped as dead", r).group(1)) for r in rungs]
+        lines = [rec.getMessage() for rec in caplog.records if rec.getMessage().startswith("cfrac")]
+        assert len(lines) == 2
+        assert f"depth {depth}, path {path}," in lines[0]
+        assert f"of 2 t: depth {depth}, path pairwise," in lines[1]
+        if path == "scalar":
+            swept, looped = map(int, re.search(r"(\d+) levels swept, (\d+) left", lines[0]).groups())
+            assert swept > looped > 0
+        # the pairwise product skips every level from the first with |t q^k| < 2^-54 on
+        skipped = [int(m.group(1)) for r in lines if (m := re.search(r"(\d+) levels skipped as dead", r))]
         powers = np.exp(np.arange(depth) * math.log(settings.q))
         dead = {t: int(np.count_nonzero(np.abs(powers * t) < 2.0 ** -54)) for t in (0.1, 0.25)}
-        assert 0 < dead[0.25] < dead[0.1] < depth // 2
-        assert skipped == [0 if path == "scalar" else dead[0.25], dead[0.1] + dead[0.25]]
-
-    def test_second_rung_takes_its_half_from_the_first(self, monkeypatch):
-        # chains shallower than 4000 levels are off by 1e-6, so the first rung
-        # (depths 3093 and 6186) does not settle; the second evaluates only
-        # its depth and takes depth 6186 from the first
-        q, real, depths = math.exp(-1e-2), qseries._cfrac_scalar, []
-
-        def spy(t, q, depth):
-            depths.append(depth)
-            value, swept, looped = real(t, q, depth)
-            return value + (1e-6 if depth < 4000 else 0.0), swept, looped
-
-        monkeypatch.setattr(qseries, "_cfrac_scalar", spy)
-        value, depth = g_cfrac(0.25, EvalSettings(q=q), full_output=True)
-        assert depths == [3093, 6186, 12372] and depth == 12372
-        assert _bits(value) == _bits(_untrimmed_scalar_reference(0.25, q, depth))
+        assert 0 < dead[0.25] < dead[0.1]
+        assert skipped == ([] if path == "scalar" else [dead[0.25]]) + [dead[0.1] + dead[0.25]]
 
     def test_empty_grid(self):
         values = g_cfrac_grid(np.array([]), EvalSettings(q=0.5))
         assert values.dtype == np.float64 and values.shape == (0,)
-
-    def test_non_convergence_reports_last_difference(self, monkeypatch):
-        # a fixed-depth value that never settles: the error carries the
-        # last difference between successive depths, not zero
-        monkeypatch.setattr(qseries, "_cfrac_rung", lambda ts, q, depth, scalar_limit, halves: (
-            [float(depth // 2)] * len(ts), [float(depth)] * len(ts)))
-        with pytest.raises(NonConvergenceError) as err:
-            g_cfrac(0.2, EvalSettings(q=0.5))
-        assert err.value.last_term > 0.0
 
 
 # sha256 of the lines built by TestCfracGoldenDigest (repr of every value, or
@@ -514,9 +491,9 @@ class TestCfracGoldenDigest:
         for q in (0.5, math.exp(-1e-4)):  # q^k underflows to 0 at q = 0.5
             for depth in self.DEPTHS:
                 for ts in [(t,) for t in self.TS] + [self.TS[1:]]:
-                    _, values, _ = qseries._cfrac_pairwise(list(ts), q, depth)
+                    values, _ = qseries._cfrac_pairwise(list(ts), q, depth)
                     lines.append(f"grid,{q!r},{depth},{values!r}")
-        for eps in (0.5, 1e-3, 2e-4):  # at 2e-4 the doubling goes from the scalar loop to the pairwise kernel
+        for eps in (0.5, 1e-3, 2e-4):  # at 2e-4 g_cfrac takes the pairwise kernel
             s = EvalSettings(q=math.exp(-eps))
             for ts in (self.TS[:6], self.TS[6:]):
                 values = outcome(lambda: g_cfrac_grid(np.array(ts), s).tolist())
@@ -720,29 +697,27 @@ def _level_product_reference(t, q, depth):
 
 
 def _assert_level_products(ts, q, depth):
-    """The pairwise kernel's level products at the cut and at the depth equal
-    the reference's entry for entry (exact zeros of either sign): the dead
-    nodes' tiny entries, which the values round away, are checked here."""
+    """The pairwise kernel's level products equal the reference's entry for
+    entry (exact zeros of either sign): the dead nodes' tiny entries, which
+    the values round away, are checked here."""
     seen = []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(qseries, "_at_tail_one", lambda m: seen.append(m) or 0.0)
         qseries._cfrac_pairwise(ts, q, depth)
-    for got, d in ((seen[: len(ts)], depth // 2), (seen[len(ts) :], depth)):
-        for m, t in zip(got, ts):
-            assert np.array_equal(m, _level_product_reference(t, q, d)), (t, q, d)
+    for m, t in zip(seen, ts):
+        assert np.array_equal(m, _level_product_reference(t, q, depth)), (t, q, depth)
 
 
 class TestCfracBitwise:
     """The pairwise kernel (closed-form first level, elementwise max-norms,
-    the cut taken from the chunk's own tree) and the scalar loop (skipped dead
-    levels, numpy sweeps) change no bit of the fixed-depth values: each rung
-    matches the grid as first written and the untrimmed loop at both of its
-    depths."""
+    skipped dead levels) and the scalar loop (skipped dead levels, numpy
+    sweeps) change no bit of the fixed-depth values: each matches the grid
+    as first written or the untrimmed loop. And no level past the first dead
+    one changes a bit of either, which lets each evaluation stop there."""
 
-    # cuts at 0, 1, 2, odd cuts, _CHUNK - 1, _CHUNK, _CHUNK + 1, a cut in a
-    # whole chunk while the depth ends one level into the next, and even cuts
-    # whose tree has an odd number of whole nodes on some level (6: 3 pairs;
-    # 40 000: 625 nodes of 64 levels)
+    # depths 0, 1, 2, odd depths, _CHUNK - 1, _CHUNK, _CHUNK + 1, a depth one
+    # level into a chunk, and depths whose tree has an odd number of whole
+    # nodes on some level (6: 3 pairs; 40 000: 625 nodes of 64 levels)
     @pytest.mark.parametrize("depth", [1, 2, 3, 4, 5, 12, 65, 131, 65537, 65538,
                                        80000, 131070, 131072, 131074, 131075])
     @pytest.mark.parametrize("q", [0.5, math.exp(-1e-5)])  # weights underflow / stay above 1 past a chunk
@@ -750,8 +725,7 @@ class TestCfracBitwise:
         rng = np.random.default_rng(depth)
         tiny = np.concatenate([[0.0, 20.0, -20.0], rng.uniform(-1.0, 1.0, 3) * 1e-9])
         for ts in [rng.uniform(-20.0, 20.0, nt) for nt in (1, 3, 6)] + [tiny]:
-            halves, values, _ = qseries._cfrac_pairwise(ts.tolist(), q, depth)
-            assert _bits(halves) == _bits(_pairwise_grid_reference(ts, q, depth // 2)), ts
+            values, _ = qseries._cfrac_pairwise(ts.tolist(), q, depth)
             assert _bits(values) == _bits(_pairwise_grid_reference(ts, q, depth)), ts
 
     @hypothesis.settings(max_examples=60, deadline=None)
@@ -762,14 +736,12 @@ class TestCfracBitwise:
     )
     def test_any_cut_matches_pairwise_matmul(self, ts, log_eps, depth):
         q = math.exp(-math.exp(log_eps))
-        halves, values, _ = qseries._cfrac_pairwise(ts, q, depth)
-        assert _bits(halves) == _bits(_pairwise_grid_reference(ts, q, depth // 2))
+        values, _ = qseries._cfrac_pairwise(ts, q, depth)
         assert _bits(values) == _bits(_pairwise_grid_reference(ts, q, depth))
 
     # the live/dead boundary mid-chunk (|t q^k| < 2^-54 from about level
-    # (ln|t| + 37.4) / eps on), depths of 2-4 chunks with the cut in the dead
-    # region, an odd last chunk whose single level is dead (2 * _CHUNK + 1),
-    # the cut and the boundary in one chunk (100 001 at eps = 1e-3), and the
+    # (ln|t| + 37.4) / eps on), depths of 2-4 chunks with whole dead chunks,
+    # an odd last chunk whose single level is dead (2 * _CHUNK + 1), and the
     # boundary in the second chunk (eps = 3e-4)
     @pytest.mark.parametrize("eps, depth", [
         (1e-3, 2 * qseries._CHUNK + 1), (1e-3, 100_001), (1e-3, 3 * qseries._CHUNK + 2),
@@ -777,8 +749,7 @@ class TestCfracBitwise:
     def test_dead_levels_across_chunks(self, eps, depth):
         q = math.exp(-eps)
         for ts in ([0.25], [-20.0, 0.263, 20.0], [1e-300, -3.0]):
-            halves, values, _ = qseries._cfrac_pairwise(ts, q, depth)
-            assert _bits(halves) == _bits(_pairwise_grid_reference(ts, q, depth // 2)), ts
+            values, _ = qseries._cfrac_pairwise(ts, q, depth)
             assert _bits(values) == _bits(_pairwise_grid_reference(ts, q, depth)), ts
             _assert_level_products(ts, q, depth)
 
@@ -807,7 +778,7 @@ class TestCfracBitwise:
     # level k of the pairwise kernel (weights exp(k ln q) t) or the scalar
     # loop (np.power(q, k) t) at 2^-54 exactly and one ulp either side;
     # k = 1000 opens a pair of levels, k = 1001 closes one; at depth 70 001
-    # the cut lies past the boundary and chunk 1 is dead
+    # chunk 1 is dead
     @pytest.mark.parametrize("w", [np.nextafter(2.0 ** -54, 0.0), 2.0 ** -54, np.nextafter(2.0 ** -54, 1.0)])
     @pytest.mark.parametrize("k", [1000, 1001])
     @pytest.mark.parametrize("sign", [1.0, -1.0])
@@ -815,13 +786,45 @@ class TestCfracBitwise:
         q = math.exp(-1e-2)
         for depth in (k + 500, 70_001):
             t = sign * self._t_with_weight(np.exp(np.arange(depth) * math.log(q))[k], w)
-            halves, values, skipped = qseries._cfrac_pairwise([t], q, depth)
-            assert _bits(halves) == _bits(_pairwise_grid_reference([t], q, depth // 2))
+            values, skipped = qseries._cfrac_pairwise([t], q, depth)
             assert _bits(values) == _bits(_pairwise_grid_reference([t], q, depth))
-            if depth // 2 < k:  # level k is the first dead one or the last live one
-                assert skipped == depth - k - (w >= 2.0 ** -54)
+            assert skipped == depth - k - (w >= 2.0 ** -54)  # level k is the first dead one or the last live one
             t = sign * self._t_with_weight(np.power(q, np.arange(depth))[k], w)
-            self._assert_scalar_rung(t, q, depth)
+            self._assert_scalar_loop(t, q, depth)
+
+    @staticmethod
+    def _t_beside_threshold(power, live):
+        """The t > 0 whose weight power * t lies next to 2^-54: the smallest
+        above it (live) or the largest below it (dead)."""
+        t, dead = 2.0 ** -54 / power, lambda x: power * x < 2.0 ** -54
+        while dead(t) != (not live):
+            t = np.nextafter(t, math.inf if live else 0.0)
+        while dead(nxt := np.nextafter(t, 0.0 if live else math.inf)) == (not live):
+            t = nxt
+        return float(t)
+
+    # the lemma each evaluation rests on: on either path, with the weight of
+    # some level next to 2^-54 on either side, the value at the depth
+    # _cfrac_depth gives keeps its bits one level deeper, across the next
+    # chunk edge and two chunks deeper
+    @hypothesis.settings(max_examples=40)
+    @hypothesis.given(
+        t=st.floats(-20.0, 20.0).filter(lambda t: abs(t) >= 1e-3),
+        log_eps=st.floats(math.log(1e-3), math.log(3.0)),
+        live=st.booleans(),
+    )
+    def test_dead_levels_change_no_bit(self, t, log_eps, live):
+        q = math.exp(-math.exp(log_eps))
+        k = math.floor(math.log(abs(t) * 2.0 ** 54) / -math.log(q))  # |t q^k| >= 2^-54 about here
+        rules = {"scalar": (np.power(q, k), lambda t, d: qseries._cfrac_scalar(t, q, d)[0]),
+                 "pairwise": (np.exp(k * math.log(q)), lambda t, d: qseries._cfrac_pairwise([t], q, d)[0][0])}
+        for name, (power, evaluate) in rules.items():
+            t_k = math.copysign(self._t_beside_threshold(power, live), t)
+            depth = qseries._cfrac_depth([t_k], -math.log(q))
+            assert depth > k + live
+            chunk_edge = (depth // qseries._CHUNK + 1) * qseries._CHUNK + 1
+            values = [evaluate(t_k, d) for d in (depth, depth + 1, chunk_edge, depth + 2 * qseries._CHUNK)]
+            assert len(set(_bits(values))) == 1, (name, t_k, q, depth)
 
     # a t dead from level 0 next to a live one: a chunk's np.exp is skipped
     # only where every t is dead (chunk 0 is live for 0.25, chunks 1 and the
@@ -829,7 +832,7 @@ class TestCfracBitwise:
     @pytest.mark.parametrize("ts, full_chunks", [([1e-20], 0), ([1e-20, 0.25], 1), ([0.25, -1e-20], 1)])
     def test_chunk_powers_only_where_some_t_lives(self, monkeypatch, ts, full_chunks):
         q, depth = math.exp(-1e-3), 2 * qseries._CHUNK + 1
-        expected = [_pairwise_grid_reference(ts, q, d) for d in (depth // 2, depth)]
+        expected = _pairwise_grid_reference(ts, q, depth)
         real_exp, sizes = np.exp, []
 
         def spy(x, *args, **kwargs):
@@ -837,9 +840,9 @@ class TestCfracBitwise:
             return real_exp(x, *args, **kwargs)
 
         monkeypatch.setattr(np, "exp", spy)
-        halves, values, skipped = qseries._cfrac_pairwise(ts, q, depth)
+        values, skipped = qseries._cfrac_pairwise(ts, q, depth)
         monkeypatch.undo()
-        assert _bits(halves) == _bits(expected[0]) and _bits(values) == _bits(expected[1])
+        assert _bits(values) == _bits(expected)
         assert sorted(sizes) == [2] * 3 + [qseries._CHUNK] * full_chunks
         assert skipped > len(ts) * (depth - qseries._CHUNK)
 
@@ -875,34 +878,39 @@ class TestCfracBitwise:
     )
     def test_deep_rung_matches_pairwise_matmul(self, ts, log_eps, depth):
         q = math.exp(-math.exp(log_eps))
-        halves, values, _ = qseries._cfrac_pairwise(ts, q, depth)
-        assert _bits(halves) == _bits(_pairwise_grid_reference(ts, q, depth // 2))
+        values, _ = qseries._cfrac_pairwise(ts, q, depth)
         assert _bits(values) == _bits(_pairwise_grid_reference(ts, q, depth))
 
-    # scalar at both depths, the mixed rung (scalar half, pairwise depth) and
-    # pairwise at both depths
-    @pytest.mark.parametrize("offset", [0, 1, qseries._SCALAR_DEPTH_LIMIT, qseries._SCALAR_DEPTH_LIMIT + 2])
-    def test_rung_across_scalar_limit(self, offset):
-        depth, q, ts = qseries._SCALAR_DEPTH_LIMIT + offset, math.exp(-1e-5), [0.263, -3.0]
-        halves, values = qseries._cfrac_rung(ts, q, depth, qseries._SCALAR_DEPTH_LIMIT)
-        for got, d in ((halves, depth // 2), (values, depth)):
-            if d <= qseries._SCALAR_DEPTH_LIMIT:
-                expected = [_untrimmed_scalar_reference(t, q, d) for t in ts]
+    # the path follows the nominal depth 2 max(64, ceil(ln(max(|t|, tol) /
+    # (tol / 100)) / eps) + 8): the scalar loop up to _SCALAR_DEPTH_LIMIT,
+    # the pairwise product past it
+    @pytest.mark.parametrize("nominal", [qseries._SCALAR_DEPTH_LIMIT, qseries._SCALAR_DEPTH_LIMIT + 2])
+    def test_path_across_scalar_limit(self, caplog, nominal):
+        for t in (0.263, -3.0):
+            eps = math.log(abs(t) / 1e-14) / (nominal // 2 - 8.5)
+            settings = EvalSettings(q=math.exp(-eps))
+            assert 2 * (math.ceil(math.log(abs(t) / 1e-14) / settings.epsilon) + 8) == nominal
+            with caplog.at_level(logging.DEBUG, logger="dyckarea"):
+                value, depth = g_cfrac(t, settings, full_output=True)
+            if nominal <= qseries._SCALAR_DEPTH_LIMIT:
+                path, expected = "scalar", _untrimmed_scalar_reference(t, settings.q, depth)
             else:
-                expected = _pairwise_grid_reference(ts, q, d)
-            assert _bits(got) == _bits(expected), d
+                path, expected = "pairwise", _pairwise_grid_reference([t], settings.q, depth)[0]
+            assert f"depth {depth}, path {path}," in caplog.records[-1].getMessage()
+            assert _bits(value) == _bits(expected), t
 
     @staticmethod
-    def _assert_scalar_rung(t, q, depth):
-        halves, values = qseries._cfrac_rung([t], q, depth, qseries._SCALAR_DEPTH_LIMIT)
-        assert _bits(halves) == _bits([_untrimmed_scalar_reference(t, q, depth // 2)]), (t, q, depth)
-        assert _bits(values) == _bits([_untrimmed_scalar_reference(t, q, depth)]), (t, q, depth)
+    def _assert_scalar_loop(t, q, depth):
+        # the same bits, or the same error where a denominator vanishes (t = 1 at depth 1)
+        outcome = TestGoldenDigest._outcome
+        got = outcome(lambda: _bits(qseries._cfrac_scalar(t, q, depth)[0]))
+        assert got == outcome(lambda: _bits(_untrimmed_scalar_reference(t, q, depth))), (t, q, depth)
 
     @pytest.mark.parametrize("t", [2.0 ** -54, 2.0 ** -54 * (1 - 2.0 ** -53), 2.0 ** -53, 1e-3, 0.263, 20.0])
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_trimmed_loop_at_the_cut(self, t, sign):
         for q, depth in ((0.5, 200), (0.9, 5000), (math.exp(-1e-3), 200_000)):
-            self._assert_scalar_rung(sign * t, q, depth)
+            self._assert_scalar_loop(sign * t, q, depth)
 
     # t past the pole line too; below eps ~ 0.03 a chain of a few thousand
     # levels is live, so the sweeps run on both sides of their 1024-level stop
@@ -913,7 +921,7 @@ class TestCfracBitwise:
         depth=st.integers(1, 6000),
     )
     def test_trimmed_loop_matches_untrimmed(self, t, log_eps, depth):
-        self._assert_scalar_rung(t, math.exp(-math.exp(log_eps)), depth)
+        self._assert_scalar_loop(t, math.exp(-math.exp(log_eps)), depth)
 
     def test_sweeps_settle_most_levels(self):
         # the sweeps do the work at a typical scalar depth, with the loop's bits
