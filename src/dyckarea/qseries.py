@@ -566,15 +566,15 @@ def g_cfrac(t: float, settings: EvalSettings, full_output: bool = False):
     q, tol, eps = settings.q, settings.tol, settings.epsilon
     depth = _cfrac_depth([t], eps)
     levels = math.log(max(abs(t), tol) / (tol * 1e-2)) / eps
-    try:
-        if levels <= _SCALAR_DEPTH_LIMIT // 2 - 8:  # 2 max(64, ceil(levels) + 8) <= the limit
+    if levels <= _SCALAR_DEPTH_LIMIT // 2 - 8:  # 2 max(64, ceil(levels) + 8) <= the limit
+        try:
             value, swept, looped = _cfrac_scalar(t, q, depth)
-            path = f"scalar, {swept} levels swept, {looped} left to the loop"
-        else:
-            [value], skipped = _cfrac_pairwise([t], q, depth)
-            path = f"pairwise, {skipped} levels skipped as dead"
-    except ZeroDivisionError:
-        raise PoleProximityError(f"a continued-fraction denominator vanishes at t = {t!r}") from None
+        except ZeroDivisionError:
+            raise PoleProximityError(f"a continued-fraction denominator vanishes at t = {t!r}") from None
+        path = f"scalar, {swept} levels swept, {looped} left to the loop"
+    else:
+        [value], skipped = _cfrac_pairwise([t], q, depth)
+        path = f"pairwise, {skipped} levels skipped as dead"
     _log.debug("cfrac: depth %d, path %s", depth, path)
     if not math.isfinite(value):
         raise PoleProximityError(f"the continued fraction at t = {t!r} is {value!r}")

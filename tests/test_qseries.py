@@ -715,9 +715,10 @@ class TestCfracBitwise:
     as first written or the untrimmed loop. And no level past the first dead
     one changes a bit of either, which lets each evaluation stop there."""
 
-    # depths 0, 1, 2, odd depths, _CHUNK - 1, _CHUNK, _CHUNK + 1, a depth one
-    # level into a chunk, and depths whose tree has an odd number of whole
-    # nodes on some level (6: 3 pairs; 40 000: 625 nodes of 64 levels)
+    # depths 1 to 5 and other odd depths, one and two levels into a chunk,
+    # two whole chunks and either side, and depths whose tree has an odd
+    # number of whole nodes on some level (12: 3 nodes of 4 levels; 80 000:
+    # chunk 1 holds 14 464 levels, 113 nodes of 128)
     @pytest.mark.parametrize("depth", [1, 2, 3, 4, 5, 12, 65, 131, 65537, 65538,
                                        80000, 131070, 131072, 131074, 131075])
     @pytest.mark.parametrize("q", [0.5, math.exp(-1e-5)])  # weights underflow / stay above 1 past a chunk
