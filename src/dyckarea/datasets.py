@@ -148,7 +148,8 @@ def scan_scaling_fn(eps_list: list[float], s_min: float, s_max: float, steps: in
 
     Per eps the scan stores the reconstruction (G/2 - 1)(1-q)^(-1/3) once
     from the exact continued fraction and once from the uniform Airy form,
-    evaluated at t(s, eps).
+    evaluated at t(s, eps). The uniform column is NaN where t(s, eps) lies
+    outside (0, 1/2) or at a pole of the uniform form.
     """
     if steps < 2:
         raise DomainError("steps must be >= 2")
@@ -168,6 +169,9 @@ def scan_scaling_fn(eps_list: list[float], s_min: float, s_max: float, steps: in
         rec_cfrac = ((g_exact / 2.0) - 1.0) / omq ** (1.0 / 3.0)
         rec_unif = []
         for t in ts:
+            if not (0.0 < t < 0.5):
+                rec_unif.append(math.nan)
+                continue
             try:
                 rec_unif.append((g_uniform(float(t), q) / 2.0 - 1.0) / omq ** (1.0 / 3.0))
             except PoleProximityError:
@@ -190,7 +194,8 @@ def scan_partition(t: float, m_values: list[int], n_max: int | None = None,
     """Exact fixed-area series against the finite-size asymptotic form.
 
     The table runs to n_max (default 2 max(m), the least that fixes every
-    Q_m exactly; see ``partition_series``).
+    Q_m exactly; see ``partition_series``). Q_asymptotic is NaN for m < 10,
+    where the finite-size form is not defined.
     """
     if not m_values:
         raise DomainError("m_values must be nonempty")
@@ -206,7 +211,8 @@ def scan_partition(t: float, m_values: list[int], n_max: int | None = None,
         columns={"m": list(m_values),
                  "s": [(1.0 - 4.0 * t) * m ** (2.0 / 3.0) for m in m_values],
                  "Q_exact": exact,
-                 "Q_asymptotic": [q_m_asymptotic(m, t, j_max=j_max) for m in m_values],
+                 "Q_asymptotic": [q_m_asymptotic(m, t, j_max=j_max) if m >= 10 else math.nan
+                                  for m in m_values],
                  "tail_estimate": [0.0] * len(m_values)},
         metadata=_metadata("partition", stamp, t=t, n_max=n_max, j_max=j_max,
                            methods=["table_series", "finite_size_phi"]),

@@ -26,7 +26,6 @@ ln (z; q)_inf against a rigorous remainder bound.
 
 from __future__ import annotations
 
-import bisect
 import cmath
 import logging
 import math
@@ -405,31 +404,10 @@ def _cfrac_settled(weights: np.ndarray) -> tuple[float, int]:
 
 
 def _cfrac_scalar(t: float, q: float, depth: int) -> tuple[float, int, int]:
-    """Bottom-up value at a fixed depth with tail value 1, the levels the
-    sweeps settled and the levels left to the Python loop."""
-    # with g = 1.0 coming in, a level with |w| < 2^-54 gives 1/(1 - w) =
-    # 1.0 exactly, so the levels from the first dead one on are skipped
-    # (|w_k| falls with k)
-    weights = t * np.power(q, np.arange(depth))
-    weights = weights[: _live_levels(weights, 1.0)]
-    value, swept = _cfrac_settled(weights)
-    return value, swept, weights.size - swept
-
-
-def _live_levels(powers: np.ndarray, t: float) -> int:
-    """Levels before the first dead one, 0 < |t q^k| < 2^-54, in a run of
-    powers q^k; all of them if the last weight is 0, whose exact zero entries
-    the matmul may give either sign. It bisects on Python floats, 3-8 us a
-    call where numpy scalars took 12-24 us (2-core x86-64 VM)."""
-    if powers.size and powers[-1] * t == 0.0:
-        return powers.size
-    return bisect.bisect_left(range(len(powers)), True, key=lambda k: abs(powers.item(k) * t) < _DEAD)
-
-
-def _dead_node(w: float, lone: bool) -> list[list[float]]:
-    """The product of a run of dead levels that ends in weight w: D(w) =
-    [[-w, 1], [-w, 1]], or M(w) when the run is a chunk's odd last level."""
-    return _lone_level(w, False) if lone else [[-w, 1.0], [-w, 1.0]]
+    """Bottom-up value of every level to ``depth`` with tail value 1, the
+    levels the sweeps settled and the levels left to the Python loop."""
+    value, swept = _cfrac_settled(t * np.power(q, np.arange(depth)))
+    return value, swept, depth - swept
 
 
 def _lone_level(a: float, scaled: bool) -> list[list[float]]:
@@ -439,9 +417,9 @@ def _lone_level(a: float, scaled: bool) -> list[list[float]]:
     return [[0.0, 1.0 / scale], [-a / scale, 1.0 / scale]]
 
 
-def _cfrac_pairwise(ts: list[float], q: float, depth: int) -> tuple[list[float], int]:
+def _cfrac_pairwise(ts: list[float], q: float, depth: int) -> list[float]:
     """Values of every t at ``depth`` from one pairwise product of level
-    matrices, and the number of levels skipped as dead.
+    matrices.
 
     The level maps w -> 1/(1 - t q^k w) are Moebius transforms; composing
     them bottom-up is an ordered matrix product of M(a) = [[0, 1], [-a, 1]]
@@ -472,74 +450,43 @@ def _cfrac_pairwise(ts: list[float], q: float, depth: int) -> tuple[list[float],
     12 003. So these bits, and the tests' golden digest, depend on the BLAS
     kernel.
 
-    Dead levels are not multiplied. A level is dead if 0 < |w| < 2^-54, and
-    |w| = |t| q^k falls with k (consecutive powers differ by far more than
-    the error of ``np.exp``), so the dead levels of a chunk are a suffix. A
-    pair of dead levels is exactly D(b) = [[-b, 1], [-b, 1]] in the closed
-    form: 1 - a rounds to 1 and the scale is 1. Then, under any rounding
-    order, fma or not, D(b) D(d) = D(d), because |b d| < ulp(d) / 2, and
-    D(b) M(a) = D(a), because 1 - b rounds to 1; M I = M, and each max-norm
-    is 1. So on every tree level the dead nodes are a suffix, and a dead
-    node is D(w), with w the weight of its last level, or M(w) for a chunk's
-    odd last level alone. Each tree level is built from its live nodes and
-    its first dead one, the only dead node a live one meets. A chunk that
-    is dead from its first level is one product with its root, D(w_last);
-    where that holds for every t, only its two edge powers are computed
-    (``np.exp`` gives them the bits of the full array). A chunk whose last
-    weight is 0 is built whole, as products of zeros give exact zeros of
-    either sign.
-
-    Nor do the dead levels move the value, so the chain is evaluated once,
-    through its first dead level. A product P D(w) holds P's row sums,
-    rounded once, in its second column whatever w is, and about w times
-    them in its first, below half an ulp of the second as |w| < 2^-54; so
-    the tail value 1, which adds the columns, rounds w away, and so do
-    later products with dead nodes. The tests check the value at the depth
-    ``_cfrac_depth`` gives against one level and one or two chunks more.
+    No level past the first dead one, 0 < |w| < 2^-54, moves the value, so
+    the chain is evaluated once, through that level. A pair of dead levels
+    is D(b) = [[-b, 1], [-b, 1]] in the closed form, with scale 1, and under
+    any rounding order, fma or not, D(b) D(d) = D(d), as |b d| < ulp(d) / 2,
+    and D(b) M(a) = D(a), as 1 - b rounds to 1. A product P D(w) holds P's
+    row sums, rounded once, in its second column whatever w is, and about w
+    times them in its first, below half an ulp of the second; so the tail
+    value 1, which adds the columns, rounds w away. The tests check the
+    value at the depth ``_cfrac_depth`` gives against one level and one or
+    two chunks more.
     """
     totals = [np.eye(2) for _ in ts]
     logq = math.log(q)
-    skipped = 0
     for start in range(0, depth, _CHUNK):
         count = min(_CHUNK, depth - start)
         half = count // 2
-        edges = np.exp(np.array([start, start + count - 1]) * logq)
-        dead = [_live_levels(edges, t) == 0 for t in ts]
-        powers = None if all(dead) else np.exp(np.arange(start, start + count) * logq)
+        powers = np.exp(np.arange(start, start + count) * logq)
         for i, t in enumerate(ts):
-            live = 0 if dead[i] else _live_levels(powers, t)
-            skipped += count - live
-            if live == 0:
-                root = _dead_node(edges[1] * t, count == 1)
-            else:
-                # every tree level holds its live nodes and its first dead one
-                width, built = count - half, (live + 1) // 2
-                pairs = min(built + 1, width, half)
-                b, one_minus_a = powers[1 : 2 * pairs : 2] * t, 1.0 - powers[0 : 2 * pairs : 2] * t
-                scale = np.maximum(np.maximum(np.abs(b), 1.0), np.abs(one_minus_a))
-                mats = np.empty((min(built + 1, width), 2, 2))
-                mats[:pairs, 0, 0] = mats[:pairs, 1, 0] = -b / scale
-                mats[:pairs, 0, 1] = 1.0 / scale
-                mats[:pairs, 1, 1] = one_minus_a / scale
-                if len(mats) > half:
-                    mats[half] = _lone_level(powers[-1] * t, count > 1)
-                span = 2  # levels per node
-                while width > 1:
-                    width, built, span = (width + 1) // 2, (built + 1) // 2, 2 * span
-                    if len(mats) < 2 * built:
-                        mats = np.concatenate([mats, np.eye(2)[None]])
-                    mats = np.matmul(mats[0 : 2 * built : 2], mats[1 : 2 * built : 2])
-                    if built < width:
-                        first, last = built * span, min(built * span + span, count) - 1
-                        mats = np.concatenate([mats, [_dead_node(powers[last] * t, first == last)]])
-                    a = np.abs(mats)
-                    mats /= np.maximum(np.maximum(a[:, 0, 0], a[:, 0, 1]),
-                                       np.maximum(a[:, 1, 0], a[:, 1, 1]))[:, None, None]
-                root = mats[0]
-            total = np.matmul(totals[i], root)
+            b, one_minus_a = powers[1::2] * t, 1.0 - powers[0 : 2 * half : 2] * t
+            scale = np.maximum(np.maximum(np.abs(b), 1.0), np.abs(one_minus_a))
+            mats = np.empty((count - half, 2, 2))
+            mats[:half, 0, 0] = mats[:half, 1, 0] = -b / scale
+            mats[:half, 0, 1] = 1.0 / scale
+            mats[:half, 1, 1] = one_minus_a / scale
+            if count % 2:
+                mats[half] = _lone_level(powers[-1] * t, count > 1)
+            while len(mats) > 1:
+                if len(mats) % 2:
+                    mats = np.concatenate([mats, np.eye(2)[None]])
+                mats = np.matmul(mats[0::2], mats[1::2])
+                a = np.abs(mats)
+                mats /= np.maximum(np.maximum(a[:, 0, 0], a[:, 0, 1]),
+                                   np.maximum(a[:, 1, 0], a[:, 1, 1]))[:, None, None]
+            total = np.matmul(totals[i], mats[0])
             total /= np.abs(total).max()
             totals[i] = total
-    return [_at_tail_one(m) for m in totals], skipped
+    return [_at_tail_one(m) for m in totals]
 
 
 def _at_tail_one(m: np.ndarray) -> float:
@@ -552,20 +499,22 @@ def g_cfrac(t: float, settings: EvalSettings, full_output: bool = False):
 
     Evaluated once, bottom-up with tail value 1, through the first level with
     |t q^k| < 2^-54; no deeper level changes a bit (``_cfrac_pairwise``), so
-    the value is the whole chain's, and ``full_output`` adds the number of
-    levels evaluated. The tolerance only picks the path, by the nominal
-    depth 2 max(64, ceil(ln(max(|t|, tol) / (tol / 100)) / eps) + 8): the
-    scalar loop up to ``_SCALAR_DEPTH_LIMIT``, the pairwise product past it,
-    the paths the pinned values were made on. Valid (and stable) beyond the
-    pole line, where the series representations fail; a vanishing
-    denominator or a value that is not finite is a pole error.
+    the value is the whole chain's. Both paths evaluate every level to that
+    depth, and ``full_output`` adds it. The tolerance only picks the path, by
+    the nominal depth 2 max(64, ceil(ln(max(|t|, tol) / (tol / 100)) / eps) + 8),
+    infinite where tol / 100 underflows: the scalar loop up to
+    ``_SCALAR_DEPTH_LIMIT``, the pairwise product past it, the paths the
+    pinned values were made on. Valid (and stable) beyond the pole line,
+    where the series representations fail; a vanishing denominator or a value
+    that is not finite is a pole error.
     """
     t = float(t)
     if t == 0.0:
         return (1.0, 0) if full_output else 1.0
     q, tol, eps = settings.q, settings.tol, settings.epsilon
     depth = _cfrac_depth([t], eps)
-    levels = math.log(max(abs(t), tol) / (tol * 1e-2)) / eps
+    floor = tol * 1e-2
+    levels = math.log(max(abs(t), tol) / floor) / eps if floor else math.inf
     if levels <= _SCALAR_DEPTH_LIMIT // 2 - 8:  # 2 max(64, ceil(levels) + 8) <= the limit
         try:
             value, swept, looped = _cfrac_scalar(t, q, depth)
@@ -573,8 +522,8 @@ def g_cfrac(t: float, settings: EvalSettings, full_output: bool = False):
             raise PoleProximityError(f"a continued-fraction denominator vanishes at t = {t!r}") from None
         path = f"scalar, {swept} levels swept, {looped} left to the loop"
     else:
-        [value], skipped = _cfrac_pairwise([t], q, depth)
-        path = f"pairwise, {skipped} levels skipped as dead"
+        [value] = _cfrac_pairwise([t], q, depth)
+        path = "pairwise"
     _log.debug("cfrac: depth %d, path %s", depth, path)
     if not math.isfinite(value):
         raise PoleProximityError(f"the continued fraction at t = {t!r} is {value!r}")
@@ -582,16 +531,15 @@ def g_cfrac(t: float, settings: EvalSettings, full_output: bool = False):
 
 
 def g_cfrac_grid(ts: np.ndarray, settings: EvalSettings) -> np.ndarray:
-    """Continued-fraction values on a grid of t, evaluated once, through the
-    first dead level of the largest |t|, by the pairwise product at every
-    depth, so they can differ from ``g_cfrac`` in the last bits."""
+    """Continued-fraction values on a grid of t, every level evaluated
+    through the first dead level of the largest |t|, by the pairwise product
+    at every depth, so they can differ from ``g_cfrac`` in the last bits."""
     ts = np.asarray(ts, dtype=float).tolist()
     if not ts:
         return np.array([], dtype=float)
     depth = _cfrac_depth(ts, settings.epsilon)
-    values, skipped = _cfrac_pairwise(ts, settings.q, depth)
-    _log.debug("cfrac grid of %d t: depth %d, path pairwise, %d levels skipped as dead",
-               len(ts), depth, skipped)
+    values = _cfrac_pairwise(ts, settings.q, depth)
+    _log.debug("cfrac grid of %d t: depth %d, path pairwise", len(ts), depth)
     return np.array(values)
 
 
@@ -602,8 +550,8 @@ def g_cfrac_grid(ts: np.ndarray, settings: EvalSettings) -> np.ndarray:
 def t_infinity(q: float, settings: EvalSettings | None = None) -> float:
     """Radius of convergence of the length series: first positive zero of H.
 
-    Scans outward from t = 1/4 for a sign change of H(t), then bisects,
-    reading each sign from the sum itself, which may lie far below the
+    Scans outward from t = 1/4 for a sign change of H(t), then halves the
+    bracket to tol, reading each sign from the sum itself, which may lie far below the
     double range. The boundary decreases from 1 (q -> 0) towards 1/4 (q -> 1).
     """
     if settings is None:

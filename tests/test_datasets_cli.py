@@ -80,6 +80,13 @@ class TestScanDatasets:
             for a, b in zip(ds.columns["F_from_uniform_eps0.001"], ds.columns["F_exact"])
         )
         assert err < 0.2
+        # t(s, eps) from 0.255 down to -0.125: the uniform form is NaN for t <= 0,
+        # the continued fraction finite everywhere
+        wide = scan_scaling_fn([1e-3], -2.0, 150.0, 3)
+        ts = [0.25 * (1.0 - s * (1.0 - math.exp(-1e-3)) ** (2.0 / 3.0)) for s in wide.columns["s"]]
+        uniform = wide.columns["F_from_uniform_eps0.001"]
+        assert [math.isnan(v) for v in uniform] == [not 0.0 < t < 0.5 for t in ts] == [False, False, True]
+        assert all(math.isfinite(v) for v in wide.columns["F_from_cfrac_eps0.001"])
 
     def test_partition_scan(self):
         ds = scan_partition(0.24, [10, 20])
@@ -88,6 +95,10 @@ class TestScanDatasets:
         assert all(v > 0 for v in ds.columns["Q_exact"])
         assert all(v > 0 for v in ds.columns["Q_asymptotic"])
         assert ds.columns["tail_estimate"] == [0.0, 0.0]
+        # the finite-size form needs m >= 10: NaN below, as `partition --m 5` omits it
+        small = scan_partition(0.25, [5, 10])
+        assert math.isnan(small.columns["Q_asymptotic"][0]) and small.columns["Q_asymptotic"][1] > 0
+        assert all(v > 0 for v in small.columns["Q_exact"])
 
     def test_csv_deterministic(self):
         a = scan_g_vs_t(0.8, 0.05, 0.2, 5).to_csv()
@@ -344,6 +355,7 @@ class TestCli:
         ("eval --t 0.2 --q 0.5 --method ratio --tol nan", 2),
         ("eval --t 0.2 --q 0.5 --method cfrac --tol 0", 2),
         ("eval --t 0.2 --q 0.5 --method cfrac --tol nan", 2),
+        ("eval --t 0.2 --q 0.5 --method cfrac --tol 1e-323", 0),
         ("scan --kind phase_boundary --q-min 0.5 --q-max 0.6 --steps 2 --tol 0 --out /dev/null", 2),
         ("scan --kind phase_boundary --q-min 0.5 --q-max 0.6 --steps 2 --tol nan --out /dev/null", 2),
         ("eval --t nan --q 0.5 --method ratio", 2),

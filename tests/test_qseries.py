@@ -396,6 +396,12 @@ class TestGCfrac:
         assert value == pytest.approx(G_02_05, abs=1e-12)
         assert abs(0.2 * 0.5 ** (depth - 1)) < 2.0 ** -54  # the last level evaluated is dead
 
+    def test_tol_whose_hundredth_underflows(self):
+        # tol / 100 is 0 at tol = 1e-323: the nominal depth is infinite, so the pairwise path
+        settings = EvalSettings(q=0.5, tol=1e-323)
+        assert settings.tol * 1e-2 == 0.0
+        assert g_cfrac(0.2, settings) == pytest.approx(g_cfrac(0.2, EvalSettings(q=0.5)), abs=1e-15)
+
     def test_beyond_pole_line(self):
         # converges past t_inf(0.5) = 0.624 where the series C route fails
         value = g_cfrac(0.35, EvalSettings(q=0.5))
@@ -457,17 +463,13 @@ class TestGCfrac:
             g_cfrac_grid(np.array([0.1, 0.25]), settings)
         lines = [rec.getMessage() for rec in caplog.records if rec.getMessage().startswith("cfrac")]
         assert len(lines) == 2
-        assert f"depth {depth}, path {path}," in lines[0]
-        assert f"of 2 t: depth {depth}, path pairwise," in lines[1]
+        assert f"depth {depth}, path {path}" in lines[0]
         if path == "scalar":
             swept, looped = map(int, re.search(r"(\d+) levels swept, (\d+) left", lines[0]).groups())
-            assert swept > looped > 0
-        # the pairwise product skips every level from the first with |t q^k| < 2^-54 on
-        skipped = [int(m.group(1)) for r in lines if (m := re.search(r"(\d+) levels skipped as dead", r))]
-        powers = np.exp(np.arange(depth) * math.log(settings.q))
-        dead = {t: int(np.count_nonzero(np.abs(powers * t) < 2.0 ** -54)) for t in (0.1, 0.25)}
-        assert 0 < dead[0.25] < dead[0.1]
-        assert skipped == ([] if path == "scalar" else [dead[0.25]]) + [dead[0.1] + dead[0.25]]
+            assert swept > looped > 0 and swept + looped == depth
+        else:
+            assert lines[0].endswith(f"depth {depth}, path pairwise")
+        assert lines[1].endswith(f"of 2 t: depth {depth}, path pairwise")
 
     def test_empty_grid(self):
         values = g_cfrac_grid(np.array([]), EvalSettings(q=0.5))
@@ -491,7 +493,7 @@ class TestCfracGoldenDigest:
         for q in (0.5, math.exp(-1e-4)):  # q^k underflows to 0 at q = 0.5
             for depth in self.DEPTHS:
                 for ts in [(t,) for t in self.TS] + [self.TS[1:]]:
-                    values, _ = qseries._cfrac_pairwise(list(ts), q, depth)
+                    values = qseries._cfrac_pairwise(list(ts), q, depth)
                     lines.append(f"grid,{q!r},{depth},{values!r}")
         for eps in (0.5, 1e-3, 2e-4):  # at 2e-4 g_cfrac takes the pairwise kernel
             s = EvalSettings(q=math.exp(-eps))
@@ -698,8 +700,8 @@ def _level_product_reference(t, q, depth):
 
 def _assert_level_products(ts, q, depth):
     """The pairwise kernel's level products equal the reference's entry for
-    entry (exact zeros of either sign): the dead nodes' tiny entries, which
-    the values round away, are checked here."""
+    entry (exact zeros of either sign): the tiny entries of dead levels,
+    which the values round away, are checked here."""
     seen = []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(qseries, "_at_tail_one", lambda m: seen.append(m) or 0.0)
@@ -709,11 +711,11 @@ def _assert_level_products(ts, q, depth):
 
 
 class TestCfracBitwise:
-    """The pairwise kernel (closed-form first level, elementwise max-norms,
-    skipped dead levels) and the scalar loop (skipped dead levels, numpy
-    sweeps) change no bit of the fixed-depth values: each matches the grid
-    as first written or the untrimmed loop. And no level past the first dead
-    one changes a bit of either, which lets each evaluation stop there."""
+    """The pairwise kernel (closed-form first level, elementwise max-norms)
+    and the scalar loop (numpy sweeps) evaluate every level they are given
+    and change no bit of the fixed-depth values: each matches the grid as
+    first written or the plain loop. And no level past the first dead one
+    changes a bit of either, which lets each evaluation stop there."""
 
     # depths 1 to 5 and other odd depths, one and two levels into a chunk,
     # two whole chunks and either side, and depths whose tree has an odd
@@ -726,7 +728,7 @@ class TestCfracBitwise:
         rng = np.random.default_rng(depth)
         tiny = np.concatenate([[0.0, 20.0, -20.0], rng.uniform(-1.0, 1.0, 3) * 1e-9])
         for ts in [rng.uniform(-20.0, 20.0, nt) for nt in (1, 3, 6)] + [tiny]:
-            values, _ = qseries._cfrac_pairwise(ts.tolist(), q, depth)
+            values = qseries._cfrac_pairwise(ts.tolist(), q, depth)
             assert _bits(values) == _bits(_pairwise_grid_reference(ts, q, depth)), ts
 
     @hypothesis.settings(max_examples=60, deadline=None)
@@ -737,7 +739,7 @@ class TestCfracBitwise:
     )
     def test_any_cut_matches_pairwise_matmul(self, ts, log_eps, depth):
         q = math.exp(-math.exp(log_eps))
-        values, _ = qseries._cfrac_pairwise(ts, q, depth)
+        values = qseries._cfrac_pairwise(ts, q, depth)
         assert _bits(values) == _bits(_pairwise_grid_reference(ts, q, depth))
 
     # the live/dead boundary mid-chunk (|t q^k| < 2^-54 from about level
@@ -750,7 +752,7 @@ class TestCfracBitwise:
     def test_dead_levels_across_chunks(self, eps, depth):
         q = math.exp(-eps)
         for ts in ([0.25], [-20.0, 0.263, 20.0], [1e-300, -3.0]):
-            values, _ = qseries._cfrac_pairwise(ts, q, depth)
+            values = qseries._cfrac_pairwise(ts, q, depth)
             assert _bits(values) == _bits(_pairwise_grid_reference(ts, q, depth)), ts
             _assert_level_products(ts, q, depth)
 
@@ -787,9 +789,8 @@ class TestCfracBitwise:
         q = math.exp(-1e-2)
         for depth in (k + 500, 70_001):
             t = sign * self._t_with_weight(np.exp(np.arange(depth) * math.log(q))[k], w)
-            values, skipped = qseries._cfrac_pairwise([t], q, depth)
+            values = qseries._cfrac_pairwise([t], q, depth)
             assert _bits(values) == _bits(_pairwise_grid_reference([t], q, depth))
-            assert skipped == depth - k - (w >= 2.0 ** -54)  # level k is the first dead one or the last live one
             t = sign * self._t_with_weight(np.power(q, np.arange(depth))[k], w)
             self._assert_scalar_loop(t, q, depth)
 
@@ -818,7 +819,7 @@ class TestCfracBitwise:
         q = math.exp(-math.exp(log_eps))
         k = math.floor(math.log(abs(t) * 2.0 ** 54) / -math.log(q))  # |t q^k| >= 2^-54 about here
         rules = {"scalar": (np.power(q, k), lambda t, d: qseries._cfrac_scalar(t, q, d)[0]),
-                 "pairwise": (np.exp(k * math.log(q)), lambda t, d: qseries._cfrac_pairwise([t], q, d)[0][0])}
+                 "pairwise": (np.exp(k * math.log(q)), lambda t, d: qseries._cfrac_pairwise([t], q, d)[0])}
         for name, (power, evaluate) in rules.items():
             t_k = math.copysign(self._t_beside_threshold(power, live), t)
             depth = qseries._cfrac_depth([t_k], -math.log(q))
@@ -827,43 +828,13 @@ class TestCfracBitwise:
             values = [evaluate(t_k, d) for d in (depth, depth + 1, chunk_edge, depth + 2 * qseries._CHUNK)]
             assert len(set(_bits(values))) == 1, (name, t_k, q, depth)
 
-    # a t dead from level 0 next to a live one: a chunk's np.exp is skipped
-    # only where every t is dead (chunk 0 is live for 0.25, chunks 1 and the
-    # single-level chunk 2 are dead for both)
-    @pytest.mark.parametrize("ts, full_chunks", [([1e-20], 0), ([1e-20, 0.25], 1), ([0.25, -1e-20], 1)])
-    def test_chunk_powers_only_where_some_t_lives(self, monkeypatch, ts, full_chunks):
-        q, depth = math.exp(-1e-3), 2 * qseries._CHUNK + 1
-        expected = _pairwise_grid_reference(ts, q, depth)
-        real_exp, sizes = np.exp, []
-
-        def spy(x, *args, **kwargs):
-            sizes.append(np.size(x))
-            return real_exp(x, *args, **kwargs)
-
-        monkeypatch.setattr(np, "exp", spy)
-        values, skipped = qseries._cfrac_pairwise(ts, q, depth)
-        monkeypatch.undo()
-        assert _bits(values) == _bits(expected)
-        assert sorted(sizes) == [2] * 3 + [qseries._CHUNK] * full_chunks
-        assert skipped > len(ts) * (depth - qseries._CHUNK)
-
-    def test_chunk_edge_powers_match_the_chunk(self):
-        # the two edge powers of a dead chunk have the bits np.exp gives them in the whole chunk
-        rng = np.random.default_rng(7)
-        for _ in range(40):
-            logq = -math.exp(rng.uniform(math.log(1e-5), math.log(3.0)))
-            start, count = int(rng.integers(0, 64)) * qseries._CHUNK, int(rng.integers(1, qseries._CHUNK + 1))
-            chunk = np.exp(np.arange(start, start + count) * logq)
-            edges = np.exp(np.array([start, start + count - 1]) * logq)
-            assert _bits(edges) == _bits(chunk[[0, -1]])
-
     @hypothesis.settings(max_examples=200)
     @hypothesis.given(
         b=st.floats(-(2.0 ** -54), 2.0 ** -54, exclude_min=True, exclude_max=True),
         d=st.floats(-(2.0 ** -54), 2.0 ** -54, exclude_min=True, exclude_max=True),
     )
     def test_dead_products_are_exact(self, b, d):
-        # D(b) D(d) = D(d), D(b) M(d) = D(d), M(d) I = M(d): the lemma behind the skipped levels
+        # D(b) D(d) = D(d), D(b) M(d) = D(d), M(d) I = M(d): the lemma behind the one-pass depth
         hypothesis.assume(b != 0.0 and d != 0.0)
         dead = lambda w: np.array([[-w, 1.0], [-w, 1.0]])
         lone = np.array([[0.0, 1.0], [-d, 1.0]])
@@ -879,7 +850,7 @@ class TestCfracBitwise:
     )
     def test_deep_rung_matches_pairwise_matmul(self, ts, log_eps, depth):
         q = math.exp(-math.exp(log_eps))
-        values, _ = qseries._cfrac_pairwise(ts, q, depth)
+        values = qseries._cfrac_pairwise(ts, q, depth)
         assert _bits(values) == _bits(_pairwise_grid_reference(ts, q, depth))
 
     # the path follows the nominal depth 2 max(64, ceil(ln(max(|t|, tol) /
@@ -897,7 +868,7 @@ class TestCfracBitwise:
                 path, expected = "scalar", _untrimmed_scalar_reference(t, settings.q, depth)
             else:
                 path, expected = "pairwise", _pairwise_grid_reference([t], settings.q, depth)[0]
-            assert f"depth {depth}, path {path}," in caplog.records[-1].getMessage()
+            assert f"depth {depth}, path {path}" in caplog.records[-1].getMessage()
             assert _bits(value) == _bits(expected), t
 
     @staticmethod
