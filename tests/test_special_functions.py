@@ -142,6 +142,33 @@ class TestTierSwitches:
         assert abs(values[1] / values[0] - 1.0) <= 8.0 * (above - below) + 1e-11
 
 
+# the guarded Maclaurin tier: 1000 points of each band and its first and
+# last double
+_MIDDLE_BANDS = {
+    "positive": np.linspace(3.5, 7.8, 1001)[1:].tolist() + [math.nextafter(3.5, math.inf), 7.8],
+    "negative": np.linspace(-7.8, -4.5, 1001)[:-1].tolist() + [-7.8, math.nextafter(-4.5, -math.inf)],
+}
+
+
+def _worst_ulps(xs) -> tuple[float, str, float]:
+    """Largest distance, in ulps of the reference, of Ai or Ai' from mpmath at 300 bits."""
+    worst = []
+    with mpmath.workprec(300):
+        for x in xs:
+            pair = airy(x)
+            for name, value, ref in (("Ai", pair.ai, mpmath.airyai(x)),
+                                     ("Ai'", pair.ai_prime, mpmath.airyai(x, derivative=1))):
+                worst.append((abs(value - float(ref)) / math.ulp(float(ref)), name, x))
+    return max(worst)
+
+
+class TestAiryMiddleTier:
+    @pytest.mark.parametrize("band", sorted(_MIDDLE_BANDS))
+    def test_within_one_ulp_of_mpmath(self, band):
+        worst = _worst_ulps(_MIDDLE_BANDS[band])
+        assert worst[0] <= 1.0, worst
+
+
 class TestAiryZeros:
     def test_first_two(self):
         zeros = airy_zeros(2)
