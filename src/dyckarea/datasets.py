@@ -106,7 +106,7 @@ def scan_g_vs_t(q: float, t_min: float, t_max: float, steps: int,
     g_exact = []
     for t in ts:
         try:
-            g_exact.append(g_cfrac(float(t), settings) if t >= 0.0 else math.nan)
+            g_exact.append(g_cfrac(float(t), settings))
         except DyckAreaError:
             g_exact.append(math.nan)  # continued fraction unstable next to a pole
     g_airy = []

@@ -162,11 +162,14 @@ def _h_series_mp(t, q: float, tol: float, scaled: bool):
     point; with ``scaled`` also H(qt) = sum_n T_n q^n, in the same pass.
 
     Terms and sums are Python integers in units of 2^-F, F = the current
-    mpmath precision + 8, with (re, im) pairs for complex t. T_n is T_(n-1)
-    times -t q^(2n-2) / (1 - q^n), and T_n q^n is T_n times q^n, each floored
-    once. t and q enter exactly as num / 2^k, so qt is exact, and q^n,
-    q^(2n-2) as mantissas over powers of two cut to F bits, so short early
-    terms cost linear time even at a large F. Stops after every |term| stays
+    mpmath precision + 8, with (re, im) pairs for complex t. T_n is the
+    numerator T_(n-1) (-t) q^(2n-2) over 1 - q^n, floored once, and
+    T_n q^n = T_n - T_(n-1) (-t) q^(2n-2) subtracts that numerator, floored
+    once, so H(qt) costs a shift and a subtraction a term; summed, this is the
+    functional equation H(qt) = H(t) + t H(q^2 t) term by term. t and q
+    enter exactly as num / 2^k, so qt is exact, and q^n, q^(2n-2) as
+    mantissas over powers of two cut to F bits, so short early terms cost
+    linear time even at a large F. Stops after every |term| stays
     below tol * max(|its partial sum|, 2^-F) for three consecutive terms
     (compared exactly, on squares for complex t), and gives up after
     ``_MAX_TERMS`` terms. Per series, returns (sum, terms_used, max |term|,
@@ -207,14 +210,17 @@ def _h_series_mp(t, q: float, tol: float, scaled: bool):
             num_shift, den = 0, den << -num_shift
         if cplx:
             re, im = re * a - im * b, re * b + im * a
-            re, im = (re * q_2n << num_shift) // den, (im * q_2n << num_shift) // den
+            p_re, p_im = re * q_2n, im * q_2n
+            re, im = (p_re << num_shift) // den, (p_im << num_shift) // den
         else:
-            re = (re * a * q_2n << num_shift) // den
+            p_re = re * a * q_2n
+            re = (p_re << num_shift) // den
         sum_re, sum_im = sum_re + re, sum_im + im
         mag = re * re + im * im if cplx else abs(re)
         small = mag << tol_shift < tol_num * ((sum_re * sum_re + sum_im * sum_im if cplx else abs(sum_re)) or 1)
-        if scaled:  # T_n q^n, floored
-            s_re, s_im = re * q_n >> q_n_exp, im * q_n >> q_n_exp
+        if scaled:  # T_n q^n = T_n - T_(n-1) (-t) q^(2n-2), the numerator floored
+            down = t_shift + q_2n_exp
+            s_re, s_im = re - (p_re >> down), im - (p_im >> down) if cplx else 0
             s_sum_re, s_sum_im = s_sum_re + s_re, s_sum_im + s_im
             s_mag = s_re * s_re + s_im * s_im if cplx else abs(s_re)
             small = small and s_mag << tol_shift < tol_num * (
@@ -245,10 +251,14 @@ def _h_series_mp(t, q: float, tol: float, scaled: bool):
 
 
 def _bits_lost(max_mag, total) -> float:
-    """log2(max term / |sum|), taken at 64 bits (a full-precision log costs seconds)."""
-    with mpmath.workprec(64):
-        ratio = max_mag / abs(total) if total else mpmath.inf
-        return float(mpmath.log(ratio, 2)) if max_mag > abs(total) else 0.0
+    """log2(max term / |sum|) in doubles, from the mantissas and exponents of
+    the mpmath numbers; 0.0 when no term exceeds the sum, inf for a zero sum."""
+    if not total:
+        return math.inf
+    parts = [part for part in (total.real, total.imag) if part]
+    low = min(part.exp for part in parts)
+    log2_sum = 0.5 * math.log2(sum((part.man << part.exp - low) ** 2 for part in parts)) + low
+    return max(math.log2(max_mag.man) + max_mag.exp - log2_sum, 0.0)
 
 
 def _predicted_bits(xs, q: float) -> int:

@@ -11,11 +11,13 @@ Evaluation strategy for Ai/Ai':
 * ``-4.5 <= x <= 3.5``   Maclaurin series in double precision (exactly
   summed term lists; worst cancellation here costs ~3 digits).
 * ``3.5 < x <= 7.8`` and ``-7.8 <= x < -4.5``   the same Maclaurin
-  recurrence (one ``_maclaurin_terms`` serves both tiers) run on mpmath
-  numbers, with the working precision raised by the cancellation depth
-  exp(2|x|^{3/2}/3). A plain asymptotic expansion switched on at 4.5
-  bottoms out near 3e-6 (optimal truncation error exp(-4|x|^{3/2}/3)), far
-  short of 12 digits, which is why this guarded middle tier exists.
+  recurrence in binary fixed point on Python integers, with the precision
+  raised by the cancellation depth exp(2|x|^{3/2}/3); Ai(0) and Ai'(0) are
+  the only mpmath values, computed once per precision. Ai and Ai' are
+  within 1 ulp of 300-bit mpmath values across both bands. A plain
+  asymptotic expansion switched on at 4.5 bottoms out near 3e-6 (optimal
+  truncation error exp(-4|x|^{3/2}/3)), far short of 12 digits, which is
+  why this guarded middle tier exists.
 * ``|x| > 7.8``   Poincare asymptotic expansions, truncated at the smallest
   term; the error floor is below 3e-13 there.
 
@@ -89,62 +91,80 @@ class AiryPair:
     underflow: bool = False
 
 
-def _maclaurin_terms(x, tiny):
-    """Term lists of the four Maclaurin series f, g, f', g' at x.
+def _maclaurin_terms(x: float):
+    """Term lists, in doubles, of the four Maclaurin series f, g, f', g' at x.
 
     Ai(x)  = Ai(0) f(x) + Ai'(0) g(x)
     Ai'(x) = Ai(0) f'(x) + Ai'(0) g'(x)
 
-    ``x`` is a float or an mpmath ``mpf``; the recurrence runs in its
-    arithmetic and stops once the terms of f, g and g' drop below ``tiny``.
+    The recurrence stops once the terms of f, g and g' drop below 1e-22.
     """
     x3 = x * x * x
-    a = 1.0
-    ap = x * x / 2
-    b = x
-    bp = 1.0
-    f_terms = [a]
-    fp_terms = [0.0, ap]
-    g_terms = [b]
-    gp_terms = [bp]
+    a, ap, b, bp = 1.0, x * x / 2, x, 1.0
+    f_terms, fp_terms, g_terms, gp_terms = [a], [0.0, ap], [b], [bp]
     k = 0
     while True:
         a *= x3 / ((3 * k + 2) * (3 * k + 3))
         b *= x3 / ((3 * k + 3) * (3 * k + 4))
         bp *= x3 / ((3 * k + 1) * (3 * k + 3))
-        if k >= 1:
-            ap *= x3 * (k + 1) / (k * (3 * k + 2) * (3 * k + 3))
         f_terms.append(a)
         g_terms.append(b)
         gp_terms.append(bp)
         if k >= 1:
+            ap *= x3 * (k + 1) / (k * (3 * k + 2) * (3 * k + 3))
             fp_terms.append(ap)
         k += 1
-        if k > 6 and abs(a) < tiny and abs(b) < tiny and abs(bp) < tiny:
-            break
-        if k > 500:  # unreachable for |x| <= 7.8
-            raise NonConvergenceError("Airy Maclaurin series failed to terminate")
-    return f_terms, g_terms, fp_terms, gp_terms
+        if k > 6 and abs(a) < 1e-22 and abs(b) < 1e-22 and abs(bp) < 1e-22:
+            return f_terms, g_terms, fp_terms, gp_terms
+
+
+@lru_cache(maxsize=None)
+def _airy_origin(frac: int) -> tuple[int, int]:
+    """Ai(0) = 3^(-2/3)/Gamma(2/3) and Ai'(0) = -3^(-1/3)/Gamma(1/3) times 2^frac, as nearest integers."""
+    with mpmath.workprec(frac + 16):
+        third = mpmath.mpf(1) / 3
+        pair = (3 ** (-2 * third) / mpmath.gamma(2 * third), -(3 ** -third) / mpmath.gamma(third))
+        return tuple(int(mpmath.nint(mpmath.ldexp(c, frac))) for c in pair)
 
 
 def _airy_maclaurin(x: float, guarded: bool) -> AiryPair:
-    """Ai and Ai' from the Maclaurin sums: in doubles, or under mpmath with
-    the precision raised by the cancellation depth when ``guarded``."""
+    """Ai and Ai' from the Maclaurin sums: in doubles, or when ``guarded``
+    in binary fixed point with the precision raised by the cancellation depth.
+
+    The guarded sums are Python integers in units of 2^-F, F = prec + 8 bits
+    of floor slack. x = m / 2^e is exact, so each term is the previous one
+    times m^3, floor-divided by a small integer shifted up by 3e bits; the
+    recurrence stops once the terms of f, g and g' drop below 2^-prec. Ai and
+    Ai' are each one integer true division, which rounds correctly.
+    """
     if not guarded:
-        f, g, fp, gp = map(math.fsum, _maclaurin_terms(x, 1e-22))
+        f, g, fp, gp = map(math.fsum, _maclaurin_terms(x))
         return AiryPair(
             ai=AIRY_AT_ZERO * f + AIRY_PRIME_AT_ZERO * g,
             ai_prime=AIRY_AT_ZERO * fp + AIRY_PRIME_AT_ZERO * gp,
         )
-    # Cancellation depth: exp(zeta) for x < 0, exp(2 zeta) for x > 0,
-    # with zeta = 2|x|^{3/2}/3.
+    # prec = 53 + cancellation depth + 24 guard bits, where the depth is
+    # exp(zeta) for x < 0 and exp(2 zeta) for x > 0, zeta = 2|x|^{3/2}/3
     zeta = 2.0 * abs(x) ** 1.5 / 3.0
-    prec = 53 + int(2.0 * zeta / math.log(2.0)) + 24
-    with mpmath.workprec(prec):
-        f, g, fp, gp = map(sum, _maclaurin_terms(mpmath.mpf(x), mpmath.mpf(2) ** (-prec)))
-        c1 = mpmath.mpf(3) ** (mpmath.mpf(-2) / 3) / mpmath.gamma(mpmath.mpf(2) / 3)
-        c2 = -(mpmath.mpf(3) ** (mpmath.mpf(-1) / 3)) / mpmath.gamma(mpmath.mpf(1) / 3)
-        return AiryPair(ai=float(c1 * f + c2 * g), ai_prime=float(c1 * fp + c2 * gp))
+    frac = 53 + int(2.0 * zeta / math.log(2.0)) + 24 + 8
+    m, den = x.as_integer_ratio()
+    m3, e3 = m * m * m, 3 * (den.bit_length() - 1)
+    a = bp = f = gp = 1 << frac
+    ap = fp = (m * m << frac) // (2 * den * den)
+    b = g = (m << frac) // den
+    k = 0
+    while k <= 6 or max(abs(a), abs(b), abs(bp)) >= 1 << 8:  # 2^-prec in units of 2^-F
+        a = a * m3 // ((3 * k + 2) * (3 * k + 3) << e3)
+        b = b * m3 // ((3 * k + 3) * (3 * k + 4) << e3)
+        bp = bp * m3 // ((3 * k + 1) * (3 * k + 3) << e3)
+        f, g, gp = f + a, g + b, gp + bp
+        if k >= 1:
+            ap = ap * m3 * (k + 1) // (k * (3 * k + 2) * (3 * k + 3) << e3)
+            fp += ap
+        k += 1
+    c1, c2 = _airy_origin(frac)
+    unit = 1 << 2 * frac
+    return AiryPair(ai=(c1 * f + c2 * g) / unit, ai_prime=(c1 * fp + c2 * gp) / unit)
 
 
 def _asymptotic_coefficients(n_max: int):

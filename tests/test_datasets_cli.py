@@ -208,6 +208,17 @@ class TestCli:
         assert run_cli(*args, "--out", str(p2)).returncode == 0
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_scan_g_cfrac_for_negative_t(self, tmp_path, run_cli):
+        # the continued fraction is defined and stable for t < 0: the scan
+        # writes the value eval prints, not NaN
+        out = tmp_path / "g.csv"
+        assert run_cli("scan", "--kind", "g_vs_t", "--q", "0.9", "--t-min", "-0.2", "--t-max", "0.2",
+                       "--steps", "3", "--out", str(out)).returncode == 0
+        row = out.read_text().splitlines()[1].split(",")
+        res = run_cli("eval", "--t", "-0.2", "--q", "0.9", "--method", "cfrac")
+        assert float(row[0]) == -0.2
+        assert float(row[1]) == float(res.stdout.splitlines()[0]) == 0.852663464714294
+
     # sha256 of the CSV each README scan writes, run as the README writes it
     @pytest.mark.parametrize("argv, digest", [
         ("scan --kind g_vs_t --q 0.990049834 --t-min 0 --t-max 0.45 --steps 90",

@@ -45,10 +45,11 @@ QP_HALF = 0.2887880950866024
 
 # sha256 of the "q,t_inf" and "eps,t,h_series,g_ratio" lines (repr of each
 # value, or the name of the error raised) built by TestGoldenDigest, re-pinned
-# after H(qt) moved into the pass of H(t) at the exact product qt; only
-# g_ratio values moved, to within 1.5e-15 of the exact-qt sum of
-# test_oracle_accuracy (up to 2.9e-10 before, next to a zero of H(qt))
-SERIES_GOLDEN_DIGEST = "166922cc908e094f6286e3a63373abbc83249f8b3b6f5013153b781ce6035d80"
+# after H(qt) moved into the pass of H(t) at the exact product qt, and again
+# after its terms became T_n - T_(n-1) (-t) q^(2n-2): three g_ratio values
+# moved, each within the bound of test_oracle_accuracy (1.4e-16 -> 0,
+# 0 -> 2.2e-16, and 3.0e-11 -> 9.7e-12 next to a zero of H)
+SERIES_GOLDEN_DIGEST = "de64eea8c6c86a227e5e2171e2e4d7c1bb5eb7c85b1d7d3b737fb452e02d1078"
 
 
 class TestGoldenDigest:
@@ -308,6 +309,34 @@ class TestRatioPrecision:
     def test_precision_bits_honoured(self, t, q):
         for fn in (g_ratio, h_series):
             assert fn(t, EvalSettings(q=q, precision_bits=300), full_output=True).precision_bits == 300
+
+
+class TestBitsLost:
+    """The loss is read off mantissas and exponents in doubles; it agrees with
+    a 64-bit mpmath log of the ratio, also beyond the double range."""
+
+    @pytest.mark.parametrize("peak, total", [
+        ("3e30", "1.2345e-5"),
+        ("1.7e1500", "-2.5e-2000"),
+        ("1e10", ("3e-20", "-4e-21")),
+        ("1e10", ("0", "-2e-30")),
+        ("2e300", ("-7e-400", "0")),
+    ])
+    def test_against_mpmath_log(self, peak, total):
+        with mpmath.workprec(200):
+            peak = mpmath.mpf(peak)
+            total = mpmath.mpc(*total) if isinstance(total, tuple) else mpmath.mpf(total)
+        with mpmath.workprec(64):
+            expected = float(mpmath.log(peak / abs(total), 2))
+        assert qseries._bits_lost(peak, total) == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+    def test_no_loss_and_zero_sum(self):
+        one = mpmath.mpf(1)
+        assert qseries._bits_lost(one, mpmath.mpf("1.5")) == 0.0
+        assert qseries._bits_lost(one, -one) == 0.0
+        assert qseries._bits_lost(mpmath.mpf(5), mpmath.mpc(3, -4)) == 0.0
+        assert qseries._bits_lost(one, mpmath.mpf(0)) == math.inf
+        assert qseries._bits_lost(one, mpmath.mpc(0, 0)) == math.inf
 
 
 class TestNextToZeros:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 from scipy import special as sp
 
+from dyckarea import special_functions
 from dyckarea.errors import BranchCutError, DivergenceError, DomainError, PoleProximityError
 from dyckarea.special_functions import (
     A0,
@@ -167,6 +168,36 @@ class TestAiryMiddleTier:
     def test_within_one_ulp_of_mpmath(self, band):
         worst = _worst_ulps(_MIDDLE_BANDS[band])
         assert worst[0] <= 1.0, worst
+
+    def test_zeros_within_one_ulp_of_mpmath(self):
+        # Ai cancels to about 1e-16 at the doubles next to s_3 and s_4, so
+        # this needs the absolute accuracy of the fixed-point sums (the
+        # mpmath tier these replaced was 631 ulps off at s_3)
+        with mpmath.workdps(30):
+            xs = [float(mpmath.airyaizero(k)) for k in (3, 4)]
+        xs += [math.nextafter(x, d) for x in xs for d in (-math.inf, math.inf)] + list(airy_zeros(4)[2:])
+        worst = _worst_ulps(xs)
+        assert worst[0] <= 1.0, worst
+
+    @pytest.mark.parametrize("frac", [97, 110, 126])  # the tier's lowest, a middle and its highest F
+    def test_origin_constants(self, frac):
+        with mpmath.workprec(300):
+            expected = (mpmath.nint(mpmath.ldexp(mpmath.airyai(0), frac)),
+                        mpmath.nint(mpmath.ldexp(mpmath.airyai(0, derivative=1), frac)))
+        assert special_functions._airy_origin(frac) == tuple(map(int, expected))
+
+    def test_no_mpmath_arithmetic_per_call(self, monkeypatch):
+        # after one call per precision, the tier reads only its cached
+        # constants: mpmath's gamma, workprec and mpf are never touched
+        xs = (5.0, -6.0, math.nextafter(3.5, math.inf), -7.8)
+        expected = [airy(x) for x in xs]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("mpmath used in the guarded Airy tier")
+
+        for name in ("gamma", "workprec", "mpf"):
+            monkeypatch.setattr(special_functions.mpmath, name, forbidden)
+        assert [airy(x) for x in xs] == expected
 
 
 class TestAiryZeros:
