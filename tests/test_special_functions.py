@@ -170,9 +170,8 @@ class TestAiryMiddleTier:
         assert worst[0] <= 1.0, worst
 
     def test_zeros_within_one_ulp_of_mpmath(self):
-        # Ai cancels to about 1e-16 at the doubles next to s_3 and s_4, so
-        # this needs the absolute accuracy of the fixed-point sums (the
-        # mpmath tier these replaced was 631 ulps off at s_3)
+        # Ai cancels to about 1e-16 at the doubles next to s_3 and s_4, so 1 ulp
+        # there needs sums accurate far below the size of their terms
         with mpmath.workdps(30):
             xs = [float(mpmath.airyaizero(k)) for k in (3, 4)]
         xs += [math.nextafter(x, d) for x in xs for d in (-math.inf, math.inf)] + list(airy_zeros(4)[2:])
