@@ -219,8 +219,6 @@ def h_uniform(t: float, q: float, variant: Literal["H", "H_qt"] = "H") -> Scaled
     if not (0.0 < eps <= 0.2):
         raise DomainError(f"h_uniform calibrated for eps in (0, 0.2], got eps = {eps:.4g}")
     sd = saddle_data(t)
-    if sd.d > 0.0 and sd.alpha * sd.d <= 0.0 and sd.alpha != 0.0:
-        raise InconsistentBranchError("alpha*d must be positive for t < 1/4")
     p0, q0 = (sd.p0_h, sd.q0_h) if variant == "H" else (sd.p0_hqt, sd.q0_hqt)
     x = sd.alpha * eps ** (-2.0 / 3.0)
     log_poch = _log_euler_function(eps)
@@ -340,15 +338,20 @@ def finite_size_phi(s: float, j_max: int = 24, tol: float = 1e-6,
     fixed-area series Q_m(t) is a sum of positive terms, and the s = 0
     term Z(1)/Gamma(-1/3) is negative (Z(1) > 0, Gamma(-1/3) < 0), so only
     -1 makes phi positive there. The factor 2 is the tricritical
-    amplitude 1/(2 t_c) of the singular part.
+    amplitude 1/(2 t_c) of the singular part. A term, its Gamma factor, its
+    power of s or the sum outside the double range is a domain error.
     """
     if j_max < 10:
         raise DomainError("j_max must be >= 10")
-    total = 0.0
-    last = 0.0
+    total = last = 0.0
     for j in range(j_max + 1):
-        last = airy_zeta(j + 1) / math.gamma(2.0 * j / 3.0 - 1.0 / 3.0) * s**j
+        try:
+            last = airy_zeta(j + 1) / math.gamma(2.0 * j / 3.0 - 1.0 / 3.0) * s**j
+        except OverflowError:
+            last = math.inf
         total += last
+        if not math.isfinite(total):
+            raise DomainError(f"term {j} of the finite-size series at s = {s!r} leaves the double range")
     value = -PHI_AMPLITUDE * total
     if abs(last) > tol * max(abs(total), 1e-300):
         raise NonConvergenceError(

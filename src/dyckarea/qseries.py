@@ -8,8 +8,8 @@ through three routes that must agree wherever they overlap:
   G = H(qt)/H(t), with H(qt) = sum_n T_n q^n summed in the same pass at the
   exact qt. The series cancels catastrophically as q -> 1, so every sum of H
   (also in ``t_infinity``) runs in binary fixed point on Python integers, at
-  the precision one rule, ``_sum_h``, picks; the sums come back as mpmath
-  numbers. It is the preferred route for eps = -ln q >= ~1e-3.
+  the precision one rule, ``_sum_h``, picks, and each value is rounded to a
+  double once. It is the preferred route for eps = -ln q >= ~1e-3.
 * ``g_cfrac`` evaluates the classical continued fraction
   1/(1 - t/(1 - tq/(1 - tq^2/...))) bottom-up with tail value 1, once,
   through its first dead level: from the first |t q^k| < 2^-54 on no level
@@ -32,7 +32,6 @@ import math
 import sys
 from dataclasses import dataclass
 
-import mpmath
 import numpy as np
 
 from .errors import (
@@ -157,35 +156,28 @@ class HSeriesResult:
     precision_bits: int
 
 
-def _h_series_mp(t, q: float, tol: float, scaled: bool):
+def _h_series_mp(t, q: float, tol: float, scaled: bool, bits: int):
     """H(t) = sum_n T_n, T_n = q^(n^2-n) (-t)^n / (q;q)_n, in binary fixed
     point; with ``scaled`` also H(qt) = sum_n T_n q^n, in the same pass.
 
-    Terms and sums are Python integers in units of 2^-F, F = the current
-    mpmath precision + 8, with (re, im) pairs for complex t. T_n is the
-    numerator T_(n-1) (-t) q^(2n-2) over 1 - q^n, floored once, and
-    T_n q^n = T_n - T_(n-1) (-t) q^(2n-2) subtracts that numerator, floored
-    once, so H(qt) costs a shift and a subtraction a term; summed, this is the
-    functional equation H(qt) = H(t) + t H(q^2 t) term by term. t and q
-    enter exactly as num / 2^k, so qt is exact, and q^n, q^(2n-2) as
-    mantissas over powers of two cut to F bits, so short early terms cost
-    linear time even at a large F. Stops after every |term| stays
-    below tol * max(|its partial sum|, 2^-F) for three consecutive terms
-    (compared exactly, on squares for complex t), and gives up after
-    ``_MAX_TERMS`` terms. Per series, returns (sum, terms_used, max |term|,
-    last |term|, at least the unit) as mpmath numbers.
+    Terms and sums are Python integers in units of 2^-F, F = bits + 8, with
+    (re, im) pairs for complex t. T_n is the numerator T_(n-1) (-t) q^(2n-2)
+    over 1 - q^n, floored once, and T_n q^n = T_n - T_(n-1) (-t) q^(2n-2)
+    subtracts that numerator, floored once, so H(qt) costs a shift and a
+    subtraction a term; summed, this is the functional equation
+    H(qt) = H(t) + t H(q^2 t) term by term. t and q enter exactly as
+    num / 2^k, so qt is exact, and q^n, q^(2n-2) as mantissas over powers of
+    two cut to F bits, so short early terms cost linear time even at a large
+    F. Stops after every |term| stays below tol * max(|its partial sum|, 2^-F)
+    for three consecutive terms (compared exactly, on squares for complex t),
+    and gives up after ``_MAX_TERMS`` terms. Returns F and, per series, the
+    sum as (re, im), terms_used, max |term| and last |term| (at least 1).
     """
-    frac = mpmath.mp.prec + 8
-
-    def unit(k: int):  # k 2^-F rounded to the working precision (trailing zeros cut here in linear time)
-        zeros = max((k & -k).bit_length() - 1, 0)
-        return mpmath.mpf((k >> zeros, zeros - frac))
-
     def dyadic(x: float) -> tuple[int, int]:
         num, den = float(x).as_integer_ratio()
         return num, den.bit_length() - 1
 
-    cplx = isinstance(t, complex)
+    frac, cplx = bits + 8, isinstance(t, complex)
     (a, a_shift), (b, b_shift) = dyadic(-t.real), dyadic(-t.imag)
     t_shift = max(a_shift, b_shift)  # -t = (a + ib) / 2^t_shift
     a, b = a << t_shift - a_shift, b << t_shift - b_shift
@@ -241,24 +233,19 @@ def _h_series_mp(t, q: float, tol: float, scaled: bool):
     else:
         raise NonConvergenceError(
             f"alternating series did not stabilise within {_MAX_TERMS} terms",
-            last_term=float(unit((math.isqrt(mag) if cplx else mag) or 1)),
+            last_term=((math.isqrt(mag) if cplx else mag) or 1) / (1 << frac),
         )
     if cplx:
         peak, mag, s_peak, s_mag = map(math.isqrt, (peak, mag, s_peak, s_mag))
-    series = [(sum_re, sum_im, peak, mag), (s_sum_re, s_sum_im, s_peak, s_mag)][: 1 + scaled]
-    return [(mpmath.mpc(unit(x), unit(y)) if cplx else unit(x), n, unit(top), unit(last or 1))
-            for x, y, top, last in series]
+    return frac, [((sum_re, sum_im), n, peak, mag or 1), ((s_sum_re, s_sum_im), n, s_peak, s_mag or 1)][: 1 + scaled]
 
 
-def _bits_lost(max_mag, total) -> float:
-    """log2(max term / |sum|) in doubles, from the mantissas and exponents of
-    the mpmath numbers; 0.0 when no term exceeds the sum, inf for a zero sum."""
-    if not total:
+def _bits_lost(peak: int, total: tuple[int, int]) -> float:
+    """log2(max term / |sum|) of the loop's integers, the sum an (re, im)
+    pair; 0.0 when no term exceeds the sum, inf for a zero sum."""
+    if not (norm2 := total[0] ** 2 + total[1] ** 2):
         return math.inf
-    parts = [part for part in (total.real, total.imag) if part]
-    low = min(part.exp for part in parts)
-    log2_sum = 0.5 * math.log2(sum((part.man << part.exp - low) ** 2 for part in parts)) + low
-    return max(math.log2(max_mag.man) + max_mag.exp - log2_sum, 0.0)
+    return max(math.log2(peak) - 0.5 * math.log2(norm2), 0.0)
 
 
 def _predicted_bits(xs, q: float) -> int:
@@ -271,8 +258,8 @@ def _predicted_bits(xs, q: float) -> int:
 
     eps, loss = -math.log(q), 0.0
     for x in xs:
-        peak, n, qn = 0.0, 0, q
-        while (step := math.log(x) - 2.0 * n * eps - math.log1p(-qn)) > 0.0:
+        peak, n, qn, log_x = 0.0, 0, q, math.log(x)
+        while (step := log_x - 2.0 * n * eps - math.log1p(-qn)) > 0.0:
             peak, n, qn = peak + step, n + 1, qn * q
         z1 = 0.5 + 0.5 * cmath.sqrt(1.0 - 4.0 * x)
         log_h = _log_euler_function(eps) + phase_f(z1, x).real / eps
@@ -288,7 +275,7 @@ def _sum_h(t, settings: EvalSettings, keep: int, scaled: bool = False):
     estimate holds (real t in (0, 1/2), eps <= 0.2, envelope > 53 + 96), else
     the envelope. If a series keeps fewer than ``keep`` bits, the pass reruns
     at the measured loss + 8 + keep bits (at most the envelope). Returns the
-    ``_h_series_mp`` tuples, the final precision and the largest loss.
+    ``_h_series_mp`` tuples, their F, the final precision and the largest loss.
     """
     if not cmath.isfinite(t):
         raise DomainError(f"the series needs a finite t, got {t!r}")
@@ -298,12 +285,11 @@ def _sum_h(t, settings: EvalSettings, keep: int, scaled: bool = False):
             and not isinstance(t, complex) and 0.0 < t < 0.5):
         bits = min(envelope, _predicted_bits(xs, settings.q))
     while True:
-        with mpmath.workprec(bits):
-            sums = _h_series_mp(t, settings.q, settings.tol, scaled)
+        frac, sums = _h_series_mp(t, settings.q, settings.tol, scaled, bits)
         lost = max(_bits_lost(peak, total) for total, _, peak, _ in sums)
         _log.debug("H at %r: %d of %d bits, lost %.1f", t, bits, envelope, lost)
         if bits == envelope or bits - lost >= keep:
-            return sums, bits, lost
+            return sums, frac, bits, lost
         bits = min(envelope, math.ceil(min(lost, envelope)) + 8 + keep)
         _log.debug("H at %r: rerun at %d bits", t, bits)
 
@@ -313,18 +299,20 @@ def h_series(t: float | complex, settings: EvalSettings, full_output: bool = Fal
 
     The terms grow far beyond the sum before they decay, so ``_sum_h`` keeps
     53 + 96 bits after cancellation; the result and the bits lost are
-    reported. An exact zero at the working precision raises a pole error, and
-    a sum outside the normal double range (|H| < 2.2e-308 once eps falls
-    below about 5e-4 near t = 1/4) a domain error.
+    reported, the sum rounded to a double once. An exact zero at the working
+    precision raises a pole error, and a sum outside the normal double range
+    (|H| < 2.2e-308 once eps falls below about 5e-4 near t = 1/4) a domain error.
     """
-    [(total, n, _, last)], bits, lost = _sum_h(t, settings, 53 + _GUARD_BITS)
-    if not total:
+    [((re, im), n, _, last)], frac, bits, lost = _sum_h(t, settings, 53 + _GUARD_BITS)
+    if not (norm2 := re * re + im * im):
         raise PoleProximityError("series sum vanished at working precision; t is at a zero")
-    if not sys.float_info.min <= abs(total) <= sys.float_info.max:
-        raise DomainError(f"H({t!r}) = {mpmath.nstr(total, 5)} lies outside the double range")
-    value = complex(total) if isinstance(t, complex) else float(total)
+    if not 1 << 2 * frac <= norm2 << 2044 or norm2 > int(sys.float_info.max) ** 2 << 2 * frac:
+        log10 = (0.5 * math.log2(norm2) - frac) * math.log10(2.0)
+        raise DomainError(f"|H({t!r})| = {10 ** (log10 % 1):.4f}e{math.floor(log10)} lies outside the double range")
+    unit = 1 << frac
+    value = complex(re / unit, im / unit) if isinstance(t, complex) else re / unit
     if full_output:
-        return HSeriesResult(value, n, lost, float(last), precision_bits=bits)
+        return HSeriesResult(value, n, lost, last / unit, precision_bits=bits)
     return value
 
 
@@ -337,15 +325,15 @@ def g_ratio(t: float | complex, settings: EvalSettings, full_output: bool = Fals
     significant bits the point is next to a zero of H (at or beyond the pole
     line): a pole error.
     """
-    [(denom, n, max_d, last_d), (numer, _, _, last_n)], bits, lost = _sum_h(
+    [((d_re, d_im), n, max_d, last_d), ((n_re, n_im), _, _, last_n)], frac, bits, lost = _sum_h(
         t, settings, 53 + _GUARD_BITS, scaled=True)
-    if abs(denom) <= max_d * mpmath.mpf(2) ** (-(bits - 16)):
+    if (norm2 := d_re * d_re + d_im * d_im) << 2 * (bits - 16) <= max_d * max_d:
         raise PoleProximityError(f"H(t) at t = {t!r} is below the cancellation floor; "
                                  "t lies at or beyond the pole boundary")
-    ratio = mpmath.fdiv(numer, denom, prec=bits)
-    value = complex(ratio) if isinstance(t, complex) else float(ratio)
+    value = (complex((n_re * d_re + n_im * d_im) / norm2, (n_im * d_re - n_re * d_im) / norm2)
+             if isinstance(t, complex) else n_re / d_re)  # complex: numer conj(denom) / |denom|^2
     if full_output:
-        return HSeriesResult(value, 2 * n, lost, float(max(last_d, last_n)), precision_bits=bits)
+        return HSeriesResult(value, 2 * n, lost, max(last_d, last_n) / (1 << frac), precision_bits=bits)
     return value
 
 
@@ -568,7 +556,7 @@ def t_infinity(q: float, settings: EvalSettings | None = None) -> float:
         settings = EvalSettings(q=q)
     elif settings.q != q:
         raise DomainError(f"t_infinity got q = {q!r} but settings for q = {settings.q!r}")
-    h = lambda t: _sum_h(t, settings, 24)[0][0][0]  # the exact sign: ~2000 terms round by < 2^11 ulps
+    h = lambda t: _sum_h(t, settings, 24)[0][0][0][0]  # the exact sign: ~2000 terms round by < 2^11 ulps
     hi = 0.25
     if h(hi) <= 0.0:
         raise SearchFailureError("H(1/4) <= 0; no bracket below the boundary")

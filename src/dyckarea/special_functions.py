@@ -13,8 +13,8 @@ Evaluation strategy for Ai/Ai':
 * ``3.5 < x <= 7.8`` and ``-7.8 <= x < -4.5``   the same Maclaurin
   recurrence in binary fixed point on Python integers, with the precision
   raised by the cancellation depth exp(2|x|^{3/2}/3); Ai(0) and Ai'(0) are
-  the only mpmath values, computed once per precision. Ai and Ai' are
-  within 1 ulp of 300-bit mpmath values across both bands. A plain
+  read from 256-bit integer constants. Ai and Ai' are within 1 ulp of
+  300-bit mpmath values across both bands. A plain
   asymptotic expansion switched on at 4.5 bottoms out near 3e-6 (optimal
   truncation error exp(-4|x|^{3/2}/3)), far short of 12 digits, which is
   why this guarded middle tier exists.
@@ -36,8 +36,6 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-
-import mpmath
 
 from .errors import (
     BranchCutError,
@@ -61,9 +59,12 @@ __all__ = [
     "A0",
 ]
 
-# Closed forms 3^(-2/3)/Gamma(2/3) and -3^(-1/3)/Gamma(1/3).
+# Closed forms 3^(-2/3)/Gamma(2/3) and -3^(-1/3)/Gamma(1/3); for the guarded
+# Maclaurin tier also times 2^256, as nearest integers.
 AIRY_AT_ZERO = 3.0 ** (-2.0 / 3.0) / math.gamma(2.0 / 3.0)
 AIRY_PRIME_AT_ZERO = -(3.0 ** (-1.0 / 3.0)) / math.gamma(1.0 / 3.0)
+_AI0_256 = 41109440097528836801426857147003022046736271027248145578114601627402032088151
+_AIP0_256 = -29969239500325658570643940434295903604949246557401152125927594781886720463969
 # Amplitude of the tricritical scaling law, Ai'(0)/Ai(0) = -0.7290...
 A0 = AIRY_PRIME_AT_ZERO / AIRY_AT_ZERO
 
@@ -118,13 +119,9 @@ def _maclaurin_terms(x: float):
             return f_terms, g_terms, fp_terms, gp_terms
 
 
-@lru_cache(maxsize=None)
 def _airy_origin(frac: int) -> tuple[int, int]:
-    """Ai(0) = 3^(-2/3)/Gamma(2/3) and Ai'(0) = -3^(-1/3)/Gamma(1/3) times 2^frac, as nearest integers."""
-    with mpmath.workprec(frac + 16):
-        third = mpmath.mpf(1) / 3
-        pair = (3 ** (-2 * third) / mpmath.gamma(2 * third), -(3 ** -third) / mpmath.gamma(third))
-        return tuple(int(mpmath.nint(mpmath.ldexp(c, frac))) for c in pair)
+    """Ai(0) and Ai'(0) times 2^frac, frac < 256, as nearest integers (halves up)."""
+    return tuple((c >> 255 - frac) + 1 >> 1 for c in (_AI0_256, _AIP0_256))
 
 
 def _airy_maclaurin(x: float, guarded: bool) -> AiryPair:
@@ -354,7 +351,19 @@ def airy_zeta(j: int, count: int = 400) -> float:
 # Dilogarithm
 # --------------------------------------------------------------------------
 
-_BERNOULLI = [float(mpmath.bernoulli(n)) for n in range(0, 64)]
+def _bernoulli_numbers(count: int) -> list[float]:
+    """B_0 .. B_(count-1), count even: B_1 = -1/2, the odd B_n > 1 are 0, and B_2n =
+    (-1)^(n-1) 2n T_n / (4^n (4^n - 1)), T_n the tangent numbers (Knuth and Buckholtz)."""
+    half = count // 2 - 1
+    tan = [math.factorial(k - 1) if k else 0 for k in range(half + 1)]  # T_k after the sweeps
+    for k in range(2, half + 1):
+        for j in range(k, half + 1):
+            tan[j] = (j - k) * tan[j - 1] + (j - k + 2) * tan[j]
+    even = [(-1) ** (n - 1) * 2 * n * tan[n] / (4**n * (4**n - 1)) for n in range(1, half + 1)]
+    return [1.0, -0.5] + [b for b2n in even for b in (b2n, 0.0)]
+
+
+_BERNOULLI = _bernoulli_numbers(64)
 
 
 def _dilog_w_series(z: complex) -> complex:

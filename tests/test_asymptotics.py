@@ -362,3 +362,9 @@ class TestFiniteSize:
             q_m_asymptotic(5, 0.24)
         with pytest.raises(NonConvergenceError):
             finite_size_phi(40.0, j_max=10)
+
+    @pytest.mark.parametrize("s, j_max", [(2.0, 300), (1e3, 120), (-1e3, 120)])
+    def test_term_outside_double_range(self, s, j_max):
+        # Gamma(2j/3 - 1/3) overflows from j = 258 on, s^j from j = 103 at |s| = 1e3
+        with pytest.raises(DomainError, match="leaves the double range"):
+            finite_size_phi(s, j_max=j_max)

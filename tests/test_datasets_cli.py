@@ -387,6 +387,8 @@ class TestCli:
         ("scan --kind scaling_fn --eps-list -1000 --steps 3 --out /dev/null", 2),
         ("scan --kind scaling_fn --eps-list 1e-2,inf --steps 3 --out /dev/null", 2),
         ("enumerate --n-max 3 --verify-brute-force 5", 64),
+        ("partition --m 40 --t 0.2 --j-max 300", 2),
+        ("scan --kind partition --t 0.24 --m-list 20 --j-max 400 --out /dev/null", 2),
     ])
     def test_bad_input_exit_code(self, run_cli, argv, code):
         # main returns the documented code and lets no exception escape

@@ -1,0 +1,71 @@
+"""The runtime needs only the dependencies ``pyproject.toml`` declares:
+the package imports nothing else, and mpmath serves the tests alone."""
+
+import ast
+import os
+import pathlib
+import re
+import subprocess
+import sys
+import textwrap
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+
+
+def _imported_roots() -> set[str]:
+    """Root module of every absolute import in ``src/dyckarea/*.py``."""
+    roots = set()
+    for path in sorted((SRC / "dyckarea").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                roots.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                roots.add(node.module.split(".")[0])
+    return roots - set(sys.stdlib_module_names) - {"dyckarea"}
+
+
+def test_imports_match_declared_dependencies():
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        declared = tomllib.load(fh)["project"]["dependencies"]
+    names = {re.match(r"[A-Za-z0-9_.-]+", spec).group() for spec in declared}
+    assert _imported_roots() == names == {"numpy"}
+
+
+# one op of every command, eval by every method and scan of every kind; the
+# Airy scaling point s = 4.3 lies in the guarded Maclaurin tier
+_OPS = """
+eval --t 0.2 --q 0.5 --method series
+eval --t 0.2 --eps 0.05 --method ratio
+eval --t 0.2 --q 0.5 --method cfrac
+eval --t 0.2 --eps 0.05 --method uniform
+eval --t 0.2 --eps 0.01 --method scaling
+scan --kind g_vs_t --q 0.9 --steps 3 --out g.csv
+scan --kind phase_boundary --q-min 0.5 --q-max 0.6 --steps 2 --out p.csv
+scan --kind scaling_fn --eps-list 1e-2 --steps 3 --out s.json --format json
+scan --kind partition --t 0.24 --m-list 10 --out m.csv
+enumerate --n-max 4 --verify-brute-force 4
+scaling --s 0.5 --eps 0.01
+partition --m 10 --t 0.2
+validate
+"""
+
+
+def test_cli_never_imports_mpmath(tmp_path):
+    ops = [line.split() for line in _OPS.strip().splitlines()]
+    script = textwrap.dedent(f"""
+        import contextlib, io, sys
+        from dyckarea import cli
+        for argv in {ops!r}:
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(argv)
+            assert code == 0, (argv, code)
+        assert "mpmath" not in sys.modules, "mpmath imported"
+    """)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    res = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert res.returncode == 0, res.stderr

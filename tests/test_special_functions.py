@@ -178,16 +178,24 @@ class TestAiryMiddleTier:
         worst = _worst_ulps(xs)
         assert worst[0] <= 1.0, worst
 
-    @pytest.mark.parametrize("frac", [97, 110, 126])  # the tier's lowest, a middle and its highest F
-    def test_origin_constants(self, frac):
-        with mpmath.workprec(300):
-            expected = (mpmath.nint(mpmath.ldexp(mpmath.airyai(0), frac)),
-                        mpmath.nint(mpmath.ldexp(mpmath.airyai(0, derivative=1), frac)))
-        assert special_functions._airy_origin(frac) == tuple(map(int, expected))
+    def test_origin_constants(self, monkeypatch):
+        # every F the tier reaches: F grows with |x|, so the band edges give
+        # its lowest (next above 3.5) and its highest (at 7.8 and -7.8)
+        fracs = []
+        origin = special_functions._airy_origin
+        monkeypatch.setattr(special_functions, "_airy_origin", lambda frac: fracs.append(frac) or origin(frac))
+        for x in (math.nextafter(3.5, math.inf), 7.8, math.nextafter(-4.5, -math.inf), -7.8):
+            airy(x)
+        assert (min(fracs), max(fracs)) == (97, 126)
+        for frac in range(min(fracs), max(fracs) + 1):
+            with mpmath.workprec(300):
+                expected = (mpmath.nint(mpmath.ldexp(mpmath.airyai(0), frac)),
+                            mpmath.nint(mpmath.ldexp(mpmath.airyai(0, derivative=1), frac)))
+            assert origin(frac) == tuple(map(int, expected)), frac
 
     def test_no_mpmath_arithmetic_per_call(self, monkeypatch):
-        # after one call per precision, the tier reads only its cached
-        # constants: mpmath's gamma, workprec and mpf are never touched
+        # the tier reads only integer constants, nothing is cached per
+        # precision, and mpmath's gamma, workprec and mpf are never touched
         xs = (5.0, -6.0, math.nextafter(3.5, math.inf), -7.8)
         expected = [airy(x) for x in xs]
 
@@ -195,8 +203,9 @@ class TestAiryMiddleTier:
             raise AssertionError("mpmath used in the guarded Airy tier")
 
         for name in ("gamma", "workprec", "mpf"):
-            monkeypatch.setattr(special_functions.mpmath, name, forbidden)
+            monkeypatch.setattr(mpmath, name, forbidden)
         assert [airy(x) for x in xs] == expected
+        assert "mpmath" not in vars(special_functions)
 
 
 class TestAiryZeros:
@@ -254,6 +263,9 @@ class TestAiryZeta:
 
 
 class TestDilog:
+    def test_bernoulli_numbers(self):
+        assert special_functions._BERNOULLI == [float(mpmath.bernoulli(n)) for n in range(64)]
+
     def test_trivial_points(self):
         assert dilog(0.0) == 0.0
         assert dilog(1.0).real == pytest.approx(math.pi**2 / 6.0, abs=1e-15)
