@@ -178,7 +178,14 @@ class TestAiryMiddleTier:
         worst = _worst_ulps(xs)
         assert worst[0] <= 1.0, worst
 
-    def test_origin_constants(self, monkeypatch):
+    @pytest.mark.parametrize("frac", [97, 110, 126])  # the tier's lowest, a middle and its highest F
+    def test_origin_constants(self, frac):
+        with mpmath.workprec(300):
+            expected = (mpmath.nint(mpmath.ldexp(mpmath.airyai(0), frac)),
+                        mpmath.nint(mpmath.ldexp(mpmath.airyai(0, derivative=1), frac)))
+        assert special_functions._airy_origin(frac) == tuple(map(int, expected))
+
+    def test_origin_constants_every_reached_precision(self, monkeypatch):
         # every F the tier reaches: F grows with |x|, so the band edges give
         # its lowest (next above 3.5) and its highest (at 7.8 and -7.8)
         fracs = []
