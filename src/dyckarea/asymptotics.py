@@ -338,15 +338,21 @@ def finite_size_phi(s: float, j_max: int = 24, tol: float = 1e-6,
     fixed-area series Q_m(t) is a sum of positive terms, and the s = 0
     term Z(1)/Gamma(-1/3) is negative (Z(1) > 0, Gamma(-1/3) < 0), so only
     -1 makes phi positive there. The factor 2 is the tricritical
-    amplitude 1/(2 t_c) of the singular part. A term, its Gamma factor, its
-    power of s or the sum outside the double range is a domain error.
+    amplitude 1/(2 t_c) of the singular part. A Gamma factor past the double
+    range (from j = 258 on) makes Z(j+1)/Gamma 0.0, its correctly rounded
+    value, as |Z(j+1)| < 3e-96 there; a term, its power of s or the sum
+    outside the double range is a domain error.
     """
     if j_max < 10:
         raise DomainError("j_max must be >= 10")
     total = last = 0.0
     for j in range(j_max + 1):
         try:
-            last = airy_zeta(j + 1) / math.gamma(2.0 * j / 3.0 - 1.0 / 3.0) * s**j
+            gamma = math.gamma(2.0 * j / 3.0 - 1.0 / 3.0)
+        except OverflowError:
+            gamma = math.inf
+        try:
+            last = airy_zeta(j + 1) / gamma * s**j
         except OverflowError:
             last = math.inf
         total += last

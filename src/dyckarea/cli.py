@@ -86,10 +86,6 @@ def _number_list(text: str, kind, flag: str) -> list:
         raise _UsageError(f"{flag} must be a comma-separated list of numbers, got {text!r}") from None
 
 
-def _settings(args, q: float) -> EvalSettings:
-    return EvalSettings(q=q, tol=_tol(args, 1e-12), precision_bits=args.precision_bits)
-
-
 def _cmd_eval(args) -> int:
     q = _resolve_q(args)
     t = args.t
@@ -101,7 +97,7 @@ def _cmd_eval(args) -> int:
         print(f"{value!r}")
         print(f"# {provenance}")
         return EXIT_OK
-    settings = _settings(args, q)
+    settings = EvalSettings(q=q, tol=_tol(args, 1e-12))
     if method == "ratio":
         res = g_ratio(t, settings, full_output=True)
         value = res.value
@@ -182,13 +178,15 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_scaling(args) -> int:
+    # everything is computed before the first line, so a failure prints nothing
     value = scaling_F(args.s)
-    print(f"F({args.s:g}) = {value!r}")
     series, bound = scaling_F_series(args.s, args.j_max, full_output=True)
-    print(f"series(j_max={args.j_max}) = {series!r}  truncation_bound={bound:.3e}")
+    lines = [f"F({args.s:g}) = {value!r}",
+             f"series(j_max={args.j_max}) = {series!r}  truncation_bound={bound:.3e}"]
     if args.eps is not None:
         query = ScalingQuery.from_s_eps(args.s, args.eps)
-        print(f"G_scaling(s={args.s:g}, eps={args.eps:g}) = {g_scaling(query)!r}  (t={query.t:.8f})")
+        lines.append(f"G_scaling(s={args.s:g}, eps={args.eps:g}) = {g_scaling(query)!r}  (t={query.t:.8f})")
+    print("\n".join(lines))
     return EXIT_OK
 
 
@@ -267,7 +265,6 @@ def build_parser() -> _Parser:
     p.add_argument("--method", choices=["series", "ratio", "cfrac", "uniform", "scaling"],
                    required=True)
     p.add_argument("--tol", type=float)
-    p.add_argument("--precision-bits", dest="precision_bits", type=int)
     p.add_argument("--n-max", dest="n_max", type=int, default=60)
     p.set_defaults(func=_cmd_eval)
 

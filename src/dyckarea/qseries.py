@@ -66,32 +66,26 @@ _MAX_TERMS = 200_000  # the alternating series gives up after this many terms
 class EvalSettings:
     """The nome q and the numerical policy shared by the q-series routines.
 
-    ``epsilon`` is always recomputed from q, never stored. ``precision_bits``
-    fixes the precision of every sum of H; unset, ``_sum_h`` sizes it from
-    the saddle-point estimate of the cancellation and reruns at the measured
-    loss, capped by the envelope exp((ln^2 t / 2 + pi^2/6) / eps) of ``bits_for``.
+    ``epsilon`` is always recomputed from q, never stored. ``_sum_h`` picks
+    the precision of every sum of H; the envelope of ``bits_for`` only caps it.
     """
 
     q: float
     tol: float = 1e-12
-    precision_bits: int | None = None
 
     def __post_init__(self):
         if not (0.0 < self.q < 1.0):
             raise DomainError(f"q must lie in (0, 1), got {self.q!r}")
         if not (0.0 < self.tol < math.inf):
             raise DomainError(f"tol must be finite and positive, got {self.tol!r}")
-        if self.precision_bits is not None and self.precision_bits < 53:
-            raise DomainError("precision_bits must be >= 53")
 
     @property
     def epsilon(self) -> float:
         return -math.log(self.q)
 
     def bits_for(self, t: float | complex) -> int:
-        """Working mantissa width for the alternating series at argument t."""
-        if self.precision_bits is not None:
-            return self.precision_bits
+        """The cap on the working mantissa width of a sum of H at t: the
+        envelope 3 (ln^2|t| / 2 + pi^2/6) / (eps ln 2) of its cancellation."""
         at = abs(t)
         if at < 1e-12:
             return 53
@@ -270,19 +264,19 @@ def _predicted_bits(xs, q: float) -> int:
 def _sum_h(t, settings: EvalSettings, keep: int, scaled: bool = False):
     """H(t), and H(qt) from the same pass if ``scaled``: predict, check, rerun.
 
-    Precision: ``precision_bits`` if set, else ``_predicted_bits`` capped at
-    the envelope, the larger ``bits_for`` of t and qt, where the saddle
-    estimate holds (real t in (0, 1/2), eps <= 0.2, envelope > 53 + 96), else
-    the envelope. If a series keeps fewer than ``keep`` bits, the pass reruns
-    at the measured loss + 8 + keep bits (at most the envelope). Returns the
-    ``_h_series_mp`` tuples, their F, the final precision and the largest loss.
+    The one precision rule for every sum of H. Start at ``_predicted_bits``
+    where the saddle estimate holds (real t in (0, 1/2), eps <= 0.2), else at
+    53 + 96 bits. If a series keeps fewer than ``keep`` bits, rerun at
+    max(2 bits, measured loss + 8 + keep). The envelope, the larger
+    ``bits_for`` of t and qt, caps every pass. Returns the ``_h_series_mp``
+    tuples, their F, the final precision and the largest loss.
     """
     if not cmath.isfinite(t):
         raise DomainError(f"the series needs a finite t, got {t!r}")
     xs = (t, settings.q * t) if scaled else (t,)  # qt rounded to a double only sizes the precision
-    bits = envelope = max(settings.bits_for(x) for x in xs)
-    if (settings.precision_bits is None and envelope > 53 + _GUARD_BITS and settings.epsilon <= 0.2
-            and not isinstance(t, complex) and 0.0 < t < 0.5):
+    envelope = max(settings.bits_for(x) for x in xs)
+    bits = min(envelope, 53 + _GUARD_BITS)
+    if bits < envelope and settings.epsilon <= 0.2 and not isinstance(t, complex) and 0.0 < t < 0.5:
         bits = min(envelope, _predicted_bits(xs, settings.q))
     while True:
         frac, sums = _h_series_mp(t, settings.q, settings.tol, scaled, bits)
@@ -290,7 +284,7 @@ def _sum_h(t, settings: EvalSettings, keep: int, scaled: bool = False):
         _log.debug("H at %r: %d of %d bits, lost %.1f", t, bits, envelope, lost)
         if bits == envelope or bits - lost >= keep:
             return sums, frac, bits, lost
-        bits = min(envelope, math.ceil(min(lost, envelope)) + 8 + keep)
+        bits = min(envelope, max(2 * bits, math.ceil(min(lost, envelope)) + 8 + keep))
         _log.debug("H at %r: rerun at %d bits", t, bits)
 
 

@@ -1,9 +1,12 @@
 """Scan datasets, serialization determinism, and the command-line surface."""
 
+import argparse
 import hashlib
 import json
 import math
+import pathlib
 import re
+import shlex
 import subprocess
 import sys
 
@@ -175,7 +178,9 @@ class TestCli:
 
     def test_non_convergence_exit(self, run_cli):
         # the zeta-coefficient series diverges outside |s| < |s_1|
-        assert run_cli("scaling", "--s", "2.4").returncode == 3
+        res = run_cli("scaling", "--s", "2.4")
+        assert res.returncode == 3
+        assert res.stdout == ""  # no part of the result before the failure
 
     def test_io_error_exit(self, run_cli):
         res = run_cli("scan", "--kind", "phase_boundary", "--q-min", "0.5", "--q-max", "0.6",
@@ -378,6 +383,8 @@ class TestCli:
         ("scaling --s 0 --eps 0", 2),
         ("scaling --s 0 --eps inf", 2),
         ("scaling --s 0 --j-max -3", 2),
+        ("scaling --s 0 --j-max 0", 2),
+        ("scaling --s 2.5", 3),
         ("eval --t inf --q 0.5 --method scaling", 2),
         ("eval --t 1e308 --q 0.5 --method cfrac", 2),
         ("eval --t 0.2 --eps -1000 --method cfrac", 2),
@@ -387,11 +394,50 @@ class TestCli:
         ("scan --kind scaling_fn --eps-list -1000 --steps 3 --out /dev/null", 2),
         ("scan --kind scaling_fn --eps-list 1e-2,inf --steps 3 --out /dev/null", 2),
         ("enumerate --n-max 3 --verify-brute-force 5", 64),
-        ("partition --m 40 --t 0.2 --j-max 300", 2),
-        ("scan --kind partition --t 0.24 --m-list 20 --j-max 400 --out /dev/null", 2),
+        ("eval --t 0.2 --q 0.5 --method ratio --precision-bits 200", 64),
     ])
     def test_bad_input_exit_code(self, run_cli, argv, code):
-        # main returns the documented code and lets no exception escape
+        # main returns the documented code and lets no exception escape; a
+        # failing command prints no part of its result
         res = run_cli(*argv.split())
         assert type(res.returncode) is int
         assert res.returncode == code
+        if code:
+            assert res.stdout == ""
+
+    def test_j_max_past_gamma_overflow(self, tmp_path, run_cli):
+        # from j = 258 on Gamma(2j/3 - 1/3) overflows and Z(j+1)/Gamma rounds
+        # to 0.0: a larger j_max prints and writes what j_max = 257 does
+        def partition(j_max):
+            res = run_cli("partition", "--m", "40", "--t", "0.2", "--j-max", str(j_max))
+            assert res.returncode == 0
+            return res.stdout
+
+        def scan(j_max):
+            out = tmp_path / f"{j_max}.csv"
+            assert run_cli("scan", "--kind", "partition", "--t", "0.24", "--m-list", "20",
+                           "--j-max", str(j_max), "--out", str(out)).returncode == 0
+            return out.read_text()
+
+        assert partition(300) == partition(257)
+        assert scan(400) == scan(257)
+
+
+class TestReadme:
+    """The README's command-line documentation and the parser stay in step."""
+
+    README = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+
+    def test_flags_are_options(self):
+        parser = cli.build_parser()
+        [subparsers] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        options = {flag for sub in subparsers.choices.values() for flag in sub._option_string_actions}
+        flags = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", self.README))
+        assert flags and flags <= options, sorted(flags - options)
+
+    def test_command_lines_parse(self):
+        block = self.README.split("## Command line", 1)[1].split("```")[1]
+        lines = [line.split("#")[0] for line in block.splitlines() if line.startswith("dyckarea ")]
+        assert len(lines) >= 9
+        for line in lines:
+            cli.build_parser().parse_args(shlex.split(line)[1:])  # exits 64 on a bad line
