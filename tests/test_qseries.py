@@ -327,10 +327,10 @@ class TestRatioPrecision:
         settings = EvalSettings(q=math.exp(-1e-3))
         with caplog.at_level(logging.DEBUG, logger="dyckarea"):
             res = g_ratio(t, settings, full_output=True)
-        bits = [149] + [int(m.group(1)) for rec in caplog.records
-                        if (m := re.search(r"rerun at (\d+) bits", rec.getMessage()))]
-        assert all(b >= 2 * a for a, b in zip(bits, bits[1:]))
-        assert bits[-1] == res.precision_bits <= most_bits
+        passes = [int(m.group(1)) for rec in caplog.records
+                  if (m := re.search(r": (\d+) of \d+ bits", rec.getMessage()))]
+        assert passes[0] == 149 and all(b >= 2 * a for a, b in zip(passes, passes[1:]))  # each rerun doubles
+        assert passes[-1] == res.precision_bits <= most_bits
         assert res.value == _envelope_reference(g_ratio, t, settings)
         TestAgainstOracle._ratio_within_bound(t, EvalSettings(q=settings.q, tol=1e-16))
 
