@@ -238,6 +238,18 @@ class TestCli:
         assert run_cli(*argv.split(), "--out", str(out)).returncode == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
+    # sha256 of the standard output of the README's table commands, run as written
+    @pytest.mark.parametrize("argv, digest", [
+        ("enumerate --n-max 12 --verify-brute-force 12",
+         "d6dfa4bb78c25611776a3b37456a19f5f51f241e1a2b838c75732cb6f55d3d7b"),
+        ("partition --m 40 --t 0.2286",
+         "43891fc2d04f625fc2574663df870eebe5db41d68a6a67b748d873fd4a230f47"),
+    ], ids=["enumerate", "partition"])
+    def test_readme_stdout_digest(self, run_cli, argv, digest):
+        res = run_cli(*argv.split())
+        assert res.returncode == 0
+        assert hashlib.sha256(res.stdout.encode()).hexdigest() == digest
+
     @pytest.mark.parametrize("breakdown", ["zero_division", "inf"])
     def test_cfrac_breakdown(self, monkeypatch, tmp_path, run_cli, breakdown):
         # the scalar loop breaks down at t = 0.2 alone, by a vanishing

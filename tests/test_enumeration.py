@@ -121,6 +121,25 @@ class TestRecurrenceTable:
         text = table_to_csv(build_area_polynomials(n_max, m_max=m_max))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
+    @hypothesis.settings(max_examples=25)
+    @hypothesis.given(data=st.data())
+    def test_table_invariants(self, data):
+        # every read path agrees with the decoded rows, on full and capped tables
+        n_max = data.draw(st.integers(0, 40), label="n_max")
+        top = n_max * (n_max - 1) // 2
+        m_max = data.draw(st.none() | st.integers(0, top), label="m_max")
+        table = build_area_polynomials(n_max, m_max=m_max)
+        rows = [row.coeffs for row in table.rows]
+        for m in range(top + 1 if m_max is None else m_max + 1):
+            want = [row[m] if m < len(row) else 0 for row in rows]
+            assert table.column(m) == want
+            assert [table.coefficient(m, n) for n in range(n_max + 1)] == want
+        for n, row in enumerate(rows):
+            assert row[0] == 1
+            if len(row) == n * (n - 1) // 2 + 1:  # a full row
+                assert sum(row) == catalan_number(n)
+                assert row[-1] == 1
+
     def test_column_access(self):
         table = build_area_polynomials(9)
         assert table.column(0) == [1] * 10
