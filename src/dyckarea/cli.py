@@ -152,8 +152,8 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    if args.verify_brute_force is not None and args.verify_brute_force > args.n_max:
-        raise _UsageError(f"--verify-brute-force {args.verify_brute_force} exceeds --n-max {args.n_max}")
+    if args.verify_brute_force is not None and not 0 <= args.verify_brute_force <= args.n_max:
+        raise _UsageError(f"--verify-brute-force {args.verify_brute_force} is outside 0..--n-max {args.n_max}")
     table = build_area_polynomials(args.n_max)
     text = table_to_json(table) if args.format == "json" else table_to_csv(table)
     if args.out:
@@ -191,10 +191,12 @@ def _cmd_scaling(args) -> int:
 
 
 def _cmd_partition(args) -> int:
-    n_max = 2 * args.m if args.n_max is None else args.n_max
-    table = build_area_polynomials(n_max, m_max=args.m)
-    value = partition_series(table, args.m, args.t)
+    if args.m < 0:
+        raise DomainError(f"area {args.m} must be >= 0")
+    # the asymptotic fails in microseconds, the table build it would follow in seconds
     asym = q_m_asymptotic(args.m, args.t, j_max=args.j_max) if args.m >= 10 else None
+    n_max = 2 * args.m if args.n_max is None else args.n_max
+    value = partition_series(build_area_polynomials(n_max, m_max=args.m), args.m, args.t)
     # the value is exact; the zero tail and ok=True are kept for existing parsers
     print(f"Q_{args.m}({args.t:g}) = {value!r}  (n <= {n_max}, tail ~ 0.00e+00, ok=True)")
     if asym is not None:

@@ -199,6 +199,10 @@ def scan_partition(t: float, m_values: list[int], n_max: int | None = None,
     """
     if not m_values:
         raise DomainError("m_values must be nonempty")
+    if min(m_values) < 0:
+        raise DomainError(f"area {min(m_values)} must be >= 0")
+    # the asymptotic first: it fails in microseconds, the table build in seconds
+    asymptotic = [q_m_asymptotic(m, t, j_max=j_max) if m >= 10 else math.nan for m in m_values]
     m_top = max(m_values)
     if n_max is None:
         n_max = 2 * m_top
@@ -211,8 +215,7 @@ def scan_partition(t: float, m_values: list[int], n_max: int | None = None,
         columns={"m": list(m_values),
                  "s": [(1.0 - 4.0 * t) * m ** (2.0 / 3.0) for m in m_values],
                  "Q_exact": exact,
-                 "Q_asymptotic": [q_m_asymptotic(m, t, j_max=j_max) if m >= 10 else math.nan
-                                  for m in m_values],
+                 "Q_asymptotic": asymptotic,
                  "tail_estimate": [0.0] * len(m_values)},
         metadata=_metadata("partition", stamp, t=t, n_max=n_max, j_max=j_max,
                            methods=["table_series", "finite_size_phi"]),

@@ -35,7 +35,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import DivergenceError, DomainError, ResourceLimitError
 
@@ -95,20 +95,37 @@ class AreaPolynomial:
 class CoefficientTable:
     """Triangular store of the counts c[m][n] for n = 0..n_max.
 
+    Rows stay packed as the builder leaves them: digit m of ``packed[n]``,
+    ``digit_bits`` wide, is c[m][n]. ``coefficient`` and ``column`` read the
+    digits in place; ``rows`` decodes every row on first access and keeps it.
     ``m_cap`` records an optional area truncation: when set, every row
     keeps only areas m <= m_cap (rows shorter than the cap are complete).
     """
 
     n_max: int
-    rows: tuple[AreaPolynomial, ...]
+    packed: tuple[int, ...]
+    digit_bits: int
     m_cap: int | None = None
+
+    @cached_property
+    def rows(self) -> tuple[AreaPolynomial, ...]:
+        width = self.digit_bits // 8
+        rows = []
+        for n, packed in enumerate(self.packed):
+            full_len = n * (n - 1) // 2 + 1
+            length = full_len if self.m_cap is None else min(full_len, self.m_cap + 1)
+            raw = packed.to_bytes(length * width, "little")
+            coeffs = tuple(
+                int.from_bytes(raw[i:i + width], "little") for i in range(0, len(raw), width)
+            )
+            rows.append((AreaPolynomial if length == full_len else _CappedRow)(n=n, coeffs=coeffs))
+        return tuple(rows)
 
     def row(self, n: int) -> AreaPolynomial:
         return self.rows[n]
 
     def coefficient(self, m: int, n: int) -> int:
-        row = self.rows[n].coeffs
-        return row[m] if m < len(row) else 0
+        return self.packed[n] >> m * self.digit_bits & (1 << self.digit_bits) - 1
 
     def column(self, m: int) -> list[int]:
         """Counts for fixed area m across all stored lengths."""
@@ -136,8 +153,10 @@ def build_area_polynomials(n_max: int, m_max: int | None = None) -> CoefficientT
     making large-n tables cheap.
 
     Each polynomial is packed into one big integer with a fixed digit width,
-    so a step costs only shifts and adds. Results are memoized; the returned
-    tables are immutable and safe to share across threads.
+    so a step costs only shifts and adds. The table keeps each row packed;
+    its rows are decoded on first read (``CoefficientTable``). Results are
+    memoized; the returned tables are immutable and safe to share across
+    threads.
     """
     if n_max < 0:
         raise DomainError("n_max must be >= 0")
@@ -148,15 +167,14 @@ def build_area_polynomials(n_max: int, m_max: int | None = None) -> CoefficientT
     if n_max > cap:
         raise ResourceLimitError(
             f"table to n = {n_max} exceeds the memory budget (cap {cap}); "
-            f"pass m_max to bound the rows or lower n_max"
+            + ("pass m_max to bound the rows or lower n_max" if full else "lower m or --n-max")
         )
     # A count after i steps is at most 2^i (the number of walks), so
     # whole-byte digits of more than 2*n_max bits can never overflow.
-    width = n_max // 4 + 1
-    bits = 8 * width
+    bits = 8 * (n_max // 4 + 1)
     mask = -1 if m_max is None else (1 << bits * (m_max + 1)) - 1
     heights = [1]  # heights[h]: packed area polynomial of the walks at height h
-    rows = [AreaPolynomial(n=0, coeffs=(1,))]
+    packed = [1]
     for step in range(1, 2 * n_max + 1):
         down = heights[1:] + [0, 0]
         up = [0] + [(poly << h * bits) & mask for h, poly in enumerate(heights)]
@@ -166,18 +184,9 @@ def build_area_polynomials(n_max: int, m_max: int | None = None) -> CoefficientT
         del heights[2 * n_max - step + 1:]
         while not heights[-1]:
             heights.pop()
-        if step % 2:
-            continue
-        n = step // 2
-        full_len = n * (n - 1) // 2 + 1
-        length = full_len if m_max is None else min(full_len, m_max + 1)
-        raw = heights[0].to_bytes(length * width, "little")
-        coeffs = tuple(
-            int.from_bytes(raw[i:i + width], "little") for i in range(0, len(raw), width)
-        )
-        row_type = AreaPolynomial if length == full_len else _CappedRow
-        rows.append(row_type(n=n, coeffs=coeffs))
-    return CoefficientTable(n_max=n_max, rows=tuple(rows), m_cap=m_max)
+        if not step % 2:
+            packed.append(heights[0])
+    return CoefficientTable(n_max=n_max, packed=tuple(packed), digit_bits=bits, m_cap=m_max)
 
 
 def brute_force_area_polynomial(n: int) -> AreaPolynomial:
@@ -185,8 +194,11 @@ def brute_force_area_polynomial(n: int) -> AreaPolynomial:
 
     Walks every admissible up/down step sequence, accumulating the running
     height sum; for a path of semilength n the number of complete squares
-    is (sum of intermediate heights - n) / 2. Entirely independent of the
-    table builder, and the arbiter for the area convention.
+    is (sum of intermediate heights - n) / 2. Once the height equals the
+    steps left, only down-steps remain, so the walk adds their heights in
+    closed form and counts the path there. Every path is still its own
+    leaf: the walk stays exhaustive, entirely independent of the table
+    builder, and the arbiter for the area convention.
     """
     if n < 0:
         raise DomainError("n must be >= 0")
@@ -199,19 +211,14 @@ def brute_force_area_polynomial(n: int) -> AreaPolynomial:
     total_steps = 2 * n
 
     def walk(step: int, height: int, height_sum: int):
-        if step == total_steps:
-            counts[(height_sum - n) // 2] += 1
+        if height == total_steps - step:  # only down-steps remain: heights h-1, ..., 0
+            counts[(height_sum + height * (height - 1) // 2 - n) // 2] += 1
             return
-        remaining = total_steps - step
-        if height < remaining:  # room to go up and still return
-            walk(step + 1, height + 1, height_sum + height + 1)
+        walk(step + 1, height + 1, height_sum + height + 1)
         if height > 0:
             walk(step + 1, height - 1, height_sum + height - 1)
 
-    if n == 0:
-        counts[0] = 1
-    else:
-        walk(0, 0, 0)
+    walk(0, 0, 0)
     return AreaPolynomial(n=n, coeffs=tuple(counts))
 
 

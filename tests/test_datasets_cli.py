@@ -22,6 +22,7 @@ from dyckarea.datasets import (
     scan_scaling_fn,
     write_dataset,
 )
+from dyckarea.enumeration import build_area_polynomials
 from dyckarea.errors import DomainError, PoleProximityError
 from dyckarea.qseries import EvalSettings, g_ratio
 
@@ -308,6 +309,41 @@ class TestCli:
                       "--n-max", "79", "--out", str(tmp_path / "x.csv"))
         assert res.returncode == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        ("partition --m -1 --t 0.2", "area -1 must be >= 0"),
+        ("scan --kind partition --m-list -1 --t 0.2 --out /dev/null", "area -1 must be >= 0"),
+        ("partition --m 641 --t 0.25", "(cap 1280); lower m or --n-max"),
+        ("partition --m 20 --t 0.25 --n-max 1281", "(cap 1280); lower m or --n-max"),
+    ])
+    def test_table_error_names_the_input(self, run_cli, argv, message):
+        # a negative area is not reported as a negative table length, and a
+        # capped caller is not told to pass the cap it passed
+        res = run_cli(*argv.split())
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr.startswith("domain error: ")
+        assert message in res.stderr
+
+    @pytest.mark.parametrize("argv", [
+        "partition --m 640 --t 0.2286",
+        "partition --m 700 --t 0.2286",  # also past the table cap
+        "scan --kind partition --m-list 10,640 --t 0.2286 --out /dev/null",
+    ])
+    def test_asymptotic_fails_before_build(self, run_cli, argv):
+        # the finite-size series does not converge at m = 640, t = 0.2286: the
+        # command exits 3 without the table build (about 10 s at m = 640)
+        calls = build_area_polynomials.cache_info()[:2]
+        res = run_cli(*argv.split())
+        assert res.returncode == 3
+        assert res.stdout == ""
+        assert build_area_polynomials.cache_info()[:2] == calls
+
+    def test_partition_leaves_rows_packed(self, run_cli):
+        # partition reads its column from the packed rows and decodes none
+        build_area_polynomials.cache_clear()
+        assert run_cli("partition", "--m", "40", "--t", "0.2286").returncode == 0
+        assert "rows" not in vars(build_area_polynomials(80, m_max=40))
+
     def test_partition_and_scan_agree(self, tmp_path, run_cli):
         # both commands take the finite-size law from the same zeta sums
         point = run_cli("partition", "--m", "40", "--t", "0.2286")
@@ -406,6 +442,7 @@ class TestCli:
         ("scan --kind scaling_fn --eps-list -1000 --steps 3 --out /dev/null", 2),
         ("scan --kind scaling_fn --eps-list 1e-2,inf --steps 3 --out /dev/null", 2),
         ("enumerate --n-max 3 --verify-brute-force 5", 64),
+        ("enumerate --n-max 3 --verify-brute-force -1", 64),
         ("eval --t 0.2 --q 0.5 --method ratio --precision-bits 200", 64),
     ])
     def test_bad_input_exit_code(self, run_cli, argv, code):
