@@ -233,7 +233,10 @@ class TestCli:
          "6d53737c9c2001ad479cc55ee767610f69042ae1672c2965922a2e1b480efd72"),
         ("scan --kind partition --t 0.24 --m-list 20,40,80",
          "0daadbc199efc8fc2d20ddaab3ffee0ad13d4c5d6374474ad8b00ca0d754084b"),
-    ], ids=["g_vs_t", "phase_boundary", "partition"])
+        # six F_from_uniform_eps0.5 rows lie outside (0, 1/2) in t: NaN
+        ("scan --kind scaling_fn --eps-list 0.5,1e-2 --s-min -3 --s-max 3 --steps 13",
+         "986484b355ff3a3b2cccaf4c6a9572de5f8bb67416945b8848eac3f5c9f29523"),
+    ], ids=["g_vs_t", "phase_boundary", "partition", "scaling_fn"])
     def test_readme_scan_digest(self, tmp_path, run_cli, argv, digest):
         out = tmp_path / "scan.csv"
         assert run_cli(*argv.split(), "--out", str(out)).returncode == 0
@@ -245,7 +248,10 @@ class TestCli:
          "d6dfa4bb78c25611776a3b37456a19f5f51f241e1a2b838c75732cb6f55d3d7b"),
         ("partition --m 40 --t 0.2286",
          "43891fc2d04f625fc2574663df870eebe5db41d68a6a67b748d873fd4a230f47"),
-    ], ids=["enumerate", "partition"])
+        # m < 10: no finite-size form, so no asymptotic line
+        ("partition --m 5 --t 0.2",
+         "2b56c78cdc8538f492d9cfcfb2c8e9bfd05dbafc7bdc3715830b95f6c58a4a88"),
+    ], ids=["enumerate", "partition", "partition_small_m"])
     def test_readme_stdout_digest(self, run_cli, argv, digest):
         res = run_cli(*argv.split())
         assert res.returncode == 0
