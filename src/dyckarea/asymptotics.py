@@ -39,19 +39,13 @@ from dataclasses import dataclass
 from typing import Literal, NamedTuple
 
 from .errors import (
-    BranchCutError,
     DomainError,
     InconsistentBranchError,
     NonConvergenceError,
     PoleProximityError,
 )
-from .qseries import EvalSettings, g_cfrac
-from .special_functions import (
-    airy_scaled,
-    airy_zeta,
-    dilog,
-    scaling_F,
-)
+from .qseries import EvalSettings, _log_euler_function, g_cfrac, phase_f
+from .special_functions import airy_scaled, airy_zeta, scaling_F
 
 __all__ = [
     "SaddleData",
@@ -67,21 +61,6 @@ __all__ = [
     "q_m_asymptotic",
     "PHI_AMPLITUDE",
 ]
-
-
-def phase_f(z: complex, t: float) -> complex:
-    """Phase function ln(t) ln(z) + Li2(z) - ln(z)^2 / 2 of the contour integral.
-
-    Analytic off the cuts (-inf, 0] and [1, inf); its z-derivative
-    (ln t - ln z - ln(1-z))/z vanishes at the saddle points.
-    """
-    z = complex(z)
-    if z.imag == 0.0 and (z.real <= 0.0 or z.real >= 1.0):
-        raise BranchCutError(f"phase argument {z!r} touches a branch cut")
-    if t <= 0.0:
-        raise DomainError("t must be positive")
-    lnz = cmath.log(z)
-    return math.log(t) * lnz + dilog(z) - 0.5 * lnz * lnz
 
 
 @dataclass(frozen=True)
@@ -199,15 +178,6 @@ class ScaledValue(NamedTuple):
         return math.copysign(math.exp(total), self.mantissa)
 
 
-def _log_euler_function(eps: float) -> float:
-    """log (q; q)_inf at q = exp(-eps) by the Dedekind eta transformation
-    (DLMF 23.15): eps/24 - pi^2/(6 eps) + log(2 pi/eps)/2 + log (p; p)_inf
-    with p = exp(-4 pi^2/eps). The last term, about -p, is below 1e-85 for
-    eps <= 0.2 and is dropped.
-    """
-    return eps / 24.0 - math.pi**2 / (6.0 * eps) + 0.5 * math.log(2.0 * math.pi / eps)
-
-
 def h_uniform(t: float, q: float, variant: Literal["H", "H_qt"] = "H") -> ScaledValue:
     """Leading uniform Airy approximation of H(t) or H(qt).
 
@@ -301,8 +271,7 @@ def g_scaling(query: ScalingQuery) -> float:
     return 2.0 * (1.0 + (1.0 - query.q) ** (1.0 / 3.0) * scaling_F(query.s))
 
 
-def g_singular(t: float, q: float, method: Literal["exact", "asymptotic"] = "exact",
-               settings: EvalSettings | None = None) -> float:
+def g_singular(t: float, q: float, method: Literal["exact", "asymptotic"] = "exact") -> float:
     """Singular part G(t, q) - 1/(2t), exactly or in scaling approximation.
 
     Both tend to -sqrt(1-4t)/(2t) as q -> 1 for fixed t <= 1/4, uniformly
@@ -311,9 +280,7 @@ def g_singular(t: float, q: float, method: Literal["exact", "asymptotic"] = "exa
     if t <= 0.0:
         raise DomainError("t must be positive")
     if method == "exact":
-        if settings is None:
-            settings = EvalSettings(q=q)
-        return g_cfrac(t, settings) - 1.0 / (2.0 * t)
+        return g_cfrac(t, EvalSettings(q=q)) - 1.0 / (2.0 * t)
     if method == "asymptotic":
         s = (1.0 - 4.0 * t) * (1.0 - q) ** (-2.0 / 3.0)
         return (1.0 - q) ** (1.0 / 3.0) * scaling_F(s) / (2.0 * t)
@@ -329,16 +296,15 @@ def g_singular(t: float, q: float, method: Literal["exact", "asymptotic"] = "exa
 PHI_AMPLITUDE = 2.0
 
 
-def finite_size_phi(s: float, j_max: int = 24, tol: float = 1e-6,
-                    full_output: bool = False):
+def finite_size_phi(s: float, j_max: int = 24) -> float:
     """Finite-size scaling function phi(s) = -2 * sum_j Z(j+1) s^j / Gamma(2j/3 - 1/3).
 
     The Gamma growth makes the series entire; truncation at j_max is
-    checked against the last term. The global sign is -1: the exact
-    fixed-area series Q_m(t) is a sum of positive terms, and the s = 0
-    term Z(1)/Gamma(-1/3) is negative (Z(1) > 0, Gamma(-1/3) < 0), so only
-    -1 makes phi positive there. The factor 2 is the tricritical
-    amplitude 1/(2 t_c) of the singular part. A Gamma factor past the double
+    checked against the last term, which must stay below 1e-6 of the sum.
+    The global sign is -1: the exact fixed-area series Q_m(t) is a sum of
+    positive terms, and the s = 0 term Z(1)/Gamma(-1/3) is negative
+    (Z(1) > 0, Gamma(-1/3) < 0), so only -1 makes phi positive there. The
+    factor 2 is the tricritical amplitude 1/(2 t_c) of the singular part. A Gamma factor past the double
     range (from j = 258 on) makes Z(j+1)/Gamma 0.0, its correctly rounded
     value, as |Z(j+1)| < 3e-96 there; a term, its power of s or the sum
     outside the double range is a domain error.
@@ -358,15 +324,12 @@ def finite_size_phi(s: float, j_max: int = 24, tol: float = 1e-6,
         total += last
         if not math.isfinite(total):
             raise DomainError(f"term {j} of the finite-size series at s = {s!r} leaves the double range")
-    value = -PHI_AMPLITUDE * total
-    if abs(last) > tol * max(abs(total), 1e-300):
+    if abs(last) > 1e-6 * max(abs(total), 1e-300):
         raise NonConvergenceError(
             f"finite-size series not converged at j_max = {j_max}",
             last_term=abs(last),
         )
-    if full_output:
-        return value, abs(last) * PHI_AMPLITUDE
-    return value
+    return -PHI_AMPLITUDE * total
 
 
 def q_m_asymptotic(m: int, t: float, j_max: int = 24) -> float:

@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .asymptotics import ScalingQuery, g_scaling, g_uniform, q_m_asymptotic
+from .asymptotics import ScalingQuery, g_scaling, g_uniform
 from .datasets import (
     scan_g_vs_t,
     scan_partition,
@@ -28,7 +28,6 @@ from .enumeration import (
     build_area_polynomials,
     brute_force_area_polynomial,
     eval_G_truncated,
-    partition_series,
     table_to_csv,
     table_to_json,
 )
@@ -141,7 +140,7 @@ def _cmd_scan(args) -> int:
         if args.m_list:
             m_values = _number_list(args.m_list, int, "--m-list")
         else:
-            m_values = list(range(10, (args.m_max or 40) + 1, 10))
+            m_values = list(range(10, (40 if args.m_max is None else args.m_max) + 1, 10))
         ds = scan_partition(args.t, m_values, n_max=args.n_max,
                             j_max=args.j_max, stamp=args.stamp)
     else:  # pragma: no cover
@@ -192,15 +191,11 @@ def _cmd_scaling(args) -> int:
 
 
 def _cmd_partition(args) -> int:
-    if args.m < 0:
-        raise DomainError(f"area {args.m} must be >= 0")
-    # the asymptotic fails in microseconds, the table build it would follow in seconds
-    asym = q_m_asymptotic(args.m, args.t, j_max=args.j_max) if args.m >= 10 else None
-    n_max = 2 * args.m if args.n_max is None else args.n_max
-    value = partition_series(build_area_polynomials(n_max, m_max=args.m), args.m, args.t)
+    ds = scan_partition(args.t, [args.m], n_max=args.n_max, j_max=args.j_max)
+    [value], [asym] = ds.columns["Q_exact"], ds.columns["Q_asymptotic"]
     # the value is exact; the zero tail and ok=True are kept for existing parsers
-    print(f"Q_{args.m}({args.t:g}) = {value!r}  (n <= {n_max}, tail ~ 0.00e+00, ok=True)")
-    if asym is not None:
+    print(f"Q_{args.m}({args.t:g}) = {value!r}  (n <= {ds.metadata['n_max']}, tail ~ 0.00e+00, ok=True)")
+    if not math.isnan(asym):  # NaN for m < 10, where the finite-size form is undefined
         print(f"asymptotic m^(-4/3) phi(s) = {asym!r}  ratio = {value / asym:.4f}")
     return EXIT_OK
 

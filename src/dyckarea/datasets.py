@@ -91,6 +91,16 @@ def _check_finite(**bounds: float) -> None:
             raise DomainError(f"{name} must be finite, got {value!r}")
 
 
+def _uniform_or_nan(t: float, q: float) -> float:
+    """The uniform Airy form at t, or NaN outside (0, 1/2) or at one of its poles."""
+    if not (0.0 < t < 0.5):
+        return math.nan
+    try:
+        return g_uniform(float(t), q)
+    except PoleProximityError:
+        return math.nan
+
+
 def scan_g_vs_t(q: float, t_min: float, t_max: float, steps: int,
                 tol: float = 1e-12, stamp: bool = False) -> ScanDataset:
     """Exact continued-fraction values against the uniform Airy form.
@@ -109,18 +119,10 @@ def scan_g_vs_t(q: float, t_min: float, t_max: float, steps: int,
             g_exact.append(g_cfrac(float(t), settings))
         except DyckAreaError:
             g_exact.append(math.nan)  # continued fraction unstable next to a pole
-    g_airy = []
-    for t in ts:
-        if not (0.0 < t < 0.5):
-            g_airy.append(math.nan)
-            continue
-        try:
-            g_airy.append(g_uniform(float(t), q))
-        except PoleProximityError:
-            g_airy.append(math.nan)
     return ScanDataset(
         kind="g_vs_t",
-        columns={"t": ts.tolist(), "G_cfrac": g_exact, "G_uniform": g_airy},
+        columns={"t": ts.tolist(), "G_cfrac": g_exact,
+                 "G_uniform": [_uniform_or_nan(t, q) for t in ts]},
         metadata=_metadata("g_vs_t", stamp, q=q, eps=-math.log(q),
                            t_min=t_min, t_max=t_max, steps=steps, tol=tol,
                            methods=["cfrac", "uniform"]),
@@ -167,15 +169,7 @@ def scan_scaling_fn(eps_list: list[float], s_min: float, s_max: float, steps: in
         settings = EvalSettings(q=q, tol=tol)
         g_exact = g_cfrac_grid(ts, settings)
         rec_cfrac = ((g_exact / 2.0) - 1.0) / omq ** (1.0 / 3.0)
-        rec_unif = []
-        for t in ts:
-            if not (0.0 < t < 0.5):
-                rec_unif.append(math.nan)
-                continue
-            try:
-                rec_unif.append((g_uniform(float(t), q) / 2.0 - 1.0) / omq ** (1.0 / 3.0))
-            except PoleProximityError:
-                rec_unif.append(math.nan)
+        rec_unif = [(_uniform_or_nan(t, q) / 2.0 - 1.0) / omq ** (1.0 / 3.0) for t in ts]
         tag = f"{eps:g}"
         columns[f"F_from_cfrac_eps{tag}"] = rec_cfrac.tolist()
         columns[f"F_from_uniform_eps{tag}"] = rec_unif
@@ -194,8 +188,9 @@ def scan_partition(t: float, m_values: list[int], n_max: int | None = None,
     """Exact fixed-area series against the finite-size asymptotic form.
 
     The table runs to n_max (default 2 max(m), the least that fixes every
-    Q_m exactly; see ``partition_series``). Q_asymptotic is NaN for m < 10,
-    where the finite-size form is not defined.
+    Q_m exactly; see ``partition_series``); a shorter one fails before it is
+    built. Q_asymptotic is NaN for m < 10, where the finite-size form is not
+    defined.
     """
     if not m_values:
         raise DomainError("m_values must be nonempty")
@@ -206,6 +201,8 @@ def scan_partition(t: float, m_values: list[int], n_max: int | None = None,
     m_top = max(m_values)
     if n_max is None:
         n_max = 2 * m_top
+    if n_max < 2 * m_top:
+        raise DomainError(f"Q_{m_top} needs the table to n = {2 * m_top}, it stops at {n_max}")
     table = build_area_polynomials(n_max, m_max=m_top)
     exact = [partition_series(table, m, t) for m in m_values]
     return ScanDataset(

@@ -227,9 +227,10 @@ def partition_series(table: CoefficientTable, m: int, t: float) -> float:
     """Fixed-area series Q_m(t) = sum_n c[m][n] t^n, correctly rounded.
 
     Q_m = N_m / (1-t)^(m+1) with deg N_m <= 2m (module docstring), so the
-    table's first 2m + 1 column entries fix it on all of 0 <= t < 1. N_m
-    comes from m + 1 backward differences of the column, and is evaluated
-    at t = a / 2^e in integers, so a single int true division rounds it.
+    table's first 2m + 1 column entries, c[m][0..2m], fix it on all of
+    0 <= t < 1; only those are read. N_m comes from m + 1 backward
+    differences of them, and is evaluated at t = a / 2^e in integers, so a
+    single int true division rounds it.
     """
     if m < 0:
         raise DomainError(f"area {m} must be >= 0")
@@ -237,7 +238,9 @@ def partition_series(table: CoefficientTable, m: int, t: float) -> float:
         raise DomainError("partition_series requires 0 <= t < 1")
     if table.n_max < 2 * m:
         raise DomainError(f"Q_{m} needs the table to n = {2 * m}, it stops at {table.n_max}")
-    coeffs = table.column(m)[:2 * m + 1]
+    if table.m_cap is not None and m > table.m_cap:
+        raise DomainError(f"column {m} exceeds the table's area cap {table.m_cap}")
+    coeffs = [table.coefficient(m, n) for n in range(2 * m + 1)]
     for _ in range(m + 1):  # times (1 - t), truncated at degree 2m
         coeffs = [c - p for c, p in zip(coeffs, [0] + coeffs)]
     a, b = t.as_integer_ratio()
@@ -251,7 +254,7 @@ def partition_series(table: CoefficientTable, m: int, t: float) -> float:
         raise DomainError(f"Q_{m}({t!r}) exceeds the double range") from None
 
 
-def eval_G_truncated(t: float, q: float, N: int, table: CoefficientTable | None = None) -> float:
+def eval_G_truncated(t: float, q: float, N: int) -> float:
     """Partial sum over lengths, sum_{n=0..N} Z_n(q) t^n.
 
     Requires the series to be visibly decaying at the truncation point
@@ -262,8 +265,7 @@ def eval_G_truncated(t: float, q: float, N: int, table: CoefficientTable | None 
         raise DomainError("eval_G_truncated requires q in (0, 1]")
     if not (0.0 <= t < math.inf):
         raise DomainError(f"t must be finite and >= 0, got {t!r}")
-    if table is None or table.n_max < N:
-        table = build_area_polynomials(N)
+    table = build_area_polynomials(N)
     terms = [table.row(n).evaluate(q) * t**n for n in range(N + 1)]
     total = float(sum(terms))
     if t > 0.0 and N >= 8:

@@ -36,6 +36,7 @@ import numpy as np
 
 from .errors import (
     AccuracyError,
+    BranchCutError,
     DomainError,
     NonConvergenceError,
     PoleProximityError,
@@ -54,6 +55,7 @@ __all__ = [
     "g_cfrac",
     "t_infinity",
     "euler_maclaurin_check",
+    "phase_f",
     "contour_h",
 ]
 
@@ -101,18 +103,17 @@ def _pochhammer_count(scale: float, q: float, tol: float) -> int:
     return max(8, math.ceil(math.log(max(scale, 1.0) / (tol * (1.0 - q))) / -math.log(q)) + 2)
 
 
-def q_pochhammer(z: complex, q: float, n: int | None = None,
-                 settings: EvalSettings | None = None) -> complex | float:
+def q_pochhammer(z: complex, q: float, n: int | None = None) -> complex | float:
     """q-Pochhammer symbol (z; q)_n = prod_{k<n} (1 - z q^k).
 
     ``n = None`` means the infinite product, truncated once the remaining
-    factors differ from 1 by less than the tolerance; that requires
-    0 < q < 1. Real inputs give a float; an array z with a given n, an array.
+    factors differ from 1 by less than 1e-17; that requires 0 < q < 1.
+    Real inputs give a float; an array z with a given n, an array.
     """
     if n is None:
         if not (0.0 < q < 1.0):
             raise DomainError("infinite q-Pochhammer products need q in (0, 1)")
-        n = _pochhammer_count(abs(z), q, settings.tol if settings is not None else 1e-17)
+        n = _pochhammer_count(abs(z), q, 1e-17)
     elif n < 0:
         raise DomainError("q_pochhammer order must be >= 0 or None")
     result = 1.0 + 0.0j if isinstance(z, complex) else 1.0
@@ -123,8 +124,9 @@ def q_pochhammer(z: complex, q: float, n: int | None = None,
     return result
 
 
-def log_q_pochhammer_inf(z: complex, q: float, tol: float = 1e-17) -> complex:
-    """log (z; q)_inf as the sum of principal logarithms of the factors.
+def log_q_pochhammer_inf(z: complex, q: float) -> complex:
+    """log (z; q)_inf as the sum of principal logarithms of the factors,
+    truncated as ``q_pochhammer`` truncates the product.
 
     Safe for any z off the ray [1, inf) scaled by q^-k; factors never cross
     the negative real axis when Im z != 0.
@@ -133,10 +135,19 @@ def log_q_pochhammer_inf(z: complex, q: float, tol: float = 1e-17) -> complex:
         raise DomainError("log_q_pochhammer_inf needs q in (0, 1)")
     total = 0.0 + 0.0j
     qk = 1.0
-    for _ in range(_pochhammer_count(abs(z), q, tol)):
+    for _ in range(_pochhammer_count(abs(z), q, 1e-17)):
         total += cmath.log(1.0 - z * qk)
         qk *= q
     return total
+
+
+def _log_euler_function(eps: float) -> float:
+    """log (q; q)_inf at q = exp(-eps) by the Dedekind eta transformation
+    (DLMF 23.15): eps/24 - pi^2/(6 eps) + log(2 pi/eps)/2 + log (p; p)_inf
+    with p = exp(-4 pi^2/eps). The last term, about -p, is below 1e-85 for
+    eps <= 0.2 and is dropped.
+    """
+    return eps / 24.0 - math.pi**2 / (6.0 * eps) + 0.5 * math.log(2.0 * math.pi / eps)
 
 
 @dataclass(frozen=True)
@@ -248,8 +259,6 @@ def _predicted_bits(xs, q: float) -> int:
     z1 = (1 + sqrt(1 - 4x))/2 (real x in (0, 1/2), eps <= 0.2). ln|term_n|
     is concave in n, so the max-term scan stops at its first decrease.
     """
-    from .asymptotics import _log_euler_function, phase_f
-
     eps, loss = -math.log(q), 0.0
     for x in xs:
         peak, n, qn, log_x = 0.0, 0, q, math.log(x)
@@ -676,8 +685,22 @@ def _ray_quadrature(t: float, q: float, rho: float, angle: float, lam: float,
     return complex(total * direction)
 
 
-def contour_h(t: float, q: float, contour: ContourSpec | None = None,
-              settings: EvalSettings | None = None) -> complex:
+def phase_f(z: complex, t: float) -> complex:
+    """Phase function ln(t) ln(z) + Li2(z) - ln(z)^2 / 2 of the contour integral.
+
+    Analytic off the cuts (-inf, 0] and [1, inf); its z-derivative
+    (ln t - ln z - ln(1-z))/z vanishes at the saddle points.
+    """
+    z = complex(z)
+    if z.imag == 0.0 and (z.real <= 0.0 or z.real >= 1.0):
+        raise BranchCutError(f"phase argument {z!r} touches a branch cut")
+    if t <= 0.0:
+        raise DomainError("t must be positive")
+    lnz = cmath.log(z)
+    return math.log(t) * lnz + dilog(z) - 0.5 * lnz * lnz
+
+
+def contour_h(t: float, q: float, contour: ContourSpec | None = None) -> complex:
     """H(t) by quadrature of its contour-integral representation.
 
     The contour runs in from infinity along the lower ray, through rho,
@@ -685,16 +708,15 @@ def contour_h(t: float, q: float, contour: ContourSpec | None = None,
     times the line integral. For real t the two rays are conjugate and the
     value is real up to the quadrature tolerance. This is a numerical
     validation of the representation, so it recomputes everything directly
-    and shares no code with the series evaluator.
+    and shares no code with the series evaluator. Rays and panels are
+    refined to the tolerance 1e-12.
     """
-    if settings is None:
-        settings = EvalSettings(q=q)
     if not (0.0 < q < 1.0):
         raise DomainError("contour_h needs q in (0, 1)")
     if not (0.0 < t < 1.0):
         raise DomainError("contour quadrature validated for real t in (0, 1) only")
     geometry = contour or ContourSpec()
-    tol = settings.tol
+    tol = 1e-12
     eps = -math.log(q)
     lam = geometry.lambda_max or max(2.0, math.exp(math.sqrt(eps * (-math.log(tol) + 12.0))))
     prefactor = q_pochhammer(q, q) / (2.0j * math.pi)

@@ -344,6 +344,20 @@ class TestCli:
         assert res.stdout == ""
         assert build_area_polynomials.cache_info()[:2] == calls
 
+    @pytest.mark.parametrize("argv", [
+        "partition --m 640 --t 0.25 --n-max 1279",
+        "scan --kind partition --m-list 10,640 --t 0.25 --n-max 1279 --out /dev/null",
+    ])
+    def test_short_table_fails_before_build(self, run_cli, argv):
+        # an --n-max below 2m cannot fix Q_m: the command exits 2 without the
+        # table build (about 10 s at m = 640)
+        calls = build_area_polynomials.cache_info()[:2]
+        res = run_cli(*argv.split())
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert "Q_640 needs the table to n = 1280, it stops at 1279" in res.stderr
+        assert build_area_polynomials.cache_info()[:2] == calls
+
     def test_partition_leaves_rows_packed(self, run_cli):
         # partition reads its column from the packed rows and decodes none
         build_area_polynomials.cache_clear()
@@ -433,6 +447,8 @@ class TestCli:
         ("eval --t nan --q 0.5 --method cfrac", 2),
         ("eval --t inf --q 0.5 --method cfrac", 2),
         ("scan --kind partition --m-list 10,,20 --t 0.2 --out /dev/null", 64),
+        ("scan --kind partition --m-max 5 --t 0.2 --out /dev/null", 2),
+        ("scan --kind partition --m-max 0 --t 0.2 --out /dev/null", 2),
         ("scan --kind scaling_fn --eps-list 1e-3,abc --out /dev/null", 64),
         ("scaling --s 0 --eps 0", 2),
         ("scaling --s 0 --eps inf", 2),

@@ -27,6 +27,27 @@ def _imported_roots() -> set[str]:
     return roots - set(sys.stdlib_module_names) - {"dyckarea"}
 
 
+# a module imports only from modules of a lower rank
+_LAYERS = {"errors": 0, "enumeration": 1, "special_functions": 1,
+           "qseries": 2, "asymptotics": 3, "datasets": 4, "cli": 5}
+
+
+def test_relative_imports_go_down_the_layers():
+    # every ``from .x import`` in the package, inside functions too;
+    # ``from . import __version__`` reads the package's version constant
+    upward = []
+    for path in sorted((SRC / "dyckarea").glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                if node.module is None:
+                    assert [alias.name for alias in node.names] == ["__version__"], path.stem
+                elif _LAYERS[node.module] >= _LAYERS[path.stem]:
+                    upward.append(f"{path.stem} imports {node.module} (line {node.lineno})")
+    assert not upward
+
+
 def test_imports_match_declared_dependencies():
     tomllib = pytest.importorskip("tomllib")
     with open(ROOT / "pyproject.toml", "rb") as fh:
