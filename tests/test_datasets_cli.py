@@ -251,7 +251,15 @@ class TestCli:
         # m < 10: no finite-size form, so no asymptotic line
         ("partition --m 5 --t 0.2",
          "2b56c78cdc8538f492d9cfcfb2c8e9bfd05dbafc7bdc3715830b95f6c58a4a88"),
-    ], ids=["enumerate", "partition", "partition_small_m"])
+        ("scaling --s 0 --eps 1e-4",
+         "26ac66dadb746fb0eb639c7cf881b7ac49c5226c0feec4227edb8973005ad742"),
+        # the two Airy routes at one point, with their provenance lines
+        ("eval --t 0.2 --eps 1e-3 --method scaling",
+         "089594835844f54d0f5fb6679965ec3e7bbbfffc657d78c15984bf407b36a977"),
+        ("eval --t 0.2 --eps 1e-3 --method uniform",
+         "163888cca35f62fa015749330d68c36dfcb4c351f078c882241a0c6d7e2531f1"),
+    ], ids=["enumerate", "partition", "partition_small_m", "scaling",
+            "eval_scaling", "eval_uniform"])
     def test_readme_stdout_digest(self, run_cli, argv, digest):
         res = run_cli(*argv.split())
         assert res.returncode == 0
@@ -455,6 +463,8 @@ class TestCli:
         ("scaling --s 0 --j-max -3", 2),
         ("scaling --s 0 --j-max 0", 2),
         ("scaling --s 2.5", 3),
+        # t(s, q) rounds away every digit of s this close to q = 1
+        ("scaling --s 1 --eps 1e-16", 2),
         ("eval --t inf --q 0.5 --method scaling", 2),
         ("eval --t 1e308 --q 0.5 --method cfrac", 2),
         ("eval --t 0.2 --eps -1000 --method cfrac", 2),

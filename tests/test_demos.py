@@ -25,6 +25,7 @@ def test_demo_runs(name, tmp_path, monkeypatch, capsys):
     ("02_generating_function_routes.py", "t_inf = 0.62410958"),
     ("03_phase_boundary.py", " 0.9900   0.27469805 "),  # t_infinity through the phase-boundary scan
     ("04_uniform_airy.py", "max relative deviation on [0.02, 0.23]: 0.00094"),
+    ("05_tricritical_scaling.py", "s = -2, j_max =  40: |error| = 5.72e-03"),  # criterion 09
 ])
 def test_series_demo_runs(name, expected, tmp_path, monkeypatch, capsys):
     assert expected in _run(name, tmp_path, monkeypatch, capsys)
