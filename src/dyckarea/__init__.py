@@ -56,7 +56,6 @@ from .special_functions import (  # noqa: E402
 )
 from .asymptotics import (  # noqa: E402
     SaddleData,
-    ScalingQuery,
     finite_size_phi,
     g_scaling,
     g_singular,
@@ -65,6 +64,8 @@ from .asymptotics import (  # noqa: E402
     phase_f,
     q_m_asymptotic,
     saddle_data,
+    scaling_s,
+    scaling_t,
 )
 
 __all__ = [
@@ -77,7 +78,6 @@ __all__ = [
     "EvalSettings",
     "RemainderCheck",
     "SaddleData",
-    "ScalingQuery",
     "airy",
     "airy_zeros",
     "airy_zeta",
@@ -103,5 +103,7 @@ __all__ = [
     "saddle_data",
     "scaling_F",
     "scaling_F_series",
+    "scaling_s",
+    "scaling_t",
     "t_infinity",
 ]

@@ -49,12 +49,13 @@ from .special_functions import airy_scaled, airy_zeta, scaling_F
 
 __all__ = [
     "SaddleData",
-    "ScalingQuery",
     "ScaledValue",
     "phase_f",
     "saddle_data",
     "h_uniform",
     "g_uniform",
+    "scaling_s",
+    "scaling_t",
     "g_scaling",
     "g_singular",
     "finite_size_phi",
@@ -131,28 +132,23 @@ def saddle_data(t: float) -> SaddleData:
     root = cmath.sqrt(complex(d))
     z1 = 0.5 * (1.0 + root)
     z2 = 0.5 * (1.0 - root)
-    if abs(d) < 1e-14:
-        f0 = phase_f(0.5, 0.25)
-        beta = f0.real
-        p0_h, q0_h = _coefficients(z1, z2, 0.0, 0.0, 1.5)
-        p0_hqt, q0_hqt = _coefficients(z1, z2, 0.0, 0.0, 0.5)
-        return SaddleData(
-            t=t, z1=0.5 + 0.0j, z2=0.5 + 0.0j, d=0.0, f1=f0, f2=f0,
-            alpha=0.0, beta=beta, p0_h=p0_h, q0_h=q0_h,
-            p0_hqt=p0_hqt, q0_hqt=q0_hqt,
-        )
-    f1 = phase_f(z1, t)
-    f2 = phase_f(z2, t)
-    beta = 0.5 * (f1 + f2).real
-    diff = f2 - f1
-    if d > 0.0:
-        if diff.real <= 0.0:
-            raise InconsistentBranchError(
-                f"f(z2)-f(z1) = {diff!r} not positive for t = {t!r} < 1/4"
-            )
-        alpha = (0.75 * diff.real) ** (2.0 / 3.0)
+    if abs(d) < 1e-14:  # the coalescent limit
+        z1 = z2 = 0.5 + 0.0j
+        d = alpha = 0.0
+        f1 = f2 = phase_f(0.5, 0.25)
     else:
-        alpha = -((0.75 * abs(diff)) ** (2.0 / 3.0))
+        f1 = phase_f(z1, t)
+        f2 = phase_f(z2, t)
+        diff = f2 - f1
+        if d > 0.0:
+            if diff.real <= 0.0:
+                raise InconsistentBranchError(
+                    f"f(z2)-f(z1) = {diff!r} not positive for t = {t!r} < 1/4"
+                )
+            alpha = (0.75 * diff.real) ** (2.0 / 3.0)
+        else:
+            alpha = -((0.75 * abs(diff)) ** (2.0 / 3.0))
+    beta = 0.5 * (f1 + f2).real
     p0_h, q0_h = _coefficients(z1, z2, alpha, d, 1.5)
     p0_hqt, q0_hqt = _coefficients(z1, z2, alpha, d, 0.5)
     return SaddleData(
@@ -178,6 +174,15 @@ class ScaledValue(NamedTuple):
         return math.copysign(math.exp(total), self.mantissa)
 
 
+def _airy_point(t: float, q: float):
+    """eps = -ln q for 0 < q < 1, the saddle data at t and the exp-scaled
+    Airy pair at x = alpha eps^(-2/3) with its log factor."""
+    eps = EvalSettings(q=q).epsilon
+    sd = saddle_data(t)
+    pair, log_factor = airy_scaled(sd.alpha * eps ** (-2.0 / 3.0))
+    return eps, sd, pair, log_factor
+
+
 def h_uniform(t: float, q: float, variant: Literal["H", "H_qt"] = "H") -> ScaledValue:
     """Leading uniform Airy approximation of H(t) or H(qt).
 
@@ -185,16 +190,12 @@ def h_uniform(t: float, q: float, variant: Literal["H", "H_qt"] = "H") -> Scaled
     overflows doubles below eps ~ 4e-3. Accuracy improves as eps -> 0+;
     above eps = 0.2 the estimate is loose.
     """
-    eps = -math.log(q)
-    if not (0.0 < eps <= 0.2):
+    eps, sd, pair, log_factor = _airy_point(t, q)
+    if eps > 0.2:
         raise DomainError(f"h_uniform calibrated for eps in (0, 0.2], got eps = {eps:.4g}")
-    sd = saddle_data(t)
     p0, q0 = (sd.p0_h, sd.q0_h) if variant == "H" else (sd.p0_hqt, sd.q0_hqt)
-    x = sd.alpha * eps ** (-2.0 / 3.0)
-    log_poch = _log_euler_function(eps)
     # the Airy decay goes into the exponent so the bracket never underflows
-    pair, log_factor = airy_scaled(x)
-    exponent = log_poch + sd.beta / eps + log_factor
+    exponent = _log_euler_function(eps) + sd.beta / eps + log_factor
     bracket = p0 * eps ** (1.0 / 3.0) * pair.ai - q0 * eps ** (2.0 / 3.0) * pair.ai_prime
     if bracket == 0.0:
         return ScaledValue(mantissa=0.0, exponent=exponent)
@@ -209,13 +210,8 @@ def g_uniform(t: float, q: float) -> float:
     only the Airy brackets remain. Real poles of the denominator appear for
     t > 1/4 at discrete points; proximity raises a pole error.
     """
-    eps = -math.log(q)
-    if eps <= 0.0:
-        raise DomainError("q must lie in (0, 1)")
-    sd = saddle_data(t)
-    x = sd.alpha * eps ** (-2.0 / 3.0)
     # the exponential factor of the Airy pair cancels in the ratio
-    pair, _ = airy_scaled(x)
+    eps, sd, pair, _ = _airy_point(t, q)
     e13 = eps ** (1.0 / 3.0)
     numer = sd.p0_hqt * pair.ai - sd.q0_hqt * e13 * pair.ai_prime
     denom = sd.p0_h * pair.ai - sd.q0_h * e13 * pair.ai_prime
@@ -227,48 +223,30 @@ def g_uniform(t: float, q: float) -> float:
     return numer / denom
 
 
-def _check_nome(q: float) -> None:
-    if not 0.0 < q < 1.0:
-        raise DomainError(f"q must lie in (0, 1), got {q!r}")
+def scaling_s(t: float, q: float) -> float:
+    """Tricritical coordinate s = (1-4t)(1-q)^(-2/3) of (t, q), 0 < q < 1."""
+    EvalSettings(q=q)
+    return (1.0 - 4.0 * t) * (1.0 - q) ** (-2.0 / 3.0)
 
 
-@dataclass(frozen=True)
-class ScalingQuery:
-    """Consistent tricritical coordinates s = (1-4t)(1-q)^(-2/3), 0 < q < 1."""
+def scaling_t(s: float, q: float) -> float:
+    """The t at tricritical coordinate s, t = (1 - s (1-q)^(2/3))/4, 0 < q < 1.
 
-    s: float
-    epsilon: float
-    t: float
-    q: float
-
-    def __post_init__(self):
-        _check_nome(self.q)
-        recon = (1.0 - 4.0 * self.t) * (1.0 - self.q) ** (-2.0 / 3.0)
-        if abs(recon - self.s) > 1e-8 * max(1.0, abs(self.s)):
-            raise DomainError(
-                f"inconsistent scaling query: s = {self.s!r} but (t, q) give {recon!r}"
-            )
-        if abs(self.epsilon + math.log(self.q)) > 1e-12 * max(1.0, self.epsilon):
-            raise DomainError("epsilon inconsistent with q")
-
-    @classmethod
-    def from_s_eps(cls, s: float, epsilon: float) -> "ScalingQuery":
-        if not epsilon > 0.0:
-            raise DomainError(f"epsilon must be positive, got {epsilon!r}")
-        q = math.exp(-epsilon)
-        t = 0.25 * (1.0 - s * (1.0 - q) ** (2.0 / 3.0))
-        return cls(s=s, epsilon=epsilon, t=t, q=q)
-
-    @classmethod
-    def from_t_q(cls, t: float, q: float) -> "ScalingQuery":
-        _check_nome(q)
-        s = (1.0 - 4.0 * t) * (1.0 - q) ** (-2.0 / 3.0)
-        return cls(s=s, epsilon=-math.log(q), t=t, q=q)
+    Close to q = 1 the map rounds away the digits of s; a t whose coordinate
+    misses s by more than 1e-8 relative is a domain error.
+    """
+    EvalSettings(q=q)
+    t = 0.25 * (1.0 - s * (1.0 - q) ** (2.0 / 3.0))
+    back = scaling_s(t, q)
+    if abs(back - s) > 1e-8 * max(1.0, abs(s)):
+        raise DomainError(f"inconsistent scaling query: s = {s!r} but (t, q) give {back!r}")
+    return t
 
 
-def g_scaling(query: ScalingQuery) -> float:
-    """Tricritical scaling law G ~ 2 (1 + (1-q)^(1/3) F(s))."""
-    return 2.0 * (1.0 + (1.0 - query.q) ** (1.0 / 3.0) * scaling_F(query.s))
+def g_scaling(s: float, q: float) -> float:
+    """Tricritical scaling law G ~ 2 (1 + (1-q)^(1/3) F(s)), 0 < q < 1."""
+    EvalSettings(q=q)
+    return 2.0 * (1.0 + (1.0 - q) ** (1.0 / 3.0) * scaling_F(s))
 
 
 def g_singular(t: float, q: float, method: Literal["exact", "asymptotic"] = "exact") -> float:
@@ -282,8 +260,7 @@ def g_singular(t: float, q: float, method: Literal["exact", "asymptotic"] = "exa
     if method == "exact":
         return g_cfrac(t, EvalSettings(q=q)) - 1.0 / (2.0 * t)
     if method == "asymptotic":
-        s = (1.0 - 4.0 * t) * (1.0 - q) ** (-2.0 / 3.0)
-        return (1.0 - q) ** (1.0 / 3.0) * scaling_F(s) / (2.0 * t)
+        return (1.0 - q) ** (1.0 / 3.0) * scaling_F(scaling_s(t, q)) / (2.0 * t)
     raise DomainError(f"unknown method {method!r}")
 
 
@@ -332,10 +309,14 @@ def finite_size_phi(s: float, j_max: int = 24) -> float:
     return -PHI_AMPLITUDE * total
 
 
+def _finite_size_s(t: float, m: int) -> float:
+    """Finite-size coordinate s = (1-4t) m^(2/3) of the area-m coefficient."""
+    return (1.0 - 4.0 * t) * m ** (2.0 / 3.0)
+
+
 def q_m_asymptotic(m: int, t: float, j_max: int = 24) -> float:
     """Large-m form of the fixed-area series, m^(-4/3) phi((1-4t) m^(2/3))."""
     if m < 10:
         raise DomainError("the finite-size form needs m >= 10")
-    s = (1.0 - 4.0 * t) * m ** (2.0 / 3.0)
-    return m ** (-4.0 / 3.0) * finite_size_phi(s, j_max=j_max)
+    return m ** (-4.0 / 3.0) * finite_size_phi(_finite_size_s(t, m), j_max=j_max)
 

@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .asymptotics import ScalingQuery, g_scaling, g_uniform
+from .asymptotics import g_scaling, g_uniform, scaling_s, scaling_t
 from .datasets import (
     scan_g_vs_t,
     scan_partition,
@@ -111,9 +111,9 @@ def _cmd_eval(args) -> int:
         value = g_uniform(t, q)
         provenance = f"method=uniform eps={-math.log(q):g}"
     elif method == "scaling":
-        query = ScalingQuery.from_t_q(t, q)
-        value = g_scaling(query)
-        provenance = f"method=scaling s={query.s:.6g} eps={query.epsilon:g}"
+        s = scaling_s(t, q)
+        value = g_scaling(s, q)
+        provenance = f"method=scaling s={s:.6g} eps={-math.log(q):g}"
     else:  # pragma: no cover - argparse restricts choices
         raise DomainError(f"unknown method {method!r}")
     print(f"{value!r}")
@@ -184,8 +184,9 @@ def _cmd_scaling(args) -> int:
     lines = [f"F({args.s:g}) = {value!r}",
              f"series(j_max={args.j_max}) = {series!r}  truncation_bound={bound:.3e}"]
     if args.eps is not None:
-        query = ScalingQuery.from_s_eps(args.s, args.eps)
-        lines.append(f"G_scaling(s={args.s:g}, eps={args.eps:g}) = {g_scaling(query)!r}  (t={query.t:.8f})")
+        q = _resolve_q(args)
+        t = scaling_t(args.s, q)
+        lines.append(f"G_scaling(s={args.s:g}, eps={args.eps:g}) = {g_scaling(args.s, q)!r}  (t={t:.8f})")
     print("\n".join(lines))
     return EXIT_OK
 
@@ -229,7 +230,7 @@ def _cmd_validate(args) -> int:
     worst_cm, worst_fe = 0.0, 0.0
     for q in (0.3, 0.5, 0.7, 0.9):
         settings = EvalSettings(q=q)
-        top = 0.9 * t_infinity(q, settings)
+        top = 0.9 * t_infinity(q)
         ts = [0.05 * k for k in range(1, 40) if 0.05 * k <= top]
         for t in ts:
             G = g_cfrac(t, settings)

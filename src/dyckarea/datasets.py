@@ -18,7 +18,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .asymptotics import g_uniform, q_m_asymptotic
+from .asymptotics import _finite_size_s, g_uniform, q_m_asymptotic, scaling_t
 from .enumeration import build_area_polynomials, partition_series
 from .errors import DomainError, DyckAreaError, PoleProximityError
 from .qseries import EvalSettings, g_cfrac, g_cfrac_grid, t_infinity
@@ -135,7 +135,7 @@ def scan_phase_boundary(q_min: float, q_max: float, steps: int,
     if steps < 2:
         raise DomainError("steps must be >= 2")
     qs = np.linspace(q_min, q_max, steps)
-    t_inf = [t_infinity(float(q), EvalSettings(q=float(q), tol=tol)) for q in qs]
+    t_inf = [t_infinity(float(q), tol) for q in qs]
     return ScanDataset(
         kind="phase_boundary",
         columns={"q": qs.tolist(), "t_infinity": t_inf},
@@ -165,7 +165,7 @@ def scan_scaling_fn(eps_list: list[float], s_min: float, s_max: float, steps: in
     for eps in eps_list:
         q = math.exp(-eps)
         omq = 1.0 - q
-        ts = 0.25 * (1.0 - svals * omq ** (2.0 / 3.0))
+        ts = [scaling_t(s, q) for s in svals.tolist()]
         settings = EvalSettings(q=q, tol=tol)
         g_exact = g_cfrac_grid(ts, settings)
         rec_cfrac = ((g_exact / 2.0) - 1.0) / omq ** (1.0 / 3.0)
@@ -196,6 +196,8 @@ def scan_partition(t: float, m_values: list[int], n_max: int | None = None,
         raise DomainError("m_values must be nonempty")
     if min(m_values) < 0:
         raise DomainError(f"area {min(m_values)} must be >= 0")
+    if not (0.0 <= t < 1.0):
+        raise DomainError("partition_series requires 0 <= t < 1")
     # the asymptotic first: it fails in microseconds, the table build in seconds
     asymptotic = [q_m_asymptotic(m, t, j_max=j_max) if m >= 10 else math.nan for m in m_values]
     m_top = max(m_values)
@@ -210,7 +212,7 @@ def scan_partition(t: float, m_values: list[int], n_max: int | None = None,
         # Q_exact has no tail; the zero tail_estimate column is kept for
         # existing parsers of the scan's CSV layout.
         columns={"m": list(m_values),
-                 "s": [(1.0 - 4.0 * t) * m ** (2.0 / 3.0) for m in m_values],
+                 "s": [_finite_size_s(t, m) for m in m_values],
                  "Q_exact": exact,
                  "Q_asymptotic": asymptotic,
                  "tail_estimate": [0.0] * len(m_values)},

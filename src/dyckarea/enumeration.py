@@ -76,10 +76,6 @@ class AreaPolynomial:
                 f"row {self.n} must have {expected} coefficients, got {len(self.coeffs)}"
             )
 
-    @property
-    def degree(self) -> int:
-        return self.n * (self.n - 1) // 2
-
     def total(self) -> int:
         """Number of paths of semilength n (a Catalan number)."""
         return sum(self.coeffs)

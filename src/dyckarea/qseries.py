@@ -548,17 +548,14 @@ def g_cfrac_grid(ts: np.ndarray, settings: EvalSettings) -> np.ndarray:
 # Pole boundary
 # --------------------------------------------------------------------------
 
-def t_infinity(q: float, settings: EvalSettings | None = None) -> float:
+def t_infinity(q: float, tol: float = 1e-12) -> float:
     """Radius of convergence of the length series: first positive zero of H.
 
     Scans outward from t = 1/4 for a sign change of H(t), then halves the
     bracket to tol, reading each sign from the sum itself, which may lie far below the
     double range. The boundary decreases from 1 (q -> 0) towards 1/4 (q -> 1).
     """
-    if settings is None:
-        settings = EvalSettings(q=q)
-    elif settings.q != q:
-        raise DomainError(f"t_infinity got q = {q!r} but settings for q = {settings.q!r}")
+    settings = EvalSettings(q=q, tol=tol)
     h = lambda t: _sum_h(t, settings, 24)[0][0][0][0]  # the exact sign: ~2000 terms round by < 2^11 ulps
     hi = 0.25
     if h(hi) <= 0.0:
@@ -641,21 +638,22 @@ class ContourSpec:
     """Two-ray contour through rho with upper angle phi and lower angle psi.
 
     ``lambda_max`` is the ray truncation length (None: chosen from the
-    integrand decay), ``nodes`` the starting Gauss-Legendre panel order
-    (doubled until the quadrature stabilises).
+    integrand decay).
     """
 
     rho: float = 0.5
     phi: float = math.pi / 3.0
     psi: float = math.pi / 3.0
     lambda_max: float | None = None
-    nodes: int = 24
 
     def __post_init__(self):
         if not (0.0 < self.rho < 1.0):
             raise DomainError("rho must lie in (0, 1)")
         if not (0.0 < self.phi < math.pi and 0.0 < self.psi < math.pi):
             raise DomainError("ray angles must lie in (0, pi)")
+
+
+_CONTOUR_NODES = 24  # starting Gauss-Legendre panel order, doubled until the quadrature settles
 
 
 def _contour_integrand(zs: np.ndarray, t: float, q: float, tol: float) -> np.ndarray:
@@ -739,7 +737,7 @@ def contour_h(t: float, q: float, contour: ContourSpec | None = None) -> complex
             f"integrand magnitude {end_mag:.2e} still not negligible at ray ends"
         )
 
-    order = geometry.nodes
+    order = _CONTOUR_NODES
     value = evaluate(order, lam)
     for _ in range(6):
         order *= 2

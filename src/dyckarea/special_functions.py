@@ -287,14 +287,6 @@ def _zero_seed(k: int) -> float:
     return -(z ** (2.0 / 3.0)) * t
 
 
-class RootPolishError(NonConvergenceError):
-    """Newton polishing of an Airy zero failed; carries the index k."""
-
-    def __init__(self, k: int, message: str):
-        super().__init__(message)
-        self.k = k
-
-
 @lru_cache(maxsize=None)
 def _airy_zero(k: int) -> float:
     s = _zero_seed(k)
@@ -305,10 +297,10 @@ def _airy_zero(k: int) -> float:
         if abs(step) < 1e-14 * max(1.0, abs(s)):
             break
     else:
-        raise RootPolishError(k, f"Newton iteration for Airy zero {k} did not converge")
+        raise NonConvergenceError(f"Newton iteration for Airy zero {k} did not converge")
     h = 1e-7
     if airy(s - h).ai * airy(s + h).ai > 0.0:
-        raise RootPolishError(k, f"no sign change around candidate Airy zero {k} at {s!r}")
+        raise NonConvergenceError(f"no sign change around candidate Airy zero {k} at {s!r}")
     return s
 
 

@@ -7,7 +7,6 @@ import pytest
 
 from dyckarea.asymptotics import (
     PHI_AMPLITUDE,
-    ScalingQuery,
     _log_euler_function,
     finite_size_phi,
     g_scaling,
@@ -17,6 +16,8 @@ from dyckarea.asymptotics import (
     phase_f,
     q_m_asymptotic,
     saddle_data,
+    scaling_s,
+    scaling_t,
 )
 from dyckarea.enumeration import build_area_polynomials, partition_series
 from dyckarea.errors import (
@@ -159,6 +160,8 @@ class TestHUniform:
     def test_epsilon_window(self):
         with pytest.raises(DomainError):
             h_uniform(0.2, 0.5, "H")  # eps = 0.69 too coarse
+        with pytest.raises(DomainError):
+            h_uniform(0.2, -0.5, "H")  # no eps at all
 
     @pytest.mark.parametrize("eps", [0.199, 0.05, 0.01])
     def test_eta_transformation_matches_product(self, eps):
@@ -167,6 +170,11 @@ class TestHUniform:
 
 
 class TestGUniform:
+    @pytest.mark.parametrize("q", [0.0, 1.0, 1.5, math.nan])
+    def test_nome_outside_unit_interval(self, q):
+        with pytest.raises(DomainError):
+            g_uniform(0.2, q)
+
     def test_two_percent_at_centi_epsilon(self):
         q = math.exp(-1e-2)
         settings = EvalSettings(q=q)
@@ -235,34 +243,43 @@ class TestGUniform:
 
 class TestScaling:
     def test_query_consistency(self):
-        query = ScalingQuery.from_s_eps(1.0, 1e-3)
-        regenerated = ScalingQuery.from_t_q(query.t, query.q)
-        assert regenerated.s == pytest.approx(1.0, abs=1e-10)
-        with pytest.raises(DomainError):
-            ScalingQuery(s=1.0, epsilon=1e-3, t=0.2, q=math.exp(-1e-3))
+        q = math.exp(-1e-3)
+        t = scaling_t(1.0, q)
+        assert scaling_s(t, q) == pytest.approx(1.0, abs=1e-10)
+        # this close to q = 1 the t of s = 1 keeps no digit of s
+        with pytest.raises(DomainError, match="inconsistent scaling query"):
+            scaling_t(1.0, math.exp(-1e-16))
+
+    @pytest.mark.parametrize("q", [0.0, 1.0, 1.5, -0.5, math.nan])
+    def test_nome_validation(self, q):
+        for fn in (scaling_s, scaling_t, g_scaling):
+            with pytest.raises(DomainError):
+                fn(0.2, q)
 
     def test_amplitude_identity(self):
-        query = ScalingQuery.from_s_eps(0.0, 1e-4)
-        assert g_scaling(query) == pytest.approx(
-            2.0 * (1.0 + A0 * (1.0 - query.q) ** (1.0 / 3.0)), abs=1e-14
+        q = math.exp(-1e-4)
+        assert scaling_t(0.0, q) == 0.25
+        assert g_scaling(0.0, q) == pytest.approx(
+            2.0 * (1.0 + A0 * (1.0 - q) ** (1.0 / 3.0)), abs=1e-14
         )
 
     def test_uniform_beats_scaling(self):
         # at matched points the Airy-ratio form is the closer approximation
+        q = math.exp(-1e-4)
         for s in (-1.0, -0.5, 0.5, 1.0):
-            query = ScalingQuery.from_s_eps(s, 1e-4)
-            exact = g_cfrac(query.t, EvalSettings(q=query.q))
-            err_uniform = abs(g_uniform(query.t, query.q) - exact)
-            err_scaling = abs(g_scaling(query) - exact)
+            t = scaling_t(s, q)
+            exact = g_cfrac(t, EvalSettings(q=q))
+            err_uniform = abs(g_uniform(t, q) - exact)
+            err_scaling = abs(g_scaling(s, q) - exact)
             assert err_uniform <= err_scaling
 
     def test_scaling_error_shrinks(self):
         for s in (0.5, -0.5):
             errs = []
             for eps in (1e-3, 1e-4, 1e-5):
-                query = ScalingQuery.from_s_eps(s, eps)
-                exact = g_cfrac(query.t, EvalSettings(q=query.q))
-                errs.append(abs(g_scaling(query) - exact))
+                q = math.exp(-eps)
+                exact = g_cfrac(scaling_t(s, q), EvalSettings(q=q))
+                errs.append(abs(g_scaling(s, q) - exact))
             assert errs[0] > errs[1] > errs[2]
 
 
@@ -297,6 +314,11 @@ class TestSingularPart:
     def test_method_validation(self):
         with pytest.raises(DomainError):
             g_singular(0.2, 0.9, "bogus")
+
+    @pytest.mark.parametrize("q", [0.0, 1.5])
+    def test_asymptotic_nome_validation(self, q):
+        with pytest.raises(DomainError):
+            g_singular(0.2, q, "asymptotic")
 
 
 class TestFiniteSize:

@@ -457,6 +457,10 @@ class TestCli:
         ("scan --kind partition --m-list 10,,20 --t 0.2 --out /dev/null", 64),
         ("scan --kind partition --m-max 5 --t 0.2 --out /dev/null", 2),
         ("scan --kind partition --m-max 0 --t 0.2 --out /dev/null", 2),
+        # t outside [0, 1) fails as a domain error for every m, before the finite-size form
+        ("partition --m 10 --t 1.0", 2),
+        ("partition --m 20 --t -0.01", 2),
+        ("scan --kind partition --t 1.0 --m-list 20 --out /dev/null", 2),
         ("scan --kind scaling_fn --eps-list 1e-3,abc --out /dev/null", 64),
         ("scaling --s 0 --eps 0", 2),
         ("scaling --s 0 --eps inf", 2),

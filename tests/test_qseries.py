@@ -296,7 +296,7 @@ class TestRatioPrecision:
     def test_rerun_next_to_zero(self, caplog, zero_of):
         q = math.exp(-0.01)
         settings = EvalSettings(q=q)
-        t = t_infinity(q, settings) * (1.0 - 1e-7) / (q if zero_of == "H(qt)" else 1.0)
+        t = t_infinity(q) * (1.0 - 1e-7) / (q if zero_of == "H(qt)" else 1.0)
         with caplog.at_level(logging.DEBUG, logger="dyckarea"):
             res = g_ratio(t, settings, full_output=True)
         assert any("rerun" in rec.getMessage() for rec in caplog.records)
@@ -309,7 +309,7 @@ class TestRatioPrecision:
         # H(qt) sits next to its zero and loses 106.8 bits; H(t) loses 91.4
         q = math.exp(-0.01)
         settings = EvalSettings(q=q)
-        t = t_infinity(q, settings) * (1.0 - 1e-7) / q
+        t = t_infinity(q) * (1.0 - 1e-7) / q
         assert g_ratio(t, settings, full_output=True).bits_lost > 100
 
     def test_cost_guard(self, caplog):
@@ -382,7 +382,7 @@ class TestNextToZeros:
     def test_matches_envelope(self, log_eps, log_delta, side, zero_of):
         q = math.exp(-math.exp(log_eps))
         settings = EvalSettings(q=q)
-        t = t_infinity(q, settings) * (1.0 + side * math.exp(log_delta)) / (q if zero_of == "H(qt)" else 1.0)
+        t = t_infinity(q) * (1.0 + side * math.exp(log_delta)) / (q if zero_of == "H(qt)" else 1.0)
         for fn, envelope in ((h_series, settings.bits_for(t)), (g_ratio, _envelope_bits(t, settings))):
             res = fn(t, settings, full_output=True)
             assert res.value == _envelope_reference(fn, t, settings)
@@ -469,7 +469,7 @@ class TestGCfrac:
     @pytest.mark.parametrize("q", [0.5, 0.9])
     def test_cross_method_grid(self, q):
         settings = EvalSettings(q=q)
-        top = 0.9 * t_infinity(q, settings)
+        top = 0.9 * t_infinity(q)
         for t in np.arange(0.05, top, 0.05):
             a = g_cfrac(float(t), settings)
             b = g_ratio(float(t), settings)
@@ -589,10 +589,6 @@ class TestPoleBoundary:
         assert h_series(root - 1e-6, settings) > 0.0
         assert h_series(root + 1e-6, settings) < 0.0
 
-    def test_mismatched_settings(self):
-        with pytest.raises(DomainError):
-            t_infinity(0.5, EvalSettings(q=0.6, tol=1e-8))
-
 
 class TestBelowDoubleRange:
     """At q = exp(-4e-4) the sum H(1/4) = 8.2e-372 lies far below 1e-300; the
@@ -611,7 +607,7 @@ class TestBelowDoubleRange:
             h_series(0.25, EvalSettings(q=self.Q))
 
     def test_pole_line_is_a_sign_change(self):
-        root = t_infinity(self.Q, EvalSettings(q=self.Q, tol=1e-8))
+        root = t_infinity(self.Q, tol=1e-8)
         assert _oracle_h(root * (1 - 1e-7), self.Q) > 0 > _oracle_h(root * (1 + 1e-7), self.Q)
 
 
