@@ -165,7 +165,7 @@ class ScaledValue(NamedTuple):
 
     @property
     def log_abs(self) -> float:
-        return math.log(abs(self.mantissa)) + self.exponent
+        return math.log(abs(self.mantissa)) + self.exponent if self.mantissa else -math.inf
 
     def to_float(self) -> float:
         total = self.log_abs

@@ -13,11 +13,10 @@ import functools
 import math
 import sys
 
-import numpy as np
-
 from . import __version__
 from .asymptotics import g_scaling, g_uniform, scaling_s, scaling_t
 from .datasets import (
+    _grid,
     scan_g_vs_t,
     scan_partition,
     scan_phase_boundary,
@@ -241,8 +240,8 @@ def _cmd_validate(args) -> int:
 
     # scaling identity (series against Airy ratio inside the disk)
     worst = 0.0
-    for s in np.linspace(-2.0, 2.0, 21):
-        worst = max(worst, abs(scaling_F_series(float(s), 100) - scaling_F(float(s))))
+    for s in _grid(-2.0, 2.0, 21):
+        worst = max(worst, abs(scaling_F_series(s, 100) - scaling_F(s)))
     report("scaling_identity", worst < 1e-6, f"max |series - ratio| = {worst:.2e} (j_max=100)")
 
     passed = sum(results)

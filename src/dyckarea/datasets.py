@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
-import numpy as np
-
 from . import __version__
 from .asymptotics import _finite_size_s, g_uniform, q_m_asymptotic, scaling_t
 from .enumeration import build_area_polynomials, partition_series
@@ -91,12 +89,19 @@ def _check_finite(**bounds: float) -> None:
             raise DomainError(f"{name} must be finite, got {value!r}")
 
 
+def _grid(start: float, stop: float, steps: int) -> list[float]:
+    """steps >= 2 equally spaced points from start to stop, with numpy.linspace's
+    rounding: start + i (stop - start)/(steps - 1), then stop itself."""
+    step = (stop - start) / (steps - 1)
+    return [start + i * step for i in range(steps - 1)] + [stop]
+
+
 def _uniform_or_nan(t: float, q: float) -> float:
     """The uniform Airy form at t, or NaN outside (0, 1/2) or at one of its poles."""
     if not (0.0 < t < 0.5):
         return math.nan
     try:
-        return g_uniform(float(t), q)
+        return g_uniform(t, q)
     except PoleProximityError:
         return math.nan
 
@@ -112,16 +117,16 @@ def scan_g_vs_t(q: float, t_min: float, t_max: float, steps: int,
         raise DomainError("steps must be >= 2")
     _check_finite(t_min=t_min, t_max=t_max)
     settings = EvalSettings(q=q, tol=tol)
-    ts = np.linspace(t_min, t_max, steps)
+    ts = _grid(t_min, t_max, steps)
     g_exact = []
     for t in ts:
         try:
-            g_exact.append(g_cfrac(float(t), settings))
+            g_exact.append(g_cfrac(t, settings))
         except DyckAreaError:
             g_exact.append(math.nan)  # continued fraction unstable next to a pole
     return ScanDataset(
         kind="g_vs_t",
-        columns={"t": ts.tolist(), "G_cfrac": g_exact,
+        columns={"t": ts, "G_cfrac": g_exact,
                  "G_uniform": [_uniform_or_nan(t, q) for t in ts]},
         metadata=_metadata("g_vs_t", stamp, q=q, eps=-math.log(q),
                            t_min=t_min, t_max=t_max, steps=steps, tol=tol,
@@ -134,11 +139,11 @@ def scan_phase_boundary(q_min: float, q_max: float, steps: int,
     """Pole boundary t_inf(q) on a q-grid."""
     if steps < 2:
         raise DomainError("steps must be >= 2")
-    qs = np.linspace(q_min, q_max, steps)
-    t_inf = [t_infinity(float(q), tol) for q in qs]
+    qs = _grid(q_min, q_max, steps)
+    t_inf = [t_infinity(q, tol) for q in qs]
     return ScanDataset(
         kind="phase_boundary",
-        columns={"q": qs.tolist(), "t_infinity": t_inf},
+        columns={"q": qs, "t_infinity": t_inf},
         metadata=_metadata("phase_boundary", stamp, q_min=q_min, q_max=q_max,
                            steps=steps, tol=tol, methods=["h_series_root"]),
     )
@@ -159,20 +164,18 @@ def scan_scaling_fn(eps_list: list[float], s_min: float, s_max: float, steps: in
     for eps in eps_list:
         if not 0.0 < eps < math.inf:
             raise DomainError(f"eps must be finite and positive, got {eps!r}")
-    svals = np.linspace(s_min, s_max, steps)
-    columns: dict[str, list] = {"s": svals.tolist()}
-    columns["F_exact"] = [scaling_F(float(s)) for s in svals]
+    svals = _grid(s_min, s_max, steps)
+    columns: dict[str, list] = {"s": svals}
+    columns["F_exact"] = [scaling_F(s) for s in svals]
     for eps in eps_list:
         q = math.exp(-eps)
-        omq = 1.0 - q
-        ts = [scaling_t(s, q) for s in svals.tolist()]
-        settings = EvalSettings(q=q, tol=tol)
-        g_exact = g_cfrac_grid(ts, settings)
-        rec_cfrac = ((g_exact / 2.0) - 1.0) / omq ** (1.0 / 3.0)
-        rec_unif = [(_uniform_or_nan(t, q) / 2.0 - 1.0) / omq ** (1.0 / 3.0) for t in ts]
+        amplitude = (1.0 - q) ** (1.0 / 3.0)
+        ts = [scaling_t(s, q) for s in svals]
+        g_exact = g_cfrac_grid(ts, EvalSettings(q=q, tol=tol)).tolist()
         tag = f"{eps:g}"
-        columns[f"F_from_cfrac_eps{tag}"] = rec_cfrac.tolist()
-        columns[f"F_from_uniform_eps{tag}"] = rec_unif
+        columns[f"F_from_cfrac_eps{tag}"] = [(g / 2.0 - 1.0) / amplitude for g in g_exact]
+        columns[f"F_from_uniform_eps{tag}"] = [(_uniform_or_nan(t, q) / 2.0 - 1.0) / amplitude
+                                              for t in ts]
     return ScanDataset(
         kind="scaling_fn",
         columns=columns,

@@ -7,6 +7,7 @@ import pytest
 
 from dyckarea.asymptotics import (
     PHI_AMPLITUDE,
+    ScaledValue,
     _log_euler_function,
     finite_size_phi,
     g_scaling,
@@ -27,7 +28,7 @@ from dyckarea.errors import (
     PoleProximityError,
 )
 from dyckarea.qseries import EvalSettings, g_cfrac, g_ratio, h_series, log_q_pochhammer_inf
-from dyckarea.special_functions import A0, airy, airy_zeta, scaling_F
+from dyckarea.special_functions import A0, airy, airy_zeta
 
 BETA_QUARTER = 1.3029200473423146  # ln(1/4)^2/4 + pi^2/12
 
@@ -152,10 +153,16 @@ class TestHUniform:
         assert moderate.to_float() == pytest.approx(
             moderate.mantissa * math.exp(moderate.exponent), rel=1e-14
         )
-        from dyckarea.asymptotics import ScaledValue
-
         with pytest.raises(OverflowError):
             ScaledValue(mantissa=1.5, exponent=800.0).to_float()
+
+    @pytest.mark.parametrize("mantissa", [0.0, -0.0])
+    def test_zero_mantissa(self, mantissa):
+        # h_uniform returns a zero mantissa where its bracket vanishes
+        value = ScaledValue(mantissa=mantissa, exponent=850.0)
+        assert value.log_abs == -math.inf
+        zero = value.to_float()
+        assert zero == 0.0 and math.copysign(1.0, zero) == math.copysign(1.0, mantissa)
 
     def test_epsilon_window(self):
         with pytest.raises(DomainError):

@@ -10,7 +10,6 @@ import shlex
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 from dyckarea import cli, qseries

@@ -56,6 +56,28 @@ def test_imports_match_declared_dependencies():
     assert _imported_roots() == names == {"numpy"}
 
 
+def test_numpy_stays_in_the_continued_fraction_kernel():
+    # numpy is imported by qseries alone, and used there only by the
+    # continued-fraction kernel
+    importers = set()
+    for path in sorted((SRC / "dyckarea").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if any(name.split(".")[0] == "numpy" for name in names):
+                importers.add(path.stem)
+    assert importers == {"qseries"}
+    tree = ast.parse((SRC / "dyckarea" / "qseries.py").read_text(encoding="utf-8"))
+    users = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)
+             and any(isinstance(n, ast.Name) and n.id == "np" for n in ast.walk(node))}
+    assert users <= {"_cfrac_settled", "_cfrac_scalar", "_lone_level", "_cfrac_pairwise",
+                     "_at_tail_one", "g_cfrac_grid"}
+
+
 # one op of every command, eval by every method and scan of every kind; the
 # Airy scaling point s = 4.3 lies in the guarded Maclaurin tier
 _OPS = """

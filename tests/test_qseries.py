@@ -21,7 +21,6 @@ from dyckarea.errors import (
     DomainError,
     NonConvergenceError,
     PoleProximityError,
-    SearchFailureError,
 )
 from dyckarea.qseries import (
     ContourSpec,
@@ -661,20 +660,55 @@ class TestContour:
         ch = contour_h(t, q)
         assert abs(ch.real - hs) / abs(hs) < 1e-8
 
-    def test_truncation_stability(self):
-        base = contour_h(0.2, 0.5, ContourSpec(lambda_max=60.0))
-        extended = contour_h(0.2, 0.5, ContourSpec(lambda_max=120.0))
-        assert abs(base - extended) < 1e-10
+    @pytest.mark.parametrize("t, q, psi", [(0.1, 0.3, math.pi / 3.0), (0.1, 0.5, math.pi / 3.0),
+                                           (0.2, 0.3, math.pi / 3.0), (0.2, 0.5, math.pi / 3.0),
+                                           (0.2, 0.5, math.pi / 4.0)])
+    def test_near_double_precision(self, t, q, psi):
+        # the validate grid and an asymmetric contour
+        hs = h_series(t, EvalSettings(q=q))
+        ch = contour_h(t, q, ContourSpec(phi=math.pi / 3.0, psi=psi))
+        assert abs(ch.real - hs) / abs(hs) < 1e-14
+        assert abs(ch.imag) < 1e-14
+
+    def test_truncation_stability(self, monkeypatch):
+        steps = []
+        ray_sum = qseries._ray_sum
+
+        def recording(t, q, rho, angle, h, shift, tol):
+            steps.append(h)
+            return ray_sum(t, q, rho, angle, h, shift, tol)
+
+        monkeypatch.setattr(qseries, "_ray_sum", recording)
+        spec = ContourSpec()
+        value = contour_h(0.2, 0.5, spec)
+        # one more halving: the trapezoid sums at half the last step, from scratch
+        h = min(steps) / 4.0
+        prefactor = q_pochhammer(0.5, 0.5) / (2.0j * math.pi)
+        finer = prefactor * h * (ray_sum(0.2, 0.5, spec.rho, spec.phi, h, 0.0, qseries._CONTOUR_TAIL)
+                                 - ray_sum(0.2, 0.5, spec.rho, -spec.psi, h, 0.0, qseries._CONTOUR_TAIL))
+        assert abs(finer - value) < 1e-15 * abs(value)
+        # a tail threshold 100 times tighter, on the rays and on the product
+        monkeypatch.setattr(qseries, "_CONTOUR_TAIL", qseries._CONTOUR_TAIL / 100.0)
+        assert abs(contour_h(0.2, 0.5, spec) - value) < 1e-15 * abs(value)
 
     def test_asymmetric_angles(self):
         value = contour_h(0.2, 0.5, ContourSpec(phi=math.pi / 3.0, psi=math.pi / 4.0))
         assert value.real == pytest.approx(H_02_05, rel=1e-8)
 
+    def test_small_value_near_q_one(self):
+        # H(0.2) = 4.5e-22 at q = 0.995, so the halving settles against the
+        # size of the two ray integrals, not against 1
+        hs = h_series(0.2, EvalSettings(q=0.995))
+        assert abs(contour_h(0.2, 0.995).real - hs) < 1e-8 * abs(hs)
+        # at q = 0.999 the integrand leaves the double range: a typed failure
+        with pytest.raises(AccuracyError):
+            contour_h(0.2, 0.999)
+
     def test_accuracy_error_reports_last_difference(self, monkeypatch):
-        # the two rays differ by a term that grows with the node count, so
+        # the two rays differ by a term that grows as the step shrinks, so
         # the quadrature never settles and the error carries that change
-        monkeypatch.setattr(qseries, "_ray_quadrature",
-                            lambda t, q, rho, angle, lam_end, order, tol: complex(order) * angle)
+        monkeypatch.setattr(qseries, "_ray_sum",
+                            lambda t, q, rho, angle, h, shift, tol: angle * (1.0 + shift) / h**2)
         with pytest.raises(AccuracyError) as err:
             contour_h(0.2, 0.5)
         assert err.value.last_term > 0.0
