@@ -121,6 +121,13 @@ class TestRecurrenceTable:
         text = table_to_csv(build_area_polynomials(n_max, m_max=m_max))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
+    def test_column_digest(self):
+        # sha256 of the columns c[m][0..2m], m <= 80, that fix every Q_m
+        table = build_area_polynomials(160, m_max=80)
+        columns = [[table.coefficient(m, n) for n in range(2 * m + 1)] for m in range(81)]
+        digest = hashlib.sha256(str(columns).encode()).hexdigest()
+        assert digest == "084611e52dcf1c238ae80cc060e0eb2aa6334810bcf76a8b30c37cb248cb23c1"
+
     @hypothesis.settings(max_examples=25)
     @hypothesis.given(data=st.data())
     def test_table_invariants(self, data):
