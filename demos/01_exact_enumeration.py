@@ -7,6 +7,7 @@ fixed-area series.
 """
 
 from dyckarea import (
+    area_columns,
     brute_force_area_polynomial,
     build_area_polynomials,
     catalan_number,
@@ -27,8 +28,9 @@ for n in range(13):
     print(f"  n={n:2d}: {oracle.total():>7d} paths (Catalan {catalan_number(n):>7d}) {match}")
 
 print("\nfixed-area series at t = 0.3 (exact: N_m(t)/(1-t)^(m+1) from n <= 2m):")
-for m in (0, 1, 2, 5):
-    print(f"  m={m}: Q_m(0.3) = {partition_series(table, m, 0.3):.10f}")
+areas = (0, 1, 2, 5)
+for m, column in zip(areas, area_columns(areas)):
+    print(f"  m={m}: Q_m(0.3) = {partition_series(column, 0.3):.10f}")
 
 with open("enumeration_table.csv", "w", encoding="utf-8") as fh:
     fh.write(table_to_csv(table))

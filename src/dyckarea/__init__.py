@@ -26,6 +26,7 @@ logging.getLogger(__name__).addHandler(logging.NullHandler())  # debug-level rou
 from .enumeration import (  # noqa: E402
     AreaPolynomial,
     CoefficientTable,
+    area_columns,
     build_area_polynomials,
     brute_force_area_polynomial,
     catalan_number,
@@ -81,6 +82,7 @@ __all__ = [
     "airy",
     "airy_zeros",
     "airy_zeta",
+    "area_columns",
     "build_area_polynomials",
     "brute_force_area_polynomial",
     "catalan_number",

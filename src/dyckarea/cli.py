@@ -283,8 +283,7 @@ def build_parser() -> _Parser:
     p.add_argument("--m-list", dest="m_list")
     p.add_argument("--m-max", dest="m_max", type=int)
     p.add_argument("--n-max", dest="n_max", type=int,
-                   help="partition: length of the table the columns are read from; "
-                        ">= 2 max(m) (default 2 max(m))")
+                   help="partition: >= 2 max(m) (default 2 max(m)); only echoed in the metadata")
     p.add_argument("--j-max", dest="j_max", type=int, default=24)
     p.add_argument("--tol", type=float)
     p.add_argument("--out", required=True)
@@ -310,7 +309,7 @@ def build_parser() -> _Parser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--n-max", dest="n_max", type=int,
-                   help="length of the table the column is read from; >= 2m (default 2m)")
+                   help=">= 2m (default 2m); only echoed in the output")
     p.add_argument("--j-max", dest="j_max", type=int, default=24)
     p.set_defaults(func=_cmd_partition)
 

@@ -17,7 +17,7 @@ from datetime import datetime, timezone
 
 from . import __version__
 from .asymptotics import _finite_size_s, g_uniform, q_m_asymptotic, scaling_t
-from .enumeration import build_area_polynomials, partition_series
+from .enumeration import area_columns, partition_series
 from .errors import DomainError, DyckAreaError, PoleProximityError
 from .qseries import EvalSettings, g_cfrac, g_cfrac_grid, t_infinity
 from .special_functions import scaling_F
@@ -190,10 +190,10 @@ def scan_partition(t: float, m_values: list[int], n_max: int | None = None,
                    j_max: int = 24, stamp: bool = False) -> ScanDataset:
     """Exact fixed-area series against the finite-size asymptotic form.
 
-    The table runs to n_max (default 2 max(m), the least that fixes every
-    Q_m exactly; see ``partition_series``); a shorter one fails before it is
-    built. Q_asymptotic is NaN for m < 10, where the finite-size form is not
-    defined.
+    One height pass builds the columns c[m][0..2m] that fix every Q_m
+    (``area_columns``). n_max (default 2 max(m)) sizes nothing: it is echoed
+    in the metadata, and one below 2 max(m) fails before that pass.
+    Q_asymptotic is NaN for m < 10, where the finite-size form is not defined.
     """
     if not m_values:
         raise DomainError("m_values must be nonempty")
@@ -201,15 +201,13 @@ def scan_partition(t: float, m_values: list[int], n_max: int | None = None,
         raise DomainError(f"area {min(m_values)} must be >= 0")
     if not (0.0 <= t < 1.0):
         raise DomainError("partition_series requires 0 <= t < 1")
-    # the asymptotic first: it fails in microseconds, the table build in seconds
+    # the asymptotic first: it fails in microseconds, the column build in seconds
     asymptotic = [q_m_asymptotic(m, t, j_max=j_max) if m >= 10 else math.nan for m in m_values]
     m_top = max(m_values)
-    if n_max is None:
-        n_max = 2 * m_top
+    n_max = 2 * m_top if n_max is None else n_max
     if n_max < 2 * m_top:
         raise DomainError(f"Q_{m_top} needs the table to n = {2 * m_top}, it stops at {n_max}")
-    table = build_area_polynomials(n_max, m_max=m_top)
-    exact = [partition_series(table, m, t) for m in m_values]
+    exact = [partition_series(column, t) for column in area_columns(m_values)]
     return ScanDataset(
         kind="partition",
         # Q_exact has no tail; the zero tail_estimate column is kept for

@@ -27,7 +27,7 @@ with P of semilength k has area k + area(P) >= k. A path of area m thus
 has at most m arches of positive area, each of semilength at most m + 1,
 with runs of UD arches (each a factor 1/(1-t)) around them. Over a common
 denominator, Q_m(t) = N_m(t) / (1-t)^(m+1) with N_m an integer polynomial
-of degree at most 2m, fixed by c[m][0..2m].
+of degree at most 2m, fixed by c[m][0..2m]: no row past 2m is ever read.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from .errors import DivergenceError, DomainError, ResourceLimitError
 __all__ = [
     "AreaPolynomial",
     "CoefficientTable",
+    "area_columns",
     "build_area_polynomials",
     "brute_force_area_polynomial",
     "partition_series",
@@ -54,7 +55,7 @@ __all__ = [
 _BRUTE_FORCE_CAP = 14
 # Packed rows pad every digit to about 2 n_max bits (2 cores, Python 3.11):
 _TABLE_CAP_FULL = 200  # n = 200 builds in 11 s, 262 MB peak RSS; decoding its rows: +0.8 s, 306 MB
-_TABLE_CAP_CAPPED = 1280  # (1280, 640), the table Q_640 needs, builds in 10 s, 310 MB peak RSS
+_COLUMNS_CAP = 640  # the columns to area 640 build in 9 s, 44 MB peak RSS
 
 
 def catalan_number(n: int) -> int:
@@ -95,27 +96,22 @@ class CoefficientTable:
     Rows stay packed as the builder leaves them: digit m of ``packed[n]``,
     ``digit_bits`` wide, is c[m][n]. ``coefficient`` and ``column`` read the
     digits in place; ``rows`` decodes every row on first access and keeps it.
-    ``m_cap`` records an optional area truncation: when set, every row
-    keeps only areas m <= m_cap (rows shorter than the cap are complete).
     """
 
     n_max: int
     packed: tuple[int, ...]
     digit_bits: int
-    m_cap: int | None = None
 
     @cached_property
     def rows(self) -> tuple[AreaPolynomial, ...]:
         width = self.digit_bits // 8
         rows = []
         for n, packed in enumerate(self.packed):
-            full_len = n * (n - 1) // 2 + 1
-            length = full_len if self.m_cap is None else min(full_len, self.m_cap + 1)
-            raw = packed.to_bytes(length * width, "little")
+            raw = packed.to_bytes((n * (n - 1) // 2 + 1) * width, "little")
             coeffs = tuple(
                 int.from_bytes(raw[i:i + width], "little") for i in range(0, len(raw), width)
             )
-            rows.append((AreaPolynomial if length == full_len else _CappedRow)(n=n, coeffs=coeffs))
+            rows.append(AreaPolynomial(n=n, coeffs=coeffs))
         return tuple(rows)
 
     def row(self, n: int) -> AreaPolynomial:
@@ -126,52 +122,22 @@ class CoefficientTable:
 
     def column(self, m: int) -> list[int]:
         """Counts for fixed area m across all stored lengths."""
-        if self.m_cap is not None and m > self.m_cap:
-            raise DomainError(f"column {m} exceeds the table's area cap {self.m_cap}")
         return [self.coefficient(m, n) for n in range(self.n_max + 1)]
 
 
-class _CappedRow(AreaPolynomial):
-    """Row truncated at the table's area cap; skips the full-length invariant."""
-
-    def __post_init__(self):
-        pass
+def _digit_bits(n_max: int) -> int:
+    """Whole-byte digits of more than 2 n_max bits: after i steps a count is at most 2^i."""
+    return 8 * (n_max // 4 + 1)
 
 
-@lru_cache(maxsize=6)
-def build_area_polynomials(n_max: int, m_max: int | None = None) -> CoefficientTable:
-    """Exact table of row polynomials for all semilengths up to n_max.
+def _height_pass(n_max: int, bits: int, mask: int):
+    """Yield the packed height-0 polynomial after steps 0, 2, ..., 2*n_max.
 
-    One pass over the 2*n_max steps of a walk keeps, for every height, the
-    area polynomial of the walks that end there. An up-step from height h
-    adds h squares (a shift by h digits); a down-step adds none. Row n is
-    the height-0 polynomial after step 2n. The optional ``m_max`` truncates
-    every row at that area, which keeps the fixed-area columns exact while
-    making large-n tables cheap.
-
-    Each polynomial is packed into one big integer with a fixed digit width,
-    so a step costs only shifts and adds. The table keeps each row packed;
-    its rows are decoded on first read (``CoefficientTable``). Results are
-    memoized; the returned tables are immutable and safe to share across
-    threads.
+    An up-step from height h adds h squares (a shift by h digits of ``bits``
+    bits); a down-step adds none. ``mask`` drops the areas past a cap.
     """
-    if n_max < 0:
-        raise DomainError("n_max must be >= 0")
-    if m_max is not None and m_max < 0:
-        raise DomainError("m_max must be >= 0")
-    full = m_max is None or m_max >= n_max * (n_max - 1) // 2
-    cap = _TABLE_CAP_FULL if full else _TABLE_CAP_CAPPED
-    if n_max > cap:
-        raise ResourceLimitError(
-            f"table to n = {n_max} exceeds the memory budget (cap {cap}); "
-            + ("pass m_max to bound the rows or lower n_max" if full else "lower m or --n-max")
-        )
-    # A count after i steps is at most 2^i (the number of walks), so
-    # whole-byte digits of more than 2*n_max bits can never overflow.
-    bits = 8 * (n_max // 4 + 1)
-    mask = -1 if m_max is None else (1 << bits * (m_max + 1)) - 1
     heights = [1]  # heights[h]: packed area polynomial of the walks at height h
-    packed = [1]
+    yield 1
     for step in range(1, 2 * n_max + 1):
         down = heights[1:] + [0, 0]
         up = [0] + [(poly << h * bits) & mask for h, poly in enumerate(heights)]
@@ -182,8 +148,47 @@ def build_area_polynomials(n_max: int, m_max: int | None = None) -> CoefficientT
         while not heights[-1]:
             heights.pop()
         if not step % 2:
-            packed.append(heights[0])
-    return CoefficientTable(n_max=n_max, packed=tuple(packed), digit_bits=bits, m_cap=m_max)
+            yield heights[0]
+
+
+@lru_cache(maxsize=6)
+def build_area_polynomials(n_max: int) -> CoefficientTable:
+    """Exact table of row polynomials for all semilengths up to n_max.
+
+    Row n is the height-0 polynomial after step 2n of one height pass, each
+    polynomial packed into one big integer, so a step costs only shifts and
+    adds. Rows stay packed until read (``CoefficientTable``). Results are
+    memoized; the returned tables are immutable and safe to share across
+    threads.
+    """
+    if n_max < 0:
+        raise DomainError("n_max must be >= 0")
+    if n_max > _TABLE_CAP_FULL:
+        raise ResourceLimitError(f"table to n = {n_max} exceeds the memory budget "
+                                 f"(cap {_TABLE_CAP_FULL}); lower n_max")
+    bits = _digit_bits(n_max)
+    return CoefficientTable(n_max, tuple(_height_pass(n_max, bits, -1)), digit_bits=bits)
+
+
+def area_columns(m_values: list[int]) -> list[list[int]]:
+    """The counts c[m][0..2m], which fix Q_m (``partition_series``), for each m.
+
+    One height pass runs to n = 2 max(m), masked at area max(m), and keeps
+    no table: c[m][n] is digit m of its height-0 polynomial after step 2n.
+    """
+    if not m_values or min(m_values) < 0:
+        raise DomainError(f"areas must be a nonempty list of m >= 0, got {m_values!r}")
+    m_top = max(m_values)
+    if m_top > _COLUMNS_CAP:
+        raise ResourceLimitError(f"columns to area {m_top} exceed the time budget "
+                                 f"(cap {_COLUMNS_CAP}); lower m")
+    bits = _digit_bits(2 * m_top)
+    columns = [[] for _ in m_values]
+    for n, packed in enumerate(_height_pass(2 * m_top, bits, (1 << bits * (m_top + 1)) - 1)):
+        for m, column in zip(m_values, columns):
+            if n <= 2 * m:
+                column.append(packed >> m * bits & (1 << bits) - 1)
+    return columns
 
 
 def brute_force_area_polynomial(n: int) -> AreaPolynomial:
@@ -219,24 +224,21 @@ def brute_force_area_polynomial(n: int) -> AreaPolynomial:
     return AreaPolynomial(n=n, coeffs=tuple(counts))
 
 
-def partition_series(table: CoefficientTable, m: int, t: float) -> float:
+def partition_series(column: list[int], t: float) -> float:
     """Fixed-area series Q_m(t) = sum_n c[m][n] t^n, correctly rounded.
 
-    Q_m = N_m / (1-t)^(m+1) with deg N_m <= 2m (module docstring), so the
-    table's first 2m + 1 column entries, c[m][0..2m], fix it on all of
-    0 <= t < 1; only those are read. N_m comes from m + 1 backward
-    differences of them, and is evaluated at t = a / 2^e in integers, so a
-    single int true division rounds it.
+    ``column`` is c[m][0..2m], as ``area_columns`` gives it; its length
+    2m + 1 carries m. Q_m = N_m / (1-t)^(m+1) with deg N_m <= 2m (module
+    docstring), so these counts fix it on all of 0 <= t < 1. N_m comes from
+    m + 1 backward differences of them, and is evaluated at t = a / 2^e in
+    integers, so a single int true division rounds it.
     """
-    if m < 0:
-        raise DomainError(f"area {m} must be >= 0")
+    if len(column) % 2 == 0:
+        raise DomainError(f"a column c[m][0..2m] has odd length, got {len(column)} counts")
+    m = len(column) // 2
     if not (0.0 <= t < 1.0):
         raise DomainError("partition_series requires 0 <= t < 1")
-    if table.n_max < 2 * m:
-        raise DomainError(f"Q_{m} needs the table to n = {2 * m}, it stops at {table.n_max}")
-    if table.m_cap is not None and m > table.m_cap:
-        raise DomainError(f"column {m} exceeds the table's area cap {table.m_cap}")
-    coeffs = [table.coefficient(m, n) for n in range(2 * m + 1)]
+    coeffs = column
     for _ in range(m + 1):  # times (1 - t), truncated at degree 2m
         coeffs = [c - p for c, p in zip(coeffs, [0] + coeffs)]
     a, b = t.as_integer_ratio()
@@ -293,7 +295,6 @@ def table_to_json(table: CoefficientTable) -> str:
     """JSON object with one coefficient array per row, integers as strings."""
     payload = {
         "n_max": table.n_max,
-        "m_cap": table.m_cap,
         "rows": [[str(c) for c in row.coeffs] for row in table.rows],
     }
     return json.dumps(payload, indent=2) + "\n"

@@ -16,6 +16,7 @@ import pytest
 
 from dyckarea.asymptotics import g_uniform, q_m_asymptotic
 from dyckarea.enumeration import (
+    area_columns,
     brute_force_area_polynomial,
     build_area_polynomials,
     catalan_number,
@@ -251,13 +252,14 @@ def test_scaling_identity_attainable():
 
 
 def test_criterion_10_finite_size_scaling():
-    table = build_area_polynomials(170, m_max=80)
-    exact_at_quarter = partition_series(table, 12, 0.25)
+    areas = (12, 20, 40, 80)
+    columns = dict(zip(areas, area_columns(areas)))
+    exact_at_quarter = partition_series(columns[12], 0.25)
     assert exact_at_quarter > 0.0  # a sum of positive terms, as phi's sign assumes
     ratios = []
-    for m in (20, 40, 80):
+    for m in areas[1:]:
         t = (1.0 - m ** (-2.0 / 3.0)) / 4.0  # fixed s = 1
-        exact = partition_series(table, m, t)  # exact: the table reaches 2m
+        exact = partition_series(columns[m], t)  # exact: c[m][0..2m] fixes Q_m
         ratios.append(exact / q_m_asymptotic(m, t, j_max=24))
     positive = all(r > 0.0 for r in ratios)
     deviations = [abs(r - 1.0) for r in ratios]

@@ -20,7 +20,7 @@ from dyckarea.asymptotics import (
     scaling_s,
     scaling_t,
 )
-from dyckarea.enumeration import build_area_polynomials, partition_series
+from dyckarea.enumeration import area_columns, partition_series
 from dyckarea.errors import (
     BranchCutError,
     DomainError,
@@ -331,8 +331,8 @@ class TestSingularPart:
 class TestFiniteSize:
     def test_sign_calibration(self):
         # the constant sign of phi agrees with the exact series (ratio 0.56)
-        table = build_area_polynomials(60)
-        exact = partition_series(table, 12, 0.25)
+        [column] = area_columns([12])
+        exact = partition_series(column, 0.25)
         asym = q_m_asymptotic(12, 0.25)
         assert exact > 0.0
         assert asym > 0.0
@@ -374,11 +374,11 @@ class TestFiniteSize:
         assert direct == pytest.approx(truncated, rel=1e-13)
 
     def test_ratio_trend_at_fixed_s(self):
-        table = build_area_polynomials(170, m_max=80)
+        areas = (20, 40, 80)
         deviations = []
-        for m in (20, 40, 80):
+        for m, column in zip(areas, area_columns(areas)):
             t = (1.0 - m ** (-2.0 / 3.0)) / 4.0
-            exact = partition_series(table, m, t)  # exact: the table reaches 2m
+            exact = partition_series(column, t)  # exact: c[m][0..2m] fixes Q_m
             ratio = exact / q_m_asymptotic(m, t, j_max=24)
             assert ratio > 0.0
             deviations.append(abs(ratio - 1.0))

@@ -12,7 +12,7 @@ import sys
 
 import pytest
 
-from dyckarea import cli, qseries
+from dyckarea import cli, datasets, qseries
 from dyckarea.datasets import (
     ScanDataset,
     scan_g_vs_t,
@@ -325,51 +325,69 @@ class TestCli:
     @pytest.mark.parametrize("argv, message", [
         ("partition --m -1 --t 0.2", "area -1 must be >= 0"),
         ("scan --kind partition --m-list -1 --t 0.2 --out /dev/null", "area -1 must be >= 0"),
-        ("partition --m 641 --t 0.25", "(cap 1280); lower m or --n-max"),
-        ("partition --m 20 --t 0.25 --n-max 1281", "(cap 1280); lower m or --n-max"),
+        ("partition --m 641 --t 0.25", "(cap 640); lower m"),
     ])
     def test_table_error_names_the_input(self, run_cli, argv, message):
-        # a negative area is not reported as a negative table length, and a
-        # capped caller is not told to pass the cap it passed
+        # a negative area is not reported as a negative table length, and an
+        # area past the cap is reported as such
         res = run_cli(*argv.split())
         assert res.returncode == 2
         assert res.stdout == ""
         assert res.stderr.startswith("domain error: ")
         assert message in res.stderr
 
+    def test_partition_n_max_sizes_nothing(self, run_cli):
+        # --n-max past the old table cap is only echoed: the column is built to 2m
+        plain = run_cli("partition", "--m", "20", "--t", "0.25")
+        long = run_cli("partition", "--m", "20", "--t", "0.25", "--n-max", "1281")
+        assert long.returncode == 0
+        assert long.stdout == plain.stdout.replace("(n <= 40,", "(n <= 1281,")
+        assert "(n <= 1281," in long.stdout
+
+    @pytest.fixture
+    def column_builds(self, monkeypatch):
+        """Calls of ``area_columns`` made through the datasets layer."""
+        calls, build = [], datasets.area_columns
+
+        def spy(m_values):
+            calls.append(m_values)
+            return build(m_values)
+
+        monkeypatch.setattr(datasets, "area_columns", spy)
+        return calls
+
     @pytest.mark.parametrize("argv", [
         "partition --m 640 --t 0.2286",
-        "partition --m 700 --t 0.2286",  # also past the table cap
+        "partition --m 700 --t 0.2286",  # also past the area cap
         "scan --kind partition --m-list 10,640 --t 0.2286 --out /dev/null",
     ])
-    def test_asymptotic_fails_before_build(self, run_cli, argv):
+    def test_asymptotic_fails_before_build(self, run_cli, column_builds, argv):
         # the finite-size series does not converge at m = 640, t = 0.2286: the
-        # command exits 3 without the table build (about 10 s at m = 640)
-        calls = build_area_polynomials.cache_info()[:2]
+        # command exits 3 without the column build (about 8 s at m = 640)
         res = run_cli(*argv.split())
         assert res.returncode == 3
         assert res.stdout == ""
-        assert build_area_polynomials.cache_info()[:2] == calls
+        assert column_builds == []
 
     @pytest.mark.parametrize("argv", [
         "partition --m 640 --t 0.25 --n-max 1279",
         "scan --kind partition --m-list 10,640 --t 0.25 --n-max 1279 --out /dev/null",
     ])
-    def test_short_table_fails_before_build(self, run_cli, argv):
-        # an --n-max below 2m cannot fix Q_m: the command exits 2 without the
-        # table build (about 10 s at m = 640)
-        calls = build_area_polynomials.cache_info()[:2]
+    def test_short_table_fails_before_build(self, run_cli, column_builds, argv):
+        # an --n-max below 2m exits 2 without the column build (about 8 s at
+        # m = 640)
         res = run_cli(*argv.split())
         assert res.returncode == 2
         assert res.stdout == ""
         assert "Q_640 needs the table to n = 1280, it stops at 1279" in res.stderr
-        assert build_area_polynomials.cache_info()[:2] == calls
+        assert column_builds == []
 
-    def test_partition_leaves_rows_packed(self, run_cli):
-        # partition reads its column from the packed rows and decodes none
-        build_area_polynomials.cache_clear()
+    def test_partition_builds_no_table(self, run_cli, column_builds):
+        # partition reads its column from one height pass, not from a table
+        calls = build_area_polynomials.cache_info()[:2]
         assert run_cli("partition", "--m", "40", "--t", "0.2286").returncode == 0
-        assert "rows" not in vars(build_area_polynomials(80, m_max=40))
+        assert build_area_polynomials.cache_info()[:2] == calls
+        assert column_builds == [[40]]
 
     def test_partition_and_scan_agree(self, tmp_path, run_cli):
         # both commands take the finite-size law from the same zeta sums

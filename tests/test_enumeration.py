@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import hypothesis
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from dyckarea.enumeration import (
     AreaPolynomial,
+    area_columns,
     brute_force_area_polynomial,
     build_area_polynomials,
     catalan_number,
@@ -82,12 +84,11 @@ class TestRecurrenceTable:
             assert small.row(n).coeffs == large.row(n).coeffs
 
     def test_area_cap_consistency(self):
-        for n_max, m_max in [(20, 6), (60, 20), (46, 0)]:
-            capped = build_area_polynomials(n_max, m_max=m_max)
-            full = build_area_polynomials(n_max)
-            for n in range(n_max + 1):
-                want = full.row(n).coeffs[: m_max + 1]
-                assert tuple(capped.row(n).coeffs)[: len(want)] == want
+        # the pass masked at area max(m) keeps the full table's columns
+        for m_values in [[6], [3, 20, 7], [0], [0, 0]]:
+            full = build_area_polynomials(2 * max(m_values))
+            want = [full.column(m)[: 2 * m + 1] for m in m_values]
+            assert area_columns(m_values) == want
 
     @pytest.mark.parametrize("n_max, m_max", [(39, None), (60, 20)])
     def test_first_return_identity(self, n_max, m_max):
@@ -104,48 +105,50 @@ class TestRecurrenceTable:
                     for j, y in enumerate(rows[n - k][: length - k - i]):
                         row[k + i + j] += x * y
             rows.append(row)
-        table = build_area_polynomials(n_max, m_max=m_max)
-        assert [list(row.coeffs) for row in table.rows] == rows
+        if m_max is None:
+            table = build_area_polynomials(n_max)
+            assert [list(row.coeffs) for row in table.rows] == rows
+        else:
+            want = [[rows[n][m] if m < len(rows[n]) else 0 for n in range(2 * m + 1)]
+                    for m in range(m_max + 1)]
+            assert area_columns(list(range(m_max + 1))) == want
 
     @pytest.mark.parametrize(
-        "n_max, m_max, digest",
-        [
-            (60, None, "1a09db91df40ab8671f21394a8e9e86900d7db54f6250551a4712633b5e447c7"),
-            (170, 80, "d3294d081b4c86d363b407e6aae1c4a90b554e687fbd03aef7e39df555290863"),
-        ],
-        ids=["full-60", "capped-170-80"],
+        "n_max, digest",
+        [(60, "1a09db91df40ab8671f21394a8e9e86900d7db54f6250551a4712633b5e447c7")],
+        ids=["full-60"],
     )
-    def test_golden_digest(self, n_max, m_max, digest):
+    def test_golden_digest(self, n_max, digest):
         # sha256 of the CSV export, pinned from the first-return convolution
         # builder so that any change of builder keeps every count bit-identical
-        text = table_to_csv(build_area_polynomials(n_max, m_max=m_max))
+        text = table_to_csv(build_area_polynomials(n_max))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_column_digest(self):
-        # sha256 of the columns c[m][0..2m], m <= 80, that fix every Q_m
-        table = build_area_polynomials(160, m_max=80)
-        columns = [[table.coefficient(m, n) for n in range(2 * m + 1)] for m in range(81)]
+        # sha256 of the columns c[m][0..2m], m <= 80, that fix every Q_m;
+        # pinned from the packed digits of the area-capped table to n = 160
+        columns = area_columns(list(range(81)))
         digest = hashlib.sha256(str(columns).encode()).hexdigest()
         assert digest == "084611e52dcf1c238ae80cc060e0eb2aa6334810bcf76a8b30c37cb248cb23c1"
 
     @hypothesis.settings(max_examples=25)
     @hypothesis.given(data=st.data())
     def test_table_invariants(self, data):
-        # every read path agrees with the decoded rows, on full and capped tables
+        # every read path agrees with the decoded rows, and the masked pass
+        # with the table's columns
         n_max = data.draw(st.integers(0, 40), label="n_max")
-        top = n_max * (n_max - 1) // 2
-        m_max = data.draw(st.none() | st.integers(0, top), label="m_max")
-        table = build_area_polynomials(n_max, m_max=m_max)
+        table = build_area_polynomials(n_max)
         rows = [row.coeffs for row in table.rows]
-        for m in range(top + 1 if m_max is None else m_max + 1):
+        for m in range(n_max * (n_max - 1) // 2 + 1):
             want = [row[m] if m < len(row) else 0 for row in rows]
             assert table.column(m) == want
             assert [table.coefficient(m, n) for n in range(n_max + 1)] == want
         for n, row in enumerate(rows):
             assert row[0] == 1
-            if len(row) == n * (n - 1) // 2 + 1:  # a full row
-                assert sum(row) == catalan_number(n)
-                assert row[-1] == 1
+            assert sum(row) == catalan_number(n)
+            assert row[-1] == 1
+        m_values = data.draw(st.lists(st.integers(0, n_max // 2), min_size=1), label="m_values")
+        assert area_columns(m_values) == [table.column(m)[: 2 * m + 1] for m in m_values]
 
     def test_column_access(self):
         table = build_area_polynomials(9)
@@ -156,22 +159,36 @@ class TestRecurrenceTable:
         with pytest.raises(ResourceLimitError, match="201"):
             build_area_polynomials(201)
 
-    @pytest.mark.parametrize("n_max, m_max, cap", [
-        (250, 250 * 249 // 2, 200),  # an area cap past every row is a full table
-        (1281, 640, 1280),
-    ])
-    def test_resource_cap_before_build(self, n_max, m_max, cap):
+    @pytest.mark.parametrize("build, message", [
+        (lambda: build_area_polynomials(250), "(cap 200); lower n_max"),
+        (lambda: area_columns([10, 641]), "(cap 640); lower m"),
+    ], ids=["table-250", "columns-641"])
+    def test_resource_cap_before_build(self, build, message):
         # either build would run for tens of seconds; the cap fails first
         start = time.process_time()
-        with pytest.raises(ResourceLimitError, match=f"cap {cap}"):
-            build_area_polynomials(n_max, m_max=m_max)
+        with pytest.raises(ResourceLimitError) as info:
+            build()
+        assert message in str(info.value)
         assert time.process_time() - start < 1.0
+
+    def test_columns_memory(self):
+        # the pass holds only its heights: the area-capped table to n = 320
+        # kept every packed row, a tracemalloc peak of 4.6 MB
+        tracemalloc.start()
+        try:
+            area_columns([160])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5e6
 
     def test_negative(self):
         with pytest.raises(DomainError):
             build_area_polynomials(-1)
         with pytest.raises(DomainError):
-            build_area_polynomials(5, m_max=-1)
+            area_columns([5, -1])
+        with pytest.raises(DomainError):
+            area_columns([])
 
     def test_row_length_validation(self):
         with pytest.raises(DomainError):
@@ -181,6 +198,16 @@ class TestRecurrenceTable:
 @pytest.fixture(scope="module")
 def table():
     return build_area_polynomials(40)
+
+
+@pytest.fixture(scope="module")
+def columns():
+    return area_columns(list(range(8)))
+
+
+@pytest.fixture(scope="module")
+def long_table():
+    return build_area_polynomials(110)  # c[m][0..2m+30] for m <= 40; 0.44 s
 
 
 def _numerator(column, m):
@@ -203,52 +230,50 @@ def _exact_q(m, t):
 
 
 class TestPartitionSeries:
-    def test_zero_area_geometric(self, table):
-        assert partition_series(table, 0, 0.5) == 1.0 / (1.0 - 0.5)
-        assert partition_series(table, 0, 0.3) == float(1 / (1 - Fraction(0.3)))
+    def test_zero_area_geometric(self, table, columns):
+        assert partition_series(columns[0], 0.5) == 1.0 / (1.0 - 0.5)
+        assert partition_series(columns[0], 0.3) == float(1 / (1 - Fraction(0.3)))
         assert table.column(0) == [1] * 41
 
-    def test_area_one_at_origin(self, table):
-        assert partition_series(table, 1, 0.0) == 0.0
+    def test_area_one_at_origin(self, columns):
+        assert partition_series(columns[1], 0.0) == 0.0
 
-    def test_area_one_column(self, table):
+    def test_area_one_column(self, table, columns):
         assert table.column(1)[:6] == [0, 0, 1, 2, 3, 4]
-        assert _numerator(table.column(1)[:3], 1) == [0, 0, 1]  # N_1 = t^2
+        assert columns[1] == [0, 0, 1]
+        assert _numerator(columns[1], 1) == [0, 0, 1]  # N_1 = t^2
         x = Fraction(0.3)
-        assert partition_series(table, 1, 0.3) == float(x**2 / (1 - x) ** 2)
+        assert partition_series(columns[1], 0.3) == float(x**2 / (1 - x) ** 2)
 
-    def test_exact_near_one(self, table):
+    def test_exact_near_one(self, columns):
         # sums truncated at n <= 40 and n <= 70 gave 3851.4 and 6166.1 here
-        assert partition_series(table, 3, 0.9) == 6633.900000000007 == _exact_q(3, 0.9)
-        assert partition_series(table, 7, 0.999) == _exact_q(7, 0.999)
+        assert partition_series(columns[3], 0.9) == 6633.900000000007 == _exact_q(3, 0.9)
+        assert partition_series(columns[7], 0.999) == _exact_q(7, 0.999)
 
     @hypothesis.settings(max_examples=30)
     @hypothesis.given(m=st.integers(0, 7), t=st.floats(0.0, 0.9999))
-    def test_correctly_rounded(self, table, m, t):
-        assert partition_series(table, m, t) == _exact_q(m, t)
+    def test_correctly_rounded(self, columns, m, t):
+        assert partition_series(columns[m], t) == _exact_q(m, t)
 
     @hypothesis.settings(max_examples=30)
     @hypothesis.given(m=st.integers(0, 40), t=st.floats(0.0, 0.999))
-    def test_numerator_degree(self, m, t):
-        long = build_area_polynomials(2 * m + 30, m_max=m)
-        numerator = _numerator(long.column(m), m)
-        assert numerator[2 * m + 1:] == [0] * 30  # deg N_m <= 2m on the data
-        short = build_area_polynomials(2 * m, m_max=m)
-        assert partition_series(short, m, t) == partition_series(long, m, t)
+    def test_numerator_degree(self, long_table, m, t):
+        # no row past 2m is read: the counts past it add nothing to N_m
+        long = long_table.column(m)[: 2 * m + 31]
+        assert _numerator(long, m)[2 * m + 1:] == [0] * 30  # deg N_m <= 2m on the data
+        [column] = area_columns([m])
+        assert column == long[: 2 * m + 1]
+        assert partition_series(column, t) == partition_series(long[: 2 * m + 1], t)
 
-    def test_domain(self, table):
+    def test_domain(self, columns):
+        with pytest.raises(DomainError, match="got 0 counts"):
+            partition_series([], 0.3)
+        with pytest.raises(DomainError, match="got 42 counts"):
+            partition_series(area_columns([21])[0][:42], 0.3)  # not c[m][0..2m] for any m
         with pytest.raises(DomainError):
-            partition_series(table, -1, 0.3)
-        with pytest.raises(DomainError):
-            partition_series(table, 10**6, 0.3)
-        with pytest.raises(DomainError, match="n = 42"):
-            partition_series(build_area_polynomials(41, m_max=21), 21, 0.3)  # 41 < 2m
-        with pytest.raises(DomainError):
-            partition_series(table, 2, 1.0)
+            partition_series(columns[2], 1.0)
         with pytest.raises(DomainError, match="double range"):
-            partition_series(build_area_polynomials(120, m_max=60), 60, 0.9999999)
-        with pytest.raises(DomainError, match="area cap"):
-            partition_series(build_area_polynomials(40, m_max=10), 15, 0.3)
+            partition_series(area_columns([60])[0], 0.9999999)
 
 
 class TestTruncatedG:
@@ -295,6 +320,7 @@ class TestSerialization:
 
     def test_json_decimal_strings(self):
         payload = json.loads(table_to_json(build_area_polynomials(4)))
+        assert payload.keys() == {"n_max", "rows"}
         assert payload["n_max"] == 4
         assert payload["rows"][4] == ["1", "3", "3", "3", "2", "1", "1"]
         assert all(isinstance(c, str) for row in payload["rows"] for c in row)
