@@ -55,7 +55,7 @@ __all__ = [
 _BRUTE_FORCE_CAP = 14
 # Packed rows pad every digit to about 2 n_max bits (2 cores, Python 3.11):
 _TABLE_CAP_FULL = 200  # n = 200 builds in 11 s, 262 MB peak RSS; decoding its rows: +0.8 s, 306 MB
-_COLUMNS_CAP = 640  # the columns to area 640 build in 9 s, 44 MB peak RSS
+_COLUMNS_CAP = 640  # the columns to area 640 build in 9.5 s, 44 MB peak RSS
 
 
 def catalan_number(n: int) -> int:

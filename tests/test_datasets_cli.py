@@ -337,7 +337,7 @@ class TestCli:
         assert message in res.stderr
 
     def test_partition_n_max_sizes_nothing(self, run_cli):
-        # --n-max past the old table cap is only echoed: the column is built to 2m
+        # --n-max sizes no build: it is only echoed, and the column runs to n = 2m
         plain = run_cli("partition", "--m", "20", "--t", "0.25")
         long = run_cli("partition", "--m", "20", "--t", "0.25", "--n-max", "1281")
         assert long.returncode == 0
