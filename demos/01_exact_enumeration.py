@@ -19,12 +19,12 @@ table = build_area_polynomials(12)
 
 print("row polynomials (coefficients of the area weight):")
 for n in range(6):
-    print(f"  n={n}: {list(table.row(n).coeffs)}")
+    print(f"  n={n}: {list(table.rows[n].coeffs)}")
 
 print("\nbacktracking oracle agreement up to n = 12:")
 for n in range(13):
     oracle = brute_force_area_polynomial(n)
-    match = "ok" if oracle.coeffs == table.row(n).coeffs else "MISMATCH"
+    match = "ok" if oracle.coeffs == table.rows[n].coeffs else "MISMATCH"
     print(f"  n={n:2d}: {oracle.total():>7d} paths (Catalan {catalan_number(n):>7d}) {match}")
 
 print("\nfixed-area series at t = 0.3 (exact: N_m(t)/(1-t)^(m+1) from n <= 2m):")

@@ -11,8 +11,9 @@ All coefficients are arbitrary-precision integers (Catalan growth passes
 2^63 near n = 35). The table is built by a height dynamic programme over
 the 2n steps of the walk: the area equals the sum, over up-steps, of the
 height before the step (the Carlitz-Riordan statistic), so each state only
-needs its height and its area so far. Splitting a nonempty path at its
-first return to the diagonal gives the identity
+needs its height and its area so far; the pass packs each polynomial into
+one integer, and the table holds its rows as tuples of counts. Splitting
+a nonempty path at its first return to the diagonal gives the identity
 
     Z[n+1] = sum_{k=0..n} q^k * Z[k] * Z[n-k]
 
@@ -35,7 +36,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .errors import DivergenceError, DomainError, ResourceLimitError
 
@@ -53,8 +54,8 @@ __all__ = [
 ]
 
 _BRUTE_FORCE_CAP = 14
-# Packed rows pad every digit to about 2 n_max bits (2 cores, Python 3.11):
-_TABLE_CAP_FULL = 200  # n = 200 builds in 11 s, 262 MB peak RSS; decoding its rows: +0.8 s, 306 MB
+# The height pass pads every digit to about 2 n_max bits (2 cores, Python 3.11):
+_TABLE_CAP_FULL = 200  # n = 200 builds its decoded rows in 10-13 s, 260-310 MB peak RSS
 _COLUMNS_CAP = 640  # the columns to area 640 build in 9.5 s, 44 MB peak RSS
 
 
@@ -91,38 +92,13 @@ class AreaPolynomial:
 
 @dataclass(frozen=True)
 class CoefficientTable:
-    """Triangular store of the counts c[m][n] for n = 0..n_max.
+    """The row polynomials for n = 0..n_max: ``rows[n].coeffs[m]`` is c[m][n]."""
 
-    Rows stay packed as the builder leaves them: digit m of ``packed[n]``,
-    ``digit_bits`` wide, is c[m][n]. ``coefficient`` and ``column`` read the
-    digits in place; ``rows`` decodes every row on first access and keeps it.
-    """
+    rows: tuple[AreaPolynomial, ...]
 
-    n_max: int
-    packed: tuple[int, ...]
-    digit_bits: int
-
-    @cached_property
-    def rows(self) -> tuple[AreaPolynomial, ...]:
-        width = self.digit_bits // 8
-        rows = []
-        for n, packed in enumerate(self.packed):
-            raw = packed.to_bytes((n * (n - 1) // 2 + 1) * width, "little")
-            coeffs = tuple(
-                int.from_bytes(raw[i:i + width], "little") for i in range(0, len(raw), width)
-            )
-            rows.append(AreaPolynomial(n=n, coeffs=coeffs))
-        return tuple(rows)
-
-    def row(self, n: int) -> AreaPolynomial:
-        return self.rows[n]
-
-    def coefficient(self, m: int, n: int) -> int:
-        return self.packed[n] >> m * self.digit_bits & (1 << self.digit_bits) - 1
-
-    def column(self, m: int) -> list[int]:
-        """Counts for fixed area m across all stored lengths."""
-        return [self.coefficient(m, n) for n in range(self.n_max + 1)]
+    @property
+    def n_max(self) -> int:
+        return len(self.rows) - 1
 
 
 def _digit_bits(n_max: int) -> int:
@@ -157,9 +133,9 @@ def build_area_polynomials(n_max: int) -> CoefficientTable:
 
     Row n is the height-0 polynomial after step 2n of one height pass, each
     polynomial packed into one big integer, so a step costs only shifts and
-    adds. Rows stay packed until read (``CoefficientTable``). Results are
-    memoized; the returned tables are immutable and safe to share across
-    threads.
+    adds. Rows are decoded after the pass, once its heights are freed.
+    Results are memoized; the returned tables are immutable and safe to
+    share across threads.
     """
     if n_max < 0:
         raise DomainError("n_max must be >= 0")
@@ -167,7 +143,15 @@ def build_area_polynomials(n_max: int) -> CoefficientTable:
         raise ResourceLimitError(f"table to n = {n_max} exceeds the memory budget "
                                  f"(cap {_TABLE_CAP_FULL}); lower n_max")
     bits = _digit_bits(n_max)
-    return CoefficientTable(n_max, tuple(_height_pass(n_max, bits, -1)), digit_bits=bits)
+    width = bits // 8
+    packed = list(_height_pass(n_max, bits, -1))
+    rows = []
+    for n in range(n_max + 1):
+        raw = packed[n].to_bytes((n * (n - 1) // 2 + 1) * width, "little")
+        packed[n] = None  # its decoded row replaces it
+        coeffs = tuple(int.from_bytes(raw[i:i + width], "little") for i in range(0, len(raw), width))
+        rows.append(AreaPolynomial(n=n, coeffs=coeffs))
+    return CoefficientTable(tuple(rows))
 
 
 def area_columns(m_values: list[int]) -> list[list[int]]:
@@ -191,6 +175,17 @@ def area_columns(m_values: list[int]) -> list[list[int]]:
     return columns
 
 
+def _check_brute_force(n: int) -> None:
+    """Fail fast where the backtracking oracle would not run at desk scale."""
+    if n < 0:
+        raise DomainError("n must be >= 0")
+    if n > _BRUTE_FORCE_CAP:
+        raise ResourceLimitError(
+            f"brute-force enumeration of {catalan_number(n)} paths at n = {n} "
+            f"is past the desk-scale cap {_BRUTE_FORCE_CAP}"
+        )
+
+
 def brute_force_area_polynomial(n: int) -> AreaPolynomial:
     """Row polynomial by exhaustive backtracking over all paths.
 
@@ -202,13 +197,7 @@ def brute_force_area_polynomial(n: int) -> AreaPolynomial:
     leaf: the walk stays exhaustive, entirely independent of the table
     builder, and the arbiter for the area convention.
     """
-    if n < 0:
-        raise DomainError("n must be >= 0")
-    if n > _BRUTE_FORCE_CAP:
-        raise ResourceLimitError(
-            f"brute-force enumeration of {catalan_number(n)} paths at n = {n} "
-            f"is past the desk-scale cap {_BRUTE_FORCE_CAP}"
-        )
+    _check_brute_force(n)
     counts = [0] * (n * (n - 1) // 2 + 1)
     total_steps = 2 * n
 
@@ -264,7 +253,7 @@ def eval_G_truncated(t: float, q: float, N: int) -> float:
     if not (0.0 <= t < math.inf):
         raise DomainError(f"t must be finite and >= 0, got {t!r}")
     table = build_area_polynomials(N)
-    terms = [table.row(n).evaluate(q) * t**n for n in range(N + 1)]
+    terms = [row.evaluate(q) * t**n for n, row in enumerate(table.rows)]
     total = float(sum(terms))
     if t > 0.0 and N >= 8:
         tail_terms = [abs(x) for x in terms[-4:]]
@@ -285,9 +274,9 @@ def eval_G_truncated(t: float, q: float, N: int) -> float:
 def table_to_csv(table: CoefficientTable) -> str:
     """CSV rows (n, m, c[m][n]); exact integers in decimal."""
     lines = ["n,m,c"]
-    for n in range(table.n_max + 1):
-        for m, c in enumerate(table.rows[n].coeffs):
-            lines.append(f"{n},{m},{c}")
+    for row in table.rows:
+        for m, c in enumerate(row.coeffs):
+            lines.append(f"{row.n},{m},{c}")
     return "\n".join(lines) + "\n"
 
 

@@ -81,15 +81,11 @@ _SCALED_FROM = 60.0
 
 @dataclass(frozen=True)
 class AiryPair:
-    """Values of Ai and Ai' at one point.
-
-    ``underflow`` is set when Ai(x) decayed below the smallest positive
-    double and the stored value collapsed to 0.0.
-    """
+    """Values of Ai and Ai' at one point; ``ai`` is 0.0 where Ai(x) decays
+    below the smallest positive double."""
 
     ai: float
     ai_prime: float
-    underflow: bool = False
 
 
 def _maclaurin_terms(x: float):
@@ -204,7 +200,7 @@ def _airy_asymptotic_positive(x: float, scaled: bool) -> AiryPair:
     root4 = x**0.25
     pref = (1.0 if scaled else math.exp(-zeta)) / (2.0 * math.sqrt(math.pi))
     ai = pref * s_ai / root4
-    return AiryPair(ai=ai, ai_prime=-pref * root4 * s_aip, underflow=ai == 0.0)
+    return AiryPair(ai=ai, ai_prime=-pref * root4 * s_aip)
 
 
 def _even_odd_sums(coefs, inv_zeta: float):

@@ -73,7 +73,7 @@ def test_criterion_01_oracle_equivalence():
     mismatches = []
     for n in range(13):
         oracle = brute_force_area_polynomial(n)
-        if table.row(n).coeffs != oracle.coeffs:
+        if table.rows[n].coeffs != oracle.coeffs:
             mismatches.append(n)
         assert oracle.total() == catalan_number(n)
     elapsed = time.monotonic() - started

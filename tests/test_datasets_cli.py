@@ -9,6 +9,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -21,7 +22,7 @@ from dyckarea.datasets import (
     scan_scaling_fn,
     write_dataset,
 )
-from dyckarea.enumeration import build_area_polynomials
+from dyckarea.enumeration import AreaPolynomial, brute_force_area_polynomial, build_area_polynomials
 from dyckarea.errors import DomainError, PoleProximityError
 from dyckarea.qseries import EvalSettings, g_ratio
 
@@ -204,6 +205,31 @@ class TestCli:
                       "--out", "/dev/null", "--verify-brute-force", "8")
         assert res.returncode == 0
         assert res.stdout.count("PASS") == 9
+
+    def test_enumerate_verify_mismatch(self, monkeypatch, run_cli):
+        # an oracle row that differs in one count fails at that row and area
+        def oracle(n):
+            row = brute_force_area_polynomial(n)
+            if n < 5:
+                return row
+            return AreaPolynomial(n=n, coeffs=row.coeffs[:3] + (row.coeffs[3] + 1,) + row.coeffs[4:])
+
+        monkeypatch.setattr(cli, "brute_force_area_polynomial", oracle)
+        res = run_cli("enumerate", "--n-max", "6", "--out", "/dev/null", "--verify-brute-force", "6")
+        assert res.returncode == 1
+        c = build_area_polynomials(6).rows[5].coeffs[3]
+        assert res.stdout.splitlines()[-2:] == [
+            "PASS row n=4 (14 paths)", f"FAIL row n=5: first differing entry m=3 ({c} != {c + 1})"]
+
+    def test_enumerate_verify_past_cap_fails_fast(self, run_cli):
+        # the oracle's cap is checked before the table is built or printed
+        start = time.process_time()
+        res = run_cli("enumerate", "--n-max", "16", "--verify-brute-force", "15")
+        assert time.process_time() - start < 1.0
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr == ("domain error: brute-force enumeration of 9694845 paths at n = 15 "
+                              "is past the desk-scale cap 14\n")
 
     def test_scan_writes_deterministic_file(self, tmp_path, run_cli):
         args = ("scan", "--kind", "g_vs_t", "--q", "0.9", "--t-min", "0.05",

@@ -30,6 +30,11 @@ from dyckarea.qseries import EvalSettings, g_cfrac
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796, 58786, 208012, 742900, 2674440]
 
 
+def _column(table, m):
+    """Counts c[m][n] for n = 0..n_max, read off the table's rows."""
+    return [row.coeffs[m] if m < len(row.coeffs) else 0 for row in table.rows]
+
+
 class TestBruteForce:
     def test_empty_path(self):
         assert brute_force_area_polynomial(0).coeffs == (1,)
@@ -58,20 +63,20 @@ class TestBruteForce:
 class TestRecurrenceTable:
     def test_small_rows_frozen(self):
         table = build_area_polynomials(4)
-        assert table.row(0).coeffs == (1,)
-        assert table.row(1).coeffs == (1,)
-        assert table.row(2).coeffs == (1, 1)
-        assert table.row(3).coeffs == (1, 2, 1, 1)
-        assert table.row(4).coeffs == (1, 3, 3, 3, 2, 1, 1)
+        assert table.rows[0].coeffs == (1,)
+        assert table.rows[1].coeffs == (1,)
+        assert table.rows[2].coeffs == (1, 1)
+        assert table.rows[3].coeffs == (1, 2, 1, 1)
+        assert table.rows[4].coeffs == (1, 3, 3, 3, 2, 1, 1)
 
     def test_matches_oracle(self):
         table = build_area_polynomials(10)
         for n in range(11):
-            assert table.row(n).coeffs == brute_force_area_polynomial(n).coeffs
+            assert table.rows[n].coeffs == brute_force_area_polynomial(n).coeffs
 
     @pytest.mark.parametrize("n", range(13))
     def test_row_invariants(self, n):
-        row = build_area_polynomials(12).row(n)
+        row = build_area_polynomials(12).rows[n]
         assert row.total() == catalan_number(n) == CATALAN[n]
         assert row.coeffs[0] == 1
         assert row.coeffs[-1] == 1
@@ -81,16 +86,19 @@ class TestRecurrenceTable:
         small = build_area_polynomials(8)
         large = build_area_polynomials(14)
         for n in range(9):
-            assert small.row(n).coeffs == large.row(n).coeffs
+            assert small.rows[n].coeffs == large.rows[n].coeffs
 
     def test_area_cap_consistency(self):
         # the pass masked at area max(m) keeps the full table's columns
         for m_values in [[6], [3, 20, 7], [0], [0, 0]]:
             full = build_area_polynomials(2 * max(m_values))
-            want = [full.column(m)[: 2 * m + 1] for m in m_values]
+            want = [_column(full, m)[: 2 * m + 1] for m in m_values]
             assert area_columns(m_values) == want
 
-    @pytest.mark.parametrize("n_max, m_max", [(39, None), (60, 20)])
+    @hypothesis.settings(max_examples=10)
+    @hypothesis.given(n_max=st.integers(0, 30), m_max=st.none() | st.integers(0, 40))
+    @hypothesis.example(n_max=39, m_max=None)
+    @hypothesis.example(n_max=60, m_max=20)
     def test_first_return_identity(self, n_max, m_max):
         # Z[n+1] = sum_k q^k Z[k] Z[n-k] by plain list convolution, truncated
         # at area m_max when given: a route independent of the height pass
@@ -105,13 +113,13 @@ class TestRecurrenceTable:
                     for j, y in enumerate(rows[n - k][: length - k - i]):
                         row[k + i + j] += x * y
             rows.append(row)
-        if m_max is None:
-            table = build_area_polynomials(n_max)
-            assert [list(row.coeffs) for row in table.rows] == rows
-        else:
-            want = [[rows[n][m] if m < len(rows[n]) else 0 for n in range(2 * m + 1)]
-                    for m in range(m_max + 1)]
-            assert area_columns(list(range(m_max + 1))) == want
+        table = build_area_polynomials(n_max)
+        pairs = zip(table.rows, rows, strict=True)
+        assert [list(row.coeffs[: len(want)]) for row, want in pairs] == rows
+        m_top = n_max // 2 if m_max is None else min(m_max, n_max // 2)
+        want = [[rows[n][m] if m < len(rows[n]) else 0 for n in range(2 * m + 1)]
+                for m in range(m_top + 1)]
+        assert area_columns(list(range(m_top + 1))) == want
 
     @pytest.mark.parametrize(
         "n_max, digest",
@@ -134,26 +142,24 @@ class TestRecurrenceTable:
     @hypothesis.settings(max_examples=25)
     @hypothesis.given(data=st.data())
     def test_table_invariants(self, data):
-        # every read path agrees with the decoded rows, and the masked pass
-        # with the table's columns
+        # the rows hold Catalan totals with unit end counts, and the masked
+        # pass agrees with the table's columns
         n_max = data.draw(st.integers(0, 40), label="n_max")
         table = build_area_polynomials(n_max)
-        rows = [row.coeffs for row in table.rows]
-        for m in range(n_max * (n_max - 1) // 2 + 1):
-            want = [row[m] if m < len(row) else 0 for row in rows]
-            assert table.column(m) == want
-            assert [table.coefficient(m, n) for n in range(n_max + 1)] == want
-        for n, row in enumerate(rows):
-            assert row[0] == 1
-            assert sum(row) == catalan_number(n)
-            assert row[-1] == 1
+        assert table.n_max == n_max
+        for n, row in enumerate(table.rows):
+            assert row.n == n
+            assert row.coeffs[0] == 1
+            assert sum(row.coeffs) == catalan_number(n)
+            assert row.coeffs[-1] == 1
         m_values = data.draw(st.lists(st.integers(0, n_max // 2), min_size=1), label="m_values")
-        assert area_columns(m_values) == [table.column(m)[: 2 * m + 1] for m in m_values]
+        assert area_columns(m_values) == [_column(table, m)[: 2 * m + 1] for m in m_values]
 
     def test_column_access(self):
         table = build_area_polynomials(9)
-        assert table.column(0) == [1] * 10
-        assert table.column(1) == [0, 0, 1, 2, 3, 4, 5, 6, 7, 8]
+        assert _column(table, 0) == [1] * 10
+        assert _column(table, 1) == [0, 0, 1, 2, 3, 4, 5, 6, 7, 8]
+        assert area_columns([0, 1, 4]) == [_column(table, m)[: 2 * m + 1] for m in (0, 1, 4)]
 
     def test_resource_cap_names_n(self):
         with pytest.raises(ResourceLimitError, match="201"):
@@ -233,13 +239,13 @@ class TestPartitionSeries:
     def test_zero_area_geometric(self, table, columns):
         assert partition_series(columns[0], 0.5) == 1.0 / (1.0 - 0.5)
         assert partition_series(columns[0], 0.3) == float(1 / (1 - Fraction(0.3)))
-        assert table.column(0) == [1] * 41
+        assert _column(table, 0) == [1] * 41
 
     def test_area_one_at_origin(self, columns):
         assert partition_series(columns[1], 0.0) == 0.0
 
     def test_area_one_column(self, table, columns):
-        assert table.column(1)[:6] == [0, 0, 1, 2, 3, 4]
+        assert _column(table, 1)[:6] == [0, 0, 1, 2, 3, 4]
         assert columns[1] == [0, 0, 1]
         assert _numerator(columns[1], 1) == [0, 0, 1]  # N_1 = t^2
         x = Fraction(0.3)
@@ -259,7 +265,7 @@ class TestPartitionSeries:
     @hypothesis.given(m=st.integers(0, 40), t=st.floats(0.0, 0.999))
     def test_numerator_degree(self, long_table, m, t):
         # no row past 2m is read: the counts past it add nothing to N_m
-        long = long_table.column(m)[: 2 * m + 31]
+        long = _column(long_table, m)[: 2 * m + 31]
         assert _numerator(long, m)[2 * m + 1:] == [0] * 30  # deg N_m <= 2m on the data
         [column] = area_columns([m])
         assert column == long[: 2 * m + 1]
