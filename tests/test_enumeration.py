@@ -35,6 +35,29 @@ def _column(table, m):
     return [row.coeffs[m] if m < len(row.coeffs) else 0 for row in table.rows]
 
 
+def _check_first_return(n_max, m_max):
+    # Z[n+1] = sum_k q^k Z[k] Z[n-k] by plain list convolution, truncated
+    # at area m_max when given: a route independent of the height pass
+    rows = [[1]]
+    for n in range(n_max):
+        length = n * (n + 1) // 2 + 1
+        if m_max is not None:
+            length = min(length, m_max + 1)
+        row = [0] * length
+        for k in range(min(n + 1, length)):
+            for i, x in enumerate(rows[k][: length - k]):
+                for j, y in enumerate(rows[n - k][: length - k - i]):
+                    row[k + i + j] += x * y
+        rows.append(row)
+    table = build_area_polynomials(n_max)
+    pairs = zip(table.rows, rows, strict=True)
+    assert [list(row.coeffs[: len(want)]) for row, want in pairs] == rows
+    m_top = n_max // 2 if m_max is None else min(m_max, n_max // 2)
+    want = [[rows[n][m] if m < len(rows[n]) else 0 for n in range(2 * m + 1)]
+            for m in range(m_top + 1)]
+    assert area_columns(list(range(m_top + 1))) == want
+
+
 class TestBruteForce:
     def test_empty_path(self):
         assert brute_force_area_polynomial(0).coeffs == (1,)
@@ -95,31 +118,14 @@ class TestRecurrenceTable:
             want = [_column(full, m)[: 2 * m + 1] for m in m_values]
             assert area_columns(m_values) == want
 
+    @pytest.mark.parametrize("n_max, m_max", [(39, None), (60, 20)])
+    def test_first_return_identity(self, n_max, m_max):
+        _check_first_return(n_max, m_max)
+
     @hypothesis.settings(max_examples=10)
     @hypothesis.given(n_max=st.integers(0, 30), m_max=st.none() | st.integers(0, 40))
-    @hypothesis.example(n_max=39, m_max=None)
-    @hypothesis.example(n_max=60, m_max=20)
-    def test_first_return_identity(self, n_max, m_max):
-        # Z[n+1] = sum_k q^k Z[k] Z[n-k] by plain list convolution, truncated
-        # at area m_max when given: a route independent of the height pass
-        rows = [[1]]
-        for n in range(n_max):
-            length = n * (n + 1) // 2 + 1
-            if m_max is not None:
-                length = min(length, m_max + 1)
-            row = [0] * length
-            for k in range(min(n + 1, length)):
-                for i, x in enumerate(rows[k][: length - k]):
-                    for j, y in enumerate(rows[n - k][: length - k - i]):
-                        row[k + i + j] += x * y
-            rows.append(row)
-        table = build_area_polynomials(n_max)
-        pairs = zip(table.rows, rows, strict=True)
-        assert [list(row.coeffs[: len(want)]) for row, want in pairs] == rows
-        m_top = n_max // 2 if m_max is None else min(m_max, n_max // 2)
-        want = [[rows[n][m] if m < len(rows[n]) else 0 for n in range(2 * m + 1)]
-                for m in range(m_top + 1)]
-        assert area_columns(list(range(m_top + 1))) == want
+    def test_first_return_identity_drawn(self, n_max, m_max):
+        _check_first_return(n_max, m_max)
 
     @pytest.mark.parametrize(
         "n_max, digest",
