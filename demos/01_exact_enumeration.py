@@ -33,5 +33,5 @@ for m, column in zip(areas, area_columns(areas)):
     print(f"  m={m}: Q_m(0.3) = {partition_series(column, 0.3):.10f}")
 
 with open("enumeration_table.csv", "w", encoding="utf-8") as fh:
-    fh.write(table_to_csv(table))
+    fh.writelines(table_to_csv(table))
 print("\nwrote enumeration_table.csv")

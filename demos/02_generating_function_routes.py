@@ -8,7 +8,7 @@ fraction continues past the pole boundary.
 
 import math
 
-from dyckarea import EvalSettings, eval_G_truncated, g_cfrac, g_ratio, t_infinity
+from dyckarea import EvalSettings, contour_h, eval_G_truncated, g_cfrac, g_ratio, h_series, t_infinity
 
 q = 0.5
 settings = EvalSettings(q=q)
@@ -32,6 +32,9 @@ for t in (0.1, 0.2, 0.3):
     G = g_cfrac(t, settings)
     res = G - 1.0 - t * G * g_cfrac(q * t, settings)
     print(f"  t={t}: {res:.2e}")
+
+print(f"\ncontour quadrature of H(0.2) at q = 0.999: {contour_h(0.2, 0.999):.12e}"
+      f" (series {h_series(0.2, EvalSettings(q=0.999)):.12e})")
 
 print("\nCatalan limit: G(t, q) -> (1 - sqrt(1-4t))/(2t) as q -> 1")
 t = 0.2

@@ -34,7 +34,6 @@ from .enumeration import (  # noqa: E402
     partition_series,
 )
 from .qseries import (  # noqa: E402
-    ContourSpec,
     EvalSettings,
     RemainderCheck,
     contour_h,
@@ -75,7 +74,6 @@ __all__ = [
     "AiryPair",
     "AreaPolynomial",
     "CoefficientTable",
-    "ContourSpec",
     "EvalSettings",
     "RemainderCheck",
     "SaddleData",

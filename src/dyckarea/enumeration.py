@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -127,15 +128,15 @@ def _height_pass(n_max: int, bits: int, mask: int):
             yield heights[0]
 
 
-@lru_cache(maxsize=6)
+@lru_cache(maxsize=1)
 def build_area_polynomials(n_max: int) -> CoefficientTable:
     """Exact table of row polynomials for all semilengths up to n_max.
 
     Row n is the height-0 polynomial after step 2n of one height pass, each
     polynomial packed into one big integer, so a step costs only shifts and
     adds. Rows are decoded after the pass, once its heights are freed.
-    Results are memoized; the returned tables are immutable and safe to
-    share across threads.
+    Only the last table is memoized, so the cap bounds memory; tables are
+    immutable and safe to share across threads.
     """
     if n_max < 0:
         raise DomainError("n_max must be >= 0")
@@ -271,13 +272,12 @@ def eval_G_truncated(t: float, q: float, N: int) -> float:
 # Table serialization
 # --------------------------------------------------------------------------
 
-def table_to_csv(table: CoefficientTable) -> str:
-    """CSV rows (n, m, c[m][n]); exact integers in decimal."""
-    lines = ["n,m,c"]
+def table_to_csv(table: CoefficientTable) -> Iterator[str]:
+    """CSV rows (n, m, c[m][n]), exact integers in decimal: the header, then
+    one string per table row, so a writer never holds the whole text."""
+    yield "n,m,c\n"
     for row in table.rows:
-        for m, c in enumerate(row.coeffs):
-            lines.append(f"{row.n},{m},{c}")
-    return "\n".join(lines) + "\n"
+        yield "".join(f"{row.n},{m},{c}\n" for m, c in enumerate(row.coeffs))
 
 
 def table_to_json(table: CoefficientTable) -> str:

@@ -17,16 +17,17 @@ through three routes that must agree wherever they overlap:
   are positive for real t, which makes this route unconditionally stable in
   double precision; it is the reference evaluator for small eps and
   continues G analytically beyond the pole line t_inf(q).
-* ``contour_h`` validates the contour-integral representation of H by
-  direct quadrature along two rays, one trapezoid sum each.
+* ``contour_h`` validates the contour-integral representation of H by one
+  trapezoid sum, in log space, along a ray through a saddle of its integrand.
 
-``euler_maclaurin_check`` certifies the Euler-Maclaurin approximation of
-ln (z; q)_inf against a rigorous remainder bound.
+``euler_maclaurin_check`` bounds the remainder of the Euler-Maclaurin head
+of ln (z; q)_inf, the head the contour integrand uses below eps = 0.1.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import logging
 import math
@@ -43,11 +44,10 @@ from .errors import (
     PoleProximityError,
     SearchFailureError,
 )
-from .special_functions import dilog
+from .special_functions import _BERNOULLI, dilog
 
 __all__ = [
     "EvalSettings",
-    "ContourSpec",
     "RemainderCheck",
     "HSeriesResult",
     "q_pochhammer",
@@ -602,6 +602,11 @@ class RemainderCheck:
         return abs(self.remainder) <= self.bound
 
 
+def _em_head(z: complex, eps: float) -> complex:
+    """-Li2(z)/eps + ln(1-z)/2, the Euler-Maclaurin head of ln (z; e^-eps)_inf."""
+    return -dilog(z) / eps + 0.5 * cmath.log(1.0 - z)
+
+
 def euler_maclaurin_check(z: complex, q: float) -> RemainderCheck:
     """Certify ln (z; q)_inf = Li2(z)/ln q + ln(1-z)/2 + ln(q) R(z, q).
 
@@ -620,76 +625,67 @@ def euler_maclaurin_check(z: complex, q: float) -> RemainderCheck:
     if not (0.0 < q < 1.0):
         raise DomainError("q must lie in (0, 1)")
     lnq = math.log(q)
-    lhs = log_q_pochhammer_inf(z, q)
-    remainder = (lhs - dilog(z) / lnq - 0.5 * cmath.log(1.0 - z)) / lnq
-    x, y = z.real, z.imag
-    ay = abs(y)
-    az = abs(z)
+    remainder = (log_q_pochhammer_inf(z, q) - _em_head(z, -lnq)) / lnq
+    x, ay, az = z.real, abs(z.imag), abs(z)
     integral = az / ay * (math.atan((az * az - x) / ay) + math.atan(x / ay))
-    bound = (abs(z / (1.0 - z)) + integral) / 12.0
-    return RemainderCheck(z=z, remainder=remainder, bound=bound)
+    return RemainderCheck(z=z, remainder=remainder, bound=(abs(z / (1.0 - z)) + integral) / 12.0)
 
 
 # --------------------------------------------------------------------------
 # Contour-integral representation of H
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ContourSpec:
-    """Two-ray contour through rho with upper angle phi and lower angle psi."""
-
-    rho: float = 0.5
-    phi: float = math.pi / 3.0
-    psi: float = math.pi / 3.0
-
-    def __post_init__(self):
-        if not (0.0 < self.rho < 1.0):
-            raise DomainError("rho must lie in (0, 1)")
-        if not (0.0 < self.phi < math.pi and 0.0 < self.psi < math.pi):
-            raise DomainError("ray angles must lie in (0, pi)")
+@functools.cache
+def _em_terms() -> tuple[tuple[float, tuple[float, ...]], ...]:
+    """B_2j/(2j)! and the Eulerian numbers A(2j-2, k), j = 1 ... 30, so that
+    Li_(2-2j)(z) = z A_(2j-2)(z) / (1-z)^(2j-1)."""
+    return tuple((_BERNOULLI[n + 2] / math.factorial(n + 2),
+                  tuple(float(sum((-1) ** i * math.comb(n + 1, i) * (k + 1 - i) ** n for i in range(k + 1)))
+                        for k in range(max(n, 1)))) for n in range(0, 59, 2))
 
 
-_CONTOUR_TAIL = 1e-16  # relative size of the terms a ray sum drops, and of the product factors
+def _log_pochhammer(z: complex, q: float, eps: float) -> complex:
+    """ln (z; q)_inf up to a multiple of 2 pi i: the log of the product from
+    eps = 0.1 on; below, ``_em_head`` - sum_j B_2j/(2j)! eps^(2j-1) Li_(2-2j)(z)
+    until a term falls below 1e-17, or where the terms grow first (z within
+    about 6 eps of 1) ln (z; q)_k + ln (z q^k; q)_inf, |z q^k| < e^(-7 eps)."""
+    if eps >= 0.1:
+        return cmath.log(q_pochhammer(z, q))
+    total, ratio, last = _em_head(z, eps), eps / (1.0 - z), math.inf
+    scale, step = z * ratio, ratio * ratio  # z (eps/(1-z))^(2j-1)
+    for b, poly in _em_terms():
+        acc = 0j
+        for c in poly:
+            acc = acc * z + c
+        if (size := abs(term := b * scale * acc)) > last:
+            break
+        total -= term
+        if size < 1e-17:
+            return total
+        last, scale = size, scale * step
+    k = max(1, math.ceil(math.log(abs(z)) / eps + 7.0))
+    return cmath.log(q_pochhammer(z, q, k)) + _log_pochhammer(z * q**k, q, eps)
 
 
-def _contour_integrand(z: complex, t: float, q: float, tol: float) -> complex:
-    """z^((1 + log_q z)/2 - log_q t) / (z; q)_inf."""
-    lnq = math.log(q)
-    lnz = cmath.log(z)  # principal branch
-    exponent = (0.5 * (1.0 + lnz / lnq) - math.log(t) / lnq) * lnz
-    return cmath.exp(exponent) / q_pochhammer(z, q, _pochhammer_count(abs(z), q, tol))
-
-
-def _ray_sum(t: float, q: float, rho: float, angle: float, h: float, shift: float,
-             tol: float) -> complex:
-    """Sum of the integrand times dz/du at u = shift + k h, k in Z, on the ray
-    z = rho + lambda e^{i angle}, lambda = exp(u - e^(-u)).
-
-    The map sends the end at rho double-exponentially to u = -inf, and the
-    integrand decays exponentially in u towards infinity, so h times the sum
-    is a trapezoid rule that converges exponentially as h shrinks. Each side
-    of u = shift stops once two consecutive terms fall below tol times the
-    partial sum.
-    """
-    direction = cmath.exp(1j * angle)
-    total = 0.0 + 0.0j
+def _ray_sum(log_f, rho: float, direction: complex, width: float, h: float, shift: float):
+    """Sum of exp(log_f(z)) dz/du at u = shift + k h, k in Z, on the ray z = rho
+    + lambda direction, lambda = width exp(u - e^(-u)), and its largest |term|:
+    h times it converges exponentially as h shrinks. Each side of u = shift
+    stops once two consecutive terms fall below 1e-17 of the largest."""
+    total, peak = 0j, 0.0
     for ks in (itertools.count(0), itertools.count(-1, -1)):
         small = 0
         for k in ks:
-            u = shift + k * h
-            eu = math.exp(-u)
-            lam = math.exp(u - eu)
-            try:
-                term = _contour_integrand(rho + lam * direction, t, q, tol) * lam * (1.0 + eu)
-            except OverflowError:
-                term = complex(math.inf)
-            if not cmath.isfinite(term):
+            eu = math.exp(-(u := shift + k * h))
+            lam = width * math.exp(u - eu)
+            if not (w := log_f(rho + lam * direction)).real < 700.0:  # NaN too
                 raise AccuracyError(f"the contour integrand leaves the double range at u = {u:g}")
-            total += term
-            small = small + 1 if abs(term) <= tol * abs(total) else 0
+            term = cmath.exp(w) * (lam * (1.0 + eu)) * direction
+            total, peak = total + term, max(peak, size := abs(term))
+            small = small + 1 if size <= 1e-17 * peak else 0
             if small == 2:
                 break
-    return total * direction
+    return total, peak
 
 
 def phase_f(z: complex, t: float) -> complex:
@@ -707,36 +703,46 @@ def phase_f(z: complex, t: float) -> complex:
     return math.log(t) * lnz + dilog(z) - 0.5 * lnz * lnz
 
 
-def contour_h(t: float, q: float, contour: ContourSpec | None = None) -> complex:
-    """H(t) by quadrature of its contour-integral representation.
-
-    The contour runs in from infinity along the lower ray, through rho,
-    and back out along the upper ray; the result is (q; q)_inf/(2 pi i)
-    times the line integral. For real t the two rays are conjugate and the
-    value is real up to the quadrature tolerance. This is a numerical
-    validation of the representation, so it recomputes everything directly
-    and shares no code with the series evaluator. Each ray is one trapezoid
-    sum (``_ray_sum``); its step halves, adding only the new midpoints,
-    until two values agree to 1e-12 of the two ray integrals' size.
+def contour_h(t: float, q: float) -> float:
+    """H(t) = (q; q)_inf/(2 pi i) int exp(L(z)) dz by quadrature, on a contour in
+    from infinity below (0, 1) and out above it; L(z) = ln z/2 - ln (z; q)_inf
+    + (ln t ln z - ln^2 z/2)/eps. Summing exp(L - L(rho)) keeps it in range as
+    q -> 1; for real t, H = (q; q)_inf exp(L(rho))/pi Im of the upper ray. The
+    ray climbs vertically from the saddle rho = (1 + sqrt(1 - 4t))/2, width
+    sqrt(eps), where eps < 0.1 and 1 - 4t > 3 eps^(2/3), else from rho = 1/2 at
+    angle pi/3, width min(1, eps^(1/3)). Its step halves from 1 until two values
+    agree to 1e-12. A result over 2^30 below the largest term (past t = 1/4) is
+    an accuracy error, |H| outside the double range a domain error.
     """
     if not (0.0 < q < 1.0):
         raise DomainError("contour_h needs q in (0, 1)")
     if not (0.0 < t < 1.0):
         raise DomainError("contour quadrature validated for real t in (0, 1) only")
-    geometry = contour or ContourSpec()
-    tol = 1e-12
-    prefactor = q_pochhammer(q, q) / (2.0j * math.pi)
-    angles = (geometry.phi, -geometry.psi)
-    h = 1.0
-    rays = [h * _ray_sum(t, q, geometry.rho, angle, h, 0.0, _CONTOUR_TAIL) for angle in angles]
-    value = prefactor * (rays[0] - rays[1])
+    eps, log_t, gap = -math.log(q), math.log(t), 1.0 - 4.0 * t
+    if eps < 0.1 and gap > 3.0 * eps ** (2.0 / 3.0):
+        rho, direction, width = 0.5 + 0.5 * math.sqrt(gap), 1j, math.sqrt(eps)
+    else:
+        rho, direction, width = 0.5, cmath.exp(1j * math.pi / 3.0), min(1.0, eps ** (1.0 / 3.0))
+
+    def log_l(z):
+        lnz = cmath.log(z)
+        return 0.5 * lnz + (log_t - 0.5 * lnz) * lnz / eps - _log_pochhammer(z, q, eps)
+
+    base, h = log_l(rho).real, 1.0
+    log_f = lambda z: log_l(z) - base
+    ray, peak = _ray_sum(log_f, rho, direction, width, h, 0.0)
+    value = ray.imag
     for _ in range(8):  # the step halves from 1 to at most 2^-8
-        rays = [0.5 * (ray + h * _ray_sum(t, q, geometry.rho, angle, h, 0.5 * h, _CONTOUR_TAIL))
-                for ray, angle in zip(rays, angles)]
-        h *= 0.5
-        nxt = prefactor * (rays[0] - rays[1])
-        diff = abs(nxt - value)
-        if diff <= tol * abs(prefactor) * (abs(rays[0]) + abs(rays[1])):
-            return nxt
-        value = nxt
-    raise AccuracyError(f"contour quadrature did not settle at step {h}", last_term=diff)
+        half, half_peak = _ray_sum(log_f, rho, direction, width, h, 0.5 * h)
+        ray, peak, h = 0.5 * (ray + h * half), max(peak, half_peak), 0.5 * h
+        diff, value = abs(ray.imag - value), ray.imag
+        if diff <= 1e-12 * abs(value):
+            break
+    else:
+        raise AccuracyError(f"contour quadrature did not settle at step {h}", last_term=diff)
+    if not 0.0 < peak <= 2.0**30 * abs(value):
+        raise AccuracyError(f"the contour sum at t = {t!r} lies over 2^30 below its largest term")
+    log_h = base + math.log(abs(value) / math.pi) + _log_pochhammer(q, q, eps).real
+    if not math.log(sys.float_info.min) <= log_h < math.log(sys.float_info.max):
+        raise DomainError(f"|H({t!r})| = exp({log_h:.1f}) lies outside the double range")
+    return math.copysign(math.exp(log_h), value)

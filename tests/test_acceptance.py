@@ -125,7 +125,7 @@ def test_criterion_04_contour_representation():
     started = time.monotonic()
     series = h_series(0.2, EvalSettings(q=0.5))
     quad = contour_h(0.2, 0.5)
-    rel = abs(quad.real - series) / abs(series)
+    rel = abs(quad - series) / abs(series)
     elapsed = time.monotonic() - started
     ok = rel < 1e-8 and abs(series - 0.626287) < 1e-6 and elapsed < 5.0
     report(4, ok, f"contour vs series at (0.2, 0.5): rel dev {rel:.2e} "

@@ -23,7 +23,6 @@ from dyckarea.errors import (
     PoleProximityError,
 )
 from dyckarea.qseries import (
-    ContourSpec,
     EvalSettings,
     contour_h,
     euler_maclaurin_check,
@@ -605,6 +604,10 @@ class TestBelowDoubleRange:
         with pytest.raises(DomainError, match=r"\|H\(0\.25\)\| = 8\.1521e-372 lies outside"):
             h_series(0.25, EvalSettings(q=self.Q))
 
+    def test_contour_out_of_range(self):
+        with pytest.raises(DomainError, match=r"\|H\(0\.25\)\| = exp\(-854\.5\) lies outside"):
+            contour_h(0.25, self.Q)
+
     def test_pole_line_is_a_sign_change(self):
         root = t_infinity(self.Q, tol=1e-8)
         assert _oracle_h(root * (1 - 1e-7), self.Q) > 0 > _oracle_h(root * (1 + 1e-7), self.Q)
@@ -648,76 +651,98 @@ class TestEulerMaclaurin:
 
 class TestContour:
     def test_matches_series(self):
-        settings = EvalSettings(q=0.5)
         value = contour_h(0.2, 0.5)
-        assert value.real == pytest.approx(H_02_05, rel=1e-10)
-        assert abs(value.imag) < 1e-10
+        assert isinstance(value, float)
+        assert value == pytest.approx(H_02_05, rel=1e-10)
 
     @pytest.mark.parametrize("t", [0.1, 0.2])
     @pytest.mark.parametrize("q", [0.3, 0.5])
     def test_grid_agreement(self, t, q):
         hs = h_series(t, EvalSettings(q=q))
-        ch = contour_h(t, q)
-        assert abs(ch.real - hs) / abs(hs) < 1e-8
+        assert abs(contour_h(t, q) - hs) / abs(hs) < 1e-8
 
-    @pytest.mark.parametrize("t, q, psi", [(0.1, 0.3, math.pi / 3.0), (0.1, 0.5, math.pi / 3.0),
-                                           (0.2, 0.3, math.pi / 3.0), (0.2, 0.5, math.pi / 3.0),
-                                           (0.2, 0.5, math.pi / 4.0)])
-    def test_near_double_precision(self, t, q, psi):
-        # the validate grid and an asymmetric contour
-        hs = h_series(t, EvalSettings(q=q))
-        ch = contour_h(t, q, ContourSpec(phi=math.pi / 3.0, psi=psi))
-        assert abs(ch.real - hs) / abs(hs) < 1e-14
-        assert abs(ch.imag) < 1e-14
-
-    def test_truncation_stability(self, monkeypatch):
-        steps = []
+    @pytest.mark.parametrize("t, q, angle", [(0.1, 0.3, math.pi / 3.0), (0.1, 0.5, math.pi / 3.0),
+                                             (0.2, 0.3, math.pi / 3.0), (0.2, 0.5, math.pi / 3.0)])
+    def test_near_double_precision(self, t, q, angle, monkeypatch):
+        # the validate grid: at eps >= 0.1 the ray leaves rho = 1/2 at angle pi/3
+        directions = []
         ray_sum = qseries._ray_sum
 
-        def recording(t, q, rho, angle, h, shift, tol):
-            steps.append(h)
-            return ray_sum(t, q, rho, angle, h, shift, tol)
+        def recording(log_f, rho, direction, width, h, shift):
+            directions.append((rho, direction))
+            return ray_sum(log_f, rho, direction, width, h, shift)
 
         monkeypatch.setattr(qseries, "_ray_sum", recording)
-        spec = ContourSpec()
-        value = contour_h(0.2, 0.5, spec)
-        # one more halving: the trapezoid sums at half the last step, from scratch
-        h = min(steps) / 4.0
-        prefactor = q_pochhammer(0.5, 0.5) / (2.0j * math.pi)
-        finer = prefactor * h * (ray_sum(0.2, 0.5, spec.rho, spec.phi, h, 0.0, qseries._CONTOUR_TAIL)
-                                 - ray_sum(0.2, 0.5, spec.rho, -spec.psi, h, 0.0, qseries._CONTOUR_TAIL))
-        assert abs(finer - value) < 1e-15 * abs(value)
-        # a tail threshold 100 times tighter, on the rays and on the product
-        monkeypatch.setattr(qseries, "_CONTOUR_TAIL", qseries._CONTOUR_TAIL / 100.0)
-        assert abs(contour_h(0.2, 0.5, spec) - value) < 1e-15 * abs(value)
+        hs = h_series(t, EvalSettings(q=q))
+        assert abs(contour_h(t, q) - hs) / abs(hs) < 1e-14
+        assert all(rho == 0.5 and cmath.phase(direction) == pytest.approx(angle) for rho, direction in directions)
 
-    def test_asymmetric_angles(self):
-        value = contour_h(0.2, 0.5, ContourSpec(phi=math.pi / 3.0, psi=math.pi / 4.0))
-        assert value.real == pytest.approx(H_02_05, rel=1e-8)
+    def test_truncation_stability(self, monkeypatch):
+        calls = []
+        ray_sum = qseries._ray_sum
+
+        def recording(*args):
+            calls.append((args, ray_sum(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(qseries, "_ray_sum", recording)
+        contour_h(0.2, 0.5)
+        # rebuild the settled trapezoid sum, then halve its step once more,
+        # adding the new midpoints; H is a fixed multiple of its imaginary part
+        (log_f, rho, direction, width, _, _), (ray, _) = calls[0]
+        for (*_, h, _), (half, _) in calls[1:]:
+            ray = 0.5 * (ray + h * half)
+        h *= 0.5
+        finer = 0.5 * (ray + h * ray_sum(log_f, rho, direction, width, h, 0.5 * h)[0])
+        assert abs(finer.imag - ray.imag) < 1e-15 * abs(ray.imag)
 
     def test_small_value_near_q_one(self):
-        # H(0.2) = 4.5e-22 at q = 0.995, so the halving settles against the
-        # size of the two ray integrals, not against 1
-        hs = h_series(0.2, EvalSettings(q=0.995))
-        assert abs(contour_h(0.2, 0.995).real - hs) < 1e-8 * abs(hs)
-        # at q = 0.999 the integrand leaves the double range: a typed failure
+        # H(0.2) = 4.5e-22 at q = 0.995 and 1.6e-107 at q = 0.999: the
+        # integrand is summed relative to its value at the saddle
+        for q in (0.995, 0.999):
+            hs = h_series(0.2, EvalSettings(q=q))
+            assert abs(contour_h(0.2, q) - hs) < 1e-12 * abs(hs)
+
+    @pytest.mark.parametrize("t, q", [(0.05, 0.98), (0.1, 0.99), (0.1, 0.995), (0.2, 0.999)])
+    def test_matches_series_near_q_one(self, t, q):
+        # the two-ray product quadrature returned -8.86, -4.98e-4 and -5.6e9
+        # at the first three points and raised at the last
+        hs = h_series(t, EvalSettings(q=q))
+        assert abs(contour_h(t, q) - hs) < 1e-12 * abs(hs)
+
+    @hypothesis.settings(max_examples=15)
+    @hypothesis.given(t=st.floats(0.05, 0.25), log_eps=st.floats(-3.0, 0.0))
+    def test_saddle_region_property(self, t, log_eps):
+        q = math.exp(-(10.0**log_eps))
+        hs = h_series(t, EvalSettings(q=q))
+        assert abs(contour_h(t, q) - hs) < 1e-12 * abs(hs)
+
+    @hypothesis.settings(max_examples=10)
+    @hypothesis.given(t=st.floats(0.25, 0.4, exclude_min=True), eps=st.floats(1e-3, 1e-2))
+    def test_past_quarter_is_right_or_raises(self, t, eps):
+        # the ray no longer descends from a saddle: a value, or a typed failure
+        q = math.exp(-eps)
+        try:
+            value = contour_h(t, q)
+        except AccuracyError:
+            return
+        hs = h_series(t, EvalSettings(q=q))
+        assert abs(value - hs) < 1e-10 * abs(hs)
+
+    def test_past_the_pole_line_raises(self):
         with pytest.raises(AccuracyError):
-            contour_h(0.2, 0.999)
+            contour_h(0.4, 0.999)
 
     def test_accuracy_error_reports_last_difference(self, monkeypatch):
-        # the two rays differ by a term that grows as the step shrinks, so
-        # the quadrature never settles and the error carries that change
+        # a ray sum that grows as the step shrinks never settles, and the
+        # error carries the last change
         monkeypatch.setattr(qseries, "_ray_sum",
-                            lambda t, q, rho, angle, h, shift, tol: angle * (1.0 + shift) / h**2)
+                            lambda log_f, rho, direction, width, h, shift: ((1.0 + shift) / h**2 * 1j, 1.0))
         with pytest.raises(AccuracyError) as err:
             contour_h(0.2, 0.5)
         assert err.value.last_term > 0.0
 
     def test_contour_validation(self):
-        with pytest.raises(DomainError):
-            ContourSpec(rho=1.5)
-        with pytest.raises(DomainError):
-            ContourSpec(phi=3.5)
         with pytest.raises(DomainError):
             contour_h(0.2, 1.2)
         with pytest.raises(DomainError):
