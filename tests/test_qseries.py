@@ -16,6 +16,7 @@ import pytest
 from hypothesis import strategies as st
 
 from dyckarea import qseries
+from dyckarea.asymptotics import scaling_t
 from dyckarea.errors import (
     AccuracyError,
     DomainError,
@@ -559,6 +560,73 @@ class TestCfracGoldenDigest:
             for t in self.TS:
                 lines.append(f"g_cfrac,{eps!r},{t!r},{outcome(g_cfrac, t, s)}")
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == CFRAC_VALUES_DIGEST
+
+
+def _oracle_cfrac(t, q, bits=200, width=1e-20):
+    """G(t, q) from a ``bits``-bit continued fraction at the exact double q,
+    cut where its tail enclosure closes.
+
+    The levels 0 .. K-1 compose to the Moebius map P = [[a, b], [c, d]] of the
+    tail g_K = G(t q^K, q), which lies in [1, C(t q^K)] once 0 < t q^K <= 1/4
+    (C the Catalan generating function) and in [0, 1] for t <= 0. K grows in
+    steps of 16 until P maps that interval to one narrower than ``width``
+    relative to G, with no pole of P inside it."""
+    with mpmath.workprec(bits):
+        t, q = mpmath.mpf(t), mpmath.mpf(q)
+        one = mpmath.mpf(1)
+        a, b, c, d = one, 0 * one, 0 * one, one
+        x, depth = t, 0
+        while True:
+            a, b, c, d = -b * x, a + b, -d * x, c + d  # P M(x), M(x) = [[0, 1], [-x, 1]]
+            x *= q
+            depth += 1
+            if x > 0.25 or depth % 16:
+                continue
+            ends = (0 * one, one) if t <= 0 else (one, 2 / (1 + mpmath.sqrt(1 - 4 * x)))
+            dens = [c * g + d for g in ends]
+            if dens[0] * dens[1] <= 0:
+                continue  # a pole of P between the ends: go deeper
+            lo, hi = [(a * g + b) / den for g, den in zip(ends, dens)]
+            if abs(hi - lo) < width * abs(lo):
+                return (lo + hi) / 2
+
+
+class TestCfracOracle:
+    """``g_cfrac`` and ``g_cfrac_grid`` against ``_oracle_cfrac`` at the
+    points of ``TestCfracGoldenDigest`` and on the README ``scaling_fn``
+    scan's t grid. The bound is 1e-13 relative, and past the pole line the
+    roundoff the double chain was measured to make there, where it exceeds
+    that (largest over the dead-level and the cut evaluations, rounded up)."""
+
+    PAST_POLE_ROUNDOFF = {(1e-3, 20.0): 4e-12, (2e-4, 0.45): 2.5e-13, (2e-4, 20.0): 5e-12}
+
+    @staticmethod
+    def _assert_close(got, t, q, bound):
+        exact = _oracle_cfrac(t, q)
+        assert abs((got - exact) / exact) < bound, (t, q, got)
+
+    def test_agrees_at_300_bits(self):
+        for eps, t in [(1e-3, 0.263), (2e-4, 0.45), (0.5, -20.0)]:
+            q = math.exp(-eps)
+            assert abs(_oracle_cfrac(t, q) / _oracle_cfrac(t, q, bits=300) - 1) < 1e-40
+
+    @pytest.mark.parametrize("eps", [0.5, 1e-3, 2e-4])
+    def test_golden_points(self, eps):
+        ts = TestCfracGoldenDigest.TS
+        settings = EvalSettings(q=math.exp(-eps))
+        grid = g_cfrac_grid(np.array(ts[:6]), settings).tolist() + g_cfrac_grid(np.array(ts[6:]), settings).tolist()
+        for t, on_grid in zip(ts, grid):
+            bound = self.PAST_POLE_ROUNDOFF.get((eps, t), 1e-13)
+            self._assert_close(g_cfrac(t, settings), t, settings.q, bound)
+            self._assert_close(on_grid, t, settings.q, bound)
+
+    # the README scan: --eps-list 0.5,1e-2 --s-min -3 --s-max 3 --steps 13
+    @pytest.mark.parametrize("eps", [0.5, 1e-2])
+    def test_readme_scaling_grid(self, eps):
+        q = math.exp(-eps)
+        ts = [scaling_t(-3.0 + i * 0.5, q) for i in range(12)] + [scaling_t(3.0, q)]
+        for t, value in zip(ts, g_cfrac_grid(np.array(ts), EvalSettings(q=q))):
+            self._assert_close(value, t, q, 1e-13)
 
 
 class TestPoleBoundary:
