@@ -11,12 +11,11 @@ through three routes that must agree wherever they overlap:
   the precision one rule, ``_sum_h``, picks, and each value is rounded to a
   double once. It is the preferred route for eps = -ln q >= ~1e-3.
 * ``g_cfrac`` evaluates the classical continued fraction
-  1/(1 - t/(1 - tq/(1 - tq^2/...))) bottom-up with tail value 1, once,
-  through its first dead level: from the first |t q^k| < 2^-54 on no level
-  changes a bit, so the value is the whole chain's. All partial numerators
-  are positive for real t, which makes this route unconditionally stable in
-  double precision; it is the reference evaluator for small eps and
-  continues G analytically beyond the pole line t_inf(q).
+  1/(1 - t/(1 - tq/(1 - tq^2/...))) bottom-up with tail value 1, once, cut
+  at the depth where the true tail's enclosure, carried to level 0, is below
+  2^-60 of |G|. All partial numerators are positive for real t, which makes
+  this route unconditionally stable in double precision; it is the reference
+  evaluator for small eps and continues G analytically beyond the pole line.
 * ``contour_h`` validates the contour-integral representation of H by one
   trapezoid sum, in log space, along a ray through a saddle of its integrand.
 
@@ -347,69 +346,80 @@ def g_ratio(t: float | complex, settings: EvalSettings, full_output: bool = Fals
 
 _SCALAR_DEPTH_LIMIT = 200_000
 _CHUNK = 1 << 16
-_SWEEP_MIN_OPEN = 1024  # fewer open levels than this go straight to the Python loop
-_DEAD = 2.0 ** -54  # a level with |w| below this is dead: 1 - w rounds to 1
 
 
-def _cfrac_depth(ts: list[float], eps: float) -> int:
-    """Levels through the first dead one for every t in ts.
+def _cut(t: float, q: float, dead: int) -> tuple[int, float]:
+    """The depth K to cut the chain of t at, and the bits by which the
+    enclosure of the true tail, carried to level 0, lies below |G| there.
 
-    |t q^k| < 2^-54 once k > ln(|t| 2^54) / eps; three levels more cover the
-    rounding of both power rules, ``np.power`` and ``np.exp(k ln q)``.
+    The tail G(t q^K, q) lies in [1, C(x)] for 0 < x = t q^K <= 1/4, C the
+    Catalan generating function, and in [0, 1] for x <= 0, where the level
+    map g -> 1/(1 - x g) has slope at most C(x) - 1 = x C(x)^2, or |x|: from
+    the first such level m the width shrinks by that closed form. The levels
+    above amplify it by prod |w_k| g_k^2 = |det P| / (c g + d)^2, P = [[a, b],
+    [c, d]] their composed map, measured at both ends of m's enclosure: a
+    bound where P has no pole between them, and |G| at least the smaller
+    |end| where no zero; else m goes to m_first + 1, 3, 7, ... The cut is the
+    first K where width times gain is below 2^-60 |G|, never past ``dead``.
     """
+    a, b, c, d = 1.0, 0.0, 0.0, 1.0  # P / 2^shift, P = M(x_0) ... M(x_{m-1}), M(x) = [[0, 1], [-x, 1]]
+    x, shift, first = t, 0, None
+    for m in range(dead + 1):
+        if first is None and (x <= 0.25 if t > 0 else x >= -1.0):
+            first = m
+        if first is not None and (m - first) & (m - first + 1) == 0:
+            ends = (1.0, 2.0 / (1.0 + math.sqrt(1.0 - 4.0 * x))) if t > 0 else (0.0, 1.0)
+            dens = [c * g + d for g in ends]
+            values = [(a * g + b) / den if den else 0.0 for g, den in zip(ends, dens)]
+            if dens[0] * dens[1] > 0.0 and values[0] * values[1] > 0.0:
+                break
+        a, b, c, d = -b * x, a + b, -d * x, c + d
+        x *= q
+        top = abs(b) + abs(d)
+        if not 2.0 ** -100 < top < 2.0 ** 100:  # rescale by a power of 2, which rounds nothing
+            if not 0.0 < top < math.inf:
+                return dead, -math.inf
+            e = math.frexp(top)[1]
+            a, b, c, d = (math.ldexp(v, -e) for v in (a, b, c, d))
+            shift += e
+    else:
+        return dead, -math.inf
+    log2_det = m * math.log2(abs(t)) + math.log2(q) * m * (m - 1) / 2 - 2 * shift
+    log2_floor = math.log2(min(map(abs, values))) - log2_det + 2 * math.log2(min(map(abs, dens)))
+    budget = 2.0 ** min(log2_floor - 60, 0.0)
+    if not budget:
+        return dead, -math.inf
+    depth, width = m, 1.0  # the slopes' product over levels m .. depth - 1
+    while width > budget and depth < dead:
+        width *= 4.0 * x / (1.0 + math.sqrt(1.0 - 4.0 * x)) ** 2 if x > 0.0 else -x
+        x, depth = x * q, depth + 1
+    # for t > 0 the last slope, C(x_K) - 1, is the width of the tail's [1, C(x_K)]
+    return max(m, depth - (t > 0)), log2_floor - math.log2(width) if width else math.inf
+
+
+def _cfrac_depth(ts: list[float], q: float, eps: float) -> tuple[int, float]:
+    """The largest of the cuts of every t in ts, and the fewest bits they
+    certify (``_cut``). None passes the first dead level of the largest |t|,
+    |t q^k| < 2^-54, plus three, where evaluations stopped before the cut."""
     for t in ts:
         if not math.isfinite(t):
             raise DomainError(f"the continued fraction needs a finite t, got {t!r}")
     top = max(abs(t) for t in ts)
-    levels = math.log(top / _DEAD) / eps if top else 0.0
+    levels = math.log(top / 2.0 ** -54) / eps if top else 0.0
     if not math.isfinite(levels):
         raise DomainError(f"no finite continued-fraction depth for t up to {top!r}")
-    return max(1, math.ceil(levels) + 3)
+    dead = max(1, math.ceil(levels) + 3)
+    cuts = [_cut(t, q, dead) for t in ts if t]
+    return max([1] + [depth for depth, _ in cuts]), min([math.inf] + [bits for _, bits in cuts])
 
 
-def _cfrac_settled(weights: np.ndarray) -> tuple[float, int]:
-    """Bottom-up value of the levels ``weights`` with tail value 1, and the
-    number of levels numpy sweeps settled before the Python loop ran.
-
-    Sweeps g_k <- 1/(1 - w_k g_{k+1}) start from the guess 1/(1 - w_k). A
-    level is settled once it and every level below it kept its value through a
-    sweep and is finite: each was then computed from a settled level with the
-    loop's IEEE operations, so it holds the loop's bits. Sweeps run while at
-    least ``_SWEEP_MIN_OPEN`` levels are open and each settles at least 1/8 of
-    them; the loop finishes from the lowest settled level, so a zero
-    denominator still raises its ``ZeroDivisionError``.
-    """
-    n = open_ = weights.size
-    g = np.ones(n + 1)
-    if n >= _SWEEP_MIN_OPEN:
-        # the sweeps write into buffers: with fresh arrays per sweep, t = 1/4
-        # at eps = 2e-4 (154 258 live levels) took 968 page faults and 6.6 ms
-        # a call against none and 3.5 ms (2-core x86-64 VM)
-        new, moved = np.empty(n), np.empty(n, dtype=bool)
-        with np.errstate(all="ignore"):
-            np.divide(1.0, np.subtract(1.0, weights, out=g[:n]), out=g[:n])
-            while open_ >= _SWEEP_MIN_OPEN:
-                before, sweep, unsettled = open_, new[:open_], moved[:open_]
-                np.multiply(weights[:open_], g[1 : open_ + 1], out=sweep)
-                np.divide(1.0, np.subtract(1.0, sweep, out=sweep), out=sweep)
-                np.not_equal(sweep, g[:open_], out=unsettled)  # NaN counts as moved
-                unsettled |= np.isinf(sweep)
-                g[:open_] = sweep
-                top = int(np.argmax(unsettled[::-1]))  # levels above the last unsettled one
-                open_ = before - top if unsettled[before - 1 - top] else 0
-                if 8 * (before - open_) < before:
-                    break
-    value = float(g[open_])
-    for w in reversed(weights[:open_].tolist()):
+def _cfrac_scalar(t: float, q: float, depth: int) -> float:
+    """Bottom-up value of every level to ``depth`` with tail value 1, one
+    level at a time; a vanishing denominator raises ``ZeroDivisionError``."""
+    value = 1.0
+    for w in reversed((t * np.power(q, np.arange(depth))).tolist()):
         value = 1.0 / (1.0 - w * value)
-    return value, n - open_
-
-
-def _cfrac_scalar(t: float, q: float, depth: int) -> tuple[float, int, int]:
-    """Bottom-up value of every level to ``depth`` with tail value 1, the
-    levels the sweeps settled and the levels left to the Python loop."""
-    value, swept = _cfrac_settled(t * np.power(q, np.arange(depth)))
-    return value, swept, depth - swept
+    return value
 
 
 def _lone_level(a: float, scaled: bool) -> list[list[float]]:
@@ -441,10 +451,7 @@ def _cfrac_pairwise(ts: list[float], q: float, depth: int) -> list[float]:
     to the sign of an exact zero entry).
 
     The tree is built inline, so its arrays stay bound until the next t or
-    chunk replaces them. Freed at once, as on return from a helper, glibc's
-    malloc gave their pages back and faulted them in again: for six t at
-    depth 480 000, 81 216 page faults and 0.25 s of CPU against 2 880 and
-    0.16 s (2-core x86-64 VM).
+    chunk replaces them, and glibc's malloc does not fault their pages in anew.
 
     ``np.matmul`` hands each 2x2 product to BLAS. numpy 2.4's OpenBLAS 0.3.31
     on an x86-64 Xeon computes c_ij = fma(a_i1, b_1j, a_i0 b_0j): it matched
@@ -452,16 +459,7 @@ def _cfrac_pairwise(ts: list[float], q: float, depth: int) -> list[float]:
     12 003. So these bits, and the tests' golden digest, depend on the BLAS
     kernel.
 
-    No level past the first dead one, 0 < |w| < 2^-54, moves the value, so
-    the chain is evaluated once, through that level. A pair of dead levels
-    is D(b) = [[-b, 1], [-b, 1]] in the closed form, with scale 1, and under
-    any rounding order, fma or not, D(b) D(d) = D(d), as |b d| < ulp(d) / 2,
-    and D(b) M(a) = D(a), as 1 - b rounds to 1. A product P D(w) holds P's
-    row sums, rounded once, in its second column whatever w is, and about w
-    times them in its first, below half an ulp of the second; so the tail
-    value 1, which adds the columns, rounds w away. The tests check the
-    value at the depth ``_cfrac_depth`` gives against one level and one or
-    two chunks more.
+    The value is the chain's cut at ``depth``; ``_cut`` bounds the tail's share.
     """
     totals = [np.eye(2) for _ in ts]
     logq = math.log(q)
@@ -499,49 +497,49 @@ def _at_tail_one(m: np.ndarray) -> float:
 def g_cfrac(t: float, settings: EvalSettings, full_output: bool = False):
     """G(t, q) from the continued fraction, the small-eps reference route.
 
-    Evaluated once, bottom-up with tail value 1, through the first level with
-    |t q^k| < 2^-54; no deeper level changes a bit (``_cfrac_pairwise``), so
-    the value is the whole chain's. Both paths evaluate every level to that
-    depth, and ``full_output`` adds it. The tolerance only picks the path, by
-    the nominal depth 2 max(64, ceil(ln(max(|t|, tol) / (tol / 100)) / eps) + 8),
-    infinite where tol / 100 underflows: the scalar loop up to
-    ``_SCALAR_DEPTH_LIMIT``, the pairwise product past it, the paths the
-    pinned values were made on. Valid (and stable) beyond the pole line,
-    where the series representations fail; a vanishing denominator or a value
-    that is not finite is a pole error.
+    Evaluated once, bottom-up with tail value 1, cut where the true tail's
+    enclosure, carried to level 0, is below 2^-60 of |G| (``_cut``): the cut
+    moves the value by less than an ulp, and the roundoff of the levels kept
+    is not in that bound. ``full_output`` adds the depth, the number of
+    levels evaluated. The tolerance only picks the path, by the nominal depth
+    2 max(64, ceil(ln(max(|t|, tol) / (tol / 100)) / eps) + 8), infinite
+    where tol / 100 underflows: the scalar loop up to ``_SCALAR_DEPTH_LIMIT``,
+    the pairwise product past it. Valid (and stable) beyond the pole line,
+    where the series representations fail; a vanishing denominator or a
+    value that is not finite is a pole error.
     """
     t = float(t)
     if t == 0.0:
         return (1.0, 0) if full_output else 1.0
     q, tol, eps = settings.q, settings.tol, settings.epsilon
-    depth = _cfrac_depth([t], eps)
+    depth, bits = _cfrac_depth([t], q, eps)
     floor = tol * 1e-2
     levels = math.log(max(abs(t), tol) / floor) / eps if floor else math.inf
     if levels <= _SCALAR_DEPTH_LIMIT // 2 - 8:  # 2 max(64, ceil(levels) + 8) <= the limit
         try:
-            value, swept, looped = _cfrac_scalar(t, q, depth)
+            value = _cfrac_scalar(t, q, depth)
         except ZeroDivisionError:
             raise PoleProximityError(f"a continued-fraction denominator vanishes at t = {t!r}") from None
-        path = f"scalar, {swept} levels swept, {looped} left to the loop"
+        path = "scalar"
     else:
         [value] = _cfrac_pairwise([t], q, depth)
         path = "pairwise"
-    _log.debug("cfrac: depth %d, path %s", depth, path)
+    _log.debug("cfrac: depth %d, path %s, bound %.1f bits", depth, path, bits)
     if not math.isfinite(value):
         raise PoleProximityError(f"the continued fraction at t = {t!r} is {value!r}")
     return (value, depth) if full_output else value
 
 
 def g_cfrac_grid(ts: np.ndarray, settings: EvalSettings) -> np.ndarray:
-    """Continued-fraction values on a grid of t, every level evaluated
-    through the first dead level of the largest |t|, by the pairwise product
-    at every depth, so they can differ from ``g_cfrac`` in the last bits."""
+    """Continued-fraction values on a grid of t, every t cut at the largest
+    of their certified depths, by the pairwise product at every depth, so
+    they can differ from ``g_cfrac`` in the last bits."""
     ts = np.asarray(ts, dtype=float).tolist()
     if not ts:
         return np.array([], dtype=float)
-    depth = _cfrac_depth(ts, settings.epsilon)
+    depth, bits = _cfrac_depth(ts, settings.q, settings.epsilon)
     values = _cfrac_pairwise(ts, settings.q, depth)
-    _log.debug("cfrac grid of %d t: depth %d, path pairwise", len(ts), depth)
+    _log.debug("cfrac grid of %d t: depth %d, path pairwise, bound %.1f bits", len(ts), depth, bits)
     return np.array(values)
 
 

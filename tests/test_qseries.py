@@ -3,6 +3,7 @@ pole boundary, remainder certification and contour quadrature."""
 
 import cmath
 import hashlib
+import itertools
 import logging
 import math
 import re
@@ -451,7 +452,14 @@ class TestGCfrac:
     def test_frozen_value(self):
         value, depth = g_cfrac(0.2, EvalSettings(q=0.5), full_output=True)
         assert value == pytest.approx(G_02_05, abs=1e-12)
-        assert abs(0.2 * 0.5 ** (depth - 1)) < 2.0 ** -54  # the last level evaluated is dead
+        # G >= 1, and the tail at depth K lies in [1, C(x_K)], x_k = 0.2 * 0.5^k:
+        # levels K-1 .. 0 carry it to an interval at most prod_(k <= K) (C(x_k) - 1)
+        # wide, as C(x) - 1 = x C(x)^2 bounds each level's slope. Below 2^-60 at
+        # the reported depth, and not one level higher
+        with mpmath.workprec(100):
+            x = [mpmath.mpf(0.2) * mpmath.mpf(0.5) ** k for k in range(depth + 1)]
+            slopes = [(1 - mpmath.sqrt(1 - 4 * w)) / (2 * w) - 1 for w in x]
+            assert mpmath.fprod(slopes) < mpmath.mpf(2) ** -60 <= mpmath.fprod(slopes[:-1])
 
     def test_tol_whose_hundredth_underflows(self):
         # tol / 100 is 0 at tol = 1e-323: the nominal depth is infinite, so the pairwise path
@@ -490,13 +498,15 @@ class TestGCfrac:
             assert v == pytest.approx(g_cfrac(float(t), settings), rel=1e-12)
 
     def test_grid_memory_independent_of_grid_size(self):
-        # each t is evaluated on its own, so 40 t peak no higher than 2 do
+        # each t is evaluated on its own, so 40 t peak no higher than 2 do; t up
+        # to 1 keeps the depth (4 778 levels) deep enough for the kernel's
+        # arrays to outweigh the per-t bookkeeping
         settings = EvalSettings(q=math.exp(-3e-4))
         peaks = []
         for nt in (2, 40):
             tracemalloc.start()
             try:
-                g_cfrac_grid(np.linspace(0.2, 0.26, nt), settings)
+                g_cfrac_grid(np.linspace(0.2, 1.0, nt), settings)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -511,7 +521,9 @@ class TestGCfrac:
         assert value < closed  # area weight q < 1 suppresses every term
 
     # g_cfrac(0.25) takes the scalar loop at eps = 1e-3 and the pairwise
-    # product at the smaller eps; the grid takes the pairwise product
+    # product at the smaller eps; the grid takes the pairwise product at the
+    # deeper cut of its two t, that of 0.25. Each line reports the bits the
+    # cut certifies: at least 60, and the grid's are those of its worst t
     @pytest.mark.parametrize("eps, path", [(1e-3, "scalar"), (2e-4, "pairwise"), (5e-5, "pairwise")])
     def test_each_evaluation_logged(self, caplog, eps, path):
         settings = EvalSettings(q=math.exp(-eps))
@@ -520,13 +532,10 @@ class TestGCfrac:
             g_cfrac_grid(np.array([0.1, 0.25]), settings)
         lines = [rec.getMessage() for rec in caplog.records if rec.getMessage().startswith("cfrac")]
         assert len(lines) == 2
-        assert f"depth {depth}, path {path}" in lines[0]
-        if path == "scalar":
-            swept, looped = map(int, re.search(r"(\d+) levels swept, (\d+) left", lines[0]).groups())
-            assert swept > looped > 0 and swept + looped == depth
-        else:
-            assert lines[0].endswith(f"depth {depth}, path pairwise")
-        assert lines[1].endswith(f"of 2 t: depth {depth}, path pairwise")
+        scalar = re.fullmatch(rf"cfrac: depth {depth}, path {path}, bound (\S+) bits", lines[0])
+        grid = re.fullmatch(rf"cfrac grid of 2 t: depth {depth}, path pairwise, bound (\S+) bits", lines[1])
+        assert scalar and grid, lines
+        assert 60.0 <= float(grid.group(1)) <= float(scalar.group(1))
 
     def test_empty_grid(self):
         values = g_cfrac_grid(np.array([]), EvalSettings(q=0.5))
@@ -535,8 +544,12 @@ class TestGCfrac:
 
 # sha256 of the lines built by TestCfracGoldenDigest (repr of every value, or
 # the name of the error raised; not the depth g_cfrac reports), pinned while
-# the continued fraction still doubled its depth until two values agreed
-CFRAC_VALUES_DIGEST = "600e6b80118e9bc5fc44c90710ddbbc241d49874706c211ae590a90da84225ba"
+# the continued fraction still doubled its depth until two values agreed, and
+# re-pinned when it became cut where its tail enclosure closes: 15 of the 42
+# g_cfrac and g_cfrac_grid values moved, the pairwise ones as the tree
+# regroups, by 2.4e-14 relative at most (eps 1e-3, t = 20, past the pole
+# line), each still within its TestCfracOracle bound
+CFRAC_VALUES_DIGEST = "67d5a0efe7fccd582e3b1d968e9b2a74df460070810dde794e7b4f4a57cb835a"
 
 
 class TestCfracGoldenDigest:
@@ -562,33 +575,42 @@ class TestCfracGoldenDigest:
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == CFRAC_VALUES_DIGEST
 
 
+def _level_maps(t, q):
+    """x_K = t q^K and the Moebius map P = [[a, b], [c, d]] that levels 0 .. K-1
+    of the continued fraction compose to, for K = 1, 2, ..., in mpmath at the
+    working precision and the exact double q."""
+    t, q = mpmath.mpf(t), mpmath.mpf(q)
+    a, b, c, d = mpmath.mpf(1), mpmath.mpf(0), mpmath.mpf(0), mpmath.mpf(1)
+    x = t
+    while True:
+        a, b, c, d = -b * x, a + b, -d * x, c + d  # P M(x), M(x) = [[0, 1], [-x, 1]]
+        x *= q
+        yield x, (a, b, c, d)
+
+
+def _enclosure(t, x, p):
+    """The interval that P maps the tail's enclosure to, G(x, q) in [1, C(x)]
+    for 0 < x <= 1/4 (C the Catalan generating function) or in [0, 1] for
+    t <= 0; None while x > 1/4 or a pole of P lies between the two ends."""
+    if x > 0.25:
+        return None
+    a, b, c, d = p
+    ends = (0, 1) if t <= 0 else (1, 2 / (1 + mpmath.sqrt(1 - 4 * x)))
+    dens = [c * g + d for g in ends]
+    if dens[0] * dens[1] <= 0:
+        return None
+    return [(a * g + b) / den for g, den in zip(ends, dens)]
+
+
 def _oracle_cfrac(t, q, bits=200, width=1e-20):
     """G(t, q) from a ``bits``-bit continued fraction at the exact double q,
-    cut where its tail enclosure closes.
-
-    The levels 0 .. K-1 compose to the Moebius map P = [[a, b], [c, d]] of the
-    tail g_K = G(t q^K, q), which lies in [1, C(t q^K)] once 0 < t q^K <= 1/4
-    (C the Catalan generating function) and in [0, 1] for t <= 0. K grows in
-    steps of 16 until P maps that interval to one narrower than ``width``
-    relative to G, with no pole of P inside it."""
+    cut where its tail enclosure closes: K grows in steps of 16 until
+    ``_enclosure`` is narrower than ``width`` relative to G."""
     with mpmath.workprec(bits):
-        t, q = mpmath.mpf(t), mpmath.mpf(q)
-        one = mpmath.mpf(1)
-        a, b, c, d = one, 0 * one, 0 * one, one
-        x, depth = t, 0
-        while True:
-            a, b, c, d = -b * x, a + b, -d * x, c + d  # P M(x), M(x) = [[0, 1], [-x, 1]]
-            x *= q
-            depth += 1
-            if x > 0.25 or depth % 16:
-                continue
-            ends = (0 * one, one) if t <= 0 else (one, 2 / (1 + mpmath.sqrt(1 - 4 * x)))
-            dens = [c * g + d for g in ends]
-            if dens[0] * dens[1] <= 0:
-                continue  # a pole of P between the ends: go deeper
-            lo, hi = [(a * g + b) / den for g, den in zip(ends, dens)]
-            if abs(hi - lo) < width * abs(lo):
-                return (lo + hi) / 2
+        for depth, (x, p) in enumerate(_level_maps(t, q), 1):
+            ends = None if depth % 16 else _enclosure(t, x, p)
+            if ends and abs(ends[1] - ends[0]) < width * abs(ends[0]):
+                return (ends[0] + ends[1]) / 2
 
 
 class TestCfracOracle:
@@ -619,6 +641,31 @@ class TestCfracOracle:
             bound = self.PAST_POLE_ROUNDOFF.get((eps, t), 1e-13)
             self._assert_close(g_cfrac(t, settings), t, settings.q, bound)
             self._assert_close(on_grid, t, settings.q, bound)
+
+    # at the depth the rule cuts at, the two ends of the tail's enclosure,
+    # carried to level 0 at 200 bits, lie within 2^-60 of each other relative
+    # to G, past the pole line too, wherever g_cfrac raises no pole error
+    @hypothesis.settings(max_examples=30)
+    @hypothesis.given(t=st.floats(-20.0, 20.0), log_eps=st.floats(math.log(1e-4), math.log(3.0)))
+    def test_cut_closes_the_enclosure(self, t, log_eps):
+        q = math.exp(-math.exp(log_eps))
+        try:
+            g_cfrac(t, EvalSettings(q=q))
+        except PoleProximityError:
+            return
+        depth = qseries._cfrac_depth([t], q, -math.log(q))[0]
+        with mpmath.workprec(200):
+            x, p = next(itertools.islice(_level_maps(t, q), depth - 1, None))
+            lo, hi = _enclosure(t, x, p)
+            assert abs(hi - lo) < mpmath.mpf(2) ** -60 * abs(lo), (t, q, depth)
+
+    @pytest.mark.parametrize("t", [1e308, -1e308])
+    def test_largest_t_is_a_domain_error(self, t):
+        for q in (0.5, math.exp(-1e-4)):
+            with pytest.raises(DomainError):
+                g_cfrac(t, EvalSettings(q=q))
+            with pytest.raises(DomainError):
+                g_cfrac_grid(np.array([0.1, t]), EvalSettings(q=q))
 
     # the README scan: --eps-list 0.5,1e-2 --s-min -3 --s-max 3 --steps 13
     @pytest.mark.parametrize("eps", [0.5, 1e-2])
@@ -894,10 +941,9 @@ def _assert_level_products(ts, q, depth):
 
 class TestCfracBitwise:
     """The pairwise kernel (closed-form first level, elementwise max-norms)
-    and the scalar loop (numpy sweeps) evaluate every level they are given
-    and change no bit of the fixed-depth values: each matches the grid as
-    first written or the plain loop. And no level past the first dead one
-    changes a bit of either, which lets each evaluation stop there."""
+    and the scalar loop evaluate every level they are given and change no
+    bit of the fixed-depth values: each matches the grid as first written or
+    the plain loop. And no level past the cut changes a bit of the loop."""
 
     # depths 1 to 5 and other odd depths, one and two levels into a chunk,
     # two whole chunks and either side, and depths whose tree has an odd
@@ -987,10 +1033,13 @@ class TestCfracBitwise:
             t = nxt
         return float(t)
 
-    # the lemma each evaluation rests on: on either path, with the weight of
-    # some level next to 2^-54 on either side, the value at the depth
-    # _cfrac_depth gives keeps its bits one level deeper, across the next
-    # chunk edge and two chunks deeper
+    # the cut each evaluation stops at: with the weight of some level next to
+    # 2^-54 on either side, the loop's value at the depth _cfrac_depth gives
+    # keeps its bits one level deeper, at the first dead level (|t q^k| <
+    # 2^-54, plus three) that evaluations ran to before the cut, and across
+    # the next chunk edge; the cut never passes that dead level. The pairwise
+    # product regroups its tree with the depth, so it keeps its values only
+    # to roundoff, which TestCfracOracle bounds
     @hypothesis.settings(max_examples=40)
     @hypothesis.given(
         t=st.floats(-20.0, 20.0).filter(lambda t: abs(t) >= 1e-3),
@@ -999,16 +1048,15 @@ class TestCfracBitwise:
     )
     def test_dead_levels_change_no_bit(self, t, log_eps, live):
         q = math.exp(-math.exp(log_eps))
-        k = math.floor(math.log(abs(t) * 2.0 ** 54) / -math.log(q))  # |t q^k| >= 2^-54 about here
-        rules = {"scalar": (np.power(q, k), lambda t, d: qseries._cfrac_scalar(t, q, d)[0]),
-                 "pairwise": (np.exp(k * math.log(q)), lambda t, d: qseries._cfrac_pairwise([t], q, d)[0])}
-        for name, (power, evaluate) in rules.items():
-            t_k = math.copysign(self._t_beside_threshold(power, live), t)
-            depth = qseries._cfrac_depth([t_k], -math.log(q))
-            assert depth > k + live
-            chunk_edge = (depth // qseries._CHUNK + 1) * qseries._CHUNK + 1
-            values = [evaluate(t_k, d) for d in (depth, depth + 1, chunk_edge, depth + 2 * qseries._CHUNK)]
-            assert len(set(_bits(values))) == 1, (name, t_k, q, depth)
+        eps = -math.log(q)
+        k = math.floor(math.log(abs(t) * 2.0 ** 54) / eps)  # |t q^k| >= 2^-54 about here
+        t_k = math.copysign(self._t_beside_threshold(np.power(q, k), live), t)
+        depth = qseries._cfrac_depth([t_k], q, eps)[0]
+        dead = math.ceil(math.log(abs(t_k) / 2.0 ** -54) / eps) + 3
+        assert depth <= dead and dead > k + live
+        chunk_edge = (depth // qseries._CHUNK + 1) * qseries._CHUNK + 1
+        values = [qseries._cfrac_scalar(t_k, q, d) for d in (depth, depth + 1, dead, chunk_edge)]
+        assert len(set(_bits(values))) == 1, (t_k, q, depth)
 
     @hypothesis.settings(max_examples=200)
     @hypothesis.given(
@@ -1057,7 +1105,7 @@ class TestCfracBitwise:
     def _assert_scalar_loop(t, q, depth):
         # the same bits, or the same error where a denominator vanishes (t = 1 at depth 1)
         outcome = TestGoldenDigest._outcome
-        got = outcome(lambda: _bits(qseries._cfrac_scalar(t, q, depth)[0]))
+        got = outcome(lambda: _bits(qseries._cfrac_scalar(t, q, depth)))
         assert got == outcome(lambda: _bits(_untrimmed_scalar_reference(t, q, depth))), (t, q, depth)
 
     @pytest.mark.parametrize("t", [2.0 ** -54, 2.0 ** -54 * (1 - 2.0 ** -53), 2.0 ** -53, 1e-3, 0.263, 20.0])
@@ -1066,8 +1114,7 @@ class TestCfracBitwise:
         for q, depth in ((0.5, 200), (0.9, 5000), (math.exp(-1e-3), 200_000)):
             self._assert_scalar_loop(sign * t, q, depth)
 
-    # t past the pole line too; below eps ~ 0.03 a chain of a few thousand
-    # levels is live, so the sweeps run on both sides of their 1024-level stop
+    # t past the pole line too, and chains of up to a few thousand live levels
     @hypothesis.settings(max_examples=120, deadline=None)
     @hypothesis.given(
         t=st.floats(-20.0, 20.0),
@@ -1077,26 +1124,15 @@ class TestCfracBitwise:
     def test_trimmed_loop_matches_untrimmed(self, t, log_eps, depth):
         self._assert_scalar_loop(t, math.exp(-math.exp(log_eps)), depth)
 
-    def test_sweeps_settle_most_levels(self):
-        # the sweeps do the work at a typical scalar depth, with the loop's bits
-        q, depth = math.exp(-1e-3), 61_716
-        value, swept, looped = qseries._cfrac_scalar(0.25, q, depth)
-        assert swept > 4 * looped > 0
-        assert _bits(value) == _bits(_untrimmed_scalar_reference(0.25, q, depth))
-
-    def test_zero_denominator_under_the_sweeps(self):
-        # level 1500 has w * g = 1.0 * 1.0 exactly, with 3000 live levels below
-        # and 1500 above it: the sweeps leave it open and the loop raises there
-        weights = np.array([0.3] * 1500 + [1.0] + [2.0 ** -60] * 3000)
+    def test_zero_denominator_in_the_loop(self):
+        # level 1 has w * g = 1.0 * 1.0 exactly, as level 2's weight 2^-60
+        # rounds away, with level 0 above it: the loop raises there, as the
+        # plain loop does, and g_cfrac turns that into a pole error
+        t, q = 2.0 ** 60, 2.0 ** -60
         with pytest.raises(ZeroDivisionError) as expected:
-            _untrimmed_row_loop(weights)
+            _untrimmed_scalar_reference(t, q, 40)
         with pytest.raises(ZeroDivisionError) as raised:
-            qseries._cfrac_settled(weights)
+            qseries._cfrac_scalar(t, q, 40)
         assert str(raised.value) == str(expected.value)
-
-
-def _untrimmed_row_loop(weights):
-    g = 1.0
-    for w in reversed(weights.tolist()):
-        g = 1.0 / (1.0 - w * g)
-    return g
+        with pytest.raises(PoleProximityError):
+            g_cfrac(t, EvalSettings(q=q))
