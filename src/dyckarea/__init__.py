@@ -41,7 +41,7 @@ from .qseries import (  # noqa: E402
     g_cfrac,
     g_ratio,
     h_series,
-    q_pochhammer,
+    log_q_pochhammer,
     t_infinity,
 )
 from .special_functions import (  # noqa: E402
@@ -96,10 +96,10 @@ __all__ = [
     "g_uniform",
     "h_series",
     "h_uniform",
+    "log_q_pochhammer",
     "partition_series",
     "phase_f",
     "q_m_asymptotic",
-    "q_pochhammer",
     "saddle_data",
     "scaling_F",
     "scaling_F_series",

@@ -19,7 +19,7 @@ from . import __version__
 from .asymptotics import _finite_size_s, g_uniform, q_m_asymptotic, scaling_t
 from .enumeration import area_columns, partition_series
 from .errors import DomainError, DyckAreaError, PoleProximityError
-from .qseries import EvalSettings, g_cfrac, g_cfrac_grid, t_infinity
+from .qseries import EvalSettings, g_cfrac, t_infinity
 from .special_functions import scaling_F
 
 __all__ = [
@@ -106,27 +106,30 @@ def _uniform_or_nan(t: float, q: float) -> float:
         return math.nan
 
 
+def _cfrac_or_nan(t: float, settings: EvalSettings) -> float:
+    """The continued fraction at t, or NaN where it breaks down next to a pole."""
+    try:
+        return g_cfrac(t, settings)
+    except DyckAreaError:
+        return math.nan
+
+
 def scan_g_vs_t(q: float, t_min: float, t_max: float, steps: int,
                 tol: float = 1e-12, stamp: bool = False) -> ScanDataset:
     """Exact continued-fraction values against the uniform Airy form.
 
-    Points where the uniform denominator hits a pole (possible past the
-    boundary line) are recorded as NaN rather than aborting the scan.
+    Points where the continued fraction breaks down or the uniform
+    denominator hits a pole (possible past the boundary line) are recorded
+    as NaN rather than aborting the scan.
     """
     if steps < 2:
         raise DomainError("steps must be >= 2")
     _check_finite(t_min=t_min, t_max=t_max)
     settings = EvalSettings(q=q, tol=tol)
     ts = _grid(t_min, t_max, steps)
-    g_exact = []
-    for t in ts:
-        try:
-            g_exact.append(g_cfrac(t, settings))
-        except DyckAreaError:
-            g_exact.append(math.nan)  # continued fraction unstable next to a pole
     return ScanDataset(
         kind="g_vs_t",
-        columns={"t": ts, "G_cfrac": g_exact,
+        columns={"t": ts, "G_cfrac": [_cfrac_or_nan(t, settings) for t in ts],
                  "G_uniform": [_uniform_or_nan(t, q) for t in ts]},
         metadata=_metadata("g_vs_t", stamp, q=q, eps=-math.log(q),
                            t_min=t_min, t_max=t_max, steps=steps, tol=tol,
@@ -155,8 +158,9 @@ def scan_scaling_fn(eps_list: list[float], s_min: float, s_max: float, steps: in
 
     Per eps the scan stores the reconstruction (G/2 - 1)(1-q)^(-1/3) once
     from the exact continued fraction and once from the uniform Airy form,
-    evaluated at t(s, eps). The uniform column is NaN where t(s, eps) lies
-    outside (0, 1/2) or at a pole of the uniform form.
+    evaluated at t(s, eps). The continued-fraction column is NaN where the
+    fraction breaks down, the uniform column where t(s, eps) lies outside
+    (0, 1/2) or at a pole of the uniform form.
     """
     if steps < 2:
         raise DomainError("steps must be >= 2")
@@ -170,10 +174,11 @@ def scan_scaling_fn(eps_list: list[float], s_min: float, s_max: float, steps: in
     for eps in eps_list:
         q = math.exp(-eps)
         amplitude = (1.0 - q) ** (1.0 / 3.0)
+        settings = EvalSettings(q=q, tol=tol)
         ts = [scaling_t(s, q) for s in svals]
-        g_exact = g_cfrac_grid(ts, EvalSettings(q=q, tol=tol)).tolist()
         tag = f"{eps:g}"
-        columns[f"F_from_cfrac_eps{tag}"] = [(g / 2.0 - 1.0) / amplitude for g in g_exact]
+        columns[f"F_from_cfrac_eps{tag}"] = [(_cfrac_or_nan(t, settings) / 2.0 - 1.0) / amplitude
+                                            for t in ts]
         columns[f"F_from_uniform_eps{tag}"] = [(_uniform_or_nan(t, q) / 2.0 - 1.0) / amplitude
                                               for t in ts]
     return ScanDataset(

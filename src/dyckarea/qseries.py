@@ -16,9 +16,11 @@ through three routes that must agree wherever they overlap:
   2^-60 of |G|. All partial numerators are positive for real t, which makes
   this route unconditionally stable in double precision; it is the reference
   evaluator for small eps and continues G analytically beyond the pole line.
+  Scans call it once per t; it reads no tolerance.
 * ``contour_h`` validates the contour-integral representation of H by one
   trapezoid sum, in log space, along a ray through a saddle of its integrand.
 
+``log_q_pochhammer`` sums the logs of the factors of (z; q)_n;
 ``euler_maclaurin_check`` bounds the remainder of the Euler-Maclaurin head
 of ln (z; q)_inf, the head the contour integrand uses below eps = 0.1.
 """
@@ -49,7 +51,7 @@ __all__ = [
     "EvalSettings",
     "RemainderCheck",
     "HSeriesResult",
-    "q_pochhammer",
+    "log_q_pochhammer",
     "h_series",
     "g_ratio",
     "g_cfrac",
@@ -68,8 +70,9 @@ _MAX_TERMS = 200_000  # the alternating series gives up after this many terms
 class EvalSettings:
     """The nome q and the numerical policy shared by the q-series routines.
 
-    ``epsilon`` is always recomputed from q, never stored. ``_sum_h`` picks
-    the precision of every sum of H; the envelope of ``bits_for`` only caps it.
+    ``epsilon`` is always recomputed from q, never stored. ``tol`` stops every
+    sum of H (``g_cfrac`` does not read it), and ``_sum_h`` picks its
+    precision; the envelope of ``bits_for`` only caps it.
     """
 
     q: float
@@ -95,47 +98,21 @@ class EvalSettings:
         return max(53, math.ceil(3.0 * envelope / (self.epsilon * math.log(2.0))))
 
 
-def _pochhammer_count(scale: float, q: float, tol: float) -> int:
-    """Factors of (z; q)_inf with |z| <= scale to keep for tolerance tol.
-
-    |log prod_{k>N}| <= |z| q^(N+1) / (1 - q) up to second order.
-    """
-    return max(8, math.ceil(math.log(max(scale, 1.0) / (tol * (1.0 - q))) / -math.log(q)) + 2)
-
-
-def q_pochhammer(z: complex, q: float, n: int | None = None) -> complex | float:
-    """q-Pochhammer symbol (z; q)_n = prod_{k<n} (1 - z q^k).
-
-    ``n = None`` means the infinite product, truncated once the remaining
-    factors differ from 1 by less than 1e-17; that requires 0 < q < 1.
-    Real inputs give a float.
+def log_q_pochhammer(z: complex, q: float, n: int | None = None) -> complex:
+    """log (z; q)_n, the sum of the principal logs of the factors 1 - z q^k,
+    k < n. ``n = None`` is the infinite product, truncated where the rest
+    differ from 1 by under 1e-17 (|log prod_{k>=N}| <= |z| q^N / (1 - q) to
+    first order); it needs 0 < q < 1. For Im z != 0 no factor crosses the
+    cut; a zero factor (z = q^-k) raises ValueError, as ``cmath.log(0)`` does.
     """
     if n is None:
         if not (0.0 < q < 1.0):
             raise DomainError("infinite q-Pochhammer products need q in (0, 1)")
-        n = _pochhammer_count(abs(z), q, 1e-17)
+        n = max(8, math.ceil(math.log(max(abs(z), 1.0) / (1e-17 * (1.0 - q))) / -math.log(q)) + 2)
     elif n < 0:
-        raise DomainError("q_pochhammer order must be >= 0 or None")
-    result = 1.0 + 0.0j if isinstance(z, complex) else 1.0
-    qk = 1.0
+        raise DomainError("the q-Pochhammer order must be >= 0 or None")
+    total, qk = 0j, 1.0
     for _ in range(n):
-        result *= 1.0 - z * qk
-        qk *= q
-    return result
-
-
-def log_q_pochhammer_inf(z: complex, q: float) -> complex:
-    """log (z; q)_inf as the sum of principal logarithms of the factors,
-    truncated as ``q_pochhammer`` truncates the product.
-
-    Safe for any z off the ray [1, inf) scaled by q^-k; factors never cross
-    the negative real axis when Im z != 0.
-    """
-    if not (0.0 < q < 1.0):
-        raise DomainError("log_q_pochhammer_inf needs q in (0, 1)")
-    total = 0.0 + 0.0j
-    qk = 1.0
-    for _ in range(_pochhammer_count(abs(z), q, 1e-17)):
         total += cmath.log(1.0 - z * qk)
         qk *= q
     return total
@@ -144,10 +121,12 @@ def log_q_pochhammer_inf(z: complex, q: float) -> complex:
 def _log_euler_function(eps: float) -> float:
     """log (q; q)_inf at q = exp(-eps) by the Dedekind eta transformation
     (DLMF 23.15): eps/24 - pi^2/(6 eps) + log(2 pi/eps)/2 + log (p; p)_inf
-    with p = exp(-4 pi^2/eps). The last term, about -p, is below 1e-85 for
-    eps <= 0.2 and is dropped.
+    with p = exp(-4 pi^2/eps). The last term, about -p, is added only where
+    p >= 1e-17 (eps >~ 1); it is below 1e-85 for eps <= 0.2.
     """
-    return eps / 24.0 - math.pi**2 / (6.0 * eps) + 0.5 * math.log(2.0 * math.pi / eps)
+    value = eps / 24.0 - math.pi**2 / (6.0 * eps) + 0.5 * math.log(2.0 * math.pi / eps)
+    p = math.exp(-4.0 * math.pi**2 / eps)
+    return value + log_q_pochhammer(p, p).real if p >= 1e-17 else value
 
 
 @dataclass(frozen=True)
@@ -397,20 +376,17 @@ def _cut(t: float, q: float, dead: int) -> tuple[int, float]:
     return max(m, depth - (t > 0)), log2_floor - math.log2(width) if width else math.inf
 
 
-def _cfrac_depth(ts: list[float], q: float, eps: float) -> tuple[int, float]:
-    """The largest of the cuts of every t in ts, and the fewest bits they
-    certify (``_cut``). None passes the first dead level of the largest |t|,
-    |t q^k| < 2^-54, plus three, where evaluations stopped before the cut."""
-    for t in ts:
-        if not math.isfinite(t):
-            raise DomainError(f"the continued fraction needs a finite t, got {t!r}")
-    top = max(abs(t) for t in ts)
-    levels = math.log(top / 2.0 ** -54) / eps if top else 0.0
+def _cfrac_depth(t: float, q: float, eps: float) -> tuple[int, float]:
+    """The cut of t and the bits it certifies (``_cut``), at least one level
+    and never past the first dead level, |t q^k| < 2^-54, plus three, where
+    evaluations stopped before the cut."""
+    if not math.isfinite(t):
+        raise DomainError(f"the continued fraction needs a finite t, got {t!r}")
+    levels = math.log(abs(t) / 2.0 ** -54) / eps if t else 0.0
     if not math.isfinite(levels):
-        raise DomainError(f"no finite continued-fraction depth for t up to {top!r}")
-    dead = max(1, math.ceil(levels) + 3)
-    cuts = [_cut(t, q, dead) for t in ts if t]
-    return max([1] + [depth for depth, _ in cuts]), min([math.inf] + [bits for _, bits in cuts])
+        raise DomainError(f"no finite continued-fraction depth for t = {t!r}")
+    depth, bits = _cut(t, q, max(1, math.ceil(levels) + 3)) if t else (1, math.inf)
+    return max(1, depth), bits
 
 
 def _cfrac_scalar(t: float, q: float, depth: int) -> float:
@@ -429,9 +405,8 @@ def _lone_level(a: float, scaled: bool) -> list[list[float]]:
     return [[0.0, 1.0 / scale], [-a / scale, 1.0 / scale]]
 
 
-def _cfrac_pairwise(ts: list[float], q: float, depth: int) -> list[float]:
-    """Values of every t at ``depth`` from one pairwise product of level
-    matrices.
+def _cfrac_pairwise(t: float, q: float, depth: int) -> float:
+    """The value at ``depth`` from one pairwise product of level matrices.
 
     The level maps w -> 1/(1 - t q^k w) are Moebius transforms; composing
     them bottom-up is an ordered matrix product of M(a) = [[0, 1], [-a, 1]]
@@ -439,8 +414,8 @@ def _cfrac_pairwise(ts: list[float], q: float, depth: int) -> list[float]:
     reassociated pairwise (order preserved) so numpy can batch the 2x2
     multiplications, with each matrix divided by its max |entry| to keep the
     entries in range; an odd count is padded with the identity. Matches the
-    scalar loop to roundoff. The chunks run in the outer loop, so the powers
-    q^k of a chunk are computed once for every t.
+    scalar loop to roundoff. ``g_cfrac`` takes this kernel for deep chains,
+    by t and eps alone.
 
     The first pairwise level is written in closed form,
     M(a) M(b) = [[-b, 1], [-b, 1 - a]], with max |entry| = max(|b|, 1, |1 - a|):
@@ -450,8 +425,8 @@ def _cfrac_pairwise(ts: list[float], q: float, depth: int) -> list[float]:
     and the result are those of the plain pairwise product of the blocks (up
     to the sign of an exact zero entry).
 
-    The tree is built inline, so its arrays stay bound until the next t or
-    chunk replaces them, and glibc's malloc does not fault their pages in anew.
+    The tree is built inline, so its arrays stay bound until the next chunk
+    replaces them, and glibc's malloc does not fault their pages in anew.
 
     ``np.matmul`` hands each 2x2 product to BLAS. numpy 2.4's OpenBLAS 0.3.31
     on an x86-64 Xeon computes c_ij = fma(a_i1, b_1j, a_i0 b_0j): it matched
@@ -461,32 +436,29 @@ def _cfrac_pairwise(ts: list[float], q: float, depth: int) -> list[float]:
 
     The value is the chain's cut at ``depth``; ``_cut`` bounds the tail's share.
     """
-    totals = [np.eye(2) for _ in ts]
-    logq = math.log(q)
+    total, logq = np.eye(2), math.log(q)
     for start in range(0, depth, _CHUNK):
         count = min(_CHUNK, depth - start)
         half = count // 2
         powers = np.exp(np.arange(start, start + count) * logq)
-        for i, t in enumerate(ts):
-            b, one_minus_a = powers[1::2] * t, 1.0 - powers[0 : 2 * half : 2] * t
-            scale = np.maximum(np.maximum(np.abs(b), 1.0), np.abs(one_minus_a))
-            mats = np.empty((count - half, 2, 2))
-            mats[:half, 0, 0] = mats[:half, 1, 0] = -b / scale
-            mats[:half, 0, 1] = 1.0 / scale
-            mats[:half, 1, 1] = one_minus_a / scale
-            if count % 2:
-                mats[half] = _lone_level(powers[-1] * t, count > 1)
-            while len(mats) > 1:
-                if len(mats) % 2:
-                    mats = np.concatenate([mats, np.eye(2)[None]])
-                mats = np.matmul(mats[0::2], mats[1::2])
-                a = np.abs(mats)
-                mats /= np.maximum(np.maximum(a[:, 0, 0], a[:, 0, 1]),
-                                   np.maximum(a[:, 1, 0], a[:, 1, 1]))[:, None, None]
-            total = np.matmul(totals[i], mats[0])
-            total /= np.abs(total).max()
-            totals[i] = total
-    return [_at_tail_one(m) for m in totals]
+        b, one_minus_a = powers[1::2] * t, 1.0 - powers[0 : 2 * half : 2] * t
+        scale = np.maximum(np.maximum(np.abs(b), 1.0), np.abs(one_minus_a))
+        mats = np.empty((count - half, 2, 2))
+        mats[:half, 0, 0] = mats[:half, 1, 0] = -b / scale
+        mats[:half, 0, 1] = 1.0 / scale
+        mats[:half, 1, 1] = one_minus_a / scale
+        if count % 2:
+            mats[half] = _lone_level(powers[-1] * t, count > 1)
+        while len(mats) > 1:
+            if len(mats) % 2:
+                mats = np.concatenate([mats, np.eye(2)[None]])
+            mats = np.matmul(mats[0::2], mats[1::2])
+            a = np.abs(mats)
+            mats /= np.maximum(np.maximum(a[:, 0, 0], a[:, 0, 1]),
+                               np.maximum(a[:, 1, 0], a[:, 1, 1]))[:, None, None]
+        total = np.matmul(total, mats[0])
+        total /= np.abs(total).max()
+    return _at_tail_one(total)
 
 
 def _at_tail_one(m: np.ndarray) -> float:
@@ -501,46 +473,32 @@ def g_cfrac(t: float, settings: EvalSettings, full_output: bool = False):
     enclosure, carried to level 0, is below 2^-60 of |G| (``_cut``): the cut
     moves the value by less than an ulp, and the roundoff of the levels kept
     is not in that bound. ``full_output`` adds the depth, the number of
-    levels evaluated. The tolerance only picks the path, by the nominal depth
-    2 max(64, ceil(ln(max(|t|, tol) / (tol / 100)) / eps) + 8), infinite
-    where tol / 100 underflows: the scalar loop up to ``_SCALAR_DEPTH_LIMIT``,
-    the pairwise product past it. Valid (and stable) beyond the pole line,
-    where the series representations fail; a vanishing denominator or a
-    value that is not finite is a pole error.
+    levels evaluated. ``settings.tol`` is not read: t and eps alone pick the
+    kernel, the scalar loop or, for deep chains, the pairwise product. Valid
+    (and stable) beyond the pole line, where the series representations
+    fail; a vanishing denominator or a value that is not finite is a pole
+    error.
     """
     t = float(t)
     if t == 0.0:
         return (1.0, 0) if full_output else 1.0
-    q, tol, eps = settings.q, settings.tol, settings.epsilon
-    depth, bits = _cfrac_depth([t], q, eps)
-    floor = tol * 1e-2
-    levels = math.log(max(abs(t), tol) / floor) / eps if floor else math.inf
-    if levels <= _SCALAR_DEPTH_LIMIT // 2 - 8:  # 2 max(64, ceil(levels) + 8) <= the limit
+    q, eps = settings.q, settings.epsilon
+    depth, bits = _cfrac_depth(t, q, eps)
+    # the old depth-doubling path rule at tol = 1e-12 (nominal depth 2 max(64,
+    # ceil(levels) + 8) against the scalar limit); it stays because the stored
+    # benchmark references pin each kernel's bits until one kernel replaces both
+    if math.log(max(abs(t), 1e-12) / 1e-14) / eps <= _SCALAR_DEPTH_LIMIT // 2 - 8:
         try:
             value = _cfrac_scalar(t, q, depth)
         except ZeroDivisionError:
             raise PoleProximityError(f"a continued-fraction denominator vanishes at t = {t!r}") from None
         path = "scalar"
     else:
-        [value] = _cfrac_pairwise([t], q, depth)
-        path = "pairwise"
+        value, path = _cfrac_pairwise(t, q, depth), "pairwise"
     _log.debug("cfrac: depth %d, path %s, bound %.1f bits", depth, path, bits)
     if not math.isfinite(value):
         raise PoleProximityError(f"the continued fraction at t = {t!r} is {value!r}")
     return (value, depth) if full_output else value
-
-
-def g_cfrac_grid(ts: np.ndarray, settings: EvalSettings) -> np.ndarray:
-    """Continued-fraction values on a grid of t, every t cut at the largest
-    of their certified depths, by the pairwise product at every depth, so
-    they can differ from ``g_cfrac`` in the last bits."""
-    ts = np.asarray(ts, dtype=float).tolist()
-    if not ts:
-        return np.array([], dtype=float)
-    depth, bits = _cfrac_depth(ts, settings.q, settings.epsilon)
-    values = _cfrac_pairwise(ts, settings.q, depth)
-    _log.debug("cfrac grid of %d t: depth %d, path pairwise, bound %.1f bits", len(ts), depth, bits)
-    return np.array(values)
 
 
 # --------------------------------------------------------------------------
@@ -623,7 +581,7 @@ def euler_maclaurin_check(z: complex, q: float) -> RemainderCheck:
     if not (0.0 < q < 1.0):
         raise DomainError("q must lie in (0, 1)")
     lnq = math.log(q)
-    remainder = (log_q_pochhammer_inf(z, q) - _em_head(z, -lnq)) / lnq
+    remainder = (log_q_pochhammer(z, q) - _em_head(z, -lnq)) / lnq
     x, ay, az = z.real, abs(z.imag), abs(z)
     integral = az / ay * (math.atan((az * az - x) / ay) + math.atan(x / ay))
     return RemainderCheck(z=z, remainder=remainder, bound=(abs(z / (1.0 - z)) + integral) / 12.0)
@@ -643,12 +601,12 @@ def _em_terms() -> tuple[tuple[float, tuple[float, ...]], ...]:
 
 
 def _log_pochhammer(z: complex, q: float, eps: float) -> complex:
-    """ln (z; q)_inf up to a multiple of 2 pi i: the log of the product from
+    """ln (z; q)_inf up to a multiple of 2 pi i: ``log_q_pochhammer`` from
     eps = 0.1 on; below, ``_em_head`` - sum_j B_2j/(2j)! eps^(2j-1) Li_(2-2j)(z)
     until a term falls below 1e-17, or where the terms grow first (z within
     about 6 eps of 1) ln (z; q)_k + ln (z q^k; q)_inf, |z q^k| < e^(-7 eps)."""
     if eps >= 0.1:
-        return cmath.log(q_pochhammer(z, q))
+        return log_q_pochhammer(z, q)
     total, ratio, last = _em_head(z, eps), eps / (1.0 - z), math.inf
     scale, step = z * ratio, ratio * ratio  # z (eps/(1-z))^(2j-1)
     for b, poly in _em_terms():
@@ -662,7 +620,7 @@ def _log_pochhammer(z: complex, q: float, eps: float) -> complex:
             return total
         last, scale = size, scale * step
     k = max(1, math.ceil(math.log(abs(z)) / eps + 7.0))
-    return cmath.log(q_pochhammer(z, q, k)) + _log_pochhammer(z * q**k, q, eps)
+    return log_q_pochhammer(z, q, k) + _log_pochhammer(z * q**k, q, eps)
 
 
 def _ray_sum(log_f, rho: float, direction: complex, width: float, h: float, shift: float):
@@ -740,7 +698,7 @@ def contour_h(t: float, q: float) -> float:
         raise AccuracyError(f"contour quadrature did not settle at step {h}", last_term=diff)
     if not 0.0 < peak <= 2.0**30 * abs(value):
         raise AccuracyError(f"the contour sum at t = {t!r} lies over 2^30 below its largest term")
-    log_h = base + math.log(abs(value) / math.pi) + _log_pochhammer(q, q, eps).real
+    log_h = base + math.log(abs(value) / math.pi) + _log_euler_function(eps)
     if not math.log(sys.float_info.min) <= log_h < math.log(sys.float_info.max):
         raise DomainError(f"|H({t!r})| = exp({log_h:.1f}) lies outside the double range")
     return math.copysign(math.exp(log_h), value)

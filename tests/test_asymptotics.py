@@ -27,7 +27,7 @@ from dyckarea.errors import (
     NonConvergenceError,
     PoleProximityError,
 )
-from dyckarea.qseries import EvalSettings, g_cfrac, g_ratio, h_series, log_q_pochhammer_inf
+from dyckarea.qseries import EvalSettings, g_cfrac, g_ratio, h_series, log_q_pochhammer
 from dyckarea.special_functions import A0, airy, airy_zeta
 
 BETA_QUARTER = 1.3029200473423146  # ln(1/4)^2/4 + pi^2/12
@@ -170,10 +170,11 @@ class TestHUniform:
         with pytest.raises(DomainError):
             h_uniform(0.2, -0.5, "H")  # no eps at all
 
-    @pytest.mark.parametrize("eps", [0.199, 0.05, 0.01])
+    # at eps 1.2 and 3.0 the log (p; p)_inf term, p = exp(-4 pi^2/eps), counts
+    @pytest.mark.parametrize("eps", [3.0, 1.2, 0.199, 0.05, 0.01])
     def test_eta_transformation_matches_product(self, eps):
         q = math.exp(-eps)
-        assert abs(_log_euler_function(eps) - log_q_pochhammer_inf(q, q).real) < 1e-11
+        assert abs(_log_euler_function(eps) - log_q_pochhammer(q, q).real) < 1e-11
 
 
 class TestGUniform:

@@ -261,9 +261,12 @@ class TestCli:
          "0daadbc199efc8fc2d20ddaab3ffee0ad13d4c5d6374474ad8b00ca0d754084b"),
         # six F_from_uniform_eps0.5 rows lie outside (0, 1/2) in t: NaN; re-pinned
         # when the continued fraction became cut where its tail enclosure closes
-        # (the largest move: F_from_cfrac_eps0.01 at s = -1, 1.5e-14 relative)
+        # (the largest move: F_from_cfrac_eps0.01 at s = -1, 1.5e-14 relative),
+        # and when the scan came to call g_cfrac at each t's own cut: 21 of the
+        # 26 values of G moved, by 3.2e-15 relative at most, and none lies
+        # farther than 5.7e-15 from the 200-bit oracle (8.6e-15 before)
         ("scan --kind scaling_fn --eps-list 0.5,1e-2 --s-min -3 --s-max 3 --steps 13",
-         "d80995d79e8630ccd9d8e16129fb1ba3f1b1e493fb84529090737ec3a6b3c7a4"),
+         "6648141c8fa12497a60acd828160a6863248496ae472c2716c4d7b46e920a241"),
     ], ids=["g_vs_t", "phase_boundary", "partition", "scaling_fn"])
     def test_readme_scan_digest(self, tmp_path, run_cli, argv, digest):
         out = tmp_path / "scan.csv"
@@ -296,8 +299,9 @@ class TestCli:
     @pytest.mark.parametrize("breakdown", ["zero_division", "inf"])
     def test_cfrac_breakdown(self, monkeypatch, tmp_path, run_cli, breakdown):
         # the scalar loop breaks down at t = 0.2 alone, by a vanishing
-        # denominator or an infinite value: g_cfrac raises a pole error, the
-        # scan writes NaN in that row and eval exits with the domain code
+        # denominator or an infinite value: g_cfrac raises a pole error, each
+        # scan writes NaN in that row and eval exits with the domain code; the
+        # scaling_fn scan's middle s maps to t = 0.2 at eps 0.1
         real = qseries._cfrac_scalar
 
         def scalar(t, q, depth):
@@ -315,6 +319,11 @@ class TestCli:
                        "--steps", "3", "--out", str(out)).returncode == 0
         g_cfrac = [float(row.split(",")[1]) for row in out.read_text().splitlines()[1:]]
         assert math.isfinite(g_cfrac[0]) and math.isnan(g_cfrac[1]) and math.isfinite(g_cfrac[2])
+        s = 0.2 / (1.0 - math.exp(-0.1)) ** (2.0 / 3.0)
+        assert run_cli("scan", "--kind", "scaling_fn", "--eps-list", "0.1", "--s-min", "0", "--s-max", repr(2 * s),
+                       "--steps", "3", "--out", str(out)).returncode == 0
+        f_cfrac = [float(row.split(",")[2]) for row in out.read_text().splitlines()[1:]]
+        assert math.isfinite(f_cfrac[0]) and math.isnan(f_cfrac[1]) and math.isfinite(f_cfrac[2])
         res = run_cli("eval", "--t", "0.2", "--q", "0.9", "--method", "cfrac")
         assert res.returncode == 2
         assert res.stderr.startswith("domain error:")

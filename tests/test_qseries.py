@@ -1,4 +1,4 @@
-"""q-Pochhammer products, the alternating series, continued fraction,
+"""log q-Pochhammer products, the alternating series, continued fraction,
 pole boundary, remainder certification and contour quadrature."""
 
 import cmath
@@ -8,7 +8,6 @@ import logging
 import math
 import re
 import sys
-import tracemalloc
 
 import hypothesis
 import mpmath
@@ -18,6 +17,7 @@ from hypothesis import strategies as st
 
 from dyckarea import qseries
 from dyckarea.asymptotics import scaling_t
+from dyckarea.datasets import scan_g_vs_t, scan_scaling_fn
 from dyckarea.errors import (
     AccuracyError,
     DomainError,
@@ -29,11 +29,9 @@ from dyckarea.qseries import (
     contour_h,
     euler_maclaurin_check,
     g_cfrac,
-    g_cfrac_grid,
     g_ratio,
     h_series,
-    log_q_pochhammer_inf,
-    q_pochhammer,
+    log_q_pochhammer,
     t_infinity,
 )
 
@@ -166,28 +164,27 @@ def test_non_finite_t_is_a_domain_error(route, t):
 
 class TestQPochhammer:
     def test_empty_product(self):
-        assert q_pochhammer(0.3, 0.5, 0) == 1.0
+        assert log_q_pochhammer(0.3, 0.5, 0) == 0.0
 
     def test_single_factor(self):
-        assert q_pochhammer(0.5, 0.5, 1) == 0.5
+        assert log_q_pochhammer(0.5, 0.5, 1) == math.log(0.5)
 
     def test_euler_function(self):
-        assert q_pochhammer(0.5, 0.5) == pytest.approx(QP_HALF, abs=1e-14)
+        assert log_q_pochhammer(0.5, 0.5) == pytest.approx(math.log(QP_HALF), abs=1e-14)
 
     def test_complex_argument(self):
-        value = q_pochhammer(0.2 + 0.1j, 0.5, 3)
+        value = log_q_pochhammer(0.2 + 0.1j, 0.5, 3)
         expected = (1 - (0.2 + 0.1j)) * (1 - (0.2 + 0.1j) * 0.5) * (1 - (0.2 + 0.1j) * 0.25)
-        assert value == pytest.approx(expected, rel=1e-14)
+        assert cmath.exp(value) == pytest.approx(expected, rel=1e-14)
 
     def test_infinite_needs_q_in_unit(self):
         with pytest.raises(DomainError):
-            q_pochhammer(0.5, 1.2)
+            log_q_pochhammer(0.5, 1.2)
 
     def test_log_form(self):
+        # the sum of the factors' logs against mpmath's product
         z = 0.3 + 0.4j
-        assert log_q_pochhammer_inf(z, 0.6) == pytest.approx(
-            cmath.log(q_pochhammer(z, 0.6)), abs=1e-12
-        )
+        assert cmath.exp(log_q_pochhammer(z, 0.6)) == pytest.approx(complex(mpmath.qp(z, 0.6)), abs=1e-12)
 
 
 class TestHSeries:
@@ -461,11 +458,18 @@ class TestGCfrac:
             slopes = [(1 - mpmath.sqrt(1 - 4 * w)) / (2 * w) - 1 for w in x]
             assert mpmath.fprod(slopes) < mpmath.mpf(2) ** -60 <= mpmath.fprod(slopes[:-1])
 
-    def test_tol_whose_hundredth_underflows(self):
-        # tol / 100 is 0 at tol = 1e-323: the nominal depth is infinite, so the pairwise path
-        settings = EvalSettings(q=0.5, tol=1e-323)
-        assert settings.tol * 1e-2 == 0.0
-        assert g_cfrac(0.2, settings) == pytest.approx(g_cfrac(0.2, EvalSettings(q=0.5)), abs=1e-15)
+    # t and eps alone pick the kernel: tol = 1e-323, whose hundredth
+    # underflows, once sent every t to the pairwise product
+    @pytest.mark.parametrize("eps, path", [(1e-3, "scalar"), (2e-4, "pairwise")])
+    def test_tol_is_not_read(self, caplog, eps, path):
+        values = set()
+        for tol in (1e-323, 1e-6, 1e-12):
+            settings = EvalSettings(q=math.exp(-eps), tol=tol)
+            with caplog.at_level(logging.DEBUG, logger="dyckarea"):
+                values.add(tuple(_bits([g_cfrac(t, settings) for t in (0.2, 0.25, -3.0)])))
+            assert [f"path {path}," in rec.getMessage() for rec in caplog.records] == [True] * 3
+            caplog.clear()
+        assert len(values) == 1
 
     def test_beyond_pole_line(self):
         # converges past t_inf(0.5) = 0.624 where the series C route fails
@@ -490,28 +494,6 @@ class TestGCfrac:
             Gq = g_cfrac(q * t, settings)
             assert abs(G - 1.0 - t * G * Gq) < 1e-10
 
-    def test_grid_matches_scalar(self):
-        settings = EvalSettings(q=math.exp(-0.01))
-        ts = np.array([0.05, 0.1, 0.2, 0.24])
-        grid = g_cfrac_grid(ts, settings)
-        for t, v in zip(ts, grid):
-            assert v == pytest.approx(g_cfrac(float(t), settings), rel=1e-12)
-
-    def test_grid_memory_independent_of_grid_size(self):
-        # each t is evaluated on its own, so 40 t peak no higher than 2 do; t up
-        # to 1 keeps the depth (4 778 levels) deep enough for the kernel's
-        # arrays to outweigh the per-t bookkeeping
-        settings = EvalSettings(q=math.exp(-3e-4))
-        peaks = []
-        for nt in (2, 40):
-            tracemalloc.start()
-            try:
-                g_cfrac_grid(np.linspace(0.2, 1.0, nt), settings)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert peaks[1] <= 1.5 * peaks[0], peaks
-
     def test_deep_evaluation_consistency(self):
         # the pairwise matrix path kicks in past the scalar depth limit
         settings = EvalSettings(q=math.exp(-2e-5), tol=1e-10)
@@ -521,35 +503,29 @@ class TestGCfrac:
         assert value < closed  # area weight q < 1 suppresses every term
 
     # g_cfrac(0.25) takes the scalar loop at eps = 1e-3 and the pairwise
-    # product at the smaller eps; the grid takes the pairwise product at the
-    # deeper cut of its two t, that of 0.25. Each line reports the bits the
-    # cut certifies: at least 60, and the grid's are those of its worst t
+    # product at the smaller eps; its line reports the bits the cut
+    # certifies, at least 60
     @pytest.mark.parametrize("eps, path", [(1e-3, "scalar"), (2e-4, "pairwise"), (5e-5, "pairwise")])
     def test_each_evaluation_logged(self, caplog, eps, path):
         settings = EvalSettings(q=math.exp(-eps))
         with caplog.at_level(logging.DEBUG, logger="dyckarea"):
             _, depth = g_cfrac(0.25, settings, full_output=True)
-            g_cfrac_grid(np.array([0.1, 0.25]), settings)
         lines = [rec.getMessage() for rec in caplog.records if rec.getMessage().startswith("cfrac")]
-        assert len(lines) == 2
-        scalar = re.fullmatch(rf"cfrac: depth {depth}, path {path}, bound (\S+) bits", lines[0])
-        grid = re.fullmatch(rf"cfrac grid of 2 t: depth {depth}, path pairwise, bound (\S+) bits", lines[1])
-        assert scalar and grid, lines
-        assert 60.0 <= float(grid.group(1)) <= float(scalar.group(1))
-
-    def test_empty_grid(self):
-        values = g_cfrac_grid(np.array([]), EvalSettings(q=0.5))
-        assert values.dtype == np.float64 and values.shape == (0,)
+        assert len(lines) == 1
+        line = re.fullmatch(rf"cfrac: depth {depth}, path {path}, bound (\S+) bits", lines[0])
+        assert line and float(line.group(1)) >= 60.0, lines
 
 
 # sha256 of the lines built by TestCfracGoldenDigest (repr of every value, or
 # the name of the error raised; not the depth g_cfrac reports), pinned while
 # the continued fraction still doubled its depth until two values agreed, and
 # re-pinned when it became cut where its tail enclosure closes: 15 of the 42
-# g_cfrac and g_cfrac_grid values moved, the pairwise ones as the tree
+# values of g_cfrac and of the grid evaluator moved, the pairwise ones as the tree
 # regroups, by 2.4e-14 relative at most (eps 1e-3, t = 20, past the pole
-# line), each still within its TestCfracOracle bound
-CFRAC_VALUES_DIGEST = "67d5a0efe7fccd582e3b1d968e9b2a74df460070810dde794e7b4f4a57cb835a"
+# line), each still within its TestCfracOracle bound; and again when the
+# grid evaluator went: its lines were dropped and the kernel's one line per
+# (q, depth) now lists every t, with no value moved
+CFRAC_VALUES_DIGEST = "cca24cd8f058cdd8a0c81964c467c0970dc1a6936b09c32c2ca4187c89324e83"
 
 
 class TestCfracGoldenDigest:
@@ -562,14 +538,10 @@ class TestCfracGoldenDigest:
         lines = []
         for q in (0.5, math.exp(-1e-4)):  # q^k underflows to 0 at q = 0.5
             for depth in self.DEPTHS:
-                for ts in [(t,) for t in self.TS] + [self.TS[1:]]:
-                    values = qseries._cfrac_pairwise(list(ts), q, depth)
-                    lines.append(f"grid,{q!r},{depth},{values!r}")
+                values = [qseries._cfrac_pairwise(t, q, depth) for t in self.TS]
+                lines.append(f"pairwise,{q!r},{depth},{values!r}")
         for eps in (0.5, 1e-3, 2e-4):  # at 2e-4 g_cfrac takes the pairwise kernel
             s = EvalSettings(q=math.exp(-eps))
-            for ts in (self.TS[:6], self.TS[6:]):
-                values = outcome(lambda: g_cfrac_grid(np.array(ts), s).tolist())
-                lines.append(f"g_cfrac_grid,{eps!r},{values}")
             for t in self.TS:
                 lines.append(f"g_cfrac,{eps!r},{t!r},{outcome(g_cfrac, t, s)}")
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == CFRAC_VALUES_DIGEST
@@ -614,8 +586,8 @@ def _oracle_cfrac(t, q, bits=200, width=1e-20):
 
 
 class TestCfracOracle:
-    """``g_cfrac`` and ``g_cfrac_grid`` against ``_oracle_cfrac`` at the
-    points of ``TestCfracGoldenDigest`` and on the README ``scaling_fn``
+    """``g_cfrac``, and the scans that call it, against ``_oracle_cfrac`` at
+    the points of ``TestCfracGoldenDigest`` and on the README ``scaling_fn``
     scan's t grid. The bound is 1e-13 relative, and past the pole line the
     roundoff the double chain was measured to make there, where it exceeds
     that (largest over the dead-level and the cut evaluations, rounded up)."""
@@ -634,13 +606,10 @@ class TestCfracOracle:
 
     @pytest.mark.parametrize("eps", [0.5, 1e-3, 2e-4])
     def test_golden_points(self, eps):
-        ts = TestCfracGoldenDigest.TS
         settings = EvalSettings(q=math.exp(-eps))
-        grid = g_cfrac_grid(np.array(ts[:6]), settings).tolist() + g_cfrac_grid(np.array(ts[6:]), settings).tolist()
-        for t, on_grid in zip(ts, grid):
+        for t in TestCfracGoldenDigest.TS:
             bound = self.PAST_POLE_ROUNDOFF.get((eps, t), 1e-13)
             self._assert_close(g_cfrac(t, settings), t, settings.q, bound)
-            self._assert_close(on_grid, t, settings.q, bound)
 
     # at the depth the rule cuts at, the two ends of the tail's enclosure,
     # carried to level 0 at 200 bits, lie within 2^-60 of each other relative
@@ -653,27 +622,33 @@ class TestCfracOracle:
             g_cfrac(t, EvalSettings(q=q))
         except PoleProximityError:
             return
-        depth = qseries._cfrac_depth([t], q, -math.log(q))[0]
+        depth = qseries._cfrac_depth(t, q, -math.log(q))[0]
         with mpmath.workprec(200):
             x, p = next(itertools.islice(_level_maps(t, q), depth - 1, None))
             lo, hi = _enclosure(t, x, p)
             assert abs(hi - lo) < mpmath.mpf(2) ** -60 * abs(lo), (t, q, depth)
 
+    # g_cfrac raises, and a g_vs_t scan writes NaN in that row (a scaling_fn
+    # scan stops at |s| <= 1e4, far below these t)
     @pytest.mark.parametrize("t", [1e308, -1e308])
     def test_largest_t_is_a_domain_error(self, t):
         for q in (0.5, math.exp(-1e-4)):
             with pytest.raises(DomainError):
                 g_cfrac(t, EvalSettings(q=q))
-            with pytest.raises(DomainError):
-                g_cfrac_grid(np.array([0.1, t]), EvalSettings(q=q))
+            assert math.isnan(scan_g_vs_t(q, 0.1, t, 2).columns["G_cfrac"][1])
 
-    # the README scan: --eps-list 0.5,1e-2 --s-min -3 --s-max 3 --steps 13
+    # the README scan: --eps-list 0.5,1e-2 --s-min -3 --s-max 3 --steps 13;
+    # its column is g_cfrac at each t, bit for bit
     @pytest.mark.parametrize("eps", [0.5, 1e-2])
     def test_readme_scaling_grid(self, eps):
         q = math.exp(-eps)
         ts = [scaling_t(-3.0 + i * 0.5, q) for i in range(12)] + [scaling_t(3.0, q)]
-        for t, value in zip(ts, g_cfrac_grid(np.array(ts), EvalSettings(q=q))):
+        values = [g_cfrac(t, EvalSettings(q=q)) for t in ts]
+        for t, value in zip(ts, values):
             self._assert_close(value, t, q, 1e-13)
+        column = scan_scaling_fn([eps], -3.0, 3.0, 13).columns[f"F_from_cfrac_eps{eps:g}"]
+        amplitude = (1.0 - q) ** (1.0 / 3.0)
+        assert _bits(column) == _bits([(g / 2.0 - 1.0) / amplitude for g in values])
 
 
 class TestPoleBoundary:
@@ -934,7 +909,9 @@ def _assert_level_products(ts, q, depth):
     seen = []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(qseries, "_at_tail_one", lambda m: seen.append(m) or 0.0)
-        qseries._cfrac_pairwise(ts, q, depth)
+        for t in ts:
+            qseries._cfrac_pairwise(t, q, depth)
+    assert len(seen) == len(ts)
     for m, t in zip(seen, ts):
         assert np.array_equal(m, _level_product_reference(t, q, depth)), (t, q, depth)
 
@@ -956,7 +933,7 @@ class TestCfracBitwise:
         rng = np.random.default_rng(depth)
         tiny = np.concatenate([[0.0, 20.0, -20.0], rng.uniform(-1.0, 1.0, 3) * 1e-9])
         for ts in [rng.uniform(-20.0, 20.0, nt) for nt in (1, 3, 6)] + [tiny]:
-            values = qseries._cfrac_pairwise(ts.tolist(), q, depth)
+            values = [qseries._cfrac_pairwise(t, q, depth) for t in ts.tolist()]
             assert _bits(values) == _bits(_pairwise_grid_reference(ts, q, depth)), ts
 
     @hypothesis.settings(max_examples=60, deadline=None)
@@ -967,7 +944,7 @@ class TestCfracBitwise:
     )
     def test_any_cut_matches_pairwise_matmul(self, ts, log_eps, depth):
         q = math.exp(-math.exp(log_eps))
-        values = qseries._cfrac_pairwise(ts, q, depth)
+        values = [qseries._cfrac_pairwise(t, q, depth) for t in ts]
         assert _bits(values) == _bits(_pairwise_grid_reference(ts, q, depth))
 
     # the live/dead boundary mid-chunk (|t q^k| < 2^-54 from about level
@@ -980,7 +957,7 @@ class TestCfracBitwise:
     def test_dead_levels_across_chunks(self, eps, depth):
         q = math.exp(-eps)
         for ts in ([0.25], [-20.0, 0.263, 20.0], [1e-300, -3.0]):
-            values = qseries._cfrac_pairwise(ts, q, depth)
+            values = [qseries._cfrac_pairwise(t, q, depth) for t in ts]
             assert _bits(values) == _bits(_pairwise_grid_reference(ts, q, depth)), ts
             _assert_level_products(ts, q, depth)
 
@@ -1017,8 +994,8 @@ class TestCfracBitwise:
         q = math.exp(-1e-2)
         for depth in (k + 500, 70_001):
             t = sign * self._t_with_weight(np.exp(np.arange(depth) * math.log(q))[k], w)
-            values = qseries._cfrac_pairwise([t], q, depth)
-            assert _bits(values) == _bits(_pairwise_grid_reference([t], q, depth))
+            value = qseries._cfrac_pairwise(t, q, depth)
+            assert _bits([value]) == _bits(_pairwise_grid_reference([t], q, depth))
             t = sign * self._t_with_weight(np.power(q, np.arange(depth))[k], w)
             self._assert_scalar_loop(t, q, depth)
 
@@ -1051,7 +1028,7 @@ class TestCfracBitwise:
         eps = -math.log(q)
         k = math.floor(math.log(abs(t) * 2.0 ** 54) / eps)  # |t q^k| >= 2^-54 about here
         t_k = math.copysign(self._t_beside_threshold(np.power(q, k), live), t)
-        depth = qseries._cfrac_depth([t_k], q, eps)[0]
+        depth = qseries._cfrac_depth(t_k, q, eps)[0]
         dead = math.ceil(math.log(abs(t_k) / 2.0 ** -54) / eps) + 3
         assert depth <= dead and dead > k + live
         chunk_edge = (depth // qseries._CHUNK + 1) * qseries._CHUNK + 1
@@ -1080,12 +1057,12 @@ class TestCfracBitwise:
     )
     def test_deep_rung_matches_pairwise_matmul(self, ts, log_eps, depth):
         q = math.exp(-math.exp(log_eps))
-        values = qseries._cfrac_pairwise(ts, q, depth)
+        values = [qseries._cfrac_pairwise(t, q, depth) for t in ts]
         assert _bits(values) == _bits(_pairwise_grid_reference(ts, q, depth))
 
-    # the path follows the nominal depth 2 max(64, ceil(ln(max(|t|, tol) /
-    # (tol / 100)) / eps) + 8): the scalar loop up to _SCALAR_DEPTH_LIMIT,
-    # the pairwise product past it
+    # the path follows the nominal depth 2 max(64, ceil(ln(max(|t|, 1e-12) /
+    # 1e-14) / eps) + 8): the scalar loop up to _SCALAR_DEPTH_LIMIT, the
+    # pairwise product past it
     @pytest.mark.parametrize("nominal", [qseries._SCALAR_DEPTH_LIMIT, qseries._SCALAR_DEPTH_LIMIT + 2])
     def test_path_across_scalar_limit(self, caplog, nominal):
         for t in (0.263, -3.0):
