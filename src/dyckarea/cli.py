@@ -74,10 +74,6 @@ def _resolve_q(args) -> float:
     raise _UsageError("one of --q or --eps is required")
 
 
-def _tol(args, default: float) -> float:
-    return default if args.tol is None else args.tol
-
-
 def _number_list(text: str, kind, flag: str) -> list:
     try:
         return [kind(x) for x in text.split(",")]
@@ -96,7 +92,7 @@ def _cmd_eval(args) -> int:
         print(f"{value!r}")
         print(f"# {provenance}")
         return EXIT_OK
-    settings = EvalSettings(q=q, tol=_tol(args, 1e-12))
+    settings = EvalSettings(q=q, tol=args.tol)
     if method == "ratio":
         res = g_ratio(t, settings, full_output=True)
         value = res.value
@@ -106,7 +102,7 @@ def _cmd_eval(args) -> int:
         )
     elif method == "cfrac":
         value, depth = g_cfrac(t, settings, full_output=True)
-        provenance = f"method=cfrac depth={depth} tol={settings.tol:g}"
+        provenance = f"method=cfrac depth={depth}"
     elif method == "uniform":
         value = g_uniform(t, q)
         provenance = f"method=uniform eps={-math.log(q):g}"
@@ -125,17 +121,15 @@ def _cmd_scan(args) -> int:
     kind = args.kind
     if kind == "g_vs_t":
         q = _resolve_q(args)
-        ds = scan_g_vs_t(q, args.t_min, args.t_max, args.steps,
-                         tol=_tol(args, 1e-12), stamp=args.stamp)
+        ds = scan_g_vs_t(q, args.t_min, args.t_max, args.steps, stamp=args.stamp)
     elif kind == "phase_boundary":
         ds = scan_phase_boundary(args.q_min, args.q_max, args.steps,
-                                 tol=_tol(args, 1e-10), stamp=args.stamp)
+                                 tol=args.tol, stamp=args.stamp)
     elif kind == "scaling_fn":
         if not args.eps_list:
             raise _UsageError("--eps-list is required for scaling_fn scans")
         eps_list = _number_list(args.eps_list, float, "--eps-list")
-        ds = scan_scaling_fn(eps_list, args.s_min, args.s_max, args.steps,
-                             tol=_tol(args, 1e-12), stamp=args.stamp)
+        ds = scan_scaling_fn(eps_list, args.s_min, args.s_max, args.steps, stamp=args.stamp)
     elif kind == "partition":
         if args.m_list:
             m_values = _number_list(args.m_list, int, "--m-list")
@@ -258,7 +252,8 @@ def build_parser() -> _Parser:
     p.add_argument("--eps", type=float)
     p.add_argument("--method", choices=["series", "ratio", "cfrac", "uniform", "scaling"],
                    required=True)
-    p.add_argument("--tol", type=float)
+    p.add_argument("--tol", type=float, default=1e-12,
+                   help="ratio: the stop tolerance of the series")
     p.add_argument("--n-max", dest="n_max", type=int, default=60)
     p.set_defaults(func=_cmd_eval)
 
@@ -281,7 +276,8 @@ def build_parser() -> _Parser:
     p.add_argument("--n-max", dest="n_max", type=int,
                    help="partition: >= 2 max(m) (default 2 max(m)); only echoed in the metadata")
     p.add_argument("--j-max", dest="j_max", type=int, default=24)
-    p.add_argument("--tol", type=float)
+    p.add_argument("--tol", type=float, default=1e-10,
+                   help="phase_boundary: the t_inf bisection tolerance")
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--stamp", action="store_true",

@@ -76,8 +76,7 @@ def _format_cell(v):
 
 
 def _metadata(kind: str, stamp: bool, **settings) -> dict:
-    meta = {"kind": kind, "tool": "dyckarea", "version": __version__}
-    meta.update(settings)
+    meta = {"kind": kind, "tool": "dyckarea", "version": __version__, **settings}
     if stamp:
         meta["timestamp"] = datetime.now(timezone.utc).isoformat()
     return meta
@@ -115,7 +114,7 @@ def _cfrac_or_nan(t: float, settings: EvalSettings) -> float:
 
 
 def scan_g_vs_t(q: float, t_min: float, t_max: float, steps: int,
-                tol: float = 1e-12, stamp: bool = False) -> ScanDataset:
+                stamp: bool = False) -> ScanDataset:
     """Exact continued-fraction values against the uniform Airy form.
 
     Points where the continued fraction breaks down or the uniform
@@ -125,14 +124,14 @@ def scan_g_vs_t(q: float, t_min: float, t_max: float, steps: int,
     if steps < 2:
         raise DomainError("steps must be >= 2")
     _check_finite(t_min=t_min, t_max=t_max)
-    settings = EvalSettings(q=q, tol=tol)
+    settings = EvalSettings(q=q)
     ts = _grid(t_min, t_max, steps)
     return ScanDataset(
         kind="g_vs_t",
         columns={"t": ts, "G_cfrac": [_cfrac_or_nan(t, settings) for t in ts],
                  "G_uniform": [_uniform_or_nan(t, q) for t in ts]},
         metadata=_metadata("g_vs_t", stamp, q=q, eps=-math.log(q),
-                           t_min=t_min, t_max=t_max, steps=steps, tol=tol,
+                           t_min=t_min, t_max=t_max, steps=steps,
                            methods=["cfrac", "uniform"]),
     )
 
@@ -153,7 +152,7 @@ def scan_phase_boundary(q_min: float, q_max: float, steps: int,
 
 
 def scan_scaling_fn(eps_list: list[float], s_min: float, s_max: float, steps: int,
-                    tol: float = 1e-12, stamp: bool = False) -> ScanDataset:
+                    stamp: bool = False) -> ScanDataset:
     """Scaling function F(s), exact and reconstructed at each eps.
 
     Per eps the scan stores the reconstruction (G/2 - 1)(1-q)^(-1/3) once
@@ -174,7 +173,7 @@ def scan_scaling_fn(eps_list: list[float], s_min: float, s_max: float, steps: in
     for eps in eps_list:
         q = math.exp(-eps)
         amplitude = (1.0 - q) ** (1.0 / 3.0)
-        settings = EvalSettings(q=q, tol=tol)
+        settings = EvalSettings(q=q)
         ts = [scaling_t(s, q) for s in svals]
         tag = f"{eps:g}"
         columns[f"F_from_cfrac_eps{tag}"] = [(_cfrac_or_nan(t, settings) / 2.0 - 1.0) / amplitude
@@ -185,7 +184,7 @@ def scan_scaling_fn(eps_list: list[float], s_min: float, s_max: float, steps: in
         kind="scaling_fn",
         columns=columns,
         metadata=_metadata("scaling_fn", stamp, eps_list=list(eps_list), s_min=s_min,
-                           s_max=s_max, steps=steps, tol=tol,
+                           s_max=s_max, steps=steps,
                            methods=["airy_ratio", "cfrac_reconstruction",
                                     "uniform_reconstruction"]),
     )

@@ -108,14 +108,23 @@ def log_q_pochhammer(z: complex, q: float, n: int | None = None) -> complex:
     if n is None:
         if not (0.0 < q < 1.0):
             raise DomainError("infinite q-Pochhammer products need q in (0, 1)")
-        n = max(8, math.ceil(math.log(max(abs(z), 1.0) / (1e-17 * (1.0 - q))) / -math.log(q)) + 2)
+        n = max(8, math.ceil(math.log(max(abs(z), 1.0) / (1e-17 * (1.0 - q)))
+                             / -math.log(q)) + 2)
     elif n < 0:
         raise DomainError("the q-Pochhammer order must be >= 0 or None")
-    total, qk = 0j, 1.0
-    for _ in range(n):
-        total += cmath.log(1.0 - z * qk)
+    # past |z q^k| <= min(1/2, 2 (1 - |q|)) the principal args sum below 2.1 < pi
+    # (arcsin x <= 1.05 x for x <= 1/2): one log of the product sums their logs
+    small = min(0.5, 2.0 * (1.0 - abs(q)))
+    total, qk, k = 0j, 1.0, 0
+    while k < n and abs(w := z * qk) > small:
+        total += cmath.log(1.0 - w)
         qk *= q
-    return total
+        k += 1
+    product = 1.0
+    for _ in range(k, n):
+        product *= 1.0 - z * qk
+        qk *= q
+    return total + cmath.log(product)
 
 
 def _log_euler_function(eps: float) -> float:
@@ -398,13 +407,6 @@ def _cfrac_scalar(t: float, q: float, depth: int) -> float:
     return value
 
 
-def _lone_level(a: float, scaled: bool) -> list[list[float]]:
-    """M(a) I = M(a) for an odd last level, divided by max(|a|, 1) unless it
-    is the only level of its chunk."""
-    scale = np.maximum(np.abs(a), 1.0) if scaled else 1.0
-    return [[0.0, 1.0 / scale], [-a / scale, 1.0 / scale]]
-
-
 def _cfrac_pairwise(t: float, q: float, depth: int) -> float:
     """The value at ``depth`` from one pairwise product of level matrices.
 
@@ -436,7 +438,8 @@ def _cfrac_pairwise(t: float, q: float, depth: int) -> float:
 
     The value is the chain's cut at ``depth``; ``_cut`` bounds the tail's share.
     """
-    total, logq = np.eye(2), math.log(q)
+    total = np.eye(2)
+    logq = math.log(q)
     for start in range(0, depth, _CHUNK):
         count = min(_CHUNK, depth - start)
         half = count // 2
@@ -447,8 +450,10 @@ def _cfrac_pairwise(t: float, q: float, depth: int) -> float:
         mats[:half, 0, 0] = mats[:half, 1, 0] = -b / scale
         mats[:half, 0, 1] = 1.0 / scale
         mats[:half, 1, 1] = one_minus_a / scale
-        if count % 2:
-            mats[half] = _lone_level(powers[-1] * t, count > 1)
+        if count % 2:  # M(x) I = M(x), divided by max(|x|, 1) unless alone in its chunk
+            x = powers[-1] * t
+            lone = max(abs(x), 1.0) if count > 1 else 1.0
+            mats[half] = [[0.0, 1.0 / lone], [-x / lone, 1.0 / lone]]
         while len(mats) > 1:
             if len(mats) % 2:
                 mats = np.concatenate([mats, np.eye(2)[None]])
@@ -494,7 +499,8 @@ def g_cfrac(t: float, settings: EvalSettings, full_output: bool = False):
             raise PoleProximityError(f"a continued-fraction denominator vanishes at t = {t!r}") from None
         path = "scalar"
     else:
-        value, path = _cfrac_pairwise(t, q, depth), "pairwise"
+        value = _cfrac_pairwise(t, q, depth)
+        path = "pairwise"
     _log.debug("cfrac: depth %d, path %s, bound %.1f bits", depth, path, bits)
     if not math.isfinite(value):
         raise PoleProximityError(f"the continued fraction at t = {t!r} is {value!r}")

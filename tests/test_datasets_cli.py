@@ -484,10 +484,10 @@ class TestCli:
     def test_repeated_calls_share_no_state(self, run_cli):
         # one parser serves every call; nothing parsed in one call reaches the next
         assert cli.build_parser() is cli.build_parser()
-        loose = run_cli("eval", "--t", "0.2", "--q", "0.5", "--method", "cfrac", "--tol", "1e-6")
-        assert "tol=1e-06" in loose.stdout
-        default = run_cli("eval", "--t", "0.2", "--q", "0.5", "--method", "cfrac")
-        assert "tol=1e-12" in default.stdout
+        loose = run_cli("eval", "--t", "0.2", "--q", "0.5", "--method", "ratio", "--tol", "1e-6")
+        assert "terms=14 " in loose.stdout
+        default = run_cli("eval", "--t", "0.2", "--q", "0.5", "--method", "ratio")
+        assert "terms=16 " in default.stdout
         assert run_cli("eval", "--t", "0.2", "--method", "cfrac").returncode == 64
         assert run_cli("eval", "--t", "0.2", "--q", "0.5", "--method", "cfrac").returncode == 0
         assert run_cli("nonsense").returncode == 64

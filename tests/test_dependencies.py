@@ -74,7 +74,7 @@ def test_numpy_stays_in_the_continued_fraction_kernel():
     tree = ast.parse((SRC / "dyckarea" / "qseries.py").read_text(encoding="utf-8"))
     users = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)
              and any(isinstance(n, ast.Name) and n.id == "np" for n in ast.walk(node))}
-    assert users <= {"_cfrac_scalar", "_lone_level", "_cfrac_pairwise", "_at_tail_one"}
+    assert users <= {"_cfrac_scalar", "_cfrac_pairwise", "_at_tail_one"}
 
 
 # one op of every command, eval by every method and scan of every kind; the

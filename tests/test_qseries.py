@@ -186,6 +186,17 @@ class TestQPochhammer:
         z = 0.3 + 0.4j
         assert cmath.exp(log_q_pochhammer(z, 0.6)) == pytest.approx(complex(mpmath.qp(z, 0.6)), abs=1e-12)
 
+    @pytest.mark.parametrize("z, q", [(-3.0 + 0.5j, 0.9), (0.2 + 1.5j, 0.99), (40.0 - 1e-3j, 0.5),
+                                      (-0.9 - 0.2j, 0.99), (-7.0, 0.8)])
+    def test_principal_branch(self, z, q):
+        # the sum of the principal logs, not the log of the product: the
+        # factors' args add up past pi, the tail's product is logged once
+        n = max(8, math.ceil(math.log(max(abs(z), 1.0) / (1e-17 * (1.0 - q))) / -math.log(q)) + 2)
+        with mpmath.workdps(30):
+            expected = complex(mpmath.fsum(mpmath.log(1 - mpmath.mpc(z) * mpmath.mpf(q) ** k)
+                                           for k in range(n)))
+        assert log_q_pochhammer(z, q) == pytest.approx(expected, rel=1e-13)
+
 
 class TestHSeries:
     def test_at_origin(self):
