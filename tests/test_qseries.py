@@ -688,6 +688,14 @@ class TestPoleBoundary:
         assert h_series(root - 1e-6, settings) > 0.0
         assert h_series(root + 1e-6, settings) < 0.0
 
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.7, 0.9, 0.95, 0.99, 0.999])
+    def test_against_oracle(self, q):
+        # the bisection stops at a relative bracket of tol: the first zero of
+        # the independent sum lies within 2 tol of the root it returns
+        tol = EvalSettings(q=q).tol
+        root = t_infinity(q)
+        assert _oracle_h(root * (1 - 2 * tol), q) > 0 > _oracle_h(root * (1 + 2 * tol), q)
+
 
 class TestBelowDoubleRange:
     """At q = exp(-4e-4) the sum H(1/4) = 8.2e-372 lies far below 1e-300; the
