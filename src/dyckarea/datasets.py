@@ -147,7 +147,7 @@ def scan_phase_boundary(q_min: float, q_max: float, steps: int,
         kind="phase_boundary",
         columns={"q": qs, "t_infinity": t_inf},
         metadata=_metadata("phase_boundary", stamp, q_min=q_min, q_max=q_max,
-                           steps=steps, tol=tol, methods=["h_series_root"]),
+                           steps=steps, tol=tol, methods=["cfrac_sign_count"]),
     )
 
 

@@ -7,16 +7,17 @@ through three routes that must agree wherever they overlap:
   H(t) = sum_n T_n, T_n = q^(n^2-n) (-t)^n / (q; q)_n, and ``g_ratio`` forms
   G = H(qt)/H(t), with H(qt) = sum_n T_n q^n summed in the same pass at the
   exact qt. The series cancels catastrophically as q -> 1, so every sum of H
-  (also in ``t_infinity``) runs in binary fixed point on Python integers, at
-  the precision one rule, ``_sum_h``, picks, and each value is rounded to a
-  double once. It is the preferred route for eps = -ln q >= ~1e-3.
+  runs in binary fixed point on Python integers, keeping 53 + 96 bits by one
+  rule, ``_sum_h``, and each value is rounded to a double once. It is the
+  preferred route for eps = -ln q >= ~1e-3.
 * ``g_cfrac`` evaluates the classical continued fraction
   1/(1 - t/(1 - tq/(1 - tq^2/...))) bottom-up with tail value 1, once, cut
   at the depth where the true tail's enclosure, carried to level 0, is below
   2^-60 of |G|. All partial numerators are positive for real t, which makes
   this route unconditionally stable in double precision; it is the reference
   evaluator for small eps and continues G analytically beyond the pole line.
-  Scans call it once per t; it reads no tolerance.
+  Scans call it once per t; it reads no tolerance. ``t_infinity`` counts its
+  negative denominators, H(t q^k)/H(t q^(k+1)), to locate the zeros of H.
 * ``contour_h`` validates the contour-integral representation of H by one
   trapezoid sum, in log space, along a ray through a saddle of its integrand.
 
@@ -43,6 +44,7 @@ from .errors import (
     DomainError,
     NonConvergenceError,
     PoleProximityError,
+    ResourceLimitError,
     SearchFailureError,
 )
 from .special_functions import _BERNOULLI, dilog
@@ -258,15 +260,16 @@ def _predicted_bits(xs, q: float) -> int:
     return math.ceil(loss) + 8 + 53 + _GUARD_BITS
 
 
-def _sum_h(t, settings: EvalSettings, keep: int, scaled: bool = False):
+def _sum_h(t, settings: EvalSettings, scaled: bool = False):
     """H(t), and H(qt) from the same pass if ``scaled``: predict, check, rerun.
 
-    The one precision rule for every sum of H. Start at ``_predicted_bits``
-    where the saddle estimate holds (real t in (0, 1/2), eps <= 0.2), else at
-    53 + 96 bits. If a series keeps fewer than ``keep`` bits, rerun at
-    max(2 bits, measured loss + 8 + keep). The envelope, the larger
-    ``bits_for`` of t and qt, caps every pass. Returns the ``_h_series_mp``
-    tuples, their F, the final precision and the largest loss.
+    The one precision rule for every sum of H, with one target: 53 + 96 bits
+    kept after cancellation. Start at ``_predicted_bits`` where the saddle
+    estimate holds (real t in (0, 1/2), eps <= 0.2), else at 53 + 96 bits.
+    If a series keeps fewer, rerun at max(2 bits, measured loss + 8 + 53 +
+    96). The envelope, the larger ``bits_for`` of t and qt, caps every pass.
+    Returns the ``_h_series_mp`` tuples, their F, the final precision and
+    the largest loss.
     """
     if not cmath.isfinite(t):
         raise DomainError(f"the series needs a finite t, got {t!r}")
@@ -279,9 +282,9 @@ def _sum_h(t, settings: EvalSettings, keep: int, scaled: bool = False):
         frac, sums = _h_series_mp(t, settings.q, settings.tol, scaled, bits)
         lost = max(_bits_lost(peak, total) for total, _, peak, _ in sums)
         _log.debug("H at %r: %d of %d bits, lost %.1f", t, bits, envelope, lost)
-        if bits == envelope or bits - lost >= keep:
+        if bits == envelope or bits - lost >= 53 + _GUARD_BITS:
             return sums, frac, bits, lost
-        bits = min(envelope, max(2 * bits, math.ceil(min(lost, envelope)) + 8 + keep))
+        bits = min(envelope, max(2 * bits, math.ceil(min(lost, envelope)) + 8 + 53 + _GUARD_BITS))
         _log.debug("H at %r: rerun at %d bits", t, bits)
 
 
@@ -294,7 +297,7 @@ def h_series(t: float | complex, settings: EvalSettings, full_output: bool = Fal
     precision raises a pole error, and a sum outside the normal double range
     (|H| < 2.2e-308 once eps falls below about 5e-4 near t = 1/4) a domain error.
     """
-    [((re, im), n, _, last)], frac, bits, lost = _sum_h(t, settings, 53 + _GUARD_BITS)
+    [((re, im), n, _, last)], frac, bits, lost = _sum_h(t, settings)
     if not (norm2 := re * re + im * im):
         raise PoleProximityError("series sum vanished at working precision; t is at a zero")
     if not 1 << 2 * frac <= norm2 << 2044 or norm2 > int(sys.float_info.max) ** 2 << 2 * frac:
@@ -317,7 +320,7 @@ def g_ratio(t: float | complex, settings: EvalSettings, full_output: bool = Fals
     line): a pole error.
     """
     [((d_re, d_im), n, max_d, last_d), ((n_re, n_im), _, _, last_n)], frac, bits, lost = _sum_h(
-        t, settings, 53 + _GUARD_BITS, scaled=True)
+        t, settings, scaled=True)
     if (norm2 := d_re * d_re + d_im * d_im) << 2 * (bits - 16) <= max_d * max_d:
         raise PoleProximityError(f"H(t) at t = {t!r} is below the cancellation floor; "
                                  "t lies at or beyond the pole boundary")
@@ -398,13 +401,16 @@ def _cfrac_depth(t: float, q: float, eps: float) -> tuple[int, float]:
     return max(1, depth), bits
 
 
-def _cfrac_scalar(t: float, q: float, depth: int) -> float:
+def _cfrac_scalar(t: float, q: float, depth: int) -> tuple[float, int]:
     """Bottom-up value of every level to ``depth`` with tail value 1, one
-    level at a time; a vanishing denominator raises ``ZeroDivisionError``."""
-    value = 1.0
+    level at a time, and the number of denominators below 0; a vanishing
+    denominator raises ``ZeroDivisionError``."""
+    value, negatives = 1.0, 0
     for w in reversed((t * np.power(q, np.arange(depth))).tolist()):
-        value = 1.0 / (1.0 - w * value)
-    return value
+        if (den := 1.0 - w * value) < 0.0:
+            negatives += 1
+        value = 1.0 / den
+    return value, negatives
 
 
 def _cfrac_pairwise(t: float, q: float, depth: int) -> float:
@@ -494,7 +500,7 @@ def g_cfrac(t: float, settings: EvalSettings, full_output: bool = False):
     # benchmark references pin each kernel's bits until one kernel replaces both
     if math.log(max(abs(t), 1e-12) / 1e-14) / eps <= _SCALAR_DEPTH_LIMIT // 2 - 8:
         try:
-            value = _cfrac_scalar(t, q, depth)
+            value = _cfrac_scalar(t, q, depth)[0]
         except ZeroDivisionError:
             raise PoleProximityError(f"a continued-fraction denominator vanishes at t = {t!r}") from None
         path = "scalar"
@@ -514,36 +520,27 @@ def g_cfrac(t: float, settings: EvalSettings, full_output: bool = False):
 def t_infinity(q: float, tol: float = 1e-12) -> float:
     """Radius of convergence of the length series: first positive zero of H.
 
-    Scans outward from t = 1/4 for a sign change of H(t), then halves the
-    bracket to tol, reading each sign from the sum itself, which may lie far below the
-    double range. The boundary decreases from 1 (q -> 0) towards 1/4 (q -> 1).
+    The chain's denominators are H(t q^k)/H(t q^(k+1)), so t lies past the
+    zero when one of them, cut as ``g_cfrac`` cuts, is negative or vanishes.
+    [1/4, 1] is halved to a relative width of tol. A chain at t = 1, about
+    ln 4/eps levels, longer than ``_SCALAR_DEPTH_LIMIT`` is a resource error.
     """
     settings = EvalSettings(q=q, tol=tol)
-    h = lambda t: _sum_h(t, settings, 24)[0][0][0][0]  # the exact sign: ~2000 terms round by < 2^11 ulps
-    hi = 0.25
-    if h(hi) <= 0.0:
-        raise SearchFailureError("H(1/4) <= 0; no bracket below the boundary")
-    # step smaller as q -> 1 since the root approaches 1/4
-    step = min(0.02, max(1e-4, 0.05 * settings.epsilon ** (2.0 / 3.0) * 2.4))
-    while hi < 1.0:
-        lo = hi
-        hi = min(1.0, hi + step)
-        f_hi = h(hi)
-        if f_hi < 0.0:
-            break
-        step *= 1.6
-    else:
+    eps = settings.epsilon
+    if (levels := math.log(4.0) / eps) > _SCALAR_DEPTH_LIMIT:
+        raise ResourceLimitError(f"the chain at t = 1 is {math.ceil(levels)} levels long, over {_SCALAR_DEPTH_LIMIT}")
+
+    def past(t: float) -> bool:
+        try:
+            return _cfrac_scalar(t, q, _cfrac_depth(t, q, eps)[0])[1] > 0
+        except ZeroDivisionError:
+            return True
+
+    lo, hi = 0.25, 1.0
+    if not past(hi):
         raise SearchFailureError(f"no sign change of H(t) found in [1/4, 1] for q = {q!r}")
-    if f_hi == 0.0:
-        return hi
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= settings.tol * mid:
-            break
-        if h(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
+    while lo < (mid := 0.5 * (lo + hi)) < hi and hi - lo > settings.tol * mid:
+        lo, hi = (lo, mid) if past(mid) else (mid, hi)
     return 0.5 * (lo + hi)
 
 
