@@ -8,6 +8,7 @@ import logging
 import math
 import re
 import sys
+import time
 
 import hypothesis
 import mpmath
@@ -23,6 +24,7 @@ from dyckarea.errors import (
     DomainError,
     NonConvergenceError,
     PoleProximityError,
+    ResourceLimitError,
 )
 from dyckarea.qseries import (
     EvalSettings,
@@ -698,6 +700,26 @@ class TestPoleBoundary:
         tol = EvalSettings(q=q).tol
         root = t_infinity(q)
         assert _oracle_h(root * (1 - 2 * tol), q) > 0 > _oracle_h(root * (1 + 2 * tol), q)
+
+    @pytest.mark.parametrize("q, zeros", [(0.9, 2), (0.99, 14)])
+    def test_sign_count_against_oracle(self, q, zeros):
+        # the chain's negative denominators count the zeros of H below t: on
+        # a grid fine against their spacing, the sign changes of the
+        # independent sum up to each t; the count never decreases in t
+        eps, changes, sign, counts, expected = -math.log(q), 0, 1, [], []
+        for t in (0.25 + 0.3 * i / 120 for i in range(1, 121)):
+            if (s := mpmath.sign(_oracle_h(t, q))) != sign:
+                changes, sign = changes + 1, s
+            counts.append(qseries._cfrac_scalar(t, q, qseries._cfrac_depth(t, q, eps)[0])[1])
+            expected.append(changes)
+        assert counts == expected == sorted(counts) and counts[-1] == zeros
+
+    def test_long_chain_fails_fast(self):
+        # the chain at t = 1 would be ln 4 / 1e-7 levels: refused before any is built
+        start = time.process_time()
+        with pytest.raises(ResourceLimitError, match="13862944 levels"):
+            t_infinity(math.exp(-1e-7))
+        assert time.process_time() - start < 0.05
 
 
 class TestBelowDoubleRange:
