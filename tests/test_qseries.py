@@ -714,6 +714,11 @@ class TestPoleBoundary:
             expected.append(changes)
         assert counts == expected == sorted(counts) and counts[-1] == zeros
 
+    def test_tol_below_the_double_spacing(self):
+        # the bisection also stops where no double lies between its ends
+        root = t_infinity(0.5, tol=1e-300)
+        assert abs(root - t_infinity(0.5)) <= 1e-12 * root
+
     def test_long_chain_fails_fast(self):
         # the chain at t = 1 would be ln 4 / 1e-7 levels: refused before any is built
         start = time.process_time()
@@ -724,7 +729,8 @@ class TestPoleBoundary:
 
 class TestBelowDoubleRange:
     """At q = exp(-4e-4) the sum H(1/4) = 8.2e-372 lies far below 1e-300; the
-    series still runs to its settled value and t_infinity reads exact signs."""
+    series still runs to its settled value, and t_infinity, which reads signs
+    from the continued fraction, still lands on a sign change of H."""
 
     Q = math.exp(-4e-4)
 
