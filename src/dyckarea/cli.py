@@ -3,7 +3,8 @@
 Subcommands: eval, scan, enumerate, scaling, partition, validate.
 Exit codes: 0 success, 1 verification mismatch, 2 domain error,
 3 non-convergence, 64 usage error, 74 I/O error. The parser is built once
-per process, and ``main()`` may be called repeatedly.
+per process, and ``main()`` may be called repeatedly; each call makes one
+argparse pass, with the parser of the command it names.
 """
 
 from __future__ import annotations
@@ -52,6 +53,8 @@ EXIT_IO = 74
 
 
 class _Parser(argparse.ArgumentParser):
+    commands: dict[str, argparse.ArgumentParser]  # command word -> its parser; set on the top level
+
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
@@ -308,13 +311,32 @@ def build_parser() -> _Parser:
     p = sub.add_parser("validate", help="run the numerical validation suites")
     p.set_defaults(func=_cmd_validate)
 
+    parser.commands = sub.choices
     return parser
 
 
+def _parse(parser: _Parser, argv: list[str]) -> argparse.Namespace:
+    """The arguments of one call, in one argparse pass.
+
+    A leading command word goes straight to its own parser, and what that
+    parser leaves over is reported as the top-level parse would report it;
+    anything else (no argv, -h, --version, an unknown word) takes the
+    top-level parse, which lists the commands.
+    """
+    if not argv or (command := parser.commands.get(argv[0])) is None:
+        return parser.parse_args(argv)
+    args, extra = command.parse_known_args(argv[1:])
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    args.command = argv[0]
+    return args
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    """Run the command in ``argv`` (default ``sys.argv[1:]``) and return its
+    exit code. Each call makes one argparse pass (``_parse``)."""
     try:
-        args = parser.parse_args(argv)
+        args = _parse(build_parser(), sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

@@ -8,8 +8,10 @@ through three routes that must agree wherever they overlap:
   G = H(qt)/H(t), with H(qt) = sum_n T_n q^n summed in the same pass at the
   exact qt. The series cancels catastrophically as q -> 1, so every sum of H
   runs in binary fixed point on Python integers, keeping 53 + 96 bits by one
-  rule, ``_sum_h``, and each value is rounded to a double once. It is the
-  preferred route for eps = -ln q >= ~1e-3.
+  rule, ``_sum_h``, and each value is rounded to a double once. Past the
+  peak of its terms a pass below the envelope drops the bits that budget no
+  longer needs; a pass at the envelope, which is never rerun, keeps them.
+  It is the preferred route for eps = -ln q >= ~1e-3.
 * ``g_cfrac`` evaluates the classical continued fraction
   1/(1 - t/(1 - tq/(1 - tq^2/...))) bottom-up with tail value 1, once, cut
   at the depth where the true tail's enclosure, carried to level 0, is below
@@ -21,7 +23,8 @@ through three routes that must agree wherever they overlap:
 * ``contour_h`` validates the contour-integral representation of H by one
   trapezoid sum, in log space, along a ray through a saddle of its integrand.
 
-``log_q_pochhammer`` sums the logs of the factors of (z; q)_n;
+``log_q_pochhammer`` sums the logs of the large factors of (z; q)_n and
+the rest as a geometric series with a stated bound;
 ``euler_maclaurin_check`` bounds the remainder of the Euler-Maclaurin head
 of ln (z; q)_inf, the head the contour integrand uses below eps = 0.1.
 """
@@ -102,31 +105,42 @@ class EvalSettings:
 
 def log_q_pochhammer(z: complex, q: float, n: int | None = None) -> complex:
     """log (z; q)_n, the sum of the principal logs of the factors 1 - z q^k,
-    k < n. ``n = None`` is the infinite product, truncated where the rest
-    differ from 1 by under 1e-17 (|log prod_{k>=N}| <= |z| q^N / (1 - q) to
-    first order); it needs 0 < q < 1. For Im z != 0 no factor crosses the
-    cut; a zero factor (z = q^-k) raises ValueError, as ``cmath.log(0)`` does.
+    k < n; ``n = None`` is the infinite product and needs 0 < q < 1.
+
+    For 0 < q < 1 the factors are logged one at a time while |w| = |z q^k|
+    > r = min(1/2, q^4); the m factors left (m = inf for ``n = None``) are the
+    geometric series -sum_j w^j S_j / j, S_j = sum_(k<m) q^(jk) = (1 - q^(jm))
+    / (1 - q^j). S_j falls as j grows, so each term is at most |w| times the
+    one before, and the terms past j sum below |term_j| |w| / (1 - |w|): the
+    series stops once that bound is under 1e-17 of its sum, which is at
+    least |w| S_1 / 2 for |w| <= 1/2. For other q (finite n only) every
+    factor is logged. For Im z != 0 no factor crosses the cut; a zero factor
+    (z = q^-k) raises ValueError, as ``cmath.log(0)`` does.
     """
+    if not cmath.isfinite(z):
+        raise DomainError(f"the q-Pochhammer symbol needs a finite z, got {z!r}")
     if n is None:
         if not (0.0 < q < 1.0):
             raise DomainError("infinite q-Pochhammer products need q in (0, 1)")
-        n = max(8, math.ceil(math.log(max(abs(z), 1.0) / (1e-17 * (1.0 - q)))
-                             / -math.log(q)) + 2)
+        n = math.inf
     elif n < 0:
         raise DomainError("the q-Pochhammer order must be >= 0 or None")
-    # past |z q^k| <= min(1/2, 2 (1 - |q|)) the principal args sum below 2.1 < pi
-    # (arcsin x <= 1.05 x for x <= 1/2): one log of the product sums their logs
-    small = min(0.5, 2.0 * (1.0 - abs(q)))
+    r = min(0.5, q**4) if 0.0 < q < 1.0 else 0.0  # small q: a few more logs spare most series terms
     total, qk, k = 0j, 1.0, 0
-    while k < n and abs(w := z * qk) > small:
+    while k < n and abs(w := z * qk) > r:
         total += cmath.log(1.0 - w)
         qk *= q
         k += 1
-    product = 1.0
-    for _ in range(k, n):
-        product *= 1.0 - z * qk
-        qk *= q
-    return total + cmath.log(product)
+    if k == n or not w:  # no factor left, or only factors equal to 1
+        return total
+    m, lnq, size = n - k, math.log(q), abs(w)
+    tail, power, j = 0j, w, 1
+    while True:  # S_j = expm1(j m ln q) / expm1(j ln q), accurate as q -> 1
+        s_j = (-1.0 if m == math.inf else math.expm1(j * m * lnq)) / math.expm1(j * lnq)
+        tail -= (term := power * s_j / j)
+        if abs(term) * size < 1e-17 * (1.0 - size) * abs(tail):
+            return total + tail
+        power, j = power * w, j + 1
 
 
 def _log_euler_function(eps: float) -> float:
@@ -151,7 +165,7 @@ class HSeriesResult:
     precision_bits: int
 
 
-def _h_series_mp(t, q: float, tol: float, scaled: bool, bits: int):
+def _h_series_mp(t, q: float, tol: float, scaled: bool, bits: int, narrow: bool = False):
     """H(t) = sum_n T_n, T_n = q^(n^2-n) (-t)^n / (q;q)_n, in binary fixed
     point; with ``scaled`` also H(qt) = sum_n T_n q^n, in the same pass.
 
@@ -165,8 +179,18 @@ def _h_series_mp(t, q: float, tol: float, scaled: bool, bits: int):
     two cut to F bits, so short early terms cost linear time even at a large
     F. Stops after every |term| stays below tol * max(|its partial sum|, 2^-F)
     for three consecutive terms (compared exactly, on squares for complex t),
-    and gives up after ``_MAX_TERMS`` terms. Returns F and, per series, the
-    sum as (re, im), terms_used, max |term| and last |term| (at least 1).
+    and gives up after ``_MAX_TERMS`` terms.
+
+    With ``narrow``, once a term falls below half the largest |term| so far
+    (past the peak, as ln|T_n| is concave in n), the term, both sums and
+    both peaks are shifted right, once, by min(peak bits - F, F - 8), and
+    from then on q^n and q^(2n-2) are cut to the term's bit length + 16. Past
+    the peak the budget is relative to |H|, and the unit after the shift is
+    still 2^-(bits - loss + 8) of |H| for the loss log2(max |term| / |H|),
+    so the sums keep the bits ``_sum_h`` asks for and shorter integers.
+
+    Returns the fraction bits (F less the shift) and, per series, the sum as
+    (re, im), terms_used, max |term| and last |term| (at least 1).
     """
     def dyadic(x: float) -> tuple[int, int]:
         num, den = float(x).as_integer_ratio()
@@ -181,7 +205,8 @@ def _h_series_mp(t, q: float, tol: float, scaled: bool, bits: int):
     tol_num, tol_shift = dyadic(tol)
     if cplx:  # compare squares
         tol_num, tol_shift = tol_num * tol_num, 2 * tol_shift
-    q_n, q_n_exp = 1, 0    # q^n = q_n / 2^q_n_exp, at most F bits
+    keep, narrowed = frac, False  # bits q^n and q^(2n-2) are cut to; past the peak
+    q_n, q_n_exp = 1, 0    # q^n = q_n / 2^q_n_exp, at most keep bits
     q_2n, q_2n_exp = 1, 0  # q^(2n-2), likewise
     re, im = 1 << frac, 0  # T_n
     sum_re, sum_im = s_sum_re, s_sum_im = re, im  # sums of T_n and of T_n q^n
@@ -189,7 +214,7 @@ def _h_series_mp(t, q: float, tol: float, scaled: bool, bits: int):
     small_streak = 0
     for n in range(1, _MAX_TERMS + 1):
         q_n, q_n_exp = q_n * q_num, q_n_exp + q_shift
-        if (cut := q_n.bit_length() - frac) > 0:
+        if (cut := q_n.bit_length() - keep) > 0:
             q_n, q_n_exp = q_n >> cut, q_n_exp - cut
         # T_n = T_(n-1) (a + ib) q^(2n-2) / (2^t_shift (1 - q^n)), floored
         num_shift, den = q_n_exp - t_shift - q_2n_exp, (1 << q_n_exp) - q_n
@@ -214,16 +239,26 @@ def _h_series_mp(t, q: float, tol: float, scaled: bool, bits: int):
                 (s_sum_re * s_sum_re + s_sum_im * s_sum_im if cplx else abs(s_sum_re)) or 1)
             if s_mag > s_peak:
                 s_peak = s_mag
-        if mag > peak:
-            peak = mag
         if small:
             small_streak += 1
             if small_streak >= 3:
                 break
         else:
             small_streak = 0
+        if mag > peak:
+            peak = mag
+        elif narrow and mag << 1 + cplx < peak:  # past the peak, once
+            narrow, narrowed = False, True
+            shift = min((math.isqrt(peak) if cplx else peak).bit_length() - frac, frac - 8)
+            if shift > 0:
+                re, im, sum_re, sum_im = re >> shift, im >> shift, sum_re >> shift, sum_im >> shift
+                s_sum_re, s_sum_im, frac = s_sum_re >> shift, s_sum_im >> shift, frac - shift
+                shift <<= cplx  # |term| is squared for complex t
+                peak, s_peak, mag, s_mag = peak >> shift, s_peak >> shift, mag >> shift, s_mag >> shift
+        if narrowed:
+            keep = ((mag.bit_length() + cplx) >> cplx) + 16
         q_2n, q_2n_exp = q_2n * q2_num, q_2n_exp + 2 * q_shift
-        if (cut := q_2n.bit_length() - frac) > 0:
+        if (cut := q_2n.bit_length() - keep) > 0:
             q_2n, q_2n_exp = q_2n >> cut, q_2n_exp - cut
     else:
         raise NonConvergenceError(
@@ -268,8 +303,11 @@ def _sum_h(t, settings: EvalSettings, scaled: bool = False):
     estimate holds (real t in (0, 1/2), eps <= 0.2), else at 53 + 96 bits.
     If a series keeps fewer, rerun at max(2 bits, measured loss + 8 + 53 +
     96). The envelope, the larger ``bits_for`` of t and qt, caps every pass.
-    Returns the ``_h_series_mp`` tuples, their F, the final precision and
-    the largest loss.
+    A pass below the envelope is narrowed past the peak of its terms
+    (``_h_series_mp``): a loss predicted too low shows in the measured loss
+    and reruns the pass as before. A pass at the envelope is returned
+    unchecked, so it keeps its full width. Returns the ``_h_series_mp``
+    tuples, their F, the final precision and the largest loss.
     """
     if not cmath.isfinite(t):
         raise DomainError(f"the series needs a finite t, got {t!r}")
@@ -279,7 +317,7 @@ def _sum_h(t, settings: EvalSettings, scaled: bool = False):
     if bits < envelope and settings.epsilon <= 0.2 and not isinstance(t, complex) and 0.0 < t < 0.5:
         bits = min(envelope, _predicted_bits(xs, settings.q))
     while True:
-        frac, sums = _h_series_mp(t, settings.q, settings.tol, scaled, bits)
+        frac, sums = _h_series_mp(t, settings.q, settings.tol, scaled, bits, narrow=bits < envelope)
         lost = max(_bits_lost(peak, total) for total, _, peak, _ in sums)
         _log.debug("H at %r: %d of %d bits, lost %.1f", t, bits, envelope, lost)
         if bits == envelope or bits - lost >= 53 + _GUARD_BITS:
@@ -343,23 +381,48 @@ def _cut(t: float, q: float, dead: int) -> tuple[int, float]:
     """The depth K to cut the chain of t at, and the bits by which the
     enclosure of the true tail, carried to level 0, lies below |G| there.
 
-    The tail G(t q^K, q) lies in [1, C(x)] for 0 < x = t q^K <= 1/4, C the
-    Catalan generating function, and in [0, 1] for x <= 0, where the level
-    map g -> 1/(1 - x g) has slope at most C(x) - 1 = x C(x)^2, or |x|: from
-    the first such level m the width shrinks by that closed form. The levels
-    above amplify it by prod |w_k| g_k^2 = |det P| / (c g + d)^2, P = [[a, b],
-    [c, d]] their composed map, measured at both ends of m's enclosure: a
-    bound where P has no pole between them, and |G| at least the smaller
-    |end| where no zero; else m goes to m_first + 1, 3, 7, ... The cut is the
-    first K where width times gain is below 2^-60 |G|, never past ``dead``.
+    The levels above K compose to P = [[a, b], [c, d]], a map of the tail g
+    to (a g + b) / (c g + d) with |det P| = |t|^K q^(K(K-1)/2).
+
+    For t < 0 the tail lies in [0, 1] at every level and P has no negative
+    entry, so P takes [0, 1] to an interval of width |G(1) - G(0)| = |det P|
+    / (d (c + d)) that holds G. A level multiplies that width by c / (c + d)
+    of the new P, free of P's scale: the cut is the first K >= 1 where it is
+    at most 2^-60 of the smaller end.
+
+    For t > 0 the tail G(t q^K, q) lies in [1, C(x)] for 0 < x = t q^K <= 1/4,
+    C the Catalan generating function, where the level map g -> 1/(1 - x g)
+    has slope at most C(x) - 1 = x C(x)^2: from the first such level m the
+    width shrinks by that closed form. The levels above amplify it by
+    prod |w_k| g_k^2 = |det P| / (c g + d)^2, measured at both ends of m's
+    enclosure: a bound where P has no pole between them, and |G| at least
+    the smaller |end| where no zero; else m goes to m_first + 1, 3, 7, ...
+    The cut is the first K where width times gain is below 2^-60 |G|.
+
+    Neither walks past ``dead``.
     """
     a, b, c, d = 1.0, 0.0, 0.0, 1.0  # P / 2^shift, P = M(x_0) ... M(x_{m-1}), M(x) = [[0, 1], [-x, 1]]
     x, shift, first = t, 0, None
+    if t < 0.0:
+        width = 1.0  # |G(1) - G(0)| = |det P| / (d (c + d)), det M(x) = x, at every level
+        for m in range(1, dead + 1):
+            a, b, c, d = -b * x, a + b, -d * x, c + d
+            top = c + d  # the largest sum: b <= d and a + b <= c + d
+            width *= c / top
+            x *= q
+            if not top < 2.0 ** 100:  # rescale as below; no entry of P falls
+                if not top < math.inf:
+                    return dead, -math.inf
+                e = math.frexp(top)[1]
+                a, b, c, d, top = (math.ldexp(v, -e) for v in (a, b, c, d, top))
+            if width <= 2.0 ** -60 and width <= 2.0 ** -60 * (low := min(b / d, (a + b) / top)):
+                return m, math.log2(low / width) if width else math.inf
+        return dead, -math.inf
     for m in range(dead + 1):
-        if first is None and (x <= 0.25 if t > 0 else x >= -1.0):
+        if first is None and x <= 0.25:
             first = m
         if first is not None and (m - first) & (m - first + 1) == 0:
-            ends = (1.0, 2.0 / (1.0 + math.sqrt(1.0 - 4.0 * x))) if t > 0 else (0.0, 1.0)
+            ends = (1.0, 2.0 / (1.0 + math.sqrt(1.0 - 4.0 * x)))
             dens = [c * g + d for g in ends]
             values = [(a * g + b) / den if den else 0.0 for g, den in zip(ends, dens)]
             if dens[0] * dens[1] > 0.0 and values[0] * values[1] > 0.0:
@@ -375,17 +438,17 @@ def _cut(t: float, q: float, dead: int) -> tuple[int, float]:
             shift += e
     else:
         return dead, -math.inf
-    log2_det = m * math.log2(abs(t)) + math.log2(q) * m * (m - 1) / 2 - 2 * shift
+    log2_det = m * math.log2(t) + math.log2(q) * m * (m - 1) / 2 - 2 * shift
     log2_floor = math.log2(min(map(abs, values))) - log2_det + 2 * math.log2(min(map(abs, dens)))
     budget = 2.0 ** min(log2_floor - 60, 0.0)
     if not budget:
         return dead, -math.inf
     depth, width = m, 1.0  # the slopes' product over levels m .. depth - 1
     while width > budget and depth < dead:
-        width *= 4.0 * x / (1.0 + math.sqrt(1.0 - 4.0 * x)) ** 2 if x > 0.0 else -x
+        width *= 4.0 * x / (1.0 + math.sqrt(1.0 - 4.0 * x)) ** 2
         x, depth = x * q, depth + 1
-    # for t > 0 the last slope, C(x_K) - 1, is the width of the tail's [1, C(x_K)]
-    return max(m, depth - (t > 0)), log2_floor - math.log2(width) if width else math.inf
+    # the last slope, C(x_K) - 1, is the width of the tail's [1, C(x_K)]
+    return max(m, depth - 1), log2_floor - math.log2(width) if width else math.inf
 
 
 def _cfrac_depth(t: float, q: float, eps: float) -> tuple[int, float]:

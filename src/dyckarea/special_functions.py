@@ -26,8 +26,9 @@ where the bare values head for underflow; callers that need only ratios
 or logarithms of Airy combinations use it and never decide that themselves.
 
 Each zero of Ai is computed once and cached by its index, so
-``airy_zeros(k)`` is a prefix of any longer call; each ``airy_zeta(j)`` sum
-is cached too, and is the one source of Z(j) for every series here.
+``airy_zeros(k)`` is a prefix of any longer call, and the tuple of each
+count is cached too; each ``airy_zeta(j)`` sum is cached as well, and is the
+one source of Z(j) for every series here.
 """
 
 from __future__ import annotations
@@ -300,12 +301,14 @@ def _airy_zero(k: int) -> float:
     return s
 
 
+@lru_cache(maxsize=None)
 def airy_zeros(count: int) -> tuple[float, ...]:
     """First ``count`` zeros of Ai on the negative axis, in decreasing order.
 
     Each zero is seeded from its asymptotic location, polished by Newton
     iteration and verified by a sign change. Zeros are cached one index at
-    a time, so ``airy_zeros(k)`` is always the first k of any longer call.
+    a time, so ``airy_zeros(k)`` is always the first k of any longer call;
+    the tuple of each count is cached too.
     """
     if count < 1:
         raise DomainError("count must be >= 1")

@@ -575,21 +575,60 @@ class TestCli:
         assert run(j_max) == run(257)
 
 
+README = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+
+
+def _readme_commands() -> list[list[str]]:
+    """The argv of every ``dyckarea`` line of the README's command-line block."""
+    block = README.split("## Command line", 1)[1].split("```")[1]
+    return [shlex.split(line.split("#")[0])[1:] for line in block.splitlines() if line.startswith("dyckarea ")]
+
+
+class TestParsePaths:
+    """``main`` hands a leading command word straight to that command's
+    parser, one argparse pass; every argv gives the bytes, files and exit
+    code of the top-level ``parse_args``, which parses twice."""
+
+    ARGVS = _readme_commands() + [
+        [], ["-h"], ["--version"], ["eval", "-h"], ["bogus"],
+        ["eval", "--t", "x", "--q", "0.5", "--method", "cfrac"],  # a bad float
+        ["eval", "--t", "0.2", "--q", "0.5"],  # no --method
+        ["eval", "--t", "0.2", "--q", "0.5", "--eps", "0.1", "--method", "cfrac"],
+        ["eval", "--t", "0.2", "--q", "0.5", "--method", "cfrac", "--bogus", "1"],
+    ]
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=lambda argv: " ".join(argv) or "no-argv")
+    def test_same_bytes_as_the_top_level_parse(self, argv, tmp_path, monkeypatch, capsys):
+        argv = [str(tmp_path / a) if a.endswith(".csv") else a for a in argv]
+        passes = []
+        parse_known_args = argparse.ArgumentParser.parse_known_args
+
+        def counted(parser, *args, **kwargs):
+            passes.append(parser.prog)
+            return parse_known_args(parser, *args, **kwargs)
+
+        def run():
+            code = cli.main(argv)
+            out, err = capsys.readouterr()
+            return code, out, err, {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+        one_pass = run()
+        assert len(passes) == 1, passes
+        monkeypatch.setattr(cli, "_parse", lambda parser, argv: parser.parse_args(argv))
+        assert run() == one_pass
+
+
 class TestReadme:
     """The README's command-line documentation and the parser stay in step."""
 
-    README = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
-
     def test_flags_are_options(self):
-        parser = cli.build_parser()
-        [subparsers] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-        options = {flag for sub in subparsers.choices.values() for flag in sub._option_string_actions}
-        flags = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", self.README))
+        options = {flag for sub in cli.build_parser().commands.values() for flag in sub._option_string_actions}
+        flags = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", README))
         assert flags and flags <= options, sorted(flags - options)
 
     def test_command_lines_parse(self):
-        block = self.README.split("## Command line", 1)[1].split("```")[1]
-        lines = [line.split("#")[0] for line in block.splitlines() if line.startswith("dyckarea ")]
-        assert len(lines) >= 9
-        for line in lines:
-            cli.build_parser().parse_args(shlex.split(line)[1:])  # exits 64 on a bad line
+        commands = _readme_commands()
+        assert len(commands) >= 9
+        for argv in commands:
+            cli.build_parser().parse_args(argv)  # exits 64 on a bad line

@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import logging
 import math
+import random
 import re
 import sys
 import time
@@ -195,12 +196,53 @@ class TestQPochhammer:
                                       (-0.9 - 0.2j, 0.99), (-7.0, 0.8)])
     def test_principal_branch(self, z, q):
         # the sum of the principal logs, not the log of the product: the
-        # factors' args add up past pi, the tail's product is logged once
+        # factors' args add up past pi, and the tail is summed as its log series
         n = max(8, math.ceil(math.log(max(abs(z), 1.0) / (1e-17 * (1.0 - q))) / -math.log(q)) + 2)
         with mpmath.workdps(30):
             expected = complex(mpmath.fsum(mpmath.log(1 - mpmath.mpc(z) * mpmath.mpf(q) ** k)
                                            for k in range(n)))
         assert log_q_pochhammer(z, q) == pytest.approx(expected, rel=1e-13)
+
+    @staticmethod
+    def _log_of_product(z, q, n, near):
+        """The log of the 200-bit product of the factors 1 - z q^k, k < n, on
+        the branch nearest ``near``. For n = None the product stops once
+        |w| = |z q^K| < 2^-40 and the rest enters as its first-order log
+        -w / (1 - q), off by under |w|^2 / (2 (1 - q^2)) < 2^-72 at q <= 0.999."""
+        with mpmath.workprec(200):
+            w, q_mp, product, k = mpmath.mpc(z), mpmath.mpf(q), mpmath.mpc(1), 0
+            while k < n if n is not None else abs(w) >= mpmath.mpf(2) ** -40:
+                product, w, k = product * (1 - w), w * q_mp, k + 1
+            log = mpmath.log(product) - (w / (1 - q_mp) if n is None else 0)
+            turns = round((near.imag - float(log.imag)) / (2 * math.pi))
+            return complex(log + 2j * mpmath.pi * turns)
+
+    # the factors logged one at a time and the geometric series of the rest,
+    # against the product: the principal branch is test_principal_branch's
+    @pytest.mark.parametrize("n", [None, 5, 50, 400])
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.9, 0.99, 0.999])
+    def test_against_a_200_bit_product(self, q, n):
+        rng = random.Random(f"{q},{n}")
+        for _ in range(3):
+            z = complex(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0))
+            value = log_q_pochhammer(z, q, n)
+            reference = self._log_of_product(z, q, n, value)
+            assert abs(value - reference) <= 4e-15 * max(1.0, abs(reference)), (z, q, n)
+
+    # outside 0 < q < 1 the series does not apply: every factor is logged
+    @pytest.mark.parametrize("q", [1.0, 1.5, -0.5])
+    @pytest.mark.parametrize("n", [0, 1, 7])
+    def test_finite_order_outside_the_unit_interval(self, q, n):
+        for z in (0.3 + 0.2j, -1.5 + 0.7j):
+            with mpmath.workdps(30):
+                expected = complex(mpmath.fsum(mpmath.log(1 - mpmath.mpc(z) * mpmath.mpf(q) ** k)
+                                               for k in range(n)))
+            assert log_q_pochhammer(z, q, n) == pytest.approx(expected, rel=1e-14, abs=1e-15)
+
+    @pytest.mark.parametrize("z", [complex(math.nan, 0.0), complex(0.5, math.inf)])
+    def test_non_finite_z_is_a_domain_error(self, z):
+        with pytest.raises(DomainError):
+            log_q_pochhammer(z, 0.5)
 
 
 class TestHSeries:
@@ -457,6 +499,39 @@ class TestAgainstOracle:
     def test_complex_ratio_at_exact_qt(self, eps, t):
         self._ratio_within_bound(t, EvalSettings(q=math.exp(-eps), tol=1e-16))
 
+    @classmethod
+    def _narrowed_within_bound(cls, t, settings):
+        # the value is within _ratio_within_bound's bound of the oracle, and
+        # the narrowed sums are those of the full-width pass at the same
+        # precision, to the rounding the reported surviving bits allow
+        try:
+            res = g_ratio(t, settings, full_output=True)
+        except PoleProximityError:
+            return
+        cls._ratio_within_bound(t, settings)
+        frac, narrowed = qseries._h_series_mp(t, settings.q, settings.tol, True, res.precision_bits, narrow=True)
+        full_frac, full = qseries._h_series_mp(t, settings.q, settings.tol, True, res.precision_bits)
+        assert frac <= full_frac
+        rounding = 2.0 ** (res.bits_lost - res.precision_bits + 4)
+        for ((re, _), *_), ((full_re, _), *_) in zip(narrowed, full):
+            assert abs((re << full_frac - frac) - full_re) <= rounding * abs(full_re)
+
+    # a seeded draw over the benchmark's ratio domain, eps log-uniform in
+    # [1e-3, 1e-1] and t in (0.05, 0.25): its passes below the envelope are
+    # narrowed past the peak of their terms
+    @pytest.mark.parametrize("seed", range(12))
+    def test_narrowed_integers(self, seed):
+        rng = random.Random(seed)
+        eps, t = math.exp(rng.uniform(math.log(1e-3), math.log(0.1))), rng.uniform(0.05, 0.25)
+        self._narrowed_within_bound(t, EvalSettings(q=math.exp(-eps), tol=1e-16))
+
+    # the golden grid's points at and beside the first zero of H
+    @pytest.mark.parametrize("f", [1.0, 1 - 1e-7, 1 + 1e-7, "(1 - 1e-7) / q"])
+    @pytest.mark.parametrize("q", [0.5, 0.99])
+    def test_narrowed_integers_next_to_zeros(self, q, f):
+        f = (1 - 1e-7) / q if isinstance(f, str) else f
+        self._narrowed_within_bound(t_infinity(q) * f, EvalSettings(q=q, tol=1e-16))
+
 
 class TestGCfrac:
     def test_at_origin(self):
@@ -540,8 +615,12 @@ class TestGCfrac:
 # regroups, by 2.4e-14 relative at most (eps 1e-3, t = 20, past the pole
 # line), each still within its TestCfracOracle bound; and again when the
 # grid evaluator went: its lines were dropped and the kernel's one line per
-# (q, depth) now lists every t, with no value moved
-CFRAC_VALUES_DIGEST = "cca24cd8f058cdd8a0c81964c467c0970dc1a6936b09c32c2ca4187c89324e83"
+# (q, depth) now lists every t, with no value moved; and again when t < 0
+# came to be cut at the first level whose enclosure, |det P| / (d (c + d)),
+# is within 2^-60 of G (190 levels where 14 979 were walked): g_cfrac at
+# eps 2e-4, t = -20 moved by 2 ulps, from 2.6e-16 to 1.3e-17 relative off
+# the 200-bit oracle, now the correctly rounded double
+CFRAC_VALUES_DIGEST = "de5ecdc473e6a4570081220fdb6659c96ba0500848f66bb1cb36ddc291d5c5b0"
 
 
 class TestCfracGoldenDigest:
@@ -632,6 +711,8 @@ class TestCfracOracle:
     # to G, past the pole line too, wherever g_cfrac raises no pole error
     @hypothesis.settings(max_examples=30)
     @hypothesis.given(t=st.floats(-20.0, 20.0), log_eps=st.floats(math.log(1e-4), math.log(3.0)))
+    @hypothesis.example(t=-3.7, log_eps=math.log(6.4e-4))
+    @hypothesis.example(t=-10.8, log_eps=math.log(9e-3))
     def test_cut_closes_the_enclosure(self, t, log_eps):
         q = math.exp(-math.exp(log_eps))
         try:
@@ -643,6 +724,18 @@ class TestCfracOracle:
             x, p = next(itertools.islice(_level_maps(t, q), depth - 1, None))
             lo, hi = _enclosure(t, x, p)
             assert abs(hi - lo) < mpmath.mpf(2) ** -60 * abs(lo), (t, q, depth)
+
+    # for t < 0 the cut is the first level whose 200-bit enclosure is within
+    # 2^-60 of G, or the one after (the walk measures the width in doubles)
+    @pytest.mark.parametrize("t, eps", [(-3.7, 6.4e-4), (-10.8, 9e-3), (-20.0, 1e-4), (-1e3, 1e-3)])
+    def test_negative_t_cut_at_the_first_closed_enclosure(self, t, eps):
+        q = math.exp(-eps)
+        depth = qseries._cfrac_depth(t, q, eps)[0]
+        with mpmath.workprec(200):
+            widths = [abs(hi - lo) / abs(lo) for lo, hi in (
+                _enclosure(t, x, p) for x, p in itertools.islice(_level_maps(t, q), depth))]
+        first = next(k for k, w in enumerate(widths, 1) if w < mpmath.mpf(2) ** -60)
+        assert first <= depth <= first + 1, (first, depth)
 
     # g_cfrac raises, and a g_vs_t scan writes NaN in that row (a scaling_fn
     # scan stops at |s| <= 1e4, far below these t)
