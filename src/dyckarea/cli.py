@@ -95,7 +95,7 @@ def _cmd_eval(args) -> int:
         print(f"{value!r}")
         print(f"# {provenance}")
         return EXIT_OK
-    settings = EvalSettings(q=q, tol=args.tol)
+    settings = EvalSettings(q=q)
     if method == "ratio":
         res = g_ratio(t, settings, full_output=True)
         value = res.value
@@ -249,14 +249,13 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"dyckarea {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("eval", help="evaluate G(t, q) by one method")
+    p = sub.add_parser("eval", help="evaluate G(t, q) by one method; the ratio route's series "
+                                    "stop where their dropped tails are certified below 2^-54")
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--q", type=float)
     p.add_argument("--eps", type=float)
     p.add_argument("--method", choices=["series", "ratio", "cfrac", "uniform", "scaling"],
                    required=True)
-    p.add_argument("--tol", type=float, default=1e-12,
-                   help="ratio: the stop tolerance of the series")
     p.add_argument("--n-max", dest="n_max", type=int, default=60)
     p.set_defaults(func=_cmd_eval)
 

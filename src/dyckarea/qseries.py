@@ -8,10 +8,12 @@ through three routes that must agree wherever they overlap:
   G = H(qt)/H(t), with H(qt) = sum_n T_n q^n summed in the same pass at the
   exact qt. The series cancels catastrophically as q -> 1, so every sum of H
   runs in binary fixed point on Python integers, keeping 53 + 96 bits by one
-  rule, ``_sum_h``, and each value is rounded to a double once. Past the
-  peak of its terms a pass below the envelope drops the bits that budget no
-  longer needs; a pass at the envelope, which is never rerun, keeps them.
-  It is the preferred route for eps = -ln q >= ~1e-3.
+  rule, ``_sum_h``, and each value is rounded to a double once. Each sum
+  stops at the first term where a geometric majorant certifies its dropped
+  tail below 2^-54 of the sum; no tolerance is read. Past the peak of its
+  terms a pass below the envelope drops the bits that budget no longer
+  needs; a pass at the envelope, which is never rerun, keeps them. It is
+  the preferred route for eps = -ln q >= ~1e-3.
 * ``g_cfrac`` evaluates the classical continued fraction
   1/(1 - t/(1 - tq/(1 - tq^2/...))) bottom-up with tail value 1, once, cut
   at the depth where the true tail's enclosure, carried to level 0, is below
@@ -73,21 +75,18 @@ _MAX_TERMS = 200_000  # the alternating series gives up after this many terms
 
 @dataclass(frozen=True)
 class EvalSettings:
-    """The nome q and the numerical policy shared by the q-series routines.
+    """The nome q shared by the q-series routines.
 
-    ``epsilon`` is always recomputed from q, never stored. ``tol`` stops every
-    sum of H (``g_cfrac`` does not read it), and ``_sum_h`` picks its
-    precision; the envelope of ``bits_for`` only caps it.
+    ``epsilon`` is always recomputed from q, never stored. Every sum of H
+    stops on its certified tail bound (``_h_series_mp``), and ``_sum_h``
+    picks its precision; the envelope of ``bits_for`` only caps it.
     """
 
     q: float
-    tol: float = 1e-12
 
     def __post_init__(self):
         if not (0.0 < self.q < 1.0):
             raise DomainError(f"q must lie in (0, 1), got {self.q!r}")
-        if not (0.0 < self.tol < math.inf):
-            raise DomainError(f"tol must be finite and positive, got {self.tol!r}")
 
     @property
     def epsilon(self) -> float:
@@ -95,7 +94,8 @@ class EvalSettings:
 
     def bits_for(self, t: float | complex) -> int:
         """The cap on the working mantissa width of a sum of H at t: the
-        envelope 3 (ln^2|t| / 2 + pi^2/6) / (eps ln 2) of its cancellation."""
+        envelope 3 (ln^2|t| / 2 + pi^2/6) / (eps ln 2) of its cancellation.
+        ``_sum_h`` caps a pass over H(t) and H(qt) at the larger of the two."""
         at = abs(t)
         if at < 1e-12:
             return 53
@@ -156,7 +156,11 @@ def _log_euler_function(eps: float) -> float:
 
 @dataclass(frozen=True)
 class HSeriesResult:
-    """Value of the alternating series, its diagnostics and the precision used."""
+    """Value of the alternating series, its diagnostics and the precision used.
+
+    ``last_term`` is the last |term| summed, which bounds the dropped tail
+    (``_h_series_mp``): at most 2^-54 of the sum, or one fixed-point unit.
+    """
 
     value: float | complex
     terms_used: int
@@ -165,7 +169,7 @@ class HSeriesResult:
     precision_bits: int
 
 
-def _h_series_mp(t, q: float, tol: float, scaled: bool, bits: int, narrow: bool = False):
+def _h_series_mp(t, q: float, scaled: bool, bits: int, narrow: bool = False):
     """H(t) = sum_n T_n, T_n = q^(n^2-n) (-t)^n / (q;q)_n, in binary fixed
     point; with ``scaled`` also H(qt) = sum_n T_n q^n, in the same pass.
 
@@ -177,9 +181,20 @@ def _h_series_mp(t, q: float, tol: float, scaled: bool, bits: int, narrow: bool 
     H(qt) = H(t) + t H(q^2 t) term by term. t and q enter exactly as
     num / 2^k, so qt is exact, and q^n, q^(2n-2) as mantissas over powers of
     two cut to F bits, so short early terms cost linear time even at a large
-    F. Stops after every |term| stays below tol * max(|its partial sum|, 2^-F)
-    for three consecutive terms (compared exactly, on squares for complex t),
-    and gives up after ``_MAX_TERMS`` terms.
+    F.
+
+    The stop is a certified tail bound. |T_(k+1) / T_k| = r_k = |t| q^(2k) /
+    (1 - q^(k+1)) strictly decreases in k, so once r_(n-1) <= 1/2 every
+    later ratio is below 1/2 and the terms after T_n sum to less than |T_n|;
+    the terms T_k q^k of H(qt) have the ratios r_k q, so the same holds for
+    them. The pass stops at the first n where r_(n-1) <= 1/2 and, in each
+    series summed, |T_n| <= 2^-54 |partial sum| or each part of T_n is
+    within one unit of 0 (a sum at a zero of H is 0): the dropped tail of
+    the exact terms is then below 2^-54 of the sum, or below one unit. The
+    floor errors of the integers are not in that bound. r_(n-1) is compared
+    in doubles from running products of q^n and q^(2n-2); the ratios the
+    bound uses, r_n and later, lie below q^2 r_(n-1), far inside their
+    rounding. ``_MAX_TERMS`` terms without a stop raise NonConvergenceError.
 
     With ``narrow``, once a term falls below half the largest |term| so far
     (past the peak, as ln|T_n| is concave in n), the term, both sums and
@@ -190,7 +205,8 @@ def _h_series_mp(t, q: float, tol: float, scaled: bool, bits: int, narrow: bool 
     so the sums keep the bits ``_sum_h`` asks for and shorter integers.
 
     Returns the fraction bits (F less the shift) and, per series, the sum as
-    (re, im), terms_used, max |term| and last |term| (at least 1).
+    (re, im), terms_used, max |term| and last |term| (at least 1), which
+    bounds the dropped tail.
     """
     def dyadic(x: float) -> tuple[int, int]:
         num, den = float(x).as_integer_ratio()
@@ -202,17 +218,19 @@ def _h_series_mp(t, q: float, tol: float, scaled: bool, bits: int, narrow: bool 
     a, b = a << t_shift - a_shift, b << t_shift - b_shift
     q_num, q_shift = dyadic(q)
     q2_num = q_num * q_num
-    tol_num, tol_shift = dyadic(tol)
-    if cplx:  # compare squares
-        tol_num, tol_shift = tol_num * tol_num, 2 * tol_shift
+    # the stop compares |term| and |sum| squared for complex t, each part of a term within one unit of 0
+    stop_shift, unit = 54 << cplx, 1 << cplx
+    abs_t, q2, qn_f, q2n_f, settled = abs(t), q * q, q, 1.0, False  # q^n, q^(2n-2) while r_(n-1) > 1/2
     keep, narrowed = frac, False  # bits q^n and q^(2n-2) are cut to; past the peak
     q_n, q_n_exp = 1, 0    # q^n = q_n / 2^q_n_exp, at most keep bits
     q_2n, q_2n_exp = 1, 0  # q^(2n-2), likewise
     re, im = 1 << frac, 0  # T_n
     sum_re, sum_im = s_sum_re, s_sum_im = re, im  # sums of T_n and of T_n q^n
     peak = s_peak = s_mag = re * re if cplx else re  # |term|, squared for complex t
-    small_streak = 0
     for n in range(1, _MAX_TERMS + 1):
+        if not settled:
+            settled = abs_t * q2n_f <= 0.5 * (1.0 - qn_f)
+            qn_f, q2n_f = qn_f * q, q2n_f * q2
         q_n, q_n_exp = q_n * q_num, q_n_exp + q_shift
         if (cut := q_n.bit_length() - keep) > 0:
             q_n, q_n_exp = q_n >> cut, q_n_exp - cut
@@ -229,22 +247,18 @@ def _h_series_mp(t, q: float, tol: float, scaled: bool, bits: int, narrow: bool 
             re = (p_re << num_shift) // den
         sum_re, sum_im = sum_re + re, sum_im + im
         mag = re * re + im * im if cplx else abs(re)
-        small = mag << tol_shift < tol_num * ((sum_re * sum_re + sum_im * sum_im if cplx else abs(sum_re)) or 1)
         if scaled:  # T_n q^n = T_n - T_(n-1) (-t) q^(2n-2), the numerator floored
             down = t_shift + q_2n_exp
             s_re, s_im = re - (p_re >> down), im - (p_im >> down) if cplx else 0
             s_sum_re, s_sum_im = s_sum_re + s_re, s_sum_im + s_im
             s_mag = s_re * s_re + s_im * s_im if cplx else abs(s_re)
-            small = small and s_mag << tol_shift < tol_num * (
-                (s_sum_re * s_sum_re + s_sum_im * s_sum_im if cplx else abs(s_sum_re)) or 1)
             if s_mag > s_peak:
                 s_peak = s_mag
-        if small:
-            small_streak += 1
-            if small_streak >= 3:
-                break
-        else:
-            small_streak = 0
+        if settled and (mag <= unit or mag << stop_shift <= (
+                sum_re * sum_re + sum_im * sum_im if cplx else abs(sum_re))) and (
+                not scaled or s_mag <= unit or s_mag << stop_shift <= (
+                    s_sum_re * s_sum_re + s_sum_im * s_sum_im if cplx else abs(s_sum_re))):
+            break
         if mag > peak:
             peak = mag
         elif narrow and mag << 1 + cplx < peak:  # past the peak, once
@@ -278,31 +292,33 @@ def _bits_lost(peak: int, total: tuple[int, int]) -> float:
     return max(math.log2(peak) - 0.5 * math.log2(norm2), 0.0)
 
 
-def _predicted_bits(xs, q: float) -> int:
-    """Bits for H at every x in xs: log2(max term / |H|) + 8 slack + 53 + guard bits,
-    with |H(x)| ~ (q; q)_inf exp(Re f(z1, x)/eps) at the dominant saddle
-    z1 = (1 + sqrt(1 - 4x))/2 (real x in (0, 1/2), eps <= 0.2). ln|term_n|
+def _predicted_bits(t: float, q: float) -> int:
+    """Bits for H at t: log2(max term / |H|) + 8 slack + 53 + guard bits,
+    with |H(t)| ~ (q; q)_inf exp(Re f(z1, t)/eps) at the dominant saddle
+    z1 = (1 + sqrt(1 - 4t))/2 (real t in (0, 1/2), eps <= 0.2). ln|term_n|
     is concave in n, so the max-term scan stops at its first decrease.
+
+    The estimate at t also sizes H(qt): below the pole line G >= 1, so
+    |H(qt)| >= |H(t)|, and its terms T_n q^n are no larger than T_n.
     """
-    eps, loss = -math.log(q), 0.0
-    for x in xs:
-        peak, n, qn, log_x = 0.0, 0, q, math.log(x)
-        while (step := log_x - 2.0 * n * eps - math.log1p(-qn)) > 0.0:
-            peak, n, qn = peak + step, n + 1, qn * q
-        z1 = 0.5 + 0.5 * cmath.sqrt(1.0 - 4.0 * x)
-        log_h = _log_euler_function(eps) + phase_f(z1, x).real / eps
-        loss = max(loss, (peak - log_h) / math.log(2.0))
-    return math.ceil(loss) + 8 + 53 + _GUARD_BITS
+    eps, peak, n, qn, log_t = -math.log(q), 0.0, 0, q, math.log(t)
+    while (step := log_t - 2.0 * n * eps - math.log1p(-qn)) > 0.0:
+        peak, n, qn = peak + step, n + 1, qn * q
+    z1 = 0.5 + 0.5 * cmath.sqrt(1.0 - 4.0 * t)
+    log_h = _log_euler_function(eps) + phase_f(z1, t).real / eps
+    return math.ceil(max(peak - log_h, 0.0) / math.log(2.0)) + 8 + 53 + _GUARD_BITS
 
 
 def _sum_h(t, settings: EvalSettings, scaled: bool = False):
     """H(t), and H(qt) from the same pass if ``scaled``: predict, check, rerun.
 
     The one precision rule for every sum of H, with one target: 53 + 96 bits
-    kept after cancellation. Start at ``_predicted_bits`` where the saddle
-    estimate holds (real t in (0, 1/2), eps <= 0.2), else at 53 + 96 bits.
-    If a series keeps fewer, rerun at max(2 bits, measured loss + 8 + 53 +
-    96). The envelope, the larger ``bits_for`` of t and qt, caps every pass.
+    kept after cancellation. Start at ``_predicted_bits`` of t where the
+    saddle estimate holds (real t in (0, 1/2), eps <= 0.2), else at 53 + 96
+    bits; the estimate at t also covers H(qt) below the pole line. If a
+    series keeps fewer (past the pole line H(qt) may), rerun at max(2 bits,
+    measured loss + 8 + 53 + 96): the loss is measured on every series
+    summed. The envelope, the larger ``bits_for`` of t and qt, caps every pass.
     A pass below the envelope is narrowed past the peak of its terms
     (``_h_series_mp``): a loss predicted too low shows in the measured loss
     and reruns the pass as before. A pass at the envelope is returned
@@ -311,13 +327,13 @@ def _sum_h(t, settings: EvalSettings, scaled: bool = False):
     """
     if not cmath.isfinite(t):
         raise DomainError(f"the series needs a finite t, got {t!r}")
-    xs = (t, settings.q * t) if scaled else (t,)  # qt rounded to a double only sizes the precision
+    xs = (t, settings.q * t) if scaled else (t,)  # qt rounded to a double only sizes the envelope
     envelope = max(settings.bits_for(x) for x in xs)
     bits = min(envelope, 53 + _GUARD_BITS)
     if bits < envelope and settings.epsilon <= 0.2 and not isinstance(t, complex) and 0.0 < t < 0.5:
-        bits = min(envelope, _predicted_bits(xs, settings.q))
+        bits = min(envelope, _predicted_bits(t, settings.q))
     while True:
-        frac, sums = _h_series_mp(t, settings.q, settings.tol, scaled, bits, narrow=bits < envelope)
+        frac, sums = _h_series_mp(t, settings.q, scaled, bits, narrow=bits < envelope)
         lost = max(_bits_lost(peak, total) for total, _, peak, _ in sums)
         _log.debug("H at %r: %d of %d bits, lost %.1f", t, bits, envelope, lost)
         if bits == envelope or bits - lost >= 53 + _GUARD_BITS:
@@ -331,7 +347,8 @@ def h_series(t: float | complex, settings: EvalSettings, full_output: bool = Fal
 
     The terms grow far beyond the sum before they decay, so ``_sum_h`` keeps
     53 + 96 bits after cancellation; the result and the bits lost are
-    reported, the sum rounded to a double once. An exact zero at the working
+    reported, the sum rounded to a double once. The sum stops where its
+    dropped tail is certified below 2^-54 of it (``_h_series_mp``). An exact zero at the working
     precision raises a pole error, and a sum outside the normal double range
     (|H| < 2.2e-308 once eps falls below about 5e-4 near t = 1/4) a domain error.
     """
@@ -351,7 +368,8 @@ def h_series(t: float | complex, settings: EvalSettings, full_output: bool = Fal
 def g_ratio(t: float | complex, settings: EvalSettings, full_output: bool = False):
     """G(t, q) as the ratio H(qt)/H(t), summed in one pass at the exact qt.
 
-    ``_sum_h`` keeps 53 + 96 bits in both series. With ``full_output``,
+    ``_sum_h`` keeps 53 + 96 bits in both series, and each stops where its
+    dropped tail is certified below 2^-54 of it. With ``full_output``,
     ``terms_used`` counts the terms of both, and ``bits_lost`` and
     ``last_term`` are the larger of the two. If H(t) has lost essentially all
     significant bits the point is next to a zero of H (at or beyond the pole
@@ -547,8 +565,7 @@ def g_cfrac(t: float, settings: EvalSettings, full_output: bool = False):
     enclosure, carried to level 0, is below 2^-60 of |G| (``_cut``): the cut
     moves the value by less than an ulp, and the roundoff of the levels kept
     is not in that bound. ``full_output`` adds the depth, the number of
-    levels evaluated. ``settings.tol`` is not read: t and eps alone pick the
-    kernel, the scalar loop or, for deep chains, the pairwise product. Valid
+    levels evaluated. t and eps alone pick the kernel, the scalar loop or, for deep chains, the pairwise product. Valid
     (and stable) beyond the pole line, where the series representations
     fail; a vanishing denominator or a value that is not finite is a pole
     error.
@@ -585,11 +602,13 @@ def t_infinity(q: float, tol: float = 1e-12) -> float:
 
     The chain's denominators are H(t q^k)/H(t q^(k+1)), so t lies past the
     zero when one of them, cut as ``g_cfrac`` cuts, is negative or vanishes.
-    [1/4, 1] is halved to a relative width of tol. A chain at t = 1, about
-    ln 4/eps levels, longer than ``_SCALAR_DEPTH_LIMIT`` is a resource error.
+    [1/4, 1] is halved to a relative width of tol, finite and positive. A
+    chain at t = 1, about ln 4/eps levels, longer than ``_SCALAR_DEPTH_LIMIT``
+    is a resource error.
     """
-    settings = EvalSettings(q=q, tol=tol)
-    eps = settings.epsilon
+    eps = EvalSettings(q=q).epsilon
+    if not (0.0 < tol < math.inf):
+        raise DomainError(f"tol must be finite and positive, got {tol!r}")
     if (levels := math.log(4.0) / eps) > _SCALAR_DEPTH_LIMIT:
         raise ResourceLimitError(f"the chain at t = 1 is {math.ceil(levels)} levels long, over {_SCALAR_DEPTH_LIMIT}")
 
@@ -602,7 +621,7 @@ def t_infinity(q: float, tol: float = 1e-12) -> float:
     lo, hi = 0.25, 1.0
     if not past(hi):
         raise SearchFailureError(f"no sign change of H(t) found in [1/4, 1] for q = {q!r}")
-    while lo < (mid := 0.5 * (lo + hi)) < hi and hi - lo > settings.tol * mid:
+    while lo < (mid := 0.5 * (lo + hi)) < hi and hi - lo > tol * mid:
         lo, hi = (lo, mid) if past(mid) else (mid, hi)
     return 0.5 * (lo + hi)
 

@@ -470,7 +470,7 @@ class TestCli:
         assert ok.returncode == 0
         assert float(ok.stdout.splitlines()[0]) == pytest.approx(1.2879385149528385, abs=1e-10)
         assert run("nonsense").returncode == 64
-        bad = run("eval", "--t", "0.2", "--q", "0.5", "--method", "cfrac", "--tol", "nan")
+        bad = run("eval", "--t", "0.2", "--q", "1.5", "--method", "cfrac")
         assert bad.returncode == 2
         assert "Traceback" not in bad.stderr
 
@@ -484,12 +484,14 @@ class TestCli:
         assert res.stdout.startswith("dyckarea ")
 
     def test_repeated_calls_share_no_state(self, run_cli):
-        # one parser serves every call; nothing parsed in one call reaches the next
+        # one parser serves every call; nothing parsed in one call reaches the
+        # next: two ratio calls at different t each print what a fresh process prints
         assert cli.build_parser() is cli.build_parser()
-        loose = run_cli("eval", "--t", "0.2", "--q", "0.5", "--method", "ratio", "--tol", "1e-6")
-        assert "terms=14 " in loose.stdout
-        default = run_cli("eval", "--t", "0.2", "--q", "0.5", "--method", "ratio")
-        assert "terms=16 " in default.stdout
+        calls = [("eval", "--t", t, "--q", "0.5", "--method", "ratio") for t in ("0.2", "0.1")]
+        outputs = [run_cli(*argv).stdout for argv in calls]
+        fresh = [subprocess.run([sys.executable, "-m", "dyckarea.cli", *argv], capture_output=True, text=True).stdout
+                 for argv in calls]
+        assert outputs == fresh and outputs[0] != outputs[1]
         assert run_cli("eval", "--t", "0.2", "--method", "cfrac").returncode == 64
         assert run_cli("eval", "--t", "0.2", "--q", "0.5", "--method", "cfrac").returncode == 0
         assert run_cli("nonsense").returncode == 64
@@ -509,11 +511,9 @@ class TestCli:
         assert f"domain error: {name} must be finite" in res.stderr
 
     @pytest.mark.parametrize("argv, code", [
-        ("eval --t 0.2 --q 0.5 --method ratio --tol 0", 2),
-        ("eval --t 0.2 --q 0.5 --method ratio --tol nan", 2),
-        ("eval --t 0.2 --q 0.5 --method cfrac --tol 0", 2),
-        ("eval --t 0.2 --q 0.5 --method cfrac --tol nan", 2),
-        ("eval --t 0.2 --q 0.5 --method cfrac --tol 1e-323", 0),
+        # eval takes no --tol: every sum of H stops on its certified tail bound
+        ("eval --t 0.2 --q 0.5 --method ratio --tol 1e-6", 64),
+        ("eval --t 0.2 --q 0.5 --method cfrac --tol 1e-6", 64),
         ("scan --kind phase_boundary --q-min 0.5 --q-max 0.6 --steps 2 --tol 0 --out /dev/null", 2),
         ("scan --kind phase_boundary --q-min 0.5 --q-max 0.6 --steps 2 --tol nan --out /dev/null", 2),
         ("eval --t nan --q 0.5 --method ratio", 2),

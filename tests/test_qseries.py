@@ -3,6 +3,7 @@ pole boundary, remainder certification and contour quadrature."""
 
 import cmath
 import hashlib
+import inspect
 import itertools
 import logging
 import math
@@ -87,8 +88,7 @@ class TestGoldenDigest:
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == SERIES_GOLDEN_DIGEST
 
     def test_oracle_accuracy(self):
-        # every value on the golden grid is within the stop rule's truncation
-        # (tol per series) plus the rounding its reported surviving bits allow
+        # every value on the golden grid is within _oracle_bound
         for eps, t in self._roots_and_grid()[1]:
             q = math.exp(-eps)
             s = EvalSettings(q=q)
@@ -98,8 +98,15 @@ class TestGoldenDigest:
                     res = fn(t, s, full_output=True)
                 except PoleProximityError:
                     continue
-                bound = series * s.tol + 2.0 ** (res.bits_lost - res.precision_bits + 4)
+                bound = _oracle_bound(series, res)
                 assert abs(res.value - reference) <= bound * abs(reference), (fn.__name__, eps, t)
+
+
+def _oracle_bound(series: int, res) -> float:
+    """The relative error a result of ``series`` sums of H may carry: each
+    sum's certified tail, 2^-54, the final rounding to a double, 2^-53, and
+    the floor errors its reported surviving bits allow."""
+    return series * 2.0**-54 + 2.0**-53 + 2.0 ** (res.bits_lost - res.precision_bits + 4)
 
 
 def _exact_qt(q, t):
@@ -143,9 +150,6 @@ class TestEvalSettings:
     def test_validation(self):
         with pytest.raises(DomainError):
             EvalSettings(q=1.0)
-        for tol in (0.0, -1e-12, math.nan, math.inf):
-            with pytest.raises(DomainError):
-                EvalSettings(q=0.5, tol=tol)
         with pytest.raises(TypeError):  # _sum_h alone picks the precision
             EvalSettings(q=0.5, precision_bits=200)
 
@@ -318,7 +322,7 @@ def _envelope_reference(fn, t, settings: EvalSettings):
     precision rule, and rounded as they round: one int true division per part."""
     scaled = fn is g_ratio
     bits = _envelope_bits(t, settings) if scaled else settings.bits_for(t)
-    frac, sums = qseries._h_series_mp(t, settings.q, settings.tol, scaled, bits)
+    frac, sums = qseries._h_series_mp(t, settings.q, scaled, bits)
     (d_re, d_im), cplx = sums[0][0], isinstance(t, complex)
     if not scaled:
         unit = 1 << frac
@@ -387,7 +391,7 @@ class TestRatioPrecision:
         assert passes[0] == 149 and all(b >= 2 * a for a, b in zip(passes, passes[1:]))  # each rerun doubles
         assert passes[-1] == res.precision_bits <= most_bits
         assert res.value == _envelope_reference(g_ratio, t, settings)
-        TestAgainstOracle._ratio_within_bound(t, EvalSettings(q=settings.q, tol=1e-16))
+        TestAgainstOracle._ratio_within_bound(t, settings)
 
 
 class TestBitsLost:
@@ -448,9 +452,8 @@ class TestNextToZeros:
 
 class TestAgainstOracle:
     """h_series and g_ratio match a direct high-precision sum wherever
-    53 + 96 bits survive the cancellation. tol = 1e-15 keeps the stop rule's
-    truncation (up to tol/(1 - term ratio) relative, 2e-13 at t = -1/4 and
-    eps = 1.5e-3 with the default tol) out of the comparison."""
+    53 + 96 bits survive the cancellation; the stop rule's truncation is
+    certified below 2^-54 of each sum."""
 
     @hypothesis.settings(max_examples=30)
     @hypothesis.given(
@@ -462,7 +465,7 @@ class TestAgainstOracle:
     )
     def test_matches_oracle(self, eps, t):
         q = math.exp(-eps)
-        settings = EvalSettings(q=q, tol=1e-15)
+        settings = EvalSettings(q=q)
         h, hq = _oracle_h(t, q), _oracle_h(_exact_qt(q, t), q)
         try:
             res = h_series(t, settings, full_output=True)
@@ -477,19 +480,16 @@ class TestAgainstOracle:
 
     @staticmethod
     def _ratio_within_bound(t, settings):
-        # the stop rule's truncation (tol per series) plus the rounding its
-        # reported surviving bits allow
         q = settings.q
         reference = _oracle_h(_exact_qt(q, t), q) / _oracle_h(t, q)
         res = g_ratio(t, settings, full_output=True)
-        bound = 2 * settings.tol + 2.0 ** (res.bits_lost - res.precision_bits + 4)
-        assert abs(res.value - reference) <= bound * abs(reference)
+        assert abs(res.value - reference) <= _oracle_bound(2, res) * abs(reference)
 
     @pytest.mark.parametrize("eps, t", [(1.038e-3, 0.148), (1e-3, 0.1), (3e-3, 0.26)])
     def test_ratio_at_exact_qt(self, eps, t):
         # H(qt) at the double nearest qt is off by qt H'(qt)/H(qt) 2^-53
         # relative: 1.8e-14, 6.7e-15 and 1.1e-14 of G at these points
-        self._ratio_within_bound(t, EvalSettings(q=math.exp(-eps), tol=1e-16))
+        self._ratio_within_bound(t, EvalSettings(q=math.exp(-eps)))
 
     @hypothesis.settings(max_examples=12)
     @hypothesis.given(
@@ -497,7 +497,7 @@ class TestAgainstOracle:
         t=st.complex_numbers(min_magnitude=0.02, max_magnitude=0.3, allow_nan=False, allow_infinity=False),
     )
     def test_complex_ratio_at_exact_qt(self, eps, t):
-        self._ratio_within_bound(t, EvalSettings(q=math.exp(-eps), tol=1e-16))
+        self._ratio_within_bound(t, EvalSettings(q=math.exp(-eps)))
 
     @classmethod
     def _narrowed_within_bound(cls, t, settings):
@@ -509,8 +509,8 @@ class TestAgainstOracle:
         except PoleProximityError:
             return
         cls._ratio_within_bound(t, settings)
-        frac, narrowed = qseries._h_series_mp(t, settings.q, settings.tol, True, res.precision_bits, narrow=True)
-        full_frac, full = qseries._h_series_mp(t, settings.q, settings.tol, True, res.precision_bits)
+        frac, narrowed = qseries._h_series_mp(t, settings.q, True, res.precision_bits, narrow=True)
+        full_frac, full = qseries._h_series_mp(t, settings.q, True, res.precision_bits)
         assert frac <= full_frac
         rounding = 2.0 ** (res.bits_lost - res.precision_bits + 4)
         for ((re, _), *_), ((full_re, _), *_) in zip(narrowed, full):
@@ -523,14 +523,62 @@ class TestAgainstOracle:
     def test_narrowed_integers(self, seed):
         rng = random.Random(seed)
         eps, t = math.exp(rng.uniform(math.log(1e-3), math.log(0.1))), rng.uniform(0.05, 0.25)
-        self._narrowed_within_bound(t, EvalSettings(q=math.exp(-eps), tol=1e-16))
+        self._narrowed_within_bound(t, EvalSettings(q=math.exp(-eps)))
 
     # the golden grid's points at and beside the first zero of H
     @pytest.mark.parametrize("f", [1.0, 1 - 1e-7, 1 + 1e-7, "(1 - 1e-7) / q"])
     @pytest.mark.parametrize("q", [0.5, 0.99])
     def test_narrowed_integers_next_to_zeros(self, q, f):
         f = (1 - 1e-7) / q if isinstance(f, str) else f
-        self._narrowed_within_bound(t_infinity(q) * f, EvalSettings(q=q, tol=1e-16))
+        self._narrowed_within_bound(t_infinity(q) * f, EvalSettings(q=q))
+
+
+def _oracle_tail(t, q, n, scaled, prec=200):
+    """The sum of the terms of H(t) past T_n, or with ``scaled`` of the terms
+    T_k q^k of H(qt), in mpmath. From the first k > n where |T_(k+1) / T_k|
+    = |t| q^(2k) / (1 - q^(k+1)) <= 1/2 the rest of the tail is at most
+    |T_k|, so the sum stops there at a term below 2^-80 of the tail."""
+    with mpmath.workprec(prec):
+        q_mp, neg_t = mpmath.mpf(q), -mpmath.mpmathify(t)
+        term, tail, q_k, k = mpmath.mpf(1), mpmath.mpf(0), mpmath.mpf(1), 0
+        while True:  # term = T_k q^(k scaled)
+            k += 1
+            term *= neg_t * q_k * q_k * (q_mp if scaled else 1) / (1 - q_k * q_mp)
+            q_k *= q_mp
+            if k > n:
+                tail += term
+                if abs(t) * q_k * q_k <= (1 - q_k * q_mp) / 2 and abs(term) <= abs(tail) * mpmath.mpf(2) ** -80:
+                    return tail
+
+
+class TestStopRule:
+    """Every sum of H stops where the geometric majorant certifies that the
+    terms it drops add up to at most 2^-54 of it, and the saddle estimate at
+    t sizes H(qt) too."""
+
+    # a seeded draw of real and complex t, |t| <= 1/2, eps log-uniform in [1e-3, 1]
+    @pytest.mark.parametrize("seed", range(16))
+    def test_dropped_tail_below_bound(self, seed):
+        rng = random.Random(seed)
+        q = math.exp(-math.exp(rng.uniform(math.log(1e-3), 0.0)))
+        t = rng.uniform(-0.5, 0.5) if seed % 2 else cmath.rect(rng.uniform(0.0, 0.5), rng.uniform(-math.pi, math.pi))
+        settings, h = EvalSettings(q=q), _oracle_h(t, q)
+        n = h_series(t, settings, full_output=True).terms_used
+        assert abs(_oracle_tail(t, q, n, False)) <= 2.0**-54 * abs(h)
+        n = g_ratio(t, settings, full_output=True).terms_used // 2  # both series
+        for reference, scaled in ((h, False), (_oracle_h(_exact_qt(q, t), q), True)):
+            assert abs(_oracle_tail(t, q, n, scaled)) <= 2.0**-54 * abs(reference), scaled
+
+    # a seeded grid of real t below the pole line: H(qt) loses no more bits
+    # than H(t) in one scaled pass, so the estimate at t sizes both
+    @pytest.mark.parametrize("eps", [1e-3, 4e-3, 0.02, 0.2])
+    def test_scaled_series_loses_no_more_bits(self, eps):
+        q, rng = math.exp(-eps), random.Random(eps)
+        for t in sorted(rng.uniform(0.0, t_infinity(q)) for _ in range(4)):
+            bits = qseries._predicted_bits(t, q)
+            _, [(h, _, h_peak, _), (hq, _, hq_peak, _)] = qseries._h_series_mp(t, q, True, bits)
+            lost, lost_q = qseries._bits_lost(h_peak, h), qseries._bits_lost(hq_peak, hq)
+            assert bits - lost >= 149 and lost_q <= lost, (t, lost, lost_q)
 
 
 class TestGCfrac:
@@ -548,19 +596,6 @@ class TestGCfrac:
             x = [mpmath.mpf(0.2) * mpmath.mpf(0.5) ** k for k in range(depth + 1)]
             slopes = [(1 - mpmath.sqrt(1 - 4 * w)) / (2 * w) - 1 for w in x]
             assert mpmath.fprod(slopes) < mpmath.mpf(2) ** -60 <= mpmath.fprod(slopes[:-1])
-
-    # t and eps alone pick the kernel: tol = 1e-323, whose hundredth
-    # underflows, once sent every t to the pairwise product
-    @pytest.mark.parametrize("eps, path", [(1e-3, "scalar"), (2e-4, "pairwise")])
-    def test_tol_is_not_read(self, caplog, eps, path):
-        values = set()
-        for tol in (1e-323, 1e-6, 1e-12):
-            settings = EvalSettings(q=math.exp(-eps), tol=tol)
-            with caplog.at_level(logging.DEBUG, logger="dyckarea"):
-                values.add(tuple(_bits([g_cfrac(t, settings) for t in (0.2, 0.25, -3.0)])))
-            assert [f"path {path}," in rec.getMessage() for rec in caplog.records] == [True] * 3
-            caplog.clear()
-        assert len(values) == 1
 
     def test_beyond_pole_line(self):
         # converges past t_inf(0.5) = 0.624 where the series C route fails
@@ -587,7 +622,7 @@ class TestGCfrac:
 
     def test_deep_evaluation_consistency(self):
         # the pairwise matrix path kicks in past the scalar depth limit
-        settings = EvalSettings(q=math.exp(-2e-5), tol=1e-10)
+        settings = EvalSettings(q=math.exp(-2e-5))
         value = g_cfrac(0.2, settings)
         closed = (1.0 - math.sqrt(0.2)) / 0.4
         assert value == pytest.approx(closed, abs=1e-4)
@@ -790,7 +825,7 @@ class TestPoleBoundary:
     def test_against_oracle(self, q):
         # the bisection stops at a relative bracket of tol: the first zero of
         # the independent sum lies within 2 tol of the root it returns
-        tol = EvalSettings(q=q).tol
+        tol = inspect.signature(t_infinity).parameters["tol"].default
         root = t_infinity(q)
         assert _oracle_h(root * (1 - 2 * tol), q) > 0 > _oracle_h(root * (1 + 2 * tol), q)
 
@@ -806,6 +841,11 @@ class TestPoleBoundary:
             counts.append(qseries._cfrac_scalar(t, q, qseries._cfrac_depth(t, q, eps)[0])[1])
             expected.append(changes)
         assert counts == expected == sorted(counts) and counts[-1] == zeros
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-12, math.nan, math.inf])
+    def test_tol_validation(self, tol):
+        with pytest.raises(DomainError, match="tol must be finite and positive"):
+            t_infinity(0.5, tol)
 
     def test_tol_below_the_double_spacing(self):
         # the bisection also stops where no double lies between its ends
