@@ -66,6 +66,8 @@ AIRY_AT_ZERO = 3.0 ** (-2.0 / 3.0) / math.gamma(2.0 / 3.0)
 AIRY_PRIME_AT_ZERO = -(3.0 ** (-1.0 / 3.0)) / math.gamma(1.0 / 3.0)
 _AI0_256 = 41109440097528836801426857147003022046736271027248145578114601627402032088151
 _AIP0_256 = -29969239500325658570643940434295903604949246557401152125927594781886720463969
+# pi times 2^256, the nearest integer: the oscillatory phase is reduced mod 2 pi against it
+_PI_256 = 363771576891766324280234942777729862653393377328392429958772151117938894466185
 # Amplitude of the tricritical scaling law, Ai'(0)/Ai(0) = -0.7290...
 A0 = AIRY_PRIME_AT_ZERO / AIRY_AT_ZERO
 
@@ -174,8 +176,8 @@ def _asymptotic_coefficients(n_max: int):
 _U_COEF, _V_COEF = _asymptotic_coefficients(40)
 
 
-def _truncated_alternating(coefs, inv_zeta: float) -> float:
-    """Sum (-1)^k c_k zeta^{-k}, stopping at the smallest term."""
+def _truncated_alternating(coefs, inv_zeta: float | complex) -> float | complex:
+    """Sum (-1)^k c_k inv_zeta^k, stopping at the smallest term."""
     total = 0.0
     power = 1.0
     last = math.inf
@@ -204,40 +206,27 @@ def _airy_asymptotic_positive(x: float, scaled: bool) -> AiryPair:
     return AiryPair(ai=ai, ai_prime=-pref * root4 * s_aip)
 
 
-def _even_odd_sums(coefs, inv_zeta: float):
-    """Even/odd split sums needed on the oscillatory side."""
-    inv2 = inv_zeta * inv_zeta
-    even = 0.0
-    odd = 0.0
-    power = 1.0  # zeta^{-2k}
-    last = math.inf
-    for k in range(0, len(coefs) // 2):
-        e_term = coefs[2 * k] * power
-        o_term = coefs[2 * k + 1] * power * inv_zeta
-        if max(abs(e_term), abs(o_term)) > last:
-            break
-        even += -e_term if (k & 1) else e_term
-        odd += -o_term if (k & 1) else o_term
-        last = max(abs(e_term), abs(o_term))
-        power *= inv2
-        if last < 1e-19:
-            break
-    return even, odd
-
-
 def _airy_asymptotic_negative(x: float) -> AiryPair:
+    """Poincare expansions of Ai and Ai' for x < -7.8. With y = -x, zeta =
+    2 y^{3/2}/3 and theta = zeta + pi/4,
+
+        Ai(-y) = Im(e^(i theta) U) / (sqrt(pi) y^{1/4}),
+        Ai'(-y) = -y^{1/4} Re(e^(i theta) V) / sqrt(pi),
+
+    U and V the sums of u_k and v_k times (-i/zeta)^k, each truncated at its
+    smallest term. theta is formed exactly before it is rounded: y = m/2^e,
+    so 2^256 zeta is 2 isqrt(m^3 2^(512 - 3e)) / 3, reduced mod 2 pi
+    against ``_PI_256``. (zeta + pi/4 in doubles would carry an absolute
+    error near ulp(zeta), 6e-11 of the envelope at x = -1e4.)
+    """
     y = -x
-    zeta = 2.0 * y**1.5 / 3.0
-    inv = 1.0 / zeta
-    u_even, u_odd = _even_odd_sums(_U_COEF, inv)
-    v_even, v_odd = _even_odd_sums(_V_COEF, inv)
-    arg = zeta + math.pi / 4.0
-    s, c = math.sin(arg), math.cos(arg)
+    m, den = y.as_integer_ratio()  # den = 2^e, e <= 50 as y >= 7.8
+    theta = (2 * math.isqrt(m**3 << 512 - 3 * (den.bit_length() - 1)) // 3 + (_PI_256 >> 2)) % (2 * _PI_256)
+    phase = cmath.exp(1j * (theta / (1 << 256)))
+    inv = 1j / (2.0 * y**1.5 / 3.0)
     root4 = y**0.25
-    pref = 1.0 / (math.sqrt(math.pi) * root4)
-    ai = pref * (s * u_even - c * u_odd)
-    aip = -(root4 / math.sqrt(math.pi)) * (c * v_even + s * v_odd)
-    return AiryPair(ai=ai, ai_prime=aip)
+    return AiryPair(ai=(phase * _truncated_alternating(_U_COEF, inv)).imag / (math.sqrt(math.pi) * root4),
+                    ai_prime=-root4 * (phase * _truncated_alternating(_V_COEF, inv)).real / math.sqrt(math.pi))
 
 
 def airy(x: float) -> AiryPair:

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import random
 
 import mpmath
 import numpy as np
@@ -62,6 +63,20 @@ class TestAiry:
             ai, aip, _, _ = sp.airy(x)
             assert abs(mine.ai - ai) <= 1e-11 * abs(x) ** -0.25
             assert abs(mine.ai_prime - aip) <= 1e-11 * abs(x) ** 0.25
+
+    # the asymptotic tier on [-1e4, -7.8], within 1e-13 of the envelopes
+    # 1/(sqrt(pi) y^(1/4)) of Ai and y^(1/4)/sqrt(pi) of Ai', y = -x: the
+    # phase zeta + pi/4 formed in doubles was off by about ulp(zeta), 6.1e-11
+    # of the envelope at x = -1e4
+    def test_negative_asymptotic_against_mpmath(self):
+        rng = random.Random(20141219)
+        draw = [-math.exp(rng.uniform(math.log(7.8), math.log(1e4))) for _ in range(40)]
+        for x in [-7.8, -10.0, -100.0, -1000.0, -1e4] + draw:
+            pair, envelope = airy(x), 1.0 / (math.sqrt(math.pi) * (-x) ** 0.25)
+            with mpmath.workprec(300):
+                ai, aip = mpmath.airyai(x), mpmath.airyai(x, derivative=1)
+            assert abs(pair.ai - ai) <= 1e-13 * envelope, x
+            assert abs(pair.ai_prime - aip) <= 1e-13 * envelope * math.sqrt(-x), x
 
     def test_differential_relation(self):
         # centered second difference of Ai equals x Ai(x)
