@@ -58,7 +58,6 @@ from .asymptotics import (  # noqa: E402
     SaddleData,
     finite_size_phi,
     g_scaling,
-    g_singular,
     g_uniform,
     h_uniform,
     phase_f,
@@ -92,7 +91,6 @@ __all__ = [
     "g_cfrac",
     "g_ratio",
     "g_scaling",
-    "g_singular",
     "g_uniform",
     "h_series",
     "h_uniform",

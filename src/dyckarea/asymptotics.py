@@ -44,7 +44,7 @@ from .errors import (
     NonConvergenceError,
     PoleProximityError,
 )
-from .qseries import EvalSettings, _log_euler_function, g_cfrac, phase_f
+from .qseries import EvalSettings, _log_euler_function, phase_f
 from .special_functions import airy_scaled, airy_zeta, scaling_F
 
 __all__ = [
@@ -57,7 +57,6 @@ __all__ = [
     "scaling_s",
     "scaling_t",
     "g_scaling",
-    "g_singular",
     "finite_size_phi",
     "q_m_asymptotic",
     "PHI_AMPLITUDE",
@@ -247,21 +246,6 @@ def g_scaling(s: float, q: float) -> float:
     """Tricritical scaling law G ~ 2 (1 + (1-q)^(1/3) F(s)), 0 < q < 1."""
     EvalSettings(q=q)
     return 2.0 * (1.0 + (1.0 - q) ** (1.0 / 3.0) * scaling_F(s))
-
-
-def g_singular(t: float, q: float, method: Literal["exact", "asymptotic"] = "exact") -> float:
-    """Singular part G(t, q) - 1/(2t), exactly or in scaling approximation.
-
-    Both tend to -sqrt(1-4t)/(2t) as q -> 1 for fixed t <= 1/4, uniformly
-    on closed subintervals.
-    """
-    if t <= 0.0:
-        raise DomainError("t must be positive")
-    if method == "exact":
-        return g_cfrac(t, EvalSettings(q=q)) - 1.0 / (2.0 * t)
-    if method == "asymptotic":
-        return (1.0 - q) ** (1.0 / 3.0) * scaling_F(scaling_s(t, q)) / (2.0 * t)
-    raise DomainError(f"unknown method {method!r}")
 
 
 # --------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from dyckarea.asymptotics import (
     _log_euler_function,
     finite_size_phi,
     g_scaling,
-    g_singular,
     g_uniform,
     h_uniform,
     phase_f,
@@ -289,44 +288,6 @@ class TestScaling:
                 exact = g_cfrac(scaling_t(s, q), EvalSettings(q=q))
                 errs.append(abs(g_scaling(s, q) - exact))
             assert errs[0] > errs[1] > errs[2]
-
-
-class TestSingularPart:
-    def test_limit_value(self):
-        # both routes approach -sqrt(1-4t)/(2t)
-        limit = -math.sqrt(0.2) / 0.4
-        for method in ("exact", "asymptotic"):
-            errs = [
-                abs(g_singular(0.2, math.exp(-eps), method) - limit)
-                for eps in (1e-2, 1e-3, 1e-4)
-            ]
-            assert errs[0] > errs[1] > errs[2]
-        assert abs(g_singular(0.2, math.exp(-1e-4), "exact") - limit) < 1e-2
-
-    def test_critical_point_closed_form(self):
-        q = math.exp(-1e-3)
-        expected = 2.0 * (1.0 - q) ** (1.0 / 3.0) * A0
-        assert g_singular(0.25, q, "asymptotic") == pytest.approx(expected, abs=1e-14)
-
-    def test_uniform_convergence_trend(self):
-        sups = []
-        for eps in (1e-2, 1e-3, 1e-4):
-            q = math.exp(-eps)
-            sup = max(
-                abs(g_singular(t, q, "exact") - g_singular(t, q, "asymptotic"))
-                for t in np.linspace(0.1, 0.25, 7)
-            )
-            sups.append(sup)
-        assert sups[0] > sups[1] > sups[2]
-
-    def test_method_validation(self):
-        with pytest.raises(DomainError):
-            g_singular(0.2, 0.9, "bogus")
-
-    @pytest.mark.parametrize("q", [0.0, 1.5])
-    def test_asymptotic_nome_validation(self, q):
-        with pytest.raises(DomainError):
-            g_singular(0.2, q, "asymptotic")
 
 
 class TestFiniteSize:
