@@ -631,18 +631,20 @@ class TestGCfrac:
         assert value == pytest.approx(closed, abs=1e-4)
         assert value < closed  # area weight q < 1 suppresses every term
 
-    # g_cfrac(0.25) takes the scalar loop at eps = 1e-3 and the pairwise
-    # product at the smaller eps; its line reports the bits the cut
-    # certifies, at least 60
+    # g_cfrac at t = 0.2, 0.25 and -3 takes the scalar loop at eps = 1e-3 and
+    # the pairwise product at the smaller eps, t and eps alone picking the
+    # kernel; each line reports the bits the cut certifies, at least 60
     @pytest.mark.parametrize("eps, path", [(1e-3, "scalar"), (2e-4, "pairwise"), (5e-5, "pairwise")])
     def test_each_evaluation_logged(self, caplog, eps, path):
         settings = EvalSettings(q=math.exp(-eps))
-        with caplog.at_level(logging.DEBUG, logger="dyckarea"):
-            _, depth = g_cfrac(0.25, settings, full_output=True)
-        lines = [rec.getMessage() for rec in caplog.records if rec.getMessage().startswith("cfrac")]
-        assert len(lines) == 1
-        line = re.fullmatch(rf"cfrac: depth {depth}, path {path}, bound (\S+) bits", lines[0])
-        assert line and float(line.group(1)) >= 60.0, lines
+        for t in (0.2, 0.25, -3.0):
+            with caplog.at_level(logging.DEBUG, logger="dyckarea"):
+                _, depth = g_cfrac(t, settings, full_output=True)
+            lines = [rec.getMessage() for rec in caplog.records if rec.getMessage().startswith("cfrac")]
+            assert len(lines) == 1
+            line = re.fullmatch(rf"cfrac: depth {depth}, path {path}, bound (\S+) bits", lines[0])
+            assert line and float(line.group(1)) >= 60.0, (t, lines)
+            caplog.clear()
 
 
 # sha256 of the lines built by TestCfracGoldenDigest (repr of every value, or
