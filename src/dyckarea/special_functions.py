@@ -19,7 +19,11 @@ Evaluation strategy for Ai/Ai':
   truncation error exp(-4|x|^{3/2}/3)), far short of 12 digits, which is
   why this guarded middle tier exists.
 * ``|x| > 7.8``   Poincare asymptotic expansions, truncated at the smallest
-  term; the error floor is below 3e-13 there.
+  term; the error floor is below 3e-13 there. On x < -7.8 the phase
+  zeta + pi/4 is formed exactly in 256-bit fixed point and reduced mod
+  2 pi before it is rounded: Ai and Ai' are within 1.2e-14 of their
+  envelopes on [-1e4, -7.8], and 8e-16 from x = -10 on, against 300-bit
+  mpmath.
 
 ``airy_scaled`` owns the switch to the exp(zeta)-scaled pair for x > 60,
 where the bare values head for underflow; callers that need only ratios
