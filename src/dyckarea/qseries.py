@@ -192,9 +192,10 @@ def _h_series_mp(t, q: float, scaled: bool, bits: int, narrow: bool = False):
     within one unit of 0 (a sum at a zero of H is 0): the dropped tail of
     the exact terms is then below 2^-54 of the sum, or below one unit. The
     floor errors of the integers are not in that bound. r_(n-1) is compared
-    in doubles from running products of q^n and q^(2n-2); the ratios the
-    bound uses, r_n and later, lie below q^2 r_(n-1), far inside their
-    rounding. ``_MAX_TERMS`` terms without a stop raise NonConvergenceError.
+    in doubles, from running products of q^n and q^(2n-2); the bound needs
+    only r_n and later, which lie below q^2 r_(n-1), so their rounding has
+    a margin of 1 - q^2. ``_MAX_TERMS`` terms without a stop raise
+    NonConvergenceError.
 
     With ``narrow``, once a term falls below half the largest |term| so far
     (past the peak, as ln|T_n| is concave in n), the term, both sums and
@@ -218,9 +219,8 @@ def _h_series_mp(t, q: float, scaled: bool, bits: int, narrow: bool = False):
     a, b = a << t_shift - a_shift, b << t_shift - b_shift
     q_num, q_shift = dyadic(q)
     q2_num = q_num * q_num
-    # the stop compares |term| and |sum| squared for complex t, each part of a term within one unit of 0
-    stop_shift, unit = 54 << cplx, 1 << cplx
-    abs_t, q2, qn_f, q2n_f, settled = abs(t), q * q, q, 1.0, False  # q^n, q^(2n-2) while r_(n-1) > 1/2
+    stop_shift, unit = 54 << cplx, 1 << cplx  # |term| <= 2^-54 |sum|, or each part within one unit; squares for complex t
+    abs_t, q2, qn_f, q2n_f, settled = abs(t), q * q, q, 1.0, False  # doubles q^n, q^(2n-2) until r_(n-1) <= 1/2
     keep, narrowed = frac, False  # bits q^n and q^(2n-2) are cut to; past the peak
     q_n, q_n_exp = 1, 0    # q^n = q_n / 2^q_n_exp, at most keep bits
     q_2n, q_2n_exp = 1, 0  # q^(2n-2), likewise
@@ -348,9 +348,10 @@ def h_series(t: float | complex, settings: EvalSettings, full_output: bool = Fal
     The terms grow far beyond the sum before they decay, so ``_sum_h`` keeps
     53 + 96 bits after cancellation; the result and the bits lost are
     reported, the sum rounded to a double once. The sum stops where its
-    dropped tail is certified below 2^-54 of it (``_h_series_mp``). An exact zero at the working
-    precision raises a pole error, and a sum outside the normal double range
-    (|H| < 2.2e-308 once eps falls below about 5e-4 near t = 1/4) a domain error.
+    dropped tail is certified below 2^-54 of it (``_h_series_mp``). An exact
+    zero at the working precision raises a pole error, and a sum outside the
+    normal double range (|H| < 2.2e-308 once eps falls below about 5e-4 near
+    t = 1/4) a domain error.
     """
     [((re, im), n, _, last)], frac, bits, lost = _sum_h(t, settings)
     if not (norm2 := re * re + im * im):
@@ -565,10 +566,10 @@ def g_cfrac(t: float, settings: EvalSettings, full_output: bool = False):
     enclosure, carried to level 0, is below 2^-60 of |G| (``_cut``): the cut
     moves the value by less than an ulp, and the roundoff of the levels kept
     is not in that bound. ``full_output`` adds the depth, the number of
-    levels evaluated. t and eps alone pick the kernel, the scalar loop or, for deep chains, the pairwise product. Valid
-    (and stable) beyond the pole line, where the series representations
-    fail; a vanishing denominator or a value that is not finite is a pole
-    error.
+    levels evaluated. t and eps alone pick the kernel, the scalar loop or,
+    for deep chains, the pairwise product. Valid (and stable) beyond the
+    pole line, where the series representations fail; a vanishing
+    denominator or a value that is not finite is a pole error.
     """
     t = float(t)
     if t == 0.0:
