@@ -536,12 +536,13 @@ class TestAgainstOracle:
         self._narrowed_within_bound(t_infinity(q) * f, EvalSettings(q=q))
 
 
-def _oracle_tail(t, q, n, scaled, prec=200):
+def _oracle_tail(t, q, n, scaled):
     """The sum of the terms of H(t) past T_n, or with ``scaled`` of the terms
     T_k q^k of H(qt), in mpmath. From the first k > n where |T_(k+1) / T_k|
     = |t| q^(2k) / (1 - q^(k+1)) <= 1/2 the rest of the tail is at most
-    |T_k|, so the sum stops there at a term below 2^-80 of the tail."""
-    with mpmath.workprec(prec):
+    |T_k|, so the sum stops there at a term below 2^-80 of the tail. The
+    terms are products, so 200 bits keep them to far below that."""
+    with mpmath.workprec(200):
         q_mp, neg_t = mpmath.mpf(q), -mpmath.mpmathify(t)
         term, tail, q_k, k = mpmath.mpf(1), mpmath.mpf(0), mpmath.mpf(1), 0
         while True:  # term = T_k q^(k scaled)
