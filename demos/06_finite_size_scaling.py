@@ -20,7 +20,7 @@ print(" m    t          exact Q_m      asymptotic     ratio")
 for m in areas:
     t = (1.0 - m ** (-2.0 / 3.0)) / 4.0
     exact = partition_series(columns[m], t)
-    asym = q_m_asymptotic(m, t, j_max=24)
+    asym = q_m_asymptotic(m, t)
     print(f" {m:3d}  {t:.6f}  {exact:.6e}  {asym:.6e}  {exact/asym:.4f}")
 
 print("\nat the critical point t = 1/4 (s = 0):")

@@ -28,7 +28,7 @@ Ratios of the two variants give the uniform approximation of G and, in
 the tricritical scaling limit s = (1-4t)(1-q)^(-2/3) fixed, the scaling
 law G ~ 2 (1 + (1-q)^(1/3) F(s)) with F = Ai'/Ai. The fixed-area series
 coefficients inherit the finite-size law Q_m(t) ~ m^(-4/3) phi(s) at
-s = (1-4t) m^(2/3).
+s = (1-4t) m^(2/3), phi's series cut where its tail is certified below 2^-54.
 """
 
 from __future__ import annotations
@@ -39,13 +39,14 @@ from dataclasses import dataclass
 from typing import Literal, NamedTuple
 
 from .errors import (
+    AccuracyError,
     DomainError,
     InconsistentBranchError,
     NonConvergenceError,
     PoleProximityError,
 )
 from .qseries import EvalSettings, _log_euler_function, phase_f
-from .special_functions import airy_scaled, airy_zeta, scaling_F
+from .special_functions import airy_scaled, airy_zeros, airy_zeta, scaling_F
 
 __all__ = [
     "SaddleData",
@@ -257,40 +258,44 @@ def g_scaling(s: float, q: float) -> float:
 PHI_AMPLITUDE = 2.0
 
 
-def finite_size_phi(s: float, j_max: int = 24) -> float:
+def finite_size_phi(s: float) -> float:
     """Finite-size scaling function phi(s) = -2 * sum_j Z(j+1) s^j / Gamma(2j/3 - 1/3).
 
-    The Gamma growth makes the series entire; truncation at j_max is
-    checked against the last term, which must stay below 1e-6 of the sum.
-    The global sign is -1: the exact fixed-area series Q_m(t) is a sum of
-    positive terms, and the s = 0 term Z(1)/Gamma(-1/3) is negative
-    (Z(1) > 0, Gamma(-1/3) < 0), so only -1 makes phi positive there. The
-    factor 2 is the tricritical amplitude 1/(2 t_c) of the singular part. A Gamma factor past the double
-    range (from j = 258 on) makes Z(j+1)/Gamma 0.0, its correctly rounded
-    value, as |Z(j+1)| < 3e-96 there; a term, its power of s or the sum
-    outside the double range is a domain error.
+    The sign -1 makes phi(0) positive, like the exact series Q_m(t) > 0
+    (Z(1) > 0, Gamma(-1/3) < 0); the 2 is the tricritical amplitude 1/(2 t_c).
+    As every Airy zero has a_k <= a_1 < 0, |Z(i+2)| <= |Z(i+1)|/|a_1|; and as
+    Gamma(x)/Gamma(x + 2/3) decreases for x > 0, for i >= 1 the terms obey
+    |T_(i+1)/T_i| <= r_i = |s|/|a_1| Gamma(x_i)/Gamma(x_(i+1)), x_i = 2i/3 - 1/3,
+    with r_i decreasing. The sum stops at the first j >= 2 with r_(j-1) <= 1/2
+    and |T_j| <= 2^-54 |partial sum|: the dropped tail is below 2^-54 of the
+    sum of the coefficients as computed. Their error (1.2e-8 at Z(2)) is not
+    in that bound, and phi multiplies it by up to 2^(bits lost). A sum certain
+    to lose over 10 bits (largest term above 2^10 times a bound on |sum|) is
+    an accuracy error, which refuses s >~ 3.9. A term or power of s outside
+    the double range is a domain error, and a sum still running at j = 257,
+    the last finite Gamma(x_j), does not converge.
     """
-    if j_max < 10:
-        raise DomainError("j_max must be >= 10")
-    total = last = 0.0
-    for j in range(j_max + 1):
+    scale = abs(s) / abs(airy_zeros(1)[0])
+    gamma = math.gamma(-1.0 / 3.0)
+    total = airy_zeta(1) / gamma
+    peak = abs(total)
+    for j in range(1, 258):
+        previous, gamma = gamma, math.gamma(2.0 * j / 3.0 - 1.0 / 3.0)
         try:
-            gamma = math.gamma(2.0 * j / 3.0 - 1.0 / 3.0)
+            term = airy_zeta(j + 1) / gamma * s**j
         except OverflowError:
-            gamma = math.inf
-        try:
-            last = airy_zeta(j + 1) / gamma * s**j
-        except OverflowError:
-            last = math.inf
-        total += last
+            term = math.inf
+        total += term
         if not math.isfinite(total):
             raise DomainError(f"term {j} of the finite-size series at s = {s!r} leaves the double range")
-    if abs(last) > 1e-6 * max(abs(total), 1e-300):
-        raise NonConvergenceError(
-            f"finite-size series not converged at j_max = {j_max}",
-            last_term=abs(last),
-        )
-    return -PHI_AMPLITUDE * total
+        peak = max(peak, abs(term))
+        # r_(j-1) bounds every later term ratio, so |sum| <= |total| + |term| ratio/(1 - ratio)
+        ratio = scale * previous / gamma if j > 1 else math.inf
+        if ratio < 1.0 and peak > 2.0**10 * (abs(total) + abs(term) * ratio / (1.0 - ratio)):
+            raise AccuracyError(f"the finite-size series at s = {s!r} loses over 10 bits to cancellation")
+        if ratio <= 0.5 and abs(term) <= 2.0**-54 * abs(total):
+            return -PHI_AMPLITUDE * total
+    raise NonConvergenceError(f"finite-size series at s = {s!r} not converged by j = 257", last_term=abs(term))
 
 
 def _finite_size_s(t: float, m: int) -> float:
@@ -298,9 +303,10 @@ def _finite_size_s(t: float, m: int) -> float:
     return (1.0 - 4.0 * t) * m ** (2.0 / 3.0)
 
 
-def q_m_asymptotic(m: int, t: float, j_max: int = 24) -> float:
-    """Large-m form of the fixed-area series, m^(-4/3) phi((1-4t) m^(2/3))."""
+def q_m_asymptotic(m: int, t: float) -> float:
+    """Large-m form of the fixed-area series, m^(-4/3) phi((1-4t) m^(2/3)).
+    phi stops on its certified tail and refuses a cancelling sum."""
     if m < 10:
         raise DomainError("the finite-size form needs m >= 10")
-    return m ** (-4.0 / 3.0) * finite_size_phi(_finite_size_s(t, m), j_max=j_max)
+    return m ** (-4.0 / 3.0) * finite_size_phi(_finite_size_s(t, m))
 

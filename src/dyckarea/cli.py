@@ -134,12 +134,8 @@ def _cmd_scan(args) -> int:
         eps_list = _number_list(args.eps_list, float, "--eps-list")
         ds = scan_scaling_fn(eps_list, args.s_min, args.s_max, args.steps, stamp=args.stamp)
     elif kind == "partition":
-        if args.m_list:
-            m_values = _number_list(args.m_list, int, "--m-list")
-        else:
-            m_values = list(range(10, (40 if args.m_max is None else args.m_max) + 1, 10))
-        ds = scan_partition(args.t, m_values, n_max=args.n_max,
-                            j_max=args.j_max, stamp=args.stamp)
+        m_values = _number_list(args.m_list, int, "--m-list") if args.m_list else [10, 20, 30, 40]
+        ds = scan_partition(args.t, m_values, n_max=args.n_max, stamp=args.stamp)
     else:  # pragma: no cover
         raise DomainError(f"unknown scan kind {kind!r}")
     write_dataset(ds, args.out, args.format)
@@ -188,7 +184,7 @@ def _cmd_scaling(args) -> int:
 
 
 def _cmd_partition(args) -> int:
-    ds = scan_partition(args.t, [args.m], n_max=args.n_max, j_max=args.j_max)
+    ds = scan_partition(args.t, [args.m], n_max=args.n_max)
     [value], [asym] = ds.columns["Q_exact"], ds.columns["Q_asymptotic"]
     # the value is exact; the zero tail and ok=True are kept for existing parsers
     print(f"Q_{args.m}({args.t:g}) = {value!r}  (n <= {ds.metadata['n_max']}, tail ~ 0.00e+00, ok=True)")
@@ -273,11 +269,9 @@ def build_parser() -> _Parser:
     p.add_argument("--s-min", dest="s_min", type=float, default=-2.0)
     p.add_argument("--s-max", dest="s_max", type=float, default=2.0)
     p.add_argument("--steps", type=int, default=50)
-    p.add_argument("--m-list", dest="m_list")
-    p.add_argument("--m-max", dest="m_max", type=int)
+    p.add_argument("--m-list", dest="m_list", help="partition: the areas m (default 10,20,30,40)")
     p.add_argument("--n-max", dest="n_max", type=int,
                    help="partition: >= 2 max(m) (default 2 max(m)); only echoed in the metadata")
-    p.add_argument("--j-max", dest="j_max", type=int, default=24)
     p.add_argument("--tol", type=float, default=1e-10,
                    help="phase_boundary: the t_inf bisection tolerance")
     p.add_argument("--out", required=True)
@@ -299,12 +293,12 @@ def build_parser() -> _Parser:
     p.add_argument("--eps", type=float)
     p.set_defaults(func=_cmd_scaling)
 
-    p = sub.add_parser("partition", help="exact vs asymptotic fixed-area series")
+    p = sub.add_parser("partition", help="exact vs asymptotic fixed-area series; phi stops on a "
+                                         "certified tail and exits 3 where its series cancels")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--n-max", dest="n_max", type=int,
                    help=">= 2m (default 2m); only echoed in the output")
-    p.add_argument("--j-max", dest="j_max", type=int, default=24)
     p.set_defaults(func=_cmd_partition)
 
     p = sub.add_parser("validate", help="run the numerical validation suites")

@@ -191,13 +191,14 @@ def scan_scaling_fn(eps_list: list[float], s_min: float, s_max: float, steps: in
 
 
 def scan_partition(t: float, m_values: list[int], n_max: int | None = None,
-                   j_max: int = 24, stamp: bool = False) -> ScanDataset:
+                   stamp: bool = False) -> ScanDataset:
     """Exact fixed-area series against the finite-size asymptotic form.
 
     One height pass builds the columns c[m][0..2m] that fix every Q_m
     (``area_columns``). n_max (default 2 max(m)) sizes nothing: it is echoed
     in the metadata, and one below 2 max(m) fails before that pass.
-    Q_asymptotic is NaN for m < 10, where the finite-size form is not defined.
+    Q_asymptotic (NaN for m < 10) comes first: an s where phi's series
+    cancels fails before that pass.
     """
     if not m_values:
         raise DomainError("m_values must be nonempty")
@@ -206,7 +207,7 @@ def scan_partition(t: float, m_values: list[int], n_max: int | None = None,
     if not (0.0 <= t < 1.0):
         raise DomainError("partition_series requires 0 <= t < 1")
     # the asymptotic first: it fails in microseconds, the column build in seconds
-    asymptotic = [q_m_asymptotic(m, t, j_max=j_max) if m >= 10 else math.nan for m in m_values]
+    asymptotic = [q_m_asymptotic(m, t) if m >= 10 else math.nan for m in m_values]
     m_top = max(m_values)
     n_max = 2 * m_top if n_max is None else n_max
     if n_max < 2 * m_top:
@@ -221,7 +222,7 @@ def scan_partition(t: float, m_values: list[int], n_max: int | None = None,
                  "Q_exact": exact,
                  "Q_asymptotic": asymptotic,
                  "tail_estimate": [0.0] * len(m_values)},
-        metadata=_metadata("partition", stamp, t=t, n_max=n_max, j_max=j_max,
+        metadata=_metadata("partition", stamp, t=t, n_max=n_max,
                            methods=["table_series", "finite_size_phi"]),
     )
 

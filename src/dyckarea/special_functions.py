@@ -432,11 +432,11 @@ def scaling_F_series(s: float, j_max: int = 40, full_output: bool = False):
 
     Plain truncation at j_max; the radius of convergence is |s_1| = 2.3381,
     set by the first Airy zero. Returns the value, or (value, tail_bound)
-    with ``full_output`` where tail_bound is a geometric estimate of the
-    dropped tail, tail_bound = sum_{j>j_max} |s_1|^{-j} |s|^{j-1}: the first
-    zero's share of the dropped terms. The true tail matches it up to a
-    relative (s_1/s_2)^{j_max+1}, about 1e-10 at j_max = 40. The
-    coefficients come from ``airy_zeta(count=400)`` and carry about 1e-8
+    with ``full_output``. As |s_k| >= |s_1| for every zero, |Z(j+1)| <=
+    |Z(j)|/|s_1| (j >= 2), so tail_bound = |Z(j_max+1)| |s|^j_max /
+    (1 - |s|/|s_1|) bounds the dropped tail of the coefficients as computed;
+    for s < 0, where the dropped terms share one sign, the tail nears it.
+    The coefficients come from ``airy_zeta(count=400)`` and carry about 1e-8
     absolute error on top of the tail (6.4e-9 |s|, from Z(2)).
     """
     s = float(s)
@@ -450,8 +450,7 @@ def scaling_F_series(s: float, j_max: int = 40, full_output: bool = False):
     total = 0.0
     for j in range(1, j_max + 1):
         total -= airy_zeta(j) * s ** (j - 1)
-    ratio = abs(s) / radius
-    tail_bound = radius ** (-(j_max + 1)) * abs(s) ** j_max / max(1e-300, 1.0 - ratio)
+    tail_bound = abs(airy_zeta(j_max + 1)) * abs(s) ** j_max / (1.0 - abs(s) / radius)
     if full_output:
         return total, tail_bound
     return total

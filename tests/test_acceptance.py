@@ -259,7 +259,7 @@ def test_criterion_10_finite_size_scaling():
     for m in areas[1:]:
         t = (1.0 - m ** (-2.0 / 3.0)) / 4.0  # fixed s = 1
         exact = partition_series(columns[m], t)  # exact: c[m][0..2m] fixes Q_m
-        ratios.append(exact / q_m_asymptotic(m, t, j_max=24))
+        ratios.append(exact / q_m_asymptotic(m, t))
     positive = all(r > 0.0 for r in ratios)
     deviations = [abs(r - 1.0) for r in ratios]
     monotone = deviations[0] > deviations[1] > deviations[2]

@@ -2,9 +2,11 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
+from dyckarea import asymptotics
 from dyckarea.asymptotics import (
     PHI_AMPLITUDE,
     ScaledValue,
@@ -21,6 +23,7 @@ from dyckarea.asymptotics import (
 )
 from dyckarea.enumeration import area_columns, partition_series
 from dyckarea.errors import (
+    AccuracyError,
     BranchCutError,
     DomainError,
     NonConvergenceError,
@@ -306,12 +309,6 @@ class TestFiniteSize:
         assert finite_size_phi(0.0) == pytest.approx(expected, rel=1e-12)
         assert finite_size_phi(0.0) > 0.0
 
-    def test_series_stability(self):
-        t = (1.0 - 40.0 ** (-2.0 / 3.0)) / 4.0
-        a = q_m_asymptotic(40, t, j_max=14)
-        b = q_m_asymptotic(40, t, j_max=28)
-        assert abs(a - b) / abs(b) < 0.01
-
     def test_large_s_form_identity(self):
         # m^{-4/3} phi((1-4t) m^{2/3}) is term-for-term the m-power series
         m, t, j_top = 40, 0.23, 3
@@ -341,27 +338,51 @@ class TestFiniteSize:
         for m, column in zip(areas, area_columns(areas)):
             t = (1.0 - m ** (-2.0 / 3.0)) / 4.0
             exact = partition_series(column, t)  # exact: c[m][0..2m] fixes Q_m
-            ratio = exact / q_m_asymptotic(m, t, j_max=24)
+            ratio = exact / q_m_asymptotic(m, t)
             assert ratio > 0.0
             deviations.append(abs(ratio - 1.0))
         assert deviations[0] > deviations[1] > deviations[2]
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            finite_size_phi(0.0, j_max=5)
-        with pytest.raises(DomainError):
             q_m_asymptotic(5, 0.24)
         with pytest.raises(NonConvergenceError):
-            finite_size_phi(40.0, j_max=10)
+            finite_size_phi(40.0)
 
-    @pytest.mark.parametrize("s, j_max", [(1e3, 120), (-1e3, 120)])
-    def test_term_outside_double_range(self, s, j_max):
+    @pytest.mark.parametrize("s", [1e3, -1e3])
+    def test_term_outside_double_range(self, s):
         # s^j overflows from j = 103 at |s| = 1e3
-        with pytest.raises(DomainError, match="leaves the double range"):
-            finite_size_phi(s, j_max=j_max)
+        with pytest.raises(DomainError, match="term 103 .* leaves the double range"):
+            finite_size_phi(s)
 
-    @pytest.mark.parametrize("s, j_max", [(2.0, 300), (2.3392, 400), (0.29, 300), (-1.5, 400), (5.0, 400)])
-    def test_sums_past_gamma_overflow(self, s, j_max):
-        # Gamma(2j/3 - 1/3) overflows from j = 258 on, where |Z(j+1)| < 3e-96
-        # and Z(j+1)/Gamma rounds to 0.0: no bit moves past j = 257
-        assert finite_size_phi(s, j_max=j_max) == finite_size_phi(s, j_max=257)
+    def test_dropped_tail_is_certified(self, monkeypatch):
+        # the terms past the stop, from the program's own Z(j) and exact
+        # Gamma and powers, sum to at most 2^-54 of the sum; term j reads
+        # Z(j+1), so the calls to airy_zeta count the terms summed
+        calls = []
+        monkeypatch.setattr(asymptotics, "airy_zeta", lambda j: calls.append(j) or airy_zeta(j))
+        rng = np.random.default_rng(35)
+        for s in [0.0, -30.0, 3.9, *rng.uniform(-30.0, 3.9, 40)]:
+            calls.clear()
+            total = finite_size_phi(float(s)) / -PHI_AMPLITUDE
+            assert calls == list(range(1, len(calls) + 1))
+            tail, j = mpmath.mpf(0), len(calls)
+            with mpmath.workprec(200):
+                while True:
+                    term = (mpmath.mpf(airy_zeta(j + 1)) * mpmath.mpf(s) ** j
+                            / mpmath.gamma(mpmath.mpf(2 * j - 1) / 3))
+                    tail += term
+                    if abs(term) <= 2.0**-120 * abs(total):
+                        break
+                    j += 1
+                assert abs(tail) <= 2.0**-54 * abs(total), s
+
+    def test_cancellation_guard(self):
+        # every s the old fixed 24-term cut accepted (a 0.01 grid of
+        # [-5.01, 3.36]) loses at most 8.3 bits; from 10 lost bits on the sum
+        # is refused
+        for k in range(-501, 337):
+            assert math.isfinite(finite_size_phi(k / 100.0)), k
+        for s in (5.0, 8.0, 40.0):
+            with pytest.raises(AccuracyError):
+                finite_size_phi(s)

@@ -104,6 +104,10 @@ class TestScanDatasets:
         small = scan_partition(0.25, [5, 10])
         assert math.isnan(small.columns["Q_asymptotic"][0]) and small.columns["Q_asymptotic"][1] > 0
         assert all(v > 0 for v in small.columns["Q_exact"])
+        # phi sets its own truncation, so the metadata carries no depth
+        assert "j_max" not in ds.metadata
+        with pytest.raises(DomainError):
+            scan_partition(0.2, [])
 
     def test_csv_deterministic(self):
         a = scan_g_vs_t(0.8, 0.05, 0.2, 5).to_csv()
@@ -523,8 +527,12 @@ class TestCli:
         ("eval --t nan --q 0.5 --method cfrac", 2),
         ("eval --t inf --q 0.5 --method cfrac", 2),
         ("scan --kind partition --m-list 10,,20 --t 0.2 --out /dev/null", 64),
-        ("scan --kind partition --m-max 5 --t 0.2 --out /dev/null", 2),
-        ("scan --kind partition --m-max 0 --t 0.2 --out /dev/null", 2),
+        # phi stops on its certified tail: no partition command takes a depth,
+        # and the scan's areas come from --m-list alone
+        ("scan --kind partition --m-max 5 --t 0.2 --out /dev/null", 64),
+        ("scan --kind partition --m-max 0 --t 0.2 --out /dev/null", 64),
+        ("partition --m 40 --t 0.2 --j-max 24", 64),
+        ("scan --kind partition --t 0.24 --m-list 20 --j-max 24 --out /dev/null", 64),
         # t outside [0, 1) fails as a domain error for every m, before the finite-size form
         ("partition --m 10 --t 1.0", 2),
         ("partition --m 20 --t -0.01", 2),
@@ -558,23 +566,23 @@ class TestCli:
         if code:
             assert res.stdout == ""
 
-    @pytest.mark.parametrize("kind, j_max", [("partition", 300), ("scan", 400)])
-    def test_j_max_past_gamma_overflow(self, tmp_path, run_cli, kind, j_max):
-        # from j = 258 on Gamma(2j/3 - 1/3) overflows and Z(j+1)/Gamma rounds
-        # to 0.0: a larger j_max prints or writes what j_max = 257 does
-        def partition(j_max):
-            res = run_cli("partition", "--m", "40", "--t", "0.2", "--j-max", str(j_max))
-            assert res.returncode == 0
-            return res.stdout
-
-        def scan(j_max):
-            out = tmp_path / f"{j_max}.csv"
-            assert run_cli("scan", "--kind", "partition", "--t", "0.24", "--m-list", "20",
-                           "--j-max", str(j_max), "--out", str(out)).returncode == 0
-            return out.read_text()
-
-        run = {"partition": partition, "scan": scan}[kind]
-        assert run(j_max) == run(257)
+    def test_option_census(self):
+        # every option of every command: a knob added or removed is a
+        # reviewed edit of this table
+        census = {
+            "eval": ["--t", "--q", "--eps", "--method", "--n-max"],
+            "scan": ["--kind", "--q", "--eps", "--eps-list", "--t", "--t-min", "--t-max",
+                     "--q-min", "--q-max", "--s-min", "--s-max", "--steps", "--m-list",
+                     "--n-max", "--tol", "--out", "--format", "--stamp"],
+            "enumerate": ["--n-max", "--format", "--out", "--verify-brute-force"],
+            "scaling": ["--s", "--j-max", "--eps"],
+            "partition": ["--m", "--t", "--n-max"],
+            "validate": [],
+        }
+        found = {name: [opt for action in command._actions for opt in action.option_strings
+                        if opt not in ("-h", "--help")]
+                 for name, command in cli.build_parser().commands.items()}
+        assert found == census
 
 
 README = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")

@@ -283,6 +283,20 @@ class TestAiryZeta:
         with pytest.raises(DomainError):
             airy_zeta(0)
 
+    def test_against_riccati_coefficients(self):
+        # F = Ai'/Ai = sum_k c_k s^k obeys F' = s - F^2, so c_0 = Ai'(0)/Ai(0)
+        # and (k+1) c_(k+1) = [k = 1] - sum_(i<=k) c_i c_(k-i), with Z(j) =
+        # -c_(j-1) exactly: an oracle for every Z(j) that sums no zero. The
+        # bounds are the measured errors with a margin of 2 (1e-15 from j = 7).
+        measured = {2: 1.20e-8, 3: 5.49e-10, 4: 1.36e-11, 5: 2.80e-13, 6: 5.56e-15}
+        with mpmath.workprec(200):
+            c = [mpmath.airyai(0, 1) / mpmath.airyai(0)]
+            for k in range(41):
+                c.append((int(k == 1) - mpmath.fsum(c[i] * c[k - i] for i in range(k + 1))) / (k + 1))
+            for j in range(1, 42):
+                err = abs(mpmath.mpf(airy_zeta(j)) / -c[j - 1] - 1)
+                assert err <= (2.0 * measured[j] if j in measured else 1e-15), j
+
 
 class TestDilog:
     def test_bernoulli_numbers(self):
@@ -358,6 +372,18 @@ class TestScalingFunction:
     def test_series_truncation_bound(self):
         value, bound = scaling_F_series(1.5, 30, full_output=True)
         assert abs(value - scaling_F(1.5)) < 10.0 * bound + 1e-12
+
+    @pytest.mark.parametrize("j_max", [10, 40])
+    @pytest.mark.parametrize("s", [1.0, -1.0, 2.0, -2.0, 2.3])
+    def test_tail_bound_covers_the_tail(self, j_max, s):
+        # the dropped tail of the program's own coefficients, summed in mpmath
+        # until Z(j) underflows; for s < 0 its terms share one sign, and a
+        # bound from the first zero's share alone falls short of it
+        _, bound = scaling_F_series(s, j_max, full_output=True)
+        with mpmath.workprec(200):
+            tail = mpmath.fsum(mpmath.mpf(airy_zeta(j)) * mpmath.mpf(s) ** (j - 1)
+                               for j in range(j_max + 1, 1200))
+        assert abs(tail) <= bound
 
     def test_hadamard_product(self):
         # Hadamard factorization of Ai over 1e4 zeros. The bare product
