@@ -90,8 +90,9 @@ def _cmd_eval(args) -> int:
     method = args.method
     if method == "series":
         # the truncated double series also accepts the q = 1 Catalan limit
-        value = eval_G_truncated(t, q, args.n_max)
-        provenance = f"method=series truncation_n={args.n_max}"
+        value, tail, certified = eval_G_truncated(t, q, args.n_max, full_output=True)
+        provenance = (f"method=series truncation_n={args.n_max} tail_bound={tail:.3e} "
+                      f"{'certified' if certified else 'estimated'}")
         print(f"{value!r}")
         print(f"# {provenance}")
         return EXIT_OK

@@ -19,8 +19,9 @@ a nonempty path at its first return to the diagonal gives the identity
 
 (the inner factor of the leading arch sits one level higher, which adds one
 full square per unit of its length, hence the q^k elevation factor); the
-tests check the table against it. The independent backtracking enumerator
-below is the arbiter for the area convention.
+tests check the table against it, and the length series is summed from it
+in doubles. The independent backtracking enumerator below is the arbiter
+for the area convention.
 
 The same split bounds the fixed-area series Q_m(t) = sum_n c[m][n] t^n.
 A path is a sequence of arches; a UD arch has area 0, and an arch U P D
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -55,9 +57,10 @@ __all__ = [
 ]
 
 _BRUTE_FORCE_CAP = 14
-# The height pass pads every digit to about 2 n_max bits (2 cores, Python 3.11):
-_TABLE_CAP_FULL = 200  # n = 200 builds its decoded rows in 10-13 s, 260-310 MB peak RSS
-_COLUMNS_CAP = 640  # the columns to area 640 build in 9.5 s, 44 MB peak RSS
+# CPU time on 2 cores, Python 3.11, with digits sized by the count bounds:
+_TABLE_CAP_FULL = 200  # n = 200 builds its decoded rows in 4.1-4.4 s, 320-325 MB peak RSS
+_COLUMNS_CAP = 640  # the columns to area 640 build in 2.4 s, 39 MB peak RSS
+_SERIES_CAP = 10_000  # N(N+1)/2 products: N = 10 000 sums the length series in 1.1-1.2 s
 
 
 def catalan_number(n: int) -> int:
@@ -83,13 +86,6 @@ class AreaPolynomial:
         """Number of paths of semilength n (a Catalan number)."""
         return sum(self.coeffs)
 
-    def evaluate(self, q: float) -> float:
-        """Horner evaluation of the row polynomial at a numeric weight."""
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * q + c
-        return acc
-
 
 @dataclass(frozen=True)
 class CoefficientTable:
@@ -102,16 +98,16 @@ class CoefficientTable:
         return len(self.rows) - 1
 
 
-def _digit_bits(n_max: int) -> int:
-    """Whole-byte digits of more than 2 n_max bits: after i steps a count is at most 2^i."""
-    return 8 * (n_max // 4 + 1)
-
-
 def _height_pass(n_max: int, bits: int, mask: int):
     """Yield the packed height-0 polynomial after steps 0, 2, ..., 2*n_max.
 
     An up-step from height h adds h squares (a shift by h digits of ``bits``
     bits); a down-step adds none. ``mask`` drops the areas past a cap.
+    The walks kept at step i, height h and area a end, by h down-steps, in
+    distinct paths of area a and semilength n = (i+h)/2 <= n_max. So their
+    count is at most c[a][n] <= min(C_n, binomial(a+n-1, n-1)) (n up-step
+    heights with sum a), which the callers size ``bits`` to hold. The heights
+    cut above 2 n_max - i are shifted copies of kept ones: no kept digit carried.
     """
     heights = [1]  # heights[h]: packed area polynomial of the walks at height h
     yield 1
@@ -143,9 +139,8 @@ def build_area_polynomials(n_max: int) -> CoefficientTable:
     if n_max > _TABLE_CAP_FULL:
         raise ResourceLimitError(f"table to n = {n_max} exceeds the memory budget "
                                  f"(cap {_TABLE_CAP_FULL}); lower n_max")
-    bits = _digit_bits(n_max)
-    width = bits // 8
-    packed = list(_height_pass(n_max, bits, -1))
+    width = (catalan_number(n_max).bit_length() + 7) // 8  # C_n, in whole bytes
+    packed = list(_height_pass(n_max, 8 * width, -1))
     rows = []
     for n in range(n_max + 1):
         raw = packed[n].to_bytes((n * (n - 1) // 2 + 1) * width, "little")
@@ -167,7 +162,7 @@ def area_columns(m_values: list[int]) -> list[list[int]]:
     if m_top > _COLUMNS_CAP:
         raise ResourceLimitError(f"columns to area {m_top} exceed the time budget "
                                  f"(cap {_COLUMNS_CAP}); lower m")
-    bits = _digit_bits(2 * m_top)
+    bits = math.comb(3 * m_top, m_top).bit_length()  # binomial(a+n-1, n-1), a <= m, n <= 2m
     columns = [[] for _ in m_values]
     for n, packed in enumerate(_height_pass(2 * m_top, bits, (1 << bits * (m_top + 1)) - 1)):
         for m, column in zip(m_values, columns):
@@ -242,30 +237,53 @@ def partition_series(column: list[int], t: float) -> float:
         raise DomainError(f"Q_{m}({t!r}) exceeds the double range") from None
 
 
-def eval_G_truncated(t: float, q: float, N: int) -> float:
-    """Partial sum over lengths, sum_{n=0..N} Z_n(q) t^n.
+def eval_G_truncated(t: float, q: float, N: int, full_output: bool = False):
+    """Partial sum over lengths, sum_{n=0..N} Z_n(q) t^n, with no table.
 
-    Requires the series to be visibly decaying at the truncation point
-    (last term small against the partial sum and not growing), otherwise a
-    divergence error is raised: t at or beyond the radius of convergence.
+    The terms W_n = Z_n(q) t^n obey W_0 = 1, W_(n+1) = t sum_(k<=n) q^k W_k
+    W_(n-k) (the first-return identity times t^(n+1)): all >= 0 for q in
+    (0, 1], so nothing cancels, and no power of t or Catalan-sized Z_n is
+    formed. A divergence error is raised for a non-finite term, for t >= 1/4
+    at q = 1 (the radius) and, for q < 1, where the last four terms grow and
+    are not small. ``full_output`` adds the dropped tail's bound and whether
+    it is certified: C_(N+1) t^(N+1) / (1 - 4t) for t < 1/4, by Z_n(q) <= C_n
+    and C_(n+1) < 4 C_n; past 1/4, an estimate from the last terms' ratio.
     """
     if not (0.0 < q <= 1.0):
         raise DomainError("eval_G_truncated requires q in (0, 1]")
     if not (0.0 <= t < math.inf):
         raise DomainError(f"t must be finite and >= 0, got {t!r}")
-    table = build_area_polynomials(N)
-    terms = [row.evaluate(q) * t**n for n, row in enumerate(table.rows)]
-    total = float(sum(terms))
-    if t > 0.0 and N >= 8:
-        tail_terms = [abs(x) for x in terms[-4:]]
-        growing = all(b >= a for a, b in zip(tail_terms, tail_terms[1:]))
-        if growing and tail_terms[-1] > 1e-14 * abs(total):
-            raise DivergenceError(
-                f"length series not decaying at n = {N} (last term {tail_terms[-1]:.3e}); "
-                f"t = {t!r} is at or beyond the radius of convergence",
-                last_term=tail_terms[-1],
-            )
-    return total
+    if N < 0:
+        raise DomainError("N must be >= 0")
+    if N > _SERIES_CAP:
+        raise ResourceLimitError(f"length series to n = {N} exceeds the time budget "
+                                 f"(cap {_SERIES_CAP}); lower n_max")
+    if q == 1.0 and t >= 0.25:
+        raise DivergenceError(f"t = {t!r} is at or beyond the radius 1/4 of the Catalan series")
+    terms, scaled = [1.0], [1.0]  # W_k and q^k W_k
+    try:
+        for n in range(1, N + 1):
+            terms.append(t * math.fsum(map(operator.mul, scaled, reversed(terms))))
+            scaled.append(q**n * terms[-1])
+        total = math.fsum(terms)
+    except OverflowError:  # fsum of finite terms past the double range
+        total = math.inf
+    if not total < math.inf:
+        raise DivergenceError(f"length series at t = {t!r} leaves the double range "
+                              f"before n = {N}", last_term=math.inf)
+    if t > 0.0 and N >= 8 and terms[-1] > 1e-14 * total and all(
+            b >= a for a, b in zip(terms[-4:], terms[-3:])):  # the last four terms grow
+        raise DivergenceError(f"length series not decaying at n = {N} (last term {terms[-1]:.3e}); "
+                              f"t = {t!r} is at or beyond the radius of convergence",
+                              last_term=terms[-1])
+    if not full_output:
+        return total
+    if t < 0.25:
+        a, b = t.as_integer_ratio()  # C_(N+1) t^(N+1) / (1 - 4t), rounded up
+        bound = catalan_number(N + 1) * a ** (N + 1) * b / ((b - 4 * a) * b ** (N + 1))
+        return total, math.nextafter(bound, math.inf) if a else 0.0, True
+    ratio = terms[-1] / terms[-2] if N and terms[-2] else math.inf
+    return total, terms[-1] * ratio / (1.0 - ratio) if ratio < 1.0 else math.inf, False
 
 
 # --------------------------------------------------------------------------
@@ -277,7 +295,8 @@ def table_to_csv(table: CoefficientTable) -> Iterator[str]:
     one string per table row, so a writer never holds the whole text."""
     yield "n,m,c\n"
     for row in table.rows:
-        yield "".join(f"{row.n},{m},{c}\n" for m, c in enumerate(row.coeffs))
+        prefix = f"{row.n},"
+        yield "".join([f"{prefix}{m},{c}\n" for m, c in enumerate(row.coeffs)])
 
 
 def table_to_json(table: CoefficientTable) -> str:

@@ -25,7 +25,7 @@ from dyckarea.datasets import (
 )
 from dyckarea.enumeration import AreaPolynomial, brute_force_area_polynomial, build_area_polynomials
 from dyckarea.errors import DomainError, PoleProximityError
-from dyckarea.qseries import EvalSettings, g_ratio
+from dyckarea.qseries import EvalSettings, g_cfrac, g_ratio
 
 
 @pytest.fixture
@@ -168,6 +168,27 @@ class TestCli:
         res = run_cli("eval", "--t", "0.2", "--q", "1.0", "--method", "series")
         assert res.returncode == 0
         assert float(res.stdout.splitlines()[0]) == pytest.approx(1.3819660112501051, abs=1e-6)
+
+    @pytest.mark.parametrize("t, q, label", [("0.2", "0.5", "certified"), ("0.26", "0.9", "estimated")])
+    def test_eval_series_states_its_tail(self, run_cli, t, q, label):
+        # the dropped tail is bounded below t = 1/4 and estimated past it
+        res = run_cli("eval", "--t", t, "--q", q, "--method", "series", "--n-max", "40")
+        value = float(res.stdout.splitlines()[0])
+        provenance = res.stdout.splitlines()[1]
+        tail = float(re.fullmatch(r"# method=series truncation_n=40 tail_bound=(\S+) " + label,
+                                  provenance).group(1))
+        dropped = g_cfrac(float(t), EvalSettings(q=float(q))) - value
+        assert abs(dropped) <= (1.0 if label == "certified" else 2.0) * tail
+
+    @pytest.mark.parametrize("t, q", [("1e10", "1.0"), ("1e10", "0.5"), ("0.25", "1.0")])
+    def test_eval_series_divergence_exit_code(self, run_cli, t, q):
+        # past the radius the command exits 3 with one line on stderr: at
+        # q = 1 from t = 1/4 on, and for q < 1 where a term leaves the double
+        # range (no overflow traceback, no exit 1)
+        res = run_cli("eval", "--t", t, "--q", q, "--method", "series")
+        assert (res.returncode, res.stdout) == (3, "")
+        assert len(res.stderr.splitlines()) == 1
+        assert res.stderr.startswith("non-convergence: ")
 
     def test_eval_eps_flag(self, run_cli):
         res = run_cli("eval", "--t", "0.2", "--eps", str(math.log(2.0)), "--method", "cfrac")

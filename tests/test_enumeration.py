@@ -5,6 +5,7 @@ import functools
 import hashlib
 import json
 import math
+import operator
 import time
 import tracemalloc
 from fractions import Fraction
@@ -13,6 +14,7 @@ import hypothesis
 import pytest
 from hypothesis import strategies as st
 
+from dyckarea import enumeration
 from dyckarea.enumeration import (
     AreaPolynomial,
     area_columns,
@@ -33,6 +35,22 @@ CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796, 58786, 208012, 74290
 def _column(table, m):
     """Counts c[m][n] for n = 0..n_max, read off the table's rows."""
     return [row.coeffs[m] if m < len(row.coeffs) else 0 for row in table.rows]
+
+
+def _widest_counts(n_top, area_cap):
+    """widest[n][a]: the largest number of walks that the height pass to
+    n_top holds at area a <= area_cap in any state (step i, height h) with
+    (i + h)/2 = n, from a plain count list per height."""
+    zeros = [0] * (area_cap + 1)
+    widest = [zeros] * (n_top + 1)
+    heights = [[1] + zeros[1:]]
+    for i in range(1, 2 * n_top + 1):
+        down = heights[1:] + [zeros, zeros]
+        up = [zeros] + [([0] * h + counts)[: area_cap + 1] for h, counts in enumerate(heights)]
+        heights = [list(map(operator.add, d, u)) for d, u in zip(down, up)][: 2 * n_top - i + 1]
+        for h, counts in enumerate(heights):
+            widest[(i + h) // 2] = list(map(max, widest[(i + h) // 2], counts))
+    return widest
 
 
 def _check_first_return(n_max, m_max):
@@ -174,9 +192,10 @@ class TestRecurrenceTable:
     @pytest.mark.parametrize("build, message", [
         (lambda: build_area_polynomials(250), "(cap 200); lower n_max"),
         (lambda: area_columns([10, 641]), "(cap 640); lower m"),
-    ], ids=["table-250", "columns-641"])
+        (lambda: eval_G_truncated(0.2, 0.5, 10**6), "(cap 10000); lower n_max"),
+    ], ids=["table-250", "columns-641", "series-1e6"])
     def test_resource_cap_before_build(self, build, message):
-        # either build would run for tens of seconds; the cap fails first
+        # each would run for tens of seconds (the series for hours); the cap fails first
         start = time.process_time()
         with pytest.raises(ResourceLimitError) as info:
             build()
@@ -193,6 +212,25 @@ class TestRecurrenceTable:
         finally:
             tracemalloc.stop()
         assert peak < 1.5e6
+
+    def test_digits_hold_every_count(self, monkeypatch):
+        # the proven digit widths dominate the widest count the pass holds:
+        # C_(n_max) for the table, binomial(3m, m) for the columns to area m
+        bits = []
+        height_pass = enumeration._height_pass
+        monkeypatch.setattr(enumeration, "_height_pass",
+                            lambda n_max, b, mask: bits.append(b) or height_pass(n_max, b, mask))
+        widest = _widest_counts(40, 40 * 39 // 2)
+        for n_max in range(41):
+            build_area_polynomials.__wrapped__(n_max)
+            held = max(max(row) for row in widest[: n_max + 1])
+            assert held.bit_length() <= bits[-1]
+        widest = _widest_counts(80, 40)
+        for m in range(41):
+            area_columns([m])
+            held = max(max(row[: m + 1]) for row in widest[: 2 * m + 1])
+            assert held.bit_length() <= bits[-1]
+        assert (held.bit_length(), bits[-1]) == (90, 107)  # 168 bits before the bound
 
     def test_negative(self):
         with pytest.raises(DomainError):
@@ -219,7 +257,8 @@ def columns():
 
 @pytest.fixture(scope="module")
 def long_table():
-    return build_area_polynomials(110)  # c[m][0..2m+30] for m <= 40; 0.44 s
+    # c[m][0..2m+30] for m <= 40, and the rows of the length series to N = 120
+    return build_area_polynomials(121)
 
 
 def _numerator(column, m):
@@ -320,6 +359,69 @@ class TestTruncatedG:
     def test_non_finite_t(self, t):
         with pytest.raises(DomainError):
             eval_G_truncated(t, 0.5, 20)
+
+
+def _rows_at(rows, q):
+    """Z_n(q) for the given table rows as exact Fractions to 2^-190: Horner
+    in binary fixed point whose unit makes q exact, each step truncating by
+    less than one unit."""
+    a, b = q.as_integer_ratio()  # q = a / 2^k, and q 2^(k+200) = a 2^200
+    unit = b.bit_length() + 199
+    values = []
+    for row in rows:
+        acc = 0
+        for c in reversed(row.coeffs):
+            acc = (acc * a << 200 >> unit) + (c << unit)
+        values.append(Fraction(acc, 1 << unit))
+    return values
+
+
+class TestLengthSeries:
+    @hypothesis.settings(max_examples=20, deadline=None)
+    @hypothesis.given(q=st.just(1.0) | st.floats(0.0, 1.0, exclude_min=True),
+                      t=st.floats(0.0, 0.25, exclude_max=True), N=st.integers(0, 120))
+    def test_against_table_rows(self, long_table, q, t, N):
+        # the first-return recurrence in doubles against the table rows summed
+        # in exact rationals; below t = 1/4 the reported tail is certified
+        value, tail, certified = eval_G_truncated(t, q, N, full_output=True)
+        z = _rows_at(long_table.rows, q)
+        x = Fraction(t)
+        exact = sum(z[n] * x**n for n in range(N + 1))
+        assert abs(Fraction(value) - exact) <= 2 * (N + 1) * Fraction(math.ulp(float(exact)))
+        assert certified
+        assert tail >= sum(z[n] * x**n for n in range(N + 1, len(z)))
+
+    def test_tail_bound_at_q_one(self):
+        # at q = 1 the bound C_(N+1) t^(N+1) / (1 - 4t) holds the Catalan
+        # tail and is less than twice it
+        closed = (1.0 - math.sqrt(1.0 - 4.0 * 0.2)) / (2.0 * 0.2)
+        value, tail, certified = eval_G_truncated(0.2, 1.0, 40, full_output=True)
+        assert certified and 0.5 * tail < closed - value < tail
+
+    def test_estimated_tail_past_one_quarter(self):
+        value, tail, certified = eval_G_truncated(0.26, 0.9, 40, full_output=True)
+        assert not certified
+        assert 0.5 * tail < g_cfrac(0.26, EvalSettings(q=0.9)) - value < 2.0 * tail
+
+    @pytest.mark.parametrize("t", [0.25, 0.3, 1e10])
+    def test_catalan_radius(self, t):
+        # at q = 1 the radius is exactly 1/4: the partial sum at t = 1/4 is 7%
+        # below G = 2 and still rising, so it is refused before any term
+        with pytest.raises(DivergenceError, match="radius 1/4"):
+            eval_G_truncated(t, 1.0, 60)
+
+    @pytest.mark.parametrize("t, N", [(1e10, 60), (1e150, 3)])
+    def test_non_finite_term(self, t, N):
+        with pytest.raises(DivergenceError, match="double range"):
+            eval_G_truncated(t, 0.5, N)
+
+    def test_no_table(self):
+        # the length series builds no table: N = 200 in milliseconds
+        calls = build_area_polynomials.cache_info()[:2]
+        start = time.process_time()
+        eval_G_truncated(0.24, 0.99, 200)
+        assert time.process_time() - start < 0.1
+        assert build_area_polynomials.cache_info()[:2] == calls
 
 
 class TestSerialization:
