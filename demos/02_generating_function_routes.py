@@ -19,18 +19,18 @@ print(" t      series(N=60)      ratio H(qt)/H(t)   continued fraction")
 for t in (0.05, 0.15, 0.25, 0.35, 0.45):
     series = eval_G_truncated(t, q, 60)
     ratio = g_ratio(t, settings)
-    cfrac = g_cfrac(t, settings)
+    cfrac = g_cfrac(t, q)
     print(f" {t:.2f}  {series:.12f}    {ratio:.12f}    {cfrac:.12f}")
 
 print("\nbeyond the boundary the length series diverges but the continued")
 print("fraction still evaluates the analytic continuation:")
 t = 0.95 * boundary + 0.1
-print(f"  g_cfrac({t:.3f}, {q}) = {g_cfrac(t, settings):.10f}")
+print(f"  g_cfrac({t:.3f}, {q}) = {g_cfrac(t, q):.10f}")
 
 print("\nfunctional equation residual G - 1 - t G(t) G(qt):")
 for t in (0.1, 0.2, 0.3):
-    G = g_cfrac(t, settings)
-    res = G - 1.0 - t * G * g_cfrac(q * t, settings)
+    G = g_cfrac(t, q)
+    res = G - 1.0 - t * G * g_cfrac(q * t, q)
     print(f"  t={t}: {res:.2e}")
 
 print(f"\ncontour quadrature of H(0.2) at q = 0.999: {contour_h(0.2, 0.999):.12e}"
@@ -40,5 +40,5 @@ print("\nCatalan limit: G(t, q) -> (1 - sqrt(1-4t))/(2t) as q -> 1")
 t = 0.2
 closed = (1.0 - math.sqrt(1.0 - 4.0 * t)) / (2.0 * t)
 for k in (2, 3, 4):
-    value = g_cfrac(t, EvalSettings(q=1.0 - 10.0**-k))
+    value = g_cfrac(t, 1.0 - 10.0**-k)
     print(f"  q = 1 - 1e-{k}: G = {value:.10f}  (limit {closed:.10f})")

@@ -8,14 +8,14 @@ the sharper predictor at every eps.
 
 import math
 
-from dyckarea import EvalSettings, g_cfrac, scaling_F, scaling_F_series
+from dyckarea import g_cfrac, scaling_F, scaling_F_series
 from dyckarea.datasets import scan_scaling_fn, write_dataset
 
 print("amplitude at the critical point: F(0) =", f"{scaling_F(0.0):.10f}")
 ratio = None
 for eps in (1e-4, 1e-5):
     q = math.exp(-eps)
-    G = g_cfrac(0.25, EvalSettings(q=q))
+    G = g_cfrac(0.25, q)
     ratio = (G / 2.0 - 1.0) / (1.0 - q) ** (1.0 / 3.0)
     print(f"  measured from G(1/4, q) at eps = {eps:g}: {ratio:.6f}")
 

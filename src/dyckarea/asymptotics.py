@@ -45,7 +45,7 @@ from .errors import (
     NonConvergenceError,
     PoleProximityError,
 )
-from .qseries import EvalSettings, _log_euler_function, phase_f
+from .qseries import _epsilon, _log_euler_function, phase_f
 from .special_functions import airy_scaled, airy_zeros, airy_zeta, scaling_F
 
 __all__ = [
@@ -177,7 +177,7 @@ class ScaledValue(NamedTuple):
 def _airy_point(t: float, q: float):
     """eps = -ln q for 0 < q < 1, the saddle data at t and the exp-scaled
     Airy pair at x = alpha eps^(-2/3) with its log factor."""
-    eps = EvalSettings(q=q).epsilon
+    eps = _epsilon(q)
     sd = saddle_data(t)
     pair, log_factor = airy_scaled(sd.alpha * eps ** (-2.0 / 3.0))
     return eps, sd, pair, log_factor
@@ -188,8 +188,10 @@ def h_uniform(t: float, q: float, variant: Literal["H", "H_qt"] = "H") -> Scaled
 
     Returns a (mantissa, exponent) pair since the exp(beta/eps) factor
     overflows doubles below eps ~ 4e-3. Accuracy improves as eps -> 0+;
-    above eps = 0.2 the estimate is loose.
+    above eps = 0.2 the estimate is loose. Any other variant is a domain error.
     """
+    if variant not in ("H", "H_qt"):
+        raise DomainError(f"variant must be 'H' or 'H_qt', got {variant!r}")
     eps, sd, pair, log_factor = _airy_point(t, q)
     if eps > 0.2:
         raise DomainError(f"h_uniform calibrated for eps in (0, 0.2], got eps = {eps:.4g}")
@@ -224,8 +226,10 @@ def g_uniform(t: float, q: float) -> float:
 
 
 def scaling_s(t: float, q: float) -> float:
-    """Tricritical coordinate s = (1-4t)(1-q)^(-2/3) of (t, q), 0 < q < 1."""
-    EvalSettings(q=q)
+    """Tricritical coordinate s = (1-4t)(1-q)^(-2/3) of (t, q), 0 < q < 1, t finite."""
+    _epsilon(q)
+    if not math.isfinite(t):
+        raise DomainError(f"scaling_s needs a finite t, got {t!r}")
     return (1.0 - 4.0 * t) * (1.0 - q) ** (-2.0 / 3.0)
 
 
@@ -233,9 +237,11 @@ def scaling_t(s: float, q: float) -> float:
     """The t at tricritical coordinate s, t = (1 - s (1-q)^(2/3))/4, 0 < q < 1.
 
     Close to q = 1 the map rounds away the digits of s; a t whose coordinate
-    misses s by more than 1e-8 relative is a domain error.
+    misses s by more than 1e-8 relative is a domain error, as is a non-finite s.
     """
-    EvalSettings(q=q)
+    _epsilon(q)
+    if not math.isfinite(s):
+        raise DomainError(f"scaling_t needs a finite s, got {s!r}")
     t = 0.25 * (1.0 - s * (1.0 - q) ** (2.0 / 3.0))
     back = scaling_s(t, q)
     if abs(back - s) > 1e-8 * max(1.0, abs(s)):
@@ -245,7 +251,7 @@ def scaling_t(s: float, q: float) -> float:
 
 def g_scaling(s: float, q: float) -> float:
     """Tricritical scaling law G ~ 2 (1 + (1-q)^(1/3) F(s)), 0 < q < 1."""
-    EvalSettings(q=q)
+    _epsilon(q)
     return 2.0 * (1.0 + (1.0 - q) ** (1.0 / 3.0) * scaling_F(s))
 
 

@@ -96,16 +96,15 @@ def _cmd_eval(args) -> int:
         print(f"{value!r}")
         print(f"# {provenance}")
         return EXIT_OK
-    settings = EvalSettings(q=q)
     if method == "ratio":
-        res = g_ratio(t, settings, full_output=True)
+        res = g_ratio(t, EvalSettings(q=q), full_output=True)
         value = res.value
         provenance = (
             f"method=ratio terms={res.terms_used} "
             f"cancellation_bits={res.bits_lost:.1f} precision_bits={res.precision_bits}"
         )
     elif method == "cfrac":
-        value, depth = g_cfrac(t, settings, full_output=True)
+        value, depth = g_cfrac(t, q, full_output=True)
         provenance = f"method=cfrac depth={depth}"
     elif method == "uniform":
         value = g_uniform(t, q)
@@ -222,9 +221,9 @@ def _cmd_validate(args) -> int:
         top = 0.9 * t_infinity(q)
         ts = [0.05 * k for k in range(1, 40) if 0.05 * k <= top]
         for t in ts:
-            G = g_cfrac(t, settings)
+            G = g_cfrac(t, q)
             worst_cm = max(worst_cm, abs(g_ratio(t, settings) - G) / abs(G))
-            worst_fe = max(worst_fe, abs(G - 1.0 - t * G * g_cfrac(q * t, settings)))
+            worst_fe = max(worst_fe, abs(G - 1.0 - t * G * g_cfrac(q * t, q)))
     report("cross_method", worst_cm < 1e-9, f"max rel diff {worst_cm:.2e} (tol 1e-9)")
     report("functional_equation", worst_fe < 1e-8, f"max residual {worst_fe:.2e} (tol 1e-8)")
 

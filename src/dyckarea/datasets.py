@@ -19,7 +19,7 @@ from . import __version__
 from .asymptotics import _finite_size_s, g_uniform, q_m_asymptotic, scaling_t
 from .enumeration import area_columns, partition_series
 from .errors import DomainError, DyckAreaError, PoleProximityError
-from .qseries import EvalSettings, g_cfrac, t_infinity
+from .qseries import _epsilon, g_cfrac, t_infinity
 from .special_functions import scaling_F
 
 __all__ = [
@@ -105,10 +105,10 @@ def _uniform_or_nan(t: float, q: float) -> float:
         return math.nan
 
 
-def _cfrac_or_nan(t: float, settings: EvalSettings) -> float:
+def _cfrac_or_nan(t: float, q: float) -> float:
     """The continued fraction at t, or NaN where it breaks down next to a pole."""
     try:
-        return g_cfrac(t, settings)
+        return g_cfrac(t, q)
     except DyckAreaError:
         return math.nan
 
@@ -124,13 +124,13 @@ def scan_g_vs_t(q: float, t_min: float, t_max: float, steps: int,
     if steps < 2:
         raise DomainError("steps must be >= 2")
     _check_finite(t_min=t_min, t_max=t_max)
-    settings = EvalSettings(q=q)
+    eps = _epsilon(q)
     ts = _grid(t_min, t_max, steps)
     return ScanDataset(
         kind="g_vs_t",
-        columns={"t": ts, "G_cfrac": [_cfrac_or_nan(t, settings) for t in ts],
+        columns={"t": ts, "G_cfrac": [_cfrac_or_nan(t, q) for t in ts],
                  "G_uniform": [_uniform_or_nan(t, q) for t in ts]},
-        metadata=_metadata("g_vs_t", stamp, q=q, eps=-math.log(q),
+        metadata=_metadata("g_vs_t", stamp, q=q, eps=eps,
                            t_min=t_min, t_max=t_max, steps=steps,
                            methods=["cfrac", "uniform"]),
     )
@@ -173,10 +173,9 @@ def scan_scaling_fn(eps_list: list[float], s_min: float, s_max: float, steps: in
     for eps in eps_list:
         q = math.exp(-eps)
         amplitude = (1.0 - q) ** (1.0 / 3.0)
-        settings = EvalSettings(q=q)
         ts = [scaling_t(s, q) for s in svals]
         tag = f"{eps:g}"
-        columns[f"F_from_cfrac_eps{tag}"] = [(_cfrac_or_nan(t, settings) / 2.0 - 1.0) / amplitude
+        columns[f"F_from_cfrac_eps{tag}"] = [(_cfrac_or_nan(t, q) / 2.0 - 1.0) / amplitude
                                             for t in ts]
         columns[f"F_from_uniform_eps{tag}"] = [(_uniform_or_nan(t, q) / 2.0 - 1.0) / amplitude
                                               for t in ts]

@@ -73,24 +73,25 @@ _GUARD_BITS = 96  # bits a value of H keeps beyond double precision after cancel
 _MAX_TERMS = 200_000  # the alternating series gives up after this many terms
 
 
+def _epsilon(q: float) -> float:
+    """eps = -ln q, the one check that the nome q lies in (0, 1)."""
+    if not (0.0 < q < 1.0):
+        raise DomainError(f"q must lie in (0, 1), got {q!r}")
+    return -math.log(q)
+
+
 @dataclass(frozen=True)
 class EvalSettings:
-    """The nome q shared by the q-series routines.
-
-    ``epsilon`` is always recomputed from q, never stored. Every sum of H
-    stops on its certified tail bound (``_h_series_mp``), and ``_sum_h``
-    picks its precision; the envelope of ``bits_for`` only caps it.
+    """The nome q of the ratio route (``h_series``, ``g_ratio``) and the cap
+    ``bits_for`` on the width of its sums. Every sum of H stops on its
+    certified tail bound (``_h_series_mp``), and ``_sum_h`` picks its
+    precision; the envelope of ``bits_for`` only caps it.
     """
 
     q: float
 
     def __post_init__(self):
-        if not (0.0 < self.q < 1.0):
-            raise DomainError(f"q must lie in (0, 1), got {self.q!r}")
-
-    @property
-    def epsilon(self) -> float:
-        return -math.log(self.q)
+        _epsilon(self.q)
 
     def bits_for(self, t: float | complex) -> int:
         """The cap on the working mantissa width of a sum of H at t: the
@@ -100,7 +101,7 @@ class EvalSettings:
         if at < 1e-12:
             return 53
         envelope = 0.5 * math.log(at) ** 2 + math.pi**2 / 6.0
-        return max(53, math.ceil(3.0 * envelope / (self.epsilon * math.log(2.0))))
+        return max(53, math.ceil(3.0 * envelope / (_epsilon(self.q) * math.log(2.0))))
 
 
 def log_q_pochhammer(z: complex, q: float, n: int | None = None) -> complex:
@@ -120,12 +121,12 @@ def log_q_pochhammer(z: complex, q: float, n: int | None = None) -> complex:
     if not cmath.isfinite(z):
         raise DomainError(f"the q-Pochhammer symbol needs a finite z, got {z!r}")
     if n is None:
-        if not (0.0 < q < 1.0):
-            raise DomainError("infinite q-Pochhammer products need q in (0, 1)")
-        n = math.inf
+        lnq, n = -_epsilon(q), math.inf
     elif n < 0:
         raise DomainError("the q-Pochhammer order must be >= 0 or None")
-    r = min(0.5, q**4) if 0.0 < q < 1.0 else 0.0  # small q: a few more logs spare most series terms
+    else:  # ln q >= 0 (or none, taken as 0): every factor is logged
+        lnq = math.log(q) if q > 0.0 else 0.0
+    r = min(0.5, q**4) if lnq < 0.0 else 0.0  # small q: a few more logs spare most series terms
     total, qk, k = 0j, 1.0, 0
     while k < n and abs(w := z * qk) > r:
         total += cmath.log(1.0 - w)
@@ -133,7 +134,7 @@ def log_q_pochhammer(z: complex, q: float, n: int | None = None) -> complex:
         k += 1
     if k == n or not w:  # no factor left, or only factors equal to 1
         return total
-    m, lnq, size = n - k, math.log(q), abs(w)
+    m, size = n - k, abs(w)
     tail, power, j = 0j, w, 1
     while True:  # S_j = expm1(j m ln q) / expm1(j ln q), accurate as q -> 1
         s_j = (-1.0 if m == math.inf else math.expm1(j * m * lnq)) / math.expm1(j * lnq)
@@ -330,7 +331,7 @@ def _sum_h(t, settings: EvalSettings, scaled: bool = False):
     xs = (t, settings.q * t) if scaled else (t,)  # qt rounded to a double only sizes the envelope
     envelope = max(settings.bits_for(x) for x in xs)
     bits = min(envelope, 53 + _GUARD_BITS)
-    if bits < envelope and settings.epsilon <= 0.2 and not isinstance(t, complex) and 0.0 < t < 0.5:
+    if bits < envelope and _epsilon(settings.q) <= 0.2 and not isinstance(t, complex) and 0.0 < t < 0.5:
         bits = min(envelope, _predicted_bits(t, settings.q))
     while True:
         frac, sums = _h_series_mp(t, settings.q, scaled, bits, narrow=bits < envelope)
@@ -559,7 +560,7 @@ def _at_tail_one(m: np.ndarray) -> float:
     return float((m[0, 0] + m[0, 1]) / (m[1, 0] + m[1, 1]))
 
 
-def g_cfrac(t: float, settings: EvalSettings, full_output: bool = False):
+def g_cfrac(t: float, q: float, full_output: bool = False):
     """G(t, q) from the continued fraction, the small-eps reference route.
 
     Evaluated once, bottom-up with tail value 1, cut where the true tail's
@@ -569,12 +570,16 @@ def g_cfrac(t: float, settings: EvalSettings, full_output: bool = False):
     levels evaluated. t and eps alone pick the kernel, the scalar loop or,
     for deep chains, the pairwise product. Valid (and stable) beyond the
     pole line, where the series representations fail; a vanishing
-    denominator or a value that is not finite is a pole error.
+    denominator or a value that is not finite is a pole error. t must be
+    real; a complex t is a domain error.
     """
-    t = float(t)
+    eps = _epsilon(q)
+    try:
+        t = float(t)
+    except TypeError:
+        raise DomainError(f"the continued fraction takes real t, got {t!r}") from None
     if t == 0.0:
         return (1.0, 0) if full_output else 1.0
-    q, eps = settings.q, settings.epsilon
     depth, bits = _cfrac_depth(t, q, eps)
     # the old depth-doubling path rule at tol = 1e-12 (nominal depth 2 max(64,
     # ceil(levels) + 8) against the scalar limit); it stays because the stored
@@ -607,7 +612,7 @@ def t_infinity(q: float, tol: float = 1e-12) -> float:
     chain at t = 1, about ln 4/eps levels, longer than ``_SCALAR_DEPTH_LIMIT``
     is a resource error.
     """
-    eps = EvalSettings(q=q).epsilon
+    eps = _epsilon(q)
     if not (0.0 < tol < math.inf):
         raise DomainError(f"tol must be finite and positive, got {tol!r}")
     if (levels := math.log(4.0) / eps) > _SCALAR_DEPTH_LIMIT:
@@ -664,10 +669,8 @@ def euler_maclaurin_check(z: complex, q: float) -> RemainderCheck:
     z = complex(z)
     if z.imag == 0.0:
         raise DomainError("the remainder bound needs Im z != 0")
-    if not (0.0 < q < 1.0):
-        raise DomainError("q must lie in (0, 1)")
-    lnq = math.log(q)
-    remainder = (log_q_pochhammer(z, q) - _em_head(z, -lnq)) / lnq
+    eps = _epsilon(q)
+    remainder = (log_q_pochhammer(z, q) - _em_head(z, eps)) / -eps
     x, ay, az = z.real, abs(z.imag), abs(z)
     integral = az / ay * (math.atan((az * az - x) / ay) + math.atan(x / ay))
     return RemainderCheck(z=z, remainder=remainder, bound=(abs(z / (1.0 - z)) + integral) / 12.0)
@@ -756,11 +759,10 @@ def contour_h(t: float, q: float) -> float:
     agree to 1e-12. A result over 2^30 below the largest term (past t = 1/4) is
     an accuracy error, |H| outside the double range a domain error.
     """
-    if not (0.0 < q < 1.0):
-        raise DomainError("contour_h needs q in (0, 1)")
+    eps = _epsilon(q)
     if not (0.0 < t < 1.0):
         raise DomainError("contour quadrature validated for real t in (0, 1) only")
-    eps, log_t, gap = -math.log(q), math.log(t), 1.0 - 4.0 * t
+    log_t, gap = math.log(t), 1.0 - 4.0 * t
     if eps < 0.1 and gap > 3.0 * eps ** (2.0 / 3.0):
         rho, direction, width = 0.5 + 0.5 * math.sqrt(gap), 1j, math.sqrt(eps)
     else:

@@ -437,9 +437,12 @@ def scaling_F_series(s: float, j_max: int = 40, full_output: bool = False):
     (1 - |s|/|s_1|) bounds the dropped tail of the coefficients as computed;
     for s < 0, where the dropped terms share one sign, the tail nears it.
     The coefficients come from ``airy_zeta(count=400)`` and carry about 1e-8
-    absolute error on top of the tail (6.4e-9 |s|, from Z(2)).
+    absolute error on top of the tail (6.4e-9 |s|, from Z(2)). A non-finite
+    s is a domain error.
     """
     s = float(s)
+    if not math.isfinite(s):
+        raise DomainError(f"scaling_F_series needs a finite s, got {s!r}")
     if j_max < 1:
         raise DomainError(f"j_max must be >= 1, got {j_max!r}")
     radius = abs(airy_zeros(1)[0])

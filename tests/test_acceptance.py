@@ -86,8 +86,8 @@ def test_criterion_02_functional_equation(boundary):
     started = time.monotonic()
     worst = 0.0
     for q, t, settings in grid_points(boundary):
-        G = g_cfrac(t, settings)
-        Gq = g_cfrac(q * t, settings)
+        G = g_cfrac(t, q)
+        Gq = g_cfrac(q * t, q)
         worst = max(worst, abs(G - 1.0 - t * G * Gq))
     elapsed = time.monotonic() - started
     ok = worst < 1e-8 and elapsed < 5.0
@@ -100,12 +100,12 @@ def test_criterion_03_cross_method(boundary):
     started = time.monotonic()
     worst_double = 0.0
     for q, t, settings in grid_points(boundary):
-        G = g_cfrac(t, settings)
+        G = g_cfrac(t, q)
         worst_double = max(worst_double, abs(g_ratio(t, settings) - G) / abs(G))
     worst_fine = 0.0
     fine = EvalSettings(q=math.exp(-1e-2))
     for t in (0.05, 0.10, 0.15, 0.20):
-        G = g_cfrac(t, fine)
+        G = g_cfrac(t, fine.q)
         worst_fine = max(worst_fine, abs(g_ratio(t, fine) - G) / abs(G))
     elapsed = time.monotonic() - started
     ok = worst_double < 1e-9 and worst_fine < 1e-6 and elapsed < 30.0
@@ -158,7 +158,7 @@ def test_criterion_06_uniform_airy_figure():
     devs = {}
     for eps in (1e-2, 1e-3):
         q = math.exp(-eps)
-        exact = [g_cfrac(float(t), EvalSettings(q=q)) for t in ts]
+        exact = [g_cfrac(float(t), q) for t in ts]
         devs[eps] = max(
             abs(g_uniform(float(t), q) - e) / abs(e) for t, e in zip(ts, exact)
         )
@@ -176,7 +176,7 @@ def test_criterion_07_tricritical_amplitude():
     deviations = []
     for eps in (1e-4, 1e-5):
         q = math.exp(-eps)
-        G = g_cfrac(0.25, EvalSettings(q=q))
+        G = g_cfrac(0.25, q)
         ratio = (G / 2.0 - 1.0) / (1.0 - q) ** (1.0 / 3.0)
         deviations.append(abs(ratio / A0 - 1.0))
     elapsed = time.monotonic() - started
@@ -197,7 +197,7 @@ def test_criterion_08_scaling_figure():
         q = math.exp(-eps)
         omq13 = (1.0 - q) ** (1.0 / 3.0)
         ts = 0.25 * (1.0 - svals * (1.0 - q) ** (2.0 / 3.0))
-        exact = np.array([g_cfrac(float(t), EvalSettings(q=q)) for t in ts])
+        exact = np.array([g_cfrac(float(t), q) for t in ts])
         err_cfrac[eps] = float(np.max(np.abs((exact / 2.0 - 1.0) / omq13 - truth)))
         recon = np.array([(g_uniform(float(t), q) / 2.0 - 1.0) / omq13 for t in ts])
         err_uniform[eps] = float(np.max(np.abs(recon - truth)))

@@ -139,6 +139,10 @@ class TestHUniform:
         approx = h_uniform(0.3, q, "H").to_float()
         assert abs(approx - exact) / abs(exact) < 0.05
 
+    def test_unknown_variant(self):
+        with pytest.raises(DomainError, match="variant"):
+            h_uniform(0.2, 0.99, "bogus")
+
     def test_variant_ratio_consistency(self):
         q = math.exp(-0.05)
         ratio = h_uniform(0.2, q, "H_qt").to_float() / h_uniform(0.2, q, "H").to_float()
@@ -187,9 +191,8 @@ class TestGUniform:
 
     def test_two_percent_at_centi_epsilon(self):
         q = math.exp(-1e-2)
-        settings = EvalSettings(q=q)
         for t in (0.05, 0.15, 0.2, 0.23):
-            exact = g_cfrac(t, settings)
+            exact = g_cfrac(t, q)
             assert abs(g_uniform(t, q) - exact) / exact < 0.02
 
     # t = 0.26 at eps = 1e-3 sits 5e-4 away from a true pole of G (the
@@ -210,7 +213,7 @@ class TestGUniform:
         errs = []
         for eps in eps_pair:
             q = math.exp(-eps)
-            exact = g_cfrac(t, EvalSettings(q=q))
+            exact = g_cfrac(t, q)
             errs.append(abs(g_uniform(t, q) - exact) / abs(exact))
         assert errs[1] < errs[0]
 
@@ -266,6 +269,13 @@ class TestScaling:
             with pytest.raises(DomainError):
                 fn(0.2, q)
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coordinate(self, x):
+        with pytest.raises(DomainError, match="finite t"):
+            scaling_s(x, 0.99)
+        with pytest.raises(DomainError, match="finite s"):
+            scaling_t(x, 0.99)
+
     def test_amplitude_identity(self):
         q = math.exp(-1e-4)
         assert scaling_t(0.0, q) == 0.25
@@ -278,7 +288,7 @@ class TestScaling:
         q = math.exp(-1e-4)
         for s in (-1.0, -0.5, 0.5, 1.0):
             t = scaling_t(s, q)
-            exact = g_cfrac(t, EvalSettings(q=q))
+            exact = g_cfrac(t, q)
             err_uniform = abs(g_uniform(t, q) - exact)
             err_scaling = abs(g_scaling(s, q) - exact)
             assert err_uniform <= err_scaling
@@ -288,7 +298,7 @@ class TestScaling:
             errs = []
             for eps in (1e-3, 1e-4, 1e-5):
                 q = math.exp(-eps)
-                exact = g_cfrac(scaling_t(s, q), EvalSettings(q=q))
+                exact = g_cfrac(scaling_t(s, q), q)
                 errs.append(abs(g_scaling(s, q) - exact))
             assert errs[0] > errs[1] > errs[2]
 

@@ -27,7 +27,7 @@ from dyckarea.enumeration import (
     table_to_json,
 )
 from dyckarea.errors import DivergenceError, DomainError, ResourceLimitError
-from dyckarea.qseries import EvalSettings, g_cfrac
+from dyckarea.qseries import g_cfrac
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796, 58786, 208012, 742900, 2674440]
 
@@ -337,7 +337,7 @@ class TestTruncatedG:
 
     def test_cross_method(self):
         value = eval_G_truncated(0.2, 0.5, 60)
-        assert value == pytest.approx(g_cfrac(0.2, EvalSettings(q=0.5)), abs=1e-10)
+        assert value == pytest.approx(g_cfrac(0.2, 0.5), abs=1e-10)
 
     @pytest.mark.parametrize("t", [0.15, 0.2, 0.24])
     def test_catalan_convergence(self, t):
@@ -401,7 +401,7 @@ class TestLengthSeries:
     def test_estimated_tail_past_one_quarter(self):
         value, tail, certified = eval_G_truncated(0.26, 0.9, 40, full_output=True)
         assert not certified
-        assert 0.5 * tail < g_cfrac(0.26, EvalSettings(q=0.9)) - value < 2.0 * tail
+        assert 0.5 * tail < g_cfrac(0.26, 0.9) - value < 2.0 * tail
 
     @pytest.mark.parametrize("t", [0.25, 0.3, 1e10])
     def test_catalan_radius(self, t):
@@ -409,6 +409,13 @@ class TestLengthSeries:
         # below G = 2 and still rising, so it is refused before any term
         with pytest.raises(DivergenceError, match="radius 1/4"):
             eval_G_truncated(t, 1.0, 60)
+
+    def test_growing_terms_past_the_radius(self):
+        # for q < 1 the radius is t_inf(q) = 0.36298 at q = 0.9: at t = 0.4 the
+        # last four of 61 terms grow, and the error carries the last of them
+        with pytest.raises(DivergenceError, match="not decaying at n = 60") as err:
+            eval_G_truncated(0.4, 0.9, 60)
+        assert 1.0 < err.value.last_term < math.inf
 
     @pytest.mark.parametrize("t, N", [(1e10, 60), (1e150, 3)])
     def test_non_finite_term(self, t, N):

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import strategies as st
 
 from dyckarea import qseries
-from dyckarea.asymptotics import scaling_t
+from dyckarea.asymptotics import g_scaling, g_uniform, h_uniform, scaling_s, scaling_t
 from dyckarea.datasets import scan_g_vs_t, scan_scaling_fn
 from dyckarea.errors import (
     AccuracyError,
@@ -146,9 +146,13 @@ def _oracle_h(t, q, prec=2000):
 
 
 class TestEvalSettings:
+    # eps is never stored: every route recomputes it from q through the one check
     def test_epsilon_recomputed(self):
-        s = EvalSettings(q=0.5)
-        assert s.epsilon == pytest.approx(math.log(2.0), rel=1e-15)
+        assert qseries._epsilon(0.5) == pytest.approx(math.log(2.0), rel=1e-15)
+        assert qseries._epsilon(math.exp(-1e-5)) == -math.log(math.exp(-1e-5))
+        for q in (0.0, 1.0, -0.5, 1.5, math.nan, math.inf):
+            with pytest.raises(DomainError, match=rf"q must lie in \(0, 1\), got {re.escape(repr(q))}$"):
+                qseries._epsilon(q)
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -168,11 +172,42 @@ class TestEvalSettings:
 @pytest.mark.parametrize("route", [h_series, g_ratio, g_cfrac])
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
 def test_non_finite_t_is_a_domain_error(route, t):
+    nome = 0.5 if route is g_cfrac else EvalSettings(q=0.5)
     with pytest.raises(DomainError):
-        route(t, EvalSettings(q=0.5))
-    if route is not g_cfrac:
-        with pytest.raises(DomainError):
-            route(complex(0.1, t), EvalSettings(q=0.5))
+        route(t, nome)
+    with pytest.raises(DomainError):
+        route(complex(0.1, t), nome)
+
+
+def test_cfrac_takes_real_t():
+    for t in (0.1 + 0.1j, complex(0.2, 0.0)):
+        with pytest.raises(DomainError, match="takes real t"):
+            g_cfrac(t, 0.5)
+
+
+# every route that reads q, in qseries and asymptotics, refuses a q outside
+# (0, 1) with the one check's message; where t is bad too (nan, complex), or
+# needs no work (t = 0), q is still checked first
+@pytest.mark.parametrize("q", [0.0, 1.0, 1.5, -0.5, math.nan])
+@pytest.mark.parametrize("route", [
+    lambda q: EvalSettings(q=q),
+    lambda q: log_q_pochhammer(0.3, q),
+    lambda q: euler_maclaurin_check(0.3 + 0.2j, q),
+    lambda q: contour_h(0.2, q),
+    lambda q: t_infinity(q),
+    lambda q: g_cfrac(0.0, q),
+    lambda q: g_cfrac(0.2 + 0.1j, q),
+    lambda q: h_uniform(0.2, q),
+    lambda q: g_uniform(0.2, q),
+    lambda q: scaling_s(math.nan, q),
+    lambda q: scaling_t(math.nan, q),
+    lambda q: g_scaling(0.0, q),
+], ids=["EvalSettings", "log_q_pochhammer", "euler_maclaurin_check", "contour_h", "t_infinity",
+        "g_cfrac_at_zero", "g_cfrac_complex", "h_uniform", "g_uniform", "scaling_s", "scaling_t",
+        "g_scaling"])
+def test_one_check_for_q(route, q):
+    with pytest.raises(DomainError, match=r"^q must lie in \(0, 1\)"):
+        route(q)
 
 
 class TestQPochhammer:
@@ -587,10 +622,10 @@ class TestStopRule:
 
 class TestGCfrac:
     def test_at_origin(self):
-        assert g_cfrac(0.0, EvalSettings(q=0.3)) == 1.0
+        assert g_cfrac(0.0, 0.3) == 1.0
 
     def test_frozen_value(self):
-        value, depth = g_cfrac(0.2, EvalSettings(q=0.5), full_output=True)
+        value, depth = g_cfrac(0.2, 0.5, full_output=True)
         assert value == pytest.approx(G_02_05, abs=1e-12)
         # G >= 1, and the tail at depth K lies in [1, C(x_K)], x_k = 0.2 * 0.5^k:
         # levels K-1 .. 0 carry it to an interval at most prod_(k <= K) (C(x_k) - 1)
@@ -603,7 +638,7 @@ class TestGCfrac:
 
     def test_beyond_pole_line(self):
         # converges past t_inf(0.5) = 0.624 where the series C route fails
-        value = g_cfrac(0.35, EvalSettings(q=0.5))
+        value = g_cfrac(0.35, 0.5)
         assert math.isfinite(value)
         assert value == pytest.approx(g_ratio(0.35, EvalSettings(q=0.5)), rel=1e-10)
 
@@ -612,22 +647,20 @@ class TestGCfrac:
         settings = EvalSettings(q=q)
         top = 0.9 * t_infinity(q)
         for t in np.arange(0.05, top, 0.05):
-            a = g_cfrac(float(t), settings)
+            a = g_cfrac(float(t), q)
             b = g_ratio(float(t), settings)
             assert abs(a - b) / abs(a) < 1e-9
 
     @pytest.mark.parametrize("q", [0.5, 0.9])
     def test_functional_equation(self, q):
-        settings = EvalSettings(q=q)
         for t in (0.05, 0.15, 0.25):
-            G = g_cfrac(t, settings)
-            Gq = g_cfrac(q * t, settings)
+            G = g_cfrac(t, q)
+            Gq = g_cfrac(q * t, q)
             assert abs(G - 1.0 - t * G * Gq) < 1e-10
 
     def test_deep_evaluation_consistency(self):
         # the pairwise matrix path kicks in past the scalar depth limit
-        settings = EvalSettings(q=math.exp(-2e-5))
-        value = g_cfrac(0.2, settings)
+        value = g_cfrac(0.2, math.exp(-2e-5))
         closed = (1.0 - math.sqrt(0.2)) / 0.4
         assert value == pytest.approx(closed, abs=1e-4)
         assert value < closed  # area weight q < 1 suppresses every term
@@ -637,10 +670,9 @@ class TestGCfrac:
     # kernel; each line reports the bits the cut certifies, at least 60
     @pytest.mark.parametrize("eps, path", [(1e-3, "scalar"), (2e-4, "pairwise"), (5e-5, "pairwise")])
     def test_each_evaluation_logged(self, caplog, eps, path):
-        settings = EvalSettings(q=math.exp(-eps))
         for t in (0.2, 0.25, -3.0):
             with caplog.at_level(logging.DEBUG, logger="dyckarea"):
-                _, depth = g_cfrac(t, settings, full_output=True)
+                _, depth = g_cfrac(t, math.exp(-eps), full_output=True)
             lines = [rec.getMessage() for rec in caplog.records if rec.getMessage().startswith("cfrac")]
             assert len(lines) == 1
             line = re.fullmatch(rf"cfrac: depth {depth}, path {path}, bound (\S+) bits", lines[0])
@@ -677,9 +709,8 @@ class TestCfracGoldenDigest:
                 values = [qseries._cfrac_pairwise(t, q, depth) for t in self.TS]
                 lines.append(f"pairwise,{q!r},{depth},{values!r}")
         for eps in (0.5, 1e-3, 2e-4):  # at 2e-4 g_cfrac takes the pairwise kernel
-            s = EvalSettings(q=math.exp(-eps))
             for t in self.TS:
-                lines.append(f"g_cfrac,{eps!r},{t!r},{outcome(g_cfrac, t, s)}")
+                lines.append(f"g_cfrac,{eps!r},{t!r},{outcome(g_cfrac, t, math.exp(-eps))}")
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == CFRAC_VALUES_DIGEST
 
 
@@ -742,10 +773,10 @@ class TestCfracOracle:
 
     @pytest.mark.parametrize("eps", [0.5, 1e-3, 2e-4])
     def test_golden_points(self, eps):
-        settings = EvalSettings(q=math.exp(-eps))
+        q = math.exp(-eps)
         for t in TestCfracGoldenDigest.TS:
             bound = self.PAST_POLE_ROUNDOFF.get((eps, t), 1e-13)
-            self._assert_close(g_cfrac(t, settings), t, settings.q, bound)
+            self._assert_close(g_cfrac(t, q), t, q, bound)
 
     # at the depth the rule cuts at, the two ends of the tail's enclosure,
     # carried to level 0 at 200 bits, lie within 2^-60 of each other relative
@@ -757,7 +788,7 @@ class TestCfracOracle:
     def test_cut_closes_the_enclosure(self, t, log_eps):
         q = math.exp(-math.exp(log_eps))
         try:
-            g_cfrac(t, EvalSettings(q=q))
+            g_cfrac(t, q)
         except PoleProximityError:
             return
         depth = qseries._cfrac_depth(t, q, -math.log(q))[0]
@@ -784,7 +815,7 @@ class TestCfracOracle:
     def test_largest_t_is_a_domain_error(self, t):
         for q in (0.5, math.exp(-1e-4)):
             with pytest.raises(DomainError):
-                g_cfrac(t, EvalSettings(q=q))
+                g_cfrac(t, q)
             assert math.isnan(scan_g_vs_t(q, 0.1, t, 2).columns["G_cfrac"][1])
 
     # the README scan: --eps-list 0.5,1e-2 --s-min -3 --s-max 3 --steps 13;
@@ -793,7 +824,7 @@ class TestCfracOracle:
     def test_readme_scaling_grid(self, eps):
         q = math.exp(-eps)
         ts = [scaling_t(-3.0 + i * 0.5, q) for i in range(12)] + [scaling_t(3.0, q)]
-        values = [g_cfrac(t, EvalSettings(q=q)) for t in ts]
+        values = [g_cfrac(t, q) for t in ts]
         for t, value in zip(ts, values):
             self._assert_close(value, t, q, 1e-13)
         column = scan_scaling_fn([eps], -3.0, 3.0, 13).columns[f"F_from_cfrac_eps{eps:g}"]
@@ -1256,14 +1287,14 @@ class TestCfracBitwise:
     def test_path_across_scalar_limit(self, caplog, nominal):
         for t in (0.263, -3.0):
             eps = math.log(abs(t) / 1e-14) / (nominal // 2 - 8.5)
-            settings = EvalSettings(q=math.exp(-eps))
-            assert 2 * (math.ceil(math.log(abs(t) / 1e-14) / settings.epsilon) + 8) == nominal
+            q = math.exp(-eps)
+            assert 2 * (math.ceil(math.log(abs(t) / 1e-14) / qseries._epsilon(q)) + 8) == nominal
             with caplog.at_level(logging.DEBUG, logger="dyckarea"):
-                value, depth = g_cfrac(t, settings, full_output=True)
+                value, depth = g_cfrac(t, q, full_output=True)
             if nominal <= qseries._SCALAR_DEPTH_LIMIT:
-                path, expected = "scalar", _untrimmed_scalar_reference(t, settings.q, depth)
+                path, expected = "scalar", _untrimmed_scalar_reference(t, q, depth)
             else:
-                path, expected = "pairwise", _pairwise_grid_reference([t], settings.q, depth)[0]
+                path, expected = "pairwise", _pairwise_grid_reference([t], q, depth)[0]
             assert f"depth {depth}, path {path}" in caplog.records[-1].getMessage()
             assert _bits(value) == _bits(expected), t
 
@@ -1301,4 +1332,4 @@ class TestCfracBitwise:
             qseries._cfrac_scalar(t, q, 40)
         assert str(raised.value) == str(expected.value)
         with pytest.raises(PoleProximityError):
-            g_cfrac(t, EvalSettings(q=q))
+            g_cfrac(t, q)

@@ -369,6 +369,11 @@ class TestScalingFunction:
         with pytest.raises(DivergenceError):
             scaling_F_series(2.4, 40)
 
+    @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
+    def test_series_needs_finite_s(self, s):
+        with pytest.raises(DomainError, match="finite s"):
+            scaling_F_series(s)
+
     def test_series_truncation_bound(self):
         value, bound = scaling_F_series(1.5, 30, full_output=True)
         assert abs(value - scaling_F(1.5)) < 10.0 * bound + 1e-12
