@@ -21,7 +21,7 @@ print("row polynomials (coefficients of the area weight):")
 for n in range(6):
     print(f"  n={n}: {list(table.rows[n].coeffs)}")
 
-print("\nbacktracking oracle agreement up to n = 12:")
+print("\nexhaustive oracle agreement up to n = 12:")
 for n in range(13):
     oracle = brute_force_area_polynomial(n)
     match = "ok" if oracle.coeffs == table.rows[n].coeffs else "MISMATCH"

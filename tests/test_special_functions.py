@@ -1,5 +1,6 @@
 """Airy pair, zeros, zeta sums, dilogarithm and the scaling function."""
 
+import cmath
 import hashlib
 import math
 import random
@@ -341,6 +342,21 @@ class TestDilog:
             dilog(1.5)
         # just off the cut is fine
         assert dilog(1.5 + 1e-9j).imag != 0.0
+
+    @settings(max_examples=60)
+    @given(st.builds(complex, st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)))
+    def test_identities_off_the_cut(self, z):
+        # against mpmath, the reflection Li2(z) + Li2(1-z) = pi^2/6 - ln z ln(1-z)
+        # and conjugation symmetry, each to 1e-14 of max(1, |Li2(z)|)
+        if z.imag == 0.0 and z.real > 1.0:
+            return  # on the branch cut, where dilog raises
+        value = dilog(z)
+        scale = max(1.0, abs(value))
+        assert abs(value - complex(mpmath.polylog(2, z))) < 1e-14 * scale
+        assert abs(dilog(z.conjugate()) - value.conjugate()) < 1e-14 * scale
+        if z.imag != 0.0 or 0.0 < z.real < 1.0:  # 1 - z off the cut, both logs finite
+            rhs = math.pi**2 / 6.0 - cmath.log(z) * cmath.log(1.0 - z)
+            assert abs(value + dilog(1.0 - z) - rhs) < 1e-14 * scale
 
 
 class TestScalingFunction:
