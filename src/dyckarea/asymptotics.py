@@ -100,14 +100,7 @@ def _coefficients(z1: complex, z2: complex, alpha: float, d: float, p: float):
     1/sqrt(2) is essential: without it the uniform expansion of H tends to
     sqrt(2) times the true series value (verified against the exact sum).
     """
-    if alpha == 0.0:
-        # coalescent limits: z1 = z2 = 1/2 and alpha ~ d, so
-        # (a d)^(-1/4) (z1^p - z2^p) -> p (1/2)^(p-1)
-        p0 = 2.0 * 0.5**p * _MATCH
-        q0 = p * 0.5 ** (p - 1.0) * _MATCH
-        return p0, q0
-    ratio = alpha / d  # positive on both sides of the coalescence
-    quarter = ratio**0.25
+    quarter = (alpha / d) ** 0.25  # alpha / d > 0 on both sides of the coalescence
     if d > 0.0:
         p0 = quarter * (z1**p + z2**p).real * _MATCH
         q0 = (z1**p - z2**p).real / (alpha * d) ** 0.25 * _MATCH
@@ -119,26 +112,46 @@ def _coefficients(z1: complex, z2: complex, alpha: float, d: float, p: float):
     return p0, q0
 
 
+def _near_coalescence(t: float, d: float):
+    """alpha and the coefficients (p0, q0 for H, then H(qt)) for |d| < 1e-5.
+
+    With z = (1 + sqrt(d) v)/2, f' integrates between the saddles to
+    f(z2) - f(z1) = sqrt(d) sum_N c_N d^N, c_N = sum_(n<=N) (2/n)(1/(2(N-n)+1)
+    - 1/(2N+1)) = 4/3, 16/15, 92/105, ..., so alpha = d (3/4 sum_N c_N
+    d^(N-1))^(2/3); five terms leave below 1e-20. With sqrt(d) = tanh(theta),
+    z1,2 = sqrt(t) e^(+-theta) and z1^p +- z2^p = 2 t^(p/2) cosh, sinh(p theta);
+    past 1/4, theta = i atan(sqrt(-d)) turns them into cos and i sin.
+    """
+    ratio = (1.0 + d * (4 / 5 + d * (23 / 35 + d * (176 / 315 + d * 563 / 1155)))) ** (2.0 / 3.0)
+    quarter, root = ratio**0.25, math.sqrt(abs(d))
+    theta = math.atanh(root) if d > 0.0 else math.atan(root)
+    even, odd = (math.cosh, math.sinh) if d > 0.0 else (math.cos, math.sin)
+    coefficients = []
+    for p in (1.5, 0.5):  # (z1^p - z2^p)/(alpha d)^(1/4), with its limit p/quarter at d = 0
+        scale = 2.0 * t ** (p / 2.0) * _MATCH
+        coefficients += [scale * quarter * even(p * theta),
+                         scale * (odd(p * theta) / root if root else p) / quarter]
+    return ratio * d, coefficients
+
+
 def saddle_data(t: float) -> SaddleData:
     """Saddle points, cubic-normal-form parameters and leading coefficients.
 
     Valid for t in (0, 1/2); the asymptotic formulas are untested outside.
-    At t = 1/4 the coalescent limit (alpha = 0, z1 = z2 = 1/2) is returned.
+    Where |1 - 4t| < 1e-5 alpha and the coefficients come from series and
+    closed forms that do not cancel, continuous through t = 1/4.
     """
     t = float(t)
     if not (0.0 < t < 0.5):
         raise DomainError(f"saddle_data requires t in (0, 1/2), got {t!r}")
     d = 1.0 - 4.0 * t
     root = cmath.sqrt(complex(d))
-    z1 = 0.5 * (1.0 + root)
-    z2 = 0.5 * (1.0 - root)
-    if abs(d) < 1e-14:  # the coalescent limit
-        z1 = z2 = 0.5 + 0.0j
-        d = alpha = 0.0
-        f1 = f2 = phase_f(0.5, 0.25)
+    z1, z2 = 0.5 * (1.0 + root), 0.5 * (1.0 - root)
+    f1, f2 = phase_f(z1, t), phase_f(z2, t)
+    beta = 0.5 * (f1 + f2).real
+    if abs(d) < 1e-5:  # f(z2) - f(z1) is of size |d|^(3/2): sum it as a series
+        alpha, (p0_h, q0_h, p0_hqt, q0_hqt) = _near_coalescence(t, d)
     else:
-        f1 = phase_f(z1, t)
-        f2 = phase_f(z2, t)
         diff = f2 - f1
         if d > 0.0:
             if diff.real <= 0.0:
@@ -148,9 +161,7 @@ def saddle_data(t: float) -> SaddleData:
             alpha = (0.75 * diff.real) ** (2.0 / 3.0)
         else:
             alpha = -((0.75 * abs(diff)) ** (2.0 / 3.0))
-    beta = 0.5 * (f1 + f2).real
-    p0_h, q0_h = _coefficients(z1, z2, alpha, d, 1.5)
-    p0_hqt, q0_hqt = _coefficients(z1, z2, alpha, d, 0.5)
+        (p0_h, q0_h), (p0_hqt, q0_hqt) = (_coefficients(z1, z2, alpha, d, p) for p in (1.5, 0.5))
     return SaddleData(
         t=t, z1=z1, z2=z2, d=d, f1=f1, f2=f2, alpha=alpha, beta=beta,
         p0_h=p0_h, q0_h=q0_h, p0_hqt=p0_hqt, q0_hqt=q0_hqt,

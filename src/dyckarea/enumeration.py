@@ -12,7 +12,10 @@ All coefficients are arbitrary-precision integers (Catalan growth passes
 the 2n steps of the walk: the area equals the sum, over up-steps, of the
 height before the step (the Carlitz-Riordan statistic), so each state only
 needs its height and its area so far; the pass packs each polynomial into
-one integer, and the table holds its rows as tuples of counts. Splitting
+one integer, divided by q^(h(h-1)/2), the least area at height h. Only a
+down-step from h+1 shifts it, by h digits, and needs no mask: under an area
+cap m height h keeps digits 0..m - h(h-1)/2, which is where those of h+1,
+shifted by h, end. The table holds its rows as tuples of counts. Splitting
 a nonempty path at its first return to the diagonal gives the identity
 
     Z[n+1] = sum_{k=0..n} q^k * Z[k] * Z[n-k]
@@ -37,9 +40,11 @@ from __future__ import annotations
 import json
 import math
 import operator
+import struct
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 
 from .errors import DivergenceError, DomainError, ResourceLimitError
 
@@ -56,10 +61,11 @@ __all__ = [
     "table_to_json",
 ]
 
-# CPU time on 2 cores, Python 3.11, with digits sized by the count bounds:
+# CPU time on 2 cores, Python 3.11, with digits sized by the count bounds
+# (the table and columns: one cold call a process, max RSS from getrusage):
 _BRUTE_FORCE_CAP = 14  # n = 14 counts its 2 674 440 paths one by one in 0.09 s
-_TABLE_CAP_FULL = 200  # n = 200 builds its decoded rows in 4.1-4.4 s, 320-325 MB peak RSS
-_COLUMNS_CAP = 640  # the columns to area 640 build in 2.4 s, 39 MB peak RSS
+_TABLE_CAP_FULL = 200  # n = 200 builds its decoded rows in 2.3 s, 202 MB max RSS
+_COLUMNS_CAP = 640  # the columns to area 640 build in 1.9 s, 36 MB max RSS
 _SERIES_CAP = 10_000  # N(N+1)/2 products: N = 10 000 sums the length series in 1.1-1.2 s
 
 
@@ -98,30 +104,36 @@ class CoefficientTable:
         return len(self.rows) - 1
 
 
-def _height_pass(n_max: int, bits: int, mask: int):
+def _height_pass(n_max: int, bits: int, m_cap: int | None):
     """Yield the packed height-0 polynomial after steps 0, 2, ..., 2*n_max.
 
-    An up-step from height h adds h squares (a shift by h digits of ``bits``
-    bits); a down-step adds none. ``mask`` drops the areas past a cap.
-    The walks kept at step i, height h and area a end, by h down-steps, in
-    distinct paths of area a and semilength n = (i+h)/2 <= n_max. So their
-    count is at most c[a][n] <= min(C_n, binomial(a+n-1, n-1)) (n up-step
-    heights with sum a), which the callers size ``bits`` to hold. The heights
-    cut above 2 n_max - i are shifted copies of kept ones: no kept digit carried.
+    An up-step from height h adds h squares, so a walk at height h has area
+    at least h(h-1)/2; its polynomial is kept divided by q^(h(h-1)/2), in
+    digits of ``bits`` bits, and only the heights of the step's parity are
+    held. An up-step moves a polynomial unchanged, masked under the cap
+    ``m_cap`` to the m_cap - h(h-1)/2 + 1 digits height h keeps; a down-step
+    from h+1 shifts it by h digits, so it ends at that last digit: no mask.
+    A walk kept at step i, height h and area a ends, by h down-steps, in a
+    distinct path of area a and semilength n = (i+h)/2 <= n_max, so at most
+    c[a][n] <= min(C_n, binomial(a+n-1, n-1)) walks (n up-step heights with
+    sum a) share a digit, which the callers size ``bits`` to hold. Heights
+    above 2 n_max - i cannot return and are dropped before they carry.
     """
-    heights = [1]  # heights[h]: packed area polynomial of the walks at height h
+    top = 2 * n_max if m_cap is None else min(2 * n_max, (math.isqrt(8 * m_cap + 1) + 1) // 2)
+    shifts = [h * bits for h in range(top + 1)]  # top: the highest height kept
+    masks = None if m_cap is None else [(1 << bits * (m_cap - h * (h - 1) // 2 + 1)) - 1
+                                        for h in range(top + 1)]
+    level = [1]  # level[j]: divided polynomial of the walks at height 2j + step % 2
     yield 1
     for step in range(1, 2 * n_max + 1):
-        down = heights[1:] + [0, 0]
-        up = [0] + [(poly << h * bits) & mask for h, poly in enumerate(heights)]
-        heights = [a + b for a, b in zip(down, up)]
-        # Heights above the remaining step count can no longer return, and
-        # heights emptied by the area cap stay empty.
-        del heights[2 * n_max - step + 1:]
-        while not heights[-1]:
-            heights.pop()
-        if not step % 2:
-            yield heights[0]
+        odd = step % 2
+        ups = level if odd else [0] + level  # new level[j] from height 2j + odd - 1
+        downs = map(operator.lshift, level[odd:] + [0], shifts[odd:2 * n_max - step + 1:2])
+        if masks is not None:
+            ups = map(operator.and_, ups, masks[odd::2])
+        level = list(map(operator.add, ups, downs))
+        if not odd:
+            yield level[0]
 
 
 @lru_cache(maxsize=1)
@@ -140,14 +152,19 @@ def build_area_polynomials(n_max: int) -> CoefficientTable:
         raise ResourceLimitError(f"table to n = {n_max} exceeds the memory budget "
                                  f"(cap {_TABLE_CAP_FULL}); lower n_max")
     width = (catalan_number(n_max).bit_length() + 7) // 8  # C_n, in whole bytes
-    packed = list(_height_pass(n_max, 8 * width, -1))
+    packed = list(_height_pass(n_max, 8 * width, None))
     rows = []
     for n in range(n_max + 1):
-        raw = packed[n].to_bytes((n * (n - 1) // 2 + 1) * width, "little")
+        rows.append(AreaPolynomial(n, tuple(_digits(packed[n], width, n * (n - 1) // 2 + 1))))
         packed[n] = None  # its decoded row replaces it
-        coeffs = tuple(int.from_bytes(raw[i:i + width], "little") for i in range(0, len(raw), width))
-        rows.append(AreaPolynomial(n=n, coeffs=coeffs))
     return CoefficientTable(tuple(rows))
+
+
+def _digits(packed: int, width: int, count: int) -> Iterator[int]:
+    """The ``count`` digits of ``width`` bytes in ``packed``, lowest first; an
+    uncached ``Struct``, since ``struct.unpack`` would cache the long formats."""
+    raw = packed.to_bytes(count * width, "little")
+    return map(int.from_bytes, struct.Struct("<" + f"{width}s" * count).unpack(raw), repeat("little"))
 
 
 def area_columns(m_values: list[int]) -> list[list[int]]:
@@ -164,7 +181,7 @@ def area_columns(m_values: list[int]) -> list[list[int]]:
                                  f"(cap {_COLUMNS_CAP}); lower m")
     bits = math.comb(3 * m_top, m_top).bit_length()  # binomial(a+n-1, n-1), a <= m, n <= 2m
     columns = [[] for _ in m_values]
-    for n, packed in enumerate(_height_pass(2 * m_top, bits, (1 << bits * (m_top + 1)) - 1)):
+    for n, packed in enumerate(_height_pass(2 * m_top, bits, m_top)):
         for m, column in zip(m_values, columns):
             if n <= 2 * m:
                 column.append(packed >> m * bits & (1 << bits) - 1)
@@ -219,18 +236,25 @@ def partition_series(column: list[int], t: float) -> float:
 
     ``column`` is c[m][0..2m], as ``area_columns`` gives it; its length
     2m + 1 carries m. Q_m = N_m / (1-t)^(m+1) with deg N_m <= 2m (module
-    docstring), so these counts fix it on all of 0 <= t < 1. N_m comes from
-    m + 1 backward differences of them, and is evaluated at t = a / 2^e in
+    docstring), so these counts fix it on all of 0 <= t < 1. N_m is the low
+    2m + 1 digits of the counts, packed in W-bit digits, times (1 - 2^W)^(m+1);
+    |N_m[k]| <= 2^(m+1) max c < 2^(W-1), so with 2^(W-1) added to each digit
+    they read off with no borrow. N_m is evaluated at t = a / 2^e in
     integers, so a single int true division rounds it.
     """
     if len(column) % 2 == 0:
         raise DomainError(f"a column c[m][0..2m] has odd length, got {len(column)} counts")
+    if min(column) < 0:
+        raise DomainError(f"counts must be >= 0, got {min(column)}")
     m = len(column) // 2
     if not (0.0 <= t < 1.0):
         raise DomainError("partition_series requires 0 <= t < 1")
-    coeffs = column
-    for _ in range(m + 1):  # times (1 - t), truncated at degree 2m
-        coeffs = [c - p for c, p in zip(coeffs, [0] + coeffs)]
+    width = (m + max(column).bit_length() + 9) // 8  # W = 8 width >= m + 2 + bits of max c
+    packed = int.from_bytes(b"".join(c.to_bytes(width, "little") for c in column), "little")
+    bias = int.from_bytes((bytes(width - 1) + b"\x80") * (2 * m + 1), "little")  # 2^(W-1) a digit
+    packed = (packed * (1 - (1 << 8 * width)) ** (m + 1) + bias) & (1 << 8 * width * (2 * m + 1)) - 1
+    half = 1 << 8 * width - 1
+    coeffs = [c - half for c in _digits(packed, width, 2 * m + 1)]
     a, b = t.as_integer_ratio()
     e = b.bit_length() - 1  # t = a / 2^e
     num = 0  # 2^(2m e) N_m(t) = sum_k N_m[k] a^k 2^((2m-k) e)

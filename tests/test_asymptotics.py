@@ -70,6 +70,37 @@ class TestPhase:
             phase_f(0.5, -0.1)
 
 
+def _near_quarter(d):
+    """The t nearest (1 - d)/4 with |1 - 4t| <= |d|."""
+    t = 0.25 - 0.25 * d
+    while abs(1.0 - 4.0 * t) > abs(d):
+        t = math.nextafter(t, 0.25)
+    return t
+
+
+def _mp_saddle(t):
+    """alpha, p0_h, q0_h, p0_hqt, q0_hqt at 60 digits from the saddle-point
+    definitions, with the branch continuation of the module docstring."""
+    with mpmath.workdps(60):
+        t = mpmath.mpf(t)
+        d = 1 - 4 * t
+        z1, z2 = (1 + mpmath.sqrt(d)) / 2, (1 - mpmath.sqrt(d)) / 2  # z1 upper past 1/4
+
+        def f(z):
+            return mpmath.log(t) * mpmath.log(z) + mpmath.polylog(2, z) - mpmath.log(z) ** 2 / 2
+
+        alpha = mpmath.sign(d) * (0.75 * abs(f(z2) - f(z1))) ** (mpmath.mpf(2) / 3)
+        match = 1 / mpmath.sqrt(2)
+        out = [alpha]
+        for p in (mpmath.mpf(3) / 2, mpmath.mpf(1) / 2):
+            plus, minus = z1**p + z2**p, z1**p - z2**p
+            if d < 0:
+                plus, minus = 2 * mpmath.re(z1**p), 2 * mpmath.im(z1**p)
+            out += [(alpha / d) ** 0.25 * mpmath.re(plus) * match,
+                    mpmath.re(minus) / (alpha * d) ** 0.25 * match]
+        return [float(x) for x in out]
+
+
 class TestSaddleData:
     @pytest.mark.parametrize("t", [0.05, 0.15, 0.2, 0.25, 0.3, 0.45])
     def test_vieta(self, t):
@@ -102,6 +133,27 @@ class TestSaddleData:
         left = saddle_data(0.25 - 1e-5).alpha
         right = saddle_data(0.25 + 1e-5).alpha
         assert abs(left - right) < 2e-4
+
+    @pytest.mark.parametrize("side", [1, -1], ids=["below", "past"])
+    @pytest.mark.parametrize("size", [4e-14, 1e-12, 1e-10, 1e-8, 1e-6, 1e-5])
+    def test_near_coalescence_against_mpmath(self, size, side):
+        # f(z2) - f(z1) cancels as |d|^(3/2): alpha and the coefficients come
+        # from its series and closed forms, within 1e-15 of 60-digit mpmath
+        t = _near_quarter(side * size)
+        want = _mp_saddle(t)
+        sd = saddle_data(t)
+        got = (sd.alpha, sd.p0_h, sd.q0_h, sd.p0_hqt, sd.q0_hqt)
+        for value, exact in zip(got, want, strict=True):
+            assert abs(value / exact - 1.0) < 1e-15
+
+    @pytest.mark.parametrize("size", [4e-14, 1e-12, 1e-10, 1e-8, 1e-6, 1e-5])
+    def test_g_uniform_continuous_through_one_quarter(self, size):
+        # within 10 |d| of the value at t = 1/4 (about 5 |d| at eps = 1e-3)
+        q = math.exp(-1e-3)
+        centre = g_uniform(0.25, q)
+        for side in (1, -1):
+            t = _near_quarter(side * size)
+            assert abs(g_uniform(t, q) / centre - 1.0) < 10.0 * abs(1.0 - 4.0 * t)
 
     def test_coefficients_real(self):
         for t in (0.2, 0.3):

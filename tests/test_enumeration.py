@@ -215,6 +215,12 @@ class TestRecurrenceTable:
         assert _column(table, 1) == [0, 0, 1, 2, 3, 4, 5, 6, 7, 8]
         assert area_columns([0, 1, 4]) == [_column(table, m)[: 2 * m + 1] for m in (0, 1, 4)]
 
+    @pytest.mark.parametrize("m_values", [[1], [2], [0, 1, 2]])
+    def test_smallest_columns(self, m_values):
+        # the area caps where only heights 0..2 keep a digit
+        table = build_area_polynomials(4)
+        assert area_columns(m_values) == [_column(table, m)[: 2 * m + 1] for m in m_values]
+
     def test_resource_cap_names_n(self):
         with pytest.raises(ResourceLimitError, match="201"):
             build_area_polynomials(201)
@@ -249,7 +255,7 @@ class TestRecurrenceTable:
         bits = []
         height_pass = enumeration._height_pass
         monkeypatch.setattr(enumeration, "_height_pass",
-                            lambda n_max, b, mask: bits.append(b) or height_pass(n_max, b, mask))
+                            lambda n_max, b, m_cap: bits.append(b) or height_pass(n_max, b, m_cap))
         widest = _widest_counts(40, 40 * 39 // 2)
         for n_max in range(41):
             build_area_polynomials.__wrapped__(n_max)
@@ -310,6 +316,24 @@ def _exact_q(m, t):
     return float(value)  # Fraction -> float rounds correctly
 
 
+def _check_fraction(column, m, ts):
+    """At each t, partition_series equals N_m(t)/(1-t)^(m+1) summed in
+    Fractions, or raises DomainError where that value is past the double range."""
+    numerator = _numerator(column, m)
+    for t in ts:
+        x, value = Fraction(t), Fraction(0)
+        for c in reversed(numerator):
+            value = value * x + c
+        value /= (1 - x) ** (m + 1)
+        try:
+            want = float(value)
+        except OverflowError:
+            with pytest.raises(DomainError, match="double range"):
+                partition_series(column, t)
+        else:
+            assert partition_series(column, t) == want
+
+
 class TestPartitionSeries:
     def test_zero_area_geometric(self, table, columns):
         assert partition_series(columns[0], 0.5) == 1.0 / (1.0 - 0.5)
@@ -345,6 +369,26 @@ class TestPartitionSeries:
         [column] = area_columns([m])
         assert column == long[: 2 * m + 1]
         assert partition_series(column, t) == partition_series(long[: 2 * m + 1], t)
+
+    def test_every_column_to_m_80(self):
+        # the packed N_m product against N_m from binomials, summed in Fractions
+        for m, column in enumerate(area_columns(list(range(81)))):
+            _check_fraction(column, m, (0.0, 0.1, 0.25, 0.29448, 0.9, 0.999))
+
+    @pytest.mark.parametrize("bits", [1, 64, 200])
+    def test_digit_bias_at_its_bound(self, bits):
+        # every count 2^b - 1 gives |N_m[k]| = (2^b - 1) binomial(m, k), and
+        # counts 2^b - 1 at even n only give (2^b - 1) 2^m: the bias 2^(W-1)
+        # must cover 2^(m+1) max c with no borrow
+        top = (1 << bits) - 1
+        for m in range(61):
+            for column in ([top] * (2 * m + 1), [top * (1 - n % 2) for n in range(2 * m + 1)]):
+                _check_fraction(column, m, (0.1, 0.5, 0.9))
+
+    def test_negative_count(self):
+        # the packed product reads its digits as counts >= 0
+        with pytest.raises(DomainError, match="counts must be >= 0, got -1"):
+            partition_series([0, 0, 1, -1, 0], 0.3)
 
     def test_domain(self, columns):
         with pytest.raises(DomainError, match="got 0 counts"):

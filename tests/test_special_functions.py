@@ -8,7 +8,7 @@ import random
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 from scipy import special as sp
@@ -336,6 +336,17 @@ class TestDilog:
             lhs = dilog(complex(z)) + dilog(complex(1.0 / z))
             rhs = -math.pi**2 / 6.0 - 0.5 * np.log(complex(-z)) ** 2
             assert abs(lhs - rhs) < 1e-12
+
+    @settings(max_examples=200)
+    @given(st.floats(-3.0, 3.0), st.floats(-math.pi, math.pi))
+    def test_inversion_identity_drawn(self, log_modulus, angle):
+        # Li2(z) + Li2(1/z) = -pi^2/6 - ln(-z)^2/2 for z off [0, inf), with
+        # 1e-3 <= |z| <= 1e3, to 1e-14 of max(1, |Li2(z)|, |Li2(1/z)|)
+        z = cmath.rect(10.0**log_modulus, angle)
+        assume(z.imag != 0.0 or z.real < 0.0)
+        value, inverse = dilog(z), dilog(1.0 / z)
+        rhs = -math.pi**2 / 6.0 - 0.5 * cmath.log(-z) ** 2
+        assert abs(value + inverse - rhs) < 1e-14 * max(1.0, abs(value), abs(inverse))
 
     def test_branch_cut(self):
         with pytest.raises(BranchCutError):
