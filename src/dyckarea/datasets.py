@@ -91,6 +91,8 @@ def _check_finite(**bounds: float) -> None:
 def _grid(start: float, stop: float, steps: int) -> list[float]:
     """steps >= 2 equally spaced points from start to stop, with numpy.linspace's
     rounding: start + i (stop - start)/(steps - 1), then stop itself."""
+    if steps < 2:
+        raise DomainError("steps must be >= 2")
     step = (stop - start) / (steps - 1)
     return [start + i * step for i in range(steps - 1)] + [stop]
 
@@ -121,8 +123,6 @@ def scan_g_vs_t(q: float, t_min: float, t_max: float, steps: int,
     denominator hits a pole (possible past the boundary line) are recorded
     as NaN rather than aborting the scan.
     """
-    if steps < 2:
-        raise DomainError("steps must be >= 2")
     _check_finite(t_min=t_min, t_max=t_max)
     eps = _epsilon(q)
     ts = _grid(t_min, t_max, steps)
@@ -139,8 +139,6 @@ def scan_g_vs_t(q: float, t_min: float, t_max: float, steps: int,
 def scan_phase_boundary(q_min: float, q_max: float, steps: int,
                         tol: float = 1e-10, stamp: bool = False) -> ScanDataset:
     """Pole boundary t_inf(q) on a q-grid."""
-    if steps < 2:
-        raise DomainError("steps must be >= 2")
     qs = _grid(q_min, q_max, steps)
     t_inf = [t_infinity(q, tol) for q in qs]
     return ScanDataset(
@@ -161,8 +159,6 @@ def scan_scaling_fn(eps_list: list[float], s_min: float, s_max: float, steps: in
     fraction breaks down, the uniform column where t(s, eps) lies outside
     (0, 1/2) or at a pole of the uniform form.
     """
-    if steps < 2:
-        raise DomainError("steps must be >= 2")
     _check_finite(s_min=s_min, s_max=s_max)
     for eps in eps_list:
         if not 0.0 < eps < math.inf:

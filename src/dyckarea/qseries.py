@@ -474,12 +474,16 @@ def _cut(t: float, q: float, dead: int) -> tuple[int, float]:
 def _cfrac_depth(t: float, q: float, eps: float) -> tuple[int, float]:
     """The cut of t and the bits it certifies (``_cut``), at least one level
     and never past the first dead level, |t q^k| < 2^-54, plus three, where
-    evaluations stopped before the cut."""
+    evaluations stopped before the cut. A walk of ``_cut`` to the first
+    |t q^m| <= 1/4 (t > 0) or 1 (t < 0) past ``_SCALAR_DEPTH_LIMIT`` levels
+    is a resource error before it starts."""
     if not math.isfinite(t):
         raise DomainError(f"the continued fraction needs a finite t, got {t!r}")
     levels = math.log(abs(t) / 2.0 ** -54) / eps if t else 0.0
     if not math.isfinite(levels):
         raise DomainError(f"no finite continued-fraction depth for t = {t!r}")
+    if t and (walk := math.log(4.0 * t if t > 0.0 else -t) / eps) > _SCALAR_DEPTH_LIMIT:
+        raise ResourceLimitError(f"the cut's walk from t = {t!r} is {math.ceil(walk)} levels long, over {_SCALAR_DEPTH_LIMIT}")
     depth, bits = _cut(t, q, max(1, math.ceil(levels) + 3)) if t else (1, math.inf)
     return max(1, depth), bits
 
@@ -571,7 +575,8 @@ def g_cfrac(t: float, q: float, full_output: bool = False):
     for deep chains, the pairwise product. Valid (and stable) beyond the
     pole line, where the series representations fail; a vanishing
     denominator or a value that is not finite is a pole error. t must be
-    real; a complex t is a domain error.
+    real; a complex t is a domain error, and a |t| so large that the cut's
+    walk would pass ``_SCALAR_DEPTH_LIMIT`` levels a resource error.
     """
     eps = _epsilon(q)
     try:

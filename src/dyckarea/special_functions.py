@@ -8,16 +8,12 @@ the oscillatory envelope on the negative Airy axis).
 
 Evaluation strategy for Ai/Ai':
 
-* ``-4.5 <= x <= 3.5``   Maclaurin series in double precision (exactly
-  summed term lists; worst cancellation here costs ~3 digits).
-* ``3.5 < x <= 7.8`` and ``-7.8 <= x < -4.5``   the same Maclaurin
-  recurrence in binary fixed point on Python integers, with the precision
-  raised by the cancellation depth exp(2|x|^{3/2}/3); Ai(0) and Ai'(0) are
-  read from 256-bit integer constants. Ai and Ai' are within 1 ulp of
-  300-bit mpmath values across both bands. A plain
-  asymptotic expansion switched on at 4.5 bottoms out near 3e-6 (optimal
-  truncation error exp(-4|x|^{3/2}/3)), far short of 12 digits, which is
-  why this guarded middle tier exists.
+* ``|x| <= 7.8``   the Maclaurin sums in binary fixed point on Python
+  integers, from 256-bit integer values of Ai(0) and Ai'(0), as wide as
+  the cancellation met needs: within 1 ulp of 300-bit mpmath throughout,
+  next to the zeros of Ai and Ai' too. An asymptotic expansion switched
+  on at 4.5 bottoms out near 3e-6 (optimal truncation error
+  exp(-4|x|^{3/2}/3)), which is why the series reaches out to 7.8.
 * ``|x| > 7.8``   Poincare asymptotic expansions, truncated at the smallest
   term; the error floor is below 3e-13 there. On x < -7.8 the phase
   zeta + pi/4 is formed exactly in 256-bit fixed point and reduced mod
@@ -64,8 +60,8 @@ __all__ = [
     "A0",
 ]
 
-# Closed forms 3^(-2/3)/Gamma(2/3) and -3^(-1/3)/Gamma(1/3); for the guarded
-# Maclaurin tier also times 2^256, as nearest integers.
+# Closed forms 3^(-2/3)/Gamma(2/3) and -3^(-1/3)/Gamma(1/3); for the
+# fixed-point Maclaurin tier also times 2^256, as nearest integers.
 AIRY_AT_ZERO = 3.0 ** (-2.0 / 3.0) / math.gamma(2.0 / 3.0)
 AIRY_PRIME_AT_ZERO = -(3.0 ** (-1.0 / 3.0)) / math.gamma(1.0 / 3.0)
 _AI0_256 = 41109440097528836801426857147003022046736271027248145578114601627402032088151
@@ -75,11 +71,6 @@ _PI_256 = 3637715768917663242802349427777298626533933773283924299587721511179388
 # Amplitude of the tricritical scaling law, Ai'(0)/Ai(0) = -0.7290...
 A0 = AIRY_PRIME_AT_ZERO / AIRY_AT_ZERO
 
-_SERIES_RADIUS = 4.5
-# The growing solution dominates the Maclaurin sums for x > 0, so the
-# double-precision series loses exp(2 zeta) there instead of exp(zeta);
-# the elevated-precision tier starts earlier on that side.
-_SERIES_RADIUS_POS = 3.5
 _ASYMPTOTIC_RADIUS = 7.8
 _MAX_ARGUMENT = 1.0e4
 # Above this argument ``airy_scaled`` returns the exp(zeta)-scaled pair.
@@ -95,76 +86,56 @@ class AiryPair:
     ai_prime: float
 
 
-def _maclaurin_terms(x: float):
-    """Term lists, in doubles, of the four Maclaurin series f, g, f', g' at x.
-
-    Ai(x)  = Ai(0) f(x) + Ai'(0) g(x)
-    Ai'(x) = Ai(0) f'(x) + Ai'(0) g'(x)
-
-    The recurrence stops once the terms of f, g and g' drop below 1e-22.
-    """
-    x3 = x * x * x
-    a, ap, b, bp = 1.0, x * x / 2, x, 1.0
-    f_terms, fp_terms, g_terms, gp_terms = [a], [0.0, ap], [b], [bp]
-    k = 0
-    while True:
-        a *= x3 / ((3 * k + 2) * (3 * k + 3))
-        b *= x3 / ((3 * k + 3) * (3 * k + 4))
-        bp *= x3 / ((3 * k + 1) * (3 * k + 3))
-        f_terms.append(a)
-        g_terms.append(b)
-        gp_terms.append(bp)
-        if k >= 1:
-            ap *= x3 * (k + 1) / (k * (3 * k + 2) * (3 * k + 3))
-            fp_terms.append(ap)
-        k += 1
-        if k > 6 and abs(a) < 1e-22 and abs(b) < 1e-22 and abs(bp) < 1e-22:
-            return f_terms, g_terms, fp_terms, gp_terms
-
-
 def _airy_origin(frac: int) -> tuple[int, int]:
     """Ai(0) and Ai'(0) times 2^frac, frac < 256, as nearest integers (halves up)."""
-    return tuple((c >> 255 - frac) + 1 >> 1 for c in (_AI0_256, _AIP0_256))
+    return (_AI0_256 >> 255 - frac) + 1 >> 1, (_AIP0_256 >> 255 - frac) + 1 >> 1
 
 
-def _airy_maclaurin(x: float, guarded: bool) -> AiryPair:
-    """Ai and Ai' from the Maclaurin sums: in doubles, or when ``guarded``
-    in binary fixed point with the precision raised by the cancellation depth.
+def _airy_maclaurin(x: float) -> AiryPair:
+    """Ai and Ai' for |x| <= 7.8 from the Maclaurin sums in binary fixed point.
 
-    The guarded sums are Python integers in units of 2^-F, F = prec + 8 bits
-    of floor slack. x = m / 2^e is exact, so each term is the previous one
-    times m^3, floor-divided by a small integer shifted up by 3e bits; the
-    recurrence stops once the terms of f, g and g' drop below 2^-prec. Ai and
-    Ai' are each one integer true division, which rounds correctly.
+    With y = x^3, a_j = y^j / prod_{i<=j} (3i - 1) 3i, b_j = y^j / prod_{i<=j}
+    3i (3i + 1) and p_j = a_j / (3j + 2),
+
+        Ai(x)  = Ai(0) sum (3j + 2) p_j + Ai'(0) x sum b_j,
+        Ai'(x) = Ai(0) x^2 sum p_j + Ai'(0) sum (3j + 1) b_j.
+
+    p and b are integers in units of 2^-F; x = m / 2^e is exact, so each term
+    is the previous one times m^3, floor-divided by a small integer and
+    shifted down 3e bits, until both floor to 0. x and x^2 enter last, in
+    units of 2^-2F, and Ai and Ai' are each rounded once, from an integer.
+
+    The floors cost a few units, times exp(zeta), zeta = 2|x|^{3/2}/3, on
+    x < 0, where the terms reach exp(zeta) times the sums. The two products
+    forming Ai or Ai' cancel by about 2 zeta / ln 2 bits on x > 0 (the sums
+    grow as Ai decays) and by about 53 next to a zero. F must exceed the two
+    losses together by 64 bits: a pass starts 8 above, reruns if it loses more.
     """
-    if not guarded:
-        f, g, fp, gp = map(math.fsum, _maclaurin_terms(x))
-        return AiryPair(
-            ai=AIRY_AT_ZERO * f + AIRY_PRIME_AT_ZERO * g,
-            ai_prime=AIRY_AT_ZERO * fp + AIRY_PRIME_AT_ZERO * gp,
-        )
-    # prec = 53 + cancellation depth + 24 guard bits, where the depth is
-    # exp(zeta) for x < 0 and exp(2 zeta) for x > 0, zeta = 2|x|^{3/2}/3
-    zeta = 2.0 * abs(x) ** 1.5 / 3.0
-    frac = 53 + int(2.0 * zeta / math.log(2.0)) + 24 + 8
+    depth = 2.0 * abs(x) ** 1.5 / (3.0 * math.log(2.0))
+    amp = 0 if x > 0.0 else int(depth)
+    frac = 72 + int(2.0 * depth if x > 0.0 else depth)
     m, den = x.as_integer_ratio()
-    m3, e3 = m * m * m, 3 * (den.bit_length() - 1)
-    a = bp = f = gp = 1 << frac
-    ap = fp = (m * m << frac) // (2 * den * den)
-    b = g = (m << frac) // den
-    k = 0
-    while k <= 6 or max(abs(a), abs(b), abs(bp)) >= 1 << 8:  # 2^-prec in units of 2^-F
-        a = a * m3 // ((3 * k + 2) * (3 * k + 3) << e3)
-        b = b * m3 // ((3 * k + 3) * (3 * k + 4) << e3)
-        bp = bp * m3 // ((3 * k + 1) * (3 * k + 3) << e3)
-        f, g, gp = f + a, g + b, gp + bp
-        if k >= 1:
-            ap = ap * m3 * (k + 1) // (k * (3 * k + 2) * (3 * k + 3) << e3)
-            fp += ap
-        k += 1
-    c1, c2 = _airy_origin(frac)
-    unit = 1 << 2 * frac
-    return AiryPair(ai=(c1 * f + c2 * g) / unit, ai_prime=(c1 * fp + c2 * gp) / unit)
+    e = den.bit_length() - 1
+    y, e3 = m * m * m, 3 * e
+    while True:
+        p = fp = 1 << frac - 1
+        b = f = g = gp = 1 << frac
+        k = 0
+        while p or b:
+            k += 3
+            p = p * y // (k * (k + 2)) >> e3
+            b = b * y // (k * (k + 1)) >> e3
+            f += (k + 2) * p
+            fp += p
+            g += b
+            gp += (k + 1) * b
+        c1, c2 = _airy_origin(frac)
+        u, v, s, w = c1 * f, c2 * g * m >> e, c1 * fp * m * m >> 2 * e, c2 * gp
+        lost = max(max(u.bit_length(), v.bit_length()) - (u + v).bit_length(),
+                   max(s.bit_length(), w.bit_length()) - (s + w).bit_length())
+        if lost <= frac - 64 - amp:
+            return AiryPair(ai=math.ldexp(u + v, -2 * frac), ai_prime=math.ldexp(s + w, -2 * frac))
+        frac = 72 + amp + lost
 
 
 def _asymptotic_coefficients(n_max: int):
@@ -236,16 +207,14 @@ def _airy_asymptotic_negative(x: float) -> AiryPair:
 def airy(x: float) -> AiryPair:
     """Ai(x) and Ai'(x) for real x, |x| <= 1e4.
 
-    Uses the Maclaurin series near the origin and Poincare expansions for
-    large argument, with an elevated-precision series tier bridging the
-    region where neither double-precision method reaches 12 digits.
+    Three tiers: the fixed-point Maclaurin sums on |x| <= 7.8 and the Poincare
+    expansions on either side; ``airy_scaled`` switches to a scaled pair above 60.
     """
     x = float(x)
     if math.isnan(x) or abs(x) > _MAX_ARGUMENT:
         raise DomainError(f"airy argument {x!r} outside |x| <= {_MAX_ARGUMENT:g}")
     if abs(x) <= _ASYMPTOTIC_RADIUS:
-        fast_radius = _SERIES_RADIUS_POS if x > 0 else _SERIES_RADIUS
-        return _airy_maclaurin(x, guarded=abs(x) > fast_radius)
+        return _airy_maclaurin(x)
     if x > 0:
         return _airy_asymptotic_positive(x, scaled=False)
     return _airy_asymptotic_negative(x)

@@ -63,6 +63,14 @@ class TestScanDatasets:
         with pytest.raises(DomainError, match=f"{name} must be finite"):
             scan(**kwargs)
 
+    @pytest.mark.parametrize("steps", [1, 0, -3])
+    def test_fewer_than_two_steps_rejected(self, steps):
+        # the one check is in the grid, where steps = 1 would divide by zero
+        for scan, args in ((scan_g_vs_t, (0.9, 0.1, 0.2)), (scan_phase_boundary, (0.5, 0.6)),
+                           (scan_scaling_fn, ([1e-2], -1.0, 1.0))):
+            with pytest.raises(DomainError, match="steps must be >= 2"):
+                scan(*args, steps)
+
     @pytest.mark.parametrize("eps", [-1000.0, 0.0, math.nan, math.inf])
     def test_scaling_fn_rejects_bad_eps(self, eps):
         # exp(-eps) overflowed for eps = -1000 and gave q = 1 or 0 for the others
@@ -575,6 +583,9 @@ class TestCli:
         ("scan --kind g_vs_t --eps -1000 --steps 3 --out /dev/null", 2),
         ("scan --kind scaling_fn --eps-list -1000 --steps 3 --out /dev/null", 2),
         ("scan --kind scaling_fn --eps-list 1e-2,inf --steps 3 --out /dev/null", 2),
+        ("scan --kind g_vs_t --q 0.9 --steps 1 --out /dev/null", 2),
+        ("scan --kind phase_boundary --steps 1 --out /dev/null", 2),
+        ("scan --kind scaling_fn --eps-list 1e-2 --steps 1 --out /dev/null", 2),
         ("enumerate --n-max 3 --verify-brute-force 5", 64),
         ("enumerate --n-max 3 --verify-brute-force -1", 64),
         ("eval --t 0.2 --q 0.5 --method ratio --precision-bits 200", 64),

@@ -78,7 +78,7 @@ def test_numpy_stays_in_the_continued_fraction_kernel():
 
 
 # one op of every command, eval by every method and scan of every kind; the
-# Airy scaling point s = 4.3 lies in the guarded Maclaurin tier
+# Airy scaling point s = 4.3 lies in the fixed-point Maclaurin tier
 _OPS = """
 eval --t 0.2 --q 0.5 --method series
 eval --t 0.2 --eps 0.05 --method ratio

@@ -818,6 +818,19 @@ class TestCfracOracle:
                 g_cfrac(t, q)
             assert math.isnan(scan_g_vs_t(q, 0.1, t, 2).columns["G_cfrac"][1])
 
+    # the cut walks level by level to the first |t q^m| <= 1/4 (t > 0) or
+    # <= 1 (t < 0), about ln(4|t|)/eps or ln|t|/eps levels; past the scalar
+    # depth limit that walk is refused before it starts, and a g_vs_t scan
+    # writes NaN in that row
+    @pytest.mark.parametrize("t, eps, levels", [(-1e200, 1e-3, 460518), (1e10, 1e-4, 244122)])
+    def test_long_walk_fails_fast(self, t, eps, levels):
+        q = math.exp(-eps)
+        start = time.process_time()
+        with pytest.raises(ResourceLimitError, match=re.escape(f"walk from t = {t!r} is {levels} levels long, over 200000")):
+            g_cfrac(t, q)
+        assert time.process_time() - start < 5e-3
+        assert math.isnan(scan_g_vs_t(q, 0.1, t, 2).columns["G_cfrac"][1])
+
     # the README scan: --eps-list 0.5,1e-2 --s-min -3 --s-max 3 --steps 13;
     # its column is g_cfrac at each t, bit for bit
     @pytest.mark.parametrize("eps", [0.5, 1e-2])

@@ -123,8 +123,9 @@ class TestAiry:
             airy_scaled(2e4)
 
 
-# the Maclaurin/mpmath/asymptotic switches of airy and the scaled switch of
-# airy_scaled, each probed within 1e-9 on both sides
+# the Maclaurin/asymptotic switches of airy at +-7.8 and the scaled switch of
+# airy_scaled at 60, each probed within 1e-9 on both sides; +-3.5 and +-4.5,
+# where a double-precision series once handed over, stay as ordinary points
 _TIER_SWITCHES = [-7.8, -4.5, -3.5, 3.5, 4.5, 7.8, 60.0]
 _NEAR = st.floats(min_value=-1e-9, max_value=1e-9)
 
@@ -159,12 +160,9 @@ class TestTierSwitches:
         assert abs(values[1] / values[0] - 1.0) <= 8.0 * (above - below) + 1e-11
 
 
-# the guarded Maclaurin tier: 1000 points of each band and its first and
-# last double
-_MIDDLE_BANDS = {
-    "positive": np.linspace(3.5, 7.8, 1001)[1:].tolist() + [math.nextafter(3.5, math.inf), 7.8],
-    "negative": np.linspace(-7.8, -4.5, 1001)[:-1].tolist() + [-7.8, math.nextafter(-4.5, -math.inf)],
-}
+# the fixed-point Maclaurin tier over the whole of [-7.8, 7.8], with the
+# origin approached from both sides and through subnormals
+_MACLAURIN_POINTS = np.linspace(-7.8, 7.8, 1961).tolist() + [0.0, -0.0, 5e-324, 1e-300, -1e-300]
 
 
 def _worst_ulps(xs) -> tuple[float, str, float]:
@@ -179,51 +177,60 @@ def _worst_ulps(xs) -> tuple[float, str, float]:
     return max(worst)
 
 
+def _zero_neighbours() -> list[float]:
+    """The doubles nearest the zeros of Ai and Ai' in [-7.8, 0] (the 5th of Ai
+    is -7.94) and one on either side: the largest losses of any double."""
+    with mpmath.workdps(30):
+        xs = [float(mpmath.airyaizero(k, derivative=d)) for d in (0, 1) for k in range(1, 5 + d)]
+    return xs + [math.nextafter(x, d) for x in xs for d in (-math.inf, math.inf)]
+
+
+def _origin_at(frac: int) -> tuple[int, int]:
+    with mpmath.workprec(300):
+        return (int(mpmath.nint(mpmath.ldexp(mpmath.airyai(0), frac))),
+                int(mpmath.nint(mpmath.ldexp(mpmath.airyai(0, derivative=1), frac))))
+
+
 class TestAiryMiddleTier:
-    @pytest.mark.parametrize("band", sorted(_MIDDLE_BANDS))
-    def test_within_one_ulp_of_mpmath(self, band):
-        worst = _worst_ulps(_MIDDLE_BANDS[band])
+    """The fixed-point Maclaurin tier, which now covers all of |x| <= 7.8."""
+
+    def test_within_one_ulp_of_mpmath(self):
+        worst = _worst_ulps(_MACLAURIN_POINTS)
         assert worst[0] <= 1.0, worst
 
     def test_zeros_within_one_ulp_of_mpmath(self):
-        # Ai cancels to about 1e-16 at the doubles next to s_3 and s_4, so 1 ulp
-        # there needs sums accurate far below the size of their terms
-        with mpmath.workdps(30):
-            xs = [float(mpmath.airyaizero(k)) for k in (3, 4)]
-        xs += [math.nextafter(x, d) for x in xs for d in (-math.inf, math.inf)] + list(airy_zeros(4)[2:])
-        worst = _worst_ulps(xs)
+        # Ai cancels to about 1e-16 at the doubles next to its zeros, and Ai'
+        # next to its own, so 1 ulp there needs sums accurate far below the
+        # size of their terms
+        worst = _worst_ulps(_zero_neighbours() + list(airy_zeros(4)))
         assert worst[0] <= 1.0, worst
 
-    @pytest.mark.parametrize("frac", [97, 110, 126])  # the tier's lowest, a middle and its highest F
+    @pytest.mark.parametrize("frac", [72, 97, 110, 126, 143])  # the tier's lowest F, three between, its highest
     def test_origin_constants(self, frac):
-        with mpmath.workprec(300):
-            expected = (mpmath.nint(mpmath.ldexp(mpmath.airyai(0), frac)),
-                        mpmath.nint(mpmath.ldexp(mpmath.airyai(0, derivative=1), frac)))
-        assert special_functions._airy_origin(frac) == tuple(map(int, expected))
+        assert special_functions._airy_origin(frac) == _origin_at(frac)
 
     def test_origin_constants_every_reached_precision(self, monkeypatch):
-        # every F the tier reaches: F grows with |x|, so the band edges give
-        # its lowest (next above 3.5) and its highest (at 7.8 and -7.8)
+        # every F the tier reaches: a first pass grows with |x| on each side,
+        # from 72 at 0 to 113 at 7.8 (92 at -7.8), and a rerun with the loss
+        # it measured, largest at the doubles next to the zeros
         fracs = []
         origin = special_functions._airy_origin
         monkeypatch.setattr(special_functions, "_airy_origin", lambda frac: fracs.append(frac) or origin(frac))
-        for x in (math.nextafter(3.5, math.inf), 7.8, math.nextafter(-4.5, -math.inf), -7.8):
+        for x in [0.0, 7.8, -7.8] + _zero_neighbours():
             airy(x)
-        assert (min(fracs), max(fracs)) == (97, 126)
+        assert fracs[:3] == [72, 113, 92]
+        assert max(fracs) == 143
         for frac in range(min(fracs), max(fracs) + 1):
-            with mpmath.workprec(300):
-                expected = (mpmath.nint(mpmath.ldexp(mpmath.airyai(0), frac)),
-                            mpmath.nint(mpmath.ldexp(mpmath.airyai(0, derivative=1), frac)))
-            assert origin(frac) == tuple(map(int, expected)), frac
+            assert origin(frac) == _origin_at(frac), frac
 
     def test_no_mpmath_arithmetic_per_call(self, monkeypatch):
         # the tier reads only integer constants, nothing is cached per
         # precision, and mpmath's gamma, workprec and mpf are never touched
-        xs = (5.0, -6.0, math.nextafter(3.5, math.inf), -7.8)
+        xs = (5.0, -6.0, 0.5, -1.0, math.nextafter(3.5, math.inf), -7.8)
         expected = [airy(x) for x in xs]
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("mpmath used in the guarded Airy tier")
+            raise AssertionError("mpmath used in the Maclaurin Airy tier")
 
         for name in ("gamma", "workprec", "mpf"):
             monkeypatch.setattr(mpmath, name, forbidden)
@@ -384,6 +391,15 @@ class TestScalingFunction:
         with pytest.raises(PoleProximityError) as err:
             scaling_F(zero + 1e-10)
         assert err.value.nearest == pytest.approx(zero, abs=1e-8)
+
+    @pytest.mark.parametrize("offset", [1e-7, -1e-7, 1e-6, -1e-6])
+    @pytest.mark.parametrize("zero", [S1, S2])
+    def test_near_the_first_poles(self, zero, offset):
+        # Ai is ~1e-7 of its envelope here, so F keeps 14 digits only if Ai does
+        s = zero + offset
+        with mpmath.workprec(300):
+            ref = float(mpmath.airyai(s, derivative=1) / mpmath.airyai(s))
+        assert scaling_F(s) == pytest.approx(ref, rel=1e-14)
 
     @pytest.mark.parametrize("s", [1.0, -1.0])
     def test_series_matches_ratio(self, s):
