@@ -288,23 +288,30 @@ class TestCli:
     # sha256 of the CSV each README scan writes, run as the README writes it
     @pytest.mark.parametrize("argv, digest", [
         # re-pinned when the negative-axis Airy phase came to be formed
-        # exactly: 18 G_uniform values moved, by 2.5e-13 relative at most (t = 0.399)
+        # exactly: 18 G_uniform values moved, by 2.5e-13 relative at most (t = 0.399);
+        # and when the fixed-point Airy series took over |x| <= 4.5: 12 moved,
+        # by 2.2e-14 relative at most (t = 0.298)
         ("scan --kind g_vs_t --q 0.990049834 --t-min 0 --t-max 0.45 --steps 90",
-         "4e520e855c08561ef8e6246b92979001cd5efeababa62b56155e3b1923a67d3e"),
+         "0836ee0e0206f01723d23349ca5849069681bbced1430875759ed6285551af76"),
         # re-pinned when t_infinity came to bisect on the continued fraction's
         # sign count: every root moved, by 8.1e-11 relative at most (tol 1e-10)
         ("scan --kind phase_boundary --q-min 0.3 --q-max 0.99 --steps 20",
          "3f9f3fe2cfaa1b81c9eb801af73cefa4bde9142a84077ff6c98a96b524a090d4"),
+        # re-pinned with the fixed-point Airy series: Q_asymptotic at m = 80
+        # moved by 1.2e-16 relative
         ("scan --kind partition --t 0.24 --m-list 20,40,80",
-         "0daadbc199efc8fc2d20ddaab3ffee0ad13d4c5d6374474ad8b00ca0d754084b"),
+         "b3f8362e35a592309194122c29f1ec7ee72fb5af15234075b75ac8e1cc6e5518"),
         # six F_from_uniform_eps0.5 rows lie outside (0, 1/2) in t: NaN; re-pinned
         # when the continued fraction became cut where its tail enclosure closes
         # (the largest move: F_from_cfrac_eps0.01 at s = -1, 1.5e-14 relative),
         # and when the scan came to call g_cfrac at each t's own cut: 21 of the
         # 26 values of G moved, by 3.2e-15 relative at most, and none lies
-        # farther than 5.7e-15 from the 200-bit oracle (8.6e-15 before)
+        # farther than 5.7e-15 from the 200-bit oracle (8.6e-15 before); and
+        # with the fixed-point Airy series: F_exact moved by 2.6e-14 relative
+        # at most (s = 3, now within 1.6e-16 of 300-bit mpmath at every s),
+        # F_from_uniform_eps0.01 by 1.2e-13 (s = 3)
         ("scan --kind scaling_fn --eps-list 0.5,1e-2 --s-min -3 --s-max 3 --steps 13",
-         "6648141c8fa12497a60acd828160a6863248496ae472c2716c4d7b46e920a241"),
+         "4e06f07234328cb3e4bc63631710d672c467e47685b5e047084848520f0b637f"),
     ], ids=["g_vs_t", "phase_boundary", "partition", "scaling_fn"])
     def test_readme_scan_digest(self, tmp_path, run_cli, argv, digest):
         out = tmp_path / "scan.csv"
@@ -315,13 +322,17 @@ class TestCli:
     @pytest.mark.parametrize("argv, digest", [
         ("enumerate --n-max 12 --verify-brute-force 12",
          "d6dfa4bb78c25611776a3b37456a19f5f51f241e1a2b838c75732cb6f55d3d7b"),
+        # re-pinned with the fixed-point Airy series: the asymptotic line
+        # moved by 2.5e-16 relative
         ("partition --m 40 --t 0.2286",
-         "43891fc2d04f625fc2574663df870eebe5db41d68a6a67b748d873fd4a230f47"),
+         "ae1a2090ff6ec59dd02a35b927a375d482a765e061a29c032a8f015dbe82f49f"),
         # m < 10: no finite-size form, so no asymptotic line
         ("partition --m 5 --t 0.2",
          "2b56c78cdc8538f492d9cfcfb2c8e9bfd05dbafc7bdc3715830b95f6c58a4a88"),
+        # re-pinned with the fixed-point Airy series: F(0) is now the ratio
+        # of the correctly rounded Ai'(0) and Ai(0), 1 ulp (1.5e-16) from A0
         ("scaling --s 0 --eps 1e-4",
-         "26ac66dadb746fb0eb639c7cf881b7ac49c5226c0feec4227edb8973005ad742"),
+         "248cc7a829c14d3e7d5ea01c444240c66dda807cb65643fb86480e59bf9f6096"),
         # the two Airy routes at one point, with their provenance lines
         ("eval --t 0.2 --eps 1e-3 --method scaling",
          "089594835844f54d0f5fb6679965ec3e7bbbfffc657d78c15984bf407b36a977"),

@@ -38,9 +38,11 @@ Z2_CLOSED = 0.5314572319609995
 # AIRY_GOLDEN_GRID, pinned before the Maclaurin and asymptotic evaluators
 # were merged so that every tier stays bit-identical; re-pinned when the
 # negative-axis phase came to be formed exactly: the 209 points of
-# [-12, -7.8) moved, by 1.5e-14 of the envelope at most (x = -7.82)
+# [-12, -7.8) moved, by 1.5e-14 of the envelope at most (x = -7.82); re-pinned
+# when the fixed-point series took over [-4.5, 3.5] from the double-precision
+# one: 379 points there moved, by 6.7e-13 relative at most (x = 3.48)
 AIRY_GOLDEN_GRID = np.linspace(-12.0, 80.0, 4601).tolist() + [-7.8, -4.5, 3.5, 4.5, 7.8, 60.0, 9999.0]
-AIRY_GOLDEN_DIGEST = "5317833986e9adbf7ee25b5311bd963cf32a349bafb7fcd055b3ae2285beb5f7"
+AIRY_GOLDEN_DIGEST = "3d592bd7c93238399c777dc1cb9bb66322b3e0db6f0c4952ee15731632d6b224"
 
 
 class TestAiry:
