@@ -49,7 +49,7 @@ def test_every_pool_op_passes(bench, tmp_path, workload):
     workloads, checks = bench
     pool = workloads.load_pool(workload)
     out = tmp_path / "op.out"
-    failed, ran = [], 0
+    failed = []
     for cell, ops in sorted(pool["cells"].items()):
         for op in ops:
             argv = [str(out) if a == workloads.OUT else a for a in op["argv"]]
@@ -57,7 +57,6 @@ def test_every_pool_op_passes(bench, tmp_path, workload):
             stdout = io.StringIO()
             with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
                 rc = cli.main(argv)
-            ran += 1
             try:
                 if rc != op["expect_exit"]:
                     raise checks.CheckError(f"exit {rc}, expected {op['expect_exit']}")
@@ -65,5 +64,4 @@ def test_every_pool_op_passes(bench, tmp_path, workload):
                 checks.check(op, checks.parse(op["kind"], stdout.getvalue(), text), pool.get("row_digests"))
             except (checks.CheckError, ValueError, KeyError, StopIteration) as exc:
                 failed.append((cell, " ".join(op["argv"]), str(exc)[:200]))
-    assert ran == sum(len(ops) for ops in pool["cells"].values()) > 0
-    assert failed == []
+    assert pool["cells"] and failed == []

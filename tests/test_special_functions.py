@@ -194,7 +194,7 @@ def _origin_at(frac: int) -> tuple[int, int]:
 
 
 class TestAiryMiddleTier:
-    """The fixed-point Maclaurin tier, which now covers all of |x| <= 7.8."""
+    """The fixed-point Maclaurin tier, which serves all of |x| <= 7.8."""
 
     def test_within_one_ulp_of_mpmath(self):
         worst = _worst_ulps(_MACLAURIN_POINTS)
