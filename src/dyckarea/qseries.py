@@ -29,6 +29,13 @@ through three routes that must agree wherever they overlap:
 the rest as a geometric series with a stated bound;
 ``euler_maclaurin_check`` bounds the remainder of the Euler-Maclaurin head
 of ln (z; q)_inf, the head the contour integrand uses below eps = 0.1.
+
+Only the continued-fraction kernels, ``_cfrac_scalar`` and
+``_cfrac_pairwise``, use numpy, and each imports it when called, so
+importing this module does not load numpy: the commands that reach
+``g_cfrac`` or ``t_infinity`` (``eval --method cfrac``, the ``g_vs_t``,
+``phase_boundary`` and ``scaling_fn`` scans, ``validate``) load it at
+their first kernel call, and every other command starts without it.
 """
 
 from __future__ import annotations
@@ -40,8 +47,6 @@ import logging
 import math
 import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import (
     AccuracyError,
@@ -161,6 +166,8 @@ class HSeriesResult:
 
     ``last_term`` is the last |term| summed, which bounds the dropped tail
     (``_h_series_mp``): at most 2^-54 of the sum, or one fixed-point unit.
+    It is ``inf`` where it lies past the double range, as it can in
+    ``g_ratio``, whose sums of H need not lie in that range.
     """
 
     value: float | complex
@@ -168,6 +175,14 @@ class HSeriesResult:
     bits_lost: float
     last_term: float
     precision_bits: int
+
+
+def _units(n: int, frac: int) -> float:
+    """n / 2^frac as a double, ``inf`` past the double range."""
+    try:
+        return n / (1 << frac)
+    except OverflowError:
+        return math.inf
 
 
 def _h_series_mp(t, q: float, scaled: bool, bits: int, narrow: bool = False):
@@ -278,7 +293,7 @@ def _h_series_mp(t, q: float, scaled: bool, bits: int, narrow: bool = False):
     else:
         raise NonConvergenceError(
             f"alternating series did not stabilise within {_MAX_TERMS} terms",
-            last_term=((math.isqrt(mag) if cplx else mag) or 1) / (1 << frac),
+            last_term=_units((math.isqrt(mag) if cplx else mag) or 1, frac),
         )
     if cplx:
         peak, mag, s_peak, s_mag = map(math.isqrt, (peak, mag, s_peak, s_mag))
@@ -310,6 +325,22 @@ def _predicted_bits(t: float, q: float) -> int:
     return math.ceil(max(peak - log_h, 0.0) / math.log(2.0)) + 8 + 53 + _GUARD_BITS
 
 
+def _first_stop(t, q: float) -> float:
+    """A lower bound on the first n at which ``_h_series_mp`` can stop, the
+    first with r_(n-1) = |t| q^(2n-2) / (1 - q^n) <= 1/2 as its doubles
+    compute it.
+
+    With y = q^n and a = |t|/q^2 the test is 2a y^2 + y - 1 <= 0, so
+    y <= y* = 2 / (1 + sqrt(1 + 8a)) and n >= -ln y*/eps, where -ln y* =
+    log1p(4a / (1 + sqrt(1 + 8a))) cancels nothing. The loop forms q^n and
+    q^(2n-2) as running products, at most 2 ``_MAX_TERMS`` + 2 roundings,
+    below 2^-34 relative; raising a by 2^-30 and lowering -ln y* by 2^-30
+    covers them. NaN (t or a at the top of the range) bounds nothing.
+    """
+    a = abs(t) / q / q * (1.0 + 2.0**-30)
+    return (math.log1p(4.0 * a / (1.0 + math.sqrt(1.0 + 8.0 * a))) - 2.0**-30) / _epsilon(q)
+
+
 def _sum_h(t, settings: EvalSettings, scaled: bool = False):
     """H(t), and H(qt) from the same pass if ``scaled``: predict, check, rerun.
 
@@ -323,11 +354,16 @@ def _sum_h(t, settings: EvalSettings, scaled: bool = False):
     A pass below the envelope is narrowed past the peak of its terms
     (``_h_series_mp``): a loss predicted too low shows in the measured loss
     and reruns the pass as before. A pass at the envelope is returned
-    unchecked, so it keeps its full width. Returns the ``_h_series_mp``
-    tuples, their F, the final precision and the largest loss.
+    unchecked, so it keeps its full width. Where no pass can stop within
+    ``_MAX_TERMS`` terms (``_first_stop``), NonConvergenceError comes before
+    any sum. Returns the ``_h_series_mp`` tuples, their F, the final
+    precision and the largest loss.
     """
     if not cmath.isfinite(t):
         raise DomainError(f"the series needs a finite t, got {t!r}")
+    if (first := _first_stop(t, settings.q)) > _MAX_TERMS:
+        raise NonConvergenceError(f"alternating series did not stabilise within {_MAX_TERMS} terms: "
+                                  f"its term ratios fall to 1/2 no earlier than term {math.ceil(first)}")
     xs = (t, settings.q * t) if scaled else (t,)  # qt rounded to a double only sizes the envelope
     envelope = max(settings.bits_for(x) for x in xs)
     bits = min(envelope, 53 + _GUARD_BITS)
@@ -385,7 +421,7 @@ def g_ratio(t: float | complex, settings: EvalSettings, full_output: bool = Fals
     value = (complex((n_re * d_re + n_im * d_im) / norm2, (n_im * d_re - n_re * d_im) / norm2)
              if isinstance(t, complex) else n_re / d_re)  # complex: numer conj(denom) / |denom|^2
     if full_output:
-        return HSeriesResult(value, 2 * n, lost, max(last_d, last_n) / (1 << frac), precision_bits=bits)
+        return HSeriesResult(value, 2 * n, lost, _units(max(last_d, last_n), frac), precision_bits=bits)
     return value
 
 
@@ -492,6 +528,8 @@ def _cfrac_scalar(t: float, q: float, depth: int) -> tuple[float, int]:
     """Bottom-up value of every level to ``depth`` with tail value 1, one
     level at a time, and the number of denominators below 0; a vanishing
     denominator raises ``ZeroDivisionError``."""
+    import numpy as np
+
     value, negatives = 1.0, 0
     for w in reversed((t * np.power(q, np.arange(depth))).tolist()):
         if (den := 1.0 - w * value) < 0.0:
@@ -531,6 +569,8 @@ def _cfrac_pairwise(t: float, q: float, depth: int) -> float:
 
     The value is the chain's cut at ``depth``; ``_cut`` bounds the tail's share.
     """
+    import numpy as np
+
     total = np.eye(2)
     logq = math.log(q)
     for start in range(0, depth, _CHUNK):
@@ -559,7 +599,7 @@ def _cfrac_pairwise(t: float, q: float, depth: int) -> float:
     return _at_tail_one(total)
 
 
-def _at_tail_one(m: np.ndarray) -> float:
+def _at_tail_one(m) -> float:
     """The Moebius map of the level product m at tail value 1."""
     return float((m[0, 0] + m[0, 1]) / (m[1, 0] + m[1, 1]))
 

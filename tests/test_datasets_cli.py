@@ -2,6 +2,7 @@
 
 import argparse
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -164,6 +165,19 @@ class TestCli:
         expected = g_ratio(0.25, EvalSettings(q=math.exp(-1e-3)), full_output=True)
         assert printed == expected.precision_bits
         assert float(res.stdout.splitlines()[0]) == expected.value
+
+    def test_eval_ratio_with_sums_past_the_double_range(self, run_cli):
+        # |H(t)| and |H(qt)| pass 2^1024 at t = 1e20; their ratio does not
+        res = run_cli("eval", "--t", "1e20", "--eps", "0.1", "--method", "ratio")
+        assert (res.returncode, res.stderr) == (0, "")
+        assert float(res.stdout.splitlines()[0]) == g_ratio(1e20, EvalSettings(q=math.exp(-0.1)))
+
+    def test_eval_ratio_that_cannot_stop_exits_at_once(self, run_cli):
+        start = time.process_time()
+        res = run_cli("eval", "--t", "0.2", "--eps", "1e-6", "--method", "ratio")
+        assert time.process_time() - start < 1.0
+        assert (res.returncode, res.stdout) == (3, "")
+        assert res.stderr.startswith("non-convergence: ")
 
     def test_eval_uniform_close_to_cfrac(self, run_cli):
         near = run_cli("eval", "--t", "0.2", "--q", "0.99", "--method", "uniform")
@@ -686,3 +700,12 @@ class TestReadme:
         assert len(commands) >= 9
         for argv in commands:
             cli.build_parser().parse_args(argv)  # exits 64 on a bad line
+
+    def test_measure_runs_the_readme_commands(self):
+        # tools/measure.py times the README's commands as written; only its
+        # list is checked here, no timing runs
+        path = pathlib.Path(__file__).parents[1] / "tools" / "measure.py"
+        spec = importlib.util.spec_from_file_location("measure", path)
+        measure = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(measure)
+        assert [shlex.split(line) for line in measure.COMMANDS] == _readme_commands()

@@ -56,25 +56,35 @@ def test_imports_match_declared_dependencies():
     assert _imported_roots() == names == {"numpy"}
 
 
+def _numpy_imports(tree: ast.AST) -> list[ast.stmt]:
+    """Every import statement of numpy (or a numpy submodule) in ``tree``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        if any(name.split(".")[0] == "numpy" for name in names):
+            found.append(node)
+    return found
+
+
 def test_numpy_stays_in_the_continued_fraction_kernel():
-    # numpy is imported by qseries alone, and used there only by the
-    # continued-fraction kernel
-    importers = set()
-    for path in sorted((SRC / "dyckarea").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = [node.module]
-            else:
-                continue
-            if any(name.split(".")[0] == "numpy" for name in names):
-                importers.add(path.stem)
+    # numpy is imported by qseries alone, inside the two continued-fraction
+    # kernels and nowhere else, and used only there
+    importers = {path.stem for path in sorted((SRC / "dyckarea").glob("*.py"))
+                 if _numpy_imports(ast.parse(path.read_text(encoding="utf-8")))}
     assert importers == {"qseries"}
     tree = ast.parse((SRC / "dyckarea" / "qseries.py").read_text(encoding="utf-8"))
-    users = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)
-             and any(isinstance(n, ast.Name) and n.id == "np" for n in ast.walk(node))}
-    assert users <= {"_cfrac_scalar", "_cfrac_pairwise", "_at_tail_one"}
+    kernels = {"_cfrac_scalar", "_cfrac_pairwise"}
+    functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+    inside = [imp for node in functions if node.name in kernels for imp in _numpy_imports(node)]
+    assert len(inside) == len(_numpy_imports(tree)) == len(kernels)
+    users = {node.name for node in functions
+             if any(isinstance(n, ast.Name) and n.id == "np" for n in ast.walk(node))}
+    assert users == kernels
 
 
 # one op of every command, eval by every method and scan of every kind; the
@@ -106,6 +116,44 @@ def test_cli_never_imports_mpmath(tmp_path):
                 code = cli.main(argv)
             assert code == 0, (argv, code)
         assert "mpmath" not in sys.modules, "mpmath imported"
+    """)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    res = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert res.returncode == 0, res.stderr
+
+
+# README commands and eval methods that run no continued fraction, as
+# ``cli.main`` argv lists; the last op runs one and must load numpy
+_NO_KERNEL_OPS = """
+eval --t 0.2 --q 0.5 --method series
+eval --t 0.2 --eps 0.05 --method ratio
+eval --t 0.2 --eps 0.05 --method uniform
+eval --t 0.2 --eps 0.01 --method scaling
+scan --kind partition --t 0.24 --m-list 10 --out m.csv
+enumerate --n-max 4 --verify-brute-force 4
+scaling --s 0.5 --eps 0.01
+partition --m 10 --t 0.2
+"""
+
+
+def test_start_up_loads_no_numpy(tmp_path):
+    # in a fresh process: the package, --version and every command that runs
+    # no continued fraction leave numpy unloaded; the first kernel call loads it
+    ops = [line.split() for line in _NO_KERNEL_OPS.strip().splitlines()]
+    script = textwrap.dedent(f"""
+        import contextlib, io, sys
+        import dyckarea
+        assert "numpy" not in sys.modules, "import dyckarea loaded numpy"
+        from dyckarea import cli
+        for argv in [["--version"]] + {ops!r}:
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(argv)
+            assert code == 0, (argv, code)
+            assert "numpy" not in sys.modules, argv
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["eval", "--t", "0.2", "--q", "0.5", "--method", "cfrac"]) == 0
+        assert "numpy" in sys.modules, "the continued fraction ran without numpy"
     """)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
     res = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,

@@ -324,6 +324,29 @@ class TestHSeries:
             h_series(0.2, EvalSettings(q=0.5))
         assert err.value.last_term is not None
 
+    @pytest.mark.parametrize("route", [h_series, g_ratio])
+    def test_fails_fast_where_no_pass_can_stop(self, route):
+        # at (0.2, 1e-6) the term ratios reach 1/2 only from n = 267 143,
+        # past _MAX_TERMS, so no pass can stop: the error comes before any sum
+        start = time.process_time()
+        with pytest.raises(NonConvergenceError, match="no earlier than term 267143"):
+            route(0.2, EvalSettings(q=math.exp(-1e-6)))
+        assert time.process_time() - start < 1.0
+
+    @hypothesis.settings(max_examples=300)
+    @hypothesis.given(st.floats(-8.0, 4.0), st.floats(-3.0, 1.0), st.booleans())
+    def test_first_stop_bounds_the_loop(self, log_t, log_eps, negative):
+        # the loop's own test of r_(n-1) <= 1/2, in its running doubles,
+        # first holds at or after the bound, and within one term of it
+        t, q = (-1.0 if negative else 1.0) * 10.0**log_t, math.exp(-(10.0**log_eps))
+        bound = qseries._first_stop(t, q)
+        q2, qn, q2n = q * q, q, 1.0
+        for n in itertools.count(1):
+            if abs(t) * q2n <= 0.5 * (1.0 - qn):
+                break
+            qn, q2n = qn * q, q2n * q2
+        assert bound <= n < bound + 1.0
+
 
 class TestGRatio:
     def test_at_origin(self):
@@ -335,6 +358,12 @@ class TestGRatio:
     def test_diagnostics(self):
         res = g_ratio(0.2, EvalSettings(q=0.5), full_output=True)
         assert 0.0 < res.last_term < 1e-10
+
+    def test_last_term_past_the_double_range(self):
+        # the sums of H pass 2^1024 at t = 1e20; G and the continued fraction agree
+        res = g_ratio(1e20, EvalSettings(q=math.exp(-0.1)), full_output=True)
+        assert res.last_term == math.inf
+        assert res.value == pytest.approx(g_cfrac(1e20, math.exp(-0.1)), rel=1e-12)
 
     def test_catalan_trend(self):
         # towards C(0.24) = 1.6168... as q -> 1
