@@ -30,12 +30,9 @@ the rest as a geometric series with a stated bound;
 ``euler_maclaurin_check`` bounds the remainder of the Euler-Maclaurin head
 of ln (z; q)_inf, the head the contour integrand uses below eps = 0.1.
 
-Only the continued-fraction kernels, ``_cfrac_scalar`` and
-``_cfrac_pairwise``, use numpy, and each imports it when called, so
-importing this module does not load numpy: the commands that reach
-``g_cfrac`` or ``t_infinity`` (``eval --method cfrac``, the ``g_vs_t``,
-``phase_boundary`` and ``scaling_fn`` scans, ``validate``) load it at
-their first kernel call, and every other command starts without it.
+Only the continued-fraction kernels use numpy, and each imports it when
+called: importing this module, and every command that reaches neither
+``g_cfrac`` nor ``t_infinity``, leaves numpy unloaded.
 """
 
 from __future__ import annotations

@@ -8,9 +8,10 @@ script) it records:
 
 * each command of README's "## Command line" block (``COMMANDS``), run as
   ``python -m dyckarea ...`` in a fresh subprocess, in an empty temporary
-  directory, with ``PYTHONPATH=<root>/src``: the best of ``REPEATS`` wall
-  times, the largest max RSS (``os.wait4``), the exit code, and the sha256
-  of stdout and of each file the command writes;
+  directory, with ``PYTHONPATH=<root>/src`` and the package's bytecode
+  compiled beforehand: the best of ``REPEATS`` wall times, the largest max
+  RSS (``os.wait4``), the exit code, and the sha256 of stdout and of each
+  file the command writes;
 * the best of ``REPEATS`` ``-X importtime`` cumulative times of
   ``import dyckarea.cli``, and whether that import loads numpy;
 * the line count of ``src/dyckarea/*.py``;
@@ -27,6 +28,7 @@ the repository holding this script. It writes nothing under
 from __future__ import annotations
 
 import argparse
+import compileall
 import hashlib
 import json
 import os
@@ -161,6 +163,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     root = args.root.resolve()
     sha = _git(root, "rev-parse", "--short", "HEAD")
+    # every timed process loads the same cached bytecode, as run.py arranges
+    compileall.compile_dir(str(root / "src" / "dyckarea"), quiet=1, maxlevels=0)
     point = {
         "commit": _git(root, "rev-parse", "HEAD"),
         "src_changed_since_commit": bool(_git(root, "status", "--porcelain", "--", "src")),
