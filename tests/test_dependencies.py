@@ -80,8 +80,8 @@ def test_numpy_stays_in_the_continued_fraction_kernel():
     tree = ast.parse((SRC / "dyckarea" / "qseries.py").read_text(encoding="utf-8"))
     kernels = {"_cfrac_scalar", "_cfrac_pairwise"}
     functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
-    inside = [imp for node in functions if node.name in kernels for imp in _numpy_imports(node)]
-    assert len(inside) == len(_numpy_imports(tree)) == len(kernels)
+    inside = {node.name: len(_numpy_imports(node)) for node in functions if node.name in kernels}
+    assert inside == dict.fromkeys(kernels, 1) and len(_numpy_imports(tree)) == len(kernels)
     users = {node.name for node in functions
              if any(isinstance(n, ast.Name) and n.id == "np" for n in ast.walk(node))}
     assert users == kernels
@@ -123,8 +123,7 @@ def test_cli_never_imports_mpmath(tmp_path):
     assert res.returncode == 0, res.stderr
 
 
-# README commands and eval methods that run no continued fraction, as
-# ``cli.main`` argv lists; the last op runs one and must load numpy
+# one op of every command and eval method that runs no continued fraction
 _NO_KERNEL_OPS = """
 eval --t 0.2 --q 0.5 --method series
 eval --t 0.2 --eps 0.05 --method ratio
