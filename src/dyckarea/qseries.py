@@ -30,9 +30,9 @@ the rest as a geometric series with a stated bound;
 ``euler_maclaurin_check`` bounds the remainder of the Euler-Maclaurin head
 of ln (z; q)_inf, the head the contour integrand uses below eps = 0.1.
 
-Only the continued-fraction kernels use numpy, and each imports it when
-called: importing this module, and every command that reaches neither
-``g_cfrac`` nor ``t_infinity``, leaves numpy unloaded.
+Only the pairwise continued-fraction kernel, for chains too deep for the
+scalar loop, uses numpy, imported when called: of the commands only ``eval
+--method cfrac`` and ``scaling_fn`` scans at eps < 1.7e-4 (t = 1/4) load it.
 """
 
 from __future__ import annotations
@@ -522,14 +522,12 @@ def _cfrac_depth(t: float, q: float, eps: float) -> tuple[int, float]:
 
 
 def _cfrac_scalar(t: float, q: float, depth: int) -> tuple[float, int]:
-    """Bottom-up value of every level to ``depth`` with tail value 1, one
-    level at a time, and the number of denominators below 0; a vanishing
-    denominator raises ``ZeroDivisionError``."""
-    import numpy as np
-
+    """Bottom-up value of every level to ``depth`` with tail value 1 and
+    weights t libm pow(q, k), one level at a time, and the number of negative
+    denominators; a vanishing denominator raises ``ZeroDivisionError``."""
     value, negatives = 1.0, 0
-    for w in reversed((t * np.power(q, np.arange(depth))).tolist()):
-        if (den := 1.0 - w * value) < 0.0:
+    for k in range(depth - 1, -1, -1):
+        if (den := 1.0 - t * math.pow(q, k) * value) < 0.0:
             negatives += 1
         value = 1.0 / den
     return value, negatives
@@ -562,7 +560,9 @@ def _cfrac_pairwise(t: float, q: float, depth: int) -> float:
     on an x86-64 Xeon computes c_ij = fma(a_i1, b_1j, a_i0 b_0j): it matched
     16 000 of 16 000 entries of random products, the plain sum of products
     12 003. So these bits, and the tests' golden digest, depend on the BLAS
-    kernel.
+    kernel, and on numpy's SIMD ``exp``: 43 563 of 935 000 weights (eps 3e-5
+    to 1e-3) differed from libm with x86-64-v4 dispatch on, none with it off,
+    so its bits and the past-pole references hold on AVX-512 CPUs alone.
 
     The value is the chain's cut at ``depth``; ``_cut`` bounds the tail's share.
     """
@@ -624,8 +624,8 @@ def g_cfrac(t: float, q: float, full_output: bool = False):
         return (1.0, 0) if full_output else 1.0
     depth, bits = _cfrac_depth(t, q, eps)
     # the old depth-doubling path rule at tol = 1e-12 (nominal depth 2 max(64,
-    # ceil(levels) + 8) against the scalar limit); it stays because the stored
-    # benchmark references pin each kernel's bits until one kernel replaces both
+    # ceil(levels) + 8) against the scalar limit), kept as stored benchmark
+    # references pin each kernel's bits; only the pairwise kernel loads numpy
     if math.log(max(abs(t), 1e-12) / 1e-14) / eps <= _SCALAR_DEPTH_LIMIT // 2 - 8:
         try:
             value = _cfrac_scalar(t, q, depth)[0]

@@ -304,9 +304,11 @@ class TestCli:
         # re-pinned when the negative-axis Airy phase came to be formed
         # exactly: 18 G_uniform values moved, by 2.5e-13 relative at most (t = 0.399);
         # and when the fixed-point Airy series took over |x| <= 4.5: 12 moved,
-        # by 2.2e-14 relative at most (t = 0.298)
+        # by 2.2e-14 relative at most (t = 0.298); and when the scalar
+        # continued fraction's weights became t * libm pow(q, k): 18 of the
+        # 90 G_cfrac values moved, by 1.0e-14 relative at most (t = 0.278)
         ("scan --kind g_vs_t --q 0.990049834 --t-min 0 --t-max 0.45 --steps 90",
-         "0836ee0e0206f01723d23349ca5849069681bbced1430875759ed6285551af76"),
+         "99c161f68546802ae548362c34e2f1e23b84545ca5d402ddb69137485f62164d"),
         # re-pinned when t_infinity came to bisect on the continued fraction's
         # sign count: every root moved, by 8.1e-11 relative at most (tol 1e-10)
         ("scan --kind phase_boundary --q-min 0.3 --q-max 0.99 --steps 20",
@@ -323,9 +325,11 @@ class TestCli:
         # farther than 5.7e-15 from the 200-bit oracle (8.6e-15 before); and
         # with the fixed-point Airy series: F_exact moved by 2.6e-14 relative
         # at most (s = 3, now within 1.6e-16 of 300-bit mpmath at every s),
-        # F_from_uniform_eps0.01 by 1.2e-13 (s = 3)
+        # F_from_uniform_eps0.01 by 1.2e-13 (s = 3); and with libm weights
+        # in the scalar continued fraction: 1 of the 26 F_from_cfrac values
+        # moved, F_from_cfrac_eps0.01 at s = -3, by 4.6e-15 relative
         ("scan --kind scaling_fn --eps-list 0.5,1e-2 --s-min -3 --s-max 3 --steps 13",
-         "4e06f07234328cb3e4bc63631710d672c467e47685b5e047084848520f0b637f"),
+         "dba36ccb9251c5ec4f651ac6d466a63aaf5c4e378ef25c88286207b87510a783"),
     ], ids=["g_vs_t", "phase_boundary", "partition", "scaling_fn"])
     def test_readme_scan_digest(self, tmp_path, run_cli, argv, digest):
         out = tmp_path / "scan.csv"

@@ -72,19 +72,18 @@ def _numpy_imports(tree: ast.AST) -> list[ast.stmt]:
 
 
 def test_numpy_stays_in_the_continued_fraction_kernel():
-    # numpy is imported by qseries alone, inside the two continued-fraction
-    # kernels and nowhere else, and used only there
+    # numpy is imported by qseries alone, once, inside the pairwise
+    # continued-fraction kernel, and used only there
     importers = {path.stem for path in sorted((SRC / "dyckarea").glob("*.py"))
                  if _numpy_imports(ast.parse(path.read_text(encoding="utf-8")))}
     assert importers == {"qseries"}
     tree = ast.parse((SRC / "dyckarea" / "qseries.py").read_text(encoding="utf-8"))
-    kernels = {"_cfrac_scalar", "_cfrac_pairwise"}
     functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
-    inside = {node.name: len(_numpy_imports(node)) for node in functions if node.name in kernels}
-    assert inside == dict.fromkeys(kernels, 1) and len(_numpy_imports(tree)) == len(kernels)
+    inside = {node.name: len(_numpy_imports(node)) for node in functions if _numpy_imports(node)}
+    assert inside == {"_cfrac_pairwise": 1} and len(_numpy_imports(tree)) == 1
     users = {node.name for node in functions
              if any(isinstance(n, ast.Name) and n.id == "np" for n in ast.walk(node))}
-    assert users == kernels
+    assert users == {"_cfrac_pairwise"}
 
 
 # one op of every command, eval by every method and scan of every kind; the
@@ -123,8 +122,9 @@ def test_cli_never_imports_mpmath(tmp_path):
     assert res.returncode == 0, res.stderr
 
 
-# one op of every command and eval method that runs no continued fraction
-_NO_KERNEL_OPS = """
+# one op of every command and eval method that runs no continued fraction,
+# and the README commands whose continued fractions take the scalar loop
+_NO_NUMPY_OPS = """
 eval --t 0.2 --q 0.5 --method series
 eval --t 0.2 --eps 0.05 --method ratio
 eval --t 0.2 --eps 0.05 --method uniform
@@ -133,13 +133,19 @@ scan --kind partition --t 0.24 --m-list 10 --out m.csv
 enumerate --n-max 4 --verify-brute-force 4
 scaling --s 0.5 --eps 0.01
 partition --m 10 --t 0.2
+eval --t 0.2 --q 0.5 --method cfrac
+scan --kind g_vs_t --q 0.990049834 --t-min 0 --t-max 0.45 --steps 90 --out fig_g.csv
+scan --kind phase_boundary --q-min 0.3 --q-max 0.99 --steps 20 --out boundary.csv
+validate
 """
 
 
 def test_start_up_loads_no_numpy(tmp_path):
-    # in a fresh process: the package, --version and every command that runs
-    # no continued fraction leave numpy unloaded; the first kernel call loads it
-    ops = [line.split() for line in _NO_KERNEL_OPS.strip().splitlines()]
+    # in a fresh process: the package, --version, every command that runs no
+    # continued fraction and the README commands on the scalar loop leave
+    # numpy unloaded; the first pairwise kernel call (a chain too deep for
+    # the scalar loop) loads it
+    ops = [line.split() for line in _NO_NUMPY_OPS.strip().splitlines()]
     script = textwrap.dedent(f"""
         import contextlib, io, sys
         import dyckarea
@@ -151,8 +157,8 @@ def test_start_up_loads_no_numpy(tmp_path):
             assert code == 0, (argv, code)
             assert "numpy" not in sys.modules, argv
         with contextlib.redirect_stdout(io.StringIO()):
-            assert cli.main(["eval", "--t", "0.2", "--q", "0.5", "--method", "cfrac"]) == 0
-        assert "numpy" in sys.modules, "the continued fraction ran without numpy"
+            assert cli.main(["eval", "--t", "0.25", "--eps", "1e-4", "--method", "cfrac"]) == 0
+        assert "numpy" in sys.modules, "the pairwise kernel ran without numpy"
     """)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
     res = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,

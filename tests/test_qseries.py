@@ -5,11 +5,16 @@ import cmath
 import hashlib
 import inspect
 import itertools
+import json
 import logging
 import math
+import os
+import pathlib
 import random
 import re
+import subprocess
 import sys
+import textwrap
 import time
 
 import hypothesis
@@ -721,8 +726,13 @@ class TestGCfrac:
 # came to be cut at the first level whose enclosure, |det P| / (d (c + d)),
 # is within 2^-60 of G (190 levels where 14 979 were walked): g_cfrac at
 # eps 2e-4, t = -20 moved by 2 ulps, from 2.6e-16 to 1.3e-17 relative off
-# the 200-bit oracle, now the correctly rounded double
-CFRAC_VALUES_DIGEST = "de5ecdc473e6a4570081220fdb6659c96ba0500848f66bb1cb36ddc291d5c5b0"
+# the 200-bit oracle, now the correctly rounded double; and again when the
+# scalar loop's weights became t * libm pow(q, k) for numpy's power: 3 of the
+# 21 g_cfrac values moved (eps 1e-3, t = 0.263, 0.45 and 20), by 1.5e-13
+# relative at most (t = 20, past the pole line: 7.1e-14 -> 8.3e-14 off the
+# oracle; t = 0.263 and 0.45 came closer, to 6.3e-16 and 2.6e-16), and no
+# pairwise value moved
+CFRAC_VALUES_DIGEST = "49fec4bc5942aa48db26b4ca05312a504b4173af5789947aeeda6aa77a210677"
 
 
 class TestCfracGoldenDigest:
@@ -806,6 +816,44 @@ class TestCfracOracle:
         for t in TestCfracGoldenDigest.TS:
             bound = self.PAST_POLE_ROUNDOFF.get((eps, t), 1e-13)
             self._assert_close(g_cfrac(t, q), t, q, bound)
+
+    # the scalar loop's weights t * libm pow(q, k): q^k within 0.51 ulp of
+    # the 200-bit power at every level the loop may run, underflow included
+    @hypothesis.settings(max_examples=300)
+    @hypothesis.given(log_eps=st.floats(math.log(1e-5), math.log(3.0)),
+                      k=st.integers(0, qseries._SCALAR_DEPTH_LIMIT - 1))
+    def test_scalar_weights_within_half_an_ulp(self, log_eps, k):
+        q = math.exp(-math.exp(log_eps))
+        with mpmath.workprec(200):
+            exact = mpmath.power(mpmath.mpf(q), k)
+            error = abs(mpmath.mpf(math.pow(q, k)) - exact) / math.ulp(float(exact))
+        assert error <= 0.51, (q, k, float(error))
+
+    # the scalar-path points of TestCfracGoldenDigest in a fresh process with
+    # numpy's AVX-512 dispatch off give the bits they give here: the loop's
+    # weights come from libm, not from numpy's SIMD power, whose last bits
+    # differed with that dispatch on. On a CPU without AVX-512 the variable
+    # changes nothing and the test is vacuous
+    def test_scalar_bits_free_of_numpy_dispatch(self):
+        script = textwrap.dedent(f"""
+            import json, math
+            from dyckarea.qseries import g_cfrac
+            lines = []
+            for eps in (0.5, 1e-3):
+                for t in {TestCfracGoldenDigest.TS!r}:
+                    try:
+                        lines.append(repr(g_cfrac(t, math.exp(-eps))))
+                    except Exception as err:
+                        lines.append(type(err).__name__)
+            print(json.dumps(lines))
+        """)
+        src = str(pathlib.Path(qseries.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src, NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")
+        res = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+        assert res.returncode == 0, res.stderr
+        here = [TestGoldenDigest._outcome(g_cfrac, t, math.exp(-eps))
+                for eps in (0.5, 1e-3) for t in TestCfracGoldenDigest.TS]
+        assert json.loads(res.stdout) == here
 
     # at the depth the rule cuts at, the two ends of the tail's enclosure,
     # carried to level 0 at 200 bits, lie within 2^-60 of each other relative
@@ -1134,7 +1182,7 @@ def _pairwise_grid_reference(ts, q, depth):
 
 
 def _untrimmed_scalar_reference(t, q, depth):
-    weights = (t * np.power(q, np.arange(depth))).tolist()
+    weights = [t * math.pow(q, k) for k in range(depth)]
     g = 1.0
     for w in reversed(weights):
         g = 1.0 / (1.0 - w * g)
@@ -1246,7 +1294,7 @@ class TestCfracBitwise:
         raise AssertionError(f"no t gives {w!r} from {power!r}")
 
     # level k of the pairwise kernel (weights exp(k ln q) t) or the scalar
-    # loop (np.power(q, k) t) at 2^-54 exactly and one ulp either side;
+    # loop (t math.pow(q, k)) at 2^-54 exactly and one ulp either side;
     # k = 1000 opens a pair of levels, k = 1001 closes one; at depth 70 001
     # chunk 1 is dead
     @pytest.mark.parametrize("w", [np.nextafter(2.0 ** -54, 0.0), 2.0 ** -54, np.nextafter(2.0 ** -54, 1.0)])
@@ -1258,7 +1306,7 @@ class TestCfracBitwise:
             t = sign * self._t_with_weight(np.exp(np.arange(depth) * math.log(q))[k], w)
             value = qseries._cfrac_pairwise(t, q, depth)
             assert _bits([value]) == _bits(_pairwise_grid_reference([t], q, depth))
-            t = sign * self._t_with_weight(np.power(q, np.arange(depth))[k], w)
+            t = sign * self._t_with_weight(math.pow(q, k), w)
             self._assert_scalar_loop(t, q, depth)
 
     @staticmethod
@@ -1289,7 +1337,7 @@ class TestCfracBitwise:
         q = math.exp(-math.exp(log_eps))
         eps = -math.log(q)
         k = math.floor(math.log(abs(t) * 2.0 ** 54) / eps)  # |t q^k| >= 2^-54 about here
-        t_k = math.copysign(self._t_beside_threshold(np.power(q, k), live), t)
+        t_k = math.copysign(self._t_beside_threshold(math.pow(q, k), live), t)
         depth = qseries._cfrac_depth(t_k, q, eps)[0]
         dead = math.ceil(math.log(abs(t_k) / 2.0 ** -54) / eps) + 3
         assert depth <= dead and dead > k + live

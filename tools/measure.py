@@ -11,7 +11,8 @@ script) it records:
   directory, with ``PYTHONPATH=<root>/src`` and the package's bytecode
   compiled beforehand: the best of ``REPEATS`` wall times, the largest max
   RSS (``os.wait4``), the exit code, and the sha256 of stdout and of each
-  file the command writes;
+  file the command writes; and, from one more run under ``-X importtime``
+  outside that timing, whether the command loads numpy;
 * the best of ``REPEATS`` ``-X importtime`` cumulative times of
   ``import dyckarea.cli``, and whether that import loads numpy;
 * the line count of ``src/dyckarea/*.py``;
@@ -86,6 +87,10 @@ def _run_once(argv: list[str], env: dict) -> dict:
                 "stdout": out.read(), "stderr": err.read(), "files": files}
 
 
+# the -X importtime line of the top-level numpy package
+_NUMPY_LINE = re.compile(rb"^import time:\s+\d+ \|\s+\d+ \|\s*numpy$", re.MULTILINE)
+
+
 def measure_commands(root: Path) -> list[dict]:
     env = _env(root)
     rows = []
@@ -93,19 +98,21 @@ def measure_commands(root: Path) -> list[dict]:
         runs = [_run_once([sys.executable, "-m", "dyckarea", *shlex.split(command)], env)
                 for _ in range(REPEATS)]
         first = runs[0]
+        probe = _run_once([sys.executable, "-X", "importtime", "-m", "dyckarea", *shlex.split(command)], env)
         rows.append({
             "command": command,
             "exit": first["exit"],
             "best_wall_ms": 1000.0 * min(r["wall_s"] for r in runs),
             "wall_ms": [1000.0 * r["wall_s"] for r in runs],
             "max_rss_mb": max(r["max_rss_mb"] for r in runs),
+            "loads_numpy": _NUMPY_LINE.search(probe["stderr"]) is not None,
             "stdout_sha256": _sha256(first["stdout"]),
             "files_sha256": first["files"],
             "repeatable": all((r["exit"], r["stdout"], r["files"])
                               == (first["exit"], first["stdout"], first["files"]) for r in runs),
         })
         print(f"{rows[-1]['best_wall_ms']:8.1f} ms {rows[-1]['max_rss_mb']:6.1f} MB  exit {first['exit']}"
-              f"  {command}", file=sys.stderr)
+              f"  numpy {'yes' if rows[-1]['loads_numpy'] else 'no '}  {command}", file=sys.stderr)
     return rows
 
 
