@@ -19,10 +19,16 @@ with x = a eps^(-2/3) and the leading coefficients
 
     p0 = (a/d)^(1/4) (z1^p + z2^p),  q0 = (a d)^(-1/4) (z1^p - z2^p),
 
-where d = 1 - 4t and p = 3/2 for H(t), p = 1/2 for H(qt). For real
-t > 1/4 all branch powers are continued through the upper half t-plane,
-which keeps a real (negative) and the coefficients real; the continued
-q0 is 2 (a d)^(-1/4) Im(z1^p) with z1 the upper saddle.
+where d = 1 - 4t and p = 3/2 for H(t), p = 1/2 for H(qt). On all of
+(0, 1/2) the saddles are z1,2 = sqrt(t) e^(+-theta) with tanh(theta) =
+sqrt(d), so
+
+    p0 = 2 t^(p/2) (a/d)^(1/4) cosh(p theta),
+    q0 = 2 t^(p/2) (a/d)^(-1/4) sinh(p theta) / sqrt(d).
+
+Both are even in sqrt(d), hence real on both sides of t = 1/4: past it
+a < 0, a/d > 0 and theta = i atan(sqrt(-d)), which turns cosh(p theta)
+into cos and sinh(p theta)/sqrt(d) into sin(p atan(sqrt(-d)))/sqrt(-d).
 
 Ratios of the two variants give the uniform approximation of G and, in
 the tricritical scaling limit s = (1-4t)(1-q)^(-2/3) fixed, the scaling
@@ -70,8 +76,8 @@ class SaddleData:
 
     ``alpha`` is real on (0, 1/2) with sign(alpha) = sign(1 - 4t); ``beta``
     equals (f(z1) + f(z2))/2 = ln(t)^2/4 + pi^2/12. The p0/q0 pairs are the
-    branch-continued (real) leading coefficients for the H(t) and H(qt)
-    expansions.
+    real leading coefficients for the H(t) and H(qt) expansions, in the theta
+    form of the module docstring, which holds on both sides of t = 1/4.
     """
 
     t: float
@@ -91,55 +97,23 @@ class SaddleData:
 _MATCH = 1.0 / math.sqrt(2.0)
 
 
-def _coefficients(z1: complex, z2: complex, alpha: float, d: float, p: float):
-    """Branch-continued leading coefficients for saddle-power p.
+def saddle_data(t: float) -> SaddleData:
+    """Saddle points, cubic-normal-form parameters and leading coefficients.
+
+    Valid for t in (0, 1/2); the asymptotic formulas are untested outside.
+    f(z2) - f(z1) is of size |d|^(3/2), so where |d| < 1e-5 alpha comes from
+    its series: with z = (1 + sqrt(d) v)/2, f' integrates between the saddles
+    to f(z2) - f(z1) = sqrt(d) sum_N c_N d^N, c_N = sum_(n<=N) (2/n)(1/(2(N-n)+1)
+    - 1/(2N+1)) = 4/3, 16/15, 92/105, ..., so alpha = d (3/4 sum_N c_N
+    d^(N-1))^(2/3); five terms leave below 1e-20.
 
     Matching the cubic normal form at the saddles gives
     p0 +- sqrt(a) q0 = g(z_i) sqrt(+-2 sqrt(a)/f''(z_i)), which closes to
     p0 = (a/d)^(1/4) (z1^p + z2^p)/sqrt(2) and the analogous q0. The
     1/sqrt(2) is essential: without it the uniform expansion of H tends to
     sqrt(2) times the true series value (verified against the exact sum).
-    """
-    quarter = (alpha / d) ** 0.25  # alpha / d > 0 on both sides of the coalescence
-    if d > 0.0:
-        p0 = quarter * (z1**p + z2**p).real * _MATCH
-        q0 = (z1**p - z2**p).real / (alpha * d) ** 0.25 * _MATCH
-    else:
-        # t > 1/4: continue through the upper half t-plane; z1 is the
-        # upper saddle and the continued q0 picks up 2 Im(z1^p).
-        p0 = quarter * 2.0 * (z1**p).real * _MATCH
-        q0 = 2.0 * (z1**p).imag / (alpha * d) ** 0.25 * _MATCH
-    return p0, q0
-
-
-def _near_coalescence(t: float, d: float):
-    """alpha and the coefficients (p0, q0 for H, then H(qt)) for |d| < 1e-5.
-
-    With z = (1 + sqrt(d) v)/2, f' integrates between the saddles to
-    f(z2) - f(z1) = sqrt(d) sum_N c_N d^N, c_N = sum_(n<=N) (2/n)(1/(2(N-n)+1)
-    - 1/(2N+1)) = 4/3, 16/15, 92/105, ..., so alpha = d (3/4 sum_N c_N
-    d^(N-1))^(2/3); five terms leave below 1e-20. With sqrt(d) = tanh(theta),
-    z1,2 = sqrt(t) e^(+-theta) and z1^p +- z2^p = 2 t^(p/2) cosh, sinh(p theta);
-    past 1/4, theta = i atan(sqrt(-d)) turns them into cos and i sin.
-    """
-    ratio = (1.0 + d * (4 / 5 + d * (23 / 35 + d * (176 / 315 + d * 563 / 1155)))) ** (2.0 / 3.0)
-    quarter, root = ratio**0.25, math.sqrt(abs(d))
-    theta = math.atanh(root) if d > 0.0 else math.atan(root)
-    even, odd = (math.cosh, math.sinh) if d > 0.0 else (math.cos, math.sin)
-    coefficients = []
-    for p in (1.5, 0.5):  # (z1^p - z2^p)/(alpha d)^(1/4), with its limit p/quarter at d = 0
-        scale = 2.0 * t ** (p / 2.0) * _MATCH
-        coefficients += [scale * quarter * even(p * theta),
-                         scale * (odd(p * theta) / root if root else p) / quarter]
-    return ratio * d, coefficients
-
-
-def saddle_data(t: float) -> SaddleData:
-    """Saddle points, cubic-normal-form parameters and leading coefficients.
-
-    Valid for t in (0, 1/2); the asymptotic formulas are untested outside.
-    Where |1 - 4t| < 1e-5 alpha and the coefficients come from series and
-    closed forms that do not cancel, continuous through t = 1/4.
+    The theta form of the module docstring gives them for every t; below 1/4,
+    theta = log1p(sqrt(d)) - ln(4t)/2 is exact in 4t, so nothing cancels.
     """
     t = float(t)
     if not (0.0 < t < 0.5):
@@ -149,23 +123,25 @@ def saddle_data(t: float) -> SaddleData:
     z1, z2 = 0.5 * (1.0 + root), 0.5 * (1.0 - root)
     f1, f2 = phase_f(z1, t), phase_f(z2, t)
     beta = 0.5 * (f1 + f2).real
-    if abs(d) < 1e-5:  # f(z2) - f(z1) is of size |d|^(3/2): sum it as a series
-        alpha, (p0_h, q0_h, p0_hqt, q0_hqt) = _near_coalescence(t, d)
+    if abs(d) < 1e-5:  # alpha / d from the c_N series
+        ratio = (1.0 + d * (4 / 5 + d * (23 / 35 + d * (176 / 315 + d * 563 / 1155)))) ** (2.0 / 3.0)
+        alpha = ratio * d
     else:
         diff = f2 - f1
         if d > 0.0:
             if diff.real <= 0.0:
-                raise InconsistentBranchError(
-                    f"f(z2)-f(z1) = {diff!r} not positive for t = {t!r} < 1/4"
-                )
+                raise InconsistentBranchError(f"f(z2)-f(z1) = {diff!r} not positive for t = {t!r} < 1/4")
             alpha = (0.75 * diff.real) ** (2.0 / 3.0)
         else:
             alpha = -((0.75 * abs(diff)) ** (2.0 / 3.0))
-        (p0_h, q0_h), (p0_hqt, q0_hqt) = (_coefficients(z1, z2, alpha, d, p) for p in (1.5, 0.5))
-    return SaddleData(
-        t=t, z1=z1, z2=z2, d=d, f1=f1, f2=f2, alpha=alpha, beta=beta,
-        p0_h=p0_h, q0_h=q0_h, p0_hqt=p0_hqt, q0_hqt=q0_hqt,
-    )
+        ratio = alpha / d  # positive on both sides of the coalescence
+    quarter, root = ratio**0.25, math.sqrt(abs(d))
+    theta = math.log1p(root) - 0.5 * math.log(4.0 * t) if d > 0.0 else math.atan(root)
+    even, odd = (math.cosh, math.sinh) if d > 0.0 else (math.cos, math.sin)
+    # p0 and q0 for H, then for H(qt); sinh(p theta)/sqrt(d) tends to p at d = 0
+    coefficients = (2.0 * t ** (p / 2.0) * _MATCH * value for p in (1.5, 0.5)
+                    for value in (quarter * even(p * theta), (odd(p * theta) / root if root else p) / quarter))
+    return SaddleData(t, z1, z2, d, f1, f2, alpha, beta, *coefficients)
 
 
 class ScaledValue(NamedTuple):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import re
 import sys
 
 from . import __version__
@@ -54,6 +55,11 @@ EXIT_IO = 74
 
 class _Parser(argparse.ArgumentParser):
     commands: dict[str, argparse.ArgumentParser]  # command word -> its parser; set on the top level
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a negative number is a value, not a flag, also in exponent notation (-1e-3)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message):
         self.print_usage(sys.stderr)

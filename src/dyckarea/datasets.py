@@ -18,7 +18,7 @@ from datetime import datetime, timezone
 from . import __version__
 from .asymptotics import _finite_size_s, g_uniform, q_m_asymptotic, scaling_t
 from .enumeration import area_columns, partition_series
-from .errors import DomainError, DyckAreaError, PoleProximityError
+from .errors import DomainError, DyckAreaError
 from .qseries import _epsilon, g_cfrac, t_infinity
 from .special_functions import scaling_F
 
@@ -98,12 +98,11 @@ def _grid(start: float, stop: float, steps: int) -> list[float]:
 
 
 def _uniform_or_nan(t: float, q: float) -> float:
-    """The uniform Airy form at t, or NaN outside (0, 1/2) or at one of its poles."""
-    if not (0.0 < t < 0.5):
-        return math.nan
+    """The uniform Airy form at t, or NaN wherever it is undefined: t outside
+    (0, 1/2) or too small for the saddles, Airy argument out of range, a pole."""
     try:
         return g_uniform(t, q)
-    except PoleProximityError:
+    except DomainError:
         return math.nan
 
 
@@ -119,8 +118,8 @@ def scan_g_vs_t(q: float, t_min: float, t_max: float, steps: int,
                 stamp: bool = False) -> ScanDataset:
     """Exact continued-fraction values against the uniform Airy form.
 
-    Points where the continued fraction breaks down or the uniform
-    denominator hits a pole (possible past the boundary line) are recorded
+    Points where the continued fraction breaks down or the uniform form is
+    undefined (a pole past the boundary line, among others) are recorded
     as NaN rather than aborting the scan.
     """
     _check_finite(t_min=t_min, t_max=t_max)
@@ -156,8 +155,8 @@ def scan_scaling_fn(eps_list: list[float], s_min: float, s_max: float, steps: in
     Per eps the scan stores the reconstruction (G/2 - 1)(1-q)^(-1/3) once
     from the exact continued fraction and once from the uniform Airy form,
     evaluated at t(s, eps). The continued-fraction column is NaN where the
-    fraction breaks down, the uniform column where t(s, eps) lies outside
-    (0, 1/2) or at a pole of the uniform form.
+    fraction breaks down, the uniform column where the uniform form is
+    undefined at t(s, eps), as outside (0, 1/2) or at one of its poles.
     """
     _check_finite(s_min=s_min, s_max=s_max)
     for eps in eps_list:

@@ -652,13 +652,11 @@ def t_infinity(q: float, tol: float = 1e-12) -> float:
     zero when one of them, cut as ``g_cfrac`` cuts, is negative or vanishes.
     [1/4, 1] is halved to a relative width of tol, finite and positive. A
     chain at t = 1, about ln 4/eps levels, longer than ``_SCALAR_DEPTH_LIMIT``
-    is a resource error.
+    is a resource error of the first cut, ``_cfrac_depth`` at t = 1.
     """
     eps = _epsilon(q)
     if not (0.0 < tol < math.inf):
         raise DomainError(f"tol must be finite and positive, got {tol!r}")
-    if (levels := math.log(4.0) / eps) > _SCALAR_DEPTH_LIMIT:
-        raise ResourceLimitError(f"the chain at t = 1 is {math.ceil(levels)} levels long, over {_SCALAR_DEPTH_LIMIT}")
 
     def past(t: float) -> bool:
         try:

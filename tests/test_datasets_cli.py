@@ -299,6 +299,20 @@ class TestCli:
         assert float(row[0]) == -0.2
         assert float(row[1]) == float(res.stdout.splitlines()[0]) == 0.852663464714294
 
+    @pytest.mark.parametrize("argv, t", [
+        ("--eps 1e-5 --t-min 0.001 --t-max 0.2 --steps 5", "0.001"),  # Airy argument 1.4e4
+        ("--q 0.9 --t-min 1e-300 --t-max 0.1 --steps 2", "1e-300"),  # z1 rounds to 1, a branch cut
+    ], ids=["airy_range", "branch_cut"])
+    def test_scan_uniform_nan_where_undefined(self, tmp_path, run_cli, argv, t):
+        # every domain error of the uniform form is NaN in its cell, not an
+        # exit 2 of the scan; eval at that point still refuses it
+        out = tmp_path / "g.csv"
+        assert run_cli("scan", "--kind", "g_vs_t", *argv.split(), "--out", str(out)).returncode == 0
+        row = [float(x) for x in out.read_text().splitlines()[1].split(",")]
+        assert row[0] == float(t) and math.isfinite(row[1]) and math.isnan(row[2])
+        res = run_cli("eval", "--t", t, *argv.split()[:2], "--method", "uniform")
+        assert res.returncode == 2 and res.stderr.startswith("domain error:")
+
     # sha256 of the CSV each README scan writes, run as the README writes it
     @pytest.mark.parametrize("argv, digest", [
         # re-pinned when the negative-axis Airy phase came to be formed
@@ -306,9 +320,11 @@ class TestCli:
         # and when the fixed-point Airy series took over |x| <= 4.5: 12 moved,
         # by 2.2e-14 relative at most (t = 0.298); and when the scalar
         # continued fraction's weights became t * libm pow(q, k): 18 of the
-        # 90 G_cfrac values moved, by 1.0e-14 relative at most (t = 0.278)
+        # 90 G_cfrac values moved, by 1.0e-14 relative at most (t = 0.278);
+        # and when the saddle coefficients came from the real theta form:
+        # 60 of the 90 G_uniform values moved, by 8.7e-15 relative at most (t = 0.399)
         ("scan --kind g_vs_t --q 0.990049834 --t-min 0 --t-max 0.45 --steps 90",
-         "99c161f68546802ae548362c34e2f1e23b84545ca5d402ddb69137485f62164d"),
+         "b77b43930ecefb4a62dfcbbe30c54a9c4ffcf05c9fd6dc290268b18c85ff6dfc"),
         # re-pinned when t_infinity came to bisect on the continued fraction's
         # sign count: every root moved, by 8.1e-11 relative at most (tol 1e-10)
         ("scan --kind phase_boundary --q-min 0.3 --q-max 0.99 --steps 20",
@@ -327,9 +343,11 @@ class TestCli:
         # at most (s = 3, now within 1.6e-16 of 300-bit mpmath at every s),
         # F_from_uniform_eps0.01 by 1.2e-13 (s = 3); and with libm weights
         # in the scalar continued fraction: 1 of the 26 F_from_cfrac values
-        # moved, F_from_cfrac_eps0.01 at s = -3, by 4.6e-15 relative
+        # moved, F_from_cfrac_eps0.01 at s = -3, by 4.6e-15 relative; and with
+        # the theta form of the saddle coefficients: 15 F_from_uniform values
+        # moved, by 2.9e-15 relative at most (eps 0.01, s = -0.5)
         ("scan --kind scaling_fn --eps-list 0.5,1e-2 --s-min -3 --s-max 3 --steps 13",
-         "dba36ccb9251c5ec4f651ac6d466a63aaf5c4e378ef25c88286207b87510a783"),
+         "0cf75076d8d25b96c6f87c2aa503175c0da6aa3a800e3ddab20980870365c57c"),
     ], ids=["g_vs_t", "phase_boundary", "partition", "scaling_fn"])
     def test_readme_scan_digest(self, tmp_path, run_cli, argv, digest):
         out = tmp_path / "scan.csv"
@@ -354,8 +372,10 @@ class TestCli:
         # the two Airy routes at one point, with their provenance lines
         ("eval --t 0.2 --eps 1e-3 --method scaling",
          "089594835844f54d0f5fb6679965ec3e7bbbfffc657d78c15984bf407b36a977"),
+        # re-pinned with the theta form of the saddle coefficients: the value
+        # moved by one ulp, 2.2e-16
         ("eval --t 0.2 --eps 1e-3 --method uniform",
-         "163888cca35f62fa015749330d68c36dfcb4c351f078c882241a0c6d7e2531f1"),
+         "4fa81fc28dcfb450e90366aa45f28e7ee2271f8f7dace2acacf970059c3331fe"),
     ], ids=["enumerate", "partition", "partition_small_m", "scaling",
             "eval_scaling", "eval_uniform"])
     def test_readme_stdout_digest(self, run_cli, argv, digest):
@@ -645,6 +665,32 @@ class TestCli:
                         if opt not in ("-h", "--help")]
                  for name, command in cli.build_parser().commands.items()}
         assert found == census
+
+    # the other flags each command needs, so that one float flag at a time is parsed
+    REQUIRED = {"eval": ["--t", "0.2", "--method", "cfrac"], "scan": ["--kind", "g_vs_t", "--out", "x.csv"],
+                "scaling": ["--s", "0"], "partition": ["--m", "20", "--t", "0.2"]}
+    FLOAT_FLAGS = [(name, action.option_strings[0], action.dest)
+                   for name, command in cli.build_parser().commands.items()
+                   for action in command._actions if action.type is float]
+
+    @pytest.mark.parametrize("command, flag, dest", FLOAT_FLAGS, ids=[f"{c} {f}" for c, f, _ in FLOAT_FLAGS])
+    def test_negative_exponent_value(self, command, flag, dest):
+        # argparse's own matcher takes only -1 and -0.5 for values, and read
+        # -1e-3 as an unknown flag: "expected one argument", exit 64
+        argv = [command, *self.REQUIRED[command], flag, "-1e-3"]
+        assert getattr(cli._parse(cli.build_parser(), argv), dest) == -1e-3
+        assert getattr(cli._parse(cli.build_parser(), argv[:-1] + ["-2E-1"]), dest) == -0.2
+
+    def test_negative_exponent_end_to_end(self, run_cli):
+        assert run_cli("scaling", "--s", "-1e-3", "--eps", "1e-4").returncode == 0
+        res = run_cli("eval", "--t", "-2E-1", "--q", "0.9", "--method", "cfrac")
+        assert res.returncode == 0 and float(res.stdout.splitlines()[0]) == 0.852663464714294
+
+    @pytest.mark.parametrize("argv", [["scaling", "--s"], ["eval", "--t", "--q", "0.9", "--method", "cfrac"],
+                                      ["scan", "--kind", "g_vs_t", "--out", "x.csv", "--t-min", "-e3"]])
+    def test_missing_value_still_a_usage_error(self, run_cli, argv):
+        res = run_cli(*argv)
+        assert res.returncode == 64 and "expected one argument" in res.stderr
 
 
 README = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")

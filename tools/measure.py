@@ -18,7 +18,12 @@ script) it records:
 * the line count of ``src/dyckarea/*.py``;
 * the three workloads through ``<root>/benchmarks/run.py`` at ``SEEDS``,
   folded by ``benchmarks/summarize.py::summarize``, with each run's timed
-  CPU, set-up time and digest beside them.
+  CPU, set-up time and digest beside them;
+* per workload, a sha256 over every op of its stored pool, run once in
+  this process through ``cli.main`` of ``<root>/src`` and parsed by
+  ``benchmarks/checks.py::parse``, of the exit code and the ``float.hex``
+  of every parsed field. The run digests round to ten digits; this one
+  changes with a single ulp.
 
 It writes ``BENCH_<short sha of the checkout's HEAD>.json`` at the root of
 the repository holding this script. It writes nothing under
@@ -30,7 +35,10 @@ from __future__ import annotations
 
 import argparse
 import compileall
+import contextlib
 import hashlib
+import importlib.util
+import io
 import json
 import os
 import platform
@@ -159,6 +167,50 @@ def measure_workloads(root: Path) -> dict:
     return {"summary": summarize(records), "runs": runs}
 
 
+def _hex_text(value) -> str:
+    """A parsed field as text, every float as its ``float.hex``."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return "{" + ",".join(f"{k}:{_hex_text(v)}" for k, v in value.items()) + "}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ",".join(map(_hex_text, value)) + "]"
+    return repr(value)
+
+
+def measure_pool_digests(root: Path) -> dict:
+    """Per workload, the sha256 of every stored pool op's exit code and
+    parsed fields in ``float.hex``, the ops run in this process as
+    tests/test_benchmark_pools.py runs them. Reads ``benchmarks/`` only."""
+    sys.dont_write_bytecode = True  # no bytecode cache under benchmarks/
+    sys.path.insert(0, str(root / "src"))
+    from dyckarea import cli
+
+    modules = {}
+    for name in ("workloads", "checks"):
+        spec = importlib.util.spec_from_file_location(f"_bench_{name}", root / "benchmarks" / f"{name}.py")
+        modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(modules[name])
+    workloads, checks = modules["workloads"], modules["checks"]
+    digests = {}
+    with tempfile.TemporaryDirectory() as work:
+        out = Path(work) / "op.out"
+        for workload in WORKLOADS:
+            digest = hashlib.sha256()
+            for _, ops in sorted(workloads.load_pool(workload)["cells"].items()):
+                for op in ops:
+                    out.unlink(missing_ok=True)
+                    stdout = io.StringIO()
+                    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+                        rc = cli.main([str(out) if a == workloads.OUT else a for a in op["argv"]])
+                    text = out.read_text(encoding="utf-8") if out.exists() else None
+                    fields = checks.parse(op["kind"], stdout.getvalue(), text)
+                    digest.update(f"{rc} {_hex_text(fields)}\n".encode())
+            digests[workload] = digest.hexdigest()
+            print(f"{workload} pool digest {digests[workload][:16]}", file=sys.stderr)
+    return digests
+
+
 def _git(root: Path, *args: str) -> str:
     return subprocess.run(["git", "-C", str(root), *args], capture_output=True, text=True,
                           check=True).stdout.strip()
@@ -183,6 +235,7 @@ def main(argv: list[str] | None = None) -> int:
         "import_dyckarea_cli": measure_import(root),
         "readme_commands": measure_commands(root),
         "workloads": measure_workloads(root),
+        "pool_digests": measure_pool_digests(root),
     }
     dest = HERE / f"BENCH_{sha}.json"
     dest.write_text(json.dumps(point, indent=1) + "\n", encoding="utf-8")
