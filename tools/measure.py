@@ -181,7 +181,7 @@ def _hex_text(value) -> str:
 def measure_pool_digests(root: Path) -> dict:
     """Per workload, the sha256 of every stored pool op's exit code and
     parsed fields in ``float.hex``, the ops run in this process as
-    tests/test_benchmark_pools.py runs them. Reads ``benchmarks/`` only."""
+    tests/test_benchmark_pools.py runs them. Writes nothing under ``benchmarks/``."""
     sys.dont_write_bytecode = True  # no bytecode cache under benchmarks/
     sys.path.insert(0, str(root / "src"))
     from dyckarea import cli
