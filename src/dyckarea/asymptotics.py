@@ -52,7 +52,7 @@ from .errors import (
     PoleProximityError,
 )
 from .qseries import _epsilon, _log_euler_function, phase_f
-from .special_functions import airy_scaled, airy_zeros, airy_zeta, scaling_F
+from .special_functions import _riccati_coefficient, airy_scaled, airy_zeros, scaling_F
 
 __all__ = [
     "SaddleData",
@@ -254,28 +254,29 @@ PHI_AMPLITUDE = 2.0
 def finite_size_phi(s: float) -> float:
     """Finite-size scaling function phi(s) = -2 * sum_j Z(j+1) s^j / Gamma(2j/3 - 1/3).
 
-    The sign -1 makes phi(0) positive, like the exact series Q_m(t) > 0
-    (Z(1) > 0, Gamma(-1/3) < 0); the 2 is the tricritical amplitude 1/(2 t_c).
-    As every Airy zero has a_k <= a_1 < 0, |Z(i+2)| <= |Z(i+1)|/|a_1|; and as
+    Z(j+1) = -c_j, each correctly rounded, from ``_riccati_coefficient``. The
+    sign -1 makes phi(0) positive, like the exact series Q_m(t) > 0 (Z(1) > 0,
+    Gamma(-1/3) < 0); the 2 is the tricritical amplitude 1/(2 t_c). As every
+    Airy zero has a_k <= a_1 < 0, |Z(i+2)| <= |Z(i+1)|/|a_1|; and as
     Gamma(x)/Gamma(x + 2/3) decreases for x > 0, for i >= 1 the terms obey
     |T_(i+1)/T_i| <= r_i = |s|/|a_1| Gamma(x_i)/Gamma(x_(i+1)), x_i = 2i/3 - 1/3,
     with r_i decreasing. The sum stops at the first j >= 2 with r_(j-1) <= 1/2
     and |T_j| <= 2^-54 |partial sum|: the dropped tail is below 2^-54 of the
-    sum of the coefficients as computed. Their error (1.2e-8 at Z(2)) is not
-    in that bound, and phi multiplies it by up to 2^(bits lost). A sum certain
-    to lose over 10 bits (largest term above 2^10 times a bound on |sum|) is
-    an accuracy error, which refuses s >~ 3.9. A term or power of s outside
-    the double range is a domain error, and a sum still running at j = 257,
-    the last finite Gamma(x_j), does not converge.
+    sum of the coefficients. The double sum's rounding is not in that bound,
+    and phi multiplies it by up to 2^(bits lost). A sum certain to lose over
+    10 bits (largest term above 2^10 times a bound on |sum|) is an accuracy
+    error, which refuses s >~ 3.9. A term or power of s outside the double
+    range is a domain error, and a sum still running at j = 257, the last
+    finite Gamma(x_j), does not converge.
     """
     scale = abs(s) / abs(airy_zeros(1)[0])
     gamma = math.gamma(-1.0 / 3.0)
-    total = airy_zeta(1) / gamma
+    total = -_riccati_coefficient(0) / gamma
     peak = abs(total)
     for j in range(1, 258):
         previous, gamma = gamma, math.gamma(2.0 * j / 3.0 - 1.0 / 3.0)
         try:
-            term = airy_zeta(j + 1) / gamma * s**j
+            term = -_riccati_coefficient(j) / gamma * s**j
         except OverflowError:
             term = math.inf
         total += term

@@ -58,8 +58,9 @@ class _Parser(argparse.ArgumentParser):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # a negative number is a value, not a flag, also in exponent notation (-1e-3)
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+        # a negative number is a value, not a flag, also as -1e-3 and heading a comma list
+        number = r"(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?"
+        self._negative_number_matcher = re.compile(rf"^-{number}(,-?{number})*$")
 
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -13,7 +13,6 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
 
 from . import __version__
 from .asymptotics import _finite_size_s, g_uniform, q_m_asymptotic, scaling_t
@@ -78,6 +77,7 @@ def _format_cell(v):
 def _metadata(kind: str, stamp: bool, **settings) -> dict:
     meta = {"kind": kind, "tool": "dyckarea", "version": __version__, **settings}
     if stamp:
+        from datetime import datetime, timezone  # only a stamped scan pays for its import
         meta["timestamp"] = datetime.now(timezone.utc).isoformat()
     return meta
 

@@ -27,8 +27,9 @@ or logarithms of Airy combinations use it and never decide that themselves.
 
 Each zero of Ai is computed once and cached by its index, so
 ``airy_zeros(k)`` is a prefix of any longer call, and the tuple of each
-count is cached too; each ``airy_zeta(j)`` sum is cached as well, and is the
-one source of Z(j) for every series here.
+count is cached too; each ``airy_zeta(j)`` sum is cached as well, for
+``scaling_F_series``. The finite-size form reads Z(k+1) = -c_k, F's Taylor
+coefficients, from ``_riccati_coefficient``, which sums no zero.
 """
 
 from __future__ import annotations
@@ -75,6 +76,9 @@ _ASYMPTOTIC_RADIUS = 7.8
 _MAX_ARGUMENT = 1.0e4
 # Above this argument ``airy_scaled`` returns the exp(zeta)-scaled pair.
 _SCALED_FROM = 60.0
+# c_k (``_riccati_coefficient``) times 2^420: |c_k| falls like 2.338^-k, so 420 bits keep 100 of c_257
+_RICCATI_BITS = 420
+_RICCATI_FIXED = {0: ((_AIP0_256 << _RICCATI_BITS + 1) + _AI0_256) // (2 * _AI0_256)}
 
 
 @dataclass(frozen=True)
@@ -298,6 +302,20 @@ def airy_zeta(j: int, count: int = 400) -> float:
     tail_mag = a ** (-p) * (count + 0.25) ** (1.0 - p) / (p - 1.0)
     tail = tail_mag if j % 2 == 0 else -tail_mag
     return head + tail
+
+
+@lru_cache(maxsize=None)
+def _riccati_coefficient(k: int) -> float:
+    """c_k of F = Ai'/Ai = sum_k c_k s^k, so Z(k+1) = -c_k: F' = s - F^2 gives c_0 = Ai'(0)/Ai(0)
+    and (k+1) c_(k+1) = [k = 1] - sum_(i<=k) c_i c_(k-i), each pair of products (of one sign)
+    formed once in units of 2^-420 and each c_k rounded once; built only as far as a call reads.
+    Entries are keyed by k, so threads that race to extend them write equal values."""
+    fixed = _RICCATI_FIXED
+    for n in range(len(fixed) - 1, k):
+        square = 2 * sum(fixed[i] * fixed[n - i] for i in range((n + 1) // 2)) + (n % 2 == 0) * fixed[n // 2] ** 2
+        den = (n + 1) << _RICCATI_BITS
+        fixed[n + 1] = ((int(n == 1) << 2 * _RICCATI_BITS) - square + den // 2) // den
+    return math.ldexp(fixed[k], -_RICCATI_BITS)
 
 
 # --------------------------------------------------------------------------

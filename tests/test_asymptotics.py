@@ -5,6 +5,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dyckarea import asymptotics
 from dyckarea.asymptotics import (
@@ -30,7 +32,8 @@ from dyckarea.errors import (
     PoleProximityError,
 )
 from dyckarea.qseries import EvalSettings, g_cfrac, g_ratio, h_series, log_q_pochhammer
-from dyckarea.special_functions import A0, airy, airy_zeta
+from dyckarea.special_functions import A0, _riccati_coefficient, airy, airy_zeta
+from oracles import phi_exact
 
 BETA_QUARTER = 1.3029200473423146  # ln(1/4)^2/4 + pi^2/12
 
@@ -436,26 +439,46 @@ class TestFiniteSize:
             finite_size_phi(s)
 
     def test_dropped_tail_is_certified(self, monkeypatch):
-        # the terms past the stop, from the program's own Z(j) and exact
-        # Gamma and powers, sum to at most 2^-54 of the sum; term j reads
-        # Z(j+1), so the calls to airy_zeta count the terms summed
+        # the terms past the stop, from the program's own Z(j+1) = -c_j and
+        # exact Gamma and powers, sum to at most 2^-54 of the sum; term j
+        # reads c_j, so the reads of the coefficient generator count the
+        # terms summed
         calls = []
-        monkeypatch.setattr(asymptotics, "airy_zeta", lambda j: calls.append(j) or airy_zeta(j))
+        monkeypatch.setattr(asymptotics, "_riccati_coefficient",
+                            lambda j: calls.append(j) or _riccati_coefficient(j))
         rng = np.random.default_rng(35)
         for s in [0.0, -30.0, 3.9, *rng.uniform(-30.0, 3.9, 40)]:
             calls.clear()
             total = finite_size_phi(float(s)) / -PHI_AMPLITUDE
-            assert calls == list(range(1, len(calls) + 1))
+            assert calls == list(range(len(calls)))
             tail, j = mpmath.mpf(0), len(calls)
             with mpmath.workprec(200):
                 while True:
-                    term = (mpmath.mpf(airy_zeta(j + 1)) * mpmath.mpf(s) ** j
+                    term = (mpmath.mpf(-_riccati_coefficient(j)) * mpmath.mpf(s) ** j
                             / mpmath.gamma(mpmath.mpf(2 * j - 1) / 3))
                     tail += term
                     if abs(term) <= 2.0**-120 * abs(total):
                         break
                     j += 1
                 assert abs(tail) <= 2.0**-54 * abs(total), s
+
+    # the largest |phi/phi_exact - 1| measured up to each upper edge of s, on
+    # a 0.1 grid of [-30, 3.8] and 6000 uniform draws; the oracle sums the
+    # exact coefficients at 80 digits, so what is left is the double sum
+    _PHI_WORST = ((-8.0, 1.0e-14), (-2.0, 1.45e-15), (1.0, 8.9e-16), (2.0, 6.7e-15), (3.8, 6.6e-13))
+
+    def _assert_near_exact(self, s):
+        bound = next(worst for edge, worst in self._PHI_WORST if s <= edge)
+        assert abs(finite_size_phi(s) / phi_exact(s) - 1) <= 4.0 * bound, s
+
+    def test_against_exact_coefficients(self):
+        for k in range(-300, 39):
+            self._assert_near_exact(k / 10.0)
+
+    @settings(max_examples=200)
+    @given(st.floats(min_value=-30.0, max_value=3.8))
+    def test_against_exact_coefficients_drawn(self, s):
+        self._assert_near_exact(s)
 
     def test_cancellation_guard(self):
         # every s the old fixed 24-term cut accepted (a 0.01 grid of

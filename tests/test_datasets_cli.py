@@ -330,9 +330,11 @@ class TestCli:
         ("scan --kind phase_boundary --q-min 0.3 --q-max 0.99 --steps 20",
          "3f9f3fe2cfaa1b81c9eb801af73cefa4bde9142a84077ff6c98a96b524a090d4"),
         # re-pinned with the fixed-point Airy series: Q_asymptotic at m = 80
-        # moved by 1.2e-16 relative
+        # moved by 1.2e-16 relative; and when phi came to read the Riccati
+        # coefficients: all 3 Q_asymptotic values moved, by 2.2e-8 relative
+        # at most (m = 80), and Q_exact did not move
         ("scan --kind partition --t 0.24 --m-list 20,40,80",
-         "b3f8362e35a592309194122c29f1ec7ee72fb5af15234075b75ac8e1cc6e5518"),
+         "973561db2338eb64c731ee4589b630b06224bf8b0b640ad3db1df149bba45ffc"),
         # six F_from_uniform_eps0.5 rows lie outside (0, 1/2) in t: NaN; re-pinned
         # when the continued fraction became cut where its tail enclosure closes
         # (the largest move: F_from_cfrac_eps0.01 at s = -1, 1.5e-14 relative),
@@ -359,9 +361,10 @@ class TestCli:
         ("enumerate --n-max 12 --verify-brute-force 12",
          "d6dfa4bb78c25611776a3b37456a19f5f51f241e1a2b838c75732cb6f55d3d7b"),
         # re-pinned with the fixed-point Airy series: the asymptotic line
-        # moved by 2.5e-16 relative
+        # moved by 2.5e-16 relative; and when phi came to read the Riccati
+        # coefficients: 1 value moved, the asymptotic one, by 3.9e-8 relative
         ("partition --m 40 --t 0.2286",
-         "ae1a2090ff6ec59dd02a35b927a375d482a765e061a29c032a8f015dbe82f49f"),
+         "894fb246c48f38185119724b456e226bd4a598bd0d370caab23446ec35d789bc"),
         # m < 10: no finite-size form, so no asymptotic line
         ("partition --m 5 --t 0.2",
          "2b56c78cdc8538f492d9cfcfb2c8e9bfd05dbafc7bdc3715830b95f6c58a4a88"),
@@ -685,6 +688,18 @@ class TestCli:
         assert run_cli("scaling", "--s", "-1e-3", "--eps", "1e-4").returncode == 0
         res = run_cli("eval", "--t", "-2E-1", "--q", "0.9", "--method", "cfrac")
         assert res.returncode == 0 and float(res.stdout.splitlines()[0]) == 0.852663464714294
+
+    @pytest.mark.parametrize("flag, values, message", [
+        ("--eps-list", "-1e-2,0.1", "eps must be finite and positive, got -0.01"),
+        ("--m-list", "-3,4", "area -3 must be >= 0"),
+    ])
+    def test_negative_comma_list_value(self, tmp_path, run_cli, flag, values, message):
+        # a comma list led by a negative number is a value: its domain error
+        # exits 2, as it does when the negative number comes later
+        kind = "scaling_fn" if flag == "--eps-list" else "partition"
+        for text in (values, ",".join(reversed(values.split(",")))):
+            res = run_cli("scan", "--kind", kind, flag, text, "--out", str(tmp_path / "x.csv"))
+            assert res.returncode == 2 and res.stderr == f"domain error: {message}\n", text
 
     @pytest.mark.parametrize("argv", [["scaling", "--s"], ["eval", "--t", "--q", "0.9", "--method", "cfrac"],
                                       ["scan", "--kind", "g_vs_t", "--out", "x.csv", "--t-min", "-e3"]])

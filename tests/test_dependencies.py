@@ -164,3 +164,48 @@ def test_start_up_loads_no_numpy(tmp_path):
     res = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
                          capture_output=True, text=True, timeout=300)
     assert res.returncode == 0, res.stderr
+
+
+def _fresh_process(tmp_path, script: str) -> None:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    res = subprocess.run([sys.executable, "-c", textwrap.dedent(script)], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert res.returncode == 0, res.stderr
+
+
+def test_datetime_only_for_stamped_scans(tmp_path):
+    # in a fresh process: the CLI and every unstamped command above leave
+    # datetime unloaded; the first --stamp scan loads it
+    ops = [line.split() for line in _NO_NUMPY_OPS.strip().splitlines()]
+    _fresh_process(tmp_path, f"""
+        import contextlib, io, sys
+        from dyckarea import cli
+        assert "datetime" not in sys.modules, "import dyckarea.cli loaded datetime"
+        for argv in {ops!r}:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(argv) == 0, argv
+            assert "datetime" not in sys.modules, argv
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main("scan --kind partition --t 0.24 --m-list 10 --out s.csv --stamp".split()) == 0
+        assert "datetime" in sys.modules, "a stamped scan ran without datetime"
+    """)
+
+
+def test_partition_computes_no_zeta_sum(tmp_path):
+    # in a fresh process, partition and the partition scan compute one Airy
+    # zero at most (phi's ratio bound), call no airy_zeta and build only the
+    # Riccati coefficients their sums read; scaling's series, which still
+    # reads airy_zeta, builds all 400 zeros
+    _fresh_process(tmp_path, """
+        import contextlib, io
+        from dyckarea import cli, special_functions as sf
+        for argv in ("partition --m 40 --t 0.2286", "scan --kind partition --t 0.24 --m-list 20,40,80 --out qm.csv"):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(argv.split()) == 0, argv
+            assert sf._airy_zero.cache_info().currsize <= 1, argv
+            assert sf.airy_zeta.cache_info().currsize == 0, argv
+            assert sf._riccati_coefficient.cache_info().currsize <= 40, argv
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["scaling", "--s", "0.5"]) == 0
+        assert sf._airy_zero.cache_info().currsize == 400
+    """)

@@ -27,6 +27,7 @@ from dyckarea.special_functions import (
     scaling_F,
     scaling_F_series,
 )
+from oracles import nearest_double, riccati_coefficients
 
 AI0 = 0.3550280538878172
 AIP0 = -0.2588194037928068
@@ -312,6 +313,16 @@ class TestAiryZeta:
             for j in range(1, 42):
                 err = abs(mpmath.mpf(airy_zeta(j)) / -c[j - 1] - 1)
                 assert err <= (2.0 * measured[j] if j in measured else 1e-15), j
+
+
+class TestRiccatiCoefficients:
+    def test_correctly_rounded(self):
+        # every c_j that phi can read (j <= 257) is the double nearest the
+        # 700-bit recurrence, and c_1 = -c_0^2 rounds to -A0^2 exactly
+        exact = riccati_coefficients(400)
+        for j in range(258):
+            assert special_functions._riccati_coefficient(j) == nearest_double(exact[j]), j
+        assert -special_functions._riccati_coefficient(1) == A0**2
 
 
 class TestDilog:

@@ -16,6 +16,12 @@ script) it records:
 * the best of ``REPEATS`` ``-X importtime`` cumulative times of
   ``import dyckarea.cli``, and whether that import loads numpy;
 * the line count of ``src/dyckarea/*.py``;
+* in-process layers, each in a fresh subprocess importing ``<root>/src``:
+  ``finite_size_phi`` over ``PHI_GRID`` (s in [-8, 3.5]), one untimed pass
+  and then ``REPEATS`` timed blocks of ``PHI_PASSES`` passes (about 2 s of
+  CPU together), with the ``float.hex`` digest of the values; and the CPU
+  of the first ``finite_size_phi(1.0)`` of a fresh process, best of
+  ``REPEATS`` processes;
 * the three workloads through ``<root>/benchmarks/run.py`` at ``SEEDS``,
   folded by ``benchmarks/summarize.py::summarize``, with each run's timed
   CPU, set-up time and digest beside them;
@@ -54,6 +60,10 @@ HERE = Path(__file__).resolve().parents[1]
 REPEATS = 5
 SEEDS = (1, 2, 3)
 WORKLOADS = ("critical_scans", "exact_tables", "point_queries")
+
+# finite_size_phi's layer: s = -8 .. 3.5 by 0.05
+PHI_GRID = tuple(k / 20.0 for k in range(-160, 71))
+PHI_PASSES = 80
 
 # the README's "## Command line" block, without its comments
 # (tests/test_datasets_cli.py::TestReadme keeps the two in step)
@@ -137,6 +147,49 @@ def measure_import(root: Path) -> dict:
         times.append(int(cumulative.group(1)) / 1000.0)
         loads.add(run["stdout"].strip() == b"True")
     return {"best_cumulative_ms": min(times), "cumulative_ms": times, "loads_numpy": loads == {True}}
+
+
+def _in_process(root: Path, code: str) -> dict:
+    """Run ``code`` in a fresh interpreter on ``<root>/src``; it prints one JSON line."""
+    proc = subprocess.run([sys.executable, "-c", code], env=_env(root), capture_output=True,
+                          text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+def measure_layers(root: Path) -> dict:
+    """CPU of in-process calls, timed with ``time.process_time`` around the calls alone."""
+    phi = _in_process(root, f"""
+import hashlib, json, time
+from dyckarea.asymptotics import finite_size_phi
+grid = {PHI_GRID!r}
+values = [finite_size_phi(s) for s in grid]
+blocks = []
+for _ in range({REPEATS}):
+    start = time.process_time()
+    for _ in range({PHI_PASSES}):
+        for s in grid:
+            finite_size_phi(s)
+    blocks.append(time.process_time() - start)
+print(json.dumps({{"blocks_s": blocks,
+                  "sha256": hashlib.sha256(" ".join(v.hex() for v in values).encode()).hexdigest()}}))
+""")
+    first = [_in_process(root, """
+import json, time
+from dyckarea.asymptotics import finite_size_phi
+start = time.process_time()
+finite_size_phi(1.0)
+print(json.dumps(time.process_time() - start))
+""") for _ in range(REPEATS)]
+    calls = PHI_PASSES * len(PHI_GRID)
+    layers = {"finite_size_phi": {
+        "grid": [PHI_GRID[0], PHI_GRID[-1], len(PHI_GRID)], "calls_per_block": calls,
+        "timed_cpu_s": sum(phi["blocks_s"]), "best_us_per_call": 1e6 * min(phi["blocks_s"]) / calls,
+        "blocks_s": phi["blocks_s"], "values_sha256": phi["sha256"],
+        "first_call_cpu_ms": [1000.0 * t for t in first], "best_first_call_cpu_ms": 1000.0 * min(first)}}
+    print(f"finite_size_phi: {layers['finite_size_phi']['best_us_per_call']:.1f} us a call, first call "
+          f"{layers['finite_size_phi']['best_first_call_cpu_ms']:.2f} ms, values {phi['sha256'][:16]}",
+          file=sys.stderr)
+    return layers
 
 
 def measure_workloads(root: Path) -> dict:
@@ -233,6 +286,7 @@ def main(argv: list[str] | None = None) -> int:
         "src_lines": sum(len(p.read_text(encoding="utf-8").splitlines())
                          for p in (root / "src" / "dyckarea").glob("*.py")),
         "import_dyckarea_cli": measure_import(root),
+        "layers": measure_layers(root),
         "readme_commands": measure_commands(root),
         "workloads": measure_workloads(root),
         "pool_digests": measure_pool_digests(root),
