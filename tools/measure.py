@@ -149,8 +149,8 @@ def measure_import(root: Path) -> dict:
     return {"best_cumulative_ms": min(times), "cumulative_ms": times, "loads_numpy": loads == {True}}
 
 
-def _in_process(root: Path, code: str) -> dict:
-    """Run ``code`` in a fresh interpreter on ``<root>/src``; it prints one JSON line."""
+def _run_snippet(root: Path, code: str) -> dict:
+    """Run ``code`` in a fresh interpreter on ``<root>/src`` and read the one JSON line it prints."""
     proc = subprocess.run([sys.executable, "-c", code], env=_env(root), capture_output=True,
                           text=True, check=True)
     return json.loads(proc.stdout)
@@ -158,7 +158,7 @@ def _in_process(root: Path, code: str) -> dict:
 
 def measure_layers(root: Path) -> dict:
     """CPU of in-process calls, timed with ``time.process_time`` around the calls alone."""
-    phi = _in_process(root, f"""
+    phi = _run_snippet(root, f"""
 import hashlib, json, time
 from dyckarea.asymptotics import finite_size_phi
 grid = {PHI_GRID!r}
@@ -173,7 +173,7 @@ for _ in range({REPEATS}):
 print(json.dumps({{"blocks_s": blocks,
                   "sha256": hashlib.sha256(" ".join(v.hex() for v in values).encode()).hexdigest()}}))
 """)
-    first = [_in_process(root, """
+    first = [_run_snippet(root, """
 import json, time
 from dyckarea.asymptotics import finite_size_phi
 start = time.process_time()
