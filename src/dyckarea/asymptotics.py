@@ -95,12 +95,14 @@ class SaddleData:
 
 
 _MATCH = 1.0 / math.sqrt(2.0)
+_T_SMALLEST = 6.93889390390723e-17  # below it z1 = (1 + sqrt(1 - 4t))/2 rounds to 1, a branch point
 
 
 def saddle_data(t: float) -> SaddleData:
     """Saddle points, cubic-normal-form parameters and leading coefficients.
 
-    Valid for t in (0, 1/2); the asymptotic formulas are untested outside.
+    Valid for t in [6.93889390390723e-17, 1/2): below that t z1 rounds to 1,
+    a branch point of the phase; the asymptotic formulas are untested outside.
     f(z2) - f(z1) is of size |d|^(3/2), so where |d| < 1e-5 alpha comes from
     its series: with z = (1 + sqrt(d) v)/2, f' integrates between the saddles
     to f(z2) - f(z1) = sqrt(d) sum_N c_N d^N, c_N = sum_(n<=N) (2/n)(1/(2(N-n)+1)
@@ -116,8 +118,8 @@ def saddle_data(t: float) -> SaddleData:
     theta = log1p(sqrt(d)) - ln(4t)/2 is exact in 4t, so nothing cancels.
     """
     t = float(t)
-    if not (0.0 < t < 0.5):
-        raise DomainError(f"saddle_data requires t in (0, 1/2), got {t!r}")
+    if not (_T_SMALLEST <= t < 0.5):
+        raise DomainError(f"saddle_data requires t in [{_T_SMALLEST!r}, 1/2), got {t!r}")
     d = 1.0 - 4.0 * t
     root = cmath.sqrt(complex(d))
     z1, z2 = 0.5 * (1.0 + root), 0.5 * (1.0 - root)
@@ -175,7 +177,8 @@ def h_uniform(t: float, q: float, variant: Literal["H", "H_qt"] = "H") -> Scaled
 
     Returns a (mantissa, exponent) pair since the exp(beta/eps) factor
     overflows doubles below eps ~ 4e-3. Accuracy improves as eps -> 0+;
-    above eps = 0.2 the estimate is loose. Any other variant is a domain error.
+    above eps = 0.2 the estimate is loose. A t outside ``saddle_data``'s
+    [6.93889390390723e-17, 1/2) or any other variant is a domain error.
     """
     if variant not in ("H", "H_qt"):
         raise DomainError(f"variant must be 'H' or 'H_qt', got {variant!r}")
@@ -197,7 +200,8 @@ def g_uniform(t: float, q: float) -> float:
 
     The exponential prefactors of the two H expansions cancel exactly, so
     only the Airy brackets remain. Real poles of the denominator appear for
-    t > 1/4 at discrete points; proximity raises a pole error.
+    t > 1/4 at discrete points; proximity raises a pole error. A t outside
+    ``saddle_data``'s [6.93889390390723e-17, 1/2) is a domain error.
     """
     # the exponential factor of the Airy pair cancels in the ratio
     eps, sd, pair, _ = _airy_point(t, q)

@@ -1,6 +1,7 @@
 """Saddle data, uniform Airy approximations, tricritical and finite-size scaling."""
 
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -33,7 +34,7 @@ from dyckarea.errors import (
 )
 from dyckarea.qseries import EvalSettings, g_cfrac, g_ratio, h_series, log_q_pochhammer
 from dyckarea.special_functions import A0, _riccati_coefficient, airy, airy_zeta
-from oracles import phi_exact
+import oracles
 
 BETA_QUARTER = 1.3029200473423146  # ln(1/4)^2/4 + pi^2/12
 
@@ -81,33 +82,6 @@ def _near_quarter(d):
     return t
 
 
-def _mp_saddle(t, alpha=None):
-    """alpha, p0_h, q0_h, p0_hqt, q0_hqt at 60 digits from the saddle-point
-    definitions, with z1^p and z2^p continued through the upper half t-plane
-    past 1/4. A given (double) alpha replaces the 60-digit one, so that the
-    coefficients are checked apart from alpha's error."""
-    with mpmath.workdps(60):
-        t = mpmath.mpf(t)
-        d = 1 - 4 * t
-        z1, z2 = (1 + mpmath.sqrt(d)) / 2, (1 - mpmath.sqrt(d)) / 2  # z1 upper past 1/4
-
-        def f(z):
-            return mpmath.log(t) * mpmath.log(z) + mpmath.polylog(2, z) - mpmath.log(z) ** 2 / 2
-
-        if alpha is None:
-            alpha = mpmath.sign(d) * (0.75 * abs(f(z2) - f(z1))) ** (mpmath.mpf(2) / 3)
-        alpha = mpmath.mpf(alpha)
-        match = 1 / mpmath.sqrt(2)
-        out = [alpha]
-        for p in (mpmath.mpf(3) / 2, mpmath.mpf(1) / 2):
-            plus, minus = z1**p + z2**p, z1**p - z2**p
-            if d < 0:
-                plus, minus = 2 * mpmath.re(z1**p), 2 * mpmath.im(z1**p)
-            out += [(alpha / d) ** 0.25 * mpmath.re(plus) * match,
-                    mpmath.re(minus) / (alpha * d) ** 0.25 * match]
-        return [float(x) for x in out]
-
-
 class TestSaddleData:
     @pytest.mark.parametrize("t", [0.05, 0.15, 0.2, 0.25, 0.3, 0.45])
     def test_vieta(self, t):
@@ -147,7 +121,7 @@ class TestSaddleData:
         # f(z2) - f(z1) cancels as |d|^(3/2): alpha and the coefficients come
         # from its series and closed forms, within 1e-15 of 60-digit mpmath
         t = _near_quarter(side * size)
-        want = _mp_saddle(t)
+        want = oracles.saddle(t)
         sd = saddle_data(t)
         got = (sd.alpha, sd.p0_h, sd.q0_h, sd.p0_hqt, sd.q0_hqt)
         for value, exact in zip(got, want, strict=True):
@@ -162,7 +136,7 @@ class TestSaddleData:
             if abs(1.0 - 4.0 * t) < 1e-5:
                 continue
             sd = saddle_data(t)
-            want = _mp_saddle(t, sd.alpha)[1:]
+            want = oracles.saddle(t, sd.alpha)[1:]
             got = (sd.p0_h, sd.q0_h, sd.p0_hqt, sd.q0_hqt)
             for value, exact in zip(got, want, strict=True):
                 assert abs(value / exact - 1.0) < 2e-15, t
@@ -187,6 +161,19 @@ class TestSaddleData:
         for bad in (-0.1, 0.0, 0.5, 0.7):
             with pytest.raises(DomainError):
                 saddle_data(bad)
+
+    # below the smallest t, z1 = (1 + sqrt(1 - 4t))/2 rounds to 1, the branch
+    # point of the phase: a plain domain error names the smallest t accepted
+    @pytest.mark.parametrize("t", [1e-20, 5e-324, math.nextafter(6.93889390390723e-17, 0.0)])
+    def test_below_the_smallest_t(self, t):
+        with pytest.raises(DomainError, match=re.escape(f"requires t in [6.93889390390723e-17, 1/2), got {t!r}")) as err:
+            saddle_data(t)
+        assert type(err.value) is DomainError
+
+    def test_smallest_t_is_finite(self):
+        sd = saddle_data(6.93889390390723e-17)
+        assert sd.z1.real < 1.0
+        assert all(map(math.isfinite, (sd.alpha, sd.beta, sd.p0_h, sd.q0_h, sd.p0_hqt, sd.q0_hqt)))
 
 
 class TestHUniform:
@@ -469,7 +456,7 @@ class TestFiniteSize:
 
     def _assert_near_exact(self, s):
         bound = next(worst for edge, worst in self._PHI_WORST if s <= edge)
-        assert abs(finite_size_phi(s) / phi_exact(s) - 1) <= 4.0 * bound, s
+        assert abs(finite_size_phi(s) / oracles.phi_exact(s) - 1) <= 4.0 * bound, s
 
     def test_against_exact_coefficients(self):
         for k in range(-300, 39):

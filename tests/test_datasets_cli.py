@@ -301,7 +301,7 @@ class TestCli:
 
     @pytest.mark.parametrize("argv, t", [
         ("--eps 1e-5 --t-min 0.001 --t-max 0.2 --steps 5", "0.001"),  # Airy argument 1.4e4
-        ("--q 0.9 --t-min 1e-300 --t-max 0.1 --steps 2", "1e-300"),  # z1 rounds to 1, a branch cut
+        ("--q 0.9 --t-min 1e-300 --t-max 0.1 --steps 2", "1e-300"),  # below saddle_data's smallest t
     ], ids=["airy_range", "branch_cut"])
     def test_scan_uniform_nan_where_undefined(self, tmp_path, run_cli, argv, t):
         # every domain error of the uniform form is NaN in its cell, not an
@@ -312,6 +312,12 @@ class TestCli:
         assert row[0] == float(t) and math.isfinite(row[1]) and math.isnan(row[2])
         res = run_cli("eval", "--t", t, *argv.split()[:2], "--method", "uniform")
         assert res.returncode == 2 and res.stderr.startswith("domain error:")
+
+    def test_uniform_below_the_smallest_t(self, run_cli):
+        # z1 would round to 1 below it: the message names the smallest t accepted
+        res = run_cli("eval", "--t", "1e-20", "--q", "0.9", "--method", "uniform")
+        assert res.returncode == 2
+        assert res.stderr == "domain error: saddle_data requires t in [6.93889390390723e-17, 1/2), got 1e-20\n"
 
     # sha256 of the CSV each README scan writes, run as the README writes it
     @pytest.mark.parametrize("argv, digest", [

@@ -15,16 +15,16 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 
 
-def _imported_roots() -> set[str]:
-    """Root module of every absolute import in ``src/dyckarea/*.py``."""
+def _imported_roots(paths) -> set[str]:
+    """Root module of every absolute import in ``paths``, the standard library left out."""
     roots = set()
-    for path in sorted((SRC / "dyckarea").glob("*.py")):
+    for path in paths:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
                 roots.update(alias.name.split(".")[0] for alias in node.names)
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 roots.add(node.module.split(".")[0])
-    return roots - set(sys.stdlib_module_names) - {"dyckarea"}
+    return roots - set(sys.stdlib_module_names)
 
 
 # a module imports only from modules of a lower rank
@@ -53,7 +53,26 @@ def test_imports_match_declared_dependencies():
     with open(ROOT / "pyproject.toml", "rb") as fh:
         declared = tomllib.load(fh)["project"]["dependencies"]
     names = {re.match(r"[A-Za-z0-9_.-]+", spec).group() for spec in declared}
-    assert _imported_roots() == names == {"numpy"}
+    assert _imported_roots(sorted((SRC / "dyckarea").glob("*.py"))) - {"dyckarea"} == names == {"numpy"}
+
+
+# tests/oracles.py stays importable where neither the package nor the test
+# tools are: a reference builder outside the suite can share its oracles
+def test_oracles_import_only_the_stdlib_and_mpmath():
+    assert _imported_roots([ROOT / "tests" / "oracles.py"]) == {"mpmath"}
+
+
+def test_oracles_load_neither_the_package_nor_the_test_tools(tmp_path):
+    script = """
+        import sys
+        import oracles
+        loaded = {name.split(".")[0] for name in sys.modules} & {"dyckarea", "pytest", "hypothesis", "numpy"}
+        assert not loaded, loaded
+    """
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "tests"))
+    res = subprocess.run([sys.executable, "-c", textwrap.dedent(script)], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert res.returncode == 0, res.stderr
 
 
 def _numpy_imports(tree: ast.AST) -> list[ast.stmt]:

@@ -43,6 +43,7 @@ from dyckarea.qseries import (
     log_q_pochhammer,
     t_infinity,
 )
+import oracles
 
 # frozen from 40-digit direct partial sums of the defining series
 H_02_05 = 0.6262869831031218
@@ -100,7 +101,7 @@ class TestGoldenDigest:
         for eps, t in self._roots_and_grid()[1]:
             q = math.exp(-eps)
             s = EvalSettings(q=q)
-            h, hq = _oracle_h(t, q), _oracle_h(_exact_qt(q, t), q)
+            h, hq = oracles.h(t, q), oracles.h(oracles.exact_qt(q, t), q)
             for fn, reference, series in ((h_series, h, 1), (g_ratio, hq / h, 2)):
                 try:
                     res = fn(t, s, full_output=True)
@@ -115,39 +116,6 @@ def _oracle_bound(series: int, res) -> float:
     sum's certified tail, 2^-54, the final rounding to a double, 2^-53, and
     the floor errors its reported surviving bits allow."""
     return series * 2.0**-54 + 2.0**-53 + 2.0 ** (res.bits_lost - res.precision_bits + 4)
-
-
-def _exact_qt(q, t):
-    """The product q t without rounding: two doubles multiply exactly in 106 bits."""
-    return mpmath.fmul(q, t, prec=2000)
-
-
-def _oracle_h(t, q, prec=2000):
-    """H(t) by direct summation in mpmath, independent of ``qseries``.
-
-    Numerator power, q^(n^2-n) and (q; q)_n are carried separately. Past
-    the index where |t| q^(2n) <= (1 - q^(n+1))/2 every term ratio is at most
-    1/2, so stopping there at a term below 2^-120 |sum| leaves a tail below
-    that. The precision doubles until 200 bits survive the cancellation.
-    """
-    while True:
-        with mpmath.workprec(prec):
-            q_mp, neg_t = mpmath.mpf(q), -mpmath.mpmathify(t)
-            total = peak = power = q_nn = poch = q_n = mpmath.mpf(1)
-            while True:
-                q_n *= q_mp
-                poch *= 1 - q_n
-                power *= neg_t
-                term = q_nn * power / poch
-                q_nn *= q_n * q_n
-                total += term
-                peak = max(peak, abs(term))
-                if (abs(t) * q_n * q_n <= (1 - q_n * q_mp) / 2
-                        and abs(term) <= abs(total) * mpmath.mpf(2) ** -120):
-                    break
-            if prec - mpmath.log(peak / abs(total), 2) >= 200:
-                return total
-        prec *= 2
 
 
 class TestEvalSettings:
@@ -245,24 +213,8 @@ class TestQPochhammer:
         # the sum of the principal logs, not the log of the product: the
         # factors' args add up past pi, and the tail is summed as its log series
         n = max(8, math.ceil(math.log(max(abs(z), 1.0) / (1e-17 * (1.0 - q))) / -math.log(q)) + 2)
-        with mpmath.workdps(30):
-            expected = complex(mpmath.fsum(mpmath.log(1 - mpmath.mpc(z) * mpmath.mpf(q) ** k)
-                                           for k in range(n)))
+        expected = oracles.log_q_pochhammer_sum(z, q, n)
         assert log_q_pochhammer(z, q) == pytest.approx(expected, rel=1e-13)
-
-    @staticmethod
-    def _log_of_product(z, q, n, near):
-        """The log of the 200-bit product of the factors 1 - z q^k, k < n, on
-        the branch nearest ``near``. For n = None the product stops once
-        |w| = |z q^K| < 2^-40 and the rest enters as its first-order log
-        -w / (1 - q), off by under |w|^2 / (2 (1 - q^2)) < 2^-72 at q <= 0.999."""
-        with mpmath.workprec(200):
-            w, q_mp, product, k = mpmath.mpc(z), mpmath.mpf(q), mpmath.mpc(1), 0
-            while k < n if n is not None else abs(w) >= mpmath.mpf(2) ** -40:
-                product, w, k = product * (1 - w), w * q_mp, k + 1
-            log = mpmath.log(product) - (w / (1 - q_mp) if n is None else 0)
-            turns = round((near.imag - float(log.imag)) / (2 * math.pi))
-            return complex(log + 2j * mpmath.pi * turns)
 
     # the factors logged one at a time and the geometric series of the rest,
     # against the product: the principal branch is test_principal_branch's
@@ -273,7 +225,7 @@ class TestQPochhammer:
         for _ in range(3):
             z = complex(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0))
             value = log_q_pochhammer(z, q, n)
-            reference = self._log_of_product(z, q, n, value)
+            reference = oracles.log_q_pochhammer_product(z, q, n, value)
             assert abs(value - reference) <= 4e-15 * max(1.0, abs(reference)), (z, q, n)
 
     # outside 0 < q < 1 the series does not apply: every factor is logged
@@ -281,9 +233,7 @@ class TestQPochhammer:
     @pytest.mark.parametrize("n", [0, 1, 7])
     def test_finite_order_outside_the_unit_interval(self, q, n):
         for z in (0.3 + 0.2j, -1.5 + 0.7j):
-            with mpmath.workdps(30):
-                expected = complex(mpmath.fsum(mpmath.log(1 - mpmath.mpc(z) * mpmath.mpf(q) ** k)
-                                               for k in range(n)))
+            expected = oracles.log_q_pochhammer_sum(z, q, n)
             assert log_q_pochhammer(z, q, n) == pytest.approx(expected, rel=1e-14, abs=1e-15)
 
     @pytest.mark.parametrize("z", [complex(math.nan, 0.0), complex(0.5, math.inf)])
@@ -538,7 +488,7 @@ class TestAgainstOracle:
     def test_matches_oracle(self, eps, t):
         q = math.exp(-eps)
         settings = EvalSettings(q=q)
-        h, hq = _oracle_h(t, q), _oracle_h(_exact_qt(q, t), q)
+        h, hq = oracles.h(t, q), oracles.h(oracles.exact_qt(q, t), q)
         try:
             res = h_series(t, settings, full_output=True)
         except DomainError:  # only past the double range
@@ -553,7 +503,7 @@ class TestAgainstOracle:
     @staticmethod
     def _ratio_within_bound(t, settings):
         q = settings.q
-        reference = _oracle_h(_exact_qt(q, t), q) / _oracle_h(t, q)
+        reference = oracles.h(oracles.exact_qt(q, t), q) / oracles.h(t, q)
         res = g_ratio(t, settings, full_output=True)
         assert abs(res.value - reference) <= _oracle_bound(2, res) * abs(reference)
 
@@ -605,25 +555,6 @@ class TestAgainstOracle:
         self._narrowed_within_bound(t_infinity(q) * f, EvalSettings(q=q))
 
 
-def _oracle_tail(t, q, n, scaled):
-    """The sum of the terms of H(t) past T_n, or with ``scaled`` of the terms
-    T_k q^k of H(qt), in mpmath. From the first k > n where |T_(k+1) / T_k|
-    = |t| q^(2k) / (1 - q^(k+1)) <= 1/2 the rest of the tail is at most
-    |T_k|, so the sum stops there at a term below 2^-80 of the tail. The
-    terms are products, so 200 bits keep them to far below that."""
-    with mpmath.workprec(200):
-        q_mp, neg_t = mpmath.mpf(q), -mpmath.mpmathify(t)
-        term, tail, q_k, k = mpmath.mpf(1), mpmath.mpf(0), mpmath.mpf(1), 0
-        while True:  # term = T_k q^(k scaled)
-            k += 1
-            term *= neg_t * q_k * q_k * (q_mp if scaled else 1) / (1 - q_k * q_mp)
-            q_k *= q_mp
-            if k > n:
-                tail += term
-                if abs(t) * q_k * q_k <= (1 - q_k * q_mp) / 2 and abs(term) <= abs(tail) * mpmath.mpf(2) ** -80:
-                    return tail
-
-
 class TestStopRule:
     """Every sum of H stops where the geometric majorant certifies that the
     terms it drops add up to at most 2^-54 of it, and the saddle estimate at
@@ -635,12 +566,12 @@ class TestStopRule:
         rng = random.Random(seed)
         q = math.exp(-math.exp(rng.uniform(math.log(1e-3), 0.0)))
         t = rng.uniform(-0.5, 0.5) if seed % 2 else cmath.rect(rng.uniform(0.0, 0.5), rng.uniform(-math.pi, math.pi))
-        settings, h = EvalSettings(q=q), _oracle_h(t, q)
+        settings, h = EvalSettings(q=q), oracles.h(t, q)
         n = h_series(t, settings, full_output=True).terms_used
-        assert abs(_oracle_tail(t, q, n, False)) <= 2.0**-54 * abs(h)
+        assert abs(oracles.h_tail(t, q, n, False)) <= 2.0**-54 * abs(h)
         n = g_ratio(t, settings, full_output=True).terms_used // 2  # both series
-        for reference, scaled in ((h, False), (_oracle_h(_exact_qt(q, t), q), True)):
-            assert abs(_oracle_tail(t, q, n, scaled)) <= 2.0**-54 * abs(reference), scaled
+        for reference, scaled in ((h, False), (oracles.h(oracles.exact_qt(q, t), q), True)):
+            assert abs(oracles.h_tail(t, q, n, scaled)) <= 2.0**-54 * abs(reference), scaled
 
     # a seeded grid of real t below the pole line: H(qt) loses no more bits
     # than H(t) in one scaled pass, so the estimate at t sizes both
@@ -753,46 +684,8 @@ class TestCfracGoldenDigest:
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == CFRAC_VALUES_DIGEST
 
 
-def _level_maps(t, q):
-    """x_K = t q^K and the Moebius map P = [[a, b], [c, d]] that levels 0 .. K-1
-    of the continued fraction compose to, for K = 1, 2, ..., in mpmath at the
-    working precision and the exact double q."""
-    t, q = mpmath.mpf(t), mpmath.mpf(q)
-    a, b, c, d = mpmath.mpf(1), mpmath.mpf(0), mpmath.mpf(0), mpmath.mpf(1)
-    x = t
-    while True:
-        a, b, c, d = -b * x, a + b, -d * x, c + d  # P M(x), M(x) = [[0, 1], [-x, 1]]
-        x *= q
-        yield x, (a, b, c, d)
-
-
-def _enclosure(t, x, p):
-    """The interval that P maps the tail's enclosure to, G(x, q) in [1, C(x)]
-    for 0 < x <= 1/4 (C the Catalan generating function) or in [0, 1] for
-    t <= 0; None while x > 1/4 or a pole of P lies between the two ends."""
-    if x > 0.25:
-        return None
-    a, b, c, d = p
-    ends = (0, 1) if t <= 0 else (1, 2 / (1 + mpmath.sqrt(1 - 4 * x)))
-    dens = [c * g + d for g in ends]
-    if dens[0] * dens[1] <= 0:
-        return None
-    return [(a * g + b) / den for g, den in zip(ends, dens)]
-
-
-def _oracle_cfrac(t, q, bits=200, width=1e-20):
-    """G(t, q) from a ``bits``-bit continued fraction at the exact double q,
-    cut where its tail enclosure closes: K grows in steps of 16 until
-    ``_enclosure`` is narrower than ``width`` relative to G."""
-    with mpmath.workprec(bits):
-        for depth, (x, p) in enumerate(_level_maps(t, q), 1):
-            ends = None if depth % 16 else _enclosure(t, x, p)
-            if ends and abs(ends[1] - ends[0]) < width * abs(ends[0]):
-                return (ends[0] + ends[1]) / 2
-
-
 class TestCfracOracle:
-    """``g_cfrac``, and the scans that call it, against ``_oracle_cfrac`` at
+    """``g_cfrac``, and the scans that call it, against ``oracles.cfrac`` at
     the points of ``TestCfracGoldenDigest`` and on the README ``scaling_fn``
     scan's t grid. The bound is 1e-13 relative, and past the pole line the
     roundoff the double chain was measured to make there, where it exceeds
@@ -802,13 +695,13 @@ class TestCfracOracle:
 
     @staticmethod
     def _assert_close(got, t, q, bound):
-        exact = _oracle_cfrac(t, q)
+        exact = oracles.cfrac(t, q)
         assert abs((got - exact) / exact) < bound, (t, q, got)
 
     def test_agrees_at_300_bits(self):
         for eps, t in [(1e-3, 0.263), (2e-4, 0.45), (0.5, -20.0)]:
             q = math.exp(-eps)
-            assert abs(_oracle_cfrac(t, q) / _oracle_cfrac(t, q, bits=300) - 1) < 1e-40
+            assert abs(oracles.cfrac(t, q) / oracles.cfrac(t, q, bits=300) - 1) < 1e-40
 
     @pytest.mark.parametrize("eps", [0.5, 1e-3, 2e-4])
     def test_golden_points(self, eps):
@@ -870,8 +763,8 @@ class TestCfracOracle:
             return
         depth = qseries._cfrac_depth(t, q, -math.log(q))[0]
         with mpmath.workprec(200):
-            x, p = next(itertools.islice(_level_maps(t, q), depth - 1, None))
-            lo, hi = _enclosure(t, x, p)
+            x, p = next(itertools.islice(oracles._level_maps(t, q), depth - 1, None))
+            lo, hi = oracles._enclosure(t, x, p)
             assert abs(hi - lo) < mpmath.mpf(2) ** -60 * abs(lo), (t, q, depth)
 
     # for t < 0 the cut is the first level whose 200-bit enclosure is within
@@ -882,7 +775,7 @@ class TestCfracOracle:
         depth = qseries._cfrac_depth(t, q, eps)[0]
         with mpmath.workprec(200):
             widths = [abs(hi - lo) / abs(lo) for lo, hi in (
-                _enclosure(t, x, p) for x, p in itertools.islice(_level_maps(t, q), depth))]
+                oracles._enclosure(t, x, p) for x, p in itertools.islice(oracles._level_maps(t, q), depth))]
         first = next(k for k, w in enumerate(widths, 1) if w < mpmath.mpf(2) ** -60)
         assert first <= depth <= first + 1, (first, depth)
 
@@ -954,7 +847,7 @@ class TestPoleBoundary:
         # the independent sum lies within 2 tol of the root it returns
         tol = inspect.signature(t_infinity).parameters["tol"].default
         root = t_infinity(q)
-        assert _oracle_h(root * (1 - 2 * tol), q) > 0 > _oracle_h(root * (1 + 2 * tol), q)
+        assert oracles.h(root * (1 - 2 * tol), q) > 0 > oracles.h(root * (1 + 2 * tol), q)
 
     @pytest.mark.parametrize("q, zeros", [(0.9, 2), (0.99, 14)])
     def test_sign_count_against_oracle(self, q, zeros):
@@ -963,7 +856,7 @@ class TestPoleBoundary:
         # independent sum up to each t; the count never decreases in t
         eps, changes, sign, counts, expected = -math.log(q), 0, 1, [], []
         for t in (0.25 + 0.3 * i / 120 for i in range(1, 121)):
-            if (s := mpmath.sign(_oracle_h(t, q))) != sign:
+            if (s := mpmath.sign(oracles.h(t, q))) != sign:
                 changes, sign = changes + 1, s
             counts.append(qseries._cfrac_scalar(t, q, qseries._cfrac_depth(t, q, eps)[0])[1])
             expected.append(changes)
@@ -996,7 +889,7 @@ class TestBelowDoubleRange:
 
     def test_sum_matches_oracle(self):
         [((total, im), *_)], frac, _, _ = qseries._sum_h(0.25, EvalSettings(q=self.Q))
-        reference = _oracle_h(0.25, self.Q)
+        reference = oracles.h(0.25, self.Q)
         assert im == 0
         assert abs(mpmath.ldexp(total, -frac) - reference) <= 1e-10 * abs(reference)
 
@@ -1010,7 +903,7 @@ class TestBelowDoubleRange:
 
     def test_pole_line_is_a_sign_change(self):
         root = t_infinity(self.Q, tol=1e-8)
-        assert _oracle_h(root * (1 - 1e-7), self.Q) > 0 > _oracle_h(root * (1 + 1e-7), self.Q)
+        assert oracles.h(root * (1 - 1e-7), self.Q) > 0 > oracles.h(root * (1 + 1e-7), self.Q)
 
 
 class TestEulerMaclaurin:

@@ -27,7 +27,7 @@ from dyckarea.special_functions import (
     scaling_F,
     scaling_F_series,
 )
-from oracles import nearest_double, riccati_coefficients
+import oracles
 
 AI0 = 0.3550280538878172
 AIP0 = -0.2588194037928068
@@ -79,8 +79,7 @@ class TestAiry:
         draw = [-math.exp(rng.uniform(math.log(7.8), math.log(1e4))) for _ in range(40)]
         for x in [-7.8, -10.0, -100.0, -1000.0, -1e4] + draw:
             pair, envelope = airy(x), 1.0 / (math.sqrt(math.pi) * (-x) ** 0.25)
-            with mpmath.workprec(300):
-                ai, aip = mpmath.airyai(x), mpmath.airyai(x, derivative=1)
+            ai, aip = oracles.airy(x)
             assert abs(pair.ai - ai) <= 1e-13 * envelope, x
             assert abs(pair.ai_prime - aip) <= 1e-13 * envelope * math.sqrt(-x), x
 
@@ -133,18 +132,13 @@ _TIER_SWITCHES = [-7.8, -4.5, -3.5, 3.5, 4.5, 7.8, 60.0]
 _NEAR = st.floats(min_value=-1e-9, max_value=1e-9)
 
 
-def _mp_airy(x: float) -> tuple[float, float]:
-    with mpmath.workdps(30):
-        return float(mpmath.airyai(x)), float(mpmath.airyai(x, derivative=1))
-
-
 class TestTierSwitches:
     @settings(max_examples=60)
     @given(st.sampled_from(_TIER_SWITCHES), _NEAR)
     def test_airy_against_mpmath(self, switch, offset):
         x = switch + offset
         pair = airy(x)
-        ai, aip = _mp_airy(x)
+        ai, aip = map(float, oracles.airy(x))
         assert pair.ai == pytest.approx(ai, rel=1e-11, abs=1e-14)
         assert pair.ai_prime == pytest.approx(aip, rel=1e-11, abs=1e-14)
 
@@ -157,7 +151,7 @@ class TestTierSwitches:
         for x in (below, above):
             pair, log_factor = airy_scaled(x)
             value = pair.ai * math.exp(log_factor)
-            assert value == pytest.approx(_mp_airy(x)[0], rel=1e-11)
+            assert value == pytest.approx(float(oracles.airy(x)[0]), rel=1e-11)
             values.append(value)
         # Ai'/Ai is -7.8 at x = 60, so the true jump is below 8 (above - below)
         assert abs(values[1] / values[0] - 1.0) <= 8.0 * (above - below) + 1e-11
@@ -176,27 +170,11 @@ _MACLAURIN_BANDS = {
 def _worst_ulps(xs) -> tuple[float, str, float]:
     """Largest distance, in ulps of the reference, of Ai or Ai' from mpmath at 300 bits."""
     worst = []
-    with mpmath.workprec(300):
-        for x in xs:
-            pair = airy(x)
-            for name, value, ref in (("Ai", pair.ai, mpmath.airyai(x)),
-                                     ("Ai'", pair.ai_prime, mpmath.airyai(x, derivative=1))):
-                worst.append((abs(value - float(ref)) / math.ulp(float(ref)), name, x))
+    for x in xs:
+        pair, (ai, aip) = airy(x), oracles.airy(x)
+        for name, value, ref in (("Ai", pair.ai, ai), ("Ai'", pair.ai_prime, aip)):
+            worst.append((abs(value - float(ref)) / math.ulp(float(ref)), name, x))
     return max(worst)
-
-
-def _zero_neighbours() -> list[float]:
-    """The doubles nearest the zeros of Ai and Ai' in [-7.8, 0] (the 5th of Ai
-    is -7.94) and one on either side: the largest losses of any double."""
-    with mpmath.workdps(30):
-        xs = [float(mpmath.airyaizero(k, derivative=d)) for d in (0, 1) for k in range(1, 5 + d)]
-    return xs + [math.nextafter(x, d) for x in xs for d in (-math.inf, math.inf)]
-
-
-def _origin_at(frac: int) -> tuple[int, int]:
-    with mpmath.workprec(300):
-        return (int(mpmath.nint(mpmath.ldexp(mpmath.airyai(0), frac))),
-                int(mpmath.nint(mpmath.ldexp(mpmath.airyai(0, derivative=1), frac))))
 
 
 class TestAiryMiddleTier:
@@ -211,12 +189,12 @@ class TestAiryMiddleTier:
         # Ai cancels to about 1e-16 at the doubles next to its zeros, and Ai'
         # next to its own, so 1 ulp there needs sums accurate far below the
         # size of their terms
-        worst = _worst_ulps(_zero_neighbours() + list(airy_zeros(4)))
+        worst = _worst_ulps(oracles.airy_zero_neighbours() + list(airy_zeros(4)))
         assert worst[0] <= 1.0, worst
 
     @pytest.mark.parametrize("frac", [72, 97, 110, 126, 143])  # the tier's lowest F, three between, its highest
     def test_origin_constants(self, frac):
-        assert special_functions._airy_origin(frac) == _origin_at(frac)
+        assert special_functions._airy_origin(frac) == oracles.airy_origin(frac)
 
     def test_origin_constants_every_reached_precision(self, monkeypatch):
         # every F the tier reaches: a first pass grows with |x| on each side,
@@ -225,12 +203,12 @@ class TestAiryMiddleTier:
         fracs = []
         origin = special_functions._airy_origin
         monkeypatch.setattr(special_functions, "_airy_origin", lambda frac: fracs.append(frac) or origin(frac))
-        for x in [0.0, 7.8, -7.8] + _zero_neighbours():
+        for x in [0.0, 7.8, -7.8] + oracles.airy_zero_neighbours():
             airy(x)
         assert fracs[:3] == [72, 113, 92]
         assert max(fracs) == 143
         for frac in range(min(fracs), max(fracs) + 1):
-            assert origin(frac) == _origin_at(frac), frac
+            assert origin(frac) == oracles.airy_origin(frac), frac
 
     def test_no_mpmath_arithmetic_per_call(self, monkeypatch):
         # the tier reads only integer constants, nothing is cached per
@@ -272,8 +250,7 @@ class TestAiryZeros:
     def test_against_mpmath_and_prefix(self, k):
         # DLMF 9.9: the k-th zero to 30 digits; shorter calls are prefixes
         zeros = airy_zeros(2000)
-        with mpmath.workdps(30):
-            ref = float(mpmath.airyaizero(k))
+        ref = float(oracles.airy_zero(k))
         assert zeros[k - 1] == pytest.approx(ref, rel=1e-12)
         assert airy_zeros(k) == zeros[:k]
 
@@ -301,27 +278,23 @@ class TestAiryZeta:
             airy_zeta(0)
 
     def test_against_riccati_coefficients(self):
-        # F = Ai'/Ai = sum_k c_k s^k obeys F' = s - F^2, so c_0 = Ai'(0)/Ai(0)
-        # and (k+1) c_(k+1) = [k = 1] - sum_(i<=k) c_i c_(k-i), with Z(j) =
-        # -c_(j-1) exactly: an oracle for every Z(j) that sums no zero. The
-        # bounds are the measured errors with a margin of 2 (1e-15 from j = 7).
+        # Z(j) = -c_(j-1) exactly, c_k the Riccati coefficients of F = Ai'/Ai:
+        # an oracle for every Z(j) that sums no zero. The bounds are the
+        # measured errors with a margin of 2 (1e-15 from j = 7).
         measured = {2: 1.20e-8, 3: 5.49e-10, 4: 1.36e-11, 5: 2.80e-13, 6: 5.56e-15}
-        with mpmath.workprec(200):
-            c = [mpmath.airyai(0, 1) / mpmath.airyai(0)]
-            for k in range(41):
-                c.append((int(k == 1) - mpmath.fsum(c[i] * c[k - i] for i in range(k + 1))) / (k + 1))
-            for j in range(1, 42):
-                err = abs(mpmath.mpf(airy_zeta(j)) / -c[j - 1] - 1)
-                assert err <= (2.0 * measured[j] if j in measured else 1e-15), j
+        c = oracles.riccati_coefficients(42)
+        for j in range(1, 42):
+            err = abs(mpmath.fdiv(-airy_zeta(j), c[j - 1], prec=200) - 1)
+            assert err <= (2.0 * measured[j] if j in measured else 1e-15), j
 
 
 class TestRiccatiCoefficients:
     def test_correctly_rounded(self):
         # every c_j that phi can read (j <= 257) is the double nearest the
         # 700-bit recurrence, and c_1 = -c_0^2 rounds to -A0^2 exactly
-        exact = riccati_coefficients(400)
+        exact = oracles.riccati_coefficients(400)
         for j in range(258):
-            assert special_functions._riccati_coefficient(j) == nearest_double(exact[j]), j
+            assert special_functions._riccati_coefficient(j) == oracles.nearest_double(exact[j]), j
         assert -special_functions._riccati_coefficient(1) == A0**2
 
 
@@ -416,8 +389,8 @@ class TestScalingFunction:
     def test_near_the_first_poles(self, zero, offset):
         # Ai is ~1e-7 of its envelope here, so F keeps 14 digits only if Ai does
         s = zero + offset
-        with mpmath.workprec(300):
-            ref = float(mpmath.airyai(s, derivative=1) / mpmath.airyai(s))
+        ai, aip = oracles.airy(s)
+        ref = float(mpmath.fdiv(aip, ai, prec=300))
         assert scaling_F(s) == pytest.approx(ref, rel=1e-14)
 
     @pytest.mark.parametrize("s", [1.0, -1.0])

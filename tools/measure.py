@@ -15,7 +15,10 @@ script) it records:
   outside that timing, whether the command loads numpy;
 * the best of ``REPEATS`` ``-X importtime`` cumulative times of
   ``import dyckarea.cli``, and whether that import loads numpy;
-* the line count of ``src/dyckarea/*.py``;
+* the line counts of ``src/dyckarea/*.py`` and of ``tests/*.py``;
+* one run of the tier-1 suite (ROADMAP's Tier-1 verify command, with
+  ``-p no:cacheprovider``) in a subprocess on ``<root>``: its wall time,
+  exit code and passed and failed counts;
 * in-process layers, each in a fresh subprocess importing ``<root>/src``:
   ``finite_size_phi`` over ``PHI_GRID`` (s in [-8, 3.5]), one untimed pass
   and then ``REPEATS`` timed blocks of ``PHI_PASSES`` passes (about 2 s of
@@ -149,6 +152,23 @@ def measure_import(root: Path) -> dict:
     return {"best_cumulative_ms": min(times), "cumulative_ms": times, "loads_numpy": loads == {True}}
 
 
+# ROADMAP's Tier-1 verify command, writing no pytest cache into the checkout
+TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider")
+
+
+def measure_tier1(root: Path) -> dict:
+    """One run of the tier-1 suite on ``<root>/src``: wall time, exit code,
+    the passed and failed counts and pytest's summary line."""
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, *TIER1], cwd=root, env=_env(root), capture_output=True, text=True)
+    wall = time.perf_counter() - start
+    summary = proc.stdout.strip().splitlines()[-1]
+    counts = {key: int(n) for n, key in re.findall(r"(\d+) (passed|failed)", summary)}
+    print(f"tier-1: {wall:.1f} s wall, {summary}", file=sys.stderr)
+    return {"wall_s": wall, "exit": proc.returncode, "passed": counts.get("passed", 0),
+            "failed": counts.get("failed", 0), "summary": summary}
+
+
 def _run_snippet(root: Path, code: str) -> dict:
     """Run ``code`` in a fresh interpreter on ``<root>/src`` and read the one JSON line it prints."""
     proc = subprocess.run([sys.executable, "-c", code], env=_env(root), capture_output=True,
@@ -264,6 +284,10 @@ def measure_pool_digests(root: Path) -> dict:
     return digests
 
 
+def _lines(paths) -> int:
+    return sum(len(p.read_text(encoding="utf-8").splitlines()) for p in paths)
+
+
 def _git(root: Path, *args: str) -> str:
     return subprocess.run(["git", "-C", str(root), *args], capture_output=True, text=True,
                           check=True).stdout.strip()
@@ -283,8 +307,9 @@ def main(argv: list[str] | None = None) -> int:
         "measured": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "machine": {"python": platform.python_version(), "platform": platform.platform(),
                     "nproc": os.cpu_count()},
-        "src_lines": sum(len(p.read_text(encoding="utf-8").splitlines())
-                         for p in (root / "src" / "dyckarea").glob("*.py")),
+        "src_lines": _lines((root / "src" / "dyckarea").glob("*.py")),
+        "tests_lines": _lines((root / "tests").glob("*.py")),
+        "tier1": measure_tier1(root),
         "import_dyckarea_cli": measure_import(root),
         "layers": measure_layers(root),
         "readme_commands": measure_commands(root),
