@@ -84,10 +84,10 @@ def g_exact(t, q):
 def pole_line(q, rtol=1e-15):
     """The first zero of H(t) past t = 1/4, for 0 < q < 1, as a double.
 
-    The zeros of H lie about eps^(2/3) apart, eps = -ln q, so a march up from
-    1/4 in steps of eps^(2/3)/16 cannot step over a pair of them; the first
-    step whose end has H <= 0 brackets the first zero, and the bracket is then
-    bisected to ``rtol`` relative or to adjacent doubles.
+    The zeros of H lie about eps^(2/3) apart, eps = -ln q: a march up from 1/4
+    in steps of eps^(2/3)/16 steps over none of them, where a bisection of
+    [1/4, 1] may land on a later zero. The first step whose end has H <= 0
+    brackets the first zero, bisected to ``rtol`` relative or to adjacent doubles.
     """
     step = (-math.log(q)) ** (2 / 3) / 16
     lo = 0.25
