@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from . import __version__
 from .asymptotics import _finite_size_s, g_uniform, q_m_asymptotic, scaling_t
 from .enumeration import area_columns, partition_series
-from .errors import DomainError, DyckAreaError
+from .errors import DomainError, DyckAreaError, ResourceLimitError
 from .qseries import _epsilon, g_cfrac, t_infinity
 from .special_functions import scaling_F
 
@@ -88,11 +88,21 @@ def _check_finite(**bounds: float) -> None:
             raise DomainError(f"{name} must be finite, got {value!r}")
 
 
+# the README ranges of the scans at the cap, one cold process each on 2 cores,
+# Python 3.11 (CPU time, max RSS from getrusage): g_vs_t at q = 0.990049834
+# in 0.6-0.75 s and 21 MB, phase_boundary on [0.3, 0.99] in 4.7 s and 20 MB,
+# scaling_fn at its three eps in 4.5 s and 37 MB
+_STEPS_CAP = 10_000
+
+
 def _grid(start: float, stop: float, steps: int) -> list[float]:
     """steps >= 2 equally spaced points from start to stop, with numpy.linspace's
-    rounding: start + i (stop - start)/(steps - 1), then stop itself."""
+    rounding: start + i (stop - start)/(steps - 1), then stop itself. More than
+    ``_STEPS_CAP`` points is a resource error, raised before any is built."""
     if steps < 2:
         raise DomainError("steps must be >= 2")
+    if steps > _STEPS_CAP:
+        raise ResourceLimitError(f"{steps} steps exceed the scan budget (cap {_STEPS_CAP}); lower --steps")
     step = (stop - start) / (steps - 1)
     return [start + i * step for i in range(steps - 1)] + [stop]
 

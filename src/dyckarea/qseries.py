@@ -32,7 +32,7 @@ of ln (z; q)_inf, the head the contour integrand uses below eps = 0.1.
 
 Only the pairwise continued-fraction kernel, for chains too deep for the
 scalar loop, uses numpy, imported when called: of the commands only ``eval
---method cfrac`` and ``scaling_fn`` scans at eps < 1.7e-4 (t = 1/4) load it.
+--method cfrac`` and ``scaling_fn`` scans at eps < 3.09e-4 (t = 1/4) load it.
 """
 
 from __future__ import annotations

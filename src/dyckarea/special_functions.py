@@ -424,8 +424,10 @@ def scaling_F_series(s: float, j_max: int = 40, full_output: bool = False):
     (1 - |s|/|s_1|) bounds the dropped tail of the coefficients as computed;
     for s < 0, where the dropped terms share one sign, the tail nears it.
     The coefficients come from ``airy_zeta(count=400)`` and carry about 1e-8
-    absolute error on top of the tail (6.4e-9 |s|, from Z(2)). A non-finite
-    s is a domain error.
+    absolute error on top of the tail (6.4e-9 |s|, from Z(2)). The sum stops
+    at the first Z(j) that rounds to 0 (j = 878), as every later one does, so
+    a larger j_max changes nothing. A non-finite s, or a power of s outside
+    the double range while its Z(j) is nonzero, is a domain error.
     """
     s = float(s)
     if not math.isfinite(s):
@@ -437,10 +439,18 @@ def scaling_F_series(s: float, j_max: int = 40, full_output: bool = False):
         raise DivergenceError(
             f"scaling_F_series diverges for |s| >= {radius:.4f} (got {s!r})"
         )
-    total = 0.0
-    for j in range(1, j_max + 1):
-        total -= airy_zeta(j) * s ** (j - 1)
-    tail_bound = abs(airy_zeta(j_max + 1)) * abs(s) ** j_max / (1.0 - abs(s) / radius)
+    total, tail_bound = 0.0, 0.0
+    for j in range(1, j_max + 2):
+        zeta = airy_zeta(j)
+        if zeta == 0.0:  # |Z(j)| falls with j: this term, every later one and the tail are 0
+            break
+        try:
+            if j <= j_max:
+                total -= zeta * s ** (j - 1)
+            else:
+                tail_bound = abs(zeta) * abs(s) ** j_max / (1.0 - abs(s) / radius)
+        except OverflowError:
+            raise DomainError(f"term {j} of the zeta series at s = {s!r} leaves the double range") from None
     if full_output:
         return total, tail_bound
     return total

@@ -175,6 +175,15 @@ def airy_zero(k: int, derivative: int = 0):
         return mpmath.airyaizero(k, derivative=derivative)
 
 
+def dilog(z):
+    """Li2(z) = -int_0^1 log(1 - u z)/u du, the integral of -log(1 - s)/s along
+    the segment [0, z], by mpmath quadrature at 30 digits, as an mpc; z off
+    the cut [1, inf)."""
+    with mpmath.workdps(30):
+        z = mpmath.mpc(z)
+        return -mpmath.quad(lambda u: mpmath.log(1 - u * z) / u, [0, 1])
+
+
 def airy_zero_neighbours() -> list[float]:
     """The doubles nearest the zeros of Ai and Ai' in [-7.8, 0] (the 5th of Ai
     is -7.94) and one on either side: the largest losses of any double."""

@@ -11,10 +11,10 @@ tail that ``scaling_F_series`` reports: the series has radius
 import math
 import time
 
-import numpy as np
 import pytest
 
 from dyckarea.asymptotics import g_uniform, q_m_asymptotic
+from dyckarea.datasets import _grid
 from dyckarea.enumeration import (
     area_columns,
     brute_force_area_polynomial,
@@ -154,13 +154,13 @@ def test_criterion_05_euler_maclaurin_bound():
 
 def test_criterion_06_uniform_airy_figure():
     started = time.monotonic()
-    ts = np.linspace(0.02, 0.23, 43)
+    ts = _grid(0.02, 0.23, 43)
     devs = {}
     for eps in (1e-2, 1e-3):
         q = math.exp(-eps)
-        exact = [g_cfrac(float(t), q) for t in ts]
+        exact = [g_cfrac(t, q) for t in ts]
         devs[eps] = max(
-            abs(g_uniform(float(t), q) - e) / abs(e) for t, e in zip(ts, exact)
+            abs(g_uniform(t, q) - e) / abs(e) for t, e in zip(ts, exact)
         )
     elapsed = time.monotonic() - started
     ok = devs[1e-2] <= 0.02 and devs[1e-3] < devs[1e-2] and elapsed < 60.0
@@ -189,18 +189,16 @@ def test_criterion_07_tricritical_amplitude():
 
 
 def test_criterion_08_scaling_figure():
-    svals = np.linspace(-2.0, 2.0, 17)
-    truth = np.array([scaling_F(float(s)) for s in svals])
+    svals = _grid(-2.0, 2.0, 17)
+    truth = [scaling_F(s) for s in svals]
     err_cfrac, err_uniform = {}, {}
     eps_list = (1e-3, 1e-4, 1e-5)
     for eps in eps_list:
         q = math.exp(-eps)
         omq13 = (1.0 - q) ** (1.0 / 3.0)
-        ts = 0.25 * (1.0 - svals * (1.0 - q) ** (2.0 / 3.0))
-        exact = np.array([g_cfrac(float(t), q) for t in ts])
-        err_cfrac[eps] = float(np.max(np.abs((exact / 2.0 - 1.0) / omq13 - truth)))
-        recon = np.array([(g_uniform(float(t), q) / 2.0 - 1.0) / omq13 for t in ts])
-        err_uniform[eps] = float(np.max(np.abs(recon - truth)))
+        ts = [0.25 * (1.0 - s * (1.0 - q) ** (2.0 / 3.0)) for s in svals]
+        err_cfrac[eps] = max(abs((g_cfrac(t, q) / 2.0 - 1.0) / omq13 - f) for t, f in zip(ts, truth))
+        err_uniform[eps] = max(abs((g_uniform(t, q) / 2.0 - 1.0) / omq13 - f) for t, f in zip(ts, truth))
     decreasing = err_cfrac[1e-3] > err_cfrac[1e-4] > err_cfrac[1e-5]
     sharper = all(err_uniform[eps] < err_cfrac[eps] for eps in eps_list)
     ok = decreasing and sharper
@@ -217,11 +215,11 @@ def test_criterion_09_scaling_series_identity():
     worst_excess = -math.inf
     worst_s = 0.0
     edge_ratio = 0.0
-    for s in np.linspace(-2.0, 2.0, 41):
-        value, tail_bound = scaling_F_series(float(s), 40, full_output=True)
-        err = abs(value - scaling_F(float(s)))
+    for s in _grid(-2.0, 2.0, 41):
+        value, tail_bound = scaling_F_series(s, 40, full_output=True)
+        err = abs(value - scaling_F(s))
         if err - tail_bound > worst_excess:
-            worst_excess, worst_s = err - tail_bound, float(s)
+            worst_excess, worst_s = err - tail_bound, s
         if s == -2.0:
             # every dropped term has the same sign here, so the error must
             # fill the reported tail: an inflated bound cannot hide a fault
@@ -244,8 +242,8 @@ def test_scaling_identity_attainable():
     # the same identity passes the 1e-6 tolerance once the truncation depth
     # matches the geometric tail, which needs j_max ~ 100 on |s| <= 2
     worst = max(
-        abs(scaling_F_series(float(s), 100) - scaling_F(float(s)))
-        for s in np.linspace(-2.0, 2.0, 41)
+        abs(scaling_F_series(s, 100) - scaling_F(s))
+        for s in _grid(-2.0, 2.0, 41)
     )
     assert worst < 1e-6
 

@@ -25,7 +25,7 @@ from dyckarea.datasets import (
     write_dataset,
 )
 from dyckarea.enumeration import AreaPolynomial, brute_force_area_polynomial, build_area_polynomials
-from dyckarea.errors import DomainError, PoleProximityError
+from dyckarea.errors import DomainError, PoleProximityError, ResourceLimitError
 from dyckarea.qseries import EvalSettings, g_cfrac, g_ratio
 
 
@@ -71,6 +71,13 @@ class TestScanDatasets:
                            (scan_scaling_fn, ([1e-2], -1.0, 1.0))):
             with pytest.raises(DomainError, match="steps must be >= 2"):
                 scan(*args, steps)
+
+    def test_steps_past_the_cap_rejected(self):
+        # refused before the grid's list is built
+        for scan, args in ((scan_g_vs_t, (0.9, 0.1, 0.2)), (scan_phase_boundary, (0.5, 0.6)),
+                           (scan_scaling_fn, ([1e-2], -1.0, 1.0))):
+            with pytest.raises(ResourceLimitError, match=f"cap {datasets._STEPS_CAP}"):
+                scan(*args, datasets._STEPS_CAP + 1)
 
     @pytest.mark.parametrize("eps", [-1000.0, 0.0, math.nan, math.inf])
     def test_scaling_fn_rejects_bad_eps(self, eps):
@@ -539,6 +546,13 @@ class TestCli:
         assert res.returncode == 0
         assert "-0.729011" in res.stdout
 
+    def test_scaling_j_max_past_the_last_nonzero_zeta(self, run_cli):
+        # Z(878) rounds to 0, and so does every later Z: the series stops there
+        last, past = (run_cli("scaling", "--s", "1.5", "--j-max", j_max) for j_max in ("877", "5000"))
+        assert last.returncode == past.returncode == 0
+        assert past.stdout == last.stdout.replace("j_max=877", "j_max=5000")
+        assert "truncation_bound=0.000e+00" in past.stdout
+
     def test_validate(self, run_cli):
         res = run_cli("validate")
         assert res.returncode == 0
@@ -631,6 +645,8 @@ class TestCli:
         ("scaling --s 0 --j-max -3", 2),
         ("scaling --s 0 --j-max 0", 2),
         ("scaling --s 2.5", 3),
+        # 2.3^853 leaves the double range while Z(854) is still nonzero
+        ("scaling --s 2.3 --j-max 900", 2),
         # t(s, q) rounds away every digit of s this close to q = 1
         ("scaling --s 1 --eps 1e-16", 2),
         ("eval --t inf --q 0.5 --method scaling", 2),
@@ -644,6 +660,7 @@ class TestCli:
         ("scan --kind g_vs_t --q 0.9 --steps 1 --out /dev/null", 2),
         ("scan --kind phase_boundary --steps 1 --out /dev/null", 2),
         ("scan --kind scaling_fn --eps-list 1e-2 --steps 1 --out /dev/null", 2),
+        ("scan --kind g_vs_t --q 0.9 --steps 10001 --out /dev/null", 2),
         ("enumerate --n-max 3 --verify-brute-force 5", 64),
         ("enumerate --n-max 3 --verify-brute-force -1", 64),
         ("eval --t 0.2 --q 0.5 --method ratio --precision-bits 200", 64),

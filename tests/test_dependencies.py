@@ -48,12 +48,32 @@ def test_relative_imports_go_down_the_layers():
     assert not upward
 
 
-def test_imports_match_declared_dependencies():
+def _declared() -> dict[str, set[str]]:
+    """The distribution names pyproject.toml declares: "runtime" and each extra."""
     tomllib = pytest.importorskip("tomllib")
     with open(ROOT / "pyproject.toml", "rb") as fh:
-        declared = tomllib.load(fh)["project"]["dependencies"]
-    names = {re.match(r"[A-Za-z0-9_.-]+", spec).group() for spec in declared}
+        project = tomllib.load(fh)["project"]
+    groups = {"runtime": project["dependencies"], **project["optional-dependencies"]}
+    return {name: {re.match(r"[A-Za-z0-9_.-]+", spec).group() for spec in specs} for name, specs in groups.items()}
+
+
+def test_imports_match_declared_dependencies():
+    names = _declared()["runtime"]
     assert _imported_roots(sorted((SRC / "dyckarea").glob("*.py"))) - {"dyckarea"} == names == {"numpy"}
+
+
+def test_test_extras_are_the_oracle_and_test_tools():
+    assert _declared()["test"] == {"mpmath", "pytest", "hypothesis"}
+
+
+def test_no_scipy_and_numpy_only_in_the_kernel_pins():
+    # every reference the tests compare against comes from tests/oracles.py;
+    # numpy is left in the tests only where test_qseries.py pins the bits of
+    # the pairwise continued-fraction kernel
+    files = sorted(path for top in ("src", "tests", "tools") for path in (ROOT / top).rglob("*.py"))
+    assert [path.name for path in files if "scipy" in _imported_roots([path])] == []
+    tests = sorted((ROOT / "tests").glob("*.py"))
+    assert [path.stem for path in tests if "numpy" in _imported_roots([path])] == ["test_qseries"]
 
 
 # tests/oracles.py stays importable where neither the package nor the test

@@ -1,9 +1,11 @@
-"""The oracles that the benchmark references will come from, against an
-independent route each: G from the direct sums against the continued
-fraction, and the first zero of H against ``t_infinity``."""
+"""Oracles against an independent route each: G from the direct sums against
+the continued fraction and the first zero of H against ``t_infinity``, the
+two the benchmark references will come from, and the dilogarithm's
+quadrature against mpmath's polylog."""
 
 import math
 
+import mpmath
 import pytest
 
 from dyckarea.qseries import t_infinity
@@ -23,3 +25,11 @@ def test_g_exact_against_cfrac(eps, t):
 @pytest.mark.parametrize("q", [0.5, 0.9, 0.99])
 def test_pole_line_against_t_infinity(q):
     assert abs(oracles.pole_line(q) / t_infinity(q) - 1) <= 2e-12
+
+
+# the quadrature along [0, z] against mpmath's own polylog, at the points
+# where the tests compare dilog with it
+@pytest.mark.parametrize("z", [0.5, 0.3 + 0.3j, -0.8, 0.9 + 0.1j, -2.0 + 1.0j])
+def test_dilog_against_polylog(z):
+    with mpmath.workdps(30):
+        assert abs(oracles.dilog(z) - mpmath.polylog(2, z)) <= mpmath.mpf(10) ** -25

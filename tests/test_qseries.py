@@ -611,9 +611,9 @@ class TestGCfrac:
     def test_cross_method_grid(self, q):
         settings = EvalSettings(q=q)
         top = 0.9 * t_infinity(q)
-        for t in np.arange(0.05, top, 0.05):
-            a = g_cfrac(float(t), q)
-            b = g_ratio(float(t), settings)
+        for t in (0.05 + k * 0.05 for k in range(math.ceil((top - 0.05) / 0.05))):
+            a = g_cfrac(t, q)
+            b = g_ratio(t, settings)
             assert abs(a - b) / abs(a) < 1e-9
 
     @pytest.mark.parametrize("q", [0.5, 0.9])
