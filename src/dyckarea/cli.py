@@ -1,10 +1,13 @@
 """Deterministic command-line surface.
 
 Subcommands: eval, scan, enumerate, scaling, partition, validate.
-Exit codes: 0 success, 1 verification mismatch, 2 domain error,
-3 non-convergence, 64 usage error, 74 I/O error. The parser is built once
-per process, and ``main()`` may be called repeatedly; each call makes one
-argparse pass, with the parser of the command it names.
+Exit codes: 0 success, 1 verification mismatch, 2 domain error or resource
+limit, 3 non-convergence, 64 usage error, 74 I/O error. The parser is built
+once per process, with one flag table per command, and ``main()`` may be
+called repeatedly. A well-formed ``command --flag value ...`` line is read
+from that command's table with argparse's own types and choices; any other
+line, and every usage error, ``-h`` and ``--version``, takes one argparse
+pass with the parser of the command it names.
 """
 
 from __future__ import annotations
@@ -33,9 +36,10 @@ from .enumeration import (
     table_to_csv,
     table_to_json,
 )
-from .errors import DomainError, DyckAreaError, NonConvergenceError
+from .errors import DomainError, DyckAreaError, NonConvergenceError, ResourceLimitError
 from .qseries import (
     EvalSettings,
+    _nome,
     contour_h,
     euler_maclaurin_check,
     g_cfrac,
@@ -54,9 +58,11 @@ EXIT_IO = 74
 
 
 class _Parser(argparse.ArgumentParser):
-    commands: dict[str, argparse.ArgumentParser]  # command word -> its parser; set on the top level
+    commands: dict[str, _Parser]  # command word -> its parser; set on the top level
+    tables: dict[str, tuple]  # command word -> its flag table (``_table``); set on the top level
 
     def __init__(self, *args, **kwargs):
+        self.flags: dict[str, argparse.Action] = {}  # option string -> the Action storing its value
         super().__init__(*args, **kwargs)
         # a negative number is a value, not a flag, also as -1e-3 and heading a comma list
         number = r"(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?"
@@ -67,6 +73,12 @@ class _Parser(argparse.ArgumentParser):
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        if action.default is not argparse.SUPPRESS:  # -h and --version store nothing: argparse's
+            self.flags.update(dict.fromkeys(action.option_strings, action))
+        return action
+
 
 class _UsageError(Exception):
     """Flag conflicts detected after parsing; maps to exit code 64."""
@@ -76,9 +88,7 @@ def _resolve_q(args) -> float:
     if getattr(args, "q", None) is not None and getattr(args, "eps", None) is not None:
         raise _UsageError("--q and --eps are mutually exclusive")
     if getattr(args, "eps", None) is not None:
-        if not 0.0 < args.eps < math.inf:
-            raise DomainError(f"eps must be finite and positive, got {args.eps!r}")
-        return math.exp(-args.eps)
+        return _nome(args.eps)
     if getattr(args, "q", None) is not None:
         return args.q
     raise _UsageError("one of --q or --eps is required")
@@ -312,29 +322,74 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_validate)
 
     parser.commands = sub.choices
+    parser.tables = {word: _table(command) for word, command in parser.commands.items()}
     return parser
 
 
-def _parse(parser: _Parser, argv: list[str]) -> argparse.Namespace:
-    """The arguments of one call, in one argparse pass.
+def _table(command: _Parser) -> tuple[dict, dict, frozenset]:
+    """A command's flag table: its flags (option string -> Action), the
+    values of a line that gives none of them, and the flags it requires."""
+    actions = set(command.flags.values())
+    defaults = {action.dest: action.default for action in actions}
+    defaults["func"] = command.get_default("func")
+    return command.flags, defaults, frozenset(action for action in actions if action.required)
 
-    A leading command word goes straight to its own parser, and what that
-    parser leaves over is reported as the top-level parse would report it;
-    anything else (no argv, -h, --version, an unknown word) takes the
-    top-level parse, which lists the commands.
+
+def _read(table: tuple[dict, dict, frozenset], argv: list[str], number: re.Pattern) -> argparse.Namespace | None:
+    """The Namespace argparse would give for ``--flag value ...``, where each
+    flag stores one value or, taking none (``--stamp``), its const; or None
+    for a line argparse must see: an unknown or abbreviated flag,
+    ``--flag=value``, a missing value, a value led by ``-`` that is not a
+    ``number``, a value its type or choices reject, a required flag left out."""
+    flags, values, required = table
+    values, seen, i = dict(values), set(), 0
+    while i < len(argv):
+        action = flags.get(argv[i])
+        if action is None:
+            return None
+        if action.nargs == 0:
+            values[action.dest] = action.const
+            i += 1
+        else:
+            if i + 1 == len(argv) or (argv[i + 1][:1] == "-" and not number.match(argv[i + 1])):
+                return None
+            try:
+                value = argv[i + 1] if action.type is None else action.type(argv[i + 1])
+            except (TypeError, ValueError, argparse.ArgumentTypeError):
+                return None
+            if action.choices is not None and value not in action.choices:
+                return None
+            values[action.dest] = value
+            i += 2
+        seen.add(action)
+    return argparse.Namespace(**values) if required <= seen else None
+
+
+def _parse(parser: _Parser, argv: list[str]) -> argparse.Namespace:
+    """The arguments of one call.
+
+    A leading command word and a line its flag table reads (``_read``) make
+    no argparse pass. Any other line takes one: a leading command word goes
+    straight to its own parser, and what that parser leaves over is reported
+    as the top-level parse would report it; anything else (no argv, -h,
+    --version, an unknown word) takes the top-level parse, which lists the
+    commands.
     """
     if not argv or (command := parser.commands.get(argv[0])) is None:
         return parser.parse_args(argv)
-    args, extra = command.parse_known_args(argv[1:])
-    if extra:
-        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    args = _read(parser.tables[argv[0]], argv[1:], parser._negative_number_matcher)
+    if args is None:
+        args, extra = command.parse_known_args(argv[1:])
+        if extra:
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
     args.command = argv[0]
     return args
 
 
 def main(argv: list[str] | None = None) -> int:
     """Run the command in ``argv`` (default ``sys.argv[1:]``) and return its
-    exit code. Each call makes one argparse pass (``_parse``)."""
+    exit code. A well-formed line makes no argparse pass, any other one
+    (``_parse``)."""
     try:
         args = _parse(build_parser(), sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
@@ -350,7 +405,10 @@ def main(argv: list[str] | None = None) -> int:
     except NonConvergenceError as exc:
         print(f"non-convergence: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
-    except (DomainError, DyckAreaError) as exc:
+    except ResourceLimitError as exc:
+        print(f"resource limit: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
+    except DyckAreaError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 

@@ -18,7 +18,7 @@ from . import __version__
 from .asymptotics import _finite_size_s, g_uniform, q_m_asymptotic, scaling_t
 from .enumeration import area_columns, partition_series
 from .errors import DomainError, DyckAreaError, ResourceLimitError
-from .qseries import _epsilon, g_cfrac, t_infinity
+from .qseries import _epsilon, _nome, g_cfrac, t_infinity
 from .special_functions import scaling_F
 
 __all__ = [
@@ -169,14 +169,11 @@ def scan_scaling_fn(eps_list: list[float], s_min: float, s_max: float, steps: in
     undefined at t(s, eps), as outside (0, 1/2) or at one of its poles.
     """
     _check_finite(s_min=s_min, s_max=s_max)
-    for eps in eps_list:
-        if not 0.0 < eps < math.inf:
-            raise DomainError(f"eps must be finite and positive, got {eps!r}")
+    qs = [_nome(eps) for eps in eps_list]
     svals = _grid(s_min, s_max, steps)
     columns: dict[str, list] = {"s": svals}
     columns["F_exact"] = [scaling_F(s) for s in svals]
-    for eps in eps_list:
-        q = math.exp(-eps)
+    for eps, q in zip(eps_list, qs):
         amplitude = (1.0 - q) ** (1.0 / 3.0)
         ts = [scaling_t(s, q) for s in svals]
         tag = f"{eps:g}"

@@ -1,8 +1,8 @@
 """Exception taxonomy shared by all modules.
 
 Every failure mode surfaced by the library maps onto one of these classes,
-and the CLI maps them onto documented exit codes (domain errors -> 2,
-convergence failures -> 3).
+and the CLI maps them onto documented exit codes (domain errors and
+resource limits -> 2, convergence failures -> 3).
 """
 
 from __future__ import annotations

@@ -31,8 +31,10 @@ the rest as a geometric series with a stated bound;
 of ln (z; q)_inf, the head the contour integrand uses below eps = 0.1.
 
 Only the pairwise continued-fraction kernel, for chains too deep for the
-scalar loop, uses numpy, imported when called: of the commands only ``eval
---method cfrac`` and ``scaling_fn`` scans at eps < 3.09e-4 (t = 1/4) load it.
+scalar loop, uses numpy, imported when called. ``g_cfrac`` takes it where
+eps < ln(max(|t|, 1e-12)/1e-14) / 99 992 (3.09e-4 at t = 1/4), so every
+command that calls ``g_cfrac`` at such an eps loads numpy: ``eval --method
+cfrac`` and the ``g_vs_t`` and ``scaling_fn`` scans.
 """
 
 from __future__ import annotations
@@ -80,6 +82,17 @@ def _epsilon(q: float) -> float:
     if not (0.0 < q < 1.0):
         raise DomainError(f"q must lie in (0, 1), got {q!r}")
     return -math.log(q)
+
+
+def _nome(eps: float) -> float:
+    """q = exp(-eps), the one check of an eps given for q: finite and
+    positive, and not so small or so large that q rounds to 1 or to 0."""
+    if not 0.0 < eps < math.inf:
+        raise DomainError(f"eps must be finite and positive, got {eps!r}")
+    q = math.exp(-eps)
+    if not 0.0 < q < 1.0:
+        raise DomainError(f"eps = {eps!r} is too {'small' if q else 'large'}: q = exp(-eps) rounds to {q!r}")
+    return q
 
 
 @dataclass(frozen=True)

@@ -414,6 +414,16 @@ def scaling_F(s: float) -> float:
     return pair.ai_prime / pair.ai
 
 
+def _times_power(z: float, x: float, n: int) -> float:
+    """z x^n: ``z * x ** n`` while x ** n is a double, else the product of the
+    ``math.frexp`` mantissas of z and x^n scaled by ``math.ldexp``."""
+    try:
+        return z * x ** n
+    except OverflowError:
+        (mz, ez), (mx, ex) = math.frexp(z), math.frexp(x)
+        return math.ldexp(mz * mx ** n, ez + ex * n)
+
+
 def scaling_F_series(s: float, j_max: int = 40, full_output: bool = False):
     """F(s) from its zeta-coefficient series -(1/s) sum_{j>=1} Z(j) s^j.
 
@@ -426,8 +436,11 @@ def scaling_F_series(s: float, j_max: int = 40, full_output: bool = False):
     The coefficients come from ``airy_zeta(count=400)`` and carry about 1e-8
     absolute error on top of the tail (6.4e-9 |s|, from Z(2)). The sum stops
     at the first Z(j) that rounds to 0 (j = 878), as every later one does, so
-    a larger j_max changes nothing. A non-finite s, or a power of s outside
-    the double range while its Z(j) is nonzero, is a domain error.
+    a larger j_max changes nothing. Where a power of s leaves the double
+    range (|s| > 2.25 near j = 877), the term is formed from the
+    ``math.frexp`` parts of Z(j) and s, scaled back by an exact power of two
+    (``_times_power``); every term, |Z(j) s^(j-1)| < |Z(2)| |s_1|, is itself
+    in range. A non-finite s is a domain error.
     """
     s = float(s)
     if not math.isfinite(s):
@@ -444,13 +457,10 @@ def scaling_F_series(s: float, j_max: int = 40, full_output: bool = False):
         zeta = airy_zeta(j)
         if zeta == 0.0:  # |Z(j)| falls with j: this term, every later one and the tail are 0
             break
-        try:
-            if j <= j_max:
-                total -= zeta * s ** (j - 1)
-            else:
-                tail_bound = abs(zeta) * abs(s) ** j_max / (1.0 - abs(s) / radius)
-        except OverflowError:
-            raise DomainError(f"term {j} of the zeta series at s = {s!r} leaves the double range") from None
+        if j <= j_max:
+            total -= _times_power(zeta, s, j - 1)
+        else:
+            tail_bound = _times_power(abs(zeta), abs(s), j_max) / (1.0 - abs(s) / radius)
     if full_output:
         return total, tail_bound
     return total

@@ -1,8 +1,10 @@
 """Scan datasets, serialization determinism, and the command-line surface."""
 
 import argparse
+import contextlib
 import hashlib
 import importlib.util
+import io
 import json
 import math
 import os
@@ -14,6 +16,8 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dyckarea import cli, datasets, qseries
 from dyckarea.datasets import (
@@ -284,7 +288,7 @@ class TestCli:
         assert time.process_time() - start < 1.0
         assert res.returncode == 2
         assert res.stdout == ""
-        assert res.stderr == ("domain error: brute-force enumeration of 9694845 paths at n = 15 "
+        assert res.stderr == ("resource limit: brute-force enumeration of 9694845 paths at n = 15 "
                               "is past the desk-scale cap 14\n")
 
     def test_scan_writes_deterministic_file(self, tmp_path, run_cli):
@@ -467,14 +471,15 @@ class TestCli:
         ("partition --m -1 --t 0.2", "area -1 must be >= 0"),
         ("scan --kind partition --m-list -1 --t 0.2 --out /dev/null", "area -1 must be >= 0"),
         ("partition --m 641 --t 0.25", "(cap 640); lower m"),
+        ("scan --kind g_vs_t --q 0.9 --steps 10001 --out /dev/null", "10001 steps exceed the scan budget (cap 10000)"),
     ])
     def test_table_error_names_the_input(self, run_cli, argv, message):
         # a negative area is not reported as a negative table length, and an
-        # area past the cap is reported as such
+        # input past a cap is reported as a resource limit, with the same exit code
         res = run_cli(*argv.split())
         assert res.returncode == 2
         assert res.stdout == ""
-        assert res.stderr.startswith("domain error: ")
+        assert res.stderr.startswith("resource limit: " if "(cap " in message else "domain error: ")
         assert message in res.stderr
 
     def test_partition_n_max_sizes_nothing(self, run_cli):
@@ -552,6 +557,30 @@ class TestCli:
         assert last.returncode == past.returncode == 0
         assert past.stdout == last.stdout.replace("j_max=877", "j_max=5000")
         assert "truncation_bound=0.000e+00" in past.stdout
+
+    @pytest.mark.parametrize("s", ["2.3", "-2.3"])
+    def test_scaling_power_past_the_double_range(self, run_cli, s):
+        # 2.3^853 leaves the double range while Z(854) is still nonzero: the
+        # series still runs to j = 877, and its bound is no larger than at 800
+        deep, shallow = (run_cli("scaling", "--s", s, "--j-max", j_max) for j_max in ("900", "800"))
+        assert deep.returncode == shallow.returncode == 0
+        bound = [float(res.stdout.split("truncation_bound=")[1].split()[0]) for res in (deep, shallow)]
+        assert bound[0] <= bound[1]
+
+    @pytest.mark.parametrize("argv", [
+        "eval --t 0.2 --eps {} --method cfrac",
+        "scan --kind g_vs_t --eps {} --steps 3 --out /dev/null",
+        "scan --kind scaling_fn --eps-list 1e-2,{} --steps 3 --out /dev/null",
+        "scaling --s 1 --eps {}",
+    ])
+    @pytest.mark.parametrize("eps, end", [("1e-300", "small"), ("5e-17", "small"), ("1e300", "large"),
+                                          ("746", "large")])
+    def test_eps_whose_q_rounds_is_named(self, run_cli, argv, eps, end):
+        # q = exp(-eps) rounds to 1 below about 5.6e-17 and to 0 above about
+        # 745.1: the error names the eps given, not a q the user never gave
+        res = run_cli(*argv.format(eps).split())
+        assert res.returncode == 2 and res.stdout == ""
+        assert res.stderr.startswith(f"domain error: eps = {float(eps)!r} is too {end}: q = exp(-eps) rounds to")
 
     def test_validate(self, run_cli):
         res = run_cli("validate")
@@ -645,8 +674,6 @@ class TestCli:
         ("scaling --s 0 --j-max -3", 2),
         ("scaling --s 0 --j-max 0", 2),
         ("scaling --s 2.5", 3),
-        # 2.3^853 leaves the double range while Z(854) is still nonzero
-        ("scaling --s 2.3 --j-max 900", 2),
         # t(s, q) rounds away every digit of s this close to q = 1
         ("scaling --s 1 --eps 1e-16", 2),
         ("eval --t inf --q 0.5 --method scaling", 2),
@@ -741,21 +768,23 @@ def _readme_commands() -> list[list[str]]:
 
 
 class TestParsePaths:
-    """``main`` hands a leading command word straight to that command's
-    parser, one argparse pass; every argv gives the bytes, files and exit
-    code of the top-level ``parse_args``, which parses twice."""
+    """``main`` reads a well-formed line from its command's flag table, with
+    no argparse pass, and hands any other line after a command word straight
+    to that command's parser, one pass; every argv gives the bytes, files and
+    exit code of the top-level ``parse_args``, which parses twice."""
 
-    ARGVS = _readme_commands() + [
+    READ = _readme_commands() + [
+        ["eval", "--t", "0.2", "--q", "0.5", "--eps", "0.1", "--method", "cfrac"],  # a conflict found later
+    ]
+    ARGVS = READ + [
         [], ["-h"], ["--version"], ["eval", "-h"], ["bogus"],
         ["eval", "--t", "x", "--q", "0.5", "--method", "cfrac"],  # a bad float
         ["eval", "--t", "0.2", "--q", "0.5"],  # no --method
-        ["eval", "--t", "0.2", "--q", "0.5", "--eps", "0.1", "--method", "cfrac"],
         ["eval", "--t", "0.2", "--q", "0.5", "--method", "cfrac", "--bogus", "1"],
     ]
 
-    @pytest.mark.parametrize("argv", ARGVS, ids=lambda argv: " ".join(argv) or "no-argv")
-    def test_same_bytes_as_the_top_level_parse(self, argv, tmp_path, monkeypatch, capsys):
-        argv = [str(tmp_path / a) if a.endswith(".csv") else a for a in argv]
+    @staticmethod
+    def _count_passes(monkeypatch) -> list:
         passes = []
         parse_known_args = argparse.ArgumentParser.parse_known_args
 
@@ -763,16 +792,100 @@ class TestParsePaths:
             passes.append(parser.prog)
             return parse_known_args(parser, *args, **kwargs)
 
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+        return passes
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=lambda argv: " ".join(argv) or "no-argv")
+    def test_same_bytes_as_the_top_level_parse(self, argv, tmp_path, monkeypatch, capsys):
+        passes_expected = 0 if argv in self.READ else 1
+        argv = [str(tmp_path / a) if a.endswith(".csv") else a for a in argv]
+
         def run():
             code = cli.main(argv)
             out, err = capsys.readouterr()
             return code, out, err, {f.name: f.read_bytes() for f in tmp_path.iterdir()}
 
-        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+        passes = self._count_passes(monkeypatch)
         one_pass = run()
-        assert len(passes) == 1, passes
+        assert len(passes) == passes_expected, passes
         monkeypatch.setattr(cli, "_parse", lambda parser, argv: parser.parse_args(argv))
         assert run() == one_pass
+
+    # tokens for drawn lines: every flag, abbreviations, --flag=value, unknown
+    # flags, and values in and out of type and choices
+    FLAGS = sorted({flag for command in cli.build_parser().commands.values() for flag in command.flags})
+    ODD_FLAGS = ["-h", "--help", "--version", "--me", "--t-m", "--st", "--method=cfrac", "--t=0.2", "--bogus"]
+    VALUES = ["0.2", "0.5", "1e-4", "-1e-3", "-2E-1", "-0.5", "-3", "12", "0", "nan", "1e400", " 0.3", "0x1p-3",
+              "-", "--", "--t", "-x y", "x", "", "1,2", "-1e-2,0.1", "cfrac", "ratio", "bogus", "g_vs_t",
+              "scaling_fn", "csv", "json", "out.csv"]
+    # values of each type, and a few led by "-" that are not numbers
+    KIND = {float: ["0.2", "1e-4", "-1e-3", "-2E-1", "nan", " 0.3", "1e400", "-e3"],
+            int: ["12", "-3", "0", " 7", "-x"], None: ["out.csv", "1,2", "-1e-2,0.1", "a=b", "-", "-x"]}
+
+    @staticmethod
+    @st.composite
+    def _lines(draw):
+        """A command word and its flags, each present or not (a required one
+        nearly always), in any order, with a value of its kind (one in 6 from
+        ``VALUES``), and up to three stray tokens put anywhere."""
+        word = draw(st.sampled_from([*cli.build_parser().commands, "bogus", "-h", "--version"]))
+        command = cli.build_parser().commands.get(word)
+        parts = []
+        for action in dict.fromkeys(command.flags.values()) if command else ():
+            if not (draw(st.integers(0, 19)) if action.required else draw(st.booleans())):
+                continue
+            part = [draw(st.sampled_from(action.option_strings))]
+            if action.nargs != 0:
+                kind = sorted(action.choices) if action.choices else TestParsePaths.KIND[action.type]
+                part.append(draw(st.sampled_from(kind if draw(st.integers(0, 5)) else TestParsePaths.VALUES)))
+            parts.append(part)
+        tokens = [token for part in draw(st.permutations(parts)) for token in part]
+        stray = st.sampled_from(TestParsePaths.FLAGS + TestParsePaths.ODD_FLAGS + TestParsePaths.VALUES)
+        for where, token in draw(st.lists(st.tuples(st.integers(0, len(tokens)), stray), max_size=3)):
+            tokens.insert(where, token)
+        return [word, *tokens]
+
+    @staticmethod
+    def _outcome(parse, argv):
+        out, err = io.StringIO(), io.StringIO()
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                args = vars(parse(argv))
+            return {key: value.hex() if isinstance(value, float) else value for key, value in args.items()}
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+    @settings(max_examples=1000)
+    @given(_lines())
+    def test_table_agrees_with_argparse(self, argv):
+        # the table's Namespace, or argparse's exit code, stdout and stderr
+        # where the table declines, are those of the top-level parse_args
+        parser = cli.build_parser()
+        assert self._outcome(lambda a: cli._parse(parser, a), argv) == self._outcome(parser.parse_args, argv)
+
+    def test_benchmark_lines_make_no_pass(self, monkeypatch):
+        # every pool and warm-up argv of the benchmark's workloads, as the
+        # benchmark's child runs them, is read from its table: the Namespace
+        # of parse_args, with no argparse pass
+        spec = importlib.util.spec_from_file_location("_workloads", pathlib.Path(__file__).parents[1]
+                                                      / "benchmarks" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+        try:
+            spec.loader.exec_module(workloads)
+        finally:
+            sys.dont_write_bytecode = saved
+        argvs = [op["argv"] for name in workloads.NAMES for ops in workloads.load_pool(name)["cells"].values()
+                 for op in ops] + [argv for name in workloads.NAMES for argv in workloads.WARMUP[name]]
+        assert len(argvs) == 1627
+        argvs = [["op.out" if a == workloads.OUT else a for a in argv] for argv in argvs]
+        parser = cli.build_parser()
+        passes = self._count_passes(monkeypatch)
+        read = [cli._parse(parser, argv) for argv in argvs]
+        assert passes == []
+        monkeypatch.undo()
+        for argv, args in zip(argvs, read):
+            assert vars(args) == vars(parser.parse_args(argv)), argv
 
 
 class TestReadme:

@@ -409,9 +409,15 @@ class TestScalingFunction:
         assert scaling_F_series(1.5, 877, full_output=True)[1] == 0.0
 
     def test_series_power_outside_double_range(self):
-        # 2.3^853 overflows while Z(854) is still nonzero
-        with pytest.raises(DomainError, match="term 854 .* leaves the double range"):
-            scaling_F_series(2.3, 900)
+        # 2.3^853 overflows while Z(854) is still nonzero: the term, 3.5e-7,
+        # is formed from frexp parts, and the sum runs to the last nonzero Z
+        for s in (2.3, -2.3):
+            value, bound = scaling_F_series(s, 900, full_output=True)
+            assert (value, bound) == scaling_F_series(s, 877, full_output=True)
+            assert bound <= scaling_F_series(s, 800, full_output=True)[1]
+            with mpmath.workprec(200):
+                exact = -mpmath.fsum(mpmath.mpf(airy_zeta(j)) * mpmath.mpf(s) ** (j - 1) for j in range(1, 878))
+            assert abs(value - float(exact)) < 1e-13
 
     def test_series_truncation_bound(self):
         value, bound = scaling_F_series(1.5, 30, full_output=True)

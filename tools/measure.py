@@ -1,7 +1,9 @@
 """One trajectory point for a checkout: the README commands, the import
-cost of the CLI, the source size and the three benchmark workloads.
+cost of the CLI, the source size and the three benchmark workloads; or
+alternating benchmark pairs of two checkouts.
 
     python3 tools/measure.py [--root <checkout>]
+    python3 tools/measure.py [--root <change>] --against <parent> [--pairs 10] [--seed 1] [--workload NAME ...]
 
 Stdlib only. For the checkout at ``--root`` (default: the one holding this
 script) it records:
@@ -35,9 +37,18 @@ script) it records:
   changes with a single ulp.
 
 It writes ``BENCH_<short sha of the checkout's HEAD>.json`` at the root of
-the repository holding this script. It writes nothing under
-``benchmarks/``; ``run.py`` itself keeps its run records under
-``<root>/.bench_run/``, which git ignores. It gates nothing.
+the repository holding this script.
+
+With ``--against``, it runs instead ``benchmarks/run.py`` of each checkout
+on each workload (default all three), at one seed and ``run.py``'s run
+length, ``--pairs`` times, alternating which side runs first. Per workload
+and end-to-end metric of ``BENCHMARK.json`` it prints each side's median
+and quartiles, the pairs the change wins and a verdict (``summarize_pairs``),
+with the failed ops of each side and whether every run's digest agrees;
+then every run as one JSON line on standard output.
+
+It writes nothing under ``benchmarks/``; ``run.py`` itself keeps its run
+records under ``<root>/.bench_run/``, which git ignores. It gates nothing.
 """
 
 from __future__ import annotations
@@ -49,10 +60,12 @@ import hashlib
 import importlib.util
 import io
 import json
+import math
 import os
 import platform
 import re
 import shlex
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -212,6 +225,17 @@ print(json.dumps(time.process_time() - start))
     return layers
 
 
+def _bench_run(root: Path, workload: str, seed: int) -> dict:
+    """One untraced ``benchmarks/run.py`` run of ``<root>``: its run record."""
+    proc = subprocess.run([sys.executable, str(root / "benchmarks" / "run.py"), "--workload", workload,
+                           "--seed", str(seed)], cwd=root, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"{root} {workload} seed {seed}: run.py exited {proc.returncode}: "
+                         f"{proc.stderr.strip()[-2000:]}")
+    path = root / ".bench_run" / "results" / f"{workload}-seed{seed}-trace0.json"
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
 def measure_workloads(root: Path) -> dict:
     bench = root / "benchmarks"
     sys.dont_write_bytecode = True  # import summarize.py without a cache under benchmarks/
@@ -223,13 +247,7 @@ def measure_workloads(root: Path) -> dict:
     records, runs = [], []
     for workload in WORKLOADS:
         for seed in SEEDS:
-            proc = subprocess.run([sys.executable, str(bench / "run.py"), "--workload", workload,
-                                   "--seed", str(seed)], cwd=root, capture_output=True, text=True)
-            if proc.returncode != 0:
-                raise SystemExit(f"{workload} seed {seed}: run.py exited {proc.returncode}: "
-                                 f"{proc.stderr.strip()[-2000:]}")
-            path = root / ".bench_run" / "results" / f"{workload}-seed{seed}-trace0.json"
-            record = json.loads(path.read_text(encoding="utf-8"))
+            record = _bench_run(root, workload, seed)
             records.append(record)
             runs.append({"workload": workload, "seed": seed, "cpu_s": record["cpu_s"],
                          "setup_s": record["metrics"]["setup_s"]["value"],
@@ -284,6 +302,82 @@ def measure_pool_digests(root: Path) -> dict:
     return digests
 
 
+def _quartiles(values: list[float]) -> list[float]:
+    """[first quartile, median, third quartile]."""
+    if len(values) == 1:
+        return values * 3
+    return statistics.quantiles(values, n=4, method="inclusive")
+
+
+def summarize_pairs(pairs: list[tuple[dict, dict]], end_to_end: list[dict]) -> dict:
+    """Per end-to-end metric (``BENCHMARK.json``'s ``end_to_end`` entries),
+    from (parent, change) metric dicts of alternating runs: each side's
+    quartiles, the relative change of the median, the pairs the change wins
+    (ties count for neither), and a verdict, in this order:
+
+    * ``better``: of at least 10 pairs the change wins at least 9 in 10,
+      and its median is better by more than the parent's interquartile range;
+    * ``unresolved``: either side's interquartile range, relative to its
+      median, is wider than the bound, and not every change run beats every
+      parent run;
+    * ``worse``: the change's median is worse by more than the bound;
+    * ``within bound`` otherwise.
+    """
+    summary = {}
+    for metric in end_to_end:
+        name, bound, sign = metric["name"], metric["bound"], 1.0 if metric["better"] == "lower" else -1.0
+        parent = [p[name] for p, _ in pairs]
+        change = [c[name] for _, c in pairs]
+        (p1, pm, p3), (c1, cm, c3) = _quartiles(parent), _quartiles(change)
+        wins = sum(sign * (c - p) < 0.0 for p, c in zip(parent, change))
+        separated = all(sign * (c - p) < 0.0 for p in parent for c in change)
+        spread = max((p3 - p1) / abs(pm) if pm else 0.0, (c3 - c1) / abs(cm) if cm else 0.0)
+        gain = sign * (pm - cm)  # > 0: the change is better
+        if len(pairs) >= 10 and 10 * wins >= 9 * len(pairs) and gain > p3 - p1:
+            verdict = "better"
+        elif spread > bound and not separated:
+            verdict = "unresolved"
+        elif -gain > bound * abs(pm):
+            verdict = "worse"
+        else:
+            verdict = "within bound"
+        summary[name] = {"parent_quartiles": [p1, pm, p3], "change_quartiles": [c1, cm, c3],
+                         "median_change": (cm - pm) / pm if pm else math.nan, "wins": wins,
+                         "pairs": len(pairs), "spread": spread, "bound": bound, "verdict": verdict}
+    return summary
+
+
+def measure_pairs(change: Path, parent: Path, workloads: list[str], seed: int, pairs: int) -> dict:
+    """``pairs`` alternating untraced runs of each checkout per workload."""
+    end_to_end = json.loads((HERE / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
+    result = {}
+    for workload in workloads:
+        runs = []
+        for i in range(pairs):
+            order = [("parent", parent), ("change", change)][::1 if i % 2 == 0 else -1]
+            records = {side: _bench_run(root, workload, seed) for side, root in order}
+            runs.append({"first": order[0][0], **{side: {
+                "metrics": {k: m["value"] for k, m in r["metrics"].items()},
+                "attempted": r["attempted"], "failed": r["failed"], "digest": r["digest"]}
+                for side, r in records.items()}})
+            print(f"{workload} pair {i + 1}/{pairs}: op_p50_ms parent "
+                  f"{runs[-1]['parent']['metrics']['op_p50_ms']:.4g}, change "
+                  f"{runs[-1]['change']['metrics']['op_p50_ms']:.4g}", file=sys.stderr)
+        summary = summarize_pairs([(r["parent"]["metrics"], r["change"]["metrics"]) for r in runs], end_to_end)
+        digests = {r[side]["digest"] for r in runs for side in ("parent", "change")}
+        failed = {side: f"{sum(r[side]['failed'] for r in runs)}/{sum(r[side]['attempted'] for r in runs)}"
+                  for side in ("parent", "change")}
+        print(f"{workload}, seed {seed}, {pairs} pairs: digests {'equal' if len(digests) == 1 else 'DIFFER'}, "
+              f"failed ops parent {failed['parent']}, change {failed['change']}")
+        for name, m in summary.items():
+            print(f"  {name:12s} parent {m['parent_quartiles'][1]:.4g} [{m['parent_quartiles'][0]:.4g}, "
+                  f"{m['parent_quartiles'][2]:.4g}]  change {m['change_quartiles'][1]:.4g} "
+                  f"[{m['change_quartiles'][0]:.4g}, {m['change_quartiles'][2]:.4g}]  "
+                  f"{m['median_change']:+.1%}  wins {m['wins']}/{m['pairs']}  {m['verdict']}")
+        result[workload] = {"seed": seed, "runs": runs, "summary": summary}
+    return result
+
+
 def _lines(paths) -> int:
     return sum(len(p.read_text(encoding="utf-8").splitlines()) for p in paths)
 
@@ -296,8 +390,19 @@ def _git(root: Path, *args: str) -> str:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--root", type=Path, default=HERE, help="the checkout to measure")
+    parser.add_argument("--against", type=Path, help="a parent checkout: run alternating benchmark pairs")
+    parser.add_argument("--pairs", type=int, default=10, help="--against: pairs per workload")
+    parser.add_argument("--seed", type=int, default=1, help="--against: the workloads' seed")
+    parser.add_argument("--workload", action="append", choices=WORKLOADS,
+                        help="--against: a workload to run (repeatable; default all three)")
     args = parser.parse_args(argv)
     root = args.root.resolve()
+    if args.against is not None:
+        pairs = measure_pairs(root, args.against.resolve(), args.workload or list(WORKLOADS),
+                              args.seed, args.pairs)
+        print(json.dumps({"change": _git(root, "rev-parse", "HEAD"),
+                          "parent": _git(args.against.resolve(), "rev-parse", "HEAD"), "pairs": pairs}))
+        return 0
     sha = _git(root, "rev-parse", "--short", "HEAD")
     # every timed process loads the same cached bytecode, as run.py arranges
     compileall.compile_dir(str(root / "src" / "dyckarea"), quiet=1, maxlevels=0)
