@@ -414,6 +414,10 @@ def scaling_F(s: float) -> float:
     return pair.ai_prime / pair.ai
 
 
+_LEAST_NORMAL = 2.0 ** -1022
+_LEAST_DOUBLE = 2.0 ** -1074  # the spacing of the subnormals
+
+
 def _times_power(z: float, x: float, n: int) -> float:
     """z x^n: ``z * x ** n`` while x ** n is a double, else the product of the
     ``math.frexp`` mantissas of z and x^n scaled by ``math.ldexp``."""
@@ -434,11 +438,15 @@ def scaling_F_series(s: float, j_max: int = 40, full_output: bool = False):
     (1 - |s|/|s_1|) bounds the dropped tail of the coefficients as computed;
     for s < 0, where the dropped terms share one sign, the tail nears it.
     The coefficients come from ``airy_zeta(count=400)`` and carry about 1e-8
-    absolute error on top of the tail (6.4e-9 |s|, from Z(2)). The sum stops
-    at the first Z(j) that rounds to 0 (j = 878), as every later one does, so
-    a larger j_max changes nothing. Where a power of s leaves the double
-    range (|s| > 2.25 near j = 877), the term is formed from the
-    ``math.frexp`` parts of Z(j) and s, scaled back by an exact power of two
+    absolute error on top of the tail (6.4e-9 |s|, from Z(2)). Past j = 834
+    Z(j) ~ |s_1|^-j is subnormal, off by up to half its spacing 2^-1074, and
+    from j = 878 it rounds to 0: the sum stops at that first 0, and
+    tail_bound adds 2^-1075 |s|^(j-1) for each subnormal term it keeps and
+    takes |Z(878)| <= 2^-1075 for the tail it drops, so a larger j_max
+    changes nothing. That share matters only near the radius (2.6e-5 at
+    |s| = 2.3, about 11 at 2.33). Where a power of s leaves the double range
+    (|s| > 2.25 near j = 877), the term is formed from the ``math.frexp``
+    parts of Z(j) and s, scaled back by an exact power of two
     (``_times_power``); every term, |Z(j) s^(j-1)| < |Z(2)| |s_1|, is itself
     in range. A non-finite s is a domain error.
     """
@@ -455,12 +463,14 @@ def scaling_F_series(s: float, j_max: int = 40, full_output: bool = False):
     total, tail_bound = 0.0, 0.0
     for j in range(1, j_max + 2):
         zeta = airy_zeta(j)
-        if zeta == 0.0:  # |Z(j)| falls with j: this term, every later one and the tail are 0
-            break
-        if j <= j_max:
+        # a subnormal Z(j), 0 included, is within half its spacing of |s_1|^-j
+        error = 0.5 * _times_power(_LEAST_DOUBLE, abs(s), j - 1) if abs(zeta) < _LEAST_NORMAL else 0.0
+        if j <= j_max and zeta != 0.0:
             total -= _times_power(zeta, s, j - 1)
+            tail_bound += error
         else:
-            tail_bound = _times_power(abs(zeta), abs(s), j_max) / (1.0 - abs(s) / radius)
+            tail_bound += (_times_power(abs(zeta), abs(s), j - 1) + error) / (1.0 - abs(s) / radius)
+            break
     if full_output:
         return total, tail_bound
     return total

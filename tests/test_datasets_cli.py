@@ -552,20 +552,22 @@ class TestCli:
         assert "-0.729011" in res.stdout
 
     def test_scaling_j_max_past_the_last_nonzero_zeta(self, run_cli):
-        # Z(878) rounds to 0, and so does every later Z: the series stops there
+        # Z(878) rounds to 0, and so does every later Z: the series stops
+        # there, and its bound keeps the share of the tail past it
         last, past = (run_cli("scaling", "--s", "1.5", "--j-max", j_max) for j_max in ("877", "5000"))
         assert last.returncode == past.returncode == 0
         assert past.stdout == last.stdout.replace("j_max=877", "j_max=5000")
-        assert "truncation_bound=0.000e+00" in past.stdout
+        assert "truncation_bound=3.200e-169" in past.stdout
 
     @pytest.mark.parametrize("s", ["2.3", "-2.3"])
     def test_scaling_power_past_the_double_range(self, run_cli, s):
         # 2.3^853 leaves the double range while Z(854) is still nonzero: the
-        # series still runs to j = 877, and its bound is no larger than at 800
+        # series still runs to j = 877, and its bound, which covers the terms
+        # dropped past it, is no larger than at 800
         deep, shallow = (run_cli("scaling", "--s", s, "--j-max", j_max) for j_max in ("900", "800"))
         assert deep.returncode == shallow.returncode == 0
         bound = [float(res.stdout.split("truncation_bound=")[1].split()[0]) for res in (deep, shallow)]
-        assert bound[0] <= bound[1]
+        assert 1e-5 < bound[0] <= bound[1]
 
     @pytest.mark.parametrize("argv", [
         "eval --t 0.2 --eps {} --method cfrac",

@@ -403,10 +403,11 @@ class TestScalingFunction:
 
     def test_series_stops_at_the_last_nonzero_zeta(self):
         # Z(878) is the first Z that rounds to 0, and every later one does:
-        # a deeper j_max adds only zero terms and forms no power of s
+        # a deeper j_max adds only zero terms and forms no power of s. The
+        # bound keeps the share of the tail that the rounding to 0 drops
         assert airy_zeta(877) != 0.0 == airy_zeta(878)
         assert scaling_F_series(1.5, 5000, full_output=True) == scaling_F_series(1.5, 877, full_output=True)
-        assert scaling_F_series(1.5, 877, full_output=True)[1] == 0.0
+        assert 0.0 < scaling_F_series(1.5, 877, full_output=True)[1] < 1e-160
 
     def test_series_power_outside_double_range(self):
         # 2.3^853 overflows while Z(854) is still nonzero: the term, 3.5e-7,
@@ -418,6 +419,13 @@ class TestScalingFunction:
             with mpmath.workprec(200):
                 exact = -mpmath.fsum(mpmath.mpf(airy_zeta(j)) * mpmath.mpf(s) ** (j - 1) for j in range(1, 878))
             assert abs(value - float(exact)) < 1e-13
+
+    @pytest.mark.parametrize("s", [2.3, -2.3, 2.33, -2.33])
+    def test_bound_past_the_last_nonzero_zeta_covers_the_error(self, s):
+        # near the radius the terms that Z(j) >= 878 rounding to 0 drops are
+        # not small (1.4e-5 at -2.3, 5.9 at -2.33): the bound must cover them
+        value, bound = scaling_F_series(s, 900, full_output=True)
+        assert abs(value - scaling_F(s)) <= bound
 
     def test_series_truncation_bound(self):
         value, bound = scaling_F_series(1.5, 30, full_output=True)

@@ -3,7 +3,7 @@ cost of the CLI, the source size and the three benchmark workloads; or
 alternating benchmark pairs of two checkouts.
 
     python3 tools/measure.py [--root <checkout>]
-    python3 tools/measure.py [--root <change>] --against <parent> [--pairs 10] [--seed 1] [--workload NAME ...]
+    python3 tools/measure.py [--root <change>] --against <parent> [--pairs 10] [--seed 1]
 
 Stdlib only. For the checkout at ``--root`` (default: the one holding this
 script) it records:
@@ -40,7 +40,7 @@ It writes ``BENCH_<short sha of the checkout's HEAD>.json`` at the root of
 the repository holding this script.
 
 With ``--against``, it runs instead ``benchmarks/run.py`` of each checkout
-on each workload (default all three), at one seed and ``run.py``'s run
+on each of the three workloads, at one seed and ``run.py``'s run
 length, ``--pairs`` times, alternating which side runs first. Per workload
 and end-to-end metric of ``BENCHMARK.json`` it prints each side's median
 and quartiles, the pairs the change wins and a verdict (``summarize_pairs``),
@@ -347,11 +347,11 @@ def summarize_pairs(pairs: list[tuple[dict, dict]], end_to_end: list[dict]) -> d
     return summary
 
 
-def measure_pairs(change: Path, parent: Path, workloads: list[str], seed: int, pairs: int) -> dict:
+def measure_pairs(change: Path, parent: Path, seed: int, pairs: int) -> dict:
     """``pairs`` alternating untraced runs of each checkout per workload."""
     end_to_end = json.loads((HERE / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
     result = {}
-    for workload in workloads:
+    for workload in WORKLOADS:
         runs = []
         for i in range(pairs):
             order = [("parent", parent), ("change", change)][::1 if i % 2 == 0 else -1]
@@ -393,13 +393,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--against", type=Path, help="a parent checkout: run alternating benchmark pairs")
     parser.add_argument("--pairs", type=int, default=10, help="--against: pairs per workload")
     parser.add_argument("--seed", type=int, default=1, help="--against: the workloads' seed")
-    parser.add_argument("--workload", action="append", choices=WORKLOADS,
-                        help="--against: a workload to run (repeatable; default all three)")
     args = parser.parse_args(argv)
     root = args.root.resolve()
     if args.against is not None:
-        pairs = measure_pairs(root, args.against.resolve(), args.workload or list(WORKLOADS),
-                              args.seed, args.pairs)
+        pairs = measure_pairs(root, args.against.resolve(), args.seed, args.pairs)
         print(json.dumps({"change": _git(root, "rev-parse", "HEAD"),
                           "parent": _git(args.against.resolve(), "rev-parse", "HEAD"), "pairs": pairs}))
         return 0
