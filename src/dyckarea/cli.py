@@ -36,7 +36,7 @@ from .enumeration import (
     table_to_csv,
     table_to_json,
 )
-from .errors import DomainError, DyckAreaError, NonConvergenceError, ResourceLimitError
+from .errors import DyckAreaError, NonConvergenceError, ResourceLimitError
 from .qseries import (
     EvalSettings,
     _nome,
@@ -130,8 +130,6 @@ def _cmd_eval(args) -> int:
         s = scaling_s(t, q)
         value = g_scaling(s, q)
         provenance = f"method=scaling s={s:.6g} eps={-math.log(q):g}"
-    else:  # pragma: no cover - argparse restricts choices
-        raise DomainError(f"unknown method {method!r}")
     print(f"{value!r}")
     print(f"# {provenance}")
     return EXIT_OK
@@ -153,8 +151,6 @@ def _cmd_scan(args) -> int:
     elif kind == "partition":
         m_values = _number_list(args.m_list, int, "--m-list") if args.m_list else [10, 20, 30, 40]
         ds = scan_partition(args.t, m_values, n_max=args.n_max, stamp=args.stamp)
-    else:  # pragma: no cover
-        raise DomainError(f"unknown scan kind {kind!r}")
     write_dataset(ds, args.out, args.format)
     print(f"wrote {ds.n_rows} rows ({kind}) to {args.out}")
     return EXIT_OK

@@ -86,12 +86,15 @@ def _epsilon(q: float) -> float:
 
 def _nome(eps: float) -> float:
     """q = exp(-eps), the one check of an eps given for q: finite and
-    positive, and not so small or so large that q rounds to 1 or to 0."""
+    positive, and not so small or so large that q rounds to 1 or to 0, or
+    is subnormal, where -log(q) is no longer the eps given."""
     if not 0.0 < eps < math.inf:
         raise DomainError(f"eps must be finite and positive, got {eps!r}")
     q = math.exp(-eps)
     if not 0.0 < q < 1.0:
         raise DomainError(f"eps = {eps!r} is too {'small' if q else 'large'}: q = exp(-eps) rounds to {q!r}")
+    if q < sys.float_info.min:
+        raise DomainError(f"eps = {eps!r} is too large: q = exp(-eps) = {q!r} is subnormal")
     return q
 
 

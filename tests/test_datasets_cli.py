@@ -10,7 +10,6 @@ import math
 import os
 import pathlib
 import re
-import shlex
 import subprocess
 import sys
 import time
@@ -584,6 +583,19 @@ class TestCli:
         assert res.returncode == 2 and res.stdout == ""
         assert res.stderr.startswith(f"domain error: eps = {float(eps)!r} is too {end}: q = exp(-eps) rounds to")
 
+    @pytest.mark.parametrize("eps", ["708.4", "745.1"])
+    def test_eps_whose_q_is_subnormal_is_named(self, run_cli, eps):
+        # between about 708.4 and 745.1 q = exp(-eps) is subnormal and keeps
+        # fewer than 53 bits, so -log(q) is not the eps given (745.1 read as 744.44)
+        res = run_cli("eval", "--t", "0.2", "--eps", eps, "--method", "uniform")
+        assert res.returncode == 2 and res.stdout == ""
+        assert res.stderr == f"domain error: eps = {eps} is too large: q = exp(-eps) = {math.exp(-float(eps))!r} " \
+                             "is subnormal\n"
+
+    def test_eps_just_below_the_subnormal_range_is_kept(self, run_cli):
+        res = run_cli("eval", "--t", "0.2", "--eps", "708", "--method", "uniform")
+        assert res.returncode == 0 and res.stdout.endswith("# method=uniform eps=708\n")
+
     def test_validate(self, run_cli):
         res = run_cli("validate")
         assert res.returncode == 0
@@ -761,12 +773,15 @@ class TestCli:
 
 
 README = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+_spec = importlib.util.spec_from_file_location("measure", pathlib.Path(__file__).parents[1] / "tools" / "measure.py")
+measure = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(measure)
 
 
 def _readme_commands() -> list[list[str]]:
-    """The argv of every ``dyckarea`` line of the README's command-line block."""
-    block = README.split("## Command line", 1)[1].split("```")[1]
-    return [shlex.split(line.split("#")[0])[1:] for line in block.splitlines() if line.startswith("dyckarea ")]
+    """The argv of every ``dyckarea`` line of the README's command-line block,
+    as ``tools/measure.py`` runs them."""
+    return measure.readme_commands(README)
 
 
 class TestParsePaths:
@@ -903,12 +918,3 @@ class TestReadme:
         assert len(commands) >= 9
         for argv in commands:
             cli.build_parser().parse_args(argv)  # exits 64 on a bad line
-
-    def test_measure_runs_the_readme_commands(self):
-        # tools/measure.py times the README's commands as written; only its
-        # list is checked here, no timing runs
-        path = pathlib.Path(__file__).parents[1] / "tools" / "measure.py"
-        spec = importlib.util.spec_from_file_location("measure", path)
-        measure = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(measure)
-        assert [shlex.split(line) for line in measure.COMMANDS] == _readme_commands()

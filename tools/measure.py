@@ -1,54 +1,44 @@
-"""One trajectory point for a checkout: the README commands, the import
-cost of the CLI, the source size and the three benchmark workloads; or
-alternating benchmark pairs of two checkouts.
+"""One sample of a checkout, behind both its trajectory point and
+alternating pairs of two checkouts.
 
     python3 tools/measure.py [--root <checkout>]
     python3 tools/measure.py [--root <change>] --against <parent> [--pairs 10] [--seed 1]
 
-Stdlib only. For the checkout at ``--root`` (default: the one holding this
-script) it records:
+Stdlib only. A sample of the checkout at ``--root`` (default: the one
+holding this script), on ``PYTHONPATH=<root>/src`` with its bytecode
+compiled, takes one reading of each of:
 
-* each command of README's "## Command line" block (``COMMANDS``), run as
-  ``python -m dyckarea ...`` in a fresh subprocess, in an empty temporary
-  directory, with ``PYTHONPATH=<root>/src`` and the package's bytecode
-  compiled beforehand: the best of ``REPEATS`` wall times, the largest max
-  RSS (``os.wait4``), the exit code, and the sha256 of stdout and of each
-  file the command writes; and, from one more run under ``-X importtime``
-  outside that timing, whether the command loads numpy;
-* the best of ``REPEATS`` ``-X importtime`` cumulative times of
-  ``import dyckarea.cli``, and whether that import loads numpy;
-* the line counts of ``src/dyckarea/*.py`` and of ``tests/*.py``;
-* one run of the tier-1 suite (ROADMAP's Tier-1 verify command, with
-  ``-p no:cacheprovider``) in a subprocess on ``<root>``: its wall time,
-  exit code and passed and failed counts;
-* in-process layers, each in a fresh subprocess importing ``<root>/src``:
-  ``finite_size_phi`` over ``PHI_GRID`` (s in [-8, 3.5]), one untimed pass
-  and then ``REPEATS`` timed blocks of ``PHI_PASSES`` passes (about 2 s of
-  CPU together), with the ``float.hex`` digest of the values; and the CPU
-  of the first ``finite_size_phi(1.0)`` of a fresh process, best of
-  ``REPEATS`` processes;
-* the three workloads through ``<root>/benchmarks/run.py`` at ``SEEDS``,
-  folded by ``benchmarks/summarize.py::summarize``, with each run's timed
-  CPU, set-up time and digest beside them;
-* per workload, a sha256 over every op of its stored pool, run once in
-  this process through ``cli.main`` of ``<root>/src`` and parsed by
-  ``benchmarks/checks.py::parse``, of the exit code and the ``float.hex``
-  of every parsed field. The run digests round to ten digits; this one
-  changes with a single ulp.
+* every ``dyckarea`` line of the "## Command line" block of the README
+  beside this script, as ``python -m dyckarea ...`` in an empty temporary
+  directory: wall time, max RSS, exit code, the sha256 of stdout and of
+  each file written, and, from one more run under ``-X importtime``,
+  whether it loads numpy;
+* ``-X importtime`` of ``import dyckarea.cli``, and whether it loads numpy;
+* in a fresh process, the CPU of the first ``finite_size_phi(1.0)``, then,
+  after an untimed pass over ``PHI_GRID``, of ``PHI_PASSES`` passes, and
+  the ``float.hex`` digest of the values;
+* ``<root>/benchmarks/run.py`` on each workload at the seed;
+* the tier-1 suite (ROADMAP's Tier-1 verify command, with
+  ``-p no:cacheprovider``): wall time, exit code, passed and failed counts.
 
-It writes ``BENCH_<short sha of the checkout's HEAD>.json`` at the root of
-the repository holding this script.
+Without ``--against`` it samples at each of ``SEEDS`` and writes
+``BENCH_<short sha of the checkout's HEAD>.json`` at the root of the
+repository holding this script: each time, best and per sample (max RSS:
+the largest); the first sample's outputs and whether all repeat; the runs
+folded by ``benchmarks/summarize.py::summarize``; the src and tests line
+counts; and per workload a sha256 of the exit code and ``float.hex`` fields
+of every stored pool op, run in this process (it moves with one ulp).
 
-With ``--against``, it runs instead ``benchmarks/run.py`` of each checkout
-on each of the three workloads, at one seed and ``run.py``'s run
-length, ``--pairs`` times, alternating which side runs first. Per workload
-and end-to-end metric of ``BENCHMARK.json`` it prints each side's median
-and quartiles, the pairs the change wins and a verdict (``summarize_pairs``),
-with the failed ops of each side and whether every run's digest agrees;
-then every run as one JSON line on standard output.
+With ``--against`` it samples both checkouts at ``--seed``, ``--pairs``
+times, alternating which goes first, and prints for every numeric reading
+each side's median and quartiles, the pairs the change wins and a verdict
+(``summarize_pairs``; a workload metric with the direction and bound of
+``BENCHMARK.json``, any other lower is better within ``OWN_BOUND``); per
+part, whether the outputs (exit codes, digests, counts, failed ops, numpy)
+of all samples agree; then all of it as one JSON line.
 
-It writes nothing under ``benchmarks/``; ``run.py`` itself keeps its run
-records under ``<root>/.bench_run/``, which git ignores. It gates nothing.
+It writes nothing under ``benchmarks/``; ``run.py`` keeps its records
+under ``<root>/.bench_run/``, which git ignores. It gates nothing.
 """
 
 from __future__ import annotations
@@ -73,27 +63,28 @@ import time
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parents[1]
-REPEATS = 5
 SEEDS = (1, 2, 3)
 WORKLOADS = ("critical_scans", "exact_tables", "point_queries")
 
-# finite_size_phi's layer: s = -8 .. 3.5 by 0.05
+# finite_size_phi's layer: s = -8 .. 3.5 by 0.05, about 0.7 s of CPU a pass block
 PHI_GRID = tuple(k / 20.0 for k in range(-160, 71))
-PHI_PASSES = 80
+PHI_PASSES = 130
 
-# the README's "## Command line" block, without its comments
-# (tests/test_datasets_cli.py::TestReadme keeps the two in step)
-COMMANDS = (
-    "eval --t 0.2 --q 0.5 --method cfrac",
-    "scan --kind g_vs_t --q 0.990049834 --t-min 0 --t-max 0.45 --steps 90 --out fig_g.csv",
-    "scan --kind phase_boundary --q-min 0.3 --q-max 0.99 --steps 20 --out boundary.csv",
-    "scan --kind scaling_fn --eps-list 1e-3,1e-4,1e-5 --s-min -2 --s-max 2 --steps 80 --out fs.csv",
-    "scan --kind partition --t 0.24 --m-list 20,40,80 --out qm.csv",
-    "enumerate --n-max 12 --verify-brute-force 12",
-    "scaling --s 0 --eps 1e-4",
-    "partition --m 40 --t 0.2286",
-    "validate",
-)
+# the bound of a reading BENCHMARK.json does not list (README commands,
+# import, tier-1, phi); see BOUND_RUN in CHANGES.md for the A/A run it rests on
+OWN_BOUND = 0.2
+
+# ROADMAP's Tier-1 verify command, writing no pytest cache into the checkout
+TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider")
+
+# the -X importtime line of the top-level numpy package
+_NUMPY_LINE = re.compile(rb"^import time:\s+\d+ \|\s+\d+ \|\s*numpy$", re.MULTILINE)
+
+
+def readme_commands(readme: str) -> list[list[str]]:
+    """The argv after ``dyckarea`` of every line of the README's command-line block."""
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    return [shlex.split(line.split("#")[0])[1:] for line in block.splitlines() if line.startswith("dyckarea ")]
 
 
 def _env(root: Path) -> dict:
@@ -121,185 +112,98 @@ def _run_once(argv: list[str], env: dict) -> dict:
                 "stdout": out.read(), "stderr": err.read(), "files": files}
 
 
-# the -X importtime line of the top-level numpy package
-_NUMPY_LINE = re.compile(rb"^import time:\s+\d+ \|\s+\d+ \|\s*numpy$", re.MULTILINE)
-
-
-def measure_commands(root: Path) -> list[dict]:
-    env = _env(root)
-    rows = []
-    for command in COMMANDS:
-        runs = [_run_once([sys.executable, "-m", "dyckarea", *shlex.split(command)], env)
-                for _ in range(REPEATS)]
-        first = runs[0]
-        probe = _run_once([sys.executable, "-X", "importtime", "-m", "dyckarea", *shlex.split(command)], env)
-        rows.append({
-            "command": command,
-            "exit": first["exit"],
-            "best_wall_ms": 1000.0 * min(r["wall_s"] for r in runs),
-            "wall_ms": [1000.0 * r["wall_s"] for r in runs],
-            "max_rss_mb": max(r["max_rss_mb"] for r in runs),
-            "loads_numpy": _NUMPY_LINE.search(probe["stderr"]) is not None,
-            "stdout_sha256": _sha256(first["stdout"]),
-            "files_sha256": first["files"],
-            "repeatable": all((r["exit"], r["stdout"], r["files"])
-                              == (first["exit"], first["stdout"], first["files"]) for r in runs),
-        })
-        print(f"{rows[-1]['best_wall_ms']:8.1f} ms {rows[-1]['max_rss_mb']:6.1f} MB  exit {first['exit']}"
-              f"  numpy {'yes' if rows[-1]['loads_numpy'] else 'no '}  {command}", file=sys.stderr)
-    return rows
-
-
-def measure_import(root: Path) -> dict:
-    """``-X importtime`` of ``import dyckarea.cli``: the cumulative time of
-    its top-level line, best of ``REPEATS``, and whether numpy was loaded."""
-    code = "import dyckarea.cli, sys; print('numpy' in sys.modules)"
-    argv = [sys.executable, "-X", "importtime", "-c", code]
-    times, loads = [], set()
-    for _ in range(REPEATS):
-        run = _run_once(argv, _env(root))
-        cumulative = re.search(rb"^import time:\s+\d+ \|\s+(\d+) \| dyckarea\.cli$",
-                               run["stderr"], re.MULTILINE)
-        times.append(int(cumulative.group(1)) / 1000.0)
-        loads.add(run["stdout"].strip() == b"True")
-    return {"best_cumulative_ms": min(times), "cumulative_ms": times, "loads_numpy": loads == {True}}
-
-
-# ROADMAP's Tier-1 verify command, writing no pytest cache into the checkout
-TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider")
-
-
-def measure_tier1(root: Path) -> dict:
-    """One run of the tier-1 suite on ``<root>/src``: wall time, exit code,
-    the passed and failed counts and pytest's summary line."""
-    start = time.perf_counter()
-    proc = subprocess.run([sys.executable, *TIER1], cwd=root, env=_env(root), capture_output=True, text=True)
-    wall = time.perf_counter() - start
-    summary = proc.stdout.strip().splitlines()[-1]
-    counts = {key: int(n) for n, key in re.findall(r"(\d+) (passed|failed)", summary)}
-    print(f"tier-1: {wall:.1f} s wall, {summary}", file=sys.stderr)
-    return {"wall_s": wall, "exit": proc.returncode, "passed": counts.get("passed", 0),
-            "failed": counts.get("failed", 0), "summary": summary}
-
-
-def _run_snippet(root: Path, code: str) -> dict:
-    """Run ``code`` in a fresh interpreter on ``<root>/src`` and read the one JSON line it prints."""
-    proc = subprocess.run([sys.executable, "-c", code], env=_env(root), capture_output=True,
-                          text=True, check=True)
-    return json.loads(proc.stdout)
-
-
-def measure_layers(root: Path) -> dict:
-    """CPU of in-process calls, timed with ``time.process_time`` around the calls alone."""
-    phi = _run_snippet(root, f"""
+def _phi(root: Path) -> dict:
+    """The first call and one timed block of ``finite_size_phi`` in a fresh
+    interpreter, CPU by ``time.process_time`` around the calls alone."""
+    code = f"""
 import hashlib, json, time
-from dyckarea.asymptotics import finite_size_phi
-grid = {PHI_GRID!r}
-values = [finite_size_phi(s) for s in grid]
-blocks = []
-for _ in range({REPEATS}):
-    start = time.process_time()
-    for _ in range({PHI_PASSES}):
-        for s in grid:
-            finite_size_phi(s)
-    blocks.append(time.process_time() - start)
-print(json.dumps({{"blocks_s": blocks,
-                  "sha256": hashlib.sha256(" ".join(v.hex() for v in values).encode()).hexdigest()}}))
-""")
-    first = [_run_snippet(root, """
-import json, time
 from dyckarea.asymptotics import finite_size_phi
 start = time.process_time()
 finite_size_phi(1.0)
-print(json.dumps(time.process_time() - start))
-""") for _ in range(REPEATS)]
-    calls = PHI_PASSES * len(PHI_GRID)
-    layers = {"finite_size_phi": {
-        "grid": [PHI_GRID[0], PHI_GRID[-1], len(PHI_GRID)], "calls_per_block": calls,
-        "timed_cpu_s": sum(phi["blocks_s"]), "best_us_per_call": 1e6 * min(phi["blocks_s"]) / calls,
-        "blocks_s": phi["blocks_s"], "values_sha256": phi["sha256"],
-        "first_call_cpu_ms": [1000.0 * t for t in first], "best_first_call_cpu_ms": 1000.0 * min(first)}}
-    print(f"finite_size_phi: {layers['finite_size_phi']['best_us_per_call']:.1f} us a call, first call "
-          f"{layers['finite_size_phi']['best_first_call_cpu_ms']:.2f} ms, values {phi['sha256'][:16]}",
-          file=sys.stderr)
-    return layers
+first = time.process_time() - start
+grid = {PHI_GRID!r}
+values = [finite_size_phi(s) for s in grid]
+start = time.process_time()
+for _ in range({PHI_PASSES}):
+    for s in grid:
+        finite_size_phi(s)
+print(json.dumps([first, time.process_time() - start,
+                  hashlib.sha256(" ".join(v.hex() for v in values).encode()).hexdigest()]))
+"""
+    proc = subprocess.run([sys.executable, "-c", code], env=_env(root), capture_output=True, text=True, check=True)
+    first, block, digest = json.loads(proc.stdout)
+    return {"first_call_cpu_ms": 1000.0 * first, "block_s": block,
+            "us_per_call": 1e6 * block / (PHI_PASSES * len(PHI_GRID)), "values_sha256": digest}
 
 
 def _bench_run(root: Path, workload: str, seed: int) -> dict:
-    """One untraced ``benchmarks/run.py`` run of ``<root>``: its run record."""
+    """One untraced ``benchmarks/run.py`` run of ``<root>``: its run record,
+    without the per-op latencies and failure statuses."""
     proc = subprocess.run([sys.executable, str(root / "benchmarks" / "run.py"), "--workload", workload,
                            "--seed", str(seed)], cwd=root, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"{root} {workload} seed {seed}: run.py exited {proc.returncode}: "
                          f"{proc.stderr.strip()[-2000:]}")
     path = root / ".bench_run" / "results" / f"{workload}-seed{seed}-trace0.json"
-    return json.loads(path.read_text(encoding="utf-8"))
+    record = json.loads(path.read_text(encoding="utf-8"))
+    return {key: record[key] for key in ("workload", "seed", "trace", "metrics", "cpu_s", "attempted",
+                                         "failed", "digest", "versions")}
 
 
-def measure_workloads(root: Path) -> dict:
-    bench = root / "benchmarks"
-    sys.dont_write_bytecode = True  # import summarize.py without a cache under benchmarks/
-    sys.path.insert(0, str(bench))
-    try:
-        from summarize import summarize
-    finally:
-        sys.path.remove(str(bench))
-    records, runs = [], []
-    for workload in WORKLOADS:
-        for seed in SEEDS:
-            record = _bench_run(root, workload, seed)
-            records.append(record)
-            runs.append({"workload": workload, "seed": seed, "cpu_s": record["cpu_s"],
-                         "setup_s": record["metrics"]["setup_s"]["value"],
-                         "attempted": record["attempted"], "failed": record["failed"],
-                         "digest": record["digest"]})
-            print(f"{workload} seed {seed}: timed cpu {record['cpu_s']:.3f} s, "
-                  f"setup {runs[-1]['setup_s']:.4f} s", file=sys.stderr)
-    return {"summary": summarize(records), "runs": runs}
+def sample(root: Path, seed: int) -> dict:
+    """One reading of every part of the checkout at ``root``."""
+    compileall.compile_dir(str(root / "src" / "dyckarea"), quiet=1, maxlevels=0)  # as run.py arranges
+    env = _env(root)
+    commands = []
+    for argv in readme_commands((HERE / "README.md").read_text(encoding="utf-8")):
+        run = _run_once([sys.executable, "-m", "dyckarea", *argv], env)
+        probe = _run_once([sys.executable, "-X", "importtime", "-m", "dyckarea", *argv], env)
+        commands.append({"command": shlex.join(argv), "exit": run["exit"], "wall_ms": 1000.0 * run["wall_s"],
+                         "max_rss_mb": run["max_rss_mb"], "stdout_sha256": _sha256(run["stdout"]),
+                         "files_sha256": run["files"], "loads_numpy": bool(_NUMPY_LINE.search(probe["stderr"]))})
+    code = "import dyckarea.cli, sys; print('numpy' in sys.modules)"
+    run = _run_once([sys.executable, "-X", "importtime", "-c", code], env)
+    cumulative = re.search(rb"^import time:\s+\d+ \|\s+(\d+) \| dyckarea\.cli$", run["stderr"], re.MULTILINE)
+    phi = _phi(root)
+    workloads = {workload: _bench_run(root, workload, seed) for workload in WORKLOADS}
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, *TIER1], cwd=root, env=env, capture_output=True, text=True)
+    wall = time.perf_counter() - start
+    summary = proc.stdout.strip().splitlines()[-1]
+    counts = {key: int(n) for n, key in re.findall(r"(\d+) (passed|failed)", summary)}
+    taken = {"seed": seed, "readme_commands": commands,
+             "import_dyckarea_cli": {"cumulative_ms": int(cumulative.group(1)) / 1000.0,
+                                     "loads_numpy": run["stdout"].strip() == b"True"},
+             "finite_size_phi": phi, "workloads": workloads,
+             "tier1": {"wall_s": wall, "exit": proc.returncode, "passed": counts.get("passed", 0),
+                       "failed": counts.get("failed", 0), "summary": summary}}
+    print(f"{root} seed {seed}: README {sum(c['wall_ms'] for c in commands):.0f} ms, phi "
+          f"{phi['us_per_call']:.2f} us a call, tier-1 {wall:.1f} s ({summary})", file=sys.stderr)
+    return taken
 
 
-def _hex_text(value) -> str:
-    """A parsed field as text, every float as its ``float.hex``."""
-    if isinstance(value, float):
-        return value.hex()
-    if isinstance(value, dict):
-        return "{" + ",".join(f"{k}:{_hex_text(v)}" for k, v in value.items()) + "}"
-    if isinstance(value, (list, tuple)):
-        return "[" + ",".join(map(_hex_text, value)) + "]"
-    return repr(value)
+def readings(taken: dict) -> dict[str, float]:
+    """Every numeric reading of a sample, named ``<part>: <reading>``."""
+    out = {f"{row['command']}: {key}": row[key]
+           for row in taken["readme_commands"] for key in ("wall_ms", "max_rss_mb")}
+    out["import dyckarea.cli: cumulative_ms"] = taken["import_dyckarea_cli"]["cumulative_ms"]
+    out["tier-1: wall_s"] = taken["tier1"]["wall_s"]
+    phi = taken["finite_size_phi"]
+    out.update({f"finite_size_phi: {key}": phi[key] for key in ("us_per_call", "first_call_cpu_ms")})
+    for workload, record in taken["workloads"].items():
+        out.update({f"{workload}: {name}": m["value"] for name, m in record["metrics"].items()})
+    return out
 
 
-def measure_pool_digests(root: Path) -> dict:
-    """Per workload, the sha256 of every stored pool op's exit code and
-    parsed fields in ``float.hex``, the ops run in this process as
-    tests/test_benchmark_pools.py runs them. Writes nothing under ``benchmarks/``."""
-    sys.dont_write_bytecode = True  # no bytecode cache under benchmarks/
-    sys.path.insert(0, str(root / "src"))
-    from dyckarea import cli
-
-    modules = {}
-    for name in ("workloads", "checks"):
-        spec = importlib.util.spec_from_file_location(f"_bench_{name}", root / "benchmarks" / f"{name}.py")
-        modules[name] = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(modules[name])
-    workloads, checks = modules["workloads"], modules["checks"]
-    digests = {}
-    with tempfile.TemporaryDirectory() as work:
-        out = Path(work) / "op.out"
-        for workload in WORKLOADS:
-            digest = hashlib.sha256()
-            for _, ops in sorted(workloads.load_pool(workload)["cells"].items()):
-                for op in ops:
-                    out.unlink(missing_ok=True)
-                    stdout = io.StringIO()
-                    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
-                        rc = cli.main([str(out) if a == workloads.OUT else a for a in op["argv"]])
-                    text = out.read_text(encoding="utf-8") if out.exists() else None
-                    fields = checks.parse(op["kind"], stdout.getvalue(), text)
-                    digest.update(f"{rc} {_hex_text(fields)}\n".encode())
-            digests[workload] = digest.hexdigest()
-            print(f"{workload} pool digest {digests[workload][:16]}", file=sys.stderr)
-    return digests
+def outputs(taken: dict) -> dict[str, list]:
+    """Per part of a sample, what every sample of either side should repeat."""
+    out = {row["command"]: [row["exit"], row["stdout_sha256"], row["files_sha256"], row["loads_numpy"]]
+           for row in taken["readme_commands"]}
+    out["import dyckarea.cli"] = [taken["import_dyckarea_cli"]["loads_numpy"]]
+    out["tier-1"] = [taken["tier1"][key] for key in ("exit", "passed", "failed")]
+    out["finite_size_phi"] = [taken["finite_size_phi"]["values_sha256"]]
+    out.update({w: [r["digest"], f"{r['failed']}/{r['attempted']}"] for w, r in taken["workloads"].items()})
+    return out
 
 
 def _quartiles(values: list[float]) -> list[float]:
@@ -347,35 +251,132 @@ def summarize_pairs(pairs: list[tuple[dict, dict]], end_to_end: list[dict]) -> d
     return summary
 
 
+def compare(pairs: list[tuple[dict, dict]], end_to_end: list[dict]) -> dict:
+    """From (parent, change) samples: ``summarize_pairs`` of every reading,
+    and per part each side's distinct outputs and whether they all agree."""
+    listed = {m["name"]: m for m in end_to_end}
+    metrics = []
+    for name in readings(pairs[0][0]):
+        part, reading = name.rsplit(": ", 1)
+        spec = listed[reading] if part in WORKLOADS else {"better": "lower", "bound": OWN_BOUND}
+        metrics.append(dict(spec, name=name))
+    summary = summarize_pairs([(readings(p), readings(c)) for p, c in pairs], metrics)
+    seen = {part: {"parent": [], "change": []} for part in outputs(pairs[0][0])}
+    for pair in pairs:
+        for side, taken in zip(("parent", "change"), pair):
+            for part, value in outputs(taken).items():
+                seen[part][side] += [] if value in seen[part][side] else [value]
+    for s in seen.values():
+        s["agree"] = len(s["parent"]) == 1 and s["parent"] == s["change"]
+    return {"summary": summary, "outputs": seen}
+
+
+def report(result: dict) -> list[str]:
+    """``compare``'s result as text, one block per part."""
+    lines = []
+    for part, s in result["outputs"].items():
+        lines.append(f"{part}: outputs " + ("agree" if s["agree"] else
+                                            f"DIFFER: parent {s['parent']}, change {s['change']}"))
+        for name, m in result["summary"].items():
+            if name.startswith(f"{part}: "):
+                (p1, pm, p3), (c1, cm, c3) = m["parent_quartiles"], m["change_quartiles"]
+                lines.append(f"  {name[len(part) + 2:]:18s} parent {pm:.4g} [{p1:.4g}, {p3:.4g}]  change {cm:.4g} "
+                             f"[{c1:.4g}, {c3:.4g}]  {m['median_change']:+.1%}  wins {m['wins']}/{m['pairs']}  "
+                             f"{m['verdict']}")
+    return lines
+
+
 def measure_pairs(change: Path, parent: Path, seed: int, pairs: int) -> dict:
-    """``pairs`` alternating untraced runs of each checkout per workload."""
+    """``pairs`` alternating samples of each checkout at ``seed``."""
     end_to_end = json.loads((HERE / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
-    result = {}
-    for workload in WORKLOADS:
-        runs = []
-        for i in range(pairs):
-            order = [("parent", parent), ("change", change)][::1 if i % 2 == 0 else -1]
-            records = {side: _bench_run(root, workload, seed) for side, root in order}
-            runs.append({"first": order[0][0], **{side: {
-                "metrics": {k: m["value"] for k, m in r["metrics"].items()},
-                "attempted": r["attempted"], "failed": r["failed"], "digest": r["digest"]}
-                for side, r in records.items()}})
-            print(f"{workload} pair {i + 1}/{pairs}: op_p50_ms parent "
-                  f"{runs[-1]['parent']['metrics']['op_p50_ms']:.4g}, change "
-                  f"{runs[-1]['change']['metrics']['op_p50_ms']:.4g}", file=sys.stderr)
-        summary = summarize_pairs([(r["parent"]["metrics"], r["change"]["metrics"]) for r in runs], end_to_end)
-        digests = {r[side]["digest"] for r in runs for side in ("parent", "change")}
-        failed = {side: f"{sum(r[side]['failed'] for r in runs)}/{sum(r[side]['attempted'] for r in runs)}"
-                  for side in ("parent", "change")}
-        print(f"{workload}, seed {seed}, {pairs} pairs: digests {'equal' if len(digests) == 1 else 'DIFFER'}, "
-              f"failed ops parent {failed['parent']}, change {failed['change']}")
-        for name, m in summary.items():
-            print(f"  {name:12s} parent {m['parent_quartiles'][1]:.4g} [{m['parent_quartiles'][0]:.4g}, "
-                  f"{m['parent_quartiles'][2]:.4g}]  change {m['change_quartiles'][1]:.4g} "
-                  f"[{m['change_quartiles'][0]:.4g}, {m['change_quartiles'][2]:.4g}]  "
-                  f"{m['median_change']:+.1%}  wins {m['wins']}/{m['pairs']}  {m['verdict']}")
-        result[workload] = {"seed": seed, "runs": runs, "summary": summary}
-    return result
+    taken = []
+    for i in range(pairs):
+        order = [("parent", parent), ("change", change)][::1 if i % 2 == 0 else -1]
+        sides = {side: sample(root, seed) for side, root in order}
+        taken.append((sides["parent"], sides["change"]))
+    result = compare(taken, end_to_end)
+    print(f"seed {seed}, {pairs} pairs, the parent first in odd-numbered pairs")
+    print("\n".join(report(result)))
+    return dict(result, seed=seed, samples=[{"parent": p, "change": c} for p, c in taken])
+
+
+def _hex_text(value) -> str:
+    """A parsed field as text, every float as its ``float.hex``."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return "{" + ",".join(f"{k}:{_hex_text(v)}" for k, v in value.items()) + "}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ",".join(map(_hex_text, value)) + "]"
+    return repr(value)
+
+
+def _bench_module(root: Path, name: str):
+    """``<root>/benchmarks/<name>.py``, imported without writing bytecode there."""
+    sys.dont_write_bytecode = True
+    spec = importlib.util.spec_from_file_location(f"_bench_{name}", root / "benchmarks" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def measure_pool_digests(root: Path) -> dict:
+    """Per workload, the sha256 of every stored pool op's exit code and
+    parsed fields in ``float.hex``, the ops run in this process as
+    tests/test_benchmark_pools.py runs them. Writes nothing under ``benchmarks/``."""
+    sys.path.insert(0, str(root / "src"))
+    from dyckarea import cli
+
+    workloads, checks = _bench_module(root, "workloads"), _bench_module(root, "checks")
+    digests = {}
+    with tempfile.TemporaryDirectory() as work:
+        out = Path(work) / "op.out"
+        for workload in WORKLOADS:
+            digest = hashlib.sha256()
+            for _, ops in sorted(workloads.load_pool(workload)["cells"].items()):
+                for op in ops:
+                    out.unlink(missing_ok=True)
+                    stdout = io.StringIO()
+                    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+                        rc = cli.main([str(out) if a == workloads.OUT else a for a in op["argv"]])
+                    text = out.read_text(encoding="utf-8") if out.exists() else None
+                    fields = checks.parse(op["kind"], stdout.getvalue(), text)
+                    digest.update(f"{rc} {_hex_text(fields)}\n".encode())
+            digests[workload] = digest.hexdigest()
+            print(f"{workload} pool digest {digests[workload][:16]}", file=sys.stderr)
+    return digests
+
+
+def point(root: Path) -> dict:
+    """A sample at each of ``SEEDS``, folded: the best of each time beside
+    every sample's, and the first sample's outputs with whether all repeat."""
+    taken = [sample(root, seed) for seed in SEEDS]
+    repeatable = {part: all(outputs(s)[part] == value for s in taken) for part, value in outputs(taken[0]).items()}
+    commands = []
+    for i, row in enumerate(taken[0]["readme_commands"]):
+        walls = [s["readme_commands"][i]["wall_ms"] for s in taken]
+        commands.append(dict(row, best_wall_ms=min(walls), wall_ms=walls, repeatable=repeatable[row["command"]],
+                             max_rss_mb=max(s["readme_commands"][i]["max_rss_mb"] for s in taken)))
+    imports, tier1 = [s["import_dyckarea_cli"]["cumulative_ms"] for s in taken], [s["tier1"]["wall_s"] for s in taken]
+    phi = [s["finite_size_phi"] for s in taken]
+    blocks, first = [p["block_s"] for p in phi], [p["first_call_cpu_ms"] for p in phi]
+    records = [s["workloads"][workload] for workload in WORKLOADS for s in taken]
+    return {
+        "tier1": dict(taken[0]["tier1"], best_wall_s=min(tier1), wall_s=tier1, repeatable=repeatable["tier-1"]),
+        "import_dyckarea_cli": {"best_cumulative_ms": min(imports), "cumulative_ms": imports,
+                                "loads_numpy": all(s["import_dyckarea_cli"]["loads_numpy"] for s in taken)},
+        "layers": {"finite_size_phi": {
+            "grid": [PHI_GRID[0], PHI_GRID[-1], len(PHI_GRID)], "calls_per_block": PHI_PASSES * len(PHI_GRID),
+            "timed_cpu_s": sum(blocks), "best_us_per_call": min(p["us_per_call"] for p in phi), "blocks_s": blocks,
+            "values_sha256": phi[0]["values_sha256"], "repeatable": repeatable["finite_size_phi"],
+            "first_call_cpu_ms": first, "best_first_call_cpu_ms": min(first)}},
+        "readme_commands": commands,
+        "workloads": {"summary": _bench_module(root, "summarize").summarize(records), "runs": [
+            {"workload": r["workload"], "seed": r["seed"], "cpu_s": r["cpu_s"],
+             "setup_s": r["metrics"]["setup_s"]["value"], "attempted": r["attempted"], "failed": r["failed"],
+             "digest": r["digest"]} for r in records]},
+        "pool_digests": measure_pool_digests(root),
+    }
 
 
 def _lines(paths) -> int:
@@ -390,8 +391,8 @@ def _git(root: Path, *args: str) -> str:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--root", type=Path, default=HERE, help="the checkout to measure")
-    parser.add_argument("--against", type=Path, help="a parent checkout: run alternating benchmark pairs")
-    parser.add_argument("--pairs", type=int, default=10, help="--against: pairs per workload")
+    parser.add_argument("--against", type=Path, help="a parent checkout: take alternating pairs of samples")
+    parser.add_argument("--pairs", type=int, default=10, help="--against: the number of pairs")
     parser.add_argument("--seed", type=int, default=1, help="--against: the workloads' seed")
     args = parser.parse_args(argv)
     root = args.root.resolve()
@@ -401,25 +402,18 @@ def main(argv: list[str] | None = None) -> int:
                           "parent": _git(args.against.resolve(), "rev-parse", "HEAD"), "pairs": pairs}))
         return 0
     sha = _git(root, "rev-parse", "--short", "HEAD")
-    # every timed process loads the same cached bytecode, as run.py arranges
-    compileall.compile_dir(str(root / "src" / "dyckarea"), quiet=1, maxlevels=0)
-    point = {
+    measured = {
         "commit": _git(root, "rev-parse", "HEAD"),
         "src_changed_since_commit": bool(_git(root, "status", "--porcelain", "--", "src")),
         "measured": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "machine": {"python": platform.python_version(), "platform": platform.platform(),
-                    "nproc": os.cpu_count()},
+        "machine": {"python": platform.python_version(), "platform": platform.platform(), "nproc": os.cpu_count()},
         "src_lines": _lines((root / "src" / "dyckarea").glob("*.py")),
         "tests_lines": _lines((root / "tests").glob("*.py")),
-        "tier1": measure_tier1(root),
-        "import_dyckarea_cli": measure_import(root),
-        "layers": measure_layers(root),
-        "readme_commands": measure_commands(root),
-        "workloads": measure_workloads(root),
-        "pool_digests": measure_pool_digests(root),
+        "seeds": list(SEEDS),
+        **point(root),
     }
     dest = HERE / f"BENCH_{sha}.json"
-    dest.write_text(json.dumps(point, indent=1) + "\n", encoding="utf-8")
+    dest.write_text(json.dumps(measured, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {dest}", file=sys.stderr)
     return 0
 
