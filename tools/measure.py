@@ -70,8 +70,10 @@ WORKLOADS = ("critical_scans", "exact_tables", "point_queries")
 PHI_GRID = tuple(k / 20.0 for k in range(-160, 71))
 PHI_PASSES = 130
 
-# the bound of a reading BENCHMARK.json does not list (README commands,
-# import, tier-1, phi); see BOUND_RUN in CHANGES.md for the A/A run it rests on
+# the bound of a reading BENCHMARK.json does not list (README commands, import,
+# tier-1, phi). An A/A run (one commit twice, 10 pairs, seed 1, 2 busy cores)
+# read relative IQRs of 0.10-0.14 for tier-1, within it, and 0.19-0.51 for
+# the README walls, the import and phi, which it left unresolved
 OWN_BOUND = 0.2
 
 # ROADMAP's Tier-1 verify command, writing no pytest cache into the checkout
