@@ -908,9 +908,18 @@ class TestParsePaths:
 class TestReadme:
     """The README's command-line documentation and the parser stay in step."""
 
-    def test_flags_are_options(self):
+    def test_flags_are_options(self, capsys):
+        # the paragraph on tools/measure.py names that tool's flags, read
+        # from its help; every other flag is one of the dyckarea command line
+        pattern = r"(?<![\w-])--[a-z][a-z0-9-]*"
+        tool = next(paragraph for paragraph in README.split("\n\n") if paragraph.startswith("`tools/measure.py`"))
+        with pytest.raises(SystemExit):
+            measure.main(["-h"])
+        tool_options = set(re.findall(pattern, capsys.readouterr().out))
+        tool_flags = set(re.findall(pattern, tool))
+        assert tool_flags and tool_flags <= tool_options, sorted(tool_flags - tool_options)
         options = {flag for sub in cli.build_parser().commands.values() for flag in sub._option_string_actions}
-        flags = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", README))
+        flags = set(re.findall(pattern, README.replace(tool, "")))
         assert flags and flags <= options, sorted(flags - options)
 
     def test_command_lines_parse(self):
