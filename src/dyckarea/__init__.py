@@ -18,10 +18,7 @@ The library exposes four layers:
 everything in a deterministic command-line tool.
 """
 
-import logging
-
 __version__ = "0.1.0"
-logging.getLogger(__name__).addHandler(logging.NullHandler())  # debug-level route decisions
 
 from .enumeration import (  # noqa: E402
     AreaPolynomial,
@@ -66,6 +63,9 @@ from .asymptotics import (  # noqa: E402
     scaling_s,
     scaling_t,
 )
+from . import qseries  # noqa: E402
+
+qseries._debug()  # where logging is loaded already, the NullHandler of debug-level route decisions
 
 __all__ = [
     "__version__",

@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import Literal, NamedTuple
 
 from .errors import (
@@ -70,8 +69,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SaddleData:
+class SaddleData(NamedTuple):
     """Saddle points and uniform-expansion coefficients at one t.
 
     ``alpha`` is real on (0, 1/2) with sign(alpha) = sign(1 - 4t); ``beta``

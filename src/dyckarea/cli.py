@@ -2,21 +2,21 @@
 
 Subcommands: eval, scan, enumerate, scaling, partition, validate.
 Exit codes: 0 success, 1 verification mismatch, 2 domain error or resource
-limit, 3 non-convergence, 64 usage error, 74 I/O error. The parser is built
-once per process, with one flag table per command, and ``main()`` may be
+limit, 3 non-convergence, 64 usage error, 74 I/O error. ``main()`` may be
 called repeatedly. A well-formed ``command --flag value ...`` line is read
-from that command's table with argparse's own types and choices; any other
-line, and every usage error, ``-h`` and ``--version``, takes one argparse
-pass with the parser of the command it names.
+from that command's flag table, declared once as data, with argparse's own
+types and choices, and loads no argparse; any other line, and every usage
+error, ``-h`` and ``--version``, takes one argparse pass with the parser of
+the command it names, built from the same tables once per process.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import math
 import re
 import sys
+import types
 
 from . import __version__
 from .asymptotics import g_scaling, g_uniform, scaling_s, scaling_t
@@ -55,29 +55,6 @@ EXIT_DOMAIN = 2
 EXIT_NONCONVERGENCE = 3
 EXIT_USAGE = 64
 EXIT_IO = 74
-
-
-class _Parser(argparse.ArgumentParser):
-    commands: dict[str, _Parser]  # command word -> its parser; set on the top level
-    tables: dict[str, tuple]  # command word -> its flag table (``_table``); set on the top level
-
-    def __init__(self, *args, **kwargs):
-        self.flags: dict[str, argparse.Action] = {}  # option string -> the Action storing its value
-        super().__init__(*args, **kwargs)
-        # a negative number is a value, not a flag, also as -1e-3 and heading a comma list
-        number = r"(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?"
-        self._negative_number_matcher = re.compile(rf"^-{number}(,-?{number})*$")
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-
-    def add_argument(self, *args, **kwargs):
-        action = super().add_argument(*args, **kwargs)
-        if action.default is not argparse.SUPPRESS:  # -h and --version store nothing: argparse's
-            self.flags.update(dict.fromkeys(action.option_strings, action))
-        return action
 
 
 class _UsageError(Exception):
@@ -251,133 +228,151 @@ def _cmd_validate(args) -> int:
     return EXIT_OK if all(results) else EXIT_MISMATCH
 
 
+# Each command's flag table, declared once: its help, its handler, and the
+# keywords of ``add_argument`` for each flag (dest from the flag's name, as
+# argparse derives it). ``_read`` reads a line from it; ``build_parser``
+# builds argparse's parser from it.
+_COMMANDS = {
+    "eval": ("evaluate G(t, q) by one method; the ratio route's series stop where their dropped tails "
+             "are certified below 2^-54", _cmd_eval, {
+        "--t": dict(type=float, required=True),
+        "--q": dict(type=float),
+        "--eps": dict(type=float),
+        "--method": dict(choices=["series", "ratio", "cfrac", "uniform", "scaling"], required=True),
+        "--n-max": dict(type=int, default=60),
+    }),
+    "scan": ("write a figure-reproduction dataset", _cmd_scan, {
+        "--kind": dict(choices=["g_vs_t", "phase_boundary", "scaling_fn", "partition"], required=True),
+        "--q": dict(type=float),
+        "--eps": dict(type=float),
+        "--eps-list": dict(),
+        "--t": dict(type=float, default=0.25),
+        "--t-min": dict(type=float, default=0.01),
+        "--t-max": dict(type=float, default=0.45),
+        "--q-min": dict(type=float, default=0.3),
+        "--q-max": dict(type=float, default=0.99),
+        "--s-min": dict(type=float, default=-2.0),
+        "--s-max": dict(type=float, default=2.0),
+        "--steps": dict(type=int, default=50),
+        "--m-list": dict(help="partition: the areas m (default 10,20,30,40)"),
+        "--n-max": dict(type=int, help="partition: >= 2 max(m) (default 2 max(m)); only echoed in the metadata"),
+        "--tol": dict(type=float, default=1e-10, help="phase_boundary: the t_inf bisection tolerance"),
+        "--out": dict(required=True),
+        "--format": dict(choices=["csv", "json"], default="csv"),
+        "--stamp": dict(action="store_true",
+                        help="include a timestamp in metadata (breaks byte-for-byte determinism)"),
+    }),
+    "enumerate": ("write the exact coefficient table", _cmd_enumerate, {
+        "--n-max": dict(type=int, required=True),
+        "--format": dict(choices=["csv", "json"], default="csv"),
+        "--out": dict(),
+        "--verify-brute-force": dict(type=int),
+    }),
+    "scaling": ("evaluate the scaling function F(s)", _cmd_scaling, {
+        "--s": dict(type=float, required=True),
+        "--j-max": dict(type=int, default=40),
+        "--eps": dict(type=float),
+    }),
+    "partition": ("exact vs asymptotic fixed-area series; phi stops on a certified tail and exits 3 where "
+                  "its series cancels", _cmd_partition, {
+        "--m": dict(type=int, required=True),
+        "--t": dict(type=float, required=True),
+        "--n-max": dict(type=int, help=">= 2m (default 2m); only echoed in the output"),
+    }),
+    "validate": ("run the numerical validation suites", _cmd_validate, {}),
+}
+
+# a negative number is a value, not a flag, also as -1e-3 and heading a comma list
+_NUMBER = r"(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?"
+_NEGATIVE_NUMBER = rf"^-{_NUMBER}(,-?{_NUMBER})*$"
+
+
 @functools.cache
-def build_parser() -> _Parser:
-    """The command-line parser; built on the first call, then shared by every caller."""
-    parser = _Parser(prog="dyckarea", description=__doc__)
+def build_parser():
+    """The argparse parser of ``_COMMANDS``, built on the first call, then
+    shared by every caller. ``main`` calls it only for a line ``_read``
+    declines, so only such a line, ``-h`` or ``--version`` imports argparse."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self._negative_number_matcher = re.compile(_NEGATIVE_NUMBER)
+
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            print(f"{self.prog}: error: {message}", file=sys.stderr)
+            raise SystemExit(EXIT_USAGE)
+
+    parser = Parser(prog="dyckarea", description=__doc__)
     parser.add_argument("--version", action="version", version=f"dyckarea {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("eval", help="evaluate G(t, q) by one method; the ratio route's series "
-                                    "stop where their dropped tails are certified below 2^-54")
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--q", type=float)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--method", choices=["series", "ratio", "cfrac", "uniform", "scaling"],
-                   required=True)
-    p.add_argument("--n-max", dest="n_max", type=int, default=60)
-    p.set_defaults(func=_cmd_eval)
-
-    p = sub.add_parser("scan", help="write a figure-reproduction dataset")
-    p.add_argument("--kind", choices=["g_vs_t", "phase_boundary", "scaling_fn", "partition"],
-                   required=True)
-    p.add_argument("--q", type=float)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--eps-list", dest="eps_list")
-    p.add_argument("--t", type=float, default=0.25)
-    p.add_argument("--t-min", dest="t_min", type=float, default=0.01)
-    p.add_argument("--t-max", dest="t_max", type=float, default=0.45)
-    p.add_argument("--q-min", dest="q_min", type=float, default=0.3)
-    p.add_argument("--q-max", dest="q_max", type=float, default=0.99)
-    p.add_argument("--s-min", dest="s_min", type=float, default=-2.0)
-    p.add_argument("--s-max", dest="s_max", type=float, default=2.0)
-    p.add_argument("--steps", type=int, default=50)
-    p.add_argument("--m-list", dest="m_list", help="partition: the areas m (default 10,20,30,40)")
-    p.add_argument("--n-max", dest="n_max", type=int,
-                   help="partition: >= 2 max(m) (default 2 max(m)); only echoed in the metadata")
-    p.add_argument("--tol", type=float, default=1e-10,
-                   help="phase_boundary: the t_inf bisection tolerance")
-    p.add_argument("--out", required=True)
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--stamp", action="store_true",
-                   help="include a timestamp in metadata (breaks byte-for-byte determinism)")
-    p.set_defaults(func=_cmd_scan)
-
-    p = sub.add_parser("enumerate", help="write the exact coefficient table")
-    p.add_argument("--n-max", dest="n_max", type=int, required=True)
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--out")
-    p.add_argument("--verify-brute-force", dest="verify_brute_force", type=int)
-    p.set_defaults(func=_cmd_enumerate)
-
-    p = sub.add_parser("scaling", help="evaluate the scaling function F(s)")
-    p.add_argument("--s", type=float, required=True)
-    p.add_argument("--j-max", dest="j_max", type=int, default=40)
-    p.add_argument("--eps", type=float)
-    p.set_defaults(func=_cmd_scaling)
-
-    p = sub.add_parser("partition", help="exact vs asymptotic fixed-area series; phi stops on a "
-                                         "certified tail and exits 3 where its series cancels")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--n-max", dest="n_max", type=int,
-                   help=">= 2m (default 2m); only echoed in the output")
-    p.set_defaults(func=_cmd_partition)
-
-    p = sub.add_parser("validate", help="run the numerical validation suites")
-    p.set_defaults(func=_cmd_validate)
-
-    parser.commands = sub.choices
-    parser.tables = {word: _table(command) for word, command in parser.commands.items()}
+    for word, (text, func, flags) in _COMMANDS.items():
+        command = sub.add_parser(word, help=text)
+        for flag, keywords in flags.items():
+            command.add_argument(flag, **keywords)
+        command.set_defaults(func=func)
+    parser.commands = sub.choices  # command word -> its parser
     return parser
 
 
-def _table(command: _Parser) -> tuple[dict, dict, frozenset]:
-    """A command's flag table: its flags (option string -> Action), the
-    values of a line that gives none of them, and the flags it requires."""
-    actions = set(command.flags.values())
-    defaults = {action.dest: action.default for action in actions}
-    defaults["func"] = command.get_default("func")
-    return command.flags, defaults, frozenset(action for action in actions if action.required)
+@functools.cache
+def _table(word: str) -> tuple[dict, dict, frozenset]:
+    """A command's flag table, read from ``_COMMANDS``: flag -> (dest, its
+    ``add_argument`` keywords), the values of a line that gives no flag, and
+    the flags it requires."""
+    _, func, flags = _COMMANDS[word]
+    table = {flag: (flag[2:].replace("-", "_"), keywords) for flag, keywords in flags.items()}
+    defaults = {dest: keywords.get("default", False if "action" in keywords else None)
+                for dest, keywords in table.values()}
+    return table, dict(defaults, func=func), frozenset(flag for flag in flags if flags[flag].get("required"))
 
 
-def _read(table: tuple[dict, dict, frozenset], argv: list[str], number: re.Pattern) -> argparse.Namespace | None:
-    """The Namespace argparse would give for ``--flag value ...``, where each
-    flag stores one value or, taking none (``--stamp``), its const; or None
-    for a line argparse must see: an unknown or abbreviated flag,
-    ``--flag=value``, a missing value, a value led by ``-`` that is not a
-    ``number``, a value its type or choices reject, a required flag left out."""
-    flags, values, required = table
+def _read(word: str, argv: list[str]) -> types.SimpleNamespace | None:
+    """The values argparse would give ``word --flag value ...``, where each
+    flag stores one value or, taking none (``--stamp``), True; or None for a
+    line argparse must see: an unknown or abbreviated flag, ``--flag=value``,
+    a missing value, a value led by ``-`` that is not a number, a value its
+    type or choices reject, a required flag left out."""
+    flags, values, required = _table(word)
     values, seen, i = dict(values), set(), 0
     while i < len(argv):
-        action = flags.get(argv[i])
-        if action is None:
+        entry = flags.get(flag := argv[i])
+        if entry is None:
             return None
-        if action.nargs == 0:
-            values[action.dest] = action.const
+        dest, keywords = entry
+        if "action" in keywords:  # store_true
+            values[dest] = True
             i += 1
         else:
-            if i + 1 == len(argv) or (argv[i + 1][:1] == "-" and not number.match(argv[i + 1])):
+            if i + 1 == len(argv) or (argv[i + 1][:1] == "-" and not re.match(_NEGATIVE_NUMBER, argv[i + 1])):
                 return None
+            kind = keywords.get("type")
             try:
-                value = argv[i + 1] if action.type is None else action.type(argv[i + 1])
-            except (TypeError, ValueError, argparse.ArgumentTypeError):
+                value = argv[i + 1] if kind is None else kind(argv[i + 1])
+            except (TypeError, ValueError):
                 return None
-            if action.choices is not None and value not in action.choices:
+            if "choices" in keywords and value not in keywords["choices"]:
                 return None
-            values[action.dest] = value
+            values[dest] = value
             i += 2
-        seen.add(action)
-    return argparse.Namespace(**values) if required <= seen else None
+        seen.add(flag)
+    return types.SimpleNamespace(**values, command=word) if required <= seen else None
 
 
-def _parse(parser: _Parser, argv: list[str]) -> argparse.Namespace:
-    """The arguments of one call.
-
-    A leading command word and a line its flag table reads (``_read``) make
-    no argparse pass. Any other line takes one: a leading command word goes
-    straight to its own parser, and what that parser leaves over is reported
-    as the top-level parse would report it; anything else (no argv, -h,
-    --version, an unknown word) takes the top-level parse, which lists the
-    commands.
-    """
+def _parse(argv: list[str]):
+    """The arguments of one call: from the flag table of a leading command
+    word (``_read``), with no argparse pass; else from that command's own
+    parser, what it leaves over reported as the top-level parse would; else
+    (no argv, -h, --version, an unknown word) from the top-level parse."""
+    if argv and argv[0] in _COMMANDS and (args := _read(argv[0], argv[1:])) is not None:
+        return args
+    parser = build_parser()
     if not argv or (command := parser.commands.get(argv[0])) is None:
         return parser.parse_args(argv)
-    args = _read(parser.tables[argv[0]], argv[1:], parser._negative_number_matcher)
-    if args is None:
-        args, extra = command.parse_known_args(argv[1:])
-        if extra:
-            parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    args, extra = command.parse_known_args(argv[1:])
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
     args.command = argv[0]
     return args
 
@@ -387,7 +382,7 @@ def main(argv: list[str] | None = None) -> int:
     exit code. A well-formed line makes no argparse pass, any other one
     (``_parse``)."""
     try:
-        args = _parse(build_parser(), sys.argv[1:] if argv is None else list(argv))
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

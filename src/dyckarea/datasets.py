@@ -8,11 +8,9 @@ renders plots; the datasets are the reproducibility artifact.
 
 from __future__ import annotations
 
-import csv
 import io
-import json
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import __version__
 from .asymptotics import _finite_size_s, g_uniform, q_m_asymptotic, scaling_t
@@ -31,24 +29,24 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ScanDataset:
-    """Columns of one scan plus the settings needed to reproduce it."""
+class ScanDataset(NamedTuple("ScanDataset", [("kind", str), ("columns", dict), ("metadata", dict)])):
+    """Columns of one scan plus the settings needed to reproduce it (by default a new empty dict)."""
 
-    kind: str
-    columns: dict[str, list]
-    metadata: dict = field(default_factory=dict)
+    __slots__ = ()
 
-    def __post_init__(self):
-        lengths = {len(v) for v in self.columns.values()}
+    def __new__(cls, kind: str, columns: dict[str, list], metadata: dict | None = None):
+        lengths = {len(v) for v in columns.values()}
         if len(lengths) > 1:
             raise DomainError(f"ragged columns in dataset: {lengths}")
+        return super().__new__(cls, kind, columns, {} if metadata is None else metadata)
 
     @property
     def n_rows(self) -> int:
         return len(next(iter(self.columns.values()))) if self.columns else 0
 
     def to_csv(self) -> str:
+        import csv  # only the writers load csv and json
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         names = list(self.columns)
@@ -58,6 +56,8 @@ class ScanDataset:
         return buf.getvalue()
 
     def to_json(self) -> str:
+        import json
+
         payload = {
             "kind": self.kind,
             "metadata": self.metadata,

@@ -37,14 +37,13 @@ of degree at most 2m, fixed by c[m][0..2m]: no row past 2m is ever read.
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 import struct
 from collections.abc import Iterator
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
+from typing import NamedTuple
 
 from .errors import DivergenceError, DomainError, ResourceLimitError
 
@@ -74,27 +73,23 @@ def catalan_number(n: int) -> int:
     return math.comb(2 * n, n) // (n + 1)
 
 
-@dataclass(frozen=True)
-class AreaPolynomial:
+class AreaPolynomial(NamedTuple("AreaPolynomial", [("n", int), ("coeffs", tuple)])):
     """Coefficients of one fixed-length row: coeffs[m] counts paths of area m."""
 
-    n: int
-    coeffs: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        expected = self.n * (self.n - 1) // 2 + 1
-        if len(self.coeffs) != expected:
-            raise DomainError(
-                f"row {self.n} must have {expected} coefficients, got {len(self.coeffs)}"
-            )
+    def __new__(cls, n: int, coeffs: tuple[int, ...]):
+        expected = n * (n - 1) // 2 + 1
+        if len(coeffs) != expected:
+            raise DomainError(f"row {n} must have {expected} coefficients, got {len(coeffs)}")
+        return super().__new__(cls, n, coeffs)
 
     def total(self) -> int:
         """Number of paths of semilength n (a Catalan number)."""
         return sum(self.coeffs)
 
 
-@dataclass(frozen=True)
-class CoefficientTable:
+class CoefficientTable(NamedTuple):
     """The row polynomials for n = 0..n_max: ``rows[n].coeffs[m]`` is c[m][n]."""
 
     rows: tuple[AreaPolynomial, ...]
@@ -330,6 +325,8 @@ def table_to_csv(table: CoefficientTable) -> Iterator[str]:
 
 def table_to_json(table: CoefficientTable) -> str:
     """JSON object with one coefficient array per row, integers as strings."""
+    import json
+
     payload = {
         "n_max": table.n_max,
         "rows": [[str(c) for c in row.coeffs] for row in table.rows],

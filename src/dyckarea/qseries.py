@@ -42,10 +42,9 @@ from __future__ import annotations
 import cmath
 import functools
 import itertools
-import logging
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     AccuracyError,
@@ -72,7 +71,7 @@ __all__ = [
     "contour_h",
 ]
 
-_log = logging.getLogger(__name__)
+_log = None  # this module's logger, once ``logging`` is loaded (``_debug``)
 _GUARD_BITS = 96  # bits a value of H keeps beyond double precision after cancellation
 _MAX_TERMS = 200_000  # the alternating series gives up after this many terms
 
@@ -98,18 +97,31 @@ def _nome(eps: float) -> float:
     return q
 
 
-@dataclass(frozen=True)
-class EvalSettings:
+def _debug(message: str | None = None, *args) -> None:
+    """Log a route decision at DEBUG level, only where ``logging`` is loaded:
+    no handler can exist without it, and ``logging.lastResort`` never prints
+    DEBUG. The first call that finds it loaded gives the ``dyckarea`` logger
+    its NullHandler; ``import dyckarea`` makes one with no message."""
+    global _log
+    if _log is None and (logging := sys.modules.get("logging")) is not None:
+        logging.getLogger("dyckarea").addHandler(logging.NullHandler())
+        _log = logging.getLogger(__name__)
+    if _log is not None and message is not None:
+        _log.debug(message, *args)
+
+
+class EvalSettings(NamedTuple("EvalSettings", [("q", float)])):
     """The nome q of the ratio route (``h_series``, ``g_ratio``) and the cap
     ``bits_for`` on the width of its sums. Every sum of H stops on its
     certified tail bound (``_h_series_mp``), and ``_sum_h`` picks its
     precision; the envelope of ``bits_for`` only caps it.
     """
 
-    q: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        _epsilon(self.q)
+    def __new__(cls, q: float):
+        _epsilon(q)
+        return super().__new__(cls, q)
 
     def bits_for(self, t: float | complex) -> int:
         """The cap on the working mantissa width of a sum of H at t: the
@@ -173,8 +185,7 @@ def _log_euler_function(eps: float) -> float:
     return value + log_q_pochhammer(p, p).real if p >= 1e-17 else value
 
 
-@dataclass(frozen=True)
-class HSeriesResult:
+class HSeriesResult(NamedTuple):
     """Value of the alternating series, its diagnostics and the precision used.
 
     ``last_term`` is the last |term| summed, which bounds the dropped tail
@@ -385,11 +396,11 @@ def _sum_h(t, settings: EvalSettings, scaled: bool = False):
     while True:
         frac, sums = _h_series_mp(t, settings.q, scaled, bits, narrow=bits < envelope)
         lost = max(_bits_lost(peak, total) for total, _, peak, _ in sums)
-        _log.debug("H at %r: %d of %d bits, lost %.1f", t, bits, envelope, lost)
+        _debug("H at %r: %d of %d bits, lost %.1f", t, bits, envelope, lost)
         if bits == envelope or bits - lost >= 53 + _GUARD_BITS:
             return sums, frac, bits, lost
         bits = min(envelope, max(2 * bits, math.ceil(min(lost, envelope)) + 8 + 53 + _GUARD_BITS))
-        _log.debug("H at %r: rerun at %d bits", t, bits)
+        _debug("H at %r: rerun at %d bits", t, bits)
 
 
 def h_series(t: float | complex, settings: EvalSettings, full_output: bool = False):
@@ -651,7 +662,7 @@ def g_cfrac(t: float, q: float, full_output: bool = False):
     else:
         value = _cfrac_pairwise(t, q, depth)
         path = "pairwise"
-    _log.debug("cfrac: depth %d, path %s, bound %.1f bits", depth, path, bits)
+    _debug("cfrac: depth %d, path %s, bound %.1f bits", depth, path, bits)
     if not math.isfinite(value):
         raise PoleProximityError(f"the continued fraction at t = {t!r} is {value!r}")
     return (value, depth) if full_output else value
@@ -692,8 +703,7 @@ def t_infinity(q: float, tol: float = 1e-12) -> float:
 # Euler-Maclaurin remainder certification
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RemainderCheck:
+class RemainderCheck(NamedTuple):
     """Remainder of the Euler-Maclaurin form of ln (z; q)_inf with its bound."""
 
     z: complex

@@ -36,8 +36,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import (
     BranchCutError,
@@ -81,8 +81,7 @@ _RICCATI_BITS = 420
 _RICCATI_FIXED = {0: ((_AIP0_256 << _RICCATI_BITS + 1) + _AI0_256) // (2 * _AI0_256)}
 
 
-@dataclass(frozen=True)
-class AiryPair:
+class AiryPair(NamedTuple):
     """Values of Ai and Ai' at one point; ``ai`` is 0.0 where Ai(x) decays
     below the smallest positive double."""
 

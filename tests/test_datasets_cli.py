@@ -745,8 +745,8 @@ class TestCli:
         # argparse's own matcher takes only -1 and -0.5 for values, and read
         # -1e-3 as an unknown flag: "expected one argument", exit 64
         argv = [command, *self.REQUIRED[command], flag, "-1e-3"]
-        assert getattr(cli._parse(cli.build_parser(), argv), dest) == -1e-3
-        assert getattr(cli._parse(cli.build_parser(), argv[:-1] + ["-2E-1"]), dest) == -0.2
+        assert getattr(cli._parse(argv), dest) == -1e-3
+        assert getattr(cli._parse(argv[:-1] + ["-2E-1"]), dest) == -0.2
 
     def test_negative_exponent_end_to_end(self, run_cli):
         assert run_cli("scaling", "--s", "-1e-3", "--eps", "1e-4").returncode == 0
@@ -782,6 +782,11 @@ def _readme_commands() -> list[list[str]]:
     """The argv of every ``dyckarea`` line of the README's command-line block,
     as ``tools/measure.py`` runs them."""
     return measure.readme_commands(README)
+
+
+def _flag_actions(command) -> list:
+    """The actions of a command parser's flags, ``-h`` left out."""
+    return [action for action in command._actions if action.default is not argparse.SUPPRESS]
 
 
 class TestParsePaths:
@@ -825,12 +830,13 @@ class TestParsePaths:
         passes = self._count_passes(monkeypatch)
         one_pass = run()
         assert len(passes) == passes_expected, passes
-        monkeypatch.setattr(cli, "_parse", lambda parser, argv: parser.parse_args(argv))
+        monkeypatch.setattr(cli, "_parse", lambda argv: cli.build_parser().parse_args(argv))
         assert run() == one_pass
 
     # tokens for drawn lines: every flag, abbreviations, --flag=value, unknown
     # flags, and values in and out of type and choices
-    FLAGS = sorted({flag for command in cli.build_parser().commands.values() for flag in command.flags})
+    FLAGS = sorted({flag for command in cli.build_parser().commands.values() for action in _flag_actions(command)
+                    for flag in action.option_strings})
     ODD_FLAGS = ["-h", "--help", "--version", "--me", "--t-m", "--st", "--method=cfrac", "--t=0.2", "--bogus"]
     VALUES = ["0.2", "0.5", "1e-4", "-1e-3", "-2E-1", "-0.5", "-3", "12", "0", "nan", "1e400", " 0.3", "0x1p-3",
               "-", "--", "--t", "-x y", "x", "", "1,2", "-1e-2,0.1", "cfrac", "ratio", "bogus", "g_vs_t",
@@ -848,7 +854,7 @@ class TestParsePaths:
         word = draw(st.sampled_from([*cli.build_parser().commands, "bogus", "-h", "--version"]))
         command = cli.build_parser().commands.get(word)
         parts = []
-        for action in dict.fromkeys(command.flags.values()) if command else ():
+        for action in _flag_actions(command) if command else ():
             if not (draw(st.integers(0, 19)) if action.required else draw(st.booleans())):
                 continue
             part = [draw(st.sampled_from(action.option_strings))]
@@ -878,7 +884,7 @@ class TestParsePaths:
         # the table's Namespace, or argparse's exit code, stdout and stderr
         # where the table declines, are those of the top-level parse_args
         parser = cli.build_parser()
-        assert self._outcome(lambda a: cli._parse(parser, a), argv) == self._outcome(parser.parse_args, argv)
+        assert self._outcome(cli._parse, argv) == self._outcome(parser.parse_args, argv)
 
     def test_benchmark_lines_make_no_pass(self, monkeypatch):
         # every pool and warm-up argv of the benchmark's workloads, as the
@@ -898,7 +904,7 @@ class TestParsePaths:
         argvs = [["op.out" if a == workloads.OUT else a for a in argv] for argv in argvs]
         parser = cli.build_parser()
         passes = self._count_passes(monkeypatch)
-        read = [cli._parse(parser, argv) for argv in argvs]
+        read = [cli._parse(argv) for argv in argvs]
         assert passes == []
         monkeypatch.undo()
         for argv, args in zip(argvs, read):

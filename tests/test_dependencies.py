@@ -248,3 +248,53 @@ def test_partition_computes_no_zeta_sum(tmp_path):
             assert cli.main(["scaling", "--s", "0.5"]) == 0
         assert sf._airy_zero.cache_info().currsize == 400
     """)
+
+
+# the modules a README line read from its flag table does without: the
+# package logs only where logging is loaded, its records are NamedTuples,
+# json and csv load in the writers, and argparse only for a line the table
+# declines, -h and --version
+_START_UP_UNUSED = ("logging", "argparse", "dataclasses", "inspect", "json", "csv")
+
+
+@pytest.mark.parametrize("argv, loads_argparse", [("eval --t 0.2 --q 0.5 --method cfrac", False), ("-h", True)])
+def test_start_up_budget(tmp_path, argv, loads_argparse):
+    _fresh_process(tmp_path, f"""
+        import contextlib, io, sys
+        import dyckarea.cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert dyckarea.cli.main({argv.split()!r}) == 0
+        loaded = [name for name in {_START_UP_UNUSED!r} if name in sys.modules]
+        assert loaded == {["argparse"] if loads_argparse else []!r}, loaded
+    """)
+
+
+@pytest.mark.parametrize("first", ["logging", "dyckarea"])
+def test_debug_records_reach_a_handler(tmp_path, first):
+    # whichever is imported first, a DEBUG handler on the dyckarea logger
+    # gets the route records, and the logger carries one NullHandler: from
+    # the import where logging is loaded first, else from the first record
+    _fresh_process(tmp_path, f"""
+        import sys
+        if {first!r} == "logging":
+            import logging
+        import dyckarea
+        from dyckarea.qseries import EvalSettings, g_cfrac, h_series
+        if {first!r} == "logging":
+            assert [type(h) for h in logging.getLogger("dyckarea").handlers] == [logging.NullHandler]
+        else:
+            g_cfrac(0.2, 0.5)  # no record: nothing can receive it
+            assert "logging" not in sys.modules
+            import logging
+        messages = []
+        handler = logging.Handler(logging.DEBUG)
+        handler.emit = lambda record: messages.append(record.getMessage())
+        logger = logging.getLogger("dyckarea")
+        logger.setLevel(logging.DEBUG)
+        logger.addHandler(handler)
+        g_cfrac(0.2, 0.5)
+        h_series(0.2, EvalSettings(q=0.5))
+        assert any(m.startswith("cfrac: depth ") for m in messages), messages
+        assert any(m.startswith("H at 0.2: ") for m in messages), messages
+        assert sorted(type(h).__name__ for h in logger.handlers) == ["Handler", "NullHandler"], logger.handlers
+    """)

@@ -76,16 +76,18 @@ def test_fewer_than_ten_pairs_claim_nothing():
 # one canned sample of tools/measure.py's sample(): a README command, the
 # import, tier-1, phi and one workload, every timed reading scaled by `scale`
 COMMAND = "eval --t 0.2 --q 0.5 --method cfrac"
-OWN_READINGS = [f"{COMMAND}: wall_ms", f"{COMMAND}: max_rss_mb", "import dyckarea.cli: cumulative_ms",
+OWN_READINGS = [f"{COMMAND}: cpu_ms", f"{COMMAND}: max_rss_mb", "import dyckarea.cli: cpu_ms",
                 "tier-1: wall_s", "finite_size_phi: us_per_call", "finite_size_phi: first_call_cpu_ms"]
 
 
 def _sample(scale=1.0, stdout="f2d6", passed=945):
     return {
         "seed": 1,
-        "readme_commands": [{"command": COMMAND, "exit": 0, "wall_ms": 60.0 * scale, "max_rss_mb": 20.0 * scale,
-                             "stdout_sha256": stdout, "files_sha256": {}, "loads_numpy": False}],
-        "import_dyckarea_cli": {"cumulative_ms": 19.0 * scale, "loads_numpy": False},
+        "readme_commands": [{"command": COMMAND, "exit": 0, "cpu_ms": 30.0 * scale, "wall_ms": 60.0,
+                             "max_rss_mb": 20.0 * scale, "stdout_sha256": stdout, "files_sha256": {},
+                             "loads_numpy": False}],
+        "import_dyckarea_cli": {"cpu_ms": 9.0 * scale, "wall_ms": 40.0, "cumulative_ms": 19.0,
+                                "loads_numpy": False},
         "finite_size_phi": {"first_call_cpu_ms": 0.35 * scale, "block_s": 0.6 * scale,
                             "us_per_call": 20.0 * scale, "values_sha256": "9847"},
         "workloads": {"point_queries": {"metrics": {"ops_per_s": {"value": 4000.0 / scale, "unit": "1/s"}},
@@ -142,7 +144,7 @@ def test_outputs_agree_or_are_reported():
 def test_report_prints_every_reading_under_its_part():
     lines = measure.report(_compare(0.7))
     assert lines[0] == f"{COMMAND}: outputs agree"
-    assert lines[1].startswith("  wall_ms") and "wins 10/10" in lines[1] and lines[1].endswith("better")
+    assert lines[1].startswith("  cpu_ms") and "wins 10/10" in lines[1] and lines[1].endswith("better")
     assert sum(line.startswith("  ") for line in lines) == len(OWN_READINGS) + 1
 
 

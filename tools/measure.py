@@ -10,16 +10,19 @@ compiled, takes one reading of each of:
 
 * every ``dyckarea`` line of the "## Command line" block of the README
   beside this script, as ``python -m dyckarea ...`` in an empty temporary
-  directory: wall time, max RSS, exit code, the sha256 of stdout and of
-  each file written, and, from one more run under ``-X importtime``,
-  whether it loads numpy;
-* ``-X importtime`` of ``import dyckarea.cli``, and whether it loads numpy;
+  directory: CPU (scaled, below) and wall time, max RSS, exit code, the
+  sha256 of stdout and of each file written, and, from one more run under
+  ``-X importtime``, whether it loads numpy;
+* ``import dyckarea.cli``: CPU, wall, ``-X importtime`` cumulative, numpy;
 * in a fresh process, the CPU of the first ``finite_size_phi(1.0)``, then,
   after an untimed pass over ``PHI_GRID``, of ``PHI_PASSES`` passes, and
   the ``float.hex`` digest of the values;
 * ``<root>/benchmarks/run.py`` on each workload at the seed;
 * the tier-1 suite (ROADMAP's Tier-1 verify command, with
   ``-p no:cacheprovider``): wall time, exit code, passed and failed counts.
+
+Each CPU is scaled as ``benchmarks/child.py`` scales op times, by its ``PROBE_NOMINAL_S`` over the mean of
+its ``speed_probe()`` just before and after, on the one CPU a process is pinned to with its probes (phi: inside it).
 
 Without ``--against`` it samples at each of ``SEEDS`` and writes
 ``BENCH_<short sha of the checkout's HEAD>.json`` at the root of the
@@ -46,6 +49,7 @@ from __future__ import annotations
 import argparse
 import compileall
 import contextlib
+import functools
 import hashlib
 import importlib.util
 import io
@@ -97,45 +101,57 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+@functools.cache
+def _probe():
+    sys.path.insert(0, str(HERE / "benchmarks"))  # benchmarks/child.py imports its siblings by name
+    return _bench_module(HERE, "child")
+
+
 def _run_once(argv: list[str], env: dict) -> dict:
-    """One fresh process in an empty directory: wall time, max RSS, exit
-    code and the digests of stdout and of every file left in the directory."""
+    """A fresh process in an empty directory: scaled CPU, wall, max RSS, exit code, digests of stdout and files."""
+    probe, cpus = _probe(), os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(cpus)})  # the child on the CPU of its probes: two CPUs' speeds drift apart
     with tempfile.TemporaryDirectory() as work, tempfile.TemporaryFile() as out, \
             tempfile.TemporaryFile() as err:
+        before = probe.speed_probe()
         start = time.perf_counter()
         proc = subprocess.Popen(argv, cwd=work, env=env, stdout=out, stderr=err)
         _, status, usage = os.wait4(proc.pid, 0)
         wall = time.perf_counter() - start
+        cpu = (usage.ru_utime + usage.ru_stime) * probe.PROBE_NOMINAL_S / (0.5 * (before + probe.speed_probe()))
+        os.sched_setaffinity(0, cpus)
         proc.returncode = os.waitstatus_to_exitcode(status)
         out.seek(0)
         err.seek(0)
         files = {p.name: _sha256(p.read_bytes()) for p in sorted(Path(work).iterdir())}
-        return {"wall_s": wall, "max_rss_mb": usage.ru_maxrss / 1024.0, "exit": proc.returncode,
-                "stdout": out.read(), "stderr": err.read(), "files": files}
+        return {"cpu_ms": 1000.0 * cpu, "wall_ms": 1000.0 * wall, "max_rss_mb": usage.ru_maxrss / 1024.0,
+                "exit": proc.returncode, "stdout": out.read(), "stderr": err.read(), "files": files}
 
 
 def _phi(root: Path) -> dict:
-    """The first call and one timed block of ``finite_size_phi`` in a fresh
-    interpreter, CPU by ``time.process_time`` around the calls alone."""
+    """The first call and one block of ``finite_size_phi`` in a fresh interpreter, scaled CPU around the calls."""
     code = f"""
-import hashlib, json, time
+import hashlib, json, sys, time
 from dyckarea.asymptotics import finite_size_phi
 start = time.process_time()
 finite_size_phi(1.0)
 first = time.process_time() - start
 grid = {PHI_GRID!r}
 values = [finite_size_phi(s) for s in grid]
+sys.path.insert(0, {str(HERE / "tools")!r}); probe = __import__("measure")._probe()
+before = probe.speed_probe()
 start = time.process_time()
 for _ in range({PHI_PASSES}):
     for s in grid:
         finite_size_phi(s)
-print(json.dumps([first, time.process_time() - start,
-                  hashlib.sha256(" ".join(v.hex() for v in values).encode()).hexdigest()]))
+block = time.process_time() - start
+scale = probe.PROBE_NOMINAL_S / (0.5 * (before + probe.speed_probe()))
+print(json.dumps([first, block, scale, hashlib.sha256(" ".join(v.hex() for v in values).encode()).hexdigest()]))
 """
     proc = subprocess.run([sys.executable, "-c", code], env=_env(root), capture_output=True, text=True, check=True)
-    first, block, digest = json.loads(proc.stdout)
-    return {"first_call_cpu_ms": 1000.0 * first, "block_s": block,
-            "us_per_call": 1e6 * block / (PHI_PASSES * len(PHI_GRID)), "values_sha256": digest}
+    first, block, scale, digest = json.loads(proc.stdout)
+    return {"first_call_cpu_ms": 1000.0 * first * scale, "block_s": block, "scale": scale,
+            "us_per_call": 1e6 * block * scale / (PHI_PASSES * len(PHI_GRID)), "values_sha256": digest}
 
 
 def _bench_run(root: Path, workload: str, seed: int) -> dict:
@@ -160,10 +176,11 @@ def sample(root: Path, seed: int) -> dict:
     for argv in readme_commands((HERE / "README.md").read_text(encoding="utf-8")):
         run = _run_once([sys.executable, "-m", "dyckarea", *argv], env)
         probe = _run_once([sys.executable, "-X", "importtime", "-m", "dyckarea", *argv], env)
-        commands.append({"command": shlex.join(argv), "exit": run["exit"], "wall_ms": 1000.0 * run["wall_s"],
+        commands.append({"command": shlex.join(argv), **{key: run[key] for key in ("exit", "cpu_ms", "wall_ms")},
                          "max_rss_mb": run["max_rss_mb"], "stdout_sha256": _sha256(run["stdout"]),
                          "files_sha256": run["files"], "loads_numpy": bool(_NUMPY_LINE.search(probe["stderr"]))})
     code = "import dyckarea.cli, sys; print('numpy' in sys.modules)"
+    plain = _run_once([sys.executable, "-c", code], env)
     run = _run_once([sys.executable, "-X", "importtime", "-c", code], env)
     cumulative = re.search(rb"^import time:\s+\d+ \|\s+(\d+) \| dyckarea\.cli$", run["stderr"], re.MULTILINE)
     phi = _phi(root)
@@ -175,11 +192,12 @@ def sample(root: Path, seed: int) -> dict:
     counts = {key: int(n) for n, key in re.findall(r"(\d+) (passed|failed)", summary)}
     taken = {"seed": seed, "readme_commands": commands,
              "import_dyckarea_cli": {"cumulative_ms": int(cumulative.group(1)) / 1000.0,
+                                     "cpu_ms": plain["cpu_ms"], "wall_ms": plain["wall_ms"],
                                      "loads_numpy": run["stdout"].strip() == b"True"},
              "finite_size_phi": phi, "workloads": workloads,
              "tier1": {"wall_s": wall, "exit": proc.returncode, "passed": counts.get("passed", 0),
                        "failed": counts.get("failed", 0), "summary": summary}}
-    print(f"{root} seed {seed}: README {sum(c['wall_ms'] for c in commands):.0f} ms, phi "
+    print(f"{root} seed {seed}: README {sum(c['cpu_ms'] for c in commands):.0f} ms CPU, phi "
           f"{phi['us_per_call']:.2f} us a call, tier-1 {wall:.1f} s ({summary})", file=sys.stderr)
     return taken
 
@@ -187,8 +205,8 @@ def sample(root: Path, seed: int) -> dict:
 def readings(taken: dict) -> dict[str, float]:
     """Every numeric reading of a sample, named ``<part>: <reading>``."""
     out = {f"{row['command']}: {key}": row[key]
-           for row in taken["readme_commands"] for key in ("wall_ms", "max_rss_mb")}
-    out["import dyckarea.cli: cumulative_ms"] = taken["import_dyckarea_cli"]["cumulative_ms"]
+           for row in taken["readme_commands"] for key in ("cpu_ms", "max_rss_mb")}
+    out["import dyckarea.cli: cpu_ms"] = taken["import_dyckarea_cli"]["cpu_ms"]
     out["tier-1: wall_s"] = taken["tier1"]["wall_s"]
     phi = taken["finite_size_phi"]
     out.update({f"finite_size_phi: {key}": phi[key] for key in ("us_per_call", "first_call_cpu_ms")})
@@ -356,22 +374,24 @@ def point(root: Path) -> dict:
     repeatable = {part: all(outputs(s)[part] == value for s in taken) for part, value in outputs(taken[0]).items()}
     commands = []
     for i, row in enumerate(taken[0]["readme_commands"]):
-        walls = [s["readme_commands"][i]["wall_ms"] for s in taken]
-        commands.append(dict(row, best_wall_ms=min(walls), wall_ms=walls, repeatable=repeatable[row["command"]],
+        cpus, walls = ([s["readme_commands"][i][key] for s in taken] for key in ("cpu_ms", "wall_ms"))
+        commands.append(dict(row, best_cpu_ms=min(cpus), cpu_ms=cpus, best_wall_ms=min(walls), wall_ms=walls,
+                             repeatable=repeatable[row["command"]],
                              max_rss_mb=max(s["readme_commands"][i]["max_rss_mb"] for s in taken)))
-    imports, tier1 = [s["import_dyckarea_cli"]["cumulative_ms"] for s in taken], [s["tier1"]["wall_s"] for s in taken]
+    imports = {key: [s["import_dyckarea_cli"][key] for s in taken] for key in ("cpu_ms", "wall_ms", "cumulative_ms")}
+    tier1 = [s["tier1"]["wall_s"] for s in taken]
     phi = [s["finite_size_phi"] for s in taken]
     blocks, first = [p["block_s"] for p in phi], [p["first_call_cpu_ms"] for p in phi]
     records = [s["workloads"][workload] for workload in WORKLOADS for s in taken]
     return {
         "tier1": dict(taken[0]["tier1"], best_wall_s=min(tier1), wall_s=tier1, repeatable=repeatable["tier-1"]),
-        "import_dyckarea_cli": {"best_cumulative_ms": min(imports), "cumulative_ms": imports,
-                                "loads_numpy": all(s["import_dyckarea_cli"]["loads_numpy"] for s in taken)},
+        "import_dyckarea_cli": dict(imports, best_cpu_ms=min(imports["cpu_ms"]), loads_numpy=all(
+            s["import_dyckarea_cli"]["loads_numpy"] for s in taken), best_cumulative_ms=min(imports["cumulative_ms"])),
         "layers": {"finite_size_phi": {
             "grid": [PHI_GRID[0], PHI_GRID[-1], len(PHI_GRID)], "calls_per_block": PHI_PASSES * len(PHI_GRID),
             "timed_cpu_s": sum(blocks), "best_us_per_call": min(p["us_per_call"] for p in phi), "blocks_s": blocks,
             "values_sha256": phi[0]["values_sha256"], "repeatable": repeatable["finite_size_phi"],
-            "first_call_cpu_ms": first, "best_first_call_cpu_ms": min(first)}},
+            "first_call_cpu_ms": first, "best_first_call_cpu_ms": min(first), "scales": [p["scale"] for p in phi]}},
         "readme_commands": commands,
         "workloads": {"summary": _bench_module(root, "summarize").summarize(records), "runs": [
             {"workload": r["workload"], "seed": r["seed"], "cpu_s": r["cpu_s"],
