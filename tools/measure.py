@@ -21,8 +21,8 @@ compiled, takes one reading of each of:
 * the tier-1 suite (ROADMAP's Tier-1 verify command, with
   ``-p no:cacheprovider``): wall time, exit code, passed and failed counts.
 
-Each CPU is scaled as ``benchmarks/child.py`` scales op times, by its ``PROBE_NOMINAL_S`` over the mean of
-its ``speed_probe()`` just before and after, on the one CPU a process is pinned to with its probes (phi: inside it).
+Each CPU is scaled as ``benchmarks/child.py`` scales op times, by its speed
+probe just before and after the process (phi: each pass), all on one CPU.
 
 Without ``--against`` it samples at each of ``SEEDS`` and writes
 ``BENCH_<short sha of the checkout's HEAD>.json`` at the root of the
@@ -109,8 +109,7 @@ def _probe():
 
 def _run_once(argv: list[str], env: dict) -> dict:
     """A fresh process in an empty directory: scaled CPU, wall, max RSS, exit code, digests of stdout and files."""
-    probe, cpus = _probe(), os.sched_getaffinity(0)
-    os.sched_setaffinity(0, {min(cpus)})  # the child on the CPU of its probes: two CPUs' speeds drift apart
+    probe = _probe()
     with tempfile.TemporaryDirectory() as work, tempfile.TemporaryFile() as out, \
             tempfile.TemporaryFile() as err:
         before = probe.speed_probe()
@@ -119,7 +118,6 @@ def _run_once(argv: list[str], env: dict) -> dict:
         _, status, usage = os.wait4(proc.pid, 0)
         wall = time.perf_counter() - start
         cpu = (usage.ru_utime + usage.ru_stime) * probe.PROBE_NOMINAL_S / (0.5 * (before + probe.speed_probe()))
-        os.sched_setaffinity(0, cpus)
         proc.returncode = os.waitstatus_to_exitcode(status)
         out.seek(0)
         err.seek(0)
@@ -129,7 +127,7 @@ def _run_once(argv: list[str], env: dict) -> dict:
 
 
 def _phi(root: Path) -> dict:
-    """The first call and one block of ``finite_size_phi`` in a fresh interpreter, scaled CPU around the calls."""
+    """The first call and one block of ``finite_size_phi`` in a fresh interpreter, scaled CPU of the calls."""
     code = f"""
 import hashlib, json, sys, time
 from dyckarea.asymptotics import finite_size_phi
@@ -139,19 +137,20 @@ first = time.process_time() - start
 grid = {PHI_GRID!r}
 values = [finite_size_phi(s) for s in grid]
 sys.path.insert(0, {str(HERE / "tools")!r}); probe = __import__("measure")._probe()
-before = probe.speed_probe()
-start = time.process_time()
-for _ in range({PHI_PASSES}):
+times, probes = [], [(0, probe.speed_probe())]
+for k in range({PHI_PASSES}):
+    start = time.process_time()
     for s in grid:
         finite_size_phi(s)
-block = time.process_time() - start
-scale = probe.PROBE_NOMINAL_S / (0.5 * (before + probe.speed_probe()))
-print(json.dumps([first, block, scale, hashlib.sha256(" ".join(v.hex() for v in values).encode()).hexdigest()]))
+    times.append(time.process_time() - start)
+    probes.append((k + 1, probe.speed_probe()))
+print(json.dumps([first, sum(times), sum(probe.normalise(times, probes)),
+                  hashlib.sha256(" ".join(v.hex() for v in values).encode()).hexdigest()]))
 """
     proc = subprocess.run([sys.executable, "-c", code], env=_env(root), capture_output=True, text=True, check=True)
-    first, block, scale, digest = json.loads(proc.stdout)
-    return {"first_call_cpu_ms": 1000.0 * first * scale, "block_s": block, "scale": scale,
-            "us_per_call": 1e6 * block * scale / (PHI_PASSES * len(PHI_GRID)), "values_sha256": digest}
+    first, block, scaled, digest = json.loads(proc.stdout)
+    return {"first_call_cpu_ms": 1000.0 * first * scaled / block, "block_s": block, "scale": scaled / block,
+            "us_per_call": 1e6 * scaled / (PHI_PASSES * len(PHI_GRID)), "values_sha256": digest}
 
 
 def _bench_run(root: Path, workload: str, seed: int) -> dict:
@@ -171,8 +170,8 @@ def _bench_run(root: Path, workload: str, seed: int) -> dict:
 def sample(root: Path, seed: int) -> dict:
     """One reading of every part of the checkout at ``root``."""
     compileall.compile_dir(str(root / "src" / "dyckarea"), quiet=1, maxlevels=0)  # as run.py arranges
-    env = _env(root)
-    commands = []
+    env, cpus, commands = _env(root), os.sched_getaffinity(0), []
+    os.sched_setaffinity(0, {min(cpus)})  # each child on the CPU of its probes: two CPUs' speeds drift apart
     for argv in readme_commands((HERE / "README.md").read_text(encoding="utf-8")):
         run = _run_once([sys.executable, "-m", "dyckarea", *argv], env)
         probe = _run_once([sys.executable, "-X", "importtime", "-m", "dyckarea", *argv], env)
@@ -184,6 +183,7 @@ def sample(root: Path, seed: int) -> dict:
     run = _run_once([sys.executable, "-X", "importtime", "-c", code], env)
     cumulative = re.search(rb"^import time:\s+\d+ \|\s+(\d+) \| dyckarea\.cli$", run["stderr"], re.MULTILINE)
     phi = _phi(root)
+    os.sched_setaffinity(0, cpus)
     workloads = {workload: _bench_run(root, workload, seed) for workload in WORKLOADS}
     start = time.perf_counter()
     proc = subprocess.run([sys.executable, *TIER1], cwd=root, env=env, capture_output=True, text=True)
