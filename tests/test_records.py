@@ -73,8 +73,7 @@ def test_fields_cannot_be_assigned(kind, fields, other):
     (lambda: EvalSettings(q=1.5), "q must lie in (0, 1), got 1.5"),
     (lambda: EvalSettings(0.0), "q must lie in (0, 1), got 0.0"),
     (lambda: ScanDataset("g_vs_t", {"t": [0.1, 0.2], "G": [1.1]}), "ragged columns in dataset: {1, 2}"),
-    (lambda: ScanDataset(kind="x", columns={"a": []}, metadata={}).__class__("x", {"a": [1], "b": []}),
-     "ragged columns in dataset: {0, 1}"),
+    (lambda: ScanDataset(kind="x", columns={"a": [1], "b": []}, metadata={}), "ragged columns in dataset: {0, 1}"),
 ])
 def test_validation_errors(make, message):
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):

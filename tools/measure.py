@@ -76,8 +76,8 @@ PHI_PASSES = 130
 
 # the bound of a reading BENCHMARK.json does not list (README commands, import,
 # tier-1, phi). An A/A run (one commit twice, 10 pairs, seed 1, 2 busy cores)
-# read relative IQRs of 0.10-0.14 for tier-1, within it, and 0.19-0.51 for
-# the README walls, the import and phi, which it left unresolved
+# read relative IQRs of 0.06-0.08 for tier-1 and 0.03-0.20 for the scaled CPU of
+# the README commands, the import and phi a call, all within it (raw walls 0.19-0.51)
 OWN_BOUND = 0.2
 
 # ROADMAP's Tier-1 verify command, writing no pytest cache into the checkout
